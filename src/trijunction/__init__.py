@@ -38,8 +38,7 @@ from .parameterization import (
     curvature_kappa,
     curve_from_graph,
     coefficients,
-    junction_angle_residuals,
-    outer_bc_residual,
+    boundary_residuals,
     state_from_rho,
     network_residuals,
 )
@@ -52,7 +51,7 @@ from .stability import (
     rayleigh_quotient,
     stability_criterion,
 )
-from .evolution import EvolveConfig, Trajectory, Stepper, step, run, initial_state, junction_kinematics
+from .evolution import EvolveConfig, Trajectory, Stepper, run, initial_state, junction_kinematics
 from .diagnostics import (
     BranchSample,
     CurveSample,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution, stability, steady, storage
+from . import diagnostics, evolution, stability, steady, storage
 from .config import RunConfig, parse_config
 from .errors import ParseError, TriJunctionError, ValidationError
 
@@ -122,8 +122,7 @@ def _cmd_verify(args) -> int:
     if np.any(np.diff(E) > 1e-12):
         k = int(np.argmax(np.diff(E)))
         failures.append(f"energy increases between records {k} and {k + 1}")
-    dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
-    law = np.abs(dEdt + k2[1:-1])
+    _, law = diagnostics.energy_law_residual(rows)
     law_tol = args.res_tol * max(1.0, float(k2.max()))
     if law.max() > law_tol:
         failures.append(

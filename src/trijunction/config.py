@@ -51,7 +51,6 @@ _KNOWN_KEYS = {
     "perturbation.coefficients.3",
     "output",
     "network",
-    "seed",
 }
 
 
@@ -79,7 +78,6 @@ class RunConfig:
     )
     output: str = "trajectory.csv"
     network: str | None = None
-    seed: int = 0
 
     def make_domain(self) -> ImplicitDomain:
         return make_domain(self.domain_type, **self.domain_params)
@@ -211,5 +209,4 @@ def parse_config(text: str) -> RunConfig:
     if out is not None:
         cfg.output = out
     cfg.network = take("network")
-    cfg.seed = number("seed", int, cfg.seed)
     return cfg

@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .domains import ImplicitDomain, boundary_curvature
 from .errors import DegenerateCurve, NonPositiveSeries
-from .parameterization import GraphState, StationaryNetwork, curve_from_graph
+from .parameterization import Coefficients, GraphState, StationaryNetwork, curve_from_graph
 from .tensions import SurfaceTensions, junction_matrix, young_angles
 
 
@@ -313,12 +313,10 @@ def decay_fit(times, series, window: float = 0.5, floor: float = 1e-12):
     return float(coef[0]), float(coef[1]), r2
 
 
-def kappa_l2_sq_sigma_grid(network, domain, tensions, state: GraphState) -> float:
-    """||kappa||_L2^2 by sigma-grid quadrature with the exact curvature
-    formula and arc element J dsigma; cross-check for the arc-length route."""
-    from .parameterization import coefficients
-
-    coef = coefficients(network, domain, tensions, state)
-    dx = network.lengths / state.n
+def kappa_l2_sq_sigma_grid(network, tensions, coef: Coefficients) -> float:
+    """||kappa||_L2^2 by sigma-grid quadrature of the exact curvature of
+    `coefficients` with arc element J dsigma; cross-check for the
+    arc-length route."""
+    dx = network.lengths / (coef.kappa.shape[1] - 1)
     per = np.trapezoid(coef.kappa**2 * coef.J, dx=1.0, axis=1) * dx
     return float(np.sum(tensions.array * per))

@@ -2,13 +2,14 @@
 
 One step is linearly implicit: the stiff local diffusion a^i rho_ss is
 advanced implicitly (one tridiagonal solve per branch), while the nonlocal
-junction coupling Lambda^i * (a1 T0 rho_ss) and all lower-order content,
-i.e. the difference L kappa + Lambda mu_t - a rho_ss evaluated at the
-current state, is explicit.  A Newton sweep on the six boundary nodal
-values then re-enforces the junction conditions (weighted sum exactly, the
-two angle residuals to tolerance) and the three perpendicularity conditions,
-with interior nodes frozen; mu is slaved to rho(0) through the junction
-matrix after every sweep so the stick condition cannot drift.
+junction coupling Lambda^i mu_t, whose mu_t carries the junction traces
+of rho_ss, and all lower-order content, i.e. the difference
+L kappa + Lambda mu_t - a rho_ss evaluated at the current state, is
+explicit.  A Newton sweep on the six boundary nodal values then re-enforces
+the junction conditions (weighted sum exactly, the two angle residuals to
+tolerance) and the three perpendicularity conditions, with interior nodes
+frozen; mu is slaved to rho(0) through the junction matrix after every
+sweep so the stick condition cannot drift.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -36,8 +37,9 @@ from .errors import (
 from .parameterization import (
     GraphState,
     StationaryNetwork,
+    boundary_residuals,
     coefficients,
-    psi_first_jet,
+    end_slope,
     psi_jet,
     state_from_rho,
 )
@@ -90,9 +92,7 @@ class Stepper:
         self.basis = constraint_basis(tensions)  # (2, 3)
         self.gammas = tensions.array
         n = config.n
-        self.dsigma = network.lengths / n
-        self._dsigma_sq = self.dsigma**2
-        self._two_dsigma = 2.0 * self.dsigma
+        self._dsigma_sq = (network.lengths / n) ** 2
         # banded matrix of the interior solve in solve_banded's layout (rows:
         # super-, main and subdiagonal): the entries that decouple the branch
         # blocks stay zero, and step() rewrites the rest through the (3, n-1)
@@ -100,41 +100,10 @@ class Stepper:
         m = n - 1
         self._ab = np.zeros((3, 3 * m))
         self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
-        self._branch6 = np.array([0, 1, 2, 0, 1, 2])
-        self._sigma6 = np.concatenate([np.zeros(3), network.lengths])
         self._jac = None
         self._jac_age = 0
         self._mu_b_prev = None
         self._exit6 = None
-
-    # -- boundary residuals ------------------------------------------------
-
-    def _bc_residual(self, rho, r0, w):
-        """Junction angle + outer perpendicularity residuals for boundary
-        values (r0, w) with the interior of `rho` frozen."""
-        net, dom = self.network, self.domain
-        mu = self.qmat.q @ r0
-        q6 = np.concatenate([r0, w])
-        mu6 = np.concatenate([mu, mu])
-        psi, d_sigma, d_q = psi_first_jet(net, dom, self._branch6, self._sigma6,
-                                          q6, mu6, s_guess=self._exit6)
-
-        two_d = self._two_dsigma
-        rs0 = (-3.0 * r0 + 4.0 * rho[:, 1] - rho[:, 2]) / two_d
-        rsl = (3.0 * w - 4.0 * rho[:, -2] + rho[:, -3]) / two_d
-        rs6 = np.concatenate([rs0, rsl])
-
-        phi_s = d_sigma + rs6[:, None] * d_q
-        J = np.hypot(phi_s[:, 0], phi_s[:, 1])
-        c = self.angles.cos
-        g12 = phi_s[0] @ phi_s[1] - J[0] * J[1] * c[2]
-        g13 = phi_s[2] @ phi_s[0] - J[2] * J[0] * c[1]
-
-        grad = dom.grad(psi[3:])
-        gnorm = np.hypot(grad[:, 0], grad[:, 1])
-        cross = phi_s[3:, 0] * grad[:, 1] - phi_s[3:, 1] * grad[:, 0]
-        outer = -cross / (J[3:] * gnorm)
-        return np.array([g12, g13, outer[0], outer[1], outer[2]])
 
     def enforce_bcs(self, rho, tol=None, max_iter=None, exc=NewtonDiverged):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
@@ -146,22 +115,27 @@ class Stepper:
         tol = cfg.newton_tol if tol is None else tol
         max_iter = cfg.newton_max if max_iter is None else max_iter
         g = self.gammas
-        r0 = rho[:, 0] - g * (g @ rho[:, 0]) / (g @ g)
-        w = rho[:, -1].copy()
+        r0_base = rho[:, 0] - g * (g @ rho[:, 0]) / (g @ g)
+        net, dom, angles, q = self.network, self.domain, self.angles, self.qmat.q
 
         def unpack(u):
             return r0_base + u[:2] @ self.basis, u[2:]
 
-        r0_base = r0.copy()
+        def residual(u):
+            # junction angle + outer perpendicularity residuals, interior frozen
+            r0, w = unpack(u)
+            return boundary_residuals(net, dom, angles, rho, r0, w, q @ r0,
+                                      s_guess=self._exit6)
+
         u = np.zeros(5)
-        u[2:] = w
-        F = self._bc_residual(rho, *unpack(u))
+        u[2:] = rho[:, -1]
+        F = residual(u)
         for it in range(max_iter):
             fmax = np.abs(F).max()
             if fmax < tol:
                 break
             if self._jac is None or it >= 2 or self._jac_age > 100:
-                self._jac = self._bc_jacobian(rho, u, unpack, F)
+                self._jac = self._bc_jacobian(residual, u, F)
                 self._jac_age = 0
             try:
                 step = np.linalg.solve(self._jac, -F)
@@ -170,7 +144,7 @@ class Stepper:
             lam, base = 1.0, _norm(F)
             for _ in range(9):
                 u_try = u + lam * step
-                F_try = self._bc_residual(rho, *unpack(u_try))
+                F_try = residual(u_try)
                 if _norm(F_try) < base:
                     u, F = u_try, F_try
                     break
@@ -191,13 +165,13 @@ class Stepper:
         rho[:, -1] = w_new
         return rho, r0_new
 
-    def _bc_jacobian(self, rho, u, unpack, F0):
+    def _bc_jacobian(self, residual, u, F0):
         jac = np.empty((5, 5))
         h = 1e-7
         for k in range(5):
             up = u.copy()
             up[k] += h
-            jac[:, k] = (self._bc_residual(rho, *unpack(up)) - F0) / h
+            jac[:, k] = (residual(up) - F0) / h
         return jac
 
     # -- one time step -----------------------------------------------------
@@ -249,11 +223,6 @@ class Stepper:
         rho_new[:, -1] = bn
         rho_new, r0 = self.enforce_bcs(rho_new)
         return GraphState(rho=rho_new, mu=self.qmat.q @ r0, t=state.t + dt)
-
-
-def step(network, domain, tensions, state, config) -> GraphState:
-    """Single step without reusing stepper state (convenience wrapper)."""
-    return Stepper(network, domain, tensions, config).step(state)
 
 
 def initial_state(network, domain, tensions, config: EvolveConfig,
@@ -357,9 +326,9 @@ def junction_kinematics(network, domain, state0: GraphState, state1: GraphState)
         return pts.mean(axis=0)
 
     dp = (junction_point(state1) - junction_point(state0)) / dt
-    d = network.lengths / state0.n
-    rs0 = (-3.0 * state0.rho[:, 0] + 4.0 * state0.rho[:, 1] - state0.rho[:, 2]) / (2.0 * d)
-    jet = psi_jet(network, domain, np.arange(3), np.zeros(3), state0.rho[:, 0], state0.mu)
+    rho = state0.rho
+    rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], network.lengths / state0.n)
+    jet = psi_jet(network, domain, np.arange(3), np.zeros(3), rho[:, 0], state0.mu)
     phi_s = jet.d_sigma + rs0[:, None] * jet.d_q
     J = np.linalg.norm(phi_s, axis=1)
     T = phi_s / J[:, None]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .domains import ImplicitDomain
 from .errors import DegenerateMetric, MatrixMNotInvertible
-from .tensions import JunctionMatrix, SurfaceTensions, young_angles, junction_matrix
+from .tensions import JunctionAngles, JunctionMatrix, SurfaceTensions, young_angles, junction_matrix
 
 _J_FLOOR = 1e-8
 _DET_M_FLOOR = 0.5
@@ -93,25 +93,6 @@ def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
 # stretched coordinates
 
 
-def _mu_terms(network, domain, branch, q, s_guess=None):
-    """(mu_b, mu_b', mu_b'') of the offset exit abscissa, vectorized.
-
-    branch may be an int or an integer array aligned with q.  Derivatives
-    follow from differentiating psi(p_* + mu_b T + q N) = 0 twice
-    (ImplicitDomain.offset_exit):
-        mu_b'  = -(grad psi, N) / (grad psi, T)
-        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N.
-
-    s_guess warm-starts the root search (time steppers pass the previous
-    exits); the reference lengths are the cold start.
-    """
-    q = np.asarray(q, dtype=float)
-    b = np.asarray(branch, dtype=int)
-    s_ref = network.lengths[b] if s_guess is None else np.asarray(s_guess, dtype=float)
-    return domain.offset_exit(network.p_star, network.tangents[b],
-                              network.normals[b], q, s_ref)
-
-
 def mu_boundary(network, domain, i: int, q: float) -> float:
     """Exit abscissa mu_b^i(q) of the reference line offset by q.
 
@@ -119,7 +100,9 @@ def mu_boundary(network, domain, i: int, q: float) -> float:
     (mu_b^i)''(0) = h_*^i, so the branch length responds quadratically to
     lateral sliding with the wall curvature as coefficient.
     """
-    mu_b, _, _ = _mu_terms(network, domain, i, np.asarray(q, dtype=float))
+    mu_b, _, _ = domain.offset_exit(network.p_star, network.tangents[i],
+                                    network.normals[i], np.asarray(q, dtype=float),
+                                    network.lengths[i], second=False)
     return float(mu_b) if np.ndim(q) == 0 else mu_b
 
 
@@ -137,8 +120,17 @@ class PsiJet:
     d_qq: np.ndarray
 
 
-def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
-    """Closed-form jet of the stretched map at (sigma, q, mu), batched."""
+def _jet_terms(network, domain, branch, sigma, q, mu, s_guess, second):
+    """Exit terms, stretch fraction and the first-order partials of Psi.
+
+    Shared by psi_first_jet and psi_jet.  The exit abscissa and its
+    q-derivatives come from differentiating psi(p_* + mu_b T + q N) = 0
+    (ImplicitDomain.offset_exit):
+        mu_b'  = -(grad psi, N) / (grad psi, T)
+        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N,
+    the second only when `second` is set.  s_guess warm-starts the root
+    search; the reference lengths are the cold start.
+    """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
     mu_arr = np.asarray(mu, dtype=float)
@@ -146,30 +138,35 @@ def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
     T = network.tangents[b]
     N = network.normals[b]
     l = network.lengths[b]
-    mu_b, dmu, ddmu = _mu_terms(network, domain, b, q)
+
+    start = l if s_guess is None else s_guess
+    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, T, N, q, start, second=second)
 
     frac = sigma / l
     xi = mu_arr + frac * (mu_b - mu_arr)
-    xi_sigma = (mu_b - mu_arr) / l
-    xi_q = frac * dmu
-    xi_mu = 1.0 - frac
-    xi_sigma_q = dmu / l
-    xi_sigma_mu = -1.0 / l
-    xi_qq = frac * ddmu
+    psi = network.p_star + xi[..., None] * T + q[..., None] * N
+    d_sigma = ((mu_b - mu_arr) / l)[..., None] * T
+    d_q = (frac * dmu)[..., None] * T + N
+    return (psi, d_sigma, d_q), (T, l, xi, frac, dmu, ddmu)
+
+
+def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
+    """Closed-form jet of the stretched map at (sigma, q, mu), batched."""
+    (psi, d_sigma, d_q), (T, l, xi, frac, dmu, ddmu) = _jet_terms(
+        network, domain, branch, sigma, q, mu, None, True)
 
     def along(scal):
         return np.asarray(scal)[..., None] * T
 
-    zero = np.zeros(np.broadcast_shapes(sigma.shape, q.shape, np.shape(l)) + (2,))
     return PsiJet(
-        psi=network.p_star + along(xi) + q[..., None] * N,
-        d_sigma=along(xi_sigma),
-        d_q=along(xi_q) + N,
-        d_mu=along(xi_mu),
-        d_sigma_sigma=zero,
-        d_sigma_q=along(xi_sigma_q),
-        d_sigma_mu=along(np.broadcast_to(xi_sigma_mu, xi.shape)),
-        d_qq=along(xi_qq),
+        psi=psi,
+        d_sigma=d_sigma,
+        d_q=d_q,
+        d_mu=along(1.0 - frac),
+        d_sigma_sigma=np.zeros(psi.shape),
+        d_sigma_q=along(dmu / l),
+        d_sigma_mu=along(np.broadcast_to(-1.0 / l, xi.shape)),
+        d_qq=along(frac * ddmu),
     )
 
 
@@ -184,25 +181,8 @@ def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
     Skips the curvature of the exit abscissa (no Hessian evaluation), which
     first-order boundary residuals never need.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mu_arr = np.asarray(mu, dtype=float)
-    b = np.asarray(branch, dtype=int)
-    T = network.tangents[b]
-    N = network.normals[b]
-    l = network.lengths[b]
-
-    start = l if s_guess is None else s_guess
-    mu_b, dmu, _ = domain.offset_exit(network.p_star, T, N, q, start, second=False)
-
-    frac = sigma / l
-    xi = mu_arr + frac * (mu_b - mu_arr)
-    xi_sigma = (mu_b - mu_arr) / l
-    xi_q = frac * dmu
-    psi = network.p_star + xi[..., None] * T + q[..., None] * N
-    d_sigma = xi_sigma[..., None] * T
-    d_q = xi_q[..., None] * T + N
-    return psi, d_sigma, d_q
+    first, _ = _jet_terms(network, domain, branch, sigma, q, mu, s_guess, False)
+    return first
 
 
 def _cross(a, b):
@@ -242,6 +222,16 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray):
     rss[..., 0] = first[..., 1]
     rss[..., -1] = last[..., 1]
     return rs, rss
+
+
+_SLOPE_WEIGHTS = tuple(float(c) for c in _END_STENCILS[:3, 0])
+
+
+def end_slope(v0, v1, v2, dsigma):
+    """Second-order one-sided slope at node 0 from nodes 0, 1, 2 at spacing
+    dsigma; the last node's slope is -end_slope(v[-1], v[-2], v[-3], .)."""
+    c0, c1, c2 = _SLOPE_WEIGHTS
+    return (c0 * v0 + c1 * v1 + c2 * v2) / (2.0 * dsigma)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,6 @@ class Coefficients:
     kappa: np.ndarray  # (3, n+1)
     J: np.ndarray  # (3, n+1)
     M: np.ndarray  # (3, 3) junction matrix Id - diag(Lam(0)) Q
-    a1: np.ndarray  # (3, 3) nonlocal coupling Q (T0 M)^-1 diag(a(0))
     mu_t: np.ndarray  # (3,) tangential junction velocity
     det_M: float
     mu_b: np.ndarray = field(repr=False, default=None)  # exit abscissae
@@ -338,7 +327,7 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
                  q_matrix: JunctionMatrix | None = None,
                  det_floor: float = _DET_M_FLOOR,
                  mu_b_guess: np.ndarray | None = None) -> Coefficients:
-    """Evaluate L, Lambda, a, kappa, the junction matrix M and coupling a1.
+    """Evaluate L, Lambda, a, kappa and the junction matrix M.
 
     The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
     as well, so one call provides the entire right-hand side
@@ -361,8 +350,9 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
     mu = state.mu[:, None]
 
     # one branch index per row; the frames broadcast along sigma
-    mu_b, dmu, ddmu = _mu_terms(network, domain, _BRANCH_ROWS, state.rho,
-                                s_guess=mu_b_guess)
+    s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
+    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
+                                         network.normals[_BRANCH_ROWS], state.rho, s_ref)
     frac = _grid_fractions(state.n, tuple(network.lengths))
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
@@ -385,62 +375,54 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
     det_M = float(np.linalg.det(M))
     if det_M <= det_floor:
         raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {det_floor}")
-    M_inv = np.linalg.inv(M)
-    a1 = Q @ (M_inv * a[None, :, 0])
-    mu_t = Q @ (M_inv @ (L[:, 0] * kappa[:, 0]))
+    mu_t = Q @ (np.linalg.inv(M) @ (L[:, 0] * kappa[:, 0]))
 
-    return Coefficients(L=L, Lam=Lam, a=a, kappa=kappa, J=J, M=M, a1=a1,
+    return Coefficients(L=L, Lam=Lam, a=a, kappa=kappa, J=J, M=M,
                         mu_t=mu_t, det_M=det_M, mu_b=mu_b,
                         rho_sigma=rho_s, rho_ss=rho_ss)
 
 
-def junction_residuals_from_jets(jets, rho_sigma0, angles_cos):
-    """(g12, g13) from the three sigma=0 jets and slopes there.
+_BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
+_ZERO3 = np.zeros(3)
+
+
+def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
+                       s_guess=None) -> np.ndarray:
+    """[g12, g13, outer_1, outer_2, outer_3] for boundary values (r0, w).
+
+    r0 and w replace the junction and wall nodes of rho, whose interior
+    enters only through the one-sided end slopes; mu are the tangential
+    junction offsets and s_guess an optional warm start (6,) for the exit
+    abscissae, junction ends first.
 
     g12 = (Phi^1_sigma, Phi^2_sigma) - J^1 J^2 cos(theta^3) and cyclically
     g13 with cos(theta^2): the curves meet at the Young angles iff both
-    vanish.  Expanded in the Psi partials this is the standard four-term
-    bilinear form in (rho^1_sigma, rho^2_sigma).
+    vanish; about the reference g12 linearizes to (rho1_s - rho2_s)
+    sin(theta^3).  outer_i = -(R Phi_sigma, grad psi)/(J |grad psi|) at
+    sigma = l^i vanishes iff branch i meets the wall at a right angle and
+    linearizes to rho_sigma + h_* rho.
     """
-    def phi_sigma(k):
-        return jets[k].d_sigma + rho_sigma0[k] * jets[k].d_q
+    q6 = np.concatenate([r0, w])
+    mu6 = np.concatenate([mu, mu])
+    sigma6 = np.concatenate([_ZERO3, network.lengths])
+    psi, d_sigma, d_q = psi_first_jet(network, domain, _BRANCH6, sigma6,
+                                      q6, mu6, s_guess=s_guess)
 
-    def J(k):
-        return np.linalg.norm(phi_sigma(k), axis=-1)
+    d = network.lengths / (rho.shape[1] - 1)
+    rs0 = end_slope(r0, rho[:, 1], rho[:, 2], d)
+    rsl = -end_slope(w, rho[:, -2], rho[:, -3], d)
+    rs6 = np.concatenate([rs0, rsl])
 
-    g12 = phi_sigma(0) @ phi_sigma(1) - J(0) * J(1) * angles_cos[2]
-    g13 = phi_sigma(2) @ phi_sigma(0) - J(2) * J(0) * angles_cos[1]
-    return float(g12), float(g13)
+    phi_s = d_sigma + rs6[:, None] * d_q
+    J = np.hypot(phi_s[:, 0], phi_s[:, 1])
+    c = angles.cos
+    g12 = phi_s[0] @ phi_s[1] - J[0] * J[1] * c[2]
+    g13 = phi_s[2] @ phi_s[0] - J[2] * J[0] * c[1]
 
-
-def junction_angle_residuals(network, domain, tensions, state: GraphState):
-    """Nonlinear angle residuals (g12, g13) at the junction."""
-    angles = young_angles(tensions)
-    rho_s, _ = rho_derivatives(state.rho, network.lengths)
-    jets = [
-        psi_jet(network, domain, i, 0.0, state.rho[i, 0], state.mu[i])
-        for i in range(3)
-    ]
-    return junction_residuals_from_jets(jets, rho_s[:, 0], angles.cos)
-
-
-def outer_residual_from_jet(jet, grad_at_point, rho_sigma_l):
-    """Perpendicularity defect -(R Phi_sigma, grad psi)/(J |grad psi|).
-
-    Zero iff the curve meets the wall at a right angle; about the reference
-    it linearizes to rho_sigma + h_* rho at sigma = l.
-    """
-    phi_sigma = jet.d_sigma + np.asarray(rho_sigma_l)[..., None] * jet.d_q
-    J = np.linalg.norm(phi_sigma, axis=-1)
-    gnorm = np.linalg.norm(grad_at_point, axis=-1)
-    return -_cross(phi_sigma, grad_at_point) / (J * gnorm)
-
-
-def outer_bc_residual(network, domain, state: GraphState, i: int) -> float:
-    """Outer boundary-condition residual of branch i at sigma = l^i."""
-    rho_s, _ = rho_derivatives(state.rho, network.lengths)
-    jet = psi_jet(network, domain, i, network.lengths[i], state.rho[i, -1], state.mu[i])
-    return float(outer_residual_from_jet(jet, domain.grad(jet.psi), rho_s[i, -1]))
+    grad = domain.grad(psi[3:])
+    gnorm = np.hypot(grad[:, 0], grad[:, 1])
+    outer = -_cross(phi_s[3:], grad) / (J[3:] * gnorm)
+    return np.array([g12, g13, outer[0], outer[1], outer[2]])
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0,

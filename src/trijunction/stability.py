@@ -27,8 +27,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import EigenSolveFailed, ZeroFunction
-from .parameterization import StationaryNetwork
-from .tensions import SurfaceTensions
+from .parameterization import StationaryNetwork, end_slope
+from .tensions import SurfaceTensions, constraint_basis
 
 _MARGINAL_BAND = 1e-10
 
@@ -82,42 +82,20 @@ def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
     return K, B, constraint
 
 
-def _null_basis(constraint, n):
+def _null_basis(tensions, n):
     """Sparse orthonormal basis of {x : constraint . x = 0}.
 
-    The constraint touches only the three junction nodes, so the basis is a
-    3x2 block on those indexes padded with the identity elsewhere.
+    The constraint touches only the three junction nodes, so the basis is
+    the constraint-plane basis of the junction triple on those indexes,
+    padded with the identity elsewhere.
     """
-    idx = [i * (n + 1) for i in range(3)]
-    g = np.array([constraint[k] for k in idx])
-    gn = g / np.linalg.norm(g)
-    cols = []
-    for e in np.eye(3):
-        v = e - np.dot(e, gn) * gn
-        for b in cols:
-            v -= np.dot(v, b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            cols.append(v / nv)
-        if len(cols) == 2:
-            break
-    Z3 = np.array(cols).T  # (3, 2)
-
     dim = 3 * (n + 1)
-    rows, colids, vals = [], [], []
-    # junction block
-    for r in range(3):
-        for c in range(2):
-            rows.append(idx[r])
-            colids.append(c)
-            vals.append(Z3[r, c])
-    # identity on the remaining nodes
-    free = [k for k in range(dim) if k not in idx]
-    for j, k in enumerate(free):
-        rows.append(k)
-        colids.append(2 + j)
-        vals.append(1.0)
-    return sp.csr_matrix((vals, (rows, colids)), shape=(dim, dim - 1))
+    junction = np.arange(3) * (n + 1)
+    free = np.delete(np.arange(dim), junction)
+    rows = np.concatenate([np.repeat(junction, 2), free])
+    cols = np.concatenate([np.tile([0, 1], 3), 2 + np.arange(dim - 3)])
+    vals = np.concatenate([constraint_basis(tensions).T.ravel(), np.ones(dim - 3)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim - 1))
 
 
 def _lambda_upper_bound(network):
@@ -135,8 +113,8 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     to unit gamma-weighted L2 norm with a deterministic sign.
     """
     n = int(n_per_branch)
-    K, B, constraint = assemble_forms(network, tensions, n)
-    Z = _null_basis(constraint, n)
+    K, B, _ = assemble_forms(network, tensions, n)
+    Z = _null_basis(tensions, n)
     A_red = (-(Z.T @ K @ Z)).tocsc()
     B_red = (Z.T @ B @ Z).tocsc()
 
@@ -162,29 +140,23 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         except Exception as exc:  # pragma: no cover - double back-end failure
             raise EigenSolveFailed(str(exc)) from exc
 
-    phi = (Z @ vec).reshape(3, n + 1)
-    # fix scale and sign deterministically
-    ray_num, ray_den = _form_values(network, tensions, phi)
-    phi = phi / np.sqrt(ray_den)
-    k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)
-    if phi[k] < 0:
-        phi = -phi
-    ray_num, ray_den = _form_values(network, tensions, phi)
-    result = SpectrumResult(lambda_max=lam, eigenfunction=phi,
-                            rayleigh=-ray_num / ray_den, n=n)
-    if abs(result.rayleigh - lam) > 1e-6 * max(1.0, abs(lam)):
-        # shift-invert returned junk; redo densely
-        vals, vecs = scipy.linalg.eigh(A_red.toarray(), B_red.toarray())
-        lam, vec = float(vals[-1]), vecs[:, -1]
+    def result_for(lam, vec):
+        # fix scale and sign deterministically
         phi = (Z @ vec).reshape(3, n + 1)
-        ray_num, ray_den = _form_values(network, tensions, phi)
+        _, ray_den = _form_values(network, tensions, phi)
         phi = phi / np.sqrt(ray_den)
         k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)
         if phi[k] < 0:
             phi = -phi
         ray_num, ray_den = _form_values(network, tensions, phi)
-        result = SpectrumResult(lambda_max=lam, eigenfunction=phi,
-                                rayleigh=-ray_num / ray_den, n=n)
+        return SpectrumResult(lambda_max=lam, eigenfunction=phi,
+                              rayleigh=-ray_num / ray_den, n=n)
+
+    result = result_for(lam, vec)
+    if abs(result.rayleigh - lam) > 1e-6 * max(1.0, abs(lam)):
+        # shift-invert returned junk; redo densely
+        vals, vecs = scipy.linalg.eigh(A_red.toarray(), B_red.toarray())
+        result = result_for(float(vals[-1]), vecs[:, -1])
     return result
 
 
@@ -248,6 +220,5 @@ def stability_criterion(lengths, h_star, tensions: SurfaceTensions,
 def junction_slopes(network: StationaryNetwork, phi: np.ndarray) -> np.ndarray:
     """One-sided slopes of nodal data at sigma = 0, one per branch."""
     phi = np.asarray(phi, dtype=float)
-    n = phi.shape[1] - 1
-    d = network.lengths / n
-    return (-3.0 * phi[:, 0] + 4.0 * phi[:, 1] - phi[:, 2]) / (2.0 * d)
+    d = network.lengths / (phi.shape[1] - 1)
+    return end_slope(phi[:, 0], phi[:, 1], phi[:, 2], d)

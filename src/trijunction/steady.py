@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import kappa_l2_sq_sigma_grid
 from .domains import ImplicitDomain, boundary_curvature, boundary_hit
 from .errors import NoConvergence, SingularJacobian
-from .parameterization import GraphState, StationaryNetwork, rho_derivatives
+from .parameterization import GraphState, StationaryNetwork, coefficients
 from .tensions import SurfaceTensions, tangent_frames, young_angles
 
 _COND_LIMIT = 1e10
@@ -140,19 +141,15 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
     ||kappa||_{L^2} uses the arc-length element J dsigma.  Both are
     gamma-weighted.
     """
-    from .parameterization import coefficients
-
     g = tensions.array
     out = []
     for state in states:
-        dx = network.lengths / state.n
         coef = coefficients(network, domain, tensions, state)
-        kap_sq = np.trapezoid(coef.kappa**2 * coef.J, dx=1.0, axis=1) * dx
-        kap = float(np.sqrt(np.sum(g * kap_sq)))
+        kap = float(np.sqrt(kappa_l2_sq_sigma_grid(network, tensions, coef)))
         if kap <= kappa_floor:
             continue
-        _, rho_ss = rho_derivatives(state.rho, network.lengths)
-        h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(rho_ss, g, dx)
+        dx = network.lengths / state.n
+        h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(coef.rho_ss, g, dx)
         out.append(h2 / kap)
     return np.asarray(out)
 

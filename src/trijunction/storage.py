@@ -14,11 +14,6 @@ from .errors import IoError
 from .parameterization import StationaryNetwork
 from .tensions import ROT90
 
-TRAJECTORY_HEADER = (
-    "t,E,kappa_l2_sq,kappa_s_l2_sq,kappa_ss_l2_sq,px,py,mu1,mu2,mu3,"
-    "res_junction,res_flux,res_outer,res_perp"
-)
-
 
 @dataclass
 class TrajectoryRow:
@@ -38,26 +33,16 @@ class TrajectoryRow:
     res_perp: float
 
 
-_N_COLS = len(fields(TrajectoryRow))
+_COLUMNS = [f.name for f in fields(TrajectoryRow)]
+_N_COLS = len(_COLUMNS)
+TRAJECTORY_HEADER = ",".join(_COLUMNS)
 
 
 def row_from_record(record) -> TrajectoryRow:
-    return TrajectoryRow(
-        t=record.t,
-        E=record.E,
-        kappa_l2_sq=record.kappa_l2_sq,
-        kappa_s_l2_sq=record.kappa_s_l2_sq,
-        kappa_ss_l2_sq=record.kappa_ss_l2_sq,
-        px=float(record.p[0]),
-        py=float(record.p[1]),
-        mu1=float(record.mu[0]),
-        mu2=float(record.mu[1]),
-        mu3=float(record.mu[2]),
-        res_junction=record.res_junction,
-        res_flux=record.res_flux,
-        res_outer=record.res_outer,
-        res_perp=record.res_perp,
-    )
+    """CSV row of a DiagnosticsRecord: its scalar fields of the same name,
+    with the junction position p and offsets mu split into components."""
+    split = dict(zip(("px", "py", "mu1", "mu2", "mu3"), map(float, (*record.p, *record.mu))))
+    return TrajectoryRow(*(split[c] if c in split else getattr(record, c) for c in _COLUMNS))
 
 
 def write_trajectory(rows, path) -> None:
@@ -66,9 +51,7 @@ def write_trajectory(rows, path) -> None:
     for row in rows:
         if not isinstance(row, TrajectoryRow):
             row = row_from_record(row)
-        out.append(
-            ",".join(f"{getattr(row, f.name):.17g}" for f in fields(TrajectoryRow))
-        )
+        out.append(",".join(f"{getattr(row, name):.17g}" for name in _COLUMNS))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(out) + "\n")

@@ -161,3 +161,37 @@ def junction_point_from_pair(tangents, normals, rho0_i, rho0_j, i, j):
     A = np.stack([normals[i], normals[j]])
     rhs = np.array([rho0_i, rho0_j])
     return np.linalg.solve(A, rhs)
+
+
+# ---------------------------------------------------------------------------
+# boundary conditions branch by branch
+
+
+def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
+    """[g12, g13, outer_1, outer_2, outer_3] from the full chart jet.
+
+    General route, one psi_jet per branch end: slopes from rho_derivatives
+    on rho with its end nodes replaced by (r0, w), J and |grad psi| by
+    np.linalg.norm.  Reference for the stepper's batched
+    parameterization.boundary_residuals, several times its cost per call.
+    """
+    from trijunction.parameterization import psi_jet, rho_derivatives
+
+    rho = np.array(rho, dtype=float)
+    rho[:, 0], rho[:, -1] = r0, w
+    rs, _ = rho_derivatives(rho, network.lengths)
+
+    def point_and_tangent(i, end):
+        # end 0: junction (sigma = 0, node 0); end 1: wall (sigma = l, node -1)
+        jet = psi_jet(network, domain, i, network.lengths[i] * end, rho[i, -end], mu[i])
+        return jet.psi, jet.d_sigma + rs[i, -end] * jet.d_q
+
+    t = [point_and_tangent(i, 0)[1] for i in range(3)]
+    J = [np.linalg.norm(v) for v in t]
+    c = angles.cos
+    res = [t[0] @ t[1] - J[0] * J[1] * c[2], t[2] @ t[0] - J[2] * J[0] * c[1]]
+    for i in range(3):
+        p, v = point_and_tangent(i, 1)
+        g = domain.grad(p)
+        res.append(-(v[0] * g[1] - v[1] * g[0]) / (np.linalg.norm(v) * np.linalg.norm(g)))
+    return np.array(res)

@@ -45,13 +45,11 @@ perturbation.type = eigenmode
 perturbation.amplitude = 0.02
 spectrum_n = 128
 output = out.csv
-seed = 3
 """
     cfg = parse_config(text)
     assert cfg.n == 64 and cfg.dt == 1e-5 and cfg.spectrum_n == 128
     assert cfg.gauge == 0.0 and cfg.guess_p == (0.05, 0.03)
     assert cfg.perturbation_type == "eigenmode"
-    assert cfg.seed == 3
 
 
 def test_polynomial_domain_config():

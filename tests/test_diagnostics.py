@@ -13,7 +13,7 @@ from trijunction.diagnostics import (
     sample_network,
 )
 from trijunction.errors import NonPositiveSeries
-from trijunction.parameterization import GraphState
+from trijunction.parameterization import GraphState, coefficients
 
 from oracles import circle_points
 
@@ -63,7 +63,8 @@ def test_arclength_and_sigma_grid_norms_agree(trefoil, trefoil_network, unit_ten
         state = smooth_state(trefoil_network, unit_tensions, n, amp=0.03, seed=2)
         sample = sample_network(trefoil_network, trefoil, state)
         a = kappa_norms(sample, unit_tensions)["kappa_l2_sq"]
-        b = kappa_l2_sq_sigma_grid(trefoil_network, trefoil, unit_tensions, state)
+        coef = coefficients(trefoil_network, trefoil, unit_tensions, state)
+        b = kappa_l2_sq_sigma_grid(trefoil_network, unit_tensions, coef)
         diffs.append(abs(a - b) / b)
     assert diffs[0] < 0.05
     assert diffs[1] < diffs[0] / 2.0

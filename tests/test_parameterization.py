@@ -6,21 +6,21 @@ from trijunction.errors import MatrixMNotInvertible
 from trijunction.parameterization import (
     GraphState,
     StationaryNetwork,
-    _mu_terms,
+    boundary_residuals,
     coefficients,
     curvature_kappa,
     curve_from_graph,
-    junction_angle_residuals,
     metric_J,
     mu_boundary,
     network_residuals,
-    outer_bc_residual,
     psi_jet,
     psi_map,
     rho_derivatives,
     state_from_rho,
 )
-from trijunction.tensions import ROT90, junction_matrix, young_angles
+from trijunction.tensions import ROT90, SurfaceTensions, junction_matrix, young_angles
+
+from oracles import boundary_residuals_reference
 
 
 def geometric_curvature(points):
@@ -114,7 +114,8 @@ def test_mu_terms_derivatives_match_fd(trefoil_network, trefoil):
     eps = 1e-5
     for i in range(3):
         for q0 in (0.0, 0.04, -0.07):
-            mu_b, dmu, ddmu = _mu_terms(net, dom, i, np.asarray(q0))
+            mu_b, dmu, ddmu = dom.offset_exit(net.p_star, net.tangents[i], net.normals[i],
+                                              np.asarray(q0), net.lengths[i])
             f = lambda q: mu_boundary(net, dom, i, q)
             fd1 = (f(q0 + eps) - f(q0 - eps)) / (2 * eps)
             fd2 = (f(q0 + eps) - 2 * f(q0) + f(q0 - eps)) / eps**2
@@ -256,9 +257,6 @@ def test_coefficients_reference_values(disk_network, disk, unit_tensions):
     assert abs(coef.det_M - 1.0) < 1e-12
     assert np.abs(coef.a - 1.0).max() < 1e-12
     assert np.abs(coef.kappa).max() < 1e-12
-    # with everything at the reference, a1 reduces to the junction matrix
-    q = junction_matrix(young_angles(unit_tensions)).q
-    assert np.abs(coef.a1 - q).max() < 1e-12
 
 
 def test_curvature_routes_agree(trefoil_network, trefoil, unit_tensions):
@@ -286,10 +284,16 @@ def test_matrix_m_floor_raises(disk_network, disk, unit_tensions):
         coefficients(disk_network, disk, unit_tensions, state)
 
 
+def state_bc_residuals(network, domain, tensions, state):
+    """boundary_residuals at the boundary values a state already holds."""
+    return boundary_residuals(network, domain, young_angles(tensions), state.rho,
+                              state.rho[:, 0], state.rho[:, -1], state.mu)
+
+
 def test_junction_angle_residuals_zero_state(disk_network, disk, unit_tensions):
     n = 12
     state = GraphState(np.zeros((3, n + 1)), np.zeros(3))
-    g12, g13 = junction_angle_residuals(disk_network, disk, unit_tensions, state)
+    g12, g13 = state_bc_residuals(disk_network, disk, unit_tensions, state)[:2]
     assert abs(g12) < 1e-14 and abs(g13) < 1e-14
 
 
@@ -305,7 +309,7 @@ def test_junction_angle_residual_linearization(trefoil_network, trefoil, unit_te
     rho_unit[:, 0] = 0.0  # junction values stay zero: pure slope perturbation
     eps = 1e-6
     state = state_from_rho(net, unit_tensions, eps * rho_unit, project=False)
-    g12, g13 = junction_angle_residuals(net, dom, unit_tensions, state)
+    g12, g13 = state_bc_residuals(net, dom, unit_tensions, state)[:2]
     rs, _ = rho_derivatives(rho_unit, net.lengths)
     expected12 = (rs[0, 0] - rs[1, 0]) * angles.sin[2]
     expected13 = (rs[2, 0] - rs[0, 0]) * angles.sin[1]
@@ -316,8 +320,8 @@ def test_junction_angle_residual_linearization(trefoil_network, trefoil, unit_te
 def test_outer_bc_residual_zero_state(trefoil_network, trefoil, unit_tensions):
     n = 12
     state = GraphState(np.zeros((3, n + 1)), np.zeros(3))
-    for i in range(3):
-        assert abs(outer_bc_residual(trefoil_network, trefoil, state, i)) < 1e-12
+    outer = state_bc_residuals(trefoil_network, trefoil, unit_tensions, state)[2:]
+    assert np.abs(outer).max() < 1e-12
 
 
 def test_outer_bc_residual_linearization(disk_network, disk, ellipse_network,
@@ -332,10 +336,32 @@ def test_outer_bc_residual_linearization(disk_network, disk, ellipse_network,
             rho = np.zeros((3, n + 1))
             rho[i] = eps * (sigma[i] / net.lengths[i]) ** 4  # rho(l)=eps, slope 4eps/l
             state = state_from_rho(net, unit_tensions, rho, project=False)
-            res = outer_bc_residual(net, dom, state, i)
+            res = state_bc_residuals(net, dom, unit_tensions, state)[2 + i]
             rs, _ = rho_derivatives(rho, net.lengths)
             expected = rs[i, -1] + net.h_star[i] * eps
             assert abs(res - expected) < 1e-9
+
+
+def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
+                                                  two_dents_network, two_dents,
+                                                  ellipse_network, ellipse,
+                                                  unit_tensions):
+    # batched stepper route against the per-branch psi_jet route of
+    # tests/oracles.py at perturbed boundary values; unequal tensions make
+    # the two Young angles in g12 and g13 differ
+    rng = np.random.default_rng(21)
+    for tensions in (unit_tensions, SurfaceTensions((1.0, 1.3, 0.8))):
+        angles = young_angles(tensions)
+        q = junction_matrix(angles).q
+        for net, dom in ((trefoil_network, trefoil), (two_dents_network, two_dents),
+                         (ellipse_network, ellipse)):
+            state = smooth_state(net, unit_tensions, 40, amp=0.03, seed=4)
+            r0 = state.rho[:, 0] + 1e-3 * rng.normal(size=3)
+            w = state.rho[:, -1] + 1e-3 * rng.normal(size=3)
+            args = (net, dom, angles, state.rho, r0, w, q @ r0)
+            F = boundary_residuals(*args)
+            assert np.abs(F[:2]).max() > 1e-3  # off the junction conditions
+            assert np.abs(F - boundary_residuals_reference(*args)).max() <= 1e-15
 
 
 def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):
