@@ -16,28 +16,36 @@ import numpy as np
 from . import diagnostics, evolution, stability, steady, storage
 from .config import RunConfig, parse_config
 from .errors import ParseError, TriJunctionError, ValidationError
+from .parameterization import network_residuals
+
+_NETWORK_TOL = 1e-8  # invariant bound a reused network file must meet
 
 
 def _load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _network_for(cfg: RunConfig, domain, tensions):
-    if cfg.network is not None:
-        return storage.read_network(cfg.network)
-    guess = steady.SteadyGuess(p=cfg.guess_p, phi=cfg.guess_phi, gauge=cfg.gauge)
-    return steady.find_stationary(domain, tensions, guess)
+def _problem(cfg: RunConfig, solve=False):
+    """(domain, tensions, network) of a config; the network is solved for
+    unless the config names a network file, which must fit the config."""
+    domain = cfg.make_domain()
+    tensions = cfg.make_tensions()
+    if solve or cfg.network is None:
+        guess = steady.SteadyGuess(p=cfg.guess_p, phi=cfg.guess_phi, gauge=cfg.gauge)
+        return domain, tensions, steady.find_stationary(domain, tensions, guess)
+    network = storage.read_network(cfg.network)
+    bad = {k: v for k, v in network_residuals(network, domain, tensions).items()
+           if not v < _NETWORK_TOL}
+    if bad:
+        raise ValidationError("network", f"{cfg.network} does not fit the config: "
+                              + ", ".join(f"{k} = {v:.3e}" for k, v in bad.items()))
+    return domain, tensions, network
 
 
 def _cmd_steady(args) -> int:
-    cfg = _load_config(args.config)
-    domain = cfg.make_domain()
-    tensions = cfg.make_tensions()
-    guess = steady.SteadyGuess(p=cfg.guess_p, phi=cfg.guess_phi, gauge=cfg.gauge)
-    network = steady.find_stationary(domain, tensions, guess)
+    domain, tensions, network = _problem(_load_config(args.config), solve=True)
     storage.write_network(network, args.out)
-    res = np.abs(steady.steady_residual(
-        domain, tensions, steady.SteadyGuess(p=tuple(network.p_star), phi=cfg.gauge or cfg.guess_phi))).max()
+    res = max(network_residuals(network, domain, tensions).values())
     print(f"junction p = ({network.p_star[0]:.12g}, {network.p_star[1]:.12g})")
     print(f"lengths    = {network.lengths}")
     print(f"h          = {network.h_star}")
@@ -48,9 +56,7 @@ def _cmd_steady(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
-    domain = cfg.make_domain()
-    tensions = cfg.make_tensions()
-    network = _network_for(cfg, domain, tensions)
+    _, tensions, network = _problem(cfg)
     result = stability.max_eigenvalue(network, tensions, cfg.spectrum_n)
     verdict = stability.stability_criterion(network.lengths, network.h_star, tensions)
     print(f"lambda_max = {result.lambda_max:.12g}  (n = {cfg.spectrum_n})")
@@ -68,17 +74,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _run_once(cfg: RunConfig, output_path) -> evolution.Trajectory:
-    domain = cfg.make_domain()
-    tensions = cfg.make_tensions()
-    network = _network_for(cfg, domain, tensions)
+    domain, tensions, network = _problem(cfg)
     dt = cfg.dt
     if dt is None:
         dt = 0.45 * float(np.min(network.lengths / cfg.n) ** 2)
-    econf = evolution.EvolveConfig(
-        dt=dt, t_end=cfg.t_end, n=cfg.n, newton_tol=cfg.newton_tol,
-        newton_max=cfg.newton_max, output_every=cfg.output_every,
-        det_m_floor=cfg.det_m_floor, amplitude_cap=cfg.amplitude_cap,
-    )
+    econf = evolution.EvolveConfig(dt=dt, t_end=cfg.t_end, n=cfg.n,
+                                   output_every=cfg.output_every,
+                                   amplitude_cap=cfg.amplitude_cap)
     init = evolution.initial_state(
         network, domain, tensions, econf, kind=cfg.perturbation_type,
         amplitude=cfg.perturbation_amplitude,
@@ -142,17 +144,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg_text = Path(args.config).read_text(encoding="utf-8")
-    values = [v for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    # every value goes through the config parser before any run starts
+    configs = [parse_config(cfg_text, overrides={_SWEEPABLE[args.param]: val})
+               for val in values]
     worst = 0
-    base = Path(parse_config(cfg_text).output)
-    for val in values:
-        cfg = parse_config(cfg_text)
-        if not hasattr(cfg, _SWEEPABLE.get(args.param, "")):
-            print(f"sweep: unknown parameter {args.param!r}")
-            return 1
-        attr = _SWEEPABLE[args.param]
-        kind = type(getattr(cfg, attr) if getattr(cfg, attr) is not None else 0.0)
-        setattr(cfg, attr, kind(val) if kind is not type(None) else float(val))
+    for val, cfg in zip(values, configs):
+        base = Path(cfg.output)
         out = base.with_name(f"{base.stem}_{args.param}_{val}{base.suffix}")
         traj = _run_once(cfg, out)
         last = traj.records[-1]
@@ -165,11 +163,11 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-_SWEEPABLE = {
+_SWEEPABLE = {  # --param name -> config key
     "dt": "dt",
     "n": "n",
     "t_end": "t_end",
-    "amplitude": "perturbation_amplitude",
+    "amplitude": "perturbation.amplitude",
     "output_every": "output_every",
 }
 

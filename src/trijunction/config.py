@@ -24,7 +24,20 @@ from .domains import ImplicitDomain, make_domain
 from .errors import ParseError, TensionsDegenerate, ValidationError
 from .tensions import SurfaceTensions
 
-_KNOWN_KEYS = {
+# scalar keys: config key -> (RunConfig field, type, must be positive)
+SCALAR_KEYS = {
+    "n": ("n", int, True),
+    "dt": ("dt", float, True),
+    "t_end": ("t_end", float, True),
+    "output_every": ("output_every", int, True),
+    "amplitude_cap": ("amplitude_cap", float, True),
+    "spectrum_n": ("spectrum_n", int, True),
+    "gauge": ("gauge", float, False),
+    "guess.phi": ("guess_phi", float, False),
+    "perturbation.amplitude": ("perturbation_amplitude", float, True),
+}
+
+_KNOWN_KEYS = set(SCALAR_KEYS) | {
     "domain.type",
     "domain.radius",
     "domain.center",
@@ -32,20 +45,8 @@ _KNOWN_KEYS = {
     "domain.coefficients",
     "domain.bounding_box",
     "tensions",
-    "n",
-    "dt",
-    "t_end",
-    "output_every",
-    "newton_tol",
-    "newton_max",
-    "det_m_floor",
-    "amplitude_cap",
-    "spectrum_n",
-    "gauge",
     "guess.p",
-    "guess.phi",
     "perturbation.type",
-    "perturbation.amplitude",
     "perturbation.coefficients.1",
     "perturbation.coefficients.2",
     "perturbation.coefficients.3",
@@ -63,9 +64,6 @@ class RunConfig:
     dt: float | None = None  # default: 0.45 * dsigma_min^2 at run time
     t_end: float = 1.0
     output_every: int = 50
-    newton_tol: float = 1e-10
-    newton_max: int = 20
-    det_m_floor: float = 0.5
     amplitude_cap: float = 0.25
     spectrum_n: int = 400
     gauge: float | None = None
@@ -90,9 +88,10 @@ def _floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; see module docstring for the format."""
-    entries: dict[str, tuple[int, str]] = {}
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate; see module docstring for the format.  `overrides`
+    (config key -> raw value, as `sweep` passes them) replace file entries."""
+    entries: dict[str, tuple[int | None, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,21 +104,10 @@ def parse_config(text: str) -> RunConfig:
         if key in entries:
             raise ParseError(lineno, f"duplicate key {key!r}")
         entries[key] = (lineno, value)
+    entries.update((key, (None, value)) for key, value in (overrides or {}).items())
 
     def take(key, default=None):
         return entries.pop(key, (None, default))[1]
-
-    def number(key, conv, default=None, positive=False):
-        raw = take(key)
-        if raw is None:
-            return default
-        try:
-            val = conv(raw)
-        except ValueError as exc:
-            raise ValidationError(key, f"cannot parse {raw!r}") from exc
-        if positive and val <= 0:
-            raise ValidationError(key, f"must be positive, got {val}")
-        return val
 
     # domain block
     dtype = take("domain.type")
@@ -174,39 +162,32 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("tensions", str(exc)) from exc
 
     cfg = RunConfig(domain_type=dtype, domain_params=params, tensions=tuple(vals))
-    cfg.n = number("n", int, cfg.n, positive=True)
+    for key, (attr, conv, positive) in SCALAR_KEYS.items():
+        raw = take(key)
+        if raw is None:
+            continue
+        try:
+            val = conv(raw)
+        except ValueError as exc:
+            raise ValidationError(key, f"cannot parse {raw!r}") from exc
+        if positive and val <= 0:
+            raise ValidationError(key, f"must be positive, got {val}")
+        setattr(cfg, attr, val)
     if cfg.n < 8:
         raise ValidationError("n", f"need at least 8 nodes per branch, got {cfg.n}")
-    cfg.dt = number("dt", float, None, positive=True)
-    cfg.t_end = number("t_end", float, cfg.t_end, positive=True)
-    cfg.output_every = number("output_every", int, cfg.output_every, positive=True)
-    cfg.newton_tol = number("newton_tol", float, cfg.newton_tol, positive=True)
-    cfg.newton_max = number("newton_max", int, cfg.newton_max, positive=True)
-    cfg.det_m_floor = number("det_m_floor", float, cfg.det_m_floor)
-    cfg.amplitude_cap = number("amplitude_cap", float, cfg.amplitude_cap, positive=True)
-    cfg.spectrum_n = number("spectrum_n", int, cfg.spectrum_n, positive=True)
-    cfg.gauge = number("gauge", float, None)
     guess_p = take("guess.p")
     if guess_p is not None:
         vals = _floats(guess_p)
         if len(vals) != 2:
             raise ValidationError("guess.p", "expected two values")
         cfg.guess_p = tuple(vals)
-    cfg.guess_phi = number("guess.phi", float, cfg.guess_phi)
-    ptype = take("perturbation.type")
-    if ptype is not None:
-        if ptype not in ("cosine", "eigenmode"):
-            raise ValidationError("perturbation.type", f"unknown type {ptype!r}")
-        cfg.perturbation_type = ptype
-    cfg.perturbation_amplitude = number(
-        "perturbation.amplitude", float, cfg.perturbation_amplitude, positive=True
-    )
+    cfg.perturbation_type = ptype = take("perturbation.type", cfg.perturbation_type)
+    if ptype not in ("cosine", "eigenmode"):
+        raise ValidationError("perturbation.type", f"unknown type {ptype!r}")
     for i in range(3):
         raw = take(f"perturbation.coefficients.{i + 1}")
         if raw is not None:
             cfg.perturbation_coefficients[i] = _floats(raw)
-    out = take("output")
-    if out is not None:
-        cfg.output = out
+    cfg.output = take("output", cfg.output)
     cfg.network = take("network")
     return cfg

@@ -96,7 +96,7 @@ def _nonuniform_derivatives(s, f):
     return d1, d2
 
 
-def resample(points: np.ndarray, n_out: int | None = None) -> BranchSample:
+def resample(points: np.ndarray) -> BranchSample:
     """Arc-length sample of a polyline read off a smooth curve.
 
     Nodes are redistributed to (nearly) uniform cumulative chord length with
@@ -116,9 +116,7 @@ def resample(points: np.ndarray, n_out: int | None = None) -> BranchSample:
     speed = np.linalg.norm(d1, axis=0)
     kappa = (d1[0] * d2[1] - d1[1] * d2[0]) / speed**3
 
-    if n_out is None:
-        n_out = pts.shape[0] - 1
-    s_new = np.linspace(0.0, t[-1], n_out + 1)
+    s_new = np.linspace(0.0, t[-1], pts.shape[0])
     stacked = np.column_stack([pts[:, 0], pts[:, 1], kappa, d1[0] / speed, d1[1] / speed])
     vals = PchipInterpolator(t, stacked, axis=0)(s_new)
     kap = vals[:, 2]
@@ -206,19 +204,17 @@ class DiagnosticsRecord:
 
 def junction_and_robin_residuals(sample: CurveSample, tensions: SurfaceTensions,
                                  domain: ImplicitDomain,
-                                 velocities: np.ndarray | None = None,
                                  norms: dict | None = None) -> dict:
     """Residuals of the junction and wall identities on one snapshot.
 
-    velocities: tangential junction speeds v_i; by default computed from the
-    flow law V = kappa via v = Q V at the junction.  A precomputed
-    kappa_norms dict may be passed to avoid re-differentiating.
+    The tangential junction speeds follow from the flow law V = kappa via
+    v = Q V at the junction.  A precomputed kappa_norms dict may be passed
+    to avoid re-differentiating.
     """
     g = tensions.array
     Q = junction_matrix(young_angles(tensions)).q
     kap0 = np.array([b.kappa[0] for b in sample.branches])
-    if velocities is None:
-        velocities = Q @ kap0
+    velocities = Q @ kap0
     if norms is None:
         norms = kappa_norms(sample, tensions)
     kap_s0 = np.array([ks[0] for ks in norms["_kappa_s"]])
@@ -286,23 +282,23 @@ def energy_law_residual(records) -> tuple[np.ndarray, np.ndarray]:
     return t[1:-1], np.abs(dEdt + k2[1:-1])
 
 
-def decay_fit(times, series, window: float = 0.5, floor: float = 1e-12):
+_FIT_FLOOR = 1e-12  # decay_fit drops samples at or below this
+
+
+def decay_fit(times, series, window: float = 0.5):
     """(rate, intercept, r2) of a log-linear fit on the trailing window.
 
     The fit uses the last `window` fraction of the samples whose values
-    exceed `floor`; raises NonPositiveSeries if any retained value is
-    non-positive.
+    exceed 1e-12; raises NonPositiveSeries if fewer than three remain.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
-    keep = series > floor
+    keep = series > _FIT_FLOOR
     times, series = times[keep], series[keep]
     if times.size < 3:
         raise NonPositiveSeries("too few usable samples for a decay fit")
     start = int(np.floor((1.0 - window) * times.size))
     times, series = times[start:], series[start:]
-    if np.any(series <= 0.0):
-        raise NonPositiveSeries("series must be positive on the fit window")
     logy = np.log(series)
     A = np.stack([times, np.ones_like(times)], axis=1)
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)

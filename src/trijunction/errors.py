@@ -45,13 +45,11 @@ class SingularJacobian(TriJunctionError):
 class NoConvergence(TriJunctionError):
     """Iteration exhausted max_iter without meeting its tolerance."""
 
-    def __init__(self, max_iter, residual=None):
+    def __init__(self, max_iter, residual):
         self.max_iter = max_iter
         self.residual = residual
-        msg = f"no convergence within {max_iter} iterations"
-        if residual is not None:
-            msg += f" (residual {residual:.3e})"
-        super().__init__(msg)
+        super().__init__(f"no convergence within {max_iter} iterations "
+                         f"(residual {residual:.3e})")
 
 
 class EigenSolveFailed(TriJunctionError):

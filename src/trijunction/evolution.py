@@ -46,6 +46,8 @@ from .parameterization import (
 from .tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
 
 _CFL_SLACK = 1.0 + 1e-9
+_NEWTON_TOL = 1e-10  # boundary sweep: max-norm residual tolerance
+_NEWTON_MAX = 20  # boundary sweep: iteration cap
 
 
 def _norm(v):
@@ -59,10 +61,7 @@ class EvolveConfig:
     dt: float
     t_end: float
     n: int = 100
-    newton_tol: float = 1e-10
-    newton_max: int = 20
     output_every: int = 50
-    det_m_floor: float = 0.5
     amplitude_cap: float = 0.25
 
 
@@ -105,15 +104,12 @@ class Stepper:
         self._mu_b_prev = None
         self._exit6 = None
 
-    def enforce_bcs(self, rho, tol=None, max_iter=None, exc=NewtonDiverged):
+    def enforce_bcs(self, rho, exc=NewtonDiverged):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
 
         The junction triple is parameterized inside the weighted constraint
         plane, so sum_i gamma^i rho^i(0) = 0 holds exactly throughout.
         """
-        cfg = self.config
-        tol = cfg.newton_tol if tol is None else tol
-        max_iter = cfg.newton_max if max_iter is None else max_iter
         g = self.gammas
         r0_base = rho[:, 0] - g * (g @ rho[:, 0]) / (g @ g)
         net, dom, angles, q = self.network, self.domain, self.angles, self.qmat.q
@@ -130,9 +126,9 @@ class Stepper:
         u = np.zeros(5)
         u[2:] = rho[:, -1]
         F = residual(u)
-        for it in range(max_iter):
+        for it in range(_NEWTON_MAX):
             fmax = np.abs(F).max()
-            if fmax < tol:
+            if fmax < _NEWTON_TOL:
                 break
             if self._jac is None or it >= 2 or self._jac_age > 100:
                 self._jac = self._bc_jacobian(residual, u, F)
@@ -156,7 +152,7 @@ class Stepper:
                 self._jac = None
         else:
             raise exc(
-                f"boundary sweep did not reach {tol:.1e} "
+                f"boundary sweep did not reach {_NEWTON_TOL:.1e} "
                 f"(residual {np.max(np.abs(F)):.3e})"
             )
         self._jac_age += 1
@@ -179,8 +175,7 @@ class Stepper:
     def step(self, state: GraphState) -> GraphState:
         cfg = self.config
         coef = coefficients(self.network, self.domain, self.tensions, state,
-                            q_matrix=self.qmat, det_floor=cfg.det_m_floor,
-                            mu_b_guess=self._mu_b_prev)
+                            q_matrix=self.qmat, mu_b_guess=self._mu_b_prev)
         self._mu_b_prev = coef.mu_b
         self._exit6 = np.concatenate([coef.mu_b[:, 0], coef.mu_b[:, -1]])
         a = coef.a
@@ -237,7 +232,7 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
 
     The junction triple is projected exactly onto the weighted constraint
     plane and the boundary values are Newton-corrected until the nonlinear
-    junction and wall conditions hold to newton_tol.
+    junction and wall conditions hold to 1e-10.
     """
     n = config.n
     sigma = network.sigma_grid(n)
@@ -266,8 +261,7 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
     rho, r0 = stepper.enforce_bcs(state.rho, exc=CompatibilityFailed)
     state = GraphState(rho=rho, mu=stepper.qmat.q @ r0, t=0.0)
     # fail early if the state starts outside the admissible region
-    coefficients(network, domain, tensions, state, q_matrix=stepper.qmat,
-                 det_floor=config.det_m_floor)
+    coefficients(network, domain, tensions, state, q_matrix=stepper.qmat)
     return state
 
 

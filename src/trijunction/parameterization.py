@@ -325,7 +325,6 @@ class Coefficients:
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
                  q_matrix: JunctionMatrix | None = None,
-                 det_floor: float = _DET_M_FLOOR,
                  mu_b_guess: np.ndarray | None = None) -> Coefficients:
     """Evaluate L, Lambda, a, kappa and the junction matrix M.
 
@@ -373,8 +372,8 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
 
     M = np.eye(3) - Lam[:, 0, None] * Q
     det_M = float(np.linalg.det(M))
-    if det_M <= det_floor:
-        raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {det_floor}")
+    if det_M <= _DET_M_FLOOR:
+        raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {_DET_M_FLOOR}")
     mu_t = Q @ (np.linalg.inv(M) @ (L[:, 0] * kappa[:, 0]))
 
     return Coefficients(L=L, Lam=Lam, a=a, kappa=kappa, J=J, M=M,
@@ -426,7 +425,6 @@ def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0,
-                   q_matrix: JunctionMatrix | None = None,
                    project: bool = True) -> GraphState:
     """Bundle nodal values into a GraphState with mu slaved to rho(0).
 
@@ -437,6 +435,5 @@ def state_from_rho(network, tensions, rho, t: float = 0.0,
     g = tensions.array
     if project:
         rho[:, 0] -= g * (g @ rho[:, 0]) / (g @ g)
-    if q_matrix is None:
-        q_matrix = junction_matrix(young_angles(tensions))
-    return GraphState(rho=rho, mu=q_matrix.q @ rho[:, 0], t=t)
+    q = junction_matrix(young_angles(tensions)).q
+    return GraphState(rho=rho, mu=q @ rho[:, 0], t=t)

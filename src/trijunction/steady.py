@@ -25,6 +25,9 @@ from .tensions import SurfaceTensions, tangent_frames, young_angles
 
 _COND_LIMIT = 1e10
 _FD_STEP = 1e-7
+_NEWTON_TOL = 1e-10  # max-norm residual tolerance of the steady solve
+_NEWTON_MAX = 60  # iteration cap of the steady solve
+_KAPPA_FLOOR = 1e-12  # h2_ratio_series skips states with ||kappa||_L2 <= this
 
 
 @dataclass
@@ -59,8 +62,7 @@ def steady_residual(domain: ImplicitDomain, tensions: SurfaceTensions,
 
 
 def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
-                    guess: SteadyGuess, tol: float = 1e-10,
-                    max_iter: int = 60) -> StationaryNetwork:
+                    guess: SteadyGuess) -> StationaryNetwork:
     """Damped Newton / Gauss-Newton solve of the steady-state conditions.
 
     Free problem: 3 residuals, 3 unknowns (p, phi), plain Newton with a
@@ -80,8 +82,8 @@ def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
         return r
 
     r = residual(x)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
+    for _ in range(_NEWTON_MAX):
+        if np.max(np.abs(r)) < _NEWTON_TOL:
             break
         jac = np.empty((3, m))
         for k in range(m):
@@ -108,9 +110,9 @@ def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
                 break
             lam *= 0.5
         else:
-            raise NoConvergence(max_iter, residual=float(base))
+            raise NoConvergence(_NEWTON_MAX, residual=float(base))
     else:
-        raise NoConvergence(max_iter, residual=float(np.max(np.abs(r))))
+        raise NoConvergence(_NEWTON_MAX, residual=float(np.max(np.abs(r))))
 
     res, hits, dists, tangents, normals = _residual_and_hits(
         domain, tensions, x[:2], x[2]
@@ -133,9 +135,8 @@ def _weighted_l2(values, weights, dx):
 
 
 def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
-                    tensions: SurfaceTensions, states: list[GraphState],
-                    kappa_floor: float = 1e-12) -> np.ndarray:
-    """||rho||_{H^2} / ||kappa||_{L^2} for each state with ||kappa|| above floor.
+                    tensions: SurfaceTensions, states: list[GraphState]) -> np.ndarray:
+    """||rho||_{H^2} / ||kappa||_{L^2} for each state with ||kappa|| above 1e-12.
 
     ||rho||_{H^2} = ||rho||_{L^2} + ||rho_ss||_{L^2} on the sigma grids;
     ||kappa||_{L^2} uses the arc-length element J dsigma.  Both are
@@ -146,7 +147,7 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
     for state in states:
         coef = coefficients(network, domain, tensions, state)
         kap = float(np.sqrt(kappa_l2_sq_sigma_grid(network, tensions, coef)))
-        if kap <= kappa_floor:
+        if kap <= _KAPPA_FLOOR:
             continue
         dx = network.lengths / state.n
         h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(coef.rho_ss, g, dx)
@@ -154,9 +155,9 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
     return np.asarray(out)
 
 
-def h2_bound_check(network, domain, tensions, states, kappa_floor: float = 1e-12) -> float:
+def h2_bound_check(network, domain, tensions, states) -> float:
     """Empirical supremum of ||rho||_{H^2} / ||kappa||_{L^2} along a trajectory."""
-    ratios = h2_ratio_series(network, domain, tensions, states, kappa_floor)
+    ratios = h2_ratio_series(network, domain, tensions, states)
     if ratios.size == 0:
         raise ValueError("no states with ||kappa|| above the floor")
     return float(ratios.max())

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trijunction.cli import main
@@ -75,6 +77,36 @@ def test_network_reuse_between_subcommands(workdir):
     assert (workdir / "run2.csv").exists()
 
 
+def test_network_file_must_fit_the_config(workdir, capsys):
+    # a unit-disk fork reused under radius 1.5 misses the wall
+    assert main(["steady", str(workdir / "disk.cfg"), "--out", str(workdir / "net.txt")]) == 0
+    big = workdir / "big.cfg"
+    big.write_text(
+        DISK_CFG.replace("domain.radius = 1.0", "domain.radius = 1.5")
+        + f"output = {workdir / 'big.csv'}\n"
+        + f"network = {workdir / 'net.txt'}\n"
+    )
+    capsys.readouterr()
+    assert main(["evolve", str(big)]) == 1
+    assert main(["spectrum", str(big), "--out", str(workdir / "eig.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: network:") == 2 and "on_boundary" in err
+    assert not (workdir / "big.csv").exists()
+    assert not (workdir / "eig.csv").exists()
+
+
+def test_steady_prints_residual_of_solved_network(workdir, capsys):
+    # no gauge: the solve moves the rotation away from guess.phi
+    ell = workdir / "ellipse.cfg"
+    ell.write_text(
+        "domain.type = ellipse\ndomain.semi_axes = 1.2, 1.0\ntensions = 1, 1, 1\n"
+        "guess.p = 0.1, 0\nguess.phi = 0.2\n"
+    )
+    assert main(["steady", str(ell), "--out", str(workdir / "net.txt")]) == 0
+    line = re.search(r"residual\s*=\s*(\S+)", capsys.readouterr().out)
+    assert float(line.group(1)) < 1e-8
+
+
 def test_bad_config_exit_code(workdir):
     bad = workdir / "bad.cfg"
     bad.write_text("domain.type = circle\ntensions = 1, 1, 2.5\n")
@@ -109,3 +141,16 @@ def test_sweep_subcommand(workdir, capsys):
     assert out.count("status = completed") == 2
     assert (workdir / "run_amplitude_0.002.csv").exists()
     assert (workdir / "run_amplitude_0.004.csv").exists()
+
+
+@pytest.mark.parametrize("param, values, field", [
+    ("n", "1.5", "n"),
+    ("n", "4", "n"),
+    ("dt", "-1", "dt"),
+    ("amplitude", "0.002,-1", "perturbation.amplitude"),
+])
+def test_sweep_rejects_invalid_values_before_running(workdir, capsys, param, values, field):
+    code = main(["sweep", str(workdir / "disk.cfg"), "--param", param, "--values", values])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not list(workdir.glob("run_*.csv"))
