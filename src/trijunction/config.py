@@ -13,11 +13,13 @@ grouping; lists are comma separated, polynomial terms semicolon separated:
     output = run.csv
 
 Unknown keys are rejected (ParseError naming the key); values that parse but
-violate a precondition raise ValidationError naming the field.
+violate a precondition raise ValidationError naming the field, and so do
+non-finite numbers and `domain.*` keys the chosen domain type does not use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .domains import ImplicitDomain, make_domain
@@ -84,8 +86,21 @@ class RunConfig:
         return SurfaceTensions(self.tensions)
 
 
-def _floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(key, text):
+    try:
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValidationError(key, f"cannot parse {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(key, f"values must be finite, got {text!r}")
+    return vals
+
+
+def _count(key, text, k):
+    vals = _floats(key, text)
+    if len(vals) != k:
+        raise ValidationError(key, f"expected {k} number{'s' * (k > 1)}, got {len(vals)}")
+    return tuple(vals)
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -114,54 +129,52 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if dtype is None:
         raise ValidationError("domain.type", "missing")
     params: dict = {}
+    if dtype == "circle":
+        (params["radius"],) = _count("domain.radius", take("domain.radius", "1.0"), 1)
+        center = take("domain.center")
+        if center is not None:
+            params["center"] = _count("domain.center", center, 2)
+    elif dtype == "ellipse":
+        axes = take("domain.semi_axes")
+        if axes is None:
+            raise ValidationError("domain.semi_axes", "missing for ellipse")
+        params["semi_axes"] = _count("domain.semi_axes", axes, 2)
+    elif dtype == "polynomial":
+        coefs = take("domain.coefficients")
+        if coefs is None:
+            raise ValidationError("domain.coefficients", "missing for polynomial")
+        terms = []
+        for chunk in coefs.split(";"):
+            vals = _floats("domain.coefficients", chunk)
+            if len(vals) != 3:
+                raise ValidationError(
+                    "domain.coefficients", f"term {chunk.strip()!r} is not 'i j c'"
+                )
+            terms.append((int(vals[0]), int(vals[1]), vals[2]))
+        params["coefficients"] = terms
+        box = take("domain.bounding_box")
+        if box is not None:
+            params["bounding_box"] = _count("domain.bounding_box", box, 4)
+    else:
+        raise ValidationError("domain.type", f"unknown type {dtype!r}")
+    unused = sorted(key for key in entries if key.startswith("domain."))
+    if unused:
+        raise ValidationError(unused[0], f"does not apply to domain.type = {dtype}")
     try:
-        if dtype == "circle":
-            params["radius"] = float(take("domain.radius", "1.0"))
-            center = take("domain.center")
-            if center is not None:
-                params["center"] = tuple(_floats(center))
-        elif dtype == "ellipse":
-            axes = take("domain.semi_axes")
-            if axes is None:
-                raise ValidationError("domain.semi_axes", "missing for ellipse")
-            params["semi_axes"] = tuple(_floats(axes))
-        elif dtype == "polynomial":
-            coefs = take("domain.coefficients")
-            if coefs is None:
-                raise ValidationError("domain.coefficients", "missing for polynomial")
-            terms = []
-            for chunk in coefs.split(";"):
-                vals = _floats(chunk)
-                if len(vals) != 3:
-                    raise ValidationError(
-                        "domain.coefficients", f"term {chunk.strip()!r} is not 'i j c'"
-                    )
-                terms.append((int(vals[0]), int(vals[1]), vals[2]))
-            params["coefficients"] = terms
-        else:
-            raise ValidationError("domain.type", f"unknown type {dtype!r}")
+        make_domain(dtype, **params)
     except ValueError as exc:
         raise ValidationError("domain", str(exc)) from exc
-    box = take("domain.bounding_box")
-    if box is not None:
-        vals = _floats(box)
-        if len(vals) != 4:
-            raise ValidationError("domain.bounding_box", "expected xmin, xmax, ymin, ymax")
-        if dtype == "polynomial":
-            params["bounding_box"] = tuple(vals)
 
     tensions_raw = take("tensions")
     if tensions_raw is None:
         raise ValidationError("tensions", "missing")
-    vals = _floats(tensions_raw)
-    if len(vals) != 3:
-        raise ValidationError("tensions", "expected three values")
+    vals = _count("tensions", tensions_raw, 3)
     try:
-        SurfaceTensions(tuple(vals))
+        SurfaceTensions(vals)
     except TensionsDegenerate as exc:
         raise ValidationError("tensions", str(exc)) from exc
 
-    cfg = RunConfig(domain_type=dtype, domain_params=params, tensions=tuple(vals))
+    cfg = RunConfig(domain_type=dtype, domain_params=params, tensions=vals)
     for key, (attr, conv, positive) in SCALAR_KEYS.items():
         raw = take(key)
         if raw is None:
@@ -170,6 +183,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             val = conv(raw)
         except ValueError as exc:
             raise ValidationError(key, f"cannot parse {raw!r}") from exc
+        if not math.isfinite(val):
+            raise ValidationError(key, f"must be finite, got {val}")
         if positive and val <= 0:
             raise ValidationError(key, f"must be positive, got {val}")
         setattr(cfg, attr, val)
@@ -177,17 +192,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ValidationError("n", f"need at least 8 nodes per branch, got {cfg.n}")
     guess_p = take("guess.p")
     if guess_p is not None:
-        vals = _floats(guess_p)
-        if len(vals) != 2:
-            raise ValidationError("guess.p", "expected two values")
-        cfg.guess_p = tuple(vals)
+        cfg.guess_p = _count("guess.p", guess_p, 2)
     cfg.perturbation_type = ptype = take("perturbation.type", cfg.perturbation_type)
     if ptype not in ("cosine", "eigenmode"):
         raise ValidationError("perturbation.type", f"unknown type {ptype!r}")
     for i in range(3):
         raw = take(f"perturbation.coefficients.{i + 1}")
         if raw is not None:
-            cfg.perturbation_coefficients[i] = _floats(raw)
+            cfg.perturbation_coefficients[i] = _floats(
+                f"perturbation.coefficients.{i + 1}", raw)
     cfg.output = take("output", cfg.output)
     cfg.network = take("network")
     return cfg

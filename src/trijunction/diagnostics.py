@@ -198,7 +198,6 @@ class DiagnosticsRecord:
     res_perp: float  # max_i |(N, grad psi /|grad psi|)| at the wall
     p: np.ndarray = field(repr=False, default=None)  # junction position
     mu: np.ndarray = field(repr=False, default=None)
-    h_moving: np.ndarray = field(repr=False, default=None)
     lengths: np.ndarray = field(repr=False, default=None)
 
 
@@ -223,10 +222,8 @@ def junction_and_robin_residuals(sample: CurveSample, tensions: SurfaceTensions,
 
     robin = []
     perp = []
-    h_moving = []
     for b, kap_s in zip(sample.branches, norms["_kappa_s"]):
         h = boundary_curvature(domain, b.points[-1], tol=1e-5)
-        h_moving.append(h)
         robin.append(abs(kap_s[-1] + h * b.kappa[-1]))
         grad = domain.grad(b.points[-1])
         perp.append(abs(float(b.normals[-1] @ grad) / np.linalg.norm(grad)))
@@ -236,7 +233,6 @@ def junction_and_robin_residuals(sample: CurveSample, tensions: SurfaceTensions,
         "res_sum_gamma_v": float(abs(g @ velocities)),
         "res_outer": float(max(robin)),
         "res_perp": float(max(perp)),
-        "h_moving": np.array(h_moving),
     }
 
 
@@ -262,7 +258,6 @@ def record_from_state(network, domain, tensions, state: GraphState) -> Diagnosti
         res_perp=res["res_perp"],
         p=p,
         mu=state.mu.copy(),
-        h_moving=res["h_moving"],
         lengths=sample.lengths,
     )
 

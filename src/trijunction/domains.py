@@ -16,13 +16,14 @@ from .errors import NoIntersection, NotOnBoundary, OffsetMissesBoundary, Singula
 from .tensions import ROT90
 
 _GRAD_FLOOR = 1e-8
+_BOX = (-4.0, 4.0, -4.0, 4.0)
 
 
 class ImplicitDomain:
     """Base class; subclasses provide psi, grad, hess over (..., 2) points."""
 
     family = "abstract"
-    bounding_box = (-4.0, 4.0, -4.0, 4.0)
+    bounding_box = _BOX
 
     def psi(self, x):
         raise NotImplementedError
@@ -42,10 +43,9 @@ class ImplicitDomain:
     def psi_grad_hess(self, x):
         return self.psi(x), self.grad(x), self.hess(x)
 
-    # Roots of psi along a line, used by the stretched-coordinate map.  The
-    # generic implementation is a damped Newton iteration on xi (vectorized
-    # over many offsets at once) with a bisection fallback; conic subclasses
-    # override it with the closed-form quadratic root.
+    # Roots of psi along a line, used by the stretched-coordinate map: a
+    # damped Newton iteration on xi (vectorized over many offsets at once)
+    # with a bracketed fallback.
     def line_exit(self, origin, direction, s_ref):
         origin = np.asarray(origin, dtype=float)
         direction = np.asarray(direction, dtype=float)
@@ -72,17 +72,9 @@ class ImplicitDomain:
             # keep the iteration local to the reference root
             np.clip(step, -0.25, 0.25, out=step)
             s = s - step
-        if not converged.all():
-            s_flat = s.reshape(-1)
-            ok_flat = converged.reshape(-1)
-            o_flat = origin.reshape(-1, 2)
-            d_flat = direction.reshape(-1, 2)
-            ref_flat = np.broadcast_to(s0, converged.shape).reshape(-1)
-            for idx in np.nonzero(~ok_flat)[0]:
-                s_flat[idx] = self._bracketed_root(
-                    o_flat[idx], d_flat[idx], ref_flat[idx]
-                )
-            s = s_flat.reshape(s.shape)
+        ref = np.broadcast_to(s0, shape)
+        for idx in zip(*np.nonzero(~converged)):
+            s[idx] = self._bracketed_root(origin[idx], direction[idx], ref[idx])
         return float(s[0]) if scalar else s
 
     # Exit abscissa s(q) of the offset line base + q N + s T together with
@@ -90,7 +82,7 @@ class ImplicitDomain:
     #     s'  = -(grad psi, N) / (grad psi, T)
     #     s'' = -(x' . D2psi . x') / (grad psi, T),  x' = s' T + N.
     # With second=False the Hessian is never evaluated and s'' is None.
-    # The circle overrides this with the closed form of its quadratic root.
+    # Conics override this with the closed form of their quadratic root.
     def offset_exit(self, base, T, N, q, s_ref, second=True):
         origin = base + q[..., None] * N
         s = np.asarray(self.line_exit(origin, T, s_ref), dtype=float)
@@ -116,103 +108,62 @@ class ImplicitDomain:
         return s, ds, -quad / gT
 
     def _bracketed_root(self, origin, direction, s_ref):
-        from scipy.optimize import brentq
-
-        def f(t):
-            return float(self.psi(origin + t * direction))
-
-        # expand a bracket around the reference abscissa
+        # widen a bracket around the reference abscissa until psi changes sign
+        sign_ref = np.sign(float(self.psi(origin + s_ref * direction)))
         width = max(1e-3, 1e-3 * abs(s_ref))
-        lo = hi = None
-        f_ref = f(s_ref)
         for _ in range(60):
-            a, b = s_ref - width, s_ref + width
-            fa, fb = f(a), f(b)
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-            if np.sign(fa) != np.sign(f_ref):
-                lo, hi = (a, s_ref) if a < s_ref else (s_ref, a)
-                break
-            if np.sign(fb) != np.sign(f_ref):
-                lo, hi = (s_ref, b) if b > s_ref else (b, s_ref)
-                break
+            for end in (s_ref - width, s_ref + width):
+                if np.sign(float(self.psi(origin + end * direction))) != sign_ref:
+                    lo, hi = sorted((end, s_ref))
+                    return _root_on_line(self, origin, direction, lo, hi)
             width *= 2.0
             if width > 4.0 * _box_diameter(self.bounding_box):
                 break
-        if lo is None:
-            raise OffsetMissesBoundary(
-                f"no boundary crossing near s = {s_ref} along offset line"
-            )
-        root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        # Newton polish so |psi| < 1e-13 rather than |dt| small
-        for _ in range(3):
-            val = f(root)
-            if abs(val) < 1e-13:
-                break
-            slope = float(np.dot(self.grad(origin + root * direction), direction))
-            if abs(slope) < _GRAD_FLOOR:
-                break
-            root -= val / slope
-        return root
+        raise OffsetMissesBoundary(
+            f"no boundary crossing near s = {s_ref} along offset line"
+        )
 
 
-class CircleDomain(ImplicitDomain):
-    """psi = |x - center|^2 - R^2."""
+class ConicDomain(ImplicitDomain):
+    """psi = (x - c)^T W (x - c) - r with W = diag(w), an axis-aligned conic."""
 
-    family = "circle"
-
-    def __init__(self, radius: float, center=(0.0, 0.0)):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+    def __init__(self, w, center, r):
+        self.w = np.asarray(w, dtype=float)
         self.center = np.asarray(center, dtype=float)
-        cx, cy = self.center
-        m = 1.5 * self.radius
-        self.bounding_box = (cx - m, cx + m, cy - m, cy + m)
+        self.r = r
+        self._scale = np.sqrt(self.w)  # W = S^2: a circle in y = S (x - c)
+        self._hess_diag = 2.0 * self.w
 
     def psi(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        return np.einsum("...k,...k->...", d, d) - self.radius**2
+        return np.einsum("...k,k,...k->...", d, self.w, d) - self.r
 
     def grad(self, x):
-        return 2.0 * (np.asarray(x, dtype=float) - self.center)
+        return self._hess_diag * (np.asarray(x, dtype=float) - self.center)
 
     def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 2.0
-        h[..., 1, 1] = 2.0
+        h = np.zeros(np.shape(x)[:-1] + (2, 2))
+        h[..., 0, 0], h[..., 1, 1] = self._hess_diag
         return h
 
-    def line_exit(self, origin, direction, s_ref):
-        # psi(origin + s d) is quadratic in s; take the root on the far side
-        # of the chord, which is the one continuous in the reference root.
-        origin = np.asarray(origin, dtype=float) - self.center
-        direction = np.asarray(direction, dtype=float)
-        a = np.einsum("...k,...k->...", direction, direction)
-        b = np.einsum("...k,...k->...", origin, direction)
-        c = np.einsum("...k,...k->...", origin, origin) - self.radius**2
-        disc = b * b - a * c
-        if np.any(disc <= 0.0):
-            raise OffsetMissesBoundary("offset line misses the circle")
-        return (-b + np.sqrt(disc)) / a
-
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        # Closed form, per component.  With o = base + q N - center the exit
-        # solves a s^2 + 2 b s + (|o|^2 - R^2) = 0, a = |T|^2, b = (o, T);
-        # at the exit (grad psi, T) = 2 sqrt(disc), (grad psi, N) =
-        # 2 (o + s T, N) and D2psi = 2 Id, so the factors 2 cancel.
+        # Closed form, per component, in y = S (x - c) where psi = |y|^2 - r.
+        # With o = S (base + q N - c) and T, N scaled by S the exit solves
+        # a s^2 + 2 b s + (|o|^2 - r) = 0, a = |T|^2, b = (o, T), and is the
+        # root on the far side of the chord, the one continuous in the
+        # reference root.  At the exit (grad psi, T) = 2 sqrt(disc),
+        # (grad psi, N) = 2 (o + s T, N) and D2psi = 2 W, so the factors 2
+        # cancel.  On a circle S = Id and every product is exact.
+        T, N = T * self._scale, N * self._scale
         T0, T1, N0, N1 = T[..., 0], T[..., 1], N[..., 0], N[..., 1]
-        shift = np.asarray(base, dtype=float) - self.center
+        shift = (np.asarray(base, dtype=float) - self.center) * self._scale
         o0 = shift[..., 0] + q * N0
         o1 = shift[..., 1] + q * N1
         a = T0 * T0 + T1 * T1
         b = o0 * T0 + o1 * T1
-        disc = b * b - a * (o0 * o0 + o1 * o1 - self.radius**2)
+        disc = b * b - a * (o0 * o0 + o1 * o1 - self.r)
         if (disc <= 0.0).any():
-            raise OffsetMissesBoundary("offset line misses the circle")
+            raise OffsetMissesBoundary("offset line misses the boundary")
         root = np.sqrt(disc)
         if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
             raise OffsetMissesBoundary("offset line tangent to the boundary")
@@ -225,43 +176,35 @@ class CircleDomain(ImplicitDomain):
         return s, ds, -xx / root
 
 
-class EllipseDomain(ImplicitDomain):
+class CircleDomain(ConicDomain):
+    """psi = |x - center|^2 - R^2."""
+
+    family = "circle"
+
+    def __init__(self, radius: float, center=(0.0, 0.0)):
+        if not 0.0 < radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        self.radius = float(radius)
+        super().__init__((1.0, 1.0), center, self.radius**2)
+        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+            raise ValueError(f"center must be two finite numbers, got {center}")
+        cx, cy = self.center
+        m = 1.5 * self.radius
+        self.bounding_box = (cx - m, cx + m, cy - m, cy + m)
+
+
+class EllipseDomain(ConicDomain):
     """psi = x^2/a^2 + y^2/b^2 - 1, axes aligned with the coordinates."""
 
     family = "ellipse"
 
     def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise ValueError("semi-axes must be positive")
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise ValueError(f"semi-axes must be positive and finite, got {a}, {b}")
         self.a = float(a)
         self.b = float(b)
+        super().__init__((1.0 / self.a**2, 1.0 / self.b**2), (0.0, 0.0), 1.0)
         self.bounding_box = (-1.5 * a, 1.5 * a, -1.5 * b, 1.5 * b)
-        self._w = np.array([1.0 / self.a**2, 1.0 / self.b**2])
-
-    def psi(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...k,k,...k->...", x, self._w, x) - 1.0
-
-    def grad(self, x):
-        return 2.0 * self._w * np.asarray(x, dtype=float)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 2.0 * self._w[0]
-        h[..., 1, 1] = 2.0 * self._w[1]
-        return h
-
-    def line_exit(self, origin, direction, s_ref):
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        a = np.einsum("...k,k,...k->...", direction, self._w, direction)
-        b = np.einsum("...k,k,...k->...", origin, self._w, direction)
-        c = np.einsum("...k,k,...k->...", origin, self._w, origin) - 1.0
-        disc = b * b - a * c
-        if np.any(disc <= 0.0):
-            raise OffsetMissesBoundary("offset line misses the ellipse")
-        return (-b + np.sqrt(disc)) / a
 
 
 class PolynomialDomain(ImplicitDomain):
@@ -269,108 +212,73 @@ class PolynomialDomain(ImplicitDomain):
 
     family = "polynomial"
 
-    def __init__(self, terms, bounding_box=(-4.0, 4.0, -4.0, 4.0)):
+    def __init__(self, terms, bounding_box=_BOX):
         terms = [(int(i), int(j), float(c)) for i, j, c in terms]
         if not terms:
             raise ValueError("polynomial domain needs at least one term")
+        if min(min(i, j) for i, j, _ in terms) < 0:
+            raise ValueError("polynomial powers must be non-negative")
         self.terms = terms
         self.bounding_box = tuple(float(v) for v in bounding_box)
-        self._sets = {
-            "psi": _pack(terms),
-            "px": _pack(_dx(terms)),
-            "py": _pack(_dy(terms)),
-            "pxx": _pack(_dx(_dx(terms))),
-            "pxy": _pack(_dy(_dx(terms))),
-            "pyy": _pack(_dy(_dy(terms))),
-        }
-        # dense coefficient matrices over a shared monomial table; one pair
-        # of power ladders then serves psi and all derivatives at once
         self._deg_x = max(i for i, _, _ in terms)
         self._deg_y = max(j for _, j, _ in terms)
-        self._mats = {
-            key: _coef_matrix(self._sets[key], self._deg_x, self._deg_y)
-            for key in self._sets
-        }
-        order = ("psi", "px", "py", "pxx", "pxy", "pyy")
-        self._stack_all = np.stack([self._mats[k] for k in order])
-        self._stack_pg = self._stack_all[:3]
-
-    def _ladders(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.empty(x.shape[:-1] + (self._deg_x + 1,))
-        ys = np.empty(x.shape[:-1] + (self._deg_y + 1,))
-        xs[..., 0] = 1.0
-        ys[..., 0] = 1.0
-        for k in range(self._deg_x):
-            xs[..., k + 1] = xs[..., k] * x[..., 0]
-        for k in range(self._deg_y):
-            ys[..., k + 1] = ys[..., k] * x[..., 1]
-        return xs, ys
-
-    def _eval_mat(self, key, xs, ys):
-        return np.einsum("...i,ij,...j->...", xs, self._mats[key], ys)
-
-    def _eval(self, key, x):
-        xs, ys = self._ladders(x)
-        return self._eval_mat(key, xs, ys)
-
-    def psi(self, x):
-        return self._eval("psi", x)
-
-    def grad(self, x):
-        xs, ys = self._ladders(x)
-        return np.stack(
-            [self._eval_mat("px", xs, ys), self._eval_mat("py", xs, ys)], axis=-1
+        # one dense coefficient matrix over the monomials x^i y^j and its
+        # exact derivatives, stacked as psi, px, py, pxx, pxy, pyy
+        mat = np.zeros((self._deg_x + 1, self._deg_y + 1))
+        for i, j, c in terms:
+            mat[i, j] += c
+        mx, my = _derivative(mat, 0), _derivative(mat, 1)
+        self._stack = np.stack(
+            [mat, mx, my, _derivative(mx, 0), _derivative(mx, 1), _derivative(my, 1)]
         )
 
-    def hess(self, x):
-        xs, ys = self._ladders(np.asarray(x, dtype=float))
-        h = np.empty(xs.shape[:-1] + (2, 2))
-        h[..., 0, 0] = self._eval_mat("pxx", xs, ys)
-        h[..., 0, 1] = h[..., 1, 0] = self._eval_mat("pxy", xs, ys)
-        h[..., 1, 1] = self._eval_mat("pyy", xs, ys)
-        return h
+    def _fields(self, x, lo, hi):
+        """Fields lo..hi-1 of (psi, px, py, pxx, pxy, pyy) at x: (..., hi - lo).
 
-    def _eval_stack(self, stack, x):
-        """Evaluate several coefficient matrices in one pass: (..., k)."""
-        xs, ys = self._ladders(np.asarray(x, dtype=float))
-        return np.einsum("...i,kij,...j->...k", xs, stack, ys)
+        One pair of cumulative-product power ladders serves every field.
+        """
+        x = np.asarray(x, dtype=float)
+        xs = _ladder(x[..., 0], self._deg_x)
+        ys = _ladder(x[..., 1], self._deg_y)
+        return np.einsum("...i,kij,...j->...k", xs, self._stack[lo:hi], ys)
+
+    def psi(self, x):
+        return self._fields(x, 0, 1)[..., 0][()]  # a scalar for a single point
+
+    def grad(self, x):
+        return self._fields(x, 1, 3)
+
+    def hess(self, x):
+        return _sym2(self._fields(x, 3, 6))
 
     def psi_and_grad(self, x):
-        vals = self._eval_stack(self._stack_pg, x)
+        vals = self._fields(x, 0, 3)
         return vals[..., 0], vals[..., 1:3]
 
     def psi_grad_hess(self, x):
-        """Fused evaluation; one power-ladder pass for all six fields."""
-        vals = self._eval_stack(self._stack_all, x)
-        h = np.empty(vals.shape[:-1] + (2, 2))
-        h[..., 0, 0] = vals[..., 3]
-        h[..., 0, 1] = h[..., 1, 0] = vals[..., 4]
-        h[..., 1, 1] = vals[..., 5]
-        return vals[..., 0], vals[..., 1:3], h
+        vals = self._fields(x, 0, 6)
+        return vals[..., 0], vals[..., 1:3], _sym2(vals[..., 3:6])
 
 
-def _pack(terms):
-    if not terms:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    i, j, c = zip(*terms)
-    return np.asarray(i, dtype=float), np.asarray(j, dtype=float), np.asarray(c)
+def _derivative(mat, axis):
+    """Coefficients of d/dx (axis 0) or d/dy (axis 1), zero-padded to shape."""
+    powers = np.arange(mat.shape[axis]).reshape((-1, 1) if axis == 0 else (1, -1))
+    return np.roll(mat * powers, -1, axis=axis)
 
 
-def _coef_matrix(packed, deg_x, deg_y):
-    powx, powy, coef = packed
-    mat = np.zeros((deg_x + 1, deg_y + 1))
-    for i, j, c in zip(powx.astype(int), powy.astype(int), coef):
-        mat[i, j] += c
-    return mat
+def _ladder(v, deg):
+    """Powers v^0 .. v^deg on a new last axis, as cumulative products;
+    v**k rounds differently and would move every fingerprint."""
+    out = np.empty(v.shape + (deg + 1,))
+    out[..., 0] = 1.0
+    for k in range(deg):
+        out[..., k + 1] = out[..., k] * v
+    return out
 
 
-def _dx(terms):
-    return [(i - 1, j, c * i) for i, j, c in terms if i > 0]
-
-
-def _dy(terms):
-    return [(i, j - 1, c * j) for i, j, c in terms if j > 0]
+def _sym2(vals):
+    """(..., 3) entries xx, xy, yy -> (..., 2, 2) symmetric matrices."""
+    return vals[..., [0, 1, 1, 2]].reshape(vals.shape[:-1] + (2, 2))
 
 
 def _box_diameter(box):
@@ -418,20 +326,8 @@ def make_domain(kind: str, **params) -> ImplicitDomain:
         a, b = params["semi_axes"]
         return EllipseDomain(a, b)
     if kind == "polynomial":
-        kwargs = {}
-        if "bounding_box" in params and params["bounding_box"] is not None:
-            kwargs["bounding_box"] = params["bounding_box"]
-        return PolynomialDomain(params["coefficients"], **kwargs)
+        return PolynomialDomain(params["coefficients"], params.get("bounding_box", _BOX))
     raise ValueError(f"unknown domain type {kind!r}")
-
-
-def boundary_tangent(domain: ImplicitDomain, x) -> np.ndarray:
-    """Unit tangent of the boundary, the outward gradient rotated by pi/2."""
-    g = domain.grad(np.asarray(x, dtype=float))
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    if np.any(norm < _GRAD_FLOOR):
-        raise SingularGradient("gradient vanishes on the boundary")
-    return (g / norm) @ ROT90.T
 
 
 def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
@@ -453,7 +349,7 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
     gnorm = np.linalg.norm(g, axis=-1)
     if np.any(gnorm < _GRAD_FLOOR):
         raise SingularGradient("gradient vanishes on the boundary")
-    t = boundary_tangent(domain, x)
+    t = (g / gnorm[..., None]) @ ROT90.T  # outward normal rotated by pi/2
     quad = np.einsum("...i,...ij,...j->...", t, domain.hess(x), t)
     h = -quad / gnorm
     return float(h) if h.ndim == 0 else h
@@ -480,21 +376,28 @@ def boundary_hit(domain: ImplicitDomain, origin, direction):
     if pos.size == 0:
         raise NoIntersection("ray does not exit the domain inside the bounding box")
     k = pos[0]
+    t = _root_on_line(domain, origin, direction, ts[k - 1], ts[k])
+    point = origin + t * direction
+    if abs(float(domain.psi(point))) > 1e-12:
+        raise NoIntersection("root polish failed to reach |psi| < 1e-12")
+    return point, float(t)
+
+
+def _root_on_line(domain, origin, direction, lo, hi):
+    """Root of psi(origin + t direction) bracketed by [lo, hi]: brentq, then a
+    Newton polish so that |psi| < 1e-13 rather than only the step is small."""
     from scipy.optimize import brentq
 
     def f(t):
         return float(domain.psi(origin + t * direction))
 
-    t = brentq(f, ts[k - 1], ts[k], xtol=1e-15, rtol=8.9e-16)
+    t = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     for _ in range(4):
         val = f(t)
-        if abs(val) < 1e-12:
+        if abs(val) < 1e-13:
             break
         slope = float(np.dot(domain.grad(origin + t * direction), direction))
         if abs(slope) < _GRAD_FLOOR:
             break
         t -= val / slope
-    point = origin + t * direction
-    if abs(f(t)) > 1e-12:
-        raise NoIntersection("root polish failed to reach |psi| < 1e-12")
-    return point, float(t)
+    return t

@@ -131,7 +131,8 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         vals, vecs = eigsh(A_red, k=2, M=B_red, sigma=sigma, which="LM", v0=v0)
         top = int(np.argmax(vals))
         lam, vec = float(vals[top]), vecs[:, top]
-    except Exception:
+    except (RuntimeError, np.linalg.LinAlgError):
+        # ArpackError/ArpackNoConvergence and a singular shift-invert factor
         pass
     if lam is None:
         try:

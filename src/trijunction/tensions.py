@@ -29,8 +29,9 @@ class SurfaceTensions:
 
     def __post_init__(self):
         g = self.gamma
-        if len(g) != 3 or any(x <= 0.0 for x in g):
-            raise TensionsDegenerate(f"tensions must be three positive reals, got {g}")
+        if len(g) != 3 or not all(0.0 < x < math.inf for x in g):
+            raise TensionsDegenerate(
+                f"tensions must be three positive finite reals, got {g}")
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
             if g[k] >= g[i] + g[j]:

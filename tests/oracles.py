@@ -147,6 +147,24 @@ def ellipse_curvature_magnitude(a, b, t):
     return a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
 
 
+def conic_line_root(weights, center, level, origin, direction):
+    """Far root s of psi(origin + s direction) = 0 for the axis-aligned conic
+    psi = (x - center)^T diag(weights) (x - center) - level.
+
+    psi along the line is the quadratic a s^2 + 2 b s + c; the root on the
+    far side of the chord is the one continuous in a reference exit.
+    """
+    w = np.asarray(weights, dtype=float)
+    o = np.asarray(origin, dtype=float) - np.asarray(center, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    a = np.einsum("...k,k,...k->...", d, w, d)
+    b = np.einsum("...k,k,...k->...", o, w, d)
+    c = np.einsum("...k,k,...k->...", o, w, o) - level
+    disc = b * b - a * c
+    assert np.all(disc > 0.0), "line misses the conic"
+    return (-b + np.sqrt(disc)) / a
+
+
 def circle_points(radius, t0, t1, n):
     t = np.linspace(t0, t1, n + 1)
     return radius * np.stack([np.cos(t), np.sin(t)], axis=1)

@@ -113,6 +113,19 @@ def test_bad_config_exit_code(workdir):
     assert main(["evolve", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("old,new,field", [
+    ("domain.radius = 1.0", "domain.radius = -1", "domain"),
+    ("t_end = 0.02", "t_end = nan", "t_end"),
+])
+def test_malformed_config_exits_1_without_traceback(workdir, capsys, old, new, field):
+    # both raised uncaught ValueErrors from inside the run before
+    bad = workdir / "bad.cfg"
+    bad.write_text(DISK_CFG.replace(old, new))
+    assert main(["evolve", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not (workdir / "trajectory.csv").exists()
+
+
 def test_numerical_failure_exit_code(workdir):
     # missing gauge on the rotationally symmetric disk
     nogauge = workdir / "nogauge.cfg"

@@ -86,6 +86,26 @@ def test_degenerate_tensions_rejected():
         ("domain.type = ellipse\ntensions = 1, 1, 1\n", "domain.semi_axes"),
         ("tensions = 1, 1, 1\n", "domain.type"),
         ("domain.type = circle\ntensions = 1, 1\n", "tensions"),
+        # malformed domains and keys the domain type does not use
+        ("domain.type = circle\ndomain.radius = -1\ntensions = 1, 1, 1\n", "domain"),
+        ("domain.type = circle\ndomain.center = 1\ntensions = 1, 1, 1\n",
+         "domain.center"),
+        ("domain.type = ellipse\ndomain.semi_axes = 1.2\ntensions = 1, 1, 1\n",
+         "domain.semi_axes"),
+        ("domain.type = ellipse\ndomain.semi_axes = 1.2, 1\ndomain.radius = 5\n"
+         "tensions = 1, 1, 1\n", "domain.radius"),
+        ("domain.type = circle\ndomain.bounding_box = -2, 2, -2, 2\n"
+         "tensions = 1, 1, 1\n", "domain.bounding_box"),
+        ("domain.type = polynomial\ndomain.coefficients = 0 -1 1\n"
+         "tensions = 1, 1, 1\n", "domain"),
+        # non-finite numbers
+        ("domain.type = circle\ntensions = 1, 1, 1\nt_end = nan\n", "t_end"),
+        ("domain.type = circle\ntensions = 1, 1, 1\ngauge = inf\n", "gauge"),
+        ("domain.type = circle\ntensions = 1, 1, 1\nguess.p = nan, 0\n", "guess.p"),
+        ("domain.type = circle\ndomain.radius = inf\ntensions = 1, 1, 1\n",
+         "domain.radius"),
+        ("domain.type = circle\ntensions = nan, 1, 1\n", "tensions"),
+        ("domain.type = circle\ntensions = x, 1, 1\n", "tensions"),
     ],
 )
 def test_validation_errors_name_the_field(text, field):

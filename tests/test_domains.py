@@ -15,7 +15,7 @@ from trijunction.domains import (
 from trijunction.errors import NoIntersection, NotOnBoundary, SingularGradient
 from trijunction.tensions import ROT90
 
-from oracles import ellipse_curvature_magnitude
+from oracles import conic_line_root, ellipse_curvature_magnitude
 
 
 def fd_check(domain, pts, eps=1e-4):
@@ -157,27 +157,51 @@ def test_boundary_hit_random_rays(domain):
         hits += 1
 
 
+# conics as (factory, w, c, r) of psi = (x - c)^T diag(w) (x - c) - r
+CONICS = {
+    "centred circle": (lambda: CircleDomain(1.0), (1.0, 1.0), (0.0, 0.0), 1.0),
+    "shifted circle": (lambda: CircleDomain(1.1, center=(0.1, -0.05)), (1.0, 1.0),
+                       (0.1, -0.05), 1.1**2),
+    "ellipse 1.2x1.0": (lambda: EllipseDomain(1.2, 1.0), (1 / 1.2**2, 1.0),
+                        (0.0, 0.0), 1.0),
+    "ellipse 1.7x0.9": (lambda: EllipseDomain(1.7, 0.9), (1 / 1.7**2, 1 / 0.9**2),
+                        (0.0, 0.0), 1.0),
+}
+
+
 def test_conic_line_exit_matches_generic_newton():
-    # the closed-form quadratic roots must agree with the generic root finder
-    circle = CircleDomain(1.1, center=(0.1, -0.05))
-    generic = PolynomialDomain(disk_terms(1.1, (0.1, -0.05)))
+    # the closed-form quadratic root against the generic Newton line_exit,
+    # which every domain family shares (the polynomial evaluator included),
+    # and against boundary_hit
     rng = np.random.default_rng(4)
-    for _ in range(25):
-        origin = rng.uniform(-0.3, 0.3, 2)
-        ang = rng.uniform(0, 2 * np.pi)
-        direction = np.array([np.cos(ang), np.sin(ang)])
-        _, t_ref = boundary_hit(circle, origin, direction)
-        s1 = circle.line_exit(origin, direction, t_ref * 1.05)
-        s2 = generic.line_exit(origin, direction, t_ref * 1.05)
-        assert abs(s1 - t_ref) < 1e-10
-        assert abs(s2 - t_ref) < 1e-10
+    cases = [
+        (CONICS["shifted circle"][0](), "shifted circle"),
+        (PolynomialDomain(disk_terms(1.1, (0.1, -0.05))), "shifted circle"),
+        (CONICS["ellipse 1.2x1.0"][0](), "ellipse 1.2x1.0"),
+    ]
+    for domain, name in cases:
+        _, w, c, r = CONICS[name]
+        for _ in range(25):
+            origin = rng.uniform(-0.3, 0.3, 2)
+            ang = rng.uniform(0, 2 * np.pi)
+            direction = np.array([np.cos(ang), np.sin(ang)])
+            _, t_ref = boundary_hit(domain, origin, direction)
+            s_oracle = conic_line_root(w, c, r, origin, direction)
+            s_newton = domain.line_exit(origin, direction, t_ref * 1.05)
+            assert abs(s_oracle - t_ref) < 1e-10
+            assert abs(s_newton - t_ref) < 1e-10
+            assert abs(s_newton - s_oracle) < 1e-10
 
 
-def test_circle_offset_exit_closed_form_matches_implicit_route():
-    # the circle's closed form for the exit abscissa and its two
-    # q-derivatives against the generic route (root, then implicit
-    # differentiation); only rounding separates them
-    circle = CircleDomain(1.1, center=(0.1, -0.05))
+@pytest.mark.parametrize("name", list(CONICS))
+def test_circle_offset_exit_closed_form_matches_implicit_route(name):
+    # the conic closed form for the exit abscissa and its two q-derivatives
+    # against the generic route (root, then implicit differentiation) fed
+    # with the oracle root; only rounding separates them
+    make, w, c, r = CONICS[name]
+    domain = make()
+    domain.line_exit = lambda origin, direction, s_ref: conic_line_root(
+        w, c, r, origin, direction)
     rng = np.random.default_rng(5)
     ang = rng.uniform(0, 2 * np.pi, 3)
     T = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -188,10 +212,10 @@ def test_circle_offset_exit_closed_form_matches_implicit_route():
     tol = 64 * np.finfo(float).eps
     for T_, N_ in frames:
         for second in (True, False):
-            closed = circle.offset_exit(base, T_[:, None], N_[:, None], q, None,
+            closed = domain.offset_exit(base, T_[:, None], N_[:, None], q, None,
                                         second=second)
-            generic = ImplicitDomain.offset_exit(circle, base, T_[:, None],
-                                                 N_[:, None], q, np.ones((3, 1)),
+            generic = ImplicitDomain.offset_exit(domain, base, T_[:, None],
+                                                 N_[:, None], q, None,
                                                  second=second)
             for x, y in zip(closed, generic):
                 if y is None:

@@ -99,6 +99,32 @@ def test_unit_disk_network_value(disk_network, unit_tensions):
     assert res.lambda_max > 0
 
 
+def test_arpack_failure_falls_back_to_dense(monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    sparse = max_eigenvalue(net, UNIT, 64).lambda_max
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK gave up", np.array([]), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert abs(max_eigenvalue(net, UNIT, 64).lambda_max - sparse) < 1e-10
+
+
+def test_programming_error_in_eigsh_propagates(monkeypatch):
+    import scipy.sparse.linalg
+
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+    net = synthetic_network((1.0, 1.0, 1.0), (-0.5, 1.0, 1.0), UNIT)
+    with pytest.raises(TypeError):
+        max_eigenvalue(net, UNIT, 32)
+
+
 def test_mixed_signs_unstable_case():
     net = synthetic_network((1.0, 1.0, 1.0), (-0.5, 1.0, 1.0), UNIT)
     res = max_eigenvalue(net, UNIT, 400)

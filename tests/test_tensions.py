@@ -53,6 +53,13 @@ def test_nonpositive_tension_raises():
         SurfaceTensions((1.0, -1.0, 1.0))
 
 
+@pytest.mark.parametrize("gamma", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0)])
+def test_nonfinite_tension_raises(gamma):
+    # nan passes every comparison-based check
+    with pytest.raises(TensionsDegenerate):
+        SurfaceTensions(gamma)
+
+
 def test_scale_invariance_of_angles():
     rng = np.random.default_rng(5)
     for _ in range(20):
