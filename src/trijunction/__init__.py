@@ -54,14 +54,9 @@ from .stability import (
 from .evolution import EvolveConfig, Trajectory, Stepper, run, initial_state, junction_kinematics
 from .diagnostics import (
     BranchSample,
-    CurveSample,
     DiagnosticsRecord,
     resample,
-    sample_network,
-    energy,
-    kappa_norms,
     energy_law_residual,
-    junction_and_robin_residuals,
     decay_fit,
     record_from_state,
 )

@@ -14,7 +14,8 @@ grouping; lists are comma separated, polynomial terms semicolon separated:
 
 Unknown keys are rejected (ParseError naming the key); values that parse but
 violate a precondition raise ValidationError naming the field, and so do
-non-finite numbers and `domain.*` keys the chosen domain type does not use.
+non-finite numbers, polynomial powers that are not whole numbers at most
+domains.MAX_POWER, and `domain.*` keys the chosen domain type does not use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .domains import ImplicitDomain, make_domain
+from .domains import ImplicitDomain, make_domain, polynomial_power
 from .errors import ParseError, TensionsDegenerate, ValidationError
 from .tensions import SurfaceTensions
 
@@ -150,7 +151,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 raise ValidationError(
                     "domain.coefficients", f"term {chunk.strip()!r} is not 'i j c'"
                 )
-            terms.append((int(vals[0]), int(vals[1]), vals[2]))
+            try:
+                terms.append((polynomial_power(vals[0]), polynomial_power(vals[1]), vals[2]))
+            except ValueError as exc:
+                raise ValidationError("domain.coefficients", str(exc)) from exc
         params["coefficients"] = terms
         box = take("domain.bounding_box")
         if box is not None:

@@ -1,11 +1,12 @@
-"""Geometric measurements on sampled networks and identity verification.
+"""Diagnostics records of network snapshots and trajectory post-processing.
 
-All quantities that the continuous theory states in arc length (curvature
-norms, flux matching at the junction, the wall Robin relation) are measured
-here on arc-length data: curves are resampled by cumulative chord length,
-with curvature computed by three-point finite differences whose stencils
-account for the slightly nonuniform spacing.  Norms are gamma-weighted:
-||phi||_Lp^p = sum_i gamma_i int |phi^i|^p ds.
+A record measures a state on the sigma grids of its own chart: J and kappa
+come from parameterization.chart_geometry, the kernel the time step uses,
+so the energy law is checked on the discretization that dissipates it.
+Integrals are composite trapezoid sums in the arc element J dsigma;
+arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
+stencils of rho_derivatives, one-sided at the junction and the wall.
+Norms are gamma-weighted: ||phi||_Lp^p = sum_i gamma_i int |phi^i|^p ds.
 
 The central identities checked along trajectories:
     dE/dt + ||kappa||_L2^2 = 0           (energy law, E = sum gamma_i length_i)
@@ -13,6 +14,10 @@ The central identities checked along trajectories:
     kappa_s + kappa v equal across branches at the junction
     sum gamma_i v_i = 0 at the junction   (v = Q V, V = kappa)
     kappa_s + h kappa = 0 at the wall
+
+`resample` is an independent arc-length route (chord-length PCHIP
+resampling, curvature by nonuniform differences of positions); the test
+suite builds its cross-check of the records on it.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .domains import ImplicitDomain, boundary_curvature
+from .domains import boundary_curvature
 from .errors import DegenerateCurve, NonPositiveSeries
-from .parameterization import Coefficients, GraphState, StationaryNetwork, curve_from_graph
-from .tensions import SurfaceTensions, junction_matrix, young_angles
+from .parameterization import GraphState, _cross, chart_geometry, rho_derivatives
+from .tensions import junction_matrix, young_angles
 
 
 @dataclass
@@ -38,23 +43,6 @@ class BranchSample:
     normals: np.ndarray  # (m+1, 2) unit, N = R T
     kappa: np.ndarray  # (m+1,)
     length: float
-
-
-@dataclass
-class CurveSample:
-    """The three branch samples of a network snapshot."""
-
-    branches: list[BranchSample]
-
-    def __iter__(self):
-        return iter(self.branches)
-
-    def __getitem__(self, i):
-        return self.branches[i]
-
-    @property
-    def lengths(self):
-        return np.array([b.length for b in self.branches])
 
 
 def _fit_weights(nodes, x, order):
@@ -137,128 +125,91 @@ def resample(points: np.ndarray) -> BranchSample:
     )
 
 
-def sample_network(network: StationaryNetwork, domain: ImplicitDomain,
-                   state: GraphState) -> CurveSample:
-    curves = curve_from_graph(network, domain, state)
-    return CurveSample([resample(curves[i]) for i in range(3)])
-
-
-# ---------------------------------------------------------------------------
-# norms and the energy
-
-
-def energy(sample: CurveSample, tensions: SurfaceTensions) -> float:
-    """Total interfacial energy sum_i gamma_i * length_i."""
-    return float(np.dot(tensions.array, sample.lengths))
-
-
-def _lp_norm_p(sample, tensions, values, p):
-    total = 0.0
-    for g, b, v in zip(tensions.array, sample.branches, values):
-        total += g * np.trapezoid(np.abs(v) ** p, b.s)
-    return total
-
-
-def kappa_norms(sample: CurveSample, tensions: SurfaceTensions) -> dict:
-    """Gamma-weighted curvature norms and arc-length derivative norms."""
-    kap = [b.kappa for b in sample.branches]
-    kap_s, kap_ss = [], []
-    for b in sample.branches:
-        d1, d2 = _nonuniform_derivatives(b.s, b.kappa)
-        kap_s.append(d1)
-        kap_ss.append(d2)
-    return {
-        "kappa_l2_sq": _lp_norm_p(sample, tensions, kap, 2),
-        "kappa_l4_4": _lp_norm_p(sample, tensions, kap, 4),
-        "kappa_linf": float(max(np.max(np.abs(k)) for k in kap)),
-        "kappa_s_l2_sq": _lp_norm_p(sample, tensions, kap_s, 2),
-        "kappa_ss_l2_sq": _lp_norm_p(sample, tensions, kap_ss, 2),
-        "_kappa_s": kap_s,
-        "_kappa_ss": kap_ss,
-    }
-
-
 # ---------------------------------------------------------------------------
 # records
 
 
+def _csv(*columns, repr=True):
+    """A record field that the trajectory CSV stores, in field order: under
+    the field's name, or under `columns`, one per vector component."""
+    return field(repr=repr, metadata={"csv": columns})
+
+
 @dataclass
 class DiagnosticsRecord:
-    t: float
-    E: float
-    kappa_l2_sq: float
+    # the fields the trajectory CSV stores come first, in column order;
+    # storage derives its columns from their metadata
+    t: float = _csv()
+    E: float = _csv()
+    kappa_l2_sq: float = _csv()
+    kappa_s_l2_sq: float = _csv()
+    kappa_ss_l2_sq: float = _csv()
+    p: np.ndarray = _csv("px", "py", repr=False)  # junction position
+    mu: np.ndarray = _csv("mu1", "mu2", "mu3", repr=False)
+    res_junction: float = _csv()  # |sum gamma_i kappa_i| at the junction
+    res_flux: float = _csv()  # max pairwise spread of kappa_s + kappa v there
+    res_outer: float = _csv()  # max_i |kappa_s + h kappa| at the wall
+    res_perp: float = _csv()  # max_i |(N, grad psi /|grad psi|)| at the wall
     kappa_l4_4: float
     kappa_linf: float
-    kappa_s_l2_sq: float
-    kappa_ss_l2_sq: float
-    res_junction: float  # |sum gamma_i kappa_i| at the junction
-    res_flux: float  # max pairwise spread of kappa_s + kappa v there
     res_sum_gamma_v: float  # |sum gamma_i v_i| with v = Q kappa(0)
-    res_outer: float  # max_i |kappa_s + h kappa| at the wall
-    res_perp: float  # max_i |(N, grad psi /|grad psi|)| at the wall
-    p: np.ndarray = field(repr=False, default=None)  # junction position
-    mu: np.ndarray = field(repr=False, default=None)
-    lengths: np.ndarray = field(repr=False, default=None)
+    lengths: np.ndarray = field(repr=False)
 
 
-def junction_and_robin_residuals(sample: CurveSample, tensions: SurfaceTensions,
-                                 domain: ImplicitDomain,
-                                 norms: dict | None = None) -> dict:
-    """Residuals of the junction and wall identities on one snapshot.
+def _branch_integrals(values, J, dx):
+    """Per-branch trapezoid integrals of values in the arc element J dsigma."""
+    return np.trapezoid(values * J, dx=1.0, axis=1) * dx
 
-    The tangential junction speeds follow from the flow law V = kappa via
-    v = Q V at the junction.  A precomputed kappa_norms dict may be passed
-    to avoid re-differentiating.
-    """
-    g = tensions.array
-    Q = junction_matrix(young_angles(tensions)).q
-    kap0 = np.array([b.kappa[0] for b in sample.branches])
-    velocities = Q @ kap0
-    if norms is None:
-        norms = kappa_norms(sample, tensions)
-    kap_s0 = np.array([ks[0] for ks in norms["_kappa_s"]])
-    flux = kap_s0 + kap0 * velocities
-    flux_spread = float(np.max(flux) - np.min(flux))
 
-    robin = []
-    perp = []
-    for b, kap_s in zip(sample.branches, norms["_kappa_s"]):
-        h = boundary_curvature(domain, b.points[-1], tol=1e-5)
-        robin.append(abs(kap_s[-1] + h * b.kappa[-1]))
-        grad = domain.grad(b.points[-1])
-        perp.append(abs(float(b.normals[-1] @ grad) / np.linalg.norm(grad)))
-    return {
-        "res_junction": float(abs(g @ kap0)),
-        "res_flux": flux_spread,
-        "res_sum_gamma_v": float(abs(g @ velocities)),
-        "res_outer": float(max(robin)),
-        "res_perp": float(max(perp)),
-    }
+def _weighted_integral(gammas, values, J, dx) -> float:
+    return float(np.sum(gammas * _branch_integrals(values, J, dx)))
 
 
 def record_from_state(network, domain, tensions, state: GraphState) -> DiagnosticsRecord:
-    sample = sample_network(network, domain, state)
-    norms = kappa_norms(sample, tensions)
-    res = junction_and_robin_residuals(sample, tensions, domain, norms=norms)
-    p = (network.p_star
-         + state.mu[:, None] * network.tangents
-         + state.rho[:, 0, None] * network.normals).mean(axis=0)
+    """Energy, curvature norms and identity residuals of one state.
+
+    The det M floor of `coefficients` is not applied: it guards the time
+    step, and records are also taken of states no step has evaluated.
+    """
+    geo = chart_geometry(network, domain, state)
+    g = tensions.array
+    dx = network.lengths / state.n
+    kap, J = geo.kappa, geo.J
+    kap_s = rho_derivatives(kap, network.lengths)[0] / J
+    kap_ss = rho_derivatives(kap_s, network.lengths)[0] / J
+    lengths = _branch_integrals(1.0, J, dx)
+
+    # junction: tangential speeds v = Q V from the flow law V = kappa
+    kap0 = kap[:, 0]
+    velocities = junction_matrix(young_angles(tensions)).q @ kap0
+    flux = kap_s[:, 0] + kap0 * velocities
+
+    # wall: contact points p_* + mu_b T + rho N and the unit tangent
+    # Phi_sigma / J there, with Phi_sigma = phi_T T + rho_sigma N
+    T, N = network.tangents, network.normals
+    wall = network.p_star + geo.mu_b[:, -1, None] * T + state.rho[:, -1, None] * N
+    tangent = (geo.phi_T[:, -1, None] * T + geo.rho_sigma[:, -1, None] * N) / J[:, -1, None]
+    h = boundary_curvature(domain, wall)
+    grad = domain.grad(wall)
+    perp = _cross(tangent, grad) / np.linalg.norm(grad, axis=1)  # (R tangent, grad) / |grad|
+
+    p = (network.p_star + state.mu[:, None] * T + state.rho[:, 0, None] * N).mean(axis=0)
     return DiagnosticsRecord(
         t=float(state.t),
-        E=energy(sample, tensions),
-        kappa_l2_sq=norms["kappa_l2_sq"],
-        kappa_l4_4=norms["kappa_l4_4"],
-        kappa_linf=norms["kappa_linf"],
-        kappa_s_l2_sq=norms["kappa_s_l2_sq"],
-        kappa_ss_l2_sq=norms["kappa_ss_l2_sq"],
-        res_junction=res["res_junction"],
-        res_flux=res["res_flux"],
-        res_sum_gamma_v=res["res_sum_gamma_v"],
-        res_outer=res["res_outer"],
-        res_perp=res["res_perp"],
+        E=float(np.sum(g * lengths)),
+        kappa_l2_sq=_weighted_integral(g, kap**2, J, dx),
+        kappa_l4_4=_weighted_integral(g, kap**4, J, dx),
+        kappa_linf=float(np.abs(kap).max()),
+        kappa_s_l2_sq=_weighted_integral(g, kap_s**2, J, dx),
+        kappa_ss_l2_sq=_weighted_integral(g, kap_ss**2, J, dx),
+        res_junction=float(abs(g @ kap0)),
+        res_flux=float(flux.max() - flux.min()),
+        res_sum_gamma_v=float(abs(g @ velocities)),
+        res_outer=float(np.abs(kap_s[:, -1] + h * kap[:, -1]).max()),
+        res_perp=float(np.abs(perp).max()),
         p=p,
         mu=state.mu.copy(),
-        lengths=sample.lengths,
+        lengths=lengths,
     )
 
 
@@ -304,10 +255,8 @@ def decay_fit(times, series, window: float = 0.5):
     return float(coef[0]), float(coef[1]), r2
 
 
-def kappa_l2_sq_sigma_grid(network, tensions, coef: Coefficients) -> float:
-    """||kappa||_L2^2 by sigma-grid quadrature of the exact curvature of
-    `coefficients` with arc element J dsigma; cross-check for the
-    arc-length route."""
-    dx = network.lengths / (coef.kappa.shape[1] - 1)
-    per = np.trapezoid(coef.kappa**2 * coef.J, dx=1.0, axis=1) * dx
-    return float(np.sum(tensions.array * per))
+def kappa_l2_sq_sigma_grid(network, tensions, geo) -> float:
+    """||kappa||_L2^2 from the kappa and J of chart_geometry or coefficients,
+    by the quadrature of the records."""
+    dx = network.lengths / (geo.kappa.shape[1] - 1)
+    return _weighted_integral(tensions.array, geo.kappa**2, geo.J, dx)

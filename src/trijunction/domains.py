@@ -17,6 +17,7 @@ from .tensions import ROT90
 
 _GRAD_FLOOR = 1e-8
 _BOX = (-4.0, 4.0, -4.0, 4.0)
+MAX_POWER = 32  # largest power of x or y in a polynomial level set
 
 
 class ImplicitDomain:
@@ -213,7 +214,7 @@ class PolynomialDomain(ImplicitDomain):
     family = "polynomial"
 
     def __init__(self, terms, bounding_box=_BOX):
-        terms = [(int(i), int(j), float(c)) for i, j, c in terms]
+        terms = [(polynomial_power(i), polynomial_power(j), float(c)) for i, j, c in terms]
         if not terms:
             raise ValueError("polynomial domain needs at least one term")
         if min(min(i, j) for i, j, _ in terms) < 0:
@@ -258,6 +259,17 @@ class PolynomialDomain(ImplicitDomain):
     def psi_grad_hess(self, x):
         vals = self._fields(x, 0, 6)
         return vals[..., 0], vals[..., 1:3], _sym2(vals[..., 3:6])
+
+
+def polynomial_power(value) -> int:
+    """A monomial power as an int; ValueError unless it is a whole number at
+    most MAX_POWER.  The cap bounds the dense coefficient stack, which has
+    (MAX_POWER + 1)^2 entries per field."""
+    power = float(value)
+    if not (power.is_integer() and power <= MAX_POWER):
+        raise ValueError(f"polynomial powers must be whole numbers at most {MAX_POWER}, "
+                         f"got {value}")
+    return int(power)
 
 
 def _derivative(mat, axis):

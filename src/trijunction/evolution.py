@@ -321,7 +321,7 @@ def junction_kinematics(network, domain, state0: GraphState, state1: GraphState)
 
     dp = (junction_point(state1) - junction_point(state0)) / dt
     rho = state0.rho
-    rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], network.lengths / state0.n)
+    rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], 2.0 * network.lengths / state0.n)
     jet = psi_jet(network, domain, np.arange(3), np.zeros(3), rho[:, 0], state0.mu)
     phi_s = jet.d_sigma + rs0[:, None] * jet.d_q
     J = np.linalg.norm(phi_s, axis=1)

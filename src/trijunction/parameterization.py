@@ -22,7 +22,7 @@ indices; the evolution stepper leans on that heavily.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,11 +227,11 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray):
 _SLOPE_WEIGHTS = tuple(float(c) for c in _END_STENCILS[:3, 0])
 
 
-def end_slope(v0, v1, v2, dsigma):
+def end_slope(v0, v1, v2, two_dsigma):
     """Second-order one-sided slope at node 0 from nodes 0, 1, 2 at spacing
-    dsigma; the last node's slope is -end_slope(v[-1], v[-2], v[-3], .)."""
+    two_dsigma / 2; the last node's slope is -end_slope(v[-1], v[-2], v[-3], .)."""
     c0, c1, c2 = _SLOPE_WEIGHTS
-    return (c0 * v0 + c1 * v1 + c2 * v2) / (2.0 * dsigma)
+    return (c0 * v0 + c1 * v1 + c2 * v2) / two_dsigma
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +294,84 @@ def curve_from_graph(network, domain, state: GraphState) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_fractions(n, lengths):
-    """sigma / l^i on the (3, n+1) grids of sigma_grid, read-only.
+def _grid_constants(n, lengths):
+    """Read-only constants of the (3, n+1) grids of sigma_grid(n): sigma / l,
+    rounded exactly as sigma_grid(n) / l; the abscissae of the six branch
+    ends in _BRANCH6 order; the end-slope denominator 2 dsigma.
 
-    coefficients runs once per time step on the same grids; the fractions
-    are cached per (n, lengths) and rounded exactly as sigma_grid(n) / l.
+    Every step evaluates coefficients and the boundary sweep on the same
+    grids, so the constants are cached per (n, lengths).
     """
-    l = np.array(lengths)[:, None]
-    frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * l) / l
-    frac.flags.writeable = False
-    return frac
+    l = np.array(lengths)
+    frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * l[:, None]) / l[:, None]
+    sigma6 = np.concatenate([np.zeros(3), l])
+    two_d = 2.0 * (l / n)
+    for const in (frac, sigma6, two_d):
+        const.flags.writeable = False
+    return frac, sigma6, two_d
 
 
 @dataclass
-class Coefficients:
-    """Per-node flow coefficients plus the junction coupling blocks."""
+class ChartGeometry:
+    """Metric and curvature of a state on its sigma grids, with the chart
+    terms they come from; all arrays are (3, n+1)."""
+
+    mu_b: np.ndarray  # exit abscissae mu_b(rho)
+    frac: np.ndarray  # sigma / l, read-only
+    xi_sigma: np.ndarray
+    phi_T: np.ndarray  # (Phi_sigma, T_*); (Phi_sigma, N_*) is rho_sigma
+    rho_sigma: np.ndarray
+    rho_ss: np.ndarray
+    J2: np.ndarray
+    J: np.ndarray
+    kappa: np.ndarray
+
+
+def chart_geometry(network, domain, state: GraphState,
+                   mu_b_guess: np.ndarray | None = None) -> ChartGeometry:
+    """Exit jet -> xi partials -> J and kappa on the sigma grids of `state`.
+
+    Because the reference fork is straight, every jet component lies in the
+    branch frame (T, N); the curvature then collapses to a scalar expression
+    in the xi partials.  curvature_kappa/metric_J keep the general vector
+    route and agree with these values to rounding.  mu_b_guess warm-starts
+    the exit root search; the reference lengths are the cold start.
+    """
+    rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
+    l = network.lengths[:, None]
+    mu = state.mu[:, None]
+
+    # one branch index per row; the frames broadcast along sigma
+    s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
+    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
+                                         network.normals[_BRANCH_ROWS], state.rho, s_ref)
+    frac = _grid_constants(state.n, tuple(network.lengths.tolist()))[0]
+    xi_sigma = (mu_b - mu) / l
+    xi_q = frac * dmu
+    xi_sq = dmu / l
+    xi_qq = frac * ddmu
+
+    phi_T = xi_sigma + xi_q * rho_s
+    J2 = phi_T**2 + rho_s**2
+    if (J2 < _J_FLOOR**2).any():
+        raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
+    J = np.sqrt(J2)
+    kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
+    return ChartGeometry(mu_b=mu_b, frac=frac, xi_sigma=xi_sigma, phi_T=phi_T,
+                         rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
+
+
+@dataclass
+class Coefficients(ChartGeometry):
+    """Per-node flow coefficients plus the junction coupling blocks, on top
+    of the chart geometry they are built from."""
 
     L: np.ndarray  # (3, n+1)
     Lam: np.ndarray  # (3, n+1)
     a: np.ndarray  # (3, n+1)
-    kappa: np.ndarray  # (3, n+1)
-    J: np.ndarray  # (3, n+1)
     M: np.ndarray  # (3, 3) junction matrix Id - diag(Lam(0)) Q
     mu_t: np.ndarray  # (3,) tangential junction velocity
     det_M: float
-    mu_b: np.ndarray = field(repr=False, default=None)  # exit abscissae
-    rho_sigma: np.ndarray = field(repr=False, default=None)
-    rho_ss: np.ndarray = field(repr=False, default=None)
 
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
@@ -330,13 +381,8 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
 
     The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
     as well, so one call provides the entire right-hand side
-    rho_t = L kappa + Lambda mu_t of the flow.
-
-    Because the reference fork is straight, every jet component lies in the
-    branch frame (T, N); the curvature and coefficient inner products then
-    collapse to scalar expressions in the xi partials, which is what this
-    hot path evaluates.  curvature_kappa/metric_J keep the general vector
-    route and agree with these values to rounding.
+    rho_t = L kappa + Lambda mu_t of the flow.  J and kappa come from
+    chart_geometry; the det M floor guards the step.
     """
     if q_matrix is None:
         q_matrix = junction_matrix(young_angles(tensions))
@@ -344,31 +390,12 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
     g = tensions.array
     beta = tensions.beta
 
-    rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
-    l = network.lengths[:, None]
-    mu = state.mu[:, None]
-
-    # one branch index per row; the frames broadcast along sigma
-    s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
-    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
-                                         network.normals[_BRANCH_ROWS], state.rho, s_ref)
-    frac = _grid_fractions(state.n, tuple(network.lengths))
-    xi_sigma = (mu_b - mu) / l
-    xi_q = frac * dmu
-    xi_mu = 1.0 - frac
-    xi_sq = dmu / l
-    xi_qq = frac * ddmu
-
-    J2 = (xi_sigma + xi_q * rho_s) ** 2 + rho_s**2
-    if (J2 < _J_FLOOR**2).any():
-        raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
-    J = np.sqrt(J2)
-    kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
-
+    geo = chart_geometry(network, domain, state, mu_b_guess)
+    xi_sigma, J, kappa = geo.xi_sigma, geo.J, geo.kappa
     mobility = (g / beta)[:, None]
     L = mobility / xi_sigma * J
-    Lam = xi_mu * rho_s / xi_sigma
-    a = mobility / J2
+    Lam = (1.0 - geo.frac) * geo.rho_sigma / xi_sigma
+    a = mobility / geo.J2
 
     M = np.eye(3) - Lam[:, 0, None] * Q
     det_M = float(np.linalg.det(M))
@@ -376,13 +403,10 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
         raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {_DET_M_FLOOR}")
     mu_t = Q @ (np.linalg.inv(M) @ (L[:, 0] * kappa[:, 0]))
 
-    return Coefficients(L=L, Lam=Lam, a=a, kappa=kappa, J=J, M=M,
-                        mu_t=mu_t, det_M=det_M, mu_b=mu_b,
-                        rho_sigma=rho_s, rho_ss=rho_ss)
+    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, M=M, mu_t=mu_t, det_M=det_M)
 
 
 _BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
-_ZERO3 = np.zeros(3)
 
 
 def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
@@ -401,15 +425,14 @@ def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
     sigma = l^i vanishes iff branch i meets the wall at a right angle and
     linearizes to rho_sigma + h_* rho.
     """
+    _, sigma6, two_d = _grid_constants(rho.shape[1] - 1, tuple(network.lengths.tolist()))
     q6 = np.concatenate([r0, w])
     mu6 = np.concatenate([mu, mu])
-    sigma6 = np.concatenate([_ZERO3, network.lengths])
     psi, d_sigma, d_q = psi_first_jet(network, domain, _BRANCH6, sigma6,
                                       q6, mu6, s_guess=s_guess)
 
-    d = network.lengths / (rho.shape[1] - 1)
-    rs0 = end_slope(r0, rho[:, 1], rho[:, 2], d)
-    rsl = -end_slope(w, rho[:, -2], rho[:, -3], d)
+    rs0 = end_slope(r0, rho[:, 1], rho[:, 2], two_d)
+    rsl = -end_slope(w, rho[:, -2], rho[:, -3], two_d)
     rs6 = np.concatenate([rs0, rsl])
 
     phi_s = d_sigma + rs6[:, None] * d_q

@@ -221,5 +221,5 @@ def stability_criterion(lengths, h_star, tensions: SurfaceTensions,
 def junction_slopes(network: StationaryNetwork, phi: np.ndarray) -> np.ndarray:
     """One-sided slopes of nodal data at sigma = 0, one per branch."""
     phi = np.asarray(phi, dtype=float)
-    d = network.lengths / (phi.shape[1] - 1)
-    return end_slope(phi[:, 0], phi[:, 1], phi[:, 2], d)
+    two_d = 2.0 * network.lengths / (phi.shape[1] - 1)
+    return end_slope(phi[:, 0], phi[:, 1], phi[:, 2], two_d)

@@ -20,7 +20,7 @@ import numpy as np
 from .diagnostics import kappa_l2_sq_sigma_grid
 from .domains import ImplicitDomain, boundary_curvature, boundary_hit
 from .errors import NoConvergence, SingularJacobian
-from .parameterization import GraphState, StationaryNetwork, coefficients
+from .parameterization import GraphState, StationaryNetwork, chart_geometry
 from .tensions import SurfaceTensions, tangent_frames, young_angles
 
 _COND_LIMIT = 1e10
@@ -145,12 +145,12 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
     g = tensions.array
     out = []
     for state in states:
-        coef = coefficients(network, domain, tensions, state)
-        kap = float(np.sqrt(kappa_l2_sq_sigma_grid(network, tensions, coef)))
+        geo = chart_geometry(network, domain, state)
+        kap = float(np.sqrt(kappa_l2_sq_sigma_grid(network, tensions, geo)))
         if kap <= _KAPPA_FLOOR:
             continue
         dx = network.lengths / state.n
-        h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(coef.rho_ss, g, dx)
+        h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(geo.rho_ss, g, dx)
         out.append(h2 / kap)
     return np.asarray(out)
 

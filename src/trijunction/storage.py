@@ -6,43 +6,36 @@ doubles exactly, so read(write(rows)) == rows bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
+from .diagnostics import DiagnosticsRecord
 from .errors import IoError
 from .parameterization import StationaryNetwork
 from .tensions import ROT90
 
-
-@dataclass
-class TrajectoryRow:
-    t: float
-    E: float
-    kappa_l2_sq: float
-    kappa_s_l2_sq: float
-    kappa_ss_l2_sq: float
-    px: float
-    py: float
-    mu1: float
-    mu2: float
-    mu3: float
-    res_junction: float
-    res_flux: float
-    res_outer: float
-    res_perp: float
-
-
-_COLUMNS = [f.name for f in fields(TrajectoryRow)]
+# (record field, its CSV columns), in column order; the record's field
+# metadata names the stored fields and the columns of its vectors
+_LAYOUT = [(f.name, f.metadata["csv"] or (f.name,))
+           for f in fields(DiagnosticsRecord) if "csv" in f.metadata]
+_COLUMNS = [col for _, cols in _LAYOUT for col in cols]
 _N_COLS = len(_COLUMNS)
 TRAJECTORY_HEADER = ",".join(_COLUMNS)
 
+TrajectoryRow = make_dataclass("TrajectoryRow", [(col, float) for col in _COLUMNS])
+TrajectoryRow.__module__ = __name__
+TrajectoryRow.__doc__ = "One trajectory CSV row: the stored record fields, vectors split."
+
 
 def row_from_record(record) -> TrajectoryRow:
-    """CSV row of a DiagnosticsRecord: its scalar fields of the same name,
-    with the junction position p and offsets mu split into components."""
-    split = dict(zip(("px", "py", "mu1", "mu2", "mu3"), map(float, (*record.p, *record.mu))))
-    return TrajectoryRow(*(split[c] if c in split else getattr(record, c) for c in _COLUMNS))
+    """CSV row of a DiagnosticsRecord: its stored scalar fields as they are,
+    its junction position p and offsets mu split into components."""
+    values = []
+    for name, cols in _LAYOUT:
+        value = getattr(record, name)
+        values.extend(map(float, value) if len(cols) > 1 else (value,))
+    return TrajectoryRow(*values)
 
 
 def write_trajectory(rows, path) -> None:

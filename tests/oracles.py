@@ -3,11 +3,14 @@
 Everything here is deliberately built on different machinery than the
 package: eigenvalues by ODE shooting instead of finite elements, curvature
 from parametric calculus instead of level sets, lengths from closed-form
-chord geometry.  Tests freeze values produced by these oracles and compare
-the library against them.
+chord geometry, curvature norms and identity residuals from chord-length
+resampling instead of the sigma grid of the chart.  Tests freeze values
+produced by these oracles and compare the library against them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,3 +216,105 @@ def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
         g = domain.grad(p)
         res.append(-(v[0] * g[1] - v[1] * g[0]) / (np.linalg.norm(v) * np.linalg.norm(g)))
     return np.array(res)
+
+
+# ---------------------------------------------------------------------------
+# arc-length records: the chord-length PCHIP route
+#
+# Curves are reconstructed from the chart, resampled by cumulative chord
+# length and differentiated as positions, independently of the sigma-grid
+# J and kappa of trijunction.diagnostics.record_from_state.
+
+
+@dataclass
+class CurveSample:
+    """The three branch samples of a network snapshot."""
+
+    branches: list
+
+    def __iter__(self):
+        return iter(self.branches)
+
+    def __getitem__(self, i):
+        return self.branches[i]
+
+    @property
+    def lengths(self):
+        return np.array([b.length for b in self.branches])
+
+
+def sample_network(network, domain, state) -> CurveSample:
+    from trijunction.diagnostics import resample
+    from trijunction.parameterization import curve_from_graph
+
+    curves = curve_from_graph(network, domain, state)
+    return CurveSample([resample(curves[i]) for i in range(3)])
+
+
+def energy(sample, tensions) -> float:
+    """Total interfacial energy sum_i gamma_i * length_i."""
+    return float(np.dot(tensions.array, sample.lengths))
+
+
+def _lp_norm_p(sample, tensions, values, p):
+    total = 0.0
+    for g, b, v in zip(tensions.array, sample.branches, values):
+        total += g * np.trapezoid(np.abs(v) ** p, b.s)
+    return total
+
+
+def kappa_norms(sample, tensions) -> dict:
+    """Gamma-weighted curvature norms and arc-length derivative norms."""
+    from trijunction.diagnostics import _nonuniform_derivatives
+
+    kap = [b.kappa for b in sample.branches]
+    kap_s, kap_ss = [], []
+    for b in sample.branches:
+        d1, d2 = _nonuniform_derivatives(b.s, b.kappa)
+        kap_s.append(d1)
+        kap_ss.append(d2)
+    return {
+        "kappa_l2_sq": _lp_norm_p(sample, tensions, kap, 2),
+        "kappa_l4_4": _lp_norm_p(sample, tensions, kap, 4),
+        "kappa_linf": float(max(np.max(np.abs(k)) for k in kap)),
+        "kappa_s_l2_sq": _lp_norm_p(sample, tensions, kap_s, 2),
+        "kappa_ss_l2_sq": _lp_norm_p(sample, tensions, kap_ss, 2),
+        "_kappa_s": kap_s,
+        "_kappa_ss": kap_ss,
+    }
+
+
+def junction_and_robin_residuals(sample, tensions, domain, norms=None) -> dict:
+    """Residuals of the junction and wall identities on one snapshot.
+
+    The tangential junction speeds follow from the flow law V = kappa via
+    v = Q V at the junction.  A precomputed kappa_norms dict may be passed
+    to avoid re-differentiating.
+    """
+    from trijunction.domains import boundary_curvature
+    from trijunction.tensions import junction_matrix, young_angles
+
+    g = tensions.array
+    Q = junction_matrix(young_angles(tensions)).q
+    kap0 = np.array([b.kappa[0] for b in sample.branches])
+    velocities = Q @ kap0
+    if norms is None:
+        norms = kappa_norms(sample, tensions)
+    kap_s0 = np.array([ks[0] for ks in norms["_kappa_s"]])
+    flux = kap_s0 + kap0 * velocities
+    flux_spread = float(np.max(flux) - np.min(flux))
+
+    robin = []
+    perp = []
+    for b, kap_s in zip(sample.branches, norms["_kappa_s"]):
+        h = boundary_curvature(domain, b.points[-1], tol=1e-5)
+        robin.append(abs(kap_s[-1] + h * b.kappa[-1]))
+        grad = domain.grad(b.points[-1])
+        perp.append(abs(float(b.normals[-1] @ grad) / np.linalg.norm(grad)))
+    return {
+        "res_junction": float(abs(g @ kap0)),
+        "res_flux": flux_spread,
+        "res_sum_gamma_v": float(abs(g @ velocities)),
+        "res_outer": float(max(robin)),
+        "res_perp": float(max(perp)),
+    }

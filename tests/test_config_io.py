@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction.config import parse_config
+from trijunction.diagnostics import DiagnosticsRecord
+from trijunction.domains import MAX_POWER
 from trijunction.errors import IoError, ParseError, ValidationError
 from trijunction.storage import (
     TRAJECTORY_HEADER,
@@ -98,6 +103,12 @@ def test_degenerate_tensions_rejected():
          "tensions = 1, 1, 1\n", "domain.bounding_box"),
         ("domain.type = polynomial\ndomain.coefficients = 0 -1 1\n"
          "tensions = 1, 1, 1\n", "domain"),
+        # powers are whole numbers at most MAX_POWER, checked before the
+        # domain allocates its coefficient stack
+        ("domain.type = polynomial\ndomain.coefficients = 2.7 0 1; 0 0 -1\n"
+         "tensions = 1, 1, 1\n", "domain.coefficients"),
+        (f"domain.type = polynomial\ndomain.coefficients = 0 {MAX_POWER + 1} 1; 0 0 -1\n"
+         "tensions = 1, 1, 1\n", "domain.coefficients"),
         # non-finite numbers
         ("domain.type = circle\ntensions = 1, 1, 1\nt_end = nan\n", "t_end"),
         ("domain.type = circle\ntensions = 1, 1, 1\ngauge = inf\n", "gauge"),
@@ -176,6 +187,32 @@ def test_row_from_record_mapping(trefoil, trefoil_network, unit_tensions):
     assert row.t == 0.5
     assert row.E == rec.E
     assert row.mu1 == 0.0
+
+
+_VECTORS = {"p": 2, "mu": 3, "lengths": 3}  # the array fields of a record
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_records(draw):
+    values = {}
+    for f in fields(DiagnosticsRecord):
+        k = _VECTORS.get(f.name)
+        values[f.name] = (draw(_FINITE) if k is None
+                          else np.array(draw(st.lists(_FINITE, min_size=k, max_size=k))))
+    return DiagnosticsRecord(**values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(finite_records(), max_size=4))
+def test_trajectory_write_read_write_bitwise(tmp_path_factory, records):
+    first = tmp_path_factory.mktemp("csv") / "first.csv"
+    second = first.with_name("second.csv")
+    write_trajectory(records, first)
+    rows = read_trajectory(first)
+    assert rows == [row_from_record(r) for r in records]
+    write_trajectory(rows, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------

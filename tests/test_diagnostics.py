@@ -3,19 +3,23 @@ import pytest
 
 from trijunction.diagnostics import (
     decay_fit,
-    energy,
     energy_law_residual,
-    junction_and_robin_residuals,
     kappa_l2_sq_sigma_grid,
-    kappa_norms,
     record_from_state,
     resample,
-    sample_network,
 )
-from trijunction.errors import NonPositiveSeries
-from trijunction.parameterization import GraphState, coefficients
+from trijunction.errors import MatrixMNotInvertible, NonPositiveSeries
+from trijunction.parameterization import GraphState, coefficients, state_from_rho
 
-from oracles import circle_points
+from oracles import (
+    circle_points,
+    energy,
+    junction_and_robin_residuals,
+    kappa_norms,
+    sample_network,
+    shooting_eigenfunction,
+    shooting_lambda_max,
+)
 
 
 def test_resample_straight_segment():
@@ -42,6 +46,7 @@ def test_energy_disk_steady(disk, disk_network, unit_tensions):
     state = GraphState(np.zeros((3, 17)), np.zeros(3))
     sample = sample_network(disk_network, disk, state)
     assert abs(energy(sample, unit_tensions) - 3.0) < 1e-10
+    assert abs(record_from_state(disk_network, disk, unit_tensions, state).E - 3.0) < 1e-10
 
 
 def test_energy_scales_with_length(disk, disk_network, unit_tensions):
@@ -53,6 +58,7 @@ def test_energy_scales_with_length(disk, disk_network, unit_tensions):
     state = GraphState(np.zeros((3, 17)), np.zeros(3))
     sample = sample_network(net2, big, state)
     assert abs(energy(sample, unit_tensions) - 6.0) < 1e-9
+    assert abs(record_from_state(net2, big, unit_tensions, state).E - 6.0) < 1e-9
 
 
 def test_arclength_and_sigma_grid_norms_agree(trefoil, trefoil_network, unit_tensions):
@@ -74,8 +80,10 @@ def test_stationary_residuals_vanish(trefoil, trefoil_network, unit_tensions):
     state = GraphState(np.zeros((3, 33)), np.zeros(3))
     sample = sample_network(trefoil_network, trefoil, state)
     res = junction_and_robin_residuals(sample, unit_tensions, trefoil)
+    rec = record_from_state(trefoil_network, trefoil, unit_tensions, state)
     for key in ("res_junction", "res_flux", "res_sum_gamma_v", "res_outer", "res_perp"):
         assert res[key] < 1e-9, key
+        assert getattr(rec, key) < 1e-9, key
 
 
 def test_record_fields_finite_and_consistent(trefoil, trefoil_network, unit_tensions):
@@ -93,6 +101,38 @@ def test_record_fields_finite_and_consistent(trefoil, trefoil_network, unit_tens
            + state.mu[:, None] * trefoil_network.tangents
            + state.rho[:, 0, None] * trefoil_network.normals)
     assert np.abs(pts - rec.p).max() < 1e-10
+
+
+def test_record_agrees_with_arclength_oracle_at_second_order(trefoil, trefoil_network,
+                                                              unit_tensions):
+    # the continuous eigenmode of the trefoil fork, sampled on each grid
+    net, g = trefoil_network, unit_tensions.array
+    lam = shooting_lambda_max(net.lengths, net.h_star, g)
+    diffs = []
+    for n in (48, 96):
+        phi = shooting_eigenfunction(lam, net.lengths, net.h_star, g, n)
+        state = state_from_rho(net, unit_tensions, 0.05 * phi / np.abs(phi).max())
+        rec = record_from_state(net, trefoil, unit_tensions, state)
+        sample = sample_network(net, trefoil, state)
+        norms = kappa_norms(sample, unit_tensions)
+        diffs.append(np.abs([rec.E - energy(sample, unit_tensions),
+                             rec.kappa_l2_sq - norms["kappa_l2_sq"],
+                             rec.kappa_s_l2_sq - norms["kappa_s_l2_sq"]]))
+    assert np.all(diffs[0] >= 3.0 * diffs[1]), diffs
+
+
+def test_record_skips_the_step_det_m_floor(disk, disk_network, unit_tensions):
+    # junction slopes (1.4, 0, -1.4) give det M = 0.35 under unit tensions;
+    # the floor of coefficients is 0.5
+    sigma = disk_network.sigma_grid(32)
+    slopes = np.array([1.4, 0.0, -1.4])[:, None]
+    rho = slopes * sigma * (1.0 - sigma / disk_network.lengths[:, None])
+    state = state_from_rho(disk_network, unit_tensions, rho)
+    with pytest.raises(MatrixMNotInvertible):
+        coefficients(disk_network, disk, unit_tensions, state)
+    rec = record_from_state(disk_network, disk, unit_tensions, state)
+    values = [getattr(rec, name) for name in rec.__dataclass_fields__]
+    assert np.all(np.isfinite(np.hstack(values)))
 
 
 def test_energy_law_residual_stationary(trefoil, trefoil_network, unit_tensions):

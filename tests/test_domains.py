@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trijunction.domains import (
+    MAX_POWER,
     CircleDomain,
     EllipseDomain,
     ImplicitDomain,
@@ -230,3 +231,10 @@ def test_make_domain_factory():
     assert make_domain("polynomial", coefficients=[(0, 1, 1.0)]).family == "polynomial"
     with pytest.raises(ValueError):
         make_domain("mesh")
+
+
+@pytest.mark.parametrize("term", [(2.7, 0, 1.0), (0, MAX_POWER + 1, 1.0)])
+def test_polynomial_powers_are_whole_and_capped(term):
+    with pytest.raises(ValueError, match="whole numbers at most"):
+        PolynomialDomain([term, (0, 0, -1.0)])
+    PolynomialDomain([(MAX_POWER, 0, 1.0), (0, 0, -1.0)])

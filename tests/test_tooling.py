@@ -1,4 +1,5 @@
-"""Guards for files outside the package that depend on its names.
+"""Guards for files outside the package that depend on its names, and for
+the cost of the per-step diagnostics.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -10,9 +11,13 @@ import importlib
 import importlib.util
 import re
 from pathlib import Path
+from time import perf_counter
 
 from trijunction.config import SCALAR_KEYS, parse_config
-from trijunction.evolution import Stepper
+from trijunction.diagnostics import record_from_state
+from trijunction.evolution import EvolveConfig, Stepper, initial_state
+from trijunction.parameterization import coefficients
+from trijunction.stability import max_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -41,3 +46,26 @@ def test_readme_config_block_matches_schema():
     keys = {line.split("#", 1)[0].split("=", 1)[0].strip()
             for line in block.splitlines() if "=" in line.split("#", 1)[0]}
     assert set(SCALAR_KEYS) <= keys, sorted(set(SCALAR_KEYS) - keys)
+
+
+def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  The record shares the chart kernel of coefficients and adds
+    # quadratures and end stencils (about 2 calls); a second curvature route
+    # such as the chord-length resampling of tests/oracles.py costs over 10.
+    n = 200
+    config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
+    phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
+    state = initial_state(disk_network, disk, unit_tensions, config, kind="eigenmode",
+                          amplitude=1e-2, eigenfunction=phi)
+    calls = {
+        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state),
+        "record": lambda: record_from_state(disk_network, disk, unit_tensions, state),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(5):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["record"] <= 5.0 * best["coefficients"], best
