@@ -32,10 +32,6 @@ from .parameterization import (
     StationaryNetwork,
     GraphState,
     mu_boundary,
-    psi_map,
-    psi_jet,
-    metric_J,
-    curvature_kappa,
     curve_from_graph,
     coefficients,
     boundary_residuals,

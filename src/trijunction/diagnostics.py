@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .domains import boundary_curvature
 from .errors import DegenerateCurve, NonPositiveSeries
-from .parameterization import GraphState, _cross, chart_geometry, rho_derivatives
+from .parameterization import GraphState, _cross, chart_geometry, junction_point, rho_derivatives
 from .tensions import junction_matrix, young_angles
 
 
@@ -193,7 +193,6 @@ def record_from_state(network, domain, tensions, state: GraphState) -> Diagnosti
     grad = domain.grad(wall)
     perp = _cross(tangent, grad) / np.linalg.norm(grad, axis=1)  # (R tangent, grad) / |grad|
 
-    p = (network.p_star + state.mu[:, None] * T + state.rho[:, 0, None] * N).mean(axis=0)
     return DiagnosticsRecord(
         t=float(state.t),
         E=float(np.sum(g * lengths)),
@@ -207,7 +206,7 @@ def record_from_state(network, domain, tensions, state: GraphState) -> Diagnosti
         res_sum_gamma_v=float(abs(g @ velocities)),
         res_outer=float(np.abs(kap_s[:, -1] + h * kap[:, -1]).max()),
         res_perp=float(np.abs(perp).max()),
-        p=p,
+        p=junction_point(network, state),
         mu=state.mu.copy(),
         lengths=lengths,
     )

@@ -40,7 +40,8 @@ from .parameterization import (
     boundary_residuals,
     coefficients,
     end_slope,
-    psi_jet,
+    junction_point,
+    psi_first_jet,
     state_from_rho,
 )
 from .tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
@@ -313,17 +314,12 @@ def junction_kinematics(network, domain, state0: GraphState, state1: GraphState)
     if dt <= 0:
         raise ValueError("states must be time ordered")
 
-    def junction_point(state):
-        pts = (network.p_star
-               + state.mu[:, None] * network.tangents
-               + state.rho[:, 0, None] * network.normals)
-        return pts.mean(axis=0)
-
-    dp = (junction_point(state1) - junction_point(state0)) / dt
+    dp = (junction_point(network, state1) - junction_point(network, state0)) / dt
     rho = state0.rho
     rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], 2.0 * network.lengths / state0.n)
-    jet = psi_jet(network, domain, np.arange(3), np.zeros(3), rho[:, 0], state0.mu)
-    phi_s = jet.d_sigma + rs0[:, None] * jet.d_q
+    _, d_sigma, d_q = psi_first_jet(network, domain, np.arange(3), np.zeros(3),
+                                    rho[:, 0], state0.mu)
+    phi_s = d_sigma + rs0[:, None] * d_q
     J = np.linalg.norm(phi_s, axis=1)
     T = phi_s / J[:, None]
     N = np.stack([-T[:, 1], T[:, 0]], axis=1)

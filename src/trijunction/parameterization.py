@@ -28,7 +28,8 @@ import numpy as np
 
 from .domains import ImplicitDomain
 from .errors import DegenerateMetric, MatrixMNotInvertible
-from .tensions import JunctionAngles, JunctionMatrix, SurfaceTensions, young_angles, junction_matrix
+from .tensions import (JunctionAngles, JunctionMatrix, SurfaceTensions, force_balance_residual,
+                       junction_matrix, young_angles)
 
 _J_FLOOR = 1e-8
 _DET_M_FLOOR = 0.5
@@ -70,8 +71,6 @@ class GraphState:
 def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
                       tensions: SurfaceTensions) -> dict:
     """Invariant residuals of a reference network (all should be tiny)."""
-    from .tensions import force_balance_residual
-
     g = domain.grad(network.endpoints)
     gn = g / np.linalg.norm(g, axis=1, keepdims=True)
     angles = young_angles(tensions)
@@ -106,30 +105,16 @@ def mu_boundary(network, domain, i: int, q: float) -> float:
     return float(mu_b) if np.ndim(q) == 0 else mu_b
 
 
-@dataclass
-class PsiJet:
-    """Psi and every partial needed by the flow, each of shape (..., 2)."""
+def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
+    """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu), batched.
 
-    psi: np.ndarray
-    d_sigma: np.ndarray
-    d_q: np.ndarray
-    d_mu: np.ndarray
-    d_sigma_sigma: np.ndarray
-    d_sigma_q: np.ndarray
-    d_sigma_mu: np.ndarray
-    d_qq: np.ndarray
-
-
-def _jet_terms(network, domain, branch, sigma, q, mu, s_guess, second):
-    """Exit terms, stretch fraction and the first-order partials of Psi.
-
-    Shared by psi_first_jet and psi_jet.  The exit abscissa and its
-    q-derivatives come from differentiating psi(p_* + mu_b T + q N) = 0
-    (ImplicitDomain.offset_exit):
-        mu_b'  = -(grad psi, N) / (grad psi, T)
-        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N,
-    the second only when `second` is set.  s_guess warm-starts the root
-    search; the reference lengths are the cold start.
+    The exit abscissa and its q-derivative come from differentiating
+    psi(p_* + mu_b T + q N) = 0 (ImplicitDomain.offset_exit):
+        mu_b' = -(grad psi, N) / (grad psi, T);
+    the curvature of the exit abscissa (a Hessian evaluation) is skipped,
+    since positions and first-order boundary residuals never need it.
+    s_guess warm-starts the root search; the reference lengths are the cold
+    start.
     """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -140,49 +125,14 @@ def _jet_terms(network, domain, branch, sigma, q, mu, s_guess, second):
     l = network.lengths[b]
 
     start = l if s_guess is None else s_guess
-    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, T, N, q, start, second=second)
+    mu_b, dmu, _ = domain.offset_exit(network.p_star, T, N, q, start, second=False)
 
     frac = sigma / l
     xi = mu_arr + frac * (mu_b - mu_arr)
     psi = network.p_star + xi[..., None] * T + q[..., None] * N
     d_sigma = ((mu_b - mu_arr) / l)[..., None] * T
     d_q = (frac * dmu)[..., None] * T + N
-    return (psi, d_sigma, d_q), (T, l, xi, frac, dmu, ddmu)
-
-
-def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
-    """Closed-form jet of the stretched map at (sigma, q, mu), batched."""
-    (psi, d_sigma, d_q), (T, l, xi, frac, dmu, ddmu) = _jet_terms(
-        network, domain, branch, sigma, q, mu, None, True)
-
-    def along(scal):
-        return np.asarray(scal)[..., None] * T
-
-    return PsiJet(
-        psi=psi,
-        d_sigma=d_sigma,
-        d_q=d_q,
-        d_mu=along(1.0 - frac),
-        d_sigma_sigma=np.zeros(psi.shape),
-        d_sigma_q=along(dmu / l),
-        d_sigma_mu=along(np.broadcast_to(-1.0 / l, xi.shape)),
-        d_qq=along(frac * ddmu),
-    )
-
-
-def psi_map(network, domain, i: int, sigma, q, mu) -> np.ndarray:
-    """Point Psi^i(sigma, q, mu)."""
-    return psi_jet(network, domain, i, sigma, q, mu).psi
-
-
-def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
-    """(psi, d_sigma, d_q) only; cheap path for boundary-condition sweeps.
-
-    Skips the curvature of the exit abscissa (no Hessian evaluation), which
-    first-order boundary residuals never need.
-    """
-    first, _ = _jet_terms(network, domain, branch, sigma, q, mu, s_guess, False)
-    return first
+    return psi, d_sigma, d_q
 
 
 def _cross(a, b):
@@ -235,58 +185,25 @@ def end_slope(v0, v1, v2, two_dsigma):
 
 
 # ---------------------------------------------------------------------------
-# metric, curvature, curve reconstruction
-
-
-def metric_J(network, domain, i, rho, rho_sigma, mu, sigma):
-    """|Phi_sigma|; equals 1 on the reference and sqrt(1 + rho_sigma^2) over
-    a flat wall, where the chart degenerates to Cartesian graph coordinates."""
-    jet = psi_jet(network, domain, i, sigma, rho, mu)
-    phi_sigma = jet.d_sigma + np.asarray(rho_sigma)[..., None] * jet.d_q
-    J = np.linalg.norm(phi_sigma, axis=-1)
-    if np.any(J < _J_FLOOR):
-        raise DegenerateMetric(f"metric J collapsed to {J.min()}")
-    return float(J) if J.ndim == 0 else J
-
-
-def _kappa_from_jet(jet: PsiJet, rho_sigma, rho_ss):
-    """Curvature of sigma -> Psi(sigma, rho(sigma), mu) from chain-rule terms."""
-    rs = np.asarray(rho_sigma)
-    q_Rs = _cross(jet.d_sigma, jet.d_q)  # (Psi_q, R Psi_sigma)
-    sq_Rs = _cross(jet.d_sigma, jet.d_sigma_q)
-    ss_Rq = _cross(jet.d_q, jet.d_sigma_sigma)
-    qq_Rs = _cross(jet.d_sigma, jet.d_qq)
-    sq_Rq = _cross(jet.d_q, jet.d_sigma_q)
-    qq_Rq = _cross(jet.d_q, jet.d_qq)
-    ss_Rs = _cross(jet.d_sigma, jet.d_sigma_sigma)
-
-    phi_sigma = jet.d_sigma + rs[..., None] * jet.d_q
-    J = np.linalg.norm(phi_sigma, axis=-1)
-    if np.any(J < _J_FLOOR):
-        raise DegenerateMetric(f"metric J collapsed to {J.min()}")
-    numer = (
-        q_Rs * np.asarray(rho_ss)
-        + (2.0 * sq_Rs + ss_Rq) * rs
-        + (qq_Rs + 2.0 * sq_Rq + qq_Rq * rs) * rs**2
-        + ss_Rs
-    )
-    return numer / J**3, J, q_Rs
-
-
-def curvature_kappa(network, domain, i, rho, rho_sigma, rho_sigmasigma, mu, sigma):
-    """Signed curvature of the graph curve, normal N = R Phi_sigma / J."""
-    jet = psi_jet(network, domain, i, sigma, rho, mu)
-    kappa, _, _ = _kappa_from_jet(jet, rho_sigma, rho_sigmasigma)
-    return float(kappa) if kappa.ndim == 0 else kappa
+# curve reconstruction
 
 
 def curve_from_graph(network, domain, state: GraphState) -> np.ndarray:
     """Sampled curves Phi^i(sigma_j), shape (3, n+1, 2)."""
     sigma = network.sigma_grid(state.n)
     branch = np.repeat(np.arange(3)[:, None], state.n + 1, axis=1)
-    jet = psi_jet(network, domain, branch, sigma, state.rho,
-                  state.mu[:, None] * np.ones_like(sigma))
-    return jet.psi
+    psi, _, _ = psi_first_jet(network, domain, branch, sigma, state.rho,
+                              state.mu[:, None] * np.ones_like(sigma))
+    return psi
+
+
+def junction_point(network, state: GraphState) -> np.ndarray:
+    """Junction position: the mean of the three branch starts
+    p_* + mu T + rho(0) N, which coincide up to the stick residual."""
+    pts = (network.p_star
+           + state.mu[:, None] * network.tangents
+           + state.rho[:, 0, None] * network.normals)
+    return pts.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +250,9 @@ def chart_geometry(network, domain, state: GraphState,
 
     Because the reference fork is straight, every jet component lies in the
     branch frame (T, N); the curvature then collapses to a scalar expression
-    in the xi partials.  curvature_kappa/metric_J keep the general vector
-    route and agree with these values to rounding.  mu_b_guess warm-starts
+    in the xi partials.  The general vector route of the chart jet is the
+    reference in tests/oracles.py and agrees with these values to rounding.
+    mu_b_guess warm-starts
     the exit root search; the reference lengths are the cold start.
     """
     rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)

@@ -109,8 +109,10 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     """Largest eigenvalue of the constrained pencil -K phi = lambda B phi.
 
     Tries a shift-inverted sparse solve around a certified upper bound and
-    falls back to a dense symmetric solve.  The eigenfunction is normalized
-    to unit gamma-weighted L2 norm with a deterministic sign.
+    falls back to one dense symmetric solve when ARPACK fails or its Rayleigh
+    quotient disagrees; a failing dense solve raises EigenSolveFailed.  The
+    eigenfunction is normalized to unit gamma-weighted L2 norm with a
+    deterministic sign.
     """
     n = int(n_per_branch)
     K, B, _ = assemble_forms(network, tensions, n)
@@ -134,12 +136,6 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     except (RuntimeError, np.linalg.LinAlgError):
         # ArpackError/ArpackNoConvergence and a singular shift-invert factor
         pass
-    if lam is None:
-        try:
-            vals, vecs = scipy.linalg.eigh(A_red.toarray(), B_red.toarray())
-            lam, vec = float(vals[-1]), vecs[:, -1]
-        except Exception as exc:  # pragma: no cover - double back-end failure
-            raise EigenSolveFailed(str(exc)) from exc
 
     def result_for(lam, vec):
         # fix scale and sign deterministically
@@ -153,12 +149,16 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         return SpectrumResult(lambda_max=lam, eigenfunction=phi,
                               rayleigh=-ray_num / ray_den, n=n)
 
-    result = result_for(lam, vec)
-    if abs(result.rayleigh - lam) > 1e-6 * max(1.0, abs(lam)):
-        # shift-invert returned junk; redo densely
+    if lam is not None:
+        result = result_for(lam, vec)
+        if abs(result.rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
+            return result
+        # otherwise shift-invert returned junk; redo densely
+    try:
         vals, vecs = scipy.linalg.eigh(A_red.toarray(), B_red.toarray())
-        result = result_for(float(vals[-1]), vecs[:, -1])
-    return result
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveFailed(str(exc)) from exc
+    return result_for(float(vals[-1]), vecs[:, -1])
 
 
 def _form_values(network, tensions, phi):

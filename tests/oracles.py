@@ -185,6 +185,118 @@ def junction_point_from_pair(tangents, normals, rho0_i, rho0_j, i, j):
 
 
 # ---------------------------------------------------------------------------
+# the chart jet as vectors
+#
+# The package evaluates the chart through the frame-scalar kernel
+# parameterization.chart_geometry (xi partials in the branch frame) and the
+# first-order psi_first_jet.  This route keeps every partial of Psi up to
+# second order as a vector and takes the curvature by the general chain rule.
+
+
+@dataclass
+class PsiJet:
+    """Psi and its partials up to second order, each of shape (..., 2)."""
+
+    psi: np.ndarray
+    d_sigma: np.ndarray
+    d_q: np.ndarray
+    d_mu: np.ndarray
+    d_sigma_sigma: np.ndarray
+    d_sigma_q: np.ndarray
+    d_sigma_mu: np.ndarray
+    d_qq: np.ndarray
+
+
+def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
+    """Closed-form jet of the stretched map at (sigma, q, mu), batched.
+
+    The exit abscissa and its two q-derivatives come from differentiating
+    psi(p_* + mu_b T + q N) = 0 (ImplicitDomain.offset_exit):
+        mu_b'  = -(grad psi, N) / (grad psi, T)
+        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    q = np.asarray(q, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    b = np.asarray(branch, dtype=int)
+    T = network.tangents[b]
+    N = network.normals[b]
+    l = network.lengths[b]
+    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, T, N, q, l)
+
+    frac = sigma / l
+    xi = mu + frac * (mu_b - mu)
+
+    def along(scal):
+        return np.asarray(scal)[..., None] * T
+
+    psi = network.p_star + xi[..., None] * T + q[..., None] * N
+    return PsiJet(
+        psi=psi,
+        d_sigma=along((mu_b - mu) / l),
+        d_q=along(frac * dmu) + N,
+        d_mu=along(1.0 - frac),
+        d_sigma_sigma=np.zeros(psi.shape),
+        d_sigma_q=along(dmu / l),
+        d_sigma_mu=along(np.broadcast_to(-1.0 / l, xi.shape)),
+        d_qq=along(frac * ddmu),
+    )
+
+
+def psi_map(network, domain, i, sigma, q, mu):
+    """Point Psi^i(sigma, q, mu)."""
+    return psi_jet(network, domain, i, sigma, q, mu).psi
+
+
+def metric_J(network, domain, i, rho, rho_sigma, mu, sigma):
+    """|Phi_sigma|; equals 1 on the reference and sqrt(1 + rho_sigma^2) over
+    a flat wall, where the chart degenerates to Cartesian graph coordinates."""
+    from trijunction.errors import DegenerateMetric
+    from trijunction.parameterization import _J_FLOOR
+
+    jet = psi_jet(network, domain, i, sigma, rho, mu)
+    phi_sigma = jet.d_sigma + np.asarray(rho_sigma)[..., None] * jet.d_q
+    J = np.linalg.norm(phi_sigma, axis=-1)
+    if np.any(J < _J_FLOOR):
+        raise DegenerateMetric(f"metric J collapsed to {J.min()}")
+    return float(J) if J.ndim == 0 else J
+
+
+def _kappa_from_jet(jet: PsiJet, rho_sigma, rho_ss):
+    """Curvature of sigma -> Psi(sigma, rho(sigma), mu) from chain-rule terms."""
+    from trijunction.errors import DegenerateMetric
+    from trijunction.parameterization import _J_FLOOR, _cross
+
+    rs = np.asarray(rho_sigma)
+    q_Rs = _cross(jet.d_sigma, jet.d_q)  # (Psi_q, R Psi_sigma)
+    sq_Rs = _cross(jet.d_sigma, jet.d_sigma_q)
+    ss_Rq = _cross(jet.d_q, jet.d_sigma_sigma)
+    qq_Rs = _cross(jet.d_sigma, jet.d_qq)
+    sq_Rq = _cross(jet.d_q, jet.d_sigma_q)
+    qq_Rq = _cross(jet.d_q, jet.d_qq)
+    ss_Rs = _cross(jet.d_sigma, jet.d_sigma_sigma)
+
+    phi_sigma = jet.d_sigma + rs[..., None] * jet.d_q
+    J = np.linalg.norm(phi_sigma, axis=-1)
+    if np.any(J < _J_FLOOR):
+        raise DegenerateMetric(f"metric J collapsed to {J.min()}")
+    numer = (
+        q_Rs * np.asarray(rho_ss)
+        + (2.0 * sq_Rs + ss_Rq) * rs
+        + (qq_Rs + 2.0 * sq_Rq + qq_Rq * rs) * rs**2
+        + ss_Rs
+    )
+    return numer / J**3
+
+
+def curvature_kappa(network, domain, i, rho, rho_sigma, rho_sigmasigma, mu, sigma):
+    """Signed curvature of the graph curve, normal N = R Phi_sigma / J."""
+    jet = psi_jet(network, domain, i, sigma, rho, mu)
+    kappa = _kappa_from_jet(jet, rho_sigma, rho_sigmasigma)
+    return float(kappa) if kappa.ndim == 0 else kappa
+
+
+# ---------------------------------------------------------------------------
 # boundary conditions branch by branch
 
 
@@ -196,7 +308,7 @@ def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
     np.linalg.norm.  Reference for the stepper's batched
     parameterization.boundary_residuals, several times its cost per call.
     """
-    from trijunction.parameterization import psi_jet, rho_derivatives
+    from trijunction.parameterization import rho_derivatives
 
     rho = np.array(rho, dtype=float)
     rho[:, 0], rho[:, -1] = r0, w

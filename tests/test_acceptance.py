@@ -28,13 +28,11 @@ from trijunction.evolution import (
 )
 from trijunction.parameterization import (
     GraphState,
+    chart_geometry,
     coefficients,
-    curvature_kappa,
     curve_from_graph,
     network_residuals,
-    psi_jet,
-    psi_map,
-    rho_derivatives,
+    psi_first_jet,
 )
 from trijunction.stability import max_eigenvalue, stability_criterion
 from trijunction.steady import SteadyGuess, find_stationary, h2_ratio_series, steady_residual
@@ -148,42 +146,48 @@ def test_acceptance_1_junction_algebra():
 
 def test_acceptance_2_chart_kernel(disk, disk_network, ellipse, ellipse_network,
                                    trefoil, trefoil_network, unit_tensions):
+    # the chart as the package evaluates it: the first-order jet of the
+    # boundary sweep and the curve reconstruction, the exit jet that feeds
+    # chart_geometry, and chart_geometry's curvature
     t0 = time.perf_counter()
     h = 1e-5
+
+    def fd(f, x):
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+
     jet_worst = 0.0
     for net, dom in ((disk_network, disk), (ellipse_network, ellipse),
                      (trefoil_network, trefoil)):
         for i in range(3):
-            s = np.linspace(0.05, net.lengths[i] * 0.95, 5)
-            jet = psi_jet(net, dom, i, s, np.zeros(5), np.zeros(5))
+            T, N, l = net.tangents[i], net.normals[i], net.lengths[i]
+            s = np.linspace(0.05, l * 0.95, 5)
+            checks = []
+            for q0, m0 in ((0.0, 0.0), (0.02, 0.01)):
+                q, m = np.full(5, q0), np.full(5, m0)
+                _, d_sigma, d_q = psi_first_jet(net, dom, i, s, q, m)
+                if q0 == 0.0:  # on the reference fork
+                    checks += [d_sigma - T, d_q - N]
+                checks += [
+                    fd(lambda x: psi_first_jet(net, dom, i, x, q, m)[0], s) - d_sigma,
+                    fd(lambda x: psi_first_jet(net, dom, i, s, x, m)[0], q) - d_q,
+                ]
 
-            def fd(f, x):
-                return (f(x + h) - f(x - h)) / (2.0 * h)
+            def exit_jet(q):
+                return dom.offset_exit(net.p_star, T, N, np.asarray(q), l)
 
-            checks = [
-                fd(lambda q: psi_map(net, dom, i, s, np.full(5, q), np.zeros(5)), 0.0) - jet.d_q,
-                fd(lambda m: psi_map(net, dom, i, s, np.zeros(5), np.full(5, m)), 0.0) - jet.d_mu,
-                fd(lambda q: psi_jet(net, dom, i, s, np.full(5, q), np.zeros(5)).d_sigma, 0.0) - jet.d_sigma_q,
-                fd(lambda m: psi_jet(net, dom, i, s, np.zeros(5), np.full(5, m)).d_sigma, 0.0) - jet.d_sigma_mu,
-                jet.d_sigma - net.tangents[i],
-                jet.d_q - net.normals[i],
-                jet.d_mu - (1.0 - s / net.lengths[i])[:, None] * net.tangents[i],
-                jet.d_sigma_sigma,
-            ]
+            for q0 in (0.0, 0.02):
+                _, dmu, ddmu = exit_jet(q0)
+                checks += [fd(lambda x: exit_jet(x)[0], q0) - dmu,
+                           fd(lambda x: exit_jet(x)[1], q0) - ddmu]
             jet_worst = max(jet_worst, max(np.abs(c).max() for c in checks))
 
     errs = []
     for n in (32, 64, 128):
         state = smooth_state(trefoil_network, unit_tensions, n, amp=0.05, seed=5)
-        sigma = trefoil_network.sigma_grid(n)
-        rs, rss = rho_derivatives(state.rho, trefoil_network.lengths)
+        kap = chart_geometry(trefoil_network, trefoil, state).kappa
         curves = curve_from_graph(trefoil_network, trefoil, state)
-        worst = 0.0
-        for i in range(3):
-            kap = curvature_kappa(trefoil_network, trefoil, i, state.rho[i],
-                                  rs[i], rss[i], state.mu[i], sigma[i])
-            worst = max(worst, np.abs(kap[1:-1] - geometric_curvature(curves[i])).max())
-        errs.append(worst)
+        errs.append(max(np.abs(kap[i, 1:-1] - geometric_curvature(curves[i])).max()
+                        for i in range(3)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 
     zero = GraphState(np.zeros((3, 13)), np.zeros(3))

@@ -8,19 +8,22 @@ from trijunction.parameterization import (
     StationaryNetwork,
     boundary_residuals,
     coefficients,
-    curvature_kappa,
     curve_from_graph,
-    metric_J,
     mu_boundary,
     network_residuals,
-    psi_jet,
-    psi_map,
+    psi_first_jet,
     rho_derivatives,
     state_from_rho,
 )
 from trijunction.tensions import ROT90, SurfaceTensions, junction_matrix, young_angles
 
-from oracles import boundary_residuals_reference
+from oracles import (
+    boundary_residuals_reference,
+    curvature_kappa,
+    metric_J,
+    psi_jet,
+    psi_map,
+)
 
 
 def geometric_curvature(points):
@@ -191,6 +194,29 @@ def test_curves_share_junction_and_end_on_wall(trefoil_network, trefoil, unit_te
     assert np.abs(curves[0, 0] - curves[1, 0]).max() < 1e-9
     assert np.abs(curves[0, 0] - curves[2, 0]).max() < 1e-9
     assert np.abs(trefoil.psi(curves[:, -1])).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [24, 48, 200])
+def test_first_jet_routes_match_vector_oracle_bitwise(n, disk, disk_network, ellipse,
+                                                      ellipse_network, trefoil,
+                                                      trefoil_network, two_dents,
+                                                      two_dents_network, unit_tensions):
+    # curve_from_graph and the junction-end jet of junction_kinematics read
+    # psi_first_jet; the oracle's vector jet must give the same bits
+    for net, dom in ((disk_network, disk), (ellipse_network, ellipse),
+                     (trefoil_network, trefoil), (two_dents_network, two_dents)):
+        state = smooth_state(net, unit_tensions, n, amp=0.03, seed=7)
+        sigma = net.sigma_grid(n)
+        branch = np.repeat(np.arange(3)[:, None], n + 1, axis=1)
+        oracle = psi_jet(net, dom, branch, sigma, state.rho,
+                         state.mu[:, None] * np.ones_like(sigma))
+        assert np.array_equal(curve_from_graph(net, dom, state), oracle.psi)
+
+        ends = (net, dom, np.arange(3), np.zeros(3), state.rho[:, 0], state.mu)
+        _, d_sigma, d_q = psi_first_jet(*ends)
+        oracle = psi_jet(*ends)
+        assert np.array_equal(d_sigma, oracle.d_sigma)
+        assert np.array_equal(d_q, oracle.d_q)
 
 
 # ---------------------------------------------------------------------------

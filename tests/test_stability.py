@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trijunction.errors import ZeroFunction
+from trijunction.errors import EigenSolveFailed, ZeroFunction
 from trijunction.parameterization import StationaryNetwork
 from trijunction.stability import (
     assemble_forms,
@@ -111,6 +111,40 @@ def test_arpack_failure_falls_back_to_dense(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     assert abs(max_eigenvalue(net, UNIT, 64).lambda_max - sparse) < 1e-10
+
+
+def _shifted_eigsh(monkeypatch):
+    # ARPACK "converges" to eigenvalues that disagree with their Rayleigh
+    # quotients, which sends max_eigenvalue to the dense solve
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def shifted(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 0.5, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
+
+
+def test_rayleigh_mismatch_redoes_densely(monkeypatch):
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    sparse = max_eigenvalue(net, UNIT, 64).lambda_max
+    _shifted_eigsh(monkeypatch)
+    assert abs(max_eigenvalue(net, UNIT, 64).lambda_max - sparse) < 1e-10
+
+
+def test_failing_dense_redo_raises_typed_error(monkeypatch):
+    import scipy.linalg
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+
+    _shifted_eigsh(monkeypatch)
+    monkeypatch.setattr(scipy.linalg, "eigh", broken)
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    with pytest.raises(EigenSolveFailed):
+        max_eigenvalue(net, UNIT, 64)
 
 
 def test_programming_error_in_eigsh_propagates(monkeypatch):

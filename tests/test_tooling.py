@@ -3,10 +3,13 @@ the cost of the per-step diagnostics.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
-benchmark runs.  The README's config example documents the config schema; a
-key added to or removed from the schema would otherwise leave it stale.
+benchmark runs.  The demos are never imported by the suite, so a removed
+export would otherwise surface only when someone runs them.  The README's
+config example documents the config schema; a key added to or removed from
+the schema would otherwise leave it stale.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -37,6 +40,19 @@ def test_traced_entry_points_resolve():
     for owner, cls, meth, _ in spans.METHODS:
         getattr(getattr(importlib.import_module(owner), cls), meth)
     assert {"step", "enforce_bcs"} <= set(vars(Stepper))
+
+
+def test_demo_imports_resolve():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "trijunction"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (path.name, node.module, alias.name)
 
 
 def test_readme_config_block_matches_schema():
