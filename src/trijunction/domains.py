@@ -44,9 +44,10 @@ class ImplicitDomain:
     def psi_grad_hess(self, x):
         return self.psi(x), self.grad(x), self.hess(x)
 
-    # Roots of psi along a line, used by the stretched-coordinate map: a
-    # damped Newton iteration on xi (vectorized over many offsets at once)
-    # with a bracketed fallback.
+    # Roots of psi along a line: a damped Newton iteration on the (x, y)
+    # fields (vectorized over many offsets at once) with a bracketed
+    # fallback.  The polynomial exit sends the entries its own Newton leaves
+    # unconverged here; the test oracles build the generic exit on it.
     def line_exit(self, origin, direction, s_ref):
         origin = np.asarray(origin, dtype=float)
         direction = np.asarray(direction, dtype=float)
@@ -78,35 +79,12 @@ class ImplicitDomain:
             s[idx] = self._bracketed_root(origin[idx], direction[idx], ref[idx])
         return float(s[0]) if scalar else s
 
-    # Exit abscissa s(q) of the offset line base + q N + s T together with
-    # its q-derivatives, from differentiating psi(base + s T + q N) = 0:
-    #     s'  = -(grad psi, N) / (grad psi, T)
-    #     s'' = -(x' . D2psi . x') / (grad psi, T),  x' = s' T + N.
-    # With second=False the Hessian is never evaluated and s'' is None.
-    # Conics override this with the closed form of their quadratic root.
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        origin = base + q[..., None] * N
-        s = np.asarray(self.line_exit(origin, T, s_ref), dtype=float)
-        pts = origin + s[..., None] * T
-        if second:
-            _, grad, hess = self.psi_grad_hess(pts)
-        else:
-            grad = self.grad(pts)
-        gT = grad[..., 0] * T[..., 0] + grad[..., 1] * T[..., 1]
-        if (np.abs(gT) < 1e-10).any():
-            raise OffsetMissesBoundary("offset line tangent to the boundary")
-        gN = grad[..., 0] * N[..., 0] + grad[..., 1] * N[..., 1]
-        ds = -gN / gT
-        if not second:
-            return s, ds, None
-        x0 = ds * T[..., 0] + N[..., 0]
-        x1 = ds * T[..., 1] + N[..., 1]
-        quad = (
-            hess[..., 0, 0] * x0 * x0
-            + 2.0 * hess[..., 0, 1] * x0 * x1
-            + hess[..., 1, 1] * x1 * x1
-        )
-        return s, ds, -quad / gT
+        """Exit abscissa s(q) of the offset line base + q N + s T, from a
+        start near s_ref, with s' and s'' (None when second=False): the root
+        of psi(base + s T + q N) = 0 and its implicit q-derivatives.
+        Subclasses give the route of their family."""
+        raise NotImplementedError
 
     def _bracketed_root(self, origin, direction, s_ref):
         # widen a bracket around the reference abscissa until psi changes sign
@@ -232,6 +210,8 @@ class PolynomialDomain(ImplicitDomain):
         self._stack = np.stack(
             [mat, mx, my, _derivative(mx, 0), _derivative(mx, 1), _derivative(my, 1)]
         )
+        self._deg = max(i + j for i, j, _ in terms)
+        self._line_memo = {}
 
     def _fields(self, x, lo, hi):
         """Fields lo..hi-1 of (psi, px, py, pxx, pxy, pyy) at x: (..., hi - lo).
@@ -256,9 +236,84 @@ class PolynomialDomain(ImplicitDomain):
         vals = self._fields(x, 0, 3)
         return vals[..., 0], vals[..., 1:3]
 
-    def psi_grad_hess(self, x):
-        vals = self._fields(x, 0, 6)
-        return vals[..., 0], vals[..., 1:3], _sym2(vals[..., 3:6])
+    def offset_exit(self, base, T, N, q, s_ref, second=True):
+        # Newton in s on the line polynomial P(s, q) = psi(base + s T + q N).
+        # One evaluation gives all six fields, so the one that confirms
+        # |P| < 1e-13 also gives (grad psi, T) = P_s, (grad psi, N) = P_q and
+        # x' . D2psi . x' = s'^2 P_ss + 2 s' P_sq + P_qq with x' = s' T + N,
+        # for any frame (T, N).  Entries that do not converge go to line_exit.
+        base, T, N, q = (np.asarray(a, dtype=float) for a in (base, T, N, q))
+        # contract q once: (..., 6, K) coefficients of the six fields in s
+        coef = (_ladder(q, self._deg)[..., None, :] @ self._line_stacks(base, T, N))
+        coef = coef.reshape(coef.shape[:-2] + (6, self._deg + 1))
+        out_shape = np.broadcast_shapes(coef.shape[:-2], np.shape(s_ref))
+        s = np.empty(out_shape or (1,))
+        s[...] = s_ref
+        for _ in range(60):
+            vals = (coef @ _ladder(s, self._deg)[..., None])[..., 0]
+            f, df = vals[..., 0], vals[..., 1]
+            converged = np.abs(f) < 1e-13
+            if converged.all():
+                break
+            # converged entries and slopes under the floor take no step
+            df = np.where(converged | (np.abs(df) < _GRAD_FLOOR), np.inf, df)
+            # keep the iteration local to the reference root
+            s = s - np.clip(f / df, -0.25, 0.25)
+        if not converged.all():
+            idx = np.nonzero(~converged)
+            origin = np.broadcast_to(base + q[..., None] * N, s.shape + (2,))
+            s[idx] = self.line_exit(origin[idx], np.broadcast_to(T, s.shape + (2,))[idx],
+                                    np.broadcast_to(s_ref, s.shape)[idx])
+            coef = np.broadcast_to(coef, s.shape + coef.shape[-2:])[idx]
+            vals[idx] = (coef @ _ladder(s[idx], self._deg)[..., None])[..., 0]
+        gT = vals[..., 1]
+        if (np.abs(gT) < 1e-10).any():
+            raise OffsetMissesBoundary("offset line tangent to the boundary")
+        ds = -vals[..., 2] / gT
+        if not second:
+            return s.reshape(out_shape), ds.reshape(out_shape), None
+        quad = ds * ds * vals[..., 3] + 2.0 * ds * vals[..., 4] + vals[..., 5]
+        return s.reshape(out_shape), ds.reshape(out_shape), (-quad / gT).reshape(out_shape)
+
+    def _line_stacks(self, base, T, N):
+        """Six-field stacks of the line polynomial of every frame, (..., K,
+        6 K): row c holds the coefficients of q^c s^a in P, P_s, P_q, P_ss,
+        P_sq, P_qq, so that one matmul with the q-ladder contracts q.  The
+        frames of a run repeat every step, so the stacks are kept per
+        (base, T, N), at most 16 of them."""
+        key = tuple((a.tobytes(), a.shape) for a in (base, T, N))
+        stack = self._line_memo.get(key)
+        if stack is not None:
+            return stack
+        shape = np.broadcast_shapes(base.shape, T.shape, N.shape)
+        rows = np.concatenate([np.broadcast_to(a, shape) for a in (base, T, N)], axis=-1)
+        # a frame array repeats a few frames along sigma: build each once
+        frames, inverse = np.unique(rows.reshape(-1, 6), axis=0, return_inverse=True)
+        stack = np.stack([self._line_stack(*frame) for frame in frames])[inverse]
+        stack = stack.reshape(shape[:-1] + stack.shape[1:])
+        stack.flags.writeable = False
+        if len(self._line_memo) >= 16:
+            del self._line_memo[next(iter(self._line_memo))]
+        self._line_memo[key] = stack
+        return stack
+
+    def _line_stack(self, b0, b1, T0, T1, N0, N1):
+        # x and y as polynomials in (s, q), composed exactly with each term
+        lines = ([(0, 0, b0), (1, 0, T0), (0, 1, N0)], [(0, 0, b1), (1, 0, T1), (0, 1, N1)])
+        powers = []
+        for line, deg in zip(lines, (self._deg_x, self._deg_y)):
+            ladder = [[(0, 0, 1.0)]]
+            for _ in range(deg):
+                ladder.append(poly_product(ladder[-1], line))
+            powers.append(ladder)
+        mat = np.zeros((self._deg + 1, self._deg + 1))
+        for i, j, c in self.terms:
+            for a, k, v in poly_scale(poly_product(powers[0][i], powers[1][j]), c):
+                mat[a, k] += v
+        ms, mq = _derivative(mat, 0), _derivative(mat, 1)
+        stack = np.stack([mat, ms, mq, _derivative(ms, 0), _derivative(ms, 1),
+                          _derivative(mq, 1)])  # (6, K, K) over (field, s, q)
+        return stack.transpose(2, 0, 1).reshape(self._deg + 1, -1)
 
 
 def polynomial_power(value) -> int:
@@ -281,11 +336,11 @@ def _derivative(mat, axis):
 def _ladder(v, deg):
     """Powers v^0 .. v^deg on a new last axis, as cumulative products;
     v**k rounds differently and would move every fingerprint."""
+    v = np.asarray(v)
     out = np.empty(v.shape + (deg + 1,))
     out[..., 0] = 1.0
-    for k in range(deg):
-        out[..., k + 1] = out[..., k] * v
-    return out
+    out[..., 1:] = v[..., None]
+    return np.cumprod(out, axis=-1, out=out)
 
 
 def _sym2(vals):

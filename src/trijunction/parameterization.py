@@ -109,7 +109,7 @@ def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
     """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu), batched.
 
     The exit abscissa and its q-derivative come from differentiating
-    psi(p_* + mu_b T + q N) = 0 (ImplicitDomain.offset_exit):
+    psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
         mu_b' = -(grad psi, N) / (grad psi, T);
     the curvature of the exit abscissa (a Hessian evaluation) is skipped,
     since positions and first-order boundary residuals never need it.

@@ -211,7 +211,7 @@ def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
     """Closed-form jet of the stretched map at (sigma, q, mu), batched.
 
     The exit abscissa and its two q-derivatives come from differentiating
-    psi(p_* + mu_b T + q N) = 0 (ImplicitDomain.offset_exit):
+    psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
         mu_b'  = -(grad psi, N) / (grad psi, T)
         mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N.
     """
@@ -430,3 +430,55 @@ def junction_and_robin_residuals(sample, tensions, domain, norms=None) -> dict:
         "res_outer": float(max(robin)),
         "res_perp": float(max(perp)),
     }
+
+
+# ---------------------------------------------------------------------------
+# the exit abscissa by root search and implicit differentiation
+#
+# The package has one exit route per domain family: the closed-form
+# quadratic root on conics and a Newton iteration on the line polynomial of
+# PolynomialDomain.  This route serves any level set: the root of
+# psi(base + s T + q N) = 0 from domain.line_exit, then
+#     s'  = -(grad psi, N) / (grad psi, T)
+#     s'' = -(x' . D2psi . x') / (grad psi, T),  x' = s' T + N,
+# with the gradient and Hessian evaluated at the exit point.
+
+
+def implicit_offset_exit(domain, base, T, N, q, s_ref, second=True):
+    """(s, s', s'') of the offset line base + q N + s T; s'' is None when
+    second=False, and the Hessian is then never evaluated."""
+    from trijunction.errors import OffsetMissesBoundary
+
+    origin = base + q[..., None] * N
+    s = np.asarray(domain.line_exit(origin, T, s_ref), dtype=float)
+    pts = origin + s[..., None] * T
+    if second:
+        _, grad, hess = domain.psi_grad_hess(pts)
+    else:
+        grad = domain.grad(pts)
+    gT = grad[..., 0] * T[..., 0] + grad[..., 1] * T[..., 1]
+    if (np.abs(gT) < 1e-10).any():
+        raise OffsetMissesBoundary("offset line tangent to the boundary")
+    gN = grad[..., 0] * N[..., 0] + grad[..., 1] * N[..., 1]
+    ds = -gN / gT
+    if not second:
+        return s, ds, None
+    x0 = ds * T[..., 0] + N[..., 0]
+    x1 = ds * T[..., 1] + N[..., 1]
+    quad = (
+        hess[..., 0, 0] * x0 * x0
+        + 2.0 * hess[..., 0, 1] * x0 * x1
+        + hess[..., 1, 1] * x1 * x1
+    )
+    return s, ds, -quad / gT
+
+
+def ladder_loop(v, deg):
+    """Powers v^0 .. v^deg on a new last axis by the product loop; the
+    package's cumulative product must give the same bits."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape + (deg + 1,))
+    out[..., 0] = 1.0
+    for k in range(deg):
+        out[..., k + 1] = out[..., k] * v
+    return out

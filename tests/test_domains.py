@@ -5,18 +5,29 @@ from trijunction.domains import (
     MAX_POWER,
     CircleDomain,
     EllipseDomain,
-    ImplicitDomain,
     PolynomialDomain,
+    _ladder,
     boundary_curvature,
     boundary_hit,
     disk_terms,
     make_domain,
     poly_product,
 )
-from trijunction.errors import NoIntersection, NotOnBoundary, SingularGradient
+from trijunction.errors import (
+    NoIntersection,
+    NotOnBoundary,
+    OffsetMissesBoundary,
+    SingularGradient,
+)
 from trijunction.tensions import ROT90
 
-from oracles import conic_line_root, ellipse_curvature_magnitude
+from conftest import trefoil_domain, two_dents_domain
+from oracles import (
+    conic_line_root,
+    ellipse_curvature_magnitude,
+    implicit_offset_exit,
+    ladder_loop,
+)
 
 
 def fd_check(domain, pts, eps=1e-4):
@@ -194,6 +205,15 @@ def test_conic_line_exit_matches_generic_newton():
             assert abs(s_newton - s_oracle) < 1e-10
 
 
+def _assert_exits_agree(got, want, tol):
+    """(s, s', s'') of two exit routes agree to tol relative; s'' may be None."""
+    for x, y in zip(got, want):
+        if y is None:
+            assert x is None
+            continue
+        assert np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y))) < tol
+
+
 @pytest.mark.parametrize("name", list(CONICS))
 def test_circle_offset_exit_closed_form_matches_implicit_route(name):
     # the conic closed form for the exit abscissa and its two q-derivatives
@@ -215,14 +235,85 @@ def test_circle_offset_exit_closed_form_matches_implicit_route(name):
         for second in (True, False):
             closed = domain.offset_exit(base, T_[:, None], N_[:, None], q, None,
                                         second=second)
-            generic = ImplicitDomain.offset_exit(domain, base, T_[:, None],
-                                                 N_[:, None], q, None,
-                                                 second=second)
-            for x, y in zip(closed, generic):
-                if y is None:
-                    assert x is None
-                    continue
-                assert np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y))) < tol
+            generic = implicit_offset_exit(domain, base, T_[:, None], N_[:, None], q,
+                                           None, second=second)
+            _assert_exits_agree(closed, generic, tol)
+
+
+POLYNOMIALS = {
+    "trefoil": trefoil_domain,
+    "two dents": two_dents_domain,
+    "polynomial circle": lambda: PolynomialDomain(disk_terms(1.1, (0.1, -0.05))),
+}
+
+
+def _count_line_exits(domain):
+    calls = []
+    line_exit = domain.line_exit
+
+    def counted(origin, direction, s_ref):
+        calls.append(np.shape(s_ref))
+        return line_exit(origin, direction, s_ref)
+
+    domain.line_exit = counted
+    return calls
+
+
+@pytest.mark.parametrize("second", [True, False])
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(POLYNOMIALS))
+def test_polynomial_offset_exit_matches_implicit_route(name, skew, second):
+    # the line-polynomial Newton against root search plus implicit
+    # differentiation at the (x, y) fields; only rounding separates them
+    domain = POLYNOMIALS[name]()
+    rng = np.random.default_rng(5)
+    ang = rng.uniform(0, 2 * np.pi, 3)
+    T = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    N = T @ ROT90.T
+    base = np.array([0.05, 0.02])
+    s_ref = np.array([boundary_hit(domain, base, t)[1] for t in T])
+    if skew:  # neither unit nor orthogonal: the root moves to about s / 1.3
+        T, N, s_ref = 1.3 * T, N + 0.2 * T, s_ref / 1.3
+    q = rng.uniform(-0.1, 0.1, (3, 7))
+    frame = (base, T[:, None], N[:, None], q, s_ref[:, None])
+    calls = _count_line_exits(domain)
+    fast = domain.offset_exit(*frame, second=second)
+    assert calls == []  # every entry converged on the line polynomial
+    assert fast[0].shape == q.shape
+    _assert_exits_agree(fast, implicit_offset_exit(domain, *frame, second=second), 1e-13)
+
+
+def test_polynomial_offset_exit_falls_back_under_the_slope_floor():
+    # started at the chord midpoint, where P_s = (grad psi, T) vanishes, the
+    # first entry cannot take a Newton step and goes to line_exit; the second
+    # converges on the line polynomial
+    domain = POLYNOMIALS["polynomial circle"]()
+    base, T, N = np.array([0.05, 0.02]), np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    mid = -float((base - (0.1, -0.05)) @ T)
+    assert abs(domain.grad(base + mid * T) @ T) < 1e-8
+    frame = (base, T, N, np.array([0.0, 0.05]), np.array([mid, 1.0]))
+    calls = _count_line_exits(domain)
+    fast = domain.offset_exit(*frame)
+    assert calls == [(1,)]
+    _assert_exits_agree(fast, implicit_offset_exit(domain, *frame), 1e-13)
+
+
+def test_polynomial_offset_exit_rejects_a_tangent_frame():
+    # the offset line touches the wall at its exit: (grad psi, T) = 0 there
+    domain = POLYNOMIALS["polynomial circle"]()
+    n = np.array([np.cos(0.4), np.sin(0.4)])
+    base = np.array([0.1, -0.05]) + 1.1 * n
+    T, N = n @ ROT90.T, n
+    for route in (domain.offset_exit, lambda *a: implicit_offset_exit(domain, *a)):
+        with pytest.raises(OffsetMissesBoundary, match="tangent"):
+            route(base, T, N, np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("deg", [0, 1, 6])
+@pytest.mark.parametrize("shape", [(), (6,), (3, 49)])
+def test_ladder_is_bitwise_the_product_loop(shape, deg):
+    v = np.random.default_rng(2).uniform(-1.3, 1.3, shape)
+    assert np.array_equal(_ladder(v, deg), ladder_loop(v, deg))
 
 
 def test_make_domain_factory():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.errors import CflViolation
@@ -93,6 +94,34 @@ def test_constraints_preserved_along_run(trefoil, trefoil_network, unit_tensions
         state = stepper.step(state)
         assert abs(g @ state.rho[:, 0]) < 1e-10
         assert np.abs(state.mu - q @ state.rho[:, 0]).max() < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(on_dents=st.booleans(), amplitude=st.floats(1e-3, 2e-2),
+       mix=st.lists(st.floats(-1.0 / 3.0, 1.0 / 3.0), min_size=9, max_size=9))
+def test_constraints_hold_to_rounding_after_every_step(disk, disk_network, two_dents,
+                                                       two_dents_network, unit_tensions,
+                                                       on_dents, amplitude, mix):
+    # mu is slaved to rho(0) through Q bitwise, and the weighted junction
+    # constraint holds to a few ulps step after step.  The ulps are those of
+    # the predicted junction values the sweep projects, which max|rho|
+    # bounds; the final rho(0) can cancel far below them (to 4e-14 from a
+    # 1.6e-2 cos(2 pi sigma) mode on the disk, with sum gamma rho(0) = 9e-19).
+    # The mix keeps max|rho| <= amplitude, inside the admissible neighbourhood
+    # (three -1 modes at 2e-2 on the dented branches reach det M = 0.10).
+    network, domain = (two_dents_network, two_dents) if on_dents else (disk_network, disk)
+    n = 24
+    cfg = make_config(network, n, 1.0)
+    state = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
+                          amplitude=amplitude,
+                          cosine_coefficients=[mix[0:3], mix[3:6], mix[6:9]])
+    stepper = Stepper(network, domain, unit_tensions, cfg)
+    g = unit_tensions.array
+    for _ in range(20):
+        state = stepper.step(state)
+        r0 = state.rho[:, 0]
+        assert np.array_equal(state.mu, stepper.qmat.q @ r0)
+        assert abs(g @ r0) <= 8 * np.finfo(float).eps * g.sum() * np.abs(state.rho).max()
 
 
 def test_single_step_decreases_energy(trefoil, trefoil_network, unit_tensions):

@@ -1,5 +1,5 @@
 """Guards for files outside the package that depend on its names, and for
-the cost of the per-step diagnostics.
+the cost of the per-step diagnostics and the route of the per-step exit.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -16,7 +16,10 @@ import re
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from trijunction.config import SCALAR_KEYS, parse_config
+from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import coefficients
@@ -85,3 +88,28 @@ def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_te
             call()
             best[name] = min(best[name], perf_counter() - start)
     assert best["record"] <= 5.0 * best["coefficients"], best
+
+
+def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_tensions,
+                                             monkeypatch):
+    # A step on a polynomial domain finds its exits by Newton on the line
+    # polynomial; a call of psi_and_grad means an exit fell back to the
+    # Newton on the (x, y) fields, at about three calls per exit.
+    n = 48
+    config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
+    phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
+    state = initial_state(two_dents_network, two_dents, unit_tensions, config,
+                          kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
+    stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
+    for _ in range(3):
+        state = stepper.step(state)
+    calls = []
+    psi_and_grad = PolynomialDomain.psi_and_grad
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return psi_and_grad(self, x)
+
+    monkeypatch.setattr(PolynomialDomain, "psi_and_grad", counted)
+    stepper.step(state)
+    assert calls == []
