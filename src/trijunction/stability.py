@@ -11,16 +11,19 @@ controls everything: the maximal eigenvalue of the time-independent problem
 is -inf I[phi,phi]/||phi||^2 over the constrained space, and it is negative
 exactly under the algebraic criterion implemented in stability_criterion.
 
-Discretization: piecewise-linear elements per branch, consistent mass, the
-single junction constraint eliminated by a sparse null-space basis so the
-reduced pencil stays symmetric and the Rayleigh characterization is exact at
-the discrete level.  The junction slope condition is natural and only
-verified a posteriori.
+Discretization: piecewise-linear elements per branch, consistent mass, and
+the single junction constraint eliminated by working in its plane: the
+reduced pencil is assembled directly in junction-plane plus free-node
+coordinates, so it stays symmetric and the Rayleigh characterization is exact
+at the discrete level.  The full-space forms and their null-space product are
+the reference in tests/oracles.py.  The junction slope condition is natural
+and only verified a posteriori.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -51,51 +54,65 @@ class StabilityVerdict:
 
 def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
                    n_per_branch: int):
-    """(K, B, constraint) for the quadratic form, mass, and junction row.
+    """Reduced pencil (A, B) = (-Z^T K Z, Z^T B Z) in CSC, built directly.
 
-    K and B are sparse block-diagonal over the branches (per-branch
-    tridiagonal stiffness/mass of linear elements); the Robin term adds
-    gamma_i h_i to the last diagonal entry of K.  The constraint row carries
-    gamma_i on each branch's junction node.
+    K and B are the gamma-scaled stiffness and consistent mass of linear
+    elements on each branch, the Robin term gamma_i h_i on the wall node, and
+    Z is the orthonormal basis of the junction constraint sum_i gamma^i
+    phi^i(0) = 0.  The reduced coordinates are the two junction-plane
+    coordinates (rows b_0, b_1 of constraint_basis) followed by nodes 1..n of
+    branches 0, 1 and 2.  Every entry is the float the null-space product
+    forms: the tridiagonal values, b_ai times the junction off-diagonal for
+    the coupling to a branch's first node, and sum_i (b_ai end_i) b_bi in
+    branch order for the junction block; exact zeros are dropped.
     """
     g = tensions.array
     n = int(n_per_branch)
-    blocks_k, blocks_b = [], []
-    for i in range(3):
-        d = network.lengths[i] / n
-        main_k = np.full(n + 1, 2.0 / d)
-        main_k[0] = main_k[-1] = 1.0 / d
-        off_k = np.full(n, -1.0 / d)
-        K = sp.diags([off_k, main_k, off_k], (-1, 0, 1), format="lil")
-        K[-1, -1] += network.h_star[i]
-        main_b = np.full(n + 1, 4.0 * d / 6.0)
-        main_b[0] = main_b[-1] = 2.0 * d / 6.0
-        off_b = np.full(n, d / 6.0)
-        B = sp.diags([off_b, main_b, off_b], (-1, 0, 1))
-        blocks_k.append(g[i] * K.tocsr())
-        blocks_b.append(g[i] * B.tocsr())
-    K = sp.block_diag(blocks_k, format="csr")
-    B = sp.block_diag(blocks_b, format="csr")
-    constraint = np.zeros(3 * (n + 1))
-    for i in range(3):
-        constraint[i * (n + 1)] = g[i]
-    return K, B, constraint
+    b = constraint_basis(tensions)
+    d = network.lengths / n
+    # per branch: (diagonal, last diagonal, off-diagonal, junction diagonal)
+    stiff = (g * (2.0 / d), g * (1.0 / d + network.h_star), g * (-1.0 / d), g * (1.0 / d))
+    mass = (g * (4.0 * d / 6.0), g * (2.0 * d / 6.0), g * (d / 6.0), g * (2.0 * d / 6.0))
+    dim = 3 * n + 2
+    # Each column holds at most five slots in ascending row order: the two
+    # junction coordinates, then (sub, diagonal, super) for a node column or
+    # the three branches' first nodes for a junction column.
+    rows = np.arange(dim, dtype=np.int32)[:, None] + np.array([0, 0, -1, 0, 1], dtype=np.int32)
+    rows[:, :2] = (0, 1)
+    rows[:2, 2:] = (2, 2 + n, 2 + 2 * n)
+    k = np.tile(np.arange(1, n + 1), 3)
+    present = np.ones((dim, 5), dtype=bool)
+    present[2:, :2] = (k == 1)[:, None]
+    present[2:, 2] = k > 1
+    present[2:, 4] = k < n
+    forms = []
+    for diag, last, off, end in (stiff, mass):
+        vals = np.empty((dim, 5))
+        terms = (b[:, None, :] * end) * b[None, :, :]  # [r, c, i] = (b_ri end_i) b_ci
+        vals[:2, :2] = (terms[..., 0] + terms[..., 1] + terms[..., 2]).T
+        coupling = b * off  # [r, i]: junction coordinate r, first node of branch i
+        vals[:2, 2:] = coupling
+        vals[2 + n * np.arange(3), :2] = coupling.T
+        diagonal = np.repeat(diag, n).reshape(3, n)
+        diagonal[:, -1] = last
+        vals[2:, 3] = diagonal.ravel()
+        vals[2:, 2] = vals[2:, 4] = np.repeat(off, n)
+        keep = present & (vals != 0.0)
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        forms.append(sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(dim, dim)))
+    A, B = forms
+    A.data = -A.data
+    return A, B
 
 
-def _null_basis(tensions, n):
-    """Sparse orthonormal basis of {x : constraint . x = 0}.
-
-    The constraint touches only the three junction nodes, so the basis is
-    the constraint-plane basis of the junction triple on those indexes,
-    padded with the identity elsewhere.
-    """
-    dim = 3 * (n + 1)
-    junction = np.arange(3) * (n + 1)
-    free = np.delete(np.arange(dim), junction)
-    rows = np.concatenate([np.repeat(junction, 2), free])
-    cols = np.concatenate([np.tile([0, 1], 3), 2 + np.arange(dim - 3)])
-    vals = np.concatenate([constraint_basis(tensions).T.ravel(), np.ones(dim - 3)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim - 1))
+@lru_cache(maxsize=16)
+def _start_vector(dim):
+    """Fixed ARPACK start vector per dimension.  Read-only, so that sharing
+    it between solves is safe: eigsh copies it, and a write would raise."""
+    v0 = np.random.default_rng(1234).standard_normal(dim)
+    v0.flags.writeable = False
+    return v0
 
 
 def _lambda_upper_bound(network):
@@ -115,10 +132,8 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     deterministic sign.
     """
     n = int(n_per_branch)
-    K, B, _ = assemble_forms(network, tensions, n)
-    Z = _null_basis(tensions, n)
-    A_red = (-(Z.T @ K @ Z)).tocsc()
-    B_red = (Z.T @ B @ Z).tocsc()
+    A_red, B_red = assemble_forms(network, tensions, n)
+    b = constraint_basis(tensions)
 
     lam, vec = None, None
     try:
@@ -129,7 +144,7 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         # keeps ARPACK stable when the top eigenvalue is double, and a fixed
         # start vector keeps repeated solves bitwise reproducible even then.
         sigma = _lambda_upper_bound(network)
-        v0 = np.random.default_rng(1234).standard_normal(A_red.shape[0])
+        v0 = _start_vector(A_red.shape[0])
         vals, vecs = eigsh(A_red, k=2, M=B_red, sigma=sigma, which="LM", v0=v0)
         top = int(np.argmax(vals))
         lam, vec = float(vals[top]), vecs[:, top]
@@ -139,7 +154,9 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
 
     def result_for(lam, vec):
         # fix scale and sign deterministically
-        phi = (Z @ vec).reshape(3, n + 1)
+        phi = np.empty((3, n + 1))
+        phi[:, 0] = b[0] * vec[0] + b[1] * vec[1]
+        phi[:, 1:] = vec[2:].reshape(3, n)
         _, ray_den = _form_values(network, tensions, phi)
         phi = phi / np.sqrt(ray_den)
         k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)

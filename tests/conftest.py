@@ -27,8 +27,9 @@ from trijunction.domains import (
     poly_product,
     poly_scale,
 )
+from trijunction.parameterization import StationaryNetwork
 from trijunction.steady import SteadyGuess, find_stationary
-from trijunction.tensions import SurfaceTensions
+from trijunction.tensions import SurfaceTensions, tangent_frames, young_angles
 
 
 @pytest.fixture(scope="session")
@@ -119,3 +120,17 @@ def random_tensions(rng):
         g = rng.uniform(0.5, 2.0, 3)
         if all(g[k] < g[(k + 1) % 3] + g[(k + 2) % 3] for k in range(3)):
             return SurfaceTensions(tuple(g))
+
+
+def synthetic_network(lengths, h, tensions):
+    """Straight fork at the origin with the given lengths and wall
+    curvatures; the eigenproblem reads nothing else."""
+    tangents, normals = tangent_frames(young_angles(tensions), 0.0)
+    return StationaryNetwork(
+        p_star=np.zeros(2),
+        tangents=tangents,
+        normals=normals,
+        lengths=np.asarray(lengths, dtype=float),
+        h_star=np.asarray(h, dtype=float),
+        endpoints=None,
+    )

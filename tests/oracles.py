@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from trijunction.tensions import constraint_basis
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +122,60 @@ def shooting_eigenfunction(lam, lengths, h, gammas, n=200):
 
 # ---------------------------------------------------------------------------
 # classical single-branch roots used as frozen anchors
+
+
+# ---------------------------------------------------------------------------
+# Full-space finite-element pencil and the null-space product
+#
+# The package assembles the reduced pencil directly in junction-plane plus
+# free-node coordinates.  The reference builds the full per-branch forms and
+# eliminates the junction constraint by an explicit sparse basis, in SciPy's
+# own sparse products.
+
+
+def full_space_forms(network, tensions, n):
+    """(K, B, constraint): block-diagonal stiffness with the Robin term,
+    consistent mass, and the junction row gamma_i on each branch's node 0."""
+    g = tensions.array
+    blocks_k, blocks_b = [], []
+    for i in range(3):
+        d = network.lengths[i] / n
+        main_k = np.full(n + 1, 2.0 / d)
+        main_k[0] = main_k[-1] = 1.0 / d
+        off_k = np.full(n, -1.0 / d)
+        K = sp.diags([off_k, main_k, off_k], (-1, 0, 1), format="lil")
+        K[-1, -1] += network.h_star[i]
+        main_b = np.full(n + 1, 4.0 * d / 6.0)
+        main_b[0] = main_b[-1] = 2.0 * d / 6.0
+        off_b = np.full(n, d / 6.0)
+        B = sp.diags([off_b, main_b, off_b], (-1, 0, 1))
+        blocks_k.append(g[i] * K.tocsr())
+        blocks_b.append(g[i] * B.tocsr())
+    K = sp.block_diag(blocks_k, format="csr")
+    B = sp.block_diag(blocks_b, format="csr")
+    constraint = np.zeros(3 * (n + 1))
+    constraint[np.arange(3) * (n + 1)] = g
+    return K, B, constraint
+
+
+def null_basis(tensions, n):
+    """Sparse orthonormal basis Z of {x : constraint . x = 0}: the
+    constraint-plane basis on the three junction nodes, the identity on the
+    free nodes."""
+    dim = 3 * (n + 1)
+    junction = np.arange(3) * (n + 1)
+    free = np.delete(np.arange(dim), junction)
+    rows = np.concatenate([np.repeat(junction, 2), free])
+    cols = np.concatenate([np.tile([0, 1], 3), 2 + np.arange(dim - 3)])
+    vals = np.concatenate([constraint_basis(tensions).T.ravel(), np.ones(dim - 3)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim - 1))
+
+
+def null_space_pencil(network, tensions, n):
+    """(-Z^T K Z, Z^T B Z) in CSC by sparse products."""
+    K, B, _ = full_space_forms(network, tensions, n)
+    Z = null_basis(tensions, n)
+    return (-(Z.T @ K @ Z)).tocsc(), (Z.T @ B @ Z).tocsc()
 
 
 def robin_neumann_root(h, l=1.0, positive=False):

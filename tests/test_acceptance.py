@@ -43,7 +43,7 @@ from trijunction.tensions import (
     young_angles,
 )
 
-from conftest import record_acceptance, random_tensions
+from conftest import record_acceptance, random_tensions, synthetic_network
 from oracles import shooting_lambda_max
 from test_parameterization import geometric_curvature, smooth_state
 
@@ -261,8 +261,6 @@ def test_acceptance_3_disk_wall_sign(disk, disk_network):
 
 
 def test_acceptance_4_spectrum_vs_criterion(disk_network, unit_tensions):
-    from test_stability import synthetic_network
-
     t0 = time.perf_counter()
     rng = np.random.default_rng(2718)
     checked = mismatches = skipped = 0

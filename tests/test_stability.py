@@ -1,31 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trijunction.errors import EigenSolveFailed, ZeroFunction
-from trijunction.parameterization import StationaryNetwork
 from trijunction.stability import (
+    _lambda_upper_bound,
+    _start_vector,
     assemble_forms,
     junction_slopes,
     max_eigenvalue,
     rayleigh_quotient,
     stability_criterion,
 )
-from trijunction.tensions import SurfaceTensions, tangent_frames, young_angles
+from trijunction.tensions import SurfaceTensions, constraint_basis
 
-from conftest import random_tensions
-from oracles import robin_neumann_root, shooting_lambda_max
-
-
-def synthetic_network(lengths, h, tensions):
-    tangents, normals = tangent_frames(young_angles(tensions), 0.0)
-    return StationaryNetwork(
-        p_star=np.zeros(2),
-        tangents=tangents,
-        normals=normals,
-        lengths=np.asarray(lengths, dtype=float),
-        h_star=np.asarray(h, dtype=float),
-        endpoints=None,
-    )
+from conftest import random_tensions, synthetic_network
+from oracles import full_space_forms, null_space_pencil, robin_neumann_root, shooting_lambda_max
 
 
 UNIT = SurfaceTensions((1.0, 1.0, 1.0))
@@ -45,7 +35,7 @@ def test_linear_ramp_form_value_exact():
     net = synthetic_network((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), UNIT)
     n = 20
     phi = np.tile(np.linspace(0.0, 1.0, n + 1), (3, 1))
-    K, B, constraint = assemble_forms(net, UNIT, n)
+    K, B, constraint = full_space_forms(net, UNIT, n)
     v = phi.ravel()
     assert abs(v @ (K @ v) - 3.0) < 1e-12  # sum of int (phi_s)^2 = 3
     assert abs(constraint @ v) < 1e-14
@@ -54,11 +44,32 @@ def test_linear_ramp_form_value_exact():
 def test_robin_term_contribution():
     net = synthetic_network((1.0, 1.0, 1.0), (2.0, 0.0, 0.0), UNIT)
     n = 10
-    K0, _, _ = assemble_forms(synthetic_network((1.0,) * 3, (0.0,) * 3, UNIT), UNIT, n)
-    K, _, _ = assemble_forms(net, UNIT, n)
+    K0, _, _ = full_space_forms(synthetic_network((1.0,) * 3, (0.0,) * 3, UNIT), UNIT, n)
+    K, _, _ = full_space_forms(net, UNIT, n)
     v = np.zeros(3 * (n + 1))
     v[n] = 3.0  # phi^1(l) = 3, everything else zero
     assert abs((v @ (K @ v)) - (v @ (K0 @ v)) - 18.0) < 1e-12
+
+
+def test_reduced_pencil_matches_null_space_product_bitwise():
+    # assemble_forms writes the entries of (-Z^T K Z, Z^T B Z) with the float
+    # operations of SciPy's sparse products, which drop exact zeros: b_1[0]
+    # vanishes in exact arithmetic and rounds to exactly 0 for some tensions,
+    # and then the junction coordinate 1 decouples from branch 0's first node.
+    rng = np.random.default_rng(1)
+    exact_zero = 0
+    for _ in range(20):
+        t = random_tensions(rng)
+        net = synthetic_network(rng.uniform(0.5, 2.0, 3), rng.uniform(-1.0, 2.0, 3), t)
+        exact_zero += constraint_basis(t)[1, 0] == 0.0
+        for n in (1, 2, 6, 48, 400):
+            for got, ref in zip(assemble_forms(net, t, n), null_space_pencil(net, t, n)):
+                ref.sort_indices()
+                assert got.format == "csc" and got.shape == ref.shape
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.data, ref.data)
+    assert 0 < exact_zero < 20
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +108,13 @@ def test_unit_disk_network_value(disk_network, unit_tensions):
     assert abs(oracle - single) < 1e-10
     assert abs(res.lambda_max - oracle) < 1e-6
     assert res.lambda_max > 0
+
+
+def test_start_vector_is_cached_read_only_and_unchanged():
+    v0 = _start_vector(50)
+    assert v0 is _start_vector(50)
+    assert not v0.flags.writeable
+    assert np.array_equal(v0, np.random.default_rng(1234).standard_normal(50))
 
 
 def test_arpack_failure_falls_back_to_dense(monkeypatch):
@@ -220,6 +238,38 @@ def test_scale_covariance():
         v1 = stability_criterion(l, h, t).verdict
         v2 = stability_criterion(c * l, h / c, t).verdict
         assert v1 == v2
+
+
+@st.composite
+def admissible_forks(draw):
+    """Tensions, lengths and wall curvatures as in the benchmark's spectrum
+    batch: at most one non-positive wall curvature."""
+    g = draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
+    assume(all(g[k] < g[(k + 1) % 3] + g[(k + 2) % 3] for k in range(3)))
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
+    h = np.array(draw(st.lists(st.floats(-0.8, 2.0), min_size=3, max_size=3)))
+    if np.sum(h <= 0) > 1:
+        k = draw(st.integers(0, 2))
+        h = np.abs(h)
+        h[k] = draw(st.floats(-0.8, 0.0))
+    t = SurfaceTensions(tuple(g))
+    return synthetic_network(lengths, h, t), t
+
+
+@settings(max_examples=12, deadline=None)
+@given(admissible_forks())
+def test_spectrum_sign_shift_and_shooting_agree(fork):
+    # Outside the near-zero and Marginal bands the sign of lambda_max is the
+    # criterion's verdict, lambda_max lies below the shift the shift-invert
+    # solve relies on, and the n = 200 elements agree with shooting.
+    net, t = fork
+    lam = max_eigenvalue(net, t, 200).lambda_max
+    verdict = stability_criterion(net.lengths, net.h_star, t).verdict
+    assume(abs(lam) >= 1e-4 and verdict != "Marginal")
+    assert (lam < 0) == (verdict == "Stable")
+    assert lam < _lambda_upper_bound(net)
+    oracle = shooting_lambda_max(net.lengths, net.h_star, t.array)
+    assert abs(lam - oracle) <= 1e-5 * max(1.0, abs(lam))
 
 
 # ---------------------------------------------------------------------------

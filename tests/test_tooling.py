@@ -1,5 +1,6 @@
 """Guards for files outside the package that depend on its names, and for
-the cost of the per-step diagnostics and the route of the per-step exit.
+the cost of the per-step diagnostics, the route of the per-step exit and the
+share of the stability pencil's assembly in a spectrum solve.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -23,6 +24,7 @@ from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import coefficients
+from trijunction import stability
 from trijunction.stability import max_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,3 +115,38 @@ def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_t
     monkeypatch.setattr(PolynomialDomain, "psi_and_grad", counted)
     stepper.step(state)
     assert calls == []
+
+
+def test_max_eigenvalue_assembles_once_through_module_global(disk_network, unit_tensions,
+                                                            monkeypatch):
+    # The stability.assemble_forms span then measures the assembly the solve
+    # uses, and no second route builds the pencil.
+    calls = []
+    assemble_forms = stability.assemble_forms
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return assemble_forms(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "assemble_forms", counted)
+    max_eigenvalue(disk_network, unit_tensions, 48)
+    assert calls == [48]
+
+
+def test_assembly_is_a_small_share_of_the_solve(disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  Built in its reduced coordinates the pencil costs about a
+    # twentieth of the solve at n = 400; the full-space forms with the
+    # null-space product of tests/oracles.py cost over 0.4 of it.
+    n = 400
+    calls = {
+        "assemble": lambda: stability.assemble_forms(disk_network, unit_tensions, n),
+        "solve": lambda: max_eigenvalue(disk_network, unit_tensions, n),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(5):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["assemble"] <= 0.2 * best["solve"], best
