@@ -15,14 +15,18 @@ import numpy as np
 
 from . import diagnostics, evolution, stability, steady, storage
 from .config import RunConfig, parse_config
-from .errors import ParseError, TriJunctionError, ValidationError
+from .errors import IoError, ParseError, TriJunctionError, ValidationError
 from .parameterization import network_residuals
 
 _NETWORK_TOL = 1e-8  # invariant bound a reused network file must meet
 
 
-def _load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+def _config_text(path) -> str:
+    """Text of a config file; one that cannot be read is a config error."""
+    try:
+        return storage.read_text(path)
+    except IoError as exc:
+        raise ValidationError("config", str(exc)) from exc
 
 
 def _problem(cfg: RunConfig, solve=False):
@@ -43,7 +47,7 @@ def _problem(cfg: RunConfig, solve=False):
 
 
 def _cmd_steady(args) -> int:
-    domain, tensions, network = _problem(_load_config(args.config), solve=True)
+    domain, tensions, network = _problem(parse_config(_config_text(args.config)), solve=True)
     storage.write_network(network, args.out)
     res = max(network_residuals(network, domain, tensions).values())
     print(f"junction p = ({network.p_star[0]:.12g}, {network.p_star[1]:.12g})")
@@ -55,7 +59,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(_config_text(args.config))
     _, tensions, network = _problem(cfg)
     result = stability.max_eigenvalue(network, tensions, cfg.spectrum_n)
     verdict = stability.stability_criterion(network.lengths, network.h_star, tensions)
@@ -63,12 +67,12 @@ def _cmd_spectrum(args) -> int:
     print(f"verdict    = {verdict.verdict}  [{verdict.case}]")
     if verdict.criterion_value is not None:
         print(f"criterion  = {verdict.criterion_value:.12g}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("branch,sigma,phi\n")
-        for i in range(3):
-            sigma = np.linspace(0.0, network.lengths[i], result.n + 1)
-            for s, v in zip(sigma, result.eigenfunction[i]):
-                fh.write(f"{i + 1},{s:.17g},{v:.17g}\n")
+    lines = ["branch,sigma,phi"]
+    for i in range(3):
+        sigma = np.linspace(0.0, network.lengths[i], result.n + 1)
+        lines.extend(f"{i + 1},{s:.17g},{v:.17g}"
+                     for s, v in zip(sigma, result.eigenfunction[i]))
+    storage.write_lines(args.out, lines)
     print(f"eigenfunction written to {args.out}")
     return 0
 
@@ -92,7 +96,7 @@ def _run_once(cfg: RunConfig, output_path) -> evolution.Trajectory:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(_config_text(args.config))
     traj = _run_once(cfg, cfg.output)
     last = traj.records[-1]
     print(f"status  = {traj.status}" + (f"  ({traj.message})" if traj.message else ""))
@@ -143,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg_text = Path(args.config).read_text(encoding="utf-8")
+    cfg_text = _config_text(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     # every value goes through the config parser before any run starts
     configs = [parse_config(cfg_text, overrides={_SWEEPABLE[args.param]: val})

@@ -8,8 +8,10 @@ L kappa + Lambda mu_t - a rho_ss evaluated at the current state, is
 explicit.  A Newton sweep on the six boundary nodal values then re-enforces
 the junction conditions (weighted sum exactly, the two angle residuals to
 tolerance) and the three perpendicularity conditions, with interior nodes
-frozen; mu is slaved to rho(0) through the junction matrix after every
-sweep so the stick condition cannot drift.
+frozen.  It works in constraint_basis coordinates: its unknowns are the
+junction triple's two coordinates in the weighted constraint plane and the
+three wall values.  mu is slaved to rho(0) through the junction matrix after
+every sweep so the stick condition cannot drift.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -90,7 +92,6 @@ class Stepper:
         self.angles = young_angles(tensions)
         self.qmat = junction_matrix(self.angles)
         self.basis = constraint_basis(tensions)  # (2, 3)
-        self.gammas = tensions.array
         n = config.n
         self._dsigma_sq = (network.lengths / n) ** 2
         # banded matrix of the interior solve in solve_banded's layout (rows:
@@ -103,28 +104,30 @@ class Stepper:
         self._jac = None
         self._jac_age = 0
         self._mu_b_prev = None
-        self._exit6 = None
 
     def enforce_bcs(self, rho, exc=NewtonDiverged):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
 
-        The junction triple is parameterized inside the weighted constraint
-        plane, so sum_i gamma^i rho^i(0) = 0 holds exactly throughout.
+        The unknowns are c = b rho(0) in the constraint_basis b, with
+        r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
+        holds exactly throughout.  The last step's exits warm-start the six.
         """
-        g = self.gammas
-        r0_base = rho[:, 0] - g * (g @ rho[:, 0]) / (g @ g)
-        net, dom, angles, q = self.network, self.domain, self.angles, self.qmat.q
+        net, dom, angles, q, b = (self.network, self.domain, self.angles,
+                                  self.qmat.q, self.basis)
+        mu_b = self._mu_b_prev
+        s_guess = None if mu_b is None else np.concatenate([mu_b[:, 0], mu_b[:, -1]])
 
         def unpack(u):
-            return r0_base + u[:2] @ self.basis, u[2:]
+            return u[:2] @ b, u[2:]
 
         def residual(u):
             # junction angle + outer perpendicularity residuals, interior frozen
             r0, w = unpack(u)
             return boundary_residuals(net, dom, angles, rho, r0, w, q @ r0,
-                                      s_guess=self._exit6)
+                                      s_guess=s_guess)
 
-        u = np.zeros(5)
+        u = np.empty(5)
+        u[:2] = b @ rho[:, 0]
         u[2:] = rho[:, -1]
         F = residual(u)
         for it in range(_NEWTON_MAX):
@@ -178,7 +181,6 @@ class Stepper:
         coef = coefficients(self.network, self.domain, self.tensions, state,
                             q_matrix=self.qmat, mu_b_guess=self._mu_b_prev)
         self._mu_b_prev = coef.mu_b
-        self._exit6 = np.concatenate([coef.mu_b[:, 0], coef.mu_b[:, -1]])
         a = coef.a
         d2 = self._dsigma_sq
         guard = 0.5 * float((d2 / a.max(axis=1)).min())

@@ -28,8 +28,8 @@ import numpy as np
 
 from .domains import ImplicitDomain
 from .errors import DegenerateMetric, MatrixMNotInvertible
-from .tensions import (JunctionAngles, JunctionMatrix, SurfaceTensions, force_balance_residual,
-                       junction_matrix, young_angles)
+from .tensions import (JunctionAngles, JunctionMatrix, SurfaceTensions, constraint_basis,
+                       force_balance_residual, junction_matrix, young_angles)
 
 _J_FLOOR = 1e-8
 _DET_M_FLOOR = 0.5
@@ -370,11 +370,11 @@ def state_from_rho(network, tensions, rho, t: float = 0.0,
     """Bundle nodal values into a GraphState with mu slaved to rho(0).
 
     With project=True the junction triple is first projected onto the
-    constraint plane sum_i gamma^i rho^i(0) = 0.
+    plane sum_i gamma^i rho^i(0) = 0 of constraint_basis b: rho(0) <- (b rho(0)) b.
     """
     rho = np.array(rho, dtype=float)
-    g = tensions.array
     if project:
-        rho[:, 0] -= g * (g @ rho[:, 0]) / (g @ g)
+        b = constraint_basis(tensions)
+        rho[:, 0] = (b @ rho[:, 0]) @ b
     q = junction_matrix(young_angles(tensions)).q
     return GraphState(rho=rho, mu=q @ rho[:, 0], t=t)

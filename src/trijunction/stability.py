@@ -15,9 +15,10 @@ Discretization: piecewise-linear elements per branch, consistent mass, and
 the single junction constraint eliminated by working in its plane: the
 reduced pencil is assembled directly in junction-plane plus free-node
 coordinates, so it stays symmetric and the Rayleigh characterization is exact
-at the discrete level.  The full-space forms and their null-space product are
-the reference in tests/oracles.py.  The junction slope condition is natural
-and only verified a posteriori.
+at the discrete level.  The eigenfunction's normalization, its Rayleigh check
+and rayleigh_quotient all read that one pencil.  The full-space forms and
+their null-space product are the reference in tests/oracles.py.  The junction
+slope condition is natural and only verified a posteriori.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class StabilityVerdict:
     verdict: str  # "Stable" | "Unstable" | "Marginal"
     case: str  # clause that decided: "all_h_positive" | "expression" | "two_nonpositive"
     criterion_value: float | None
-    marginal_band: float
 
 
 def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
@@ -128,8 +128,9 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     Tries a shift-inverted sparse solve around a certified upper bound and
     falls back to one dense symmetric solve when ARPACK fails or its Rayleigh
     quotient disagrees; a failing dense solve raises EigenSolveFailed.  The
-    eigenfunction is normalized to unit gamma-weighted L2 norm with a
-    deterministic sign.
+    eigenfunction has unit gamma-weighted consistent-mass norm and a
+    deterministic sign; its norm and Rayleigh quotient are read from the
+    reduced pencil that was solved.
     """
     n = int(n_per_branch)
     A_red, B_red = assemble_forms(network, tensions, n)
@@ -153,18 +154,17 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         pass
 
     def result_for(lam, vec):
-        # fix scale and sign deterministically
+        # unit gamma-weighted mass norm and a deterministic sign, read from
+        # the pencil just solved
+        vec = vec / np.sqrt(vec @ (B_red @ vec))
         phi = np.empty((3, n + 1))
         phi[:, 0] = b[0] * vec[0] + b[1] * vec[1]
         phi[:, 1:] = vec[2:].reshape(3, n)
-        _, ray_den = _form_values(network, tensions, phi)
-        phi = phi / np.sqrt(ray_den)
         k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)
         if phi[k] < 0:
-            phi = -phi
-        ray_num, ray_den = _form_values(network, tensions, phi)
+            phi, vec = -phi, -vec
         return SpectrumResult(lambda_max=lam, eigenfunction=phi,
-                              rayleigh=-ray_num / ray_den, n=n)
+                              rayleigh=_quotient(A_red, B_red, vec), n=n)
 
     if lam is not None:
         result = result_for(lam, vec)
@@ -178,33 +178,26 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     return result_for(float(vals[-1]), vecs[:, -1])
 
 
-def _form_values(network, tensions, phi):
-    """(I[phi,phi], ||phi||^2) by the same linear-element quadrature."""
-    g = tensions.array
-    n = phi.shape[1] - 1
-    num = 0.0
-    den = 0.0
-    for i in range(3):
-        d = network.lengths[i] / n
-        slopes = np.diff(phi[i]) / d
-        num += g[i] * (np.sum(slopes**2) * d + network.h_star[i] * phi[i, -1] ** 2)
-        u, v = phi[i, :-1], phi[i, 1:]
-        den += g[i] * d / 3.0 * np.sum(u * u + u * v + v * v)
-    return num, den
+def _quotient(A, B, v):
+    """(v A v) / (v B v), the Rayleigh quotient of the reduced pencil."""
+    den = v @ (B @ v)
+    if den < 1e-300:
+        raise ZeroFunction("Rayleigh quotient of the zero function")
+    return float((v @ (A @ v)) / den)
 
 
 def rayleigh_quotient(network: StationaryNetwork, tensions: SurfaceTensions,
                       phi: np.ndarray) -> float:
-    """I[phi,phi] / ||phi||^2 for nodal values phi in the constraint plane."""
+    """I[phi,phi] / ||phi||^2 for nodal values phi in the constraint plane,
+    read from the reduced pencil at phi's coordinates (b phi(0), phi(1..n))."""
     phi = np.asarray(phi, dtype=float)
-    num, den = _form_values(network, tensions, phi)
-    if den < 1e-300:
-        raise ZeroFunction("Rayleigh quotient of the zero function")
-    return float(num / den)
+    n = phi.shape[1] - 1
+    A, B = assemble_forms(network, tensions, n)
+    v = np.concatenate([constraint_basis(tensions) @ phi[:, 0], phi[:, 1:].ravel()])
+    return -_quotient(A, B, v)
 
 
-def stability_criterion(lengths, h_star, tensions: SurfaceTensions,
-                        marginal_band: float = _MARGINAL_BAND) -> StabilityVerdict:
+def stability_criterion(lengths, h_star, tensions: SurfaceTensions) -> StabilityVerdict:
     """Algebraic stability test on (l^i, h^i, gamma^i).
 
     Stable when all wall curvatures are positive, or when at most one is
@@ -214,25 +207,25 @@ def stability_criterion(lengths, h_star, tensions: SurfaceTensions,
                                  + gamma3 (1 + l3 h3) h1 h2 > 0.
 
     Two or more non-positive curvatures are unstable outright; expression
-    values inside the marginal band are reported as Marginal.
+    values within _MARGINAL_BAND of 0 are reported as Marginal.
     """
     l = np.asarray(lengths, dtype=float)
     h = np.asarray(h_star, dtype=float)
     g = tensions.array
     if np.all(h > 0.0):
-        return StabilityVerdict("Stable", "all_h_positive", None, marginal_band)
+        return StabilityVerdict("Stable", "all_h_positive", None)
     if np.sum(h <= 0.0) >= 2:
-        return StabilityVerdict("Unstable", "two_nonpositive", None, marginal_band)
+        return StabilityVerdict("Unstable", "two_nonpositive", None)
     expr = float(
         g[0] * (1.0 + l[0] * h[0]) * h[1] * h[2]
         + g[1] * (1.0 + l[1] * h[1]) * h[0] * h[2]
         + g[2] * (1.0 + l[2] * h[2]) * h[0] * h[1]
     )
-    if expr > marginal_band:
-        return StabilityVerdict("Stable", "expression", expr, marginal_band)
-    if expr < -marginal_band:
-        return StabilityVerdict("Unstable", "expression", expr, marginal_band)
-    return StabilityVerdict("Marginal", "expression", expr, marginal_band)
+    if expr > _MARGINAL_BAND:
+        return StabilityVerdict("Stable", "expression", expr)
+    if expr < -_MARGINAL_BAND:
+        return StabilityVerdict("Unstable", "expression", expr)
+    return StabilityVerdict("Marginal", "expression", expr)
 
 
 def junction_slopes(network: StationaryNetwork, phi: np.ndarray) -> np.ndarray:

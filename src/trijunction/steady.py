@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kappa_l2_sq_sigma_grid
+from .diagnostics import _weighted_integral, kappa_l2_sq_sigma_grid
 from .domains import ImplicitDomain, boundary_curvature, boundary_hit
 from .errors import NoConvergence, SingularJacobian
 from .parameterization import GraphState, StationaryNetwork, chart_geometry
@@ -128,12 +128,6 @@ def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
     )
 
 
-def _weighted_l2(values, weights, dx):
-    """gamma-weighted composite-trapezoid L2 norm over per-branch grids."""
-    sq = np.trapezoid(values**2, dx=1.0, axis=1) * dx
-    return float(np.sqrt(np.sum(weights * sq)))
-
-
 def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
                     tensions: SurfaceTensions, states: list[GraphState]) -> np.ndarray:
     """||rho||_{H^2} / ||kappa||_{L^2} for each state with ||kappa|| above 1e-12.
@@ -150,7 +144,8 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
         if kap <= _KAPPA_FLOOR:
             continue
         dx = network.lengths / state.n
-        h2 = _weighted_l2(state.rho, g, dx) + _weighted_l2(geo.rho_ss, g, dx)
+        h2 = (np.sqrt(_weighted_integral(g, state.rho**2, 1.0, dx))
+              + np.sqrt(_weighted_integral(g, geo.rho_ss**2, 1.0, dx)))
         out.append(h2 / kap)
     return np.asarray(out)
 

@@ -28,6 +28,24 @@ TrajectoryRow.__module__ = __name__
 TrajectoryRow.__doc__ = "One trajectory CSV row: the stored record fields, vectors split."
 
 
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; IoError if it cannot be read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write lines, each ended by a newline, as UTF-8; IoError on failure."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def row_from_record(record) -> TrajectoryRow:
     """CSV row of a DiagnosticsRecord: its stored scalar fields as they are,
     its junction position p and offsets mu split into components."""
@@ -45,19 +63,11 @@ def write_trajectory(rows, path) -> None:
         if not isinstance(row, TrajectoryRow):
             row = row_from_record(row)
         out.append(",".join(f"{getattr(row, name):.17g}" for name in _COLUMNS))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, out)
 
 
 def read_trajectory(path) -> list[TrajectoryRow]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise IoError(f"{path}: missing or wrong header")
     rows = []
@@ -90,21 +100,12 @@ def write_network(network: StationaryNetwork, path) -> None:
         f"endpoint.2 = {fmt(network.endpoints[1])}",
         f"endpoint.3 = {fmt(network.endpoints[2])}",
     ]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, lines)
 
 
 def read_network(path) -> StationaryNetwork:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     data = {}
-    for line in lines:
+    for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

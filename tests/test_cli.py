@@ -126,6 +126,34 @@ def test_malformed_config_exits_1_without_traceback(workdir, capsys, old, new, f
     assert not (workdir / "trajectory.csv").exists()
 
 
+_CONFIG_COMMANDS = {
+    "steady": ["--out", "net.txt"],
+    "spectrum": ["--out", "eig.csv"],
+    "evolve": [],
+    "sweep": ["--param", "amplitude", "--values", "0.002"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_COMMANDS))
+@pytest.mark.parametrize("problem", ["missing", "not_utf8"])
+def test_unreadable_config_exits_1_without_traceback(workdir, capsys, command, problem):
+    # both ended in a FileNotFoundError or UnicodeDecodeError traceback before
+    cfg = workdir / "bad.cfg"
+    if problem == "not_utf8":
+        cfg.write_bytes(DISK_CFG.encode("utf-8") + b"# \xff\xfe latin-1\n")
+    files = sorted(workdir.iterdir())
+    assert main([command, str(cfg), *_CONFIG_COMMANDS[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: cannot read {cfg}: ")
+    assert sorted(workdir.iterdir()) == files  # nothing ran, nothing written
+
+
+def test_spectrum_unwritable_out_is_an_io_error(workdir, capsys):
+    out = workdir / "no_such_dir" / "eig.csv"
+    assert main(["spectrum", str(workdir / "disk.cfg"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"IoError: cannot write {out}: ")
+
+
 def test_numerical_failure_exit_code(workdir):
     # missing gauge on the rotationally symmetric disk
     nogauge = workdir / "nogauge.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trijunction.config import parse_config
+from trijunction.config import SCALAR_KEYS, RunConfig, parse_config
 from trijunction.diagnostics import DiagnosticsRecord
 from trijunction.domains import MAX_POWER
 from trijunction.errors import IoError, ParseError, ValidationError
@@ -103,6 +103,10 @@ def test_degenerate_tensions_rejected():
          "tensions = 1, 1, 1\n", "domain.bounding_box"),
         ("domain.type = polynomial\ndomain.coefficients = 0 -1 1\n"
          "tensions = 1, 1, 1\n", "domain"),
+        # sizes whose square overflows or underflows
+        ("domain.type = circle\ndomain.radius = 1e200\ntensions = 1, 1, 1\n", "domain"),
+        ("domain.type = ellipse\ndomain.semi_axes = 1e-200, 1\ntensions = 1, 1, 1\n",
+         "domain"),
         # powers are whole numbers at most MAX_POWER, checked before the
         # domain allocates its coefficient stack
         ("domain.type = polynomial\ndomain.coefficients = 2.7 0 1; 0 0 -1\n"
@@ -128,6 +132,138 @@ def test_validation_errors_name_the_field(text, field):
 def test_duplicate_key_rejected():
     with pytest.raises(ParseError):
         parse_config(MINIMAL + "tensions = 1, 1, 1\n")
+
+
+# ---------------------------------------------------------------------------
+# config round trip
+
+
+def _num(value):
+    return repr(float(value))  # repr round-trips a double exactly
+
+
+def _nums(values):
+    return ", ".join(map(_num, values))
+
+
+def render_config(cfg: RunConfig) -> str:
+    """Config text, every field written out, that parses back to cfg."""
+    params = cfg.domain_params
+    lines = [f"domain.type = {cfg.domain_type}"]
+    if cfg.domain_type == "circle":
+        lines.append(f"domain.radius = {_num(params['radius'])}")
+    elif cfg.domain_type == "ellipse":
+        lines.append(f"domain.semi_axes = {_nums(params['semi_axes'])}")
+    else:
+        lines.append("domain.coefficients = "
+                     + "; ".join(f"{i} {j} {_num(c)}" for i, j, c in params["coefficients"]))
+    for key in ("center", "bounding_box"):
+        if key in params:
+            lines.append(f"domain.{key} = {_nums(params[key])}")
+    lines.append(f"tensions = {_nums(cfg.tensions)}")
+    for key, (attr, conv, _) in SCALAR_KEYS.items():
+        value = getattr(cfg, attr)
+        if value is not None:
+            lines.append(f"{key} = {value if conv is int else _num(value)}")
+    lines.append(f"guess.p = {_nums(cfg.guess_p)}")
+    lines.append(f"perturbation.type = {cfg.perturbation_type}")
+    for i, coefs in enumerate(cfg.perturbation_coefficients, start=1):
+        lines.append(f"perturbation.coefficients.{i} = {_nums(coefs)}")
+    lines.append(f"output = {cfg.output}")
+    if cfg.network is not None:
+        lines.append(f"network = {cfg.network}")
+    return "\n".join(lines) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# domain sizes and coefficients whose squares, inverses and derivatives stay finite
+_SIZE = st.floats(1e-3, 1e3)
+_COEFFICIENT = st.floats(-1e6, 1e6)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_PATH = st.from_regex(r"[A-Za-z0-9_./-]+( [A-Za-z0-9_./-]+)*", fullmatch=True)
+_TENSIONS = st.tuples(*[st.floats(0.5, 2.0)] * 3).filter(
+    lambda g: all(g[k] < g[(k + 1) % 3] + g[(k + 2) % 3] for k in range(3)))
+
+
+@st.composite
+def config_texts(draw):
+    """(text, expected RunConfig): a valid config on a circle, an ellipse or
+    a polynomial domain, its optional keys drawn or left to their defaults,
+    its lines shuffled, padded and interleaved with comments."""
+    dtype = draw(st.sampled_from(["circle", "ellipse", "polynomial"]))
+    entries = {"domain.type": dtype}
+    params = {}
+    optional = st.booleans()
+    if dtype == "circle":
+        params["radius"] = 1.0
+        if draw(optional):
+            params["radius"] = draw(_SIZE)
+            entries["domain.radius"] = _num(params["radius"])
+        if draw(optional):
+            params["center"] = draw(st.tuples(_FINITE, _FINITE))
+            entries["domain.center"] = _nums(params["center"])
+    elif dtype == "ellipse":
+        params["semi_axes"] = draw(st.tuples(_SIZE, _SIZE))
+        entries["domain.semi_axes"] = _nums(params["semi_axes"])
+    else:
+        power = st.integers(0, MAX_POWER)
+        params["coefficients"] = draw(st.lists(st.tuples(power, power, _COEFFICIENT),
+                                               min_size=1, max_size=4))
+        entries["domain.coefficients"] = "; ".join(
+            f"{i} {j} {_num(c)}" for i, j, c in params["coefficients"])
+        if draw(optional):
+            params["bounding_box"] = draw(st.tuples(*[_FINITE] * 4))
+            entries["domain.bounding_box"] = _nums(params["bounding_box"])
+    tensions = draw(_TENSIONS)
+    entries["tensions"] = _nums(tensions)
+    cfg = RunConfig(domain_type=dtype, domain_params=params, tensions=tensions)
+
+    for key, (attr, conv, positive) in SCALAR_KEYS.items():
+        if not draw(optional):
+            continue
+        if conv is int:
+            value = draw(st.integers(8 if key == "n" else 1, 10**6))
+        else:
+            value = draw(_POSITIVE if positive else _FINITE)
+        setattr(cfg, attr, value)
+        entries[key] = str(value) if conv is int else _num(value)
+    if draw(optional):
+        cfg.guess_p = draw(st.tuples(_FINITE, _FINITE))
+        entries["guess.p"] = _nums(cfg.guess_p)
+    if draw(optional):
+        cfg.perturbation_type = entries["perturbation.type"] = draw(
+            st.sampled_from(["cosine", "eigenmode"]))
+    for i in range(3):
+        if draw(optional):
+            coefs = draw(st.lists(_FINITE, max_size=5))
+            cfg.perturbation_coefficients[i] = coefs
+            entries[f"perturbation.coefficients.{i + 1}"] = _nums(coefs)
+    for key in ("output", "network"):
+        if draw(optional):
+            setattr(cfg, key, draw(_PATH))
+            entries[key] = getattr(cfg, key)
+
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    comment = st.sampled_from(["", "  # note", "# a = 1"])
+    lines = [f"{draw(pad)}{key}{draw(pad)}={draw(pad)}{value}{draw(pad)}{draw(comment)}"
+             for key, value in draw(st.permutations(list(entries.items())))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# comment"])))
+    return "\n".join(lines) + "\n", cfg
+
+
+def _assert_same_fields(got: RunConfig, want: RunConfig):
+    for f in fields(RunConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+def test_config_parse_render_round_trip(drawn):
+    text, expected = drawn
+    parsed = parse_config(text)
+    _assert_same_fields(parsed, expected)
+    _assert_same_fields(parse_config(render_config(parsed)), parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +326,6 @@ def test_row_from_record_mapping(trefoil, trefoil_network, unit_tensions):
 
 
 _VECTORS = {"p": 2, "mu": 3, "lengths": 3}  # the array fields of a record
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite

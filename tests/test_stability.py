@@ -205,6 +205,24 @@ def test_rayleigh_zero_function_raises(trefoil_network, unit_tensions):
         rayleigh_quotient(trefoil_network, unit_tensions, np.zeros((3, 11)))
 
 
+@pytest.mark.parametrize("fork", ["disk", "trefoil", "unequal"])
+def test_eigenfunction_norm_and_rayleigh_read_the_solved_pencil(fork, request):
+    # max_eigenvalue normalizes with, and takes its Rayleigh quotient from,
+    # the reduced pencil it solved; the full-space consistent mass and
+    # rayleigh_quotient of the returned nodal values must agree with both
+    if fork == "unequal":
+        t = SurfaceTensions((1.0, 1.3, 0.8))
+        net = synthetic_network((1.0, 0.7, 1.4), (0.4, -0.3, 1.1), t)
+    else:
+        t = UNIT
+        net = request.getfixturevalue(f"{fork}_network")
+    res = max_eigenvalue(net, t, 200)
+    _, B, _ = full_space_forms(net, t, 200)
+    v = res.eigenfunction.ravel()
+    assert abs(v @ (B @ v) - 1.0) < 1e-12
+    assert abs(res.rayleigh + rayleigh_quotient(net, t, res.eigenfunction)) < 1e-12
+
+
 def test_eigenfunction_junction_slopes_natural_condition():
     net = synthetic_network((1.0, 1.3, 0.7), (0.6, 1.0, -0.2), UNIT)
     spreads = []
@@ -298,6 +316,7 @@ def test_criterion_marginal_band():
     v = stability_criterion((1.0, 1.0, 1.0), (-0.5, 1.0, 2.0), UNIT)
     # expression = (1-0.5)*2 + 2*(-1) + 3*(-0.5) = 1 - 2 - 1.5 = -2.5
     assert v.verdict == "Unstable"
-    v = stability_criterion((2.0, 1.0, 1.0), (0.0, 1.0, 1.0), UNIT,
-                            marginal_band=2.0)
+    # (1 - 4/8) - 2/8 - 2/8 is exactly 0.0 in floating point
+    v = stability_criterion((4.0, 1.0, 1.0), (-0.125, 1.0, 1.0), UNIT)
+    assert v.criterion_value == 0.0
     assert v.verdict == "Marginal"
