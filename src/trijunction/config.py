@@ -166,7 +166,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(unused[0], f"does not apply to domain.type = {dtype}")
     try:
         make_domain(dtype, **params)
-    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a size that over- or underflows
+    except (ValueError, ArithmeticError) as exc:  # a size whose square over- or underflows
         raise ValidationError("domain", str(exc)) from exc
 
     tensions_raw = take("tensions")

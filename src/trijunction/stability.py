@@ -154,15 +154,14 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         pass
 
     def result_for(lam, vec):
-        # unit gamma-weighted mass norm and a deterministic sign, read from
-        # the pencil just solved
+        # unit mass norm in the solved pencil; sign fixed by the largest |phi|
         vec = vec / np.sqrt(vec @ (B_red @ vec))
         phi = np.empty((3, n + 1))
         phi[:, 0] = b[0] * vec[0] + b[1] * vec[1]
         phi[:, 1:] = vec[2:].reshape(3, n)
         k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)
         if phi[k] < 0:
-            phi, vec = -phi, -vec
+            phi = -phi
         return SpectrumResult(lambda_max=lam, eigenfunction=phi,
                               rayleigh=_quotient(A_red, B_red, vec), n=n)
 
