@@ -206,10 +206,13 @@ class PolynomialDomain(ImplicitDomain):
         mat = np.zeros((self._deg_x + 1, self._deg_y + 1))
         for i, j, c in terms:
             mat[i, j] += c
-        mx, my = _derivative(mat, 0), _derivative(mat, 1)
-        self._stack = np.stack(
-            [mat, mx, my, _derivative(mx, 0), _derivative(mx, 1), _derivative(my, 1)]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mx, my = _derivative(mat, 0), _derivative(mat, 1)
+            self._stack = np.stack(
+                [mat, mx, my, _derivative(mx, 0), _derivative(mx, 1), _derivative(my, 1)]
+            )
+        if not np.all(np.isfinite(self._stack)):
+            raise ValueError("polynomial coefficients overflow in their derivatives")
         self._deg = max(i + j for i, j, _ in terms)
         self._line_memo = {}
 

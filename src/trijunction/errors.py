@@ -53,7 +53,7 @@ class NoConvergence(TriJunctionError):
 
 
 class EigenSolveFailed(TriJunctionError):
-    """Both eigenvalue back ends failed on the discretized pencil."""
+    """No certified eigenvalue of the discretized pencil (bracket, solve or Rayleigh check)."""
 
 
 class ZeroFunction(TriJunctionError):

@@ -3,32 +3,28 @@
 About a steady fork the flow linearizes branch-wise to rho_t = rho_ss with
 the junction constraint sum_i gamma^i rho^i(0) = 0, equal slopes at the
 junction (a natural condition), and the Robin relation rho_s + h_* rho = 0
-at the wall.  The associated quadratic form
+at the wall.  The quadratic form
 
     I[phi, phi] = sum_i gamma^i ( int_0^{l_i} (phi_s)^2 ds + h_i phi(l_i)^2 )
 
-controls everything: the maximal eigenvalue of the time-independent problem
-is -inf I[phi,phi]/||phi||^2 over the constrained space, and it is negative
-exactly under the algebraic criterion implemented in stability_criterion.
+gives the maximal eigenvalue as -inf I[phi,phi]/||phi||^2 over the
+constrained space; it is negative exactly under stability_criterion.
 
-Discretization: piecewise-linear elements per branch, consistent mass, and
-the single junction constraint eliminated by working in its plane: the
-reduced pencil is assembled directly in junction-plane plus free-node
-coordinates, so it stays symmetric and the Rayleigh characterization is exact
-at the discrete level.  The eigenfunction's normalization, its Rayleigh check
-and rayleigh_quotient all read that one pencil.  The full-space forms and
-their null-space product are the reference in tests/oracles.py.  The junction
-slope condition is natural and only verified a posteriori.
+Linear elements with consistent mass in the constraint plane give a
+symmetric reduced pencil: three tridiagonal branch blocks bordered by the two
+plane coordinates.  lambda_max comes from that structure alone, by a Sturm
+count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
+Martin & Wilkinson 1967; Golub 1973).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.optimize import brentq
 
 from .errors import EigenSolveFailed, ZeroFunction
 from .parameterization import StationaryNetwork, end_slope
@@ -52,67 +48,53 @@ class StabilityVerdict:
     criterion_value: float | None
 
 
+def _branch_forms(network, n):
+    """(2, 4, 3): per branch the (diagonal, last diagonal, off-diagonal,
+    junction diagonal) of the stiffness with the Robin term, then of the
+    consistent mass, of linear elements; gamma divided out."""
+    d = network.lengths / n
+    return np.array([(2.0 / d, 1.0 / d + network.h_star, -1.0 / d, 1.0 / d),
+                     (4.0 * d / 6.0, 2.0 * d / 6.0, d / 6.0, 2.0 * d / 6.0)])
+
+
 def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
                    n_per_branch: int):
-    """Reduced pencil (A, B) = (-Z^T K Z, Z^T B Z) in CSC, built directly.
-
-    K and B are the gamma-scaled stiffness and consistent mass of linear
-    elements on each branch, the Robin term gamma_i h_i on the wall node, and
-    Z is the orthonormal basis of the junction constraint sum_i gamma^i
-    phi^i(0) = 0.  The reduced coordinates are the two junction-plane
-    coordinates (rows b_0, b_1 of constraint_basis) followed by nodes 1..n of
-    branches 0, 1 and 2.  Every entry is the float the null-space product
-    forms: the tridiagonal values, b_ai times the junction off-diagonal for
-    the coupling to a branch's first node, and sum_i (b_ai end_i) b_bi in
-    branch order for the junction block; exact zeros are dropped.
-    """
-    g = tensions.array
+    """Reduced pencil (A, B) = (-Z^T K Z, Z^T B Z) in CSC, built directly, in
+    the coordinates b phi(0) (rows b_0, b_1 of constraint_basis), then nodes
+    1..n of branches 0, 1 and 2; K and B are the gamma-scaled _branch_forms.
+    Every entry is the float of the null-space product: the tridiagonal
+    values, b_ai off_i coupling a branch's first node, and the junction block
+    sum_i (b_ai end_i) b_bi in branch order; exact zeros are dropped."""
     n = int(n_per_branch)
     b = constraint_basis(tensions)
-    d = network.lengths / n
-    # per branch: (diagonal, last diagonal, off-diagonal, junction diagonal)
-    stiff = (g * (2.0 / d), g * (1.0 / d + network.h_star), g * (-1.0 / d), g * (1.0 / d))
-    mass = (g * (4.0 * d / 6.0), g * (2.0 * d / 6.0), g * (d / 6.0), g * (2.0 * d / 6.0))
+    diag, last, off, end = np.swapaxes(tensions.array * _branch_forms(network, n), 0, 1)
     dim = 3 * n + 2
-    # Each column holds at most five slots in ascending row order: the two
-    # junction coordinates, then (sub, diagonal, super) for a node column or
-    # the three branches' first nodes for a junction column.
+    first = 2 + n * np.arange(3)
+    # Each column holds five slots in ascending row order: the two junction
+    # coordinates, then (sub, diagonal, super) for a node column or the three
+    # branches' first nodes for a junction column.  Absent slots hold zeros,
+    # and eliminate_zeros drops them with the exact zeros.
     rows = np.arange(dim, dtype=np.int32)[:, None] + np.array([0, 0, -1, 0, 1], dtype=np.int32)
     rows[:, :2] = (0, 1)
-    rows[:2, 2:] = (2, 2 + n, 2 + 2 * n)
-    k = np.tile(np.arange(1, n + 1), 3)
-    present = np.ones((dim, 5), dtype=bool)
-    present[2:, :2] = (k == 1)[:, None]
-    present[2:, 2] = k > 1
-    present[2:, 4] = k < n
-    forms = []
-    for diag, last, off, end in (stiff, mass):
-        vals = np.empty((dim, 5))
-        terms = (b[:, None, :] * end) * b[None, :, :]  # [r, c, i] = (b_ri end_i) b_ci
-        vals[:2, :2] = (terms[..., 0] + terms[..., 1] + terms[..., 2]).T
-        coupling = b * off  # [r, i]: junction coordinate r, first node of branch i
-        vals[:2, 2:] = coupling
-        vals[2 + n * np.arange(3), :2] = coupling.T
-        diagonal = np.repeat(diag, n).reshape(3, n)
-        diagonal[:, -1] = last
-        vals[2:, 3] = diagonal.ravel()
-        vals[2:, 2] = vals[2:, 4] = np.repeat(off, n)
-        keep = present & (vals != 0.0)
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        forms.append(sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(dim, dim)))
-    A, B = forms
-    A.data = -A.data
+    rows[:2, 2:] = first
+    rows[-1, 4] = 0
+    vals = np.zeros((2, dim, 5))  # [form, column, slot]
+    terms = (b[:, None, :] * end[:, None, None, :]) * b[None, :, :]  # (b_ri end_i) b_ci
+    vals[:, :2, :2] = np.swapaxes(terms[..., 0] + terms[..., 1] + terms[..., 2], 1, 2)
+    coupling = b * off[:, None, :]  # [form, r, i]: coordinate r, first node of branch i
+    vals[:, :2, 2:] = coupling
+    vals[:, first, :2] = np.swapaxes(coupling, 1, 2)
+    diagonal = np.repeat(diag, n, axis=1).reshape(2, 3, n)
+    diagonal[..., -1] = last
+    vals[:, 2:, 3] = diagonal.reshape(2, 3 * n)
+    vals[:, 2:, 2] = vals[:, 2:, 4] = np.repeat(off, n, axis=1)
+    vals[:, first, 2] = vals[:, first + n - 1, 4] = 0.0
+    indptr = np.arange(0, 5 * dim + 1, 5, dtype=np.int32)
+    A, B = (sp.csc_matrix((v.ravel(), rows.ravel(), indptr), shape=(dim, dim), copy=True)
+            for v in (-vals[0], vals[1]))
+    A.eliminate_zeros()  # in place, hence the copies of the shared rows and indptr
+    B.eliminate_zeros()
     return A, B
-
-
-@lru_cache(maxsize=16)
-def _start_vector(dim):
-    """Fixed ARPACK start vector per dimension.  Read-only, so that sharing
-    it between solves is safe: eigsh copies it, and a write would raise."""
-    v0 = np.random.default_rng(1234).standard_normal(dim)
-    v0.flags.writeable = False
-    return v0
 
 
 def _lambda_upper_bound(network):
@@ -121,60 +103,74 @@ def _lambda_upper_bound(network):
     return float(np.max(h / network.lengths + h**2)) + 1.0
 
 
+def _inertia(lam, forms, n, g, outer):
+    """(count, poles, low, c, x) at lam.  The branch blocks M_i of K + lam B
+    (gamma divided out) form one 3n tridiagonal with zero seams: dstebz counts
+    its negative eigenvalues, the branch poles above lam, and dgtsv solves for
+    x = M_i^-1 e_1.  S = sum_i g_i (e_i - o_i^2 (M_i^-1)_11) b_i b_i^T has lower
+    eigenvalue low with unit vector c, and by Sylvester's law of inertia
+    count = poles + #{negative eigenvalues of S} = #{eigenvalues above lam}."""
+    diag, last, off, end = forms[0] + lam * forms[1]
+    d = np.repeat(diag, n)
+    d[n - 1::n] = last
+    e = np.repeat(off, n)
+    e[n - 1::n] = 0.0
+    poles = dstebz(d, e[:-1], 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0]
+    rhs = np.zeros((3 * n, 1))
+    rhs[::n] = 1.0
+    *_, x, info = dgtsv(e[:-1], d, e[:-1], rhs)
+    if info:
+        raise EigenSolveFailed(f"branch solve failed at lambda = {lam} (dgtsv info {info})")
+    (p, q), (_, r) = outer @ (g * (end - off**2 * x[::n, 0]))
+    rad = np.hypot(0.5 * (p - r), q)
+    low = 0.5 * (p + r) - rad
+    theta = 0.5 * np.arctan2(q, 0.5 * (p - r))  # (cos, sin) spans the upper eigenvector
+    c = np.array([-np.sin(theta), np.cos(theta)])
+    return poles + (low < 0) + (low + 2.0 * rad < 0), poles, low, c, x[:, 0]
+
+
 def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
                    n_per_branch: int = 400) -> SpectrumResult:
     """Largest eigenvalue of the constrained pencil -K phi = lambda B phi.
 
-    Tries a shift-inverted sparse solve around a certified upper bound and
-    falls back to one dense symmetric solve when ARPACK fails or its Rayleigh
-    quotient disagrees; a failing dense solve raises EigenSolveFailed.  The
-    eigenfunction has unit gamma-weighted consistent-mass norm and a
-    deterministic sign; its norm and Rayleigh quotient are read from the
-    reduced pencil that was solved.
+    _inertia's count certifies the bracket from the Rayleigh quotient of the
+    branchwise constant b_0, minus 1, to _lambda_upper_bound; bisection on it
+    clears the bracket of branch poles, and brentq finds the root of S's lower
+    eigenvalue.  The eigenfunction has unit consistent-mass norm and the sign
+    of its largest |phi|.  A failed bracket or Rayleigh check raises
+    EigenSolveFailed.
     """
     n = int(n_per_branch)
     A_red, B_red = assemble_forms(network, tensions, n)
     b = constraint_basis(tensions)
+    forms = _branch_forms(network, n)
+    outer = b[:, None, :] * b[None, :, :]  # [r, c, i] = b_ri b_ci, symmetric in r, c
 
-    lam, vec = None, None
-    try:
-        from scipy.sparse.linalg import eigsh
+    def inertia(lam):
+        return _inertia(lam, forms, n, tensions.array, outer)
 
-        # sigma bounds the spectrum from above, so the eigenvalue nearest the
-        # shift in magnitude of 1/(lambda - sigma) is the maximal one; k=2
-        # keeps ARPACK stable when the top eigenvalue is double, and a fixed
-        # start vector keeps repeated solves bitwise reproducible even then.
-        sigma = _lambda_upper_bound(network)
-        v0 = _start_vector(A_red.shape[0])
-        vals, vecs = eigsh(A_red, k=2, M=B_red, sigma=sigma, which="LM", v0=v0)
-        top = int(np.argmax(vals))
-        lam, vec = float(vals[top]), vecs[:, top]
-    except (RuntimeError, np.linalg.LinAlgError):
-        # ArpackError/ArpackNoConvergence and a singular shift-invert factor
-        pass
-
-    def result_for(lam, vec):
-        # unit mass norm in the solved pencil; sign fixed by the largest |phi|
-        vec = vec / np.sqrt(vec @ (B_red @ vec))
-        phi = np.empty((3, n + 1))
-        phi[:, 0] = b[0] * vec[0] + b[1] * vec[1]
-        phi[:, 1:] = vec[2:].reshape(3, n)
-        k = np.unravel_index(np.argmax(np.abs(phi)), phi.shape)
-        if phi[k] < 0:
-            phi = -phi
-        return SpectrumResult(lambda_max=lam, eigenfunction=phi,
-                              rayleigh=_quotient(A_red, B_red, vec), n=n)
-
-    if lam is not None:
-        result = result_for(lam, vec)
-        if abs(result.rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
-            return result
-        # otherwise shift-invert returned junk; redo densely
-    try:
-        vals, vecs = scipy.linalg.eigh(A_red.toarray(), B_red.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveFailed(str(exc)) from exc
-    return result_for(float(vals[-1]), vecs[:, -1])
+    v0 = np.concatenate([(1.0, 0.0), np.repeat(b[0], n)])
+    lo, hi = _quotient(A_red, B_red, v0) - 1.0, _lambda_upper_bound(network)
+    (count, poles, *_), (count_hi, *_) = inertia(lo), inertia(hi)
+    if count == 0 or count_hi > 0:
+        raise EigenSolveFailed(f"[{lo}, {hi}] does not bracket the top eigenvalue")
+    while poles:  # bisect on the count until no branch pole is left in (lo, hi)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise EigenSolveFailed(f"the top eigenvalue meets a branch pole at {mid}")
+        count, mid_poles, *_ = inertia(mid)
+        lo, hi, poles = (mid, hi, mid_poles) if count else (lo, mid, poles)
+    lam = brentq(lambda t: inertia(t)[2], lo, hi, xtol=1e-13)
+    *_, c, x = inertia(lam)
+    # S's null vector gives the junction values; branch i continues as -o_i phi_i(0) M_i^-1 e_1
+    phi0 = (b[0] * c[0] + b[1] * c[1])[:, None]
+    phi = np.hstack([phi0, -(forms[0, 2] + lam * forms[1, 2])[:, None] * phi0 * x.reshape(3, n)])
+    vec = np.concatenate([c, phi[:, 1:]], axis=None)
+    rayleigh = _quotient(A_red, B_red, vec)
+    if not abs(rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
+        raise EigenSolveFailed(f"Rayleigh quotient {rayleigh} disagrees with lambda = {lam}")
+    phi *= np.sign(phi.flat[np.argmax(np.abs(phi))]) / np.sqrt(vec @ (B_red @ vec))
+    return SpectrumResult(lambda_max=float(lam), eigenfunction=phi, rayleigh=rayleigh, n=n)
 
 
 def _quotient(A, B, v):

@@ -178,6 +178,60 @@ def null_space_pencil(network, tensions, n):
     return (-(Z.T @ K @ Z)).tocsc(), (Z.T @ B @ Z).tocsc()
 
 
+def arpack_max_eigenvalue(network, tensions, n):
+    """lambda_max of the assembled reduced pencil by ARPACK shift-invert
+    around the package's upper bound (k = 2 for double top eigenvalues, a
+    seeded start vector), with a dense generalized eigh when ARPACK fails
+    or disagrees with its Rayleigh quotient."""
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import eigsh
+
+    from trijunction.stability import _lambda_upper_bound, assemble_forms
+
+    A, B = assemble_forms(network, tensions, n)
+    v0 = np.random.default_rng(1234).standard_normal(A.shape[0])
+    try:
+        vals, vecs = eigsh(A, k=2, M=B, sigma=_lambda_upper_bound(network), which="LM", v0=v0)
+        top = int(np.argmax(vals))
+        lam, vec = float(vals[top]), vecs[:, top]
+        if abs((vec @ (A @ vec)) / (vec @ (B @ vec)) - lam) <= 1e-6 * max(1.0, abs(lam)):
+            return lam
+    except (RuntimeError, np.linalg.LinAlgError):
+        pass
+    return float(eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
+
+
+def pivot_lambda_max_mp(network, tensions, n, guess, dps=40, width=1e-6):
+    """lambda_max of the reduced pencil in dps-digit arithmetic, as the root
+    near guess of the lower eigenvalue of the junction Schur complement
+    S = sum_i g_i (e_i - o_i^2 / p_1i) b_i b_i^T, with the backward pivots
+    p_n = c, p_k = a - o^2 / p_(k+1) of each branch block of K + lambda B
+    (gamma divided out).  The root must lie within width of guess."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    g = [mp.mpf(x) for x in tensions.array]
+    b = [[mp.mpf(x) for x in row] for row in constraint_basis(tensions)]
+    lengths = [mp.mpf(x) for x in network.lengths]
+    h = [mp.mpf(x) for x in network.h_star]
+
+    def lower(lam):
+        w = []
+        for i in range(3):
+            d = lengths[i] / n
+            a, o = 2 / d + lam * 4 * d / 6, -1 / d + lam * d / 6
+            p = 1 / d + h[i] + lam * 2 * d / 6
+            for _ in range(n - 1):
+                p = a - o**2 / p
+            w.append(g[i] * (1 / d + lam * 2 * d / 6 - o**2 / p))
+        s = [[sum(w[i] * b[r][i] * b[c][i] for i in range(3)) for c in (0, 1)] for r in (0, 1)]
+        return (s[0][0] + s[1][1]) / 2 - mp.sqrt(((s[0][0] - s[1][1]) / 2) ** 2 + s[0][1] ** 2)
+
+    guess = mp.mpf(guess)
+    return mp.findroot(lower, (guess - width, guess + width), solver="anderson")
+
+
 def robin_neumann_root(h, l=1.0, positive=False):
     """Root of the single-branch problem phi'' = lam phi, phi'(0)=0, Robin at l.
 

@@ -113,6 +113,9 @@ def test_degenerate_tensions_rejected():
          "tensions = 1, 1, 1\n", "domain.coefficients"),
         (f"domain.type = polynomial\ndomain.coefficients = 0 {MAX_POWER + 1} 1; 0 0 -1\n"
          "tensions = 1, 1, 1\n", "domain.coefficients"),
+        # coefficients whose exact derivatives overflow
+        ("domain.type = polynomial\ndomain.coefficients = 32 0 1e308; 0 0 -1\n"
+         "tensions = 1, 1, 1\n", "domain"),
         # non-finite numbers
         ("domain.type = circle\ntensions = 1, 1, 1\nt_end = nan\n", "t_end"),
         ("domain.type = circle\ntensions = 1, 1, 1\ngauge = inf\n", "gauge"),

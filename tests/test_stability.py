@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 from trijunction.errors import EigenSolveFailed, ZeroFunction
 from trijunction.stability import (
     _lambda_upper_bound,
-    _start_vector,
     assemble_forms,
     junction_slopes,
     max_eigenvalue,
@@ -15,7 +14,14 @@ from trijunction.stability import (
 from trijunction.tensions import SurfaceTensions, constraint_basis
 
 from conftest import random_tensions, synthetic_network
-from oracles import full_space_forms, null_space_pencil, robin_neumann_root, shooting_lambda_max
+from oracles import (
+    arpack_max_eigenvalue,
+    full_space_forms,
+    null_space_pencil,
+    pivot_lambda_max_mp,
+    robin_neumann_root,
+    shooting_lambda_max,
+)
 
 
 UNIT = SurfaceTensions((1.0, 1.0, 1.0))
@@ -110,71 +116,67 @@ def test_unit_disk_network_value(disk_network, unit_tensions):
     assert res.lambda_max > 0
 
 
-def test_start_vector_is_cached_read_only_and_unchanged():
-    v0 = _start_vector(50)
-    assert v0 is _start_vector(50)
-    assert not v0.flags.writeable
-    assert np.array_equal(v0, np.random.default_rng(1234).standard_normal(50))
+def _spectrum_batch(seed, count):
+    """Seeded admissible forks as in the benchmark's spectrum batch."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = random_tensions(rng)
+        l = rng.uniform(0.5, 2.0, 3)
+        h = rng.uniform(-0.8, 2.0, 3)
+        if np.sum(h <= 0) > 1:  # at most one non-positive wall curvature
+            k = rng.integers(0, 3)
+            h = np.abs(h)
+            h[k] = rng.uniform(-0.8, 0.0)
+        yield synthetic_network(l, h, t), t
 
 
-def test_arpack_failure_falls_back_to_dense(monkeypatch):
-    import scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
-    sparse = max_eigenvalue(net, UNIT, 64).lambda_max
-
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK gave up", np.array([]), np.empty((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    assert abs(max_eigenvalue(net, UNIT, 64).lambda_max - sparse) < 1e-10
+@pytest.mark.parametrize("n", [48, 400])
+def test_agrees_with_arpack_shift_invert(n):
+    # Both routes miss the exact lambda of the discrete pencil by up to about
+    # 7e-11 (see the 40-digit test below), sometimes in opposite directions.
+    for seed in (1, 2):
+        for net, t in _spectrum_batch(seed, 20):
+            lam = max_eigenvalue(net, t, n).lambda_max
+            ref = arpack_max_eigenvalue(net, t, n)
+            assert abs(lam - ref) <= 2e-10 * max(1.0, abs(ref)), (seed, lam, ref)
 
 
-def _shifted_eigsh(monkeypatch):
-    # ARPACK "converges" to eigenvalues that disagree with their Rayleigh
-    # quotients, which sends max_eigenvalue to the dense solve
-    import scipy.sparse.linalg
-
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def shifted(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        return vals + 0.5, vecs
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
+def test_matches_forty_digit_pivot_recurrence():
+    for net, t in _spectrum_batch(1, 4):
+        lam = max_eigenvalue(net, t, 400).lambda_max
+        assert abs(lam - float(pivot_lambda_max_mp(net, t, 400, lam))) < 1e-10
 
 
-def test_rayleigh_mismatch_redoes_densely(monkeypatch):
-    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
-    sparse = max_eigenvalue(net, UNIT, 64).lambda_max
-    _shifted_eigsh(monkeypatch)
-    assert abs(max_eigenvalue(net, UNIT, 64).lambda_max - sparse) < 1e-10
-
-
-def test_failing_dense_redo_raises_typed_error(monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_matches_dense_eigh_on_small_grids(n):
     import scipy.linalg
 
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+    for net, t in _spectrum_batch(3, 10):
+        A, B = null_space_pencil(net, t, n)
+        ref = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1]
+        assert abs(max_eigenvalue(net, t, n).lambda_max - ref) < 1e-12
 
-    _shifted_eigsh(monkeypatch)
-    monkeypatch.setattr(scipy.linalg, "eigh", broken)
+
+def test_upper_bound_below_lambda_raises_typed_error(monkeypatch):
+    import trijunction.stability as stability
+
     net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    lam = max_eigenvalue(net, UNIT, 64).lambda_max
+    monkeypatch.setattr(stability, "_lambda_upper_bound", lambda network: lam - 0.1)
     with pytest.raises(EigenSolveFailed):
         max_eigenvalue(net, UNIT, 64)
 
 
-def test_programming_error_in_eigsh_propagates(monkeypatch):
-    import scipy.sparse.linalg
+def test_rayleigh_mismatch_raises_typed_error(monkeypatch):
+    # The quotient also gives the lower end of the bracket; 0.5 off keeps
+    # that end below lambda, so only the Rayleigh check can fail.
+    import trijunction.stability as stability
 
-    def broken(*args, **kwargs):
-        raise TypeError("unexpected keyword")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
-    net = synthetic_network((1.0, 1.0, 1.0), (-0.5, 1.0, 1.0), UNIT)
-    with pytest.raises(TypeError):
-        max_eigenvalue(net, UNIT, 32)
+    quotient = stability._quotient
+    monkeypatch.setattr(stability, "_quotient", lambda A, B, v: quotient(A, B, v) + 0.5)
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    with pytest.raises(EigenSolveFailed):
+        max_eigenvalue(net, UNIT, 64)
 
 
 def test_mixed_signs_unstable_case():
@@ -278,8 +280,8 @@ def admissible_forks(draw):
 @given(admissible_forks())
 def test_spectrum_sign_shift_and_shooting_agree(fork):
     # Outside the near-zero and Marginal bands the sign of lambda_max is the
-    # criterion's verdict, lambda_max lies below the shift the shift-invert
-    # solve relies on, and the n = 200 elements agree with shooting.
+    # criterion's verdict, lambda_max lies below the upper end of the bracket
+    # the solve certifies, and the n = 200 elements agree with shooting.
     net, t = fork
     lam = max_eigenvalue(net, t, 200).lambda_max
     verdict = stability_criterion(net.lengths, net.h_star, t).verdict

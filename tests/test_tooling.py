@@ -1,6 +1,7 @@
 """Guards for files outside the package that depend on its names, and for
-the cost of the per-step diagnostics, the route of the per-step exit and the
-share of the stability pencil's assembly in a spectrum solve.
+the cost of the per-step diagnostics, the route of the per-step exit, the
+single route of the spectrum solve and the share of the stability pencil's
+assembly in it.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -131,6 +132,25 @@ def test_max_eigenvalue_assembles_once_through_module_global(disk_network, unit_
     monkeypatch.setattr(stability, "assemble_forms", counted)
     max_eigenvalue(disk_network, unit_tensions, 48)
     assert calls == [48]
+
+
+def test_max_eigenvalue_needs_no_arpack_or_dense_solver(disk_network, trefoil_network,
+                                                       unit_tensions, monkeypatch):
+    # The count-and-Schur route is the only one: with ARPACK and the dense
+    # generalized eigh unavailable, the solve returns the same lambda.
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    networks = (disk_network, trefoil_network)
+    expected = [max_eigenvalue(net, unit_tensions, 100).lambda_max for net in networks]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the spectrum solve called an ARPACK or dense eigensolver")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unavailable)
+    monkeypatch.setattr(scipy.linalg, "eigh", unavailable)
+    got = [max_eigenvalue(net, unit_tensions, 100).lambda_max for net in networks]
+    assert got == expected and got[0] > 0 > got[1]
 
 
 def test_assembly_is_a_small_share_of_the_solve(disk_network, unit_tensions):
