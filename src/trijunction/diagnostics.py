@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .domains import boundary_curvature
 from .errors import DegenerateCurve, NonPositiveSeries
@@ -92,6 +91,8 @@ def resample(points: np.ndarray) -> BranchSample:
     fields are computed on the original nodes, where the spacing varies
     smoothly, and transported by the same interpolation.
     """
+    from scipy.interpolate import PchipInterpolator  # loaded on first use, not with the package
+
     pts = np.asarray(points, dtype=float)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(seg < 1e-14):

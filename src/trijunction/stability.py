@@ -14,16 +14,19 @@ Linear elements with consistent mass in the constraint plane give a
 symmetric reduced pencil: three tridiagonal branch blocks bordered by the two
 plane coordinates.  lambda_max comes from that structure alone, by a Sturm
 count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
-Martin & Wilkinson 1967; Golub 1973).
+Martin & Wilkinson 1967; Golub 1973).  Each block has constant coefficients
+but for its wall row, so the Schur complement and the eigenfunction have
+closed forms in Chebyshev polynomials, and the root search runs on those.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from .errors import EigenSolveFailed, ZeroFunction
@@ -31,6 +34,9 @@ from .parameterization import StationaryNetwork, end_slope
 from .tensions import SurfaceTensions, constraint_basis
 
 _MARGINAL_BAND = 1e-10
+# A second eigenvalue this close (relative) to lambda_max makes it double:
+# the steady solve leaves the 3-fold symmetric forks split by about 1e-11.
+_DOUBLE_BAND = 1e-9
 
 
 @dataclass
@@ -103,30 +109,101 @@ def _lambda_upper_bound(network):
     return float(np.max(h / network.lengths + h**2)) + 1.0
 
 
-def _inertia(lam, forms, n, g, outer):
-    """(count, poles, low, c, x) at lam.  The branch blocks M_i of K + lam B
-    (gamma divided out) form one 3n tridiagonal with zero seams: dstebz counts
-    its negative eigenvalues, the branch poles above lam, and dgtsv solves for
-    x = M_i^-1 e_1.  S = sum_i g_i (e_i - o_i^2 (M_i^-1)_11) b_i b_i^T has lower
-    eigenvalue low with unit vector c, and by Sylvester's law of inertia
-    count = poles + #{negative eigenvalues of S} = #{eigenvalues above lam}."""
-    diag, last, off, end = forms[0] + lam * forms[1]
+def _regime(lam, kd, ko, md, mo, d, h):
+    """(|o|, |x| - 1, eta, sign), or None if o = 0, for the branch block
+    M = K + lam B (gamma divided out) with diagonal a = kd + lam md,
+    off-diagonal o = ko + lam mo and wall entry a/2 + h.  Its trailing m x m
+    determinants are |o|^m E_m with E_m = T_m(x) + eta U_{m-1}(x), x = a/(2|o|)
+    and eta = h/|o|.  The stiffness rows sum to zero, so a + 2o = lam d
+    exactly, and x - 1 keeps its digits near lam = 0.  For x < 0 the block is
+    read at -x with -eta and sign -1, as T_m(-x) = (-1)^m T_m(x) and
+    U_m(-x) = (-1)^m U_m(x)."""
+    a, o = kd + lam * md, ko + lam * mo
+    if o == 0.0:
+        return None
+    r = abs(o)
+    below, above = (lam * d, a - 2.0 * o) if o < 0 else (a - 2.0 * o, lam * d)  # a -/+ 2|o|
+    if a < 0:
+        return r, -above / (2.0 * r), -h / r, -1.0
+    return r, below / (2.0 * r), h / r, 1.0
+
+
+def _weight(lam, n, kd, ko, md, mo, d, h):
+    """w = e - o^2 (M^-1)_11 of one branch block in closed form.  As
+    (M^-1)_11 = E_{n-1}/(|o| E_n) and the junction entry e is a/2,
+    w = |o| ((x^2 - 1) U_{n-1}(x) + eta T_n(x)) / (T_n(x) + eta U_{n-1}(x))
+    without the cancellation of e against o^2 (M^-1)_11; at x = cosh t both
+    are divided by cosh(n t), so nothing overflows.  At a branch pole
+    (E_n = 0) w is -inf, its limit from above."""
+    reg = _regime(lam, kd, ko, md, mo, d, h)
+    if reg is None:
+        return 0.5 * (kd + lam * md)
+    r, eps, eta, sign = reg
+    if eps >= 0.0:  # x = cosh t, divided by T_n = cosh(n t)
+        s = math.sqrt(eps) * math.sqrt(2.0 + eps)  # sinh t
+        th = math.tanh(2.0 * n * math.asinh(math.sqrt(0.5 * eps)))
+        num, den = s * th + eta, 1.0 + eta * (th / s if s else n)
+    else:  # x = cos theta
+        sn = math.sqrt(-eps) * math.sqrt(2.0 + eps)
+        nth = 2.0 * n * math.asin(math.sqrt(-0.5 * eps))
+        cn, sin_n = math.cos(nth), math.sin(nth)
+        num, den = eta * cn - sn * sin_n, cn + eta * sin_n / sn
+    return sign * r * num / den if den else -math.inf
+
+
+def _profile(lam, n, kd, ko, md, mo, d, h):
+    """phi_k / phi(0) = (-o/|o|)^k E_{n-k}/E_n, k = 0..n: the continuation of
+    the junction value into the branch that solves its block, with E_m scaled
+    by e^{-m t} for x = cosh t so that nothing overflows."""
+    reg = _regime(lam, kd, ko, md, mo, d, h)
+    if reg is None:
+        return np.r_[1.0, np.zeros(n)]
+    _, eps, eta, sign = reg
+    m = np.arange(n, -1.0, -1.0)
+    if eps >= 0.0:
+        s, t = math.sqrt(eps) * math.sqrt(2.0 + eps), 2.0 * math.asinh(math.sqrt(0.5 * eps))
+        u = -np.expm1(-2.0 * t * m) / (2.0 * s) if s else m  # e^{-m t} U_{m-1}
+        E = (0.5 + 0.5 * np.exp(-2.0 * t * m) + eta * u) * np.exp(t * (m - n))
+    else:
+        theta = 2.0 * math.asin(math.sqrt(-0.5 * eps))
+        E = np.cos(theta * m) + eta * np.sin(theta * m) / (math.sqrt(-eps) * math.sqrt(2.0 + eps))
+    if (ko + lam * mo > 0) != (sign < 0):
+        E[1::2] *= -1.0
+    return E / E[0]
+
+
+def _branch_scalars(network, tensions, n, forms, b):
+    """Per branch (kd, ko, md, mo, d, h) for _weight and _profile, and the
+    rows g b_0 b_0, g b_0 b_1, g b_1 b_1 that weight S's entries, as floats."""
+    branches = np.column_stack([forms[0, 0], forms[0, 2], forms[1, 0], forms[1, 2],
+                                network.lengths / n, network.h_star]).tolist()
+    return branches, (tensions.array * b[[0, 0, 1]] * b[[0, 1, 1]]).tolist()
+
+
+def _lower(lam, n, branches, weights):
+    """(low, p, q, r): S = sum_i g_i w_i b_i b_i^T = [[p, q], [q, r]] and its
+    lower eigenvalue; at a branch pole low is -inf and p, q, r are nan."""
+    w = [_weight(lam, n, *branch) for branch in branches]
+    if -math.inf in w:
+        return -math.inf, math.nan, math.nan, math.nan
+    p, q, r = (w[0] * c[0] + w[1] * c[1] + w[2] * c[2] for c in weights)
+    return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q), p, q, r
+
+
+def _inertia(lam, forms, n, branches, weights):
+    """(above, poles) at lam.  The branch blocks of K + lam B form one 3n
+    tridiagonal with zero seams, and one LAPACK dstebz count of its negative
+    eigenvalues gives the branch poles above lam.  By Sylvester's law of
+    inertia #{eigenvalues above lam} = poles + #{negative eigenvalues of S},
+    so one lies above lam when there is a pole or S's lower eigenvalue is
+    negative."""
+    diag, last, off, _ = forms[0] + lam * forms[1]
     d = np.repeat(diag, n)
     d[n - 1::n] = last
     e = np.repeat(off, n)
     e[n - 1::n] = 0.0
     poles = dstebz(d, e[:-1], 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0]
-    rhs = np.zeros((3 * n, 1))
-    rhs[::n] = 1.0
-    *_, x, info = dgtsv(e[:-1], d, e[:-1], rhs)
-    if info:
-        raise EigenSolveFailed(f"branch solve failed at lambda = {lam} (dgtsv info {info})")
-    (p, q), (_, r) = outer @ (g * (end - off**2 * x[::n, 0]))
-    rad = np.hypot(0.5 * (p - r), q)
-    low = 0.5 * (p + r) - rad
-    theta = 0.5 * np.arctan2(q, 0.5 * (p - r))  # (cos, sin) spans the upper eigenvector
-    c = np.array([-np.sin(theta), np.cos(theta)])
-    return poles + (low < 0) + (low + 2.0 * rad < 0), poles, low, c, x[:, 0]
+    return poles > 0 or _lower(lam, n, branches, weights)[0] < 0, poles
 
 
 def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
@@ -135,42 +212,52 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
 
     _inertia's count certifies the bracket from the Rayleigh quotient of the
     branchwise constant b_0, minus 1, to _lambda_upper_bound; bisection on it
-    clears the bracket of branch poles, and brentq finds the root of S's lower
-    eigenvalue.  The eigenfunction has unit consistent-mass norm and the sign
-    of its largest |phi|.  A failed bracket or Rayleigh check raises
-    EigenSolveFailed.
+    clears the bracket of branch poles, and brentq finds lambda_max as the
+    root of the lower eigenvalue of the closed-form S, which does not cancel
+    in e - o^2 (M^-1)_11.  S's null vector continues into the branches by
+    _profile.  When lambda_max is double (within _DOUBLE_BAND), S vanishes on
+    the plane and its null vector would be rounding, so b_0 is taken.  The
+    eigenfunction has unit consistent-mass norm and the sign of its largest
+    |phi|.  A failed bracket, or a Rayleigh quotient of the eigenfunction
+    more than 1e-6 off lambda_max, raises EigenSolveFailed.
     """
     n = int(n_per_branch)
     A_red, B_red = assemble_forms(network, tensions, n)
     b = constraint_basis(tensions)
     forms = _branch_forms(network, n)
-    outer = b[:, None, :] * b[None, :, :]  # [r, c, i] = b_ri b_ci, symmetric in r, c
+    branches, weights = _branch_scalars(network, tensions, n, forms, b)
 
     def inertia(lam):
-        return _inertia(lam, forms, n, tensions.array, outer)
+        return _inertia(lam, forms, n, branches, weights)
 
     v0 = np.concatenate([(1.0, 0.0), np.repeat(b[0], n)])
     lo, hi = _quotient(A_red, B_red, v0) - 1.0, _lambda_upper_bound(network)
-    (count, poles, *_), (count_hi, *_) = inertia(lo), inertia(hi)
-    if count == 0 or count_hi > 0:
+    (above, poles), (above_hi, _) = inertia(lo), inertia(hi)
+    if not above or above_hi:
         raise EigenSolveFailed(f"[{lo}, {hi}] does not bracket the top eigenvalue")
-    while poles:  # bisect on the count until no branch pole is left in (lo, hi)
+    while poles:  # bisect on the count until no branch pole is left in (lo, hi]
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise EigenSolveFailed(f"the top eigenvalue meets a branch pole at {mid}")
-        count, mid_poles, *_ = inertia(mid)
-        lo, hi, poles = (mid, hi, mid_poles) if count else (lo, mid, poles)
-    lam = brentq(lambda t: inertia(t)[2], lo, hi, xtol=1e-13)
-    *_, c, x = inertia(lam)
-    # S's null vector gives the junction values; branch i continues as -o_i phi_i(0) M_i^-1 e_1
-    phi0 = (b[0] * c[0] + b[1] * c[1])[:, None]
-    phi = np.hstack([phi0, -(forms[0, 2] + lam * forms[1, 2])[:, None] * phi0 * x.reshape(3, n)])
+        above, mid_poles = inertia(mid)
+        lo, hi, poles = (mid, hi, mid_poles) if above else (lo, mid, poles)
+    lam = brentq(lambda t: _lower(t, n, branches, weights)[0], lo, hi, xtol=1e-13)
+    _, p, q, r = _lower(lam, n, branches, weights)
+    theta = 0.5 * math.atan2(q, 0.5 * (p - r))  # (cos, sin) spans the upper eigenvector
+    c = (-math.sin(theta), math.cos(theta))
+    below = lam - _DOUBLE_BAND * max(1.0, abs(lam))
+    if below > lo:  # no pole in [below, lam], so two eigenvalues there make S negative definite
+        low, p, q, r = _lower(below, n, branches, weights)
+        if p + r - low < 0:
+            c = (1.0, 0.0)
+    profiles = np.array([_profile(lam, n, *branch) for branch in branches])
+    phi = (b[0] * c[0] + b[1] * c[1])[:, None] * profiles
     vec = np.concatenate([c, phi[:, 1:]], axis=None)
     rayleigh = _quotient(A_red, B_red, vec)
     if not abs(rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
         raise EigenSolveFailed(f"Rayleigh quotient {rayleigh} disagrees with lambda = {lam}")
     phi *= np.sign(phi.flat[np.argmax(np.abs(phi))]) / np.sqrt(vec @ (B_red @ vec))
-    return SpectrumResult(lambda_max=float(lam), eigenfunction=phi, rayleigh=rayleigh, n=n)
+    return SpectrumResult(lambda_max=lam, eigenfunction=phi, rayleigh=rayleigh, n=n)
 
 
 def _quotient(A, B, v):

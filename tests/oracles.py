@@ -201,35 +201,64 @@ def arpack_max_eigenvalue(network, tensions, n):
     return float(eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
 
 
-def pivot_lambda_max_mp(network, tensions, n, guess, dps=40, width=1e-6):
-    """lambda_max of the reduced pencil in dps-digit arithmetic, as the root
-    near guess of the lower eigenvalue of the junction Schur complement
-    S = sum_i g_i (e_i - o_i^2 / p_1i) b_i b_i^T, with the backward pivots
-    p_n = c, p_k = a - o^2 / p_(k+1) of each branch block of K + lambda B
-    (gamma divided out).  The root must lie within width of guess."""
+def pivot_schur_lower(network, tensions, n, lam):
+    """Lower eigenvalue of the junction Schur complement
+    S = sum_i g_i (e_i - o_i^2 (M_i^-1)_11) b_i b_i^T at lam, with the columns
+    M_i^-1 e_1 of the branch blocks of K + lam B (gamma divided out) from one
+    LAPACK dgtsv solve of the 3n tridiagonal with zero seams."""
+    from scipy.linalg.lapack import dgtsv
+
+    from trijunction.stability import _branch_forms
+
+    forms = _branch_forms(network, n)
+    diag, last, off, end = forms[0] + lam * forms[1]
+    d = np.repeat(diag, n)
+    d[n - 1::n] = last
+    e = np.repeat(off, n)
+    e[n - 1::n] = 0.0
+    rhs = np.zeros((3 * n, 1))
+    rhs[::n] = 1.0
+    *_, x, info = dgtsv(e[:-1], d, e[:-1], rhs)
+    assert info == 0, info
+    b = constraint_basis(tensions)
+    S = (b * (tensions.array * (end - off**2 * x[::n, 0]))) @ b.T
+    return float(np.linalg.eigvalsh(S)[0])
+
+
+def pivot_schur_lower_mp(network, tensions, n, lam, dps=40):
+    """Lower eigenvalue of the junction Schur complement at lam in
+    dps-digit arithmetic: S = sum_i g_i (e_i - o_i^2 / p_1i) b_i b_i^T, with
+    the backward pivots p_n = c, p_k = a - o^2 / p_(k+1) of each branch block
+    of K + lam B (gamma divided out)."""
     import mpmath
 
     mp = mpmath.mp.clone()
     mp.dps = dps
-    g = [mp.mpf(x) for x in tensions.array]
+    lam = mp.mpf(lam)
     b = [[mp.mpf(x) for x in row] for row in constraint_basis(tensions)]
-    lengths = [mp.mpf(x) for x in network.lengths]
-    h = [mp.mpf(x) for x in network.h_star]
+    w = []
+    for g, l, h in zip(tensions.array, network.lengths, network.h_star):
+        d = mp.mpf(l) / n
+        a, o = 2 / d + lam * 4 * d / 6, -1 / d + lam * d / 6
+        p = 1 / d + mp.mpf(h) + lam * 2 * d / 6
+        for _ in range(n - 1):
+            p = a - o**2 / p
+        w.append(mp.mpf(g) * (1 / d + lam * 2 * d / 6 - o**2 / p))
+    s = [[sum(w[i] * b[r][i] * b[c][i] for i in range(3)) for c in (0, 1)] for r in (0, 1)]
+    return (s[0][0] + s[1][1]) / 2 - mp.sqrt(((s[0][0] - s[1][1]) / 2) ** 2 + s[0][1] ** 2)
 
-    def lower(lam):
-        w = []
-        for i in range(3):
-            d = lengths[i] / n
-            a, o = 2 / d + lam * 4 * d / 6, -1 / d + lam * d / 6
-            p = 1 / d + h[i] + lam * 2 * d / 6
-            for _ in range(n - 1):
-                p = a - o**2 / p
-            w.append(g[i] * (1 / d + lam * 2 * d / 6 - o**2 / p))
-        s = [[sum(w[i] * b[r][i] * b[c][i] for i in range(3)) for c in (0, 1)] for r in (0, 1)]
-        return (s[0][0] + s[1][1]) / 2 - mp.sqrt(((s[0][0] - s[1][1]) / 2) ** 2 + s[0][1] ** 2)
 
+def pivot_lambda_max_mp(network, tensions, n, guess, dps=40, width=1e-6):
+    """lambda_max of the reduced pencil in dps-digit arithmetic, as the root
+    near guess of pivot_schur_lower_mp.  The root must lie within width of
+    guess."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
     guess = mp.mpf(guess)
-    return mp.findroot(lower, (guess - width, guess + width), solver="anderson")
+    return mp.findroot(lambda lam: mp.mpf(pivot_schur_lower_mp(network, tensions, n, lam, dps)),
+                       (guess - width, guess + width), solver="anderson")
 
 
 def robin_neumann_root(h, l=1.0, positive=False):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trijunction.errors import EigenSolveFailed, ZeroFunction
+from trijunction import stability
 from trijunction.stability import (
     _lambda_upper_bound,
     assemble_forms,
@@ -19,6 +20,8 @@ from oracles import (
     full_space_forms,
     null_space_pencil,
     pivot_lambda_max_mp,
+    pivot_schur_lower,
+    pivot_schur_lower_mp,
     robin_neumann_root,
     shooting_lambda_max,
 )
@@ -147,6 +150,17 @@ def test_matches_forty_digit_pivot_recurrence():
         assert abs(lam - float(pivot_lambda_max_mp(net, t, 400, lam))) < 1e-10
 
 
+def test_root_within_1e14_of_forty_digit_pivot_recurrence():
+    # The closed form of S does not cancel in e - o^2 (M^-1)_11, so its root
+    # is the more accurate lambda: 1.4e-15 off at worst here, where the
+    # Rayleigh quotient of the eigenfunction carries the rounding of its
+    # sums (up to 5.5e-14) and the pivot route's root was up to 9.4e-12 off.
+    for net, t in _spectrum_batch(1, 4):
+        lam = max_eigenvalue(net, t, 400).lambda_max
+        err = abs(lam - float(pivot_lambda_max_mp(net, t, 400, lam)))
+        assert err < 1e-14
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_matches_dense_eigh_on_small_grids(n):
     import scipy.linalg
@@ -155,6 +169,131 @@ def test_matches_dense_eigh_on_small_grids(n):
         A, B = null_space_pencil(net, t, n)
         ref = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1]
         assert abs(max_eigenvalue(net, t, n).lambda_max - ref) < 1e-12
+
+
+def _closed_lower(net, t, n, lam):
+    """S's lower eigenvalue at lam by the closed form of the solve."""
+    branches, weights = stability._branch_scalars(net, t, n, stability._branch_forms(net, n),
+                                                  constraint_basis(t))
+    return stability._lower(lam, n, branches, weights)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 48, 400])
+def test_closed_form_schur_matches_pivot_solves(n):
+    # lam spans both sides of 0, |lam| <= 1e-12, and lam < -12/d^2 (x < -1 on
+    # every branch, reached for n <= 3 inside the solve's bracket) and
+    # lam > 6/d^2 (o > 0).  The dgtsv route cancels in e - o^2 (M^-1)_11, so
+    # the bound scales with the junction entries.  Near a branch pole both
+    # routes' rounding grows, and there the closed form is held to 1e-11
+    # relative to the 40-digit pivots (the pivot route is 1e-10 off at
+    # lam = -0.7, n = 400; the closed form at worst 1.3e-12, at lam < -12/d^2).
+    zero_h = synthetic_network((1.3, 0.8, 1.1), (0.0, 0.0, 0.0), UNIT)
+    regimes = set()
+    for net, t in list(_spectrum_batch(3, 6)) + [(zero_h, UNIT)]:
+        forms = stability._branch_forms(net, n)
+        scale = float(t.array @ forms[0, 3])
+        d = net.lengths / n
+        for lam in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12, -0.7, 0.4, 2.0,
+                    -24.0 / d.min() ** 2, -13.0 / d.max() ** 2, 7.0 / d.min() ** 2):
+            ref = pivot_schur_lower(net, t, n, lam)
+            got = _closed_lower(net, t, n, lam)
+            if abs(got - ref) > 1e-13 * scale:
+                exact = float(pivot_schur_lower_mp(net, t, n, lam))
+                assert abs(got - exact) <= 1e-11 * abs(exact), (lam, got, ref, exact)
+            a, o = forms[0, 0] + lam * forms[1, 0], forms[0, 2] + lam * forms[1, 2]
+            regimes |= {"x < -1" if x < -1 else "x > 1" if x > 1 else "|x| <= 1"
+                        for x in a / (2.0 * np.abs(o))}
+            regimes |= {"o > 0"} if np.any(o > 0) else set()
+    assert regimes == {"x < -1", "|x| <= 1", "x > 1", "o > 0"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_closed_form_schur_reads_a_decoupled_block(n):
+    # At lam = 6/d^2 the off-diagonal -1/d + lam d/6 is exactly 0 here: the
+    # block decouples from the junction and w = e.
+    net = synthetic_network((1.0, 1.0, 1.0), (0.5, 1.0, -0.3), UNIT)
+    lam = 6.0 * n**2
+    forms = stability._branch_forms(net, n)
+    assert np.all(forms[0, 2] + lam * forms[1, 2] == 0.0)
+    assert _closed_lower(net, UNIT, n, lam) == pytest.approx(
+        pivot_schur_lower(net, UNIT, n, lam), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [48, 400])
+def test_closed_form_schur_keeps_its_digits_near_zero(n):
+    # On the h = 0 fork S vanishes at lam = 0 and is about lam l there; x - 1
+    # taken from a + 2o = lam d keeps its relative digits, where the pivot
+    # route (and x - 1 by subtraction) leaves only rounding noise.
+    net = synthetic_network((1.3, 0.8, 1.1), (0.0, 0.0, 0.0), UNIT)
+    for lam in (-1e-12, -1e-13, 1e-13, 1e-12):
+        ref = float(pivot_schur_lower_mp(net, UNIT, n, lam))
+        assert abs(_closed_lower(net, UNIT, n, lam) - ref) <= 1e-12 * abs(ref), lam
+
+
+@pytest.mark.parametrize("n", [400, 800])
+def test_symmetric_disk_fork_solves_from_its_zero_pole(n, monkeypatch):
+    # l = 1 and h = -1 on every branch: 1 + h l = 0, so every branch block is
+    # singular at lam = 0 and E_n = 0 there in floating point.  The quotient
+    # of the branchwise constant is 1 exactly, which puts the bracket's lower
+    # end on that pole; S's lower eigenvalue must read its limit from above.
+    net = synthetic_network((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), UNIT)
+    expected = max_eigenvalue(net, UNIT, n).lambda_max
+    assert _closed_lower(net, UNIT, n, 0.0) == -np.inf
+    quotient, inertia, ends = stability._quotient, stability._inertia, []
+
+    def exact_first_quotient(A, B, v):
+        return 1.0 if not ends else quotient(A, B, v)
+
+    def recorded(lam, *args):
+        ends.append(lam)
+        return inertia(lam, *args)
+
+    monkeypatch.setattr(stability, "_quotient", exact_first_quotient)
+    monkeypatch.setattr(stability, "_inertia", recorded)
+    lam = max_eigenvalue(net, UNIT, n).lambda_max
+    assert ends[0] == 0.0
+    assert abs(lam - expected) < 1e-12
+    assert abs(lam - robin_neumann_root(-1.0, positive=True)) < 3e-6
+
+
+@pytest.mark.parametrize("g, l, h, regime", [
+    ((1.7, 1.7, 1.3), (1.0, 0.35, 1.27), (9.3, -3.4, -3.3), "o > 0"),
+    ((2.0, 1.5, 0.85), (1.4, 2.9, 2.7), (24.5, 8.7, 12.3), "x < 0"),
+    ((1.34, 0.85, 0.74), (1.8, 0.23, 0.28), (7.0, 15.5, 27.5), "x < -1"),
+])
+def test_eigenfunction_is_the_dense_eigenvector_in_every_regime(g, l, h, regime):
+    # At n = 1 these forks put a branch block's x = a/(2|o|) below 0 or -1,
+    # or its off-diagonal o above 0, at lambda_max, where the continuation
+    # alternates in sign.
+    import scipy.linalg
+
+    t = SurfaceTensions(g)
+    net = synthetic_network(l, h, t)
+    res = max_eigenvalue(net, t, 1)
+    forms = stability._branch_forms(net, 1)
+    a, o = forms[0, 0] + res.lambda_max * forms[1, 0], forms[0, 2] + res.lambda_max * forms[1, 2]
+    reached = {"o > 0": o > 0, "x < 0": a < 0, "x < -1": a < -2.0 * np.abs(o)}[regime]
+    assert np.any(reached)
+    A, B = null_space_pencil(net, t, 1)
+    vals, vecs = scipy.linalg.eigh(A.toarray(), B.toarray())
+    assert abs(res.lambda_max - vals[-1]) < 1e-12 * max(1.0, abs(vals[-1]))
+    v = np.concatenate([constraint_basis(t) @ res.eigenfunction[:, 0], res.eigenfunction[:, 1]])
+    ref = vecs[:, -1]
+    assert abs(abs(v @ (B @ ref)) - 1.0) < 1e-12  # both have unit B-norm
+
+
+@pytest.mark.parametrize("fork", ["disk", "trefoil"])
+def test_double_lambda_returns_the_b0_member_of_its_eigenspace(fork, request):
+    # On the 3-fold symmetric forks lambda_max is double: the steady solve
+    # splits it by about 2e-11 on the disk and under 1e-12 on the trefoil.
+    # S then vanishes on the plane at the root, and its lower eigenvector
+    # would be set by that residual; the solve returns the member whose
+    # junction values lie along b_0.
+    net = request.getfixturevalue(f"{fork}_network")
+    res = max_eigenvalue(net, UNIT, 200)
+    c = constraint_basis(UNIT) @ res.eigenfunction[:, 0]
+    assert abs(c[1]) < 1e-12 * abs(c[0])
+    assert abs(res.rayleigh - res.lambda_max) < 1e-9
 
 
 def test_upper_bound_below_lambda_raises_typed_error(monkeypatch):
