@@ -365,16 +365,14 @@ def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
     return np.array([g12, g13, outer[0], outer[1], outer[2]])
 
 
-def state_from_rho(network, tensions, rho, t: float = 0.0,
-                   project: bool = True) -> GraphState:
+def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:
     """Bundle nodal values into a GraphState with mu slaved to rho(0).
 
-    With project=True the junction triple is first projected onto the
-    plane sum_i gamma^i rho^i(0) = 0 of constraint_basis b: rho(0) <- (b rho(0)) b.
+    The junction triple is first projected onto the plane
+    sum_i gamma^i rho^i(0) = 0 of constraint_basis b: rho(0) <- (b rho(0)) b.
     """
     rho = np.array(rho, dtype=float)
-    if project:
-        b = constraint_basis(tensions)
-        rho[:, 0] = (b @ rho[:, 0]) @ b
+    b = constraint_basis(tensions)
+    rho[:, 0] = (b @ rho[:, 0]) @ b
     q = junction_matrix(young_angles(tensions)).q
     return GraphState(rho=rho, mu=q @ rho[:, 0], t=t)

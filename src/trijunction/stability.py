@@ -17,6 +17,9 @@ count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
 Martin & Wilkinson 1967; Golub 1973).  Each block has constant coefficients
 but for its wall row, so the Schur complement and the eigenfunction have
 closed forms in Chebyshev polynomials, and the root search runs on those.
+The pencil is never assembled: the solve reads the per-branch element forms
+of assemble_forms, and norms and Rayleigh quotients are sums over the nodal
+values of each branch.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from .errors import EigenSolveFailed, ZeroFunction
-from .parameterization import StationaryNetwork, end_slope
+from .parameterization import StationaryNetwork
 from .tensions import SurfaceTensions, constraint_basis
 
 _MARGINAL_BAND = 1e-10
@@ -54,53 +56,37 @@ class StabilityVerdict:
     criterion_value: float | None
 
 
-def _branch_forms(network, n):
-    """(2, 4, 3): per branch the (diagonal, last diagonal, off-diagonal,
-    junction diagonal) of the stiffness with the Robin term, then of the
-    consistent mass, of linear elements; gamma divided out."""
-    d = network.lengths / n
-    return np.array([(2.0 / d, 1.0 / d + network.h_star, -1.0 / d, 1.0 / d),
-                     (4.0 * d / 6.0, 2.0 * d / 6.0, d / 6.0, 2.0 * d / 6.0)])
-
-
 def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
                    n_per_branch: int):
-    """Reduced pencil (A, B) = (-Z^T K Z, Z^T B Z) in CSC, built directly, in
-    the coordinates b phi(0) (rows b_0, b_1 of constraint_basis), then nodes
-    1..n of branches 0, 1 and 2; K and B are the gamma-scaled _branch_forms.
-    Every entry is the float of the null-space product: the tridiagonal
-    values, b_ai off_i coupling a branch's first node, and the junction block
-    sum_i (b_ai end_i) b_bi in branch order; exact zeros are dropped."""
-    n = int(n_per_branch)
-    b = constraint_basis(tensions)
-    diag, last, off, end = np.swapaxes(tensions.array * _branch_forms(network, n), 0, 1)
-    dim = 3 * n + 2
-    first = 2 + n * np.arange(3)
-    # Each column holds five slots in ascending row order: the two junction
-    # coordinates, then (sub, diagonal, super) for a node column or the three
-    # branches' first nodes for a junction column.  Absent slots hold zeros,
-    # and eliminate_zeros drops them with the exact zeros.
-    rows = np.arange(dim, dtype=np.int32)[:, None] + np.array([0, 0, -1, 0, 1], dtype=np.int32)
-    rows[:, :2] = (0, 1)
-    rows[:2, 2:] = first
-    rows[-1, 4] = 0
-    vals = np.zeros((2, dim, 5))  # [form, column, slot]
-    terms = (b[:, None, :] * end[:, None, None, :]) * b[None, :, :]  # (b_ri end_i) b_ci
-    vals[:, :2, :2] = np.swapaxes(terms[..., 0] + terms[..., 1] + terms[..., 2], 1, 2)
-    coupling = b * off[:, None, :]  # [form, r, i]: coordinate r, first node of branch i
-    vals[:, :2, 2:] = coupling
-    vals[:, first, :2] = np.swapaxes(coupling, 1, 2)
-    diagonal = np.repeat(diag, n, axis=1).reshape(2, 3, n)
-    diagonal[..., -1] = last
-    vals[:, 2:, 3] = diagonal.reshape(2, 3 * n)
-    vals[:, 2:, 2] = vals[:, 2:, 4] = np.repeat(off, n, axis=1)
-    vals[:, first, 2] = vals[:, first + n - 1, 4] = 0.0
-    indptr = np.arange(0, 5 * dim + 1, 5, dtype=np.int32)
-    A, B = (sp.csc_matrix((v.ravel(), rows.ravel(), indptr), shape=(dim, dim), copy=True)
-            for v in (-vals[0], vals[1]))
-    A.eliminate_zeros()  # in place, hence the copies of the shared rows and indptr
-    B.eliminate_zeros()
-    return A, B
+    """(forms, b): forms (2, 4, 3) holds per branch the (diagonal, last
+    diagonal, off-diagonal, junction diagonal) of the stiffness with the Robin
+    term, then of the consistent mass, of linear elements, gamma divided out;
+    b is constraint_basis(tensions), the plane coordinates of phi(0)."""
+    d = network.lengths / int(n_per_branch)
+    forms = np.array([(2.0 / d, 1.0 / d + network.h_star, -1.0 / d, 1.0 / d),
+                      (4.0 * d / 6.0, 2.0 * d / 6.0, d / 6.0, 2.0 * d / 6.0)])
+    return forms, constraint_basis(tensions)
+
+
+def _pencil_values(network, g, phi):
+    """(I[phi,phi], ||phi||^2) of nodal values phi (3, n+1) under the linear
+    elements: per branch sum (phi_{k+1} - phi_k)^2 / d + h phi_n^2 and the
+    consistent mass (d/3) sum (phi_k^2 + phi_k phi_{k+1} + phi_{k+1}^2),
+    weighted by g.  The differences keep the stiffness free of the
+    cancellation of 2/d sum phi^2 against 2/d sum phi_k phi_{k+1}."""
+    d = network.lengths / (phi.shape[1] - 1)
+    left, right = phi[:, :-1], phi[:, 1:]
+    stiffness = np.sum((right - left) ** 2, axis=1) / d + network.h_star * phi[:, -1] ** 2
+    mass = d / 3.0 * np.sum(left * left + left * right + right * right, axis=1)
+    return float(g @ stiffness), float(g @ mass)
+
+
+def _quotient(network, g, phi):
+    """I[phi,phi] / ||phi||^2 of nodal values phi."""
+    form, mass = _pencil_values(network, g, phi)
+    if mass < 1e-300:
+        raise ZeroFunction("Rayleigh quotient of the zero function")
+    return form / mass
 
 
 def _lambda_upper_bound(network):
@@ -211,27 +197,28 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     """Largest eigenvalue of the constrained pencil -K phi = lambda B phi.
 
     _inertia's count certifies the bracket from the Rayleigh quotient of the
-    branchwise constant b_0, minus 1, to _lambda_upper_bound; bisection on it
-    clears the bracket of branch poles, and brentq finds lambda_max as the
-    root of the lower eigenvalue of the closed-form S, which does not cancel
-    in e - o^2 (M^-1)_11.  S's null vector continues into the branches by
-    _profile.  When lambda_max is double (within _DOUBLE_BAND), S vanishes on
-    the plane and its null vector would be rounding, so b_0 is taken.  The
-    eigenfunction has unit consistent-mass norm and the sign of its largest
-    |phi|.  A failed bracket, or a Rayleigh quotient of the eigenfunction
-    more than 1e-6 off lambda_max, raises EigenSolveFailed.
+    branchwise constant b_0, -sum g h b_0^2 / sum g l b_0^2, minus 1, to
+    _lambda_upper_bound; bisection on it clears the bracket of branch poles,
+    and brentq finds lambda_max as the root of the lower eigenvalue of the
+    closed-form S, which does not cancel in e - o^2 (M^-1)_11.  S's null
+    vector continues into the branches by _profile.  When lambda_max is
+    double (within _DOUBLE_BAND), S vanishes on the plane and its null vector
+    would be rounding, so b_0 is taken.  The eigenfunction has unit
+    consistent-mass norm and the sign of its largest |phi|; its norm and
+    Rayleigh quotient are read from its nodal values by _pencil_values.  A
+    failed bracket, or a Rayleigh quotient of the eigenfunction more than
+    1e-6 off lambda_max, raises EigenSolveFailed.
     """
     n = int(n_per_branch)
-    A_red, B_red = assemble_forms(network, tensions, n)
-    b = constraint_basis(tensions)
-    forms = _branch_forms(network, n)
+    forms, b = assemble_forms(network, tensions, n)
     branches, weights = _branch_scalars(network, tensions, n, forms, b)
 
     def inertia(lam):
         return _inertia(lam, forms, n, branches, weights)
 
-    v0 = np.concatenate([(1.0, 0.0), np.repeat(b[0], n)])
-    lo, hi = _quotient(A_red, B_red, v0) - 1.0, _lambda_upper_bound(network)
+    w0 = tensions.array * b[0] ** 2
+    lo = -float(w0 @ network.h_star) / float(w0 @ network.lengths) - 1.0
+    hi = _lambda_upper_bound(network)
     (above, poles), (above_hi, _) = inertia(lo), inertia(hi)
     if not above or above_hi:
         raise EigenSolveFailed(f"[{lo}, {hi}] does not bracket the top eigenvalue")
@@ -252,31 +239,22 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
             c = (1.0, 0.0)
     profiles = np.array([_profile(lam, n, *branch) for branch in branches])
     phi = (b[0] * c[0] + b[1] * c[1])[:, None] * profiles
-    vec = np.concatenate([c, phi[:, 1:]], axis=None)
-    rayleigh = _quotient(A_red, B_red, vec)
+    rayleigh = -_quotient(network, tensions.array, phi)
     if not abs(rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
         raise EigenSolveFailed(f"Rayleigh quotient {rayleigh} disagrees with lambda = {lam}")
-    phi *= np.sign(phi.flat[np.argmax(np.abs(phi))]) / np.sqrt(vec @ (B_red @ vec))
+    mass = _pencil_values(network, tensions.array, phi)[1]
+    phi *= np.sign(phi.flat[np.argmax(np.abs(phi))]) / np.sqrt(mass)
     return SpectrumResult(lambda_max=lam, eigenfunction=phi, rayleigh=rayleigh, n=n)
-
-
-def _quotient(A, B, v):
-    """(v A v) / (v B v), the Rayleigh quotient of the reduced pencil."""
-    den = v @ (B @ v)
-    if den < 1e-300:
-        raise ZeroFunction("Rayleigh quotient of the zero function")
-    return float((v @ (A @ v)) / den)
 
 
 def rayleigh_quotient(network: StationaryNetwork, tensions: SurfaceTensions,
                       phi: np.ndarray) -> float:
-    """I[phi,phi] / ||phi||^2 for nodal values phi in the constraint plane,
-    read from the reduced pencil at phi's coordinates (b phi(0), phi(1..n))."""
-    phi = np.asarray(phi, dtype=float)
-    n = phi.shape[1] - 1
-    A, B = assemble_forms(network, tensions, n)
-    v = np.concatenate([constraint_basis(tensions) @ phi[:, 0], phi[:, 1:].ravel()])
-    return -_quotient(A, B, v)
+    """I[phi,phi] / ||phi||^2 for nodal values phi, with phi(0) first
+    projected onto the constraint plane as (b phi(0)) b."""
+    phi = np.array(phi, dtype=float)
+    b = constraint_basis(tensions)
+    phi[:, 0] = (b @ phi[:, 0]) @ b
+    return _quotient(network, tensions.array, phi)
 
 
 def stability_criterion(lengths, h_star, tensions: SurfaceTensions) -> StabilityVerdict:
@@ -308,10 +286,3 @@ def stability_criterion(lengths, h_star, tensions: SurfaceTensions) -> Stability
     if expr < -_MARGINAL_BAND:
         return StabilityVerdict("Unstable", "expression", expr)
     return StabilityVerdict("Marginal", "expression", expr)
-
-
-def junction_slopes(network: StationaryNetwork, phi: np.ndarray) -> np.ndarray:
-    """One-sided slopes of nodal data at sigma = 0, one per branch."""
-    phi = np.asarray(phi, dtype=float)
-    two_d = 2.0 * network.lengths / (phi.shape[1] - 1)
-    return end_slope(phi[:, 0], phi[:, 1], phi[:, 2], two_d)

@@ -179,16 +179,16 @@ def null_space_pencil(network, tensions, n):
 
 
 def arpack_max_eigenvalue(network, tensions, n):
-    """lambda_max of the assembled reduced pencil by ARPACK shift-invert
-    around the package's upper bound (k = 2 for double top eigenvalues, a
+    """lambda_max of null_space_pencil by ARPACK shift-invert around the
+    package's upper bound (k = 2 for double top eigenvalues, a
     seeded start vector), with a dense generalized eigh when ARPACK fails
     or disagrees with its Rayleigh quotient."""
     from scipy.linalg import eigh
     from scipy.sparse.linalg import eigsh
 
-    from trijunction.stability import _lambda_upper_bound, assemble_forms
+    from trijunction.stability import _lambda_upper_bound
 
-    A, B = assemble_forms(network, tensions, n)
+    A, B = null_space_pencil(network, tensions, n)
     v0 = np.random.default_rng(1234).standard_normal(A.shape[0])
     try:
         vals, vecs = eigsh(A, k=2, M=B, sigma=_lambda_upper_bound(network), which="LM", v0=v0)
@@ -208,9 +208,9 @@ def pivot_schur_lower(network, tensions, n, lam):
     LAPACK dgtsv solve of the 3n tridiagonal with zero seams."""
     from scipy.linalg.lapack import dgtsv
 
-    from trijunction.stability import _branch_forms
+    from trijunction.stability import assemble_forms
 
-    forms = _branch_forms(network, n)
+    forms = assemble_forms(network, tensions, n)[0]
     diag, last, off, end = forms[0] + lam * forms[1]
     d = np.repeat(diag, n)
     d[n - 1::n] = last

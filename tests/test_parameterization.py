@@ -334,7 +334,7 @@ def test_junction_angle_residual_linearization(trefoil_network, trefoil, unit_te
     rho_unit = slopes[:, None] * sigma * (1.0 - sigma / net.lengths[:, None]) ** 2
     rho_unit[:, 0] = 0.0  # junction values stay zero: pure slope perturbation
     eps = 1e-6
-    state = state_from_rho(net, unit_tensions, eps * rho_unit, project=False)
+    state = state_from_rho(net, unit_tensions, eps * rho_unit)
     g12, g13 = state_bc_residuals(net, dom, unit_tensions, state)[:2]
     rs, _ = rho_derivatives(rho_unit, net.lengths)
     expected12 = (rs[0, 0] - rs[1, 0]) * angles.sin[2]
@@ -361,7 +361,7 @@ def test_outer_bc_residual_linearization(disk_network, disk, ellipse_network,
             eps = 1e-6
             rho = np.zeros((3, n + 1))
             rho[i] = eps * (sigma[i] / net.lengths[i]) ** 4  # rho(l)=eps, slope 4eps/l
-            state = state_from_rho(net, unit_tensions, rho, project=False)
+            state = state_from_rho(net, unit_tensions, rho)
             res = state_bc_residuals(net, dom, unit_tensions, state)[2 + i]
             rs, _ = rho_derivatives(rho, net.lengths)
             expected = rs[i, -1] + net.h_star[i] * eps

