@@ -209,3 +209,24 @@ def test_import_leaves_scipy_interpolate_unloaded():
                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "False"
 
+
+def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  The solve reads its pencil from the per-branch element forms
+    # and the constraint plane, a few scalars per branch, so the assembly
+    # stays far below the full-space forms with the null-space product of
+    # tests/oracles.py, the route the reduced coordinates replaced.
+    from oracles import null_space_pencil
+
+    n = 400
+    calls = {
+        "assemble": lambda: stability.assemble_forms(disk_network, unit_tensions, n),
+        "null_space": lambda: null_space_pencil(disk_network, unit_tensions, n),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(5):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["assemble"] <= 0.1 * best["null_space"], best
