@@ -3,6 +3,8 @@
 A record measures a state on the sigma grids of its own chart: J and kappa
 come from parameterization.chart_geometry, the kernel the time step uses,
 so the energy law is checked on the discretization that dissipates it.
+evolution.run hands each record the coefficients that the next step reads,
+so a recorded state's chart is evaluated once.
 Integrals are composite trapezoid sums in the arc element J dsigma;
 arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
 stencils of rho_derivatives, one-sided at the junction and the wall.
@@ -158,31 +160,43 @@ class DiagnosticsRecord:
 
 
 def _branch_integrals(values, J, dx):
-    """Per-branch trapezoid integrals of values in the arc element J dsigma."""
-    return np.trapezoid(values * J, dx=1.0, axis=1) * dx
+    """Per-branch trapezoid integrals of values in the arc element J dsigma,
+    over the last axis; values may stack several integrands."""
+    return np.trapezoid(values * J, dx=1.0, axis=-1) * dx
 
 
 def _weighted_integral(gammas, values, J, dx) -> float:
     return float(np.sum(gammas * _branch_integrals(values, J, dx)))
 
 
-def record_from_state(network, domain, tensions, state: GraphState) -> DiagnosticsRecord:
+def record_from_state(network, domain, tensions, state: GraphState, chart=None,
+                      q_matrix=None) -> DiagnosticsRecord:
     """Energy, curvature norms and identity residuals of one state.
 
-    The det M floor of `coefficients` is not applied: it guards the time
-    step, and records are also taken of states no step has evaluated.
+    chart is the ChartGeometry (or the Coefficients) of `state`, such as the
+    ones the next time step reads; without it the record evaluates
+    chart_geometry, cold-started.  q_matrix is the junction matrix of
+    `tensions`, computed when not given.  The det M floor of `coefficients`
+    is not applied: it guards the time step, and records are also taken of
+    states no step has evaluated.
     """
-    geo = chart_geometry(network, domain, state)
+    geo = chart_geometry(network, domain, state) if chart is None else chart
+    if q_matrix is None:
+        q_matrix = junction_matrix(young_angles(tensions))
     g = tensions.array
     dx = network.lengths / state.n
     kap, J = geo.kappa, geo.J
-    kap_s = rho_derivatives(kap, network.lengths)[0] / J
-    kap_ss = rho_derivatives(kap_s, network.lengths)[0] / J
-    lengths = _branch_integrals(1.0, J, dx)
+    kap_s = rho_derivatives(kap, network.lengths, second=False)[0] / J
+    kap_ss = rho_derivatives(kap_s, network.lengths, second=False)[0] / J
+    # one quadrature of the stacked integrands and one weighted sum of its
+    # rows: row for row the sums of _branch_integrals and _weighted_integral
+    integrals = _branch_integrals(
+        np.stack([np.ones_like(kap), kap**2, kap**4, kap_s**2, kap_ss**2]), J, dx)
+    E, k2, k4, ks2, kss2 = (g * integrals).sum(axis=1).tolist()
 
     # junction: tangential speeds v = Q V from the flow law V = kappa
     kap0 = kap[:, 0]
-    velocities = junction_matrix(young_angles(tensions)).q @ kap0
+    velocities = q_matrix.q @ kap0
     flux = kap_s[:, 0] + kap0 * velocities
 
     # wall: contact points p_* + mu_b T + rho N and the unit tangent
@@ -196,12 +210,12 @@ def record_from_state(network, domain, tensions, state: GraphState) -> Diagnosti
 
     return DiagnosticsRecord(
         t=float(state.t),
-        E=float(np.sum(g * lengths)),
-        kappa_l2_sq=_weighted_integral(g, kap**2, J, dx),
-        kappa_l4_4=_weighted_integral(g, kap**4, J, dx),
+        E=E,
+        kappa_l2_sq=k2,
+        kappa_l4_4=k4,
         kappa_linf=float(np.abs(kap).max()),
-        kappa_s_l2_sq=_weighted_integral(g, kap_s**2, J, dx),
-        kappa_ss_l2_sq=_weighted_integral(g, kap_ss**2, J, dx),
+        kappa_s_l2_sq=ks2,
+        kappa_ss_l2_sq=kss2,
         res_junction=float(abs(g @ kap0)),
         res_flux=float(flux.max() - flux.min()),
         res_sum_gamma_v=float(abs(g @ velocities)),
@@ -209,7 +223,7 @@ def record_from_state(network, domain, tensions, state: GraphState) -> Diagnosti
         res_perp=float(np.abs(perp).max()),
         p=junction_point(network, state),
         mu=state.mu.copy(),
-        lengths=lengths,
+        lengths=integrals[0],
     )
 
 

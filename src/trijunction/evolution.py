@@ -81,7 +81,8 @@ class Trajectory:
 
 
 class Stepper:
-    """Holds per-run constants and the lagged boundary Jacobian."""
+    """Holds per-run constants, the lagged boundary Jacobian and the
+    coefficients of the state its next step starts from."""
 
     def __init__(self, network: StationaryNetwork, domain: ImplicitDomain,
                  tensions: SurfaceTensions, config: EvolveConfig):
@@ -104,6 +105,7 @@ class Stepper:
         self._jac = None
         self._jac_age = 0
         self._mu_b_prev = None
+        self._ahead = None  # (state, its coefficients) for the next step to read
 
     def enforce_bcs(self, rho, exc=NewtonDiverged):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
@@ -176,11 +178,21 @@ class Stepper:
 
     # -- one time step -----------------------------------------------------
 
-    def step(self, state: GraphState) -> GraphState:
-        cfg = self.config
+    def chart(self, state: GraphState):
+        """Coefficients of `state`, its exits warm-started from the last
+        chart's; step(state) reads them instead of evaluating them again."""
         coef = coefficients(self.network, self.domain, self.tensions, state,
                             q_matrix=self.qmat, mu_b_guess=self._mu_b_prev)
         self._mu_b_prev = coef.mu_b
+        self._ahead = (state, coef)
+        return coef
+
+    def step(self, state: GraphState) -> GraphState:
+        cfg = self.config
+        if self._ahead is None or self._ahead[0] is not state:
+            self.chart(state)
+        coef = self._ahead[1]
+        self._ahead = None
         a = coef.a
         d2 = self._dsigma_sq
         guard = 0.5 * float((d2 / a.max(axis=1)).min())
@@ -282,9 +294,21 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
     from .diagnostics import record_from_state
 
     stepper = Stepper(network, domain, tensions, config)
+    records, states = [], []
+
+    def record(state):
+        # the record reads the chart that the next step starts from; past
+        # the det M floor it takes the plain chart, and that step aborts
+        try:
+            chart = stepper.chart(state)
+        except _ABORTING:
+            chart = None
+        records.append(record_from_state(network, domain, tensions, state, chart=chart,
+                                         q_matrix=stepper.qmat))
+        states.append(state.copy())
+
     state = init
-    records = [record_from_state(network, domain, tensions, state)]
-    states = [state.copy()]
+    record(state)
     status, message = "completed", ""
     n_steps = int(round(config.t_end / config.dt))
     for k in range(1, n_steps + 1):
@@ -296,12 +320,10 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
         if np.abs(state.rho).max() > config.amplitude_cap:
             status = "amplitude_cap"
             message = f"max |rho| exceeded {config.amplitude_cap} at t = {state.t:.6g}"
-            records.append(record_from_state(network, domain, tensions, state))
-            states.append(state.copy())
+            record(state)
             break
         if k % config.output_every == 0 or k == n_steps:
-            records.append(record_from_state(network, domain, tensions, state))
-            states.append(state.copy())
+            record(state)
     return Trajectory(records=records, states=states, status=status, message=message)
 
 

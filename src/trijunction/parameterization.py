@@ -148,29 +148,31 @@ def _cross(a, b):
 _END_STENCILS = np.array([[-3.0, 2.0], [4.0, -5.0], [-1.0, 4.0], [0.0, -1.0]])
 
 
-def rho_derivatives(rho: np.ndarray, lengths: np.ndarray):
-    """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids."""
+def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
+    """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids;
+    rho_sigmasigma is None when second is False."""
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[-1] - 1
     d = (np.asarray(lengths, dtype=float) / n)[..., None]
 
     two_d = 2.0 * d
-    d_sq = d**2
-
     rs = np.empty_like(rho)
     rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d
-    rss = np.empty_like(rho)
-    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq
 
     # one-sided ends; the last node reads the first-node stencils mirrored,
     # which flips the sign of the odd derivative
-    scale = np.concatenate([two_d, d_sq], axis=-1)
-    first = (rho[..., :4] @ _END_STENCILS) / scale
-    last = (rho[..., :-5:-1] @ _END_STENCILS) / scale
-    rs[..., 0] = first[..., 0]
-    rs[..., -1] = -last[..., 0]
-    rss[..., 0] = first[..., 1]
-    rss[..., -1] = last[..., 1]
+    first = rho[..., :4] @ _END_STENCILS
+    last = rho[..., :-5:-1] @ _END_STENCILS
+    rs[..., 0] = first[..., 0] / two_d[..., 0]
+    rs[..., -1] = -(last[..., 0] / two_d[..., 0])
+    if not second:
+        return rs, None
+
+    d_sq = d**2
+    rss = np.empty_like(rho)
+    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq
+    rss[..., 0] = first[..., 1] / d_sq[..., 0]
+    rss[..., -1] = last[..., 1] / d_sq[..., 0]
     return rs, rss
 
 

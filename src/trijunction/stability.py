@@ -81,9 +81,8 @@ def _pencil_values(network, g, phi):
     return float(g @ stiffness), float(g @ mass)
 
 
-def _quotient(network, g, phi):
-    """I[phi,phi] / ||phi||^2 of nodal values phi."""
-    form, mass = _pencil_values(network, g, phi)
+def _quotient(form, mass):
+    """I[phi,phi] / ||phi||^2 from the pair that _pencil_values returns."""
     if mass < 1e-300:
         raise ZeroFunction("Rayleigh quotient of the zero function")
     return form / mass
@@ -239,10 +238,10 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
             c = (1.0, 0.0)
     profiles = np.array([_profile(lam, n, *branch) for branch in branches])
     phi = (b[0] * c[0] + b[1] * c[1])[:, None] * profiles
-    rayleigh = -_quotient(network, tensions.array, phi)
+    form, mass = _pencil_values(network, tensions.array, phi)
+    rayleigh = -_quotient(form, mass)
     if not abs(rayleigh - lam) <= 1e-6 * max(1.0, abs(lam)):
         raise EigenSolveFailed(f"Rayleigh quotient {rayleigh} disagrees with lambda = {lam}")
-    mass = _pencil_values(network, tensions.array, phi)[1]
     phi *= np.sign(phi.flat[np.argmax(np.abs(phi))]) / np.sqrt(mass)
     return SpectrumResult(lambda_max=lam, eigenfunction=phi, rayleigh=rayleigh, n=n)
 
@@ -254,7 +253,7 @@ def rayleigh_quotient(network: StationaryNetwork, tensions: SurfaceTensions,
     phi = np.array(phi, dtype=float)
     b = constraint_basis(tensions)
     phi[:, 0] = (b @ phi[:, 0]) @ b
-    return _quotient(network, tensions.array, phi)
+    return _quotient(*_pencil_values(network, tensions.array, phi))
 
 
 def stability_criterion(lengths, h_star, tensions: SurfaceTensions) -> StabilityVerdict:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trijunction import diagnostics, parameterization
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.errors import CflViolation
 from trijunction.evolution import (
@@ -186,6 +189,116 @@ def test_run_reports_admissibility_loss(disk, disk_network, unit_tensions):
     traj = run(disk_network, disk, unit_tensions, state, cfg)
     assert traj.status == "MatrixMNotInvertible"
     assert "det M" in traj.message
+    # the record falls back to the plain chart when the step's chart fails
+    assert len(traj.records) == 1
+    want = record_from_state(disk_network, disk, unit_tensions, state)
+    moves, _ = _record_moves(traj.records, [want])
+    assert not any(moves.values()), moves
+
+
+def _record_moves(records, others):
+    """Per record field, the largest |difference| between two record lists,
+    and the largest magnitude of the field in `others`."""
+    moves, scales = {}, {}
+    for rec, other in zip(records, others, strict=True):
+        for f in dataclasses.fields(rec):
+            a = np.asarray(getattr(rec, f.name), dtype=float)
+            b = np.asarray(getattr(other, f.name), dtype=float)
+            moves[f.name] = max(moves.get(f.name, 0.0), float(np.max(np.abs(a - b))))
+            scales[f.name] = max(scales.get(f.name, 0.0), float(np.max(np.abs(b))))
+    return moves, scales
+
+
+def _run_and_rerecord(network, domain, tensions, cfg, init):
+    traj = run(network, domain, tensions, init, cfg)
+    again = [record_from_state(network, domain, tensions, s) for s in traj.states]
+    return traj, _record_moves(traj.records, again)
+
+
+def test_run_records_equal_records_of_its_states_on_conics(disk, disk_network, ellipse,
+                                                          ellipse_network, unit_tensions):
+    # A run records the chart its next step reads.  Conic exits are closed
+    # form and ignore the warm start, so every field equals the plain record
+    # of the stored state bitwise: on the disk eigenmode run, and on the
+    # ellipse with cosine data (the CLI pipeline's config, every step).
+    n = 48
+    cfg = make_config(disk_network, n, 0.0, output_every=7)
+    cfg.t_end = 50 * cfg.dt
+    phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
+    init = initial_state(disk_network, disk, unit_tensions, cfg, kind="eigenmode",
+                         amplitude=1e-2, eigenfunction=phi)
+    traj, (moves, _) = _run_and_rerecord(disk_network, disk, unit_tensions, cfg, init)
+    assert traj.status == "completed" and len(traj.records) == 9  # 0, 7, ..., 49 and 50
+    assert not any(moves.values()), moves
+
+    n = 64
+    dt = 0.45 * float(np.min(ellipse_network.lengths / n) ** 2)
+    cfg = EvolveConfig(dt=dt, t_end=30 * dt, n=n, output_every=1)
+    init = initial_state(ellipse_network, ellipse, unit_tensions, cfg, kind="cosine",
+                         amplitude=0.01)
+    traj, (moves, _) = _run_and_rerecord(ellipse_network, ellipse, unit_tensions, cfg, init)
+    assert traj.status == "completed" and len(traj.records) == 31
+    assert not any(moves.values()), moves
+
+
+def test_run_records_match_records_of_its_states_on_two_dents(two_dents, two_dents_network,
+                                                             unit_tensions):
+    # Polynomial exits are Newton roots, so the run's records (exits
+    # warm-started from the last chart) and the plain ones (cold-started)
+    # differ at rounding, the amplitude-cap record included: within 1e-12 of
+    # each field's largest magnitude along the run.  The identity residuals
+    # sit at rounding level themselves (res_perp at 1e-10, the sweep's
+    # tolerance) and are read against absolute tolerances, so they are held
+    # to 1e-12 absolute.
+    n = 48
+    cfg = make_config(two_dents_network, n, 10.0, output_every=100, amplitude_cap=0.08)
+    phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
+    init = initial_state(two_dents_network, two_dents, unit_tensions, cfg,
+                         kind="eigenmode", amplitude=0.072, eigenfunction=phi)
+    traj, (moves, scales) = _run_and_rerecord(two_dents_network, two_dents, unit_tensions,
+                                              cfg, init)
+    assert traj.status == "amplitude_cap"
+    for name, move in moves.items():
+        scale = 1.0 if name.startswith("res_") else scales[name]
+        assert move <= 1e-12 * scale, (name, move, scales[name])
+
+
+def test_step_reads_only_the_chart_of_its_own_state(disk, disk_network, unit_tensions):
+    # A chart taken of another state is not read: the step evaluates its own.
+    n = 24
+    cfg = make_config(disk_network, n, 0.0)
+    state = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                          amplitude=1e-2)
+    other = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                          amplitude=2e-2)
+    fresh = Stepper(disk_network, disk, unit_tensions, cfg).step(state)
+    stepper = Stepper(disk_network, disk, unit_tensions, cfg)
+    stepper.chart(other)
+    stepped = stepper.step(state)
+    assert np.array_equal(stepped.rho, fresh.rho) and np.array_equal(stepped.mu, fresh.mu)
+
+
+def test_run_evaluates_one_chart_per_step(disk, disk_network, unit_tensions, monkeypatch):
+    # With a record every step, each step reads the chart its state's record
+    # evaluated: K steps cost K + 1 charts, where evaluating it for the step
+    # and again for the record cost 2K + 1.
+    n, steps = 24, 12
+    cfg = make_config(disk_network, n, 0.0, output_every=1)
+    cfg.t_end = steps * cfg.dt
+    init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                         amplitude=1e-2)
+    calls = []
+    chart_geometry = parameterization.chart_geometry
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chart_geometry(*args, **kwargs)
+
+    monkeypatch.setattr(parameterization, "chart_geometry", counted)
+    monkeypatch.setattr(diagnostics, "chart_geometry", counted)
+    traj = run(disk_network, disk, unit_tensions, init, cfg)
+    assert traj.status == "completed" and len(traj.records) == steps + 1
+    assert len(calls) == steps + 1
 
 
 def test_junction_kinematics_zero_on_stationary(trefoil, trefoil_network,

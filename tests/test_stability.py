@@ -309,12 +309,18 @@ def test_upper_bound_below_lambda_raises_typed_error(monkeypatch):
 
 
 def test_rayleigh_mismatch_raises_typed_error(monkeypatch):
-    # The nodal quotient feeds only the Rayleigh check of the eigenfunction
-    # (the bracket's lower end is in closed form), so 0.5 off must fail it.
+    # One evaluation of the nodal forms feeds both the Rayleigh check of the
+    # eigenfunction and its unit-mass norm (the bracket's lower end is in
+    # closed form); a quotient 0.5 off must fail the check.
     import trijunction.stability as stability
 
-    quotient = stability._quotient
-    monkeypatch.setattr(stability, "_quotient", lambda *args: quotient(*args) + 0.5)
+    pencil_values = stability._pencil_values
+
+    def shifted(*args):
+        form, mass = pencil_values(*args)
+        return form + 0.5 * mass, mass
+
+    monkeypatch.setattr(stability, "_pencil_values", shifted)
     net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
     with pytest.raises(EigenSolveFailed):
         max_eigenvalue(net, UNIT, 64)

@@ -1,7 +1,8 @@
 """Guards for files outside the package that depend on its names, and for
-the cost of the per-step diagnostics, the route of the per-step exit, the
-single route of the spectrum solve, its LAPACK calls, the cost of the
-stability pencil's assembly and the modules `import trijunction` loads.
+the cost of the per-step diagnostics with and without the step's chart, the
+route of the per-step exit, the single route of the spectrum solve, its
+LAPACK calls, the cost of the stability pencil's assembly and the modules
+`import trijunction` loads.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -94,6 +95,34 @@ def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_te
             call()
             best[name] = min(best[name], perf_counter() - start)
     assert best["record"] <= 5.0 * best["coefficients"], best
+
+
+def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
+        disk, disk_network, unit_tensions):
+    # A run hands each record the coefficients its next step reads, so the
+    # record adds only its quadratures, end stencils and wall terms to the
+    # chart (about 1.4-1.6 calls); one that evaluates the chart again costs
+    # about 2.2-2.6.
+    n = 200
+    config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
+    phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
+    state = initial_state(disk_network, disk, unit_tensions, config, kind="eigenmode",
+                          amplitude=1e-2, eigenfunction=phi)
+    stepper = Stepper(disk_network, disk, unit_tensions, config)
+    chart = stepper.chart(state)
+    calls = {
+        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state,
+                                             q_matrix=stepper.qmat),
+        "record": lambda: record_from_state(disk_network, disk, unit_tensions, state,
+                                            chart=chart, q_matrix=stepper.qmat),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(5):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["record"] <= 2.0 * best["coefficients"], best
 
 
 def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_tensions,
