@@ -10,9 +10,13 @@ happens inside curvature or Newton kernels.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
-from .errors import NoIntersection, NotOnBoundary, OffsetMissesBoundary, SingularGradient
+from .errors import (NoIntersection, NotOnBoundary, OffsetMissesBoundary, RootSearchFailed,
+                     SingularGradient)
 from .tensions import ROT90
 
 _GRAD_FLOOR = 1e-8
@@ -429,8 +433,8 @@ def boundary_hit(domain: ImplicitDomain, origin, direction):
     """First boundary crossing of the ray origin + t*direction, t > 0.
 
     Returns (point, distance) with |psi(point)| < 1e-12.  Marches through the
-    bounding box to bracket the first sign change, then bisects (brentq) and
-    polishes with Newton.
+    bounding box to bracket the first sign change, then finds the root by
+    Brent's method (brentq) and polishes it with Newton.
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -455,13 +459,16 @@ def boundary_hit(domain: ImplicitDomain, origin, direction):
 
 def _root_on_line(domain, origin, direction, lo, hi):
     """Root of psi(origin + t direction) bracketed by [lo, hi]: brentq, then a
-    Newton polish so that |psi| < 1e-13 rather than only the step is small."""
-    from scipy.optimize import brentq
+    Newton polish so that |psi| < 1e-13 rather than only the step is small.
+    A failed root search raises NoIntersection."""
 
     def f(t):
         return float(domain.psi(origin + t * direction))
 
-    t = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    try:
+        t = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    except RootSearchFailed as e:
+        raise NoIntersection(f"no root of psi on [{lo}, {hi}] along the line: {e}") from e
     for _ in range(4):
         val = f(t)
         if abs(val) < 1e-13:
@@ -471,3 +478,63 @@ def _root_on_line(domain, origin, direction, lo, hi):
             break
         t -= val / slope
     return t
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step the C iteration of scipy.optimize.brentq (Zeros/brentq.c) in Python
+    floats, so it returns the same root bitwise.  It stops when the bracket's
+    half width is below (xtol + rtol |x|) / 2.  A NaN value, f(a) and f(b) of
+    one sign, or maxiter iterations without convergence raise
+    RootSearchFailed with scipy's message."""
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise RootSearchFailed(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootSearchFailed("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is then infinite or NaN and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RootSearchFailed(f"Failed to converge after {maxiter} iterations.")

@@ -26,6 +26,10 @@ class NoIntersection(TriJunctionError):
     """Ray does not cross the boundary inside the search box."""
 
 
+class RootSearchFailed(TriJunctionError):
+    """Brent's root search met a NaN value, an unbracketed interval or its iteration limit."""
+
+
 class OffsetMissesBoundary(TriJunctionError):
     """Offset reference line has no boundary crossing near the expected one."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded  # noqa: F401 -- bench/spans.py traces this name
 from scipy.linalg.lapack import dgtsv
 
@@ -225,7 +224,7 @@ class Stepper:
         *_, sol, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs_int.ravel(),
                               overwrite_b=1)
         if info != 0:
-            raise LinAlgError(f"interior solve failed (dgtsv info {info})")
+            raise np.linalg.LinAlgError(f"interior solve failed (dgtsv info {info})")
 
         rho_new = np.empty_like(rho)
         rho_new[:, 1:-1] = sol.reshape(r.shape)

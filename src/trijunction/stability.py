@@ -16,7 +16,9 @@ plane coordinates.  lambda_max comes from that structure alone, by a Sturm
 count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
 Martin & Wilkinson 1967; Golub 1973).  Each block has constant coefficients
 but for its wall row, so the Schur complement and the eigenfunction have
-closed forms in Chebyshev polynomials, and the root search runs on those.
+closed forms in Chebyshev polynomials, and the root search runs on those,
+by Brent's method (domains.brentq, scipy's iteration in Python floats, so
+the package does not import scipy.optimize).
 The pencil is never assembled: the solve reads the per-branch element forms
 of assemble_forms, and norms and Rayleigh quotients are sums over the nodal
 values of each branch.
@@ -28,10 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg  # noqa: F401 -- bench/spans.py looks this module up to trace eigsh
 from scipy.linalg.lapack import dstebz
-from scipy.optimize import brentq
 
-from .errors import EigenSolveFailed, ZeroFunction
+from .domains import brentq
+from .errors import EigenSolveFailed, RootSearchFailed, ZeroFunction
 from .parameterization import StationaryNetwork
 from .tensions import SurfaceTensions, constraint_basis
 
@@ -198,15 +201,16 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     _inertia's count certifies the bracket from the Rayleigh quotient of the
     branchwise constant b_0, -sum g h b_0^2 / sum g l b_0^2, minus 1, to
     _lambda_upper_bound; bisection on it clears the bracket of branch poles,
-    and brentq finds lambda_max as the root of the lower eigenvalue of the
-    closed-form S, which does not cancel in e - o^2 (M^-1)_11.  S's null
+    and brentq (Brent's method, domains.brentq) finds lambda_max as the root
+    of the lower eigenvalue of the closed-form S, which does not cancel in e - o^2 (M^-1)_11.  S's null
     vector continues into the branches by _profile.  When lambda_max is
     double (within _DOUBLE_BAND), S vanishes on the plane and its null vector
     would be rounding, so b_0 is taken.  The eigenfunction has unit
     consistent-mass norm and the sign of its largest |phi|; its norm and
     Rayleigh quotient are read from its nodal values by _pencil_values.  A
-    failed bracket, or a Rayleigh quotient of the eigenfunction more than
-    1e-6 off lambda_max, raises EigenSolveFailed.
+    failed bracket, a failed root search (a NaN value, no sign change, or no
+    convergence in 100 iterations), or a Rayleigh quotient of the
+    eigenfunction more than 1e-6 off lambda_max, raises EigenSolveFailed.
     """
     n = int(n_per_branch)
     forms, b = assemble_forms(network, tensions, n)
@@ -227,7 +231,10 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
             raise EigenSolveFailed(f"the top eigenvalue meets a branch pole at {mid}")
         above, mid_poles = inertia(mid)
         lo, hi, poles = (mid, hi, mid_poles) if above else (lo, mid, poles)
-    lam = brentq(lambda t: _lower(t, n, branches, weights)[0], lo, hi, xtol=1e-13)
+    try:
+        lam = brentq(lambda t: _lower(t, n, branches, weights)[0], lo, hi, xtol=1e-13)
+    except RootSearchFailed as e:
+        raise EigenSolveFailed(f"root search on [{lo}, {hi}]: {e}") from e
     _, p, q, r = _lower(lam, n, branches, weights)
     theta = 0.5 * math.atan2(q, 0.5 * (p - r))  # (cos, sin) spans the upper eigenvector
     c = (-math.sin(theta), math.cos(theta))

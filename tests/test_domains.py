@@ -17,6 +17,7 @@ from trijunction.errors import (
     NoIntersection,
     NotOnBoundary,
     OffsetMissesBoundary,
+    RootSearchFailed,
     SingularGradient,
 )
 from trijunction.tensions import ROT90
@@ -144,6 +145,27 @@ def test_boundary_hit_ellipse_axis():
 def test_boundary_hit_requires_interior_origin():
     with pytest.raises(NoIntersection):
         boundary_hit(CircleDomain(1.0), (2.0, 0.0), (1.0, 0.0))
+
+
+class _NanAtPoints(CircleDomain):
+    """The unit disk whose psi is NaN at single points and finite on arrays
+    of several: boundary_hit's scan finds a crossing, line_exit's Newton
+    falls back to its bracketed root, and the root search along the line
+    then meets a NaN."""
+
+    def __init__(self):
+        super().__init__(1.0)
+
+    def psi(self, x):
+        return np.full(np.shape(x)[:-1], np.nan) if np.size(x) == 2 else super().psi(x)
+
+
+def test_failed_line_root_raises_no_intersection():
+    for search in (lambda d: boundary_hit(d, (0.1, 0.0), (1.0, 0.0)),
+                   lambda d: d.line_exit((0.0, 0.0), (1.0, 0.0), 0.9)):
+        with pytest.raises(NoIntersection, match="NaN") as info:
+            search(_NanAtPoints())
+        assert isinstance(info.value.__cause__, RootSearchFailed)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trijunction.errors import EigenSolveFailed, ZeroFunction
+from trijunction.errors import EigenSolveFailed, RootSearchFailed, ZeroFunction
 from trijunction import stability
 from trijunction.stability import (
     _lambda_upper_bound,
@@ -324,6 +326,36 @@ def test_rayleigh_mismatch_raises_typed_error(monkeypatch):
     net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
     with pytest.raises(EigenSolveFailed):
         max_eigenvalue(net, UNIT, 64)
+
+
+@pytest.mark.parametrize("failure", ["NaN", "different signs"])
+def test_failed_root_search_raises_typed_error(failure, monkeypatch):
+    # The root search fails on a NaN value of S's lower eigenvalue strictly
+    # inside the certified bracket, where the counts never read it, or on a
+    # bracket that the count certifies but S's lower eigenvalue does not
+    # change sign on; max_eigenvalue raises EigenSolveFailed either way.
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    brentq, lower, brackets = stability.brentq, stability._lower, []
+
+    def recorded(f, a, b, **tol):
+        brackets.append((a, b))
+        return brentq(f, a, b, **tol)
+
+    monkeypatch.setattr(stability, "brentq", recorded)
+    max_eigenvalue(net, UNIT, 64)
+    [(lo, hi)] = brackets
+    if failure == "NaN":
+        def patched(lam, *args):
+            return (math.nan,) * 4 if lo < lam < hi else lower(lam, *args)
+    else:
+        monkeypatch.setattr(stability, "_inertia", lambda lam, *args: (lam < hi, 0))
+
+        def patched(lam, *args):
+            return (1.0,) * 4
+    monkeypatch.setattr(stability, "_lower", patched)
+    with pytest.raises(EigenSolveFailed, match=failure) as info:
+        max_eigenvalue(net, UNIT, 64)
+    assert isinstance(info.value.__cause__, RootSearchFailed)
 
 
 def test_mixed_signs_unstable_case():

@@ -230,13 +230,45 @@ def test_one_solve_counts_with_lapack_only_to_certify_its_bracket(
         assert bisection_steps <= 4  # 2, 0 and 3 here
 
 
+_SCIPY_UNLOADED = """
+import sys
+
+LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.spatial", "scipy.fft")
+import trijunction
+print("scipy.interpolate" in sys.modules)
+print([m for m in LAZY if m in sys.modules])
+
+sys.path.insert(0, {tests!r})
+from conftest import two_dents_domain
+from trijunction import (CircleDomain, EvolveConfig, Stepper, SteadyGuess, SurfaceTensions,
+                         find_stationary, initial_state, max_eigenvalue, record_from_state)
+
+unit, disk, n = SurfaceTensions((1.0, 1.0, 1.0)), CircleDomain(1.0), 48
+net = find_stationary(disk, unit, SteadyGuess(p=(0.05, 0.03), gauge=0.0))
+phi = max_eigenvalue(net, unit, n).eigenfunction
+config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
+state = initial_state(net, disk, unit, config, kind="eigenmode", amplitude=1e-2, eigenfunction=phi)
+stepper = Stepper(net, disk, unit, config)
+for _ in range(5):
+    state = stepper.step(state)
+record_from_state(net, disk, unit, state)
+find_stationary(two_dents_domain(), unit, SteadyGuess(p=(0.03, 0.02), gauge=0.0))
+print([m for m in LAZY if m in sys.modules])
+"""
+
+
 def test_import_leaves_scipy_interpolate_unloaded():
     # Only diagnostics.resample needs PCHIP, and nothing in the package
-    # calls it; it imports scipy.interpolate on first use.
-    code = "import sys, trijunction; print('scipy.interpolate' in sys.modules)"
+    # calls it; it imports scipy.interpolate on first use.  The root
+    # searches run the package's own brentq, so neither the import nor a
+    # steady solve, a spectrum, steps and a record load scipy.optimize and
+    # the special, spatial and FFT modules it brings, about half of the
+    # time `import trijunction` took with them.  (scipy.sparse.linalg stays
+    # loaded only because bench/spans.py looks it up to trace eigsh.)
+    code = _SCIPY_UNLOADED.format(tests=str(ROOT / "tests"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]", "[]"], out.stdout
 
 
 def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_tensions):
