@@ -11,7 +11,11 @@ tolerance) and the three perpendicularity conditions, with interior nodes
 frozen.  It works in constraint_basis coordinates: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
-every sweep so the stick condition cannot drift.
+every sweep so the stick condition cannot drift.  The sweep runs in Python
+floats: each residual evaluation makes one exit call for the six branch
+ends and one wall-gradient call, and the lagged Jacobian is inverted once
+per refresh, because numpy's per-call dispatch would cost more than the few
+hundred flops on 5-entry vectors.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -20,6 +24,7 @@ principal part is implicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +41,9 @@ from .errors import (
     OffsetMissesBoundary,
 )
 from .parameterization import (
+    BoundaryOperator,
     GraphState,
     StationaryNetwork,
-    boundary_residuals,
     coefficients,
     end_slope,
     junction_point,
@@ -52,10 +57,19 @@ _NEWTON_TOL = 1e-10  # boundary sweep: max-norm residual tolerance
 _NEWTON_MAX = 20  # boundary sweep: iteration cap
 
 
-def _norm(v):
-    """Euclidean norm of a vector; np.linalg.norm's own formula, minus its
-    dispatch, which costs more than the five-entry residual it measures."""
-    return np.sqrt(v.dot(v))
+def _inverse_jacobian(residual, u, F0, exc):
+    """Inverse of the forward-difference Jacobian of residual at u (step
+    1e-7), as row lists; a singular Jacobian raises exc."""
+    h = 1e-7
+    cols = []
+    for k in range(len(u)):
+        up = list(u)
+        up[k] += h
+        cols.append([(a - b) / h for a, b in zip(residual(up), F0)])
+    try:
+        return np.linalg.inv(np.array(cols).T).tolist()
+    except np.linalg.LinAlgError as e:
+        raise exc(f"boundary sweep Jacobian singular: {e}") from e
 
 
 @dataclass
@@ -101,7 +115,11 @@ class Stepper:
         m = n - 1
         self._ab = np.zeros((3, 3 * m))
         self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
-        self._jac = None
+        # the boundary sweep's per-run constants as Python floats
+        self._bc = BoundaryOperator(network, domain, self.angles, n)
+        self._basis = self.basis.tolist()
+        self._q = self.qmat.q.tolist()
+        self._jac_inv = None  # inverse of the lagged boundary Jacobian
         self._jac_age = 0
         self._mu_b_prev = None
         self._ahead = None  # (state, its coefficients) for the next step to read
@@ -112,41 +130,38 @@ class Stepper:
         The unknowns are c = b rho(0) in the constraint_basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
         holds exactly throughout.  The last step's exits warm-start the six.
+        The iteration runs in Python floats on the float core of
+        boundary_residuals, with the lagged Jacobian kept as its inverse.
         """
-        net, dom, angles, q, b = (self.network, self.domain, self.angles,
-                                  self.qmat.q, self.basis)
+        bc, (b0, b1), q = self._bc, self._basis, self._q
+        inner = bc.inner(rho)
         mu_b = self._mu_b_prev
         s_guess = None if mu_b is None else np.concatenate([mu_b[:, 0], mu_b[:, -1]])
 
         def unpack(u):
-            return u[:2] @ b, u[2:]
+            c0, c1 = u[0], u[1]
+            return [c0 * x + c1 * y for x, y in zip(b0, b1)], u[2:]
 
         def residual(u):
             # junction angle + outer perpendicularity residuals, interior frozen
             r0, w = unpack(u)
-            return boundary_residuals(net, dom, angles, rho, r0, w, q @ r0,
-                                      s_guess=s_guess)
+            mu = [qa * r0[0] + qb * r0[1] + qc * r0[2] for qa, qb, qc in q]
+            return bc(inner, r0, w, mu, s_guess)
 
-        u = np.empty(5)
-        u[:2] = b @ rho[:, 0]
-        u[2:] = rho[:, -1]
+        u = (self.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
         F = residual(u)
         for it in range(_NEWTON_MAX):
-            fmax = np.abs(F).max()
-            if fmax < _NEWTON_TOL:
+            if all(abs(f) < _NEWTON_TOL for f in F):  # NaN never passes
                 break
-            if self._jac is None or it >= 2 or self._jac_age > 100:
-                self._jac = self._bc_jacobian(residual, u, F)
+            if self._jac_inv is None or it >= 2 or self._jac_age > 100:
+                self._jac_inv = _inverse_jacobian(residual, u, F, exc)
                 self._jac_age = 0
-            try:
-                step = np.linalg.solve(self._jac, -F)
-            except np.linalg.LinAlgError as e:
-                raise exc(f"boundary sweep Jacobian singular: {e}") from e
-            lam, base = 1.0, _norm(F)
+            step = [-sum(a * f for a, f in zip(row, F)) for row in self._jac_inv]
+            lam, base = 1.0, math.hypot(*F)
             for _ in range(9):
-                u_try = u + lam * step
+                u_try = [x + lam * dx for x, dx in zip(u, step)]
                 F_try = residual(u_try)
-                if _norm(F_try) < base:
+                if math.hypot(*F_try) < base:
                     u, F = u_try, F_try
                     break
                 lam *= 0.5
@@ -154,26 +169,17 @@ class Stepper:
                 # stale Jacobian made no progress; force a refresh once
                 if self._jac_age == 0:
                     raise exc(f"boundary sweep stalled at residual {base:.3e}")
-                self._jac = None
+                self._jac_inv = None
         else:
             raise exc(
                 f"boundary sweep did not reach {_NEWTON_TOL:.1e} "
-                f"(residual {np.max(np.abs(F)):.3e})"
+                f"(residual {max(map(abs, F)):.3e})"
             )
         self._jac_age += 1
         r0_new, w_new = unpack(u)
         rho[:, 0] = r0_new
         rho[:, -1] = w_new
-        return rho, r0_new
-
-    def _bc_jacobian(self, residual, u, F0):
-        jac = np.empty((5, 5))
-        h = 1e-7
-        for k in range(5):
-            up = u.copy()
-            up[k] += h
-            jac[:, k] = (residual(up) - F0) / h
-        return jac
+        return rho, np.array(r0_new)
 
     # -- one time step -----------------------------------------------------
 

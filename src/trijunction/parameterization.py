@@ -16,12 +16,15 @@ form once mu_b and its two q-derivatives are known; those come from implicit
 differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 
 All evaluators are vectorized over sigma/q arrays and over batches of branch
-indices; the evolution stepper leans on that heavily.
+indices; the evolution stepper leans on that heavily.  The exception is the
+boundary operator, which the step evaluates a few times on the six branch
+ends only and which therefore runs in Python floats.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,21 +216,17 @@ def junction_point(network, state: GraphState) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_constants(n, lengths):
-    """Read-only constants of the (3, n+1) grids of sigma_grid(n): sigma / l,
-    rounded exactly as sigma_grid(n) / l; the abscissae of the six branch
-    ends in _BRANCH6 order; the end-slope denominator 2 dsigma.
+def _grid_fraction(n, lengths):
+    """sigma / l on the (3, n+1) grids of sigma_grid(n), rounded exactly as
+    sigma_grid(n) / l, read-only.
 
-    Every step evaluates coefficients and the boundary sweep on the same
-    grids, so the constants are cached per (n, lengths).
+    Every step evaluates the chart on the same grids, so the fraction is
+    cached per (n, lengths).
     """
     l = np.array(lengths)
     frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * l[:, None]) / l[:, None]
-    sigma6 = np.concatenate([np.zeros(3), l])
-    two_d = 2.0 * (l / n)
-    for const in (frac, sigma6, two_d):
-        const.flags.writeable = False
-    return frac, sigma6, two_d
+    frac.flags.writeable = False
+    return frac
 
 
 @dataclass
@@ -265,7 +264,7 @@ def chart_geometry(network, domain, state: GraphState,
     s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
     mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
                                          network.normals[_BRANCH_ROWS], state.rho, s_ref)
-    frac = _grid_constants(state.n, tuple(network.lengths.tolist()))[0]
+    frac = _grid_fraction(state.n, tuple(network.lengths.tolist()))
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
     xi_sq = dmu / l
@@ -329,6 +328,71 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
 _BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
 
 
+class BoundaryOperator:
+    """The junction and wall residuals of boundary_residuals for one network,
+    domain and grid, evaluated in Python floats.
+
+    The per-run constants (frames, lengths, 2 dsigma, cos theta) are
+    converted to floats once.  An evaluation takes the six exits from one
+    domain.offset_exit call and the three wall gradients from one
+    domain.grad call; the rest is a few hundred flops on 3- and 6-entry
+    vectors, which as numpy calls would cost mostly their dispatch.
+    """
+
+    def __init__(self, network, domain, angles: JunctionAngles, n: int):
+        self.domain = domain
+        self.p_star = network.p_star
+        self.tangents6 = network.tangents[_BRANCH6]
+        self.normals6 = network.normals[_BRANCH6]
+        self.lengths6 = network.lengths[_BRANCH6]  # the exits' cold start
+        self.p = network.p_star.tolist()
+        self.frames = list(zip(network.tangents.tolist(), network.normals.tolist(),
+                               network.lengths.tolist()))
+        self.two_d = [2.0 * (l / n) for l in network.lengths.tolist()]
+        self.cos = angles.cos.tolist()
+
+    @staticmethod
+    def inner(rho):
+        """Per branch the nodes 1, 2, n-1, n-2 of rho, which the end slopes
+        read besides the boundary values."""
+        return rho[:, [1, 2, -2, -3]].tolist()
+
+    def __call__(self, inner, r0, w, mu, s_guess=None) -> list:
+        """[g12, g13, outer_1, outer_2, outer_3] as floats; r0, w and mu are
+        3-lists, inner is inner(rho) and s_guess an optional (6,) warm start
+        of the exits."""
+        s_ref = self.lengths6 if s_guess is None else s_guess
+        mu_b, dmu, _ = self.domain.offset_exit(self.p_star, self.tangents6, self.normals6,
+                                               np.array(r0 + w), s_ref, second=False)
+        mu_b, dmu = mu_b.tolist(), dmu.tolist()
+        px, py = self.p
+        junction, wall, walls = [], [], []
+        for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
+            a1, a2, b1, b2 = inner[i]
+            two_d = self.two_d[i]
+            # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
+            xs = (mu_b[i] - mu[i]) / l
+            rs = end_slope(r0[i], a1, a2, two_d)
+            junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
+            # wall end, sigma = l: Phi_q = mu_b' T + N, at xi = mu_b
+            xs = (mu_b[3 + i] - mu[i]) / l
+            rs = -end_slope(w[i], b1, b2, two_d)
+            dmu_i = dmu[3 + i]
+            qx, qy = dmu_i * tx + nx, dmu_i * ty + ny
+            wall.append((xs * tx + rs * qx, xs * ty + rs * qy))
+            xi = mu[i] + (mu_b[3 + i] - mu[i])
+            walls.append((px + xi * tx + w[i] * nx, py + xi * ty + w[i] * ny))
+
+        (x1, y1), (x2, y2), (x3, y3) = junction
+        J1, J2, J3 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
+        c = self.cos
+        res = [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1]]
+        for (x, y), (gx, gy) in zip(wall, self.domain.grad(np.array(walls)).tolist()):
+            # -(R Phi_sigma, grad psi) / (J |grad psi|)
+            res.append(-(x * gy - y * gx) / (math.hypot(x, y) * math.hypot(gx, gy)))
+        return res
+
+
 def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
                        s_guess=None) -> np.ndarray:
     """[g12, g13, outer_1, outer_2, outer_3] for boundary values (r0, w).
@@ -343,28 +407,13 @@ def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
     vanish; about the reference g12 linearizes to (rho1_s - rho2_s)
     sin(theta^3).  outer_i = -(R Phi_sigma, grad psi)/(J |grad psi|) at
     sigma = l^i vanishes iff branch i meets the wall at a right angle and
-    linearizes to rho_sigma + h_* rho.
+    linearizes to rho_sigma + h_* rho.  The stepper's sweep calls the
+    BoundaryOperator behind it directly.
     """
-    _, sigma6, two_d = _grid_constants(rho.shape[1] - 1, tuple(network.lengths.tolist()))
-    q6 = np.concatenate([r0, w])
-    mu6 = np.concatenate([mu, mu])
-    psi, d_sigma, d_q = psi_first_jet(network, domain, _BRANCH6, sigma6,
-                                      q6, mu6, s_guess=s_guess)
-
-    rs0 = end_slope(r0, rho[:, 1], rho[:, 2], two_d)
-    rsl = -end_slope(w, rho[:, -2], rho[:, -3], two_d)
-    rs6 = np.concatenate([rs0, rsl])
-
-    phi_s = d_sigma + rs6[:, None] * d_q
-    J = np.hypot(phi_s[:, 0], phi_s[:, 1])
-    c = angles.cos
-    g12 = phi_s[0] @ phi_s[1] - J[0] * J[1] * c[2]
-    g13 = phi_s[2] @ phi_s[0] - J[2] * J[0] * c[1]
-
-    grad = domain.grad(psi[3:])
-    gnorm = np.hypot(grad[:, 0], grad[:, 1])
-    outer = -_cross(phi_s[3:], grad) / (J[3:] * gnorm)
-    return np.array([g12, g13, outer[0], outer[1], outer[2]])
+    rho = np.asarray(rho, dtype=float)
+    op = BoundaryOperator(network, domain, angles, rho.shape[1] - 1)
+    r0, w, mu = (np.asarray(v, dtype=float).tolist() for v in (r0, w, mu))
+    return np.array(op(op.inner(rho), r0, w, mu, s_guess))
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trijunction import diagnostics, parameterization
+from trijunction import diagnostics, evolution, parameterization
 from trijunction.diagnostics import decay_fit, record_from_state
-from trijunction.errors import CflViolation
+from trijunction.domains import CircleDomain
+from trijunction.errors import CflViolation, CompatibilityFailed, NewtonDiverged
 from trijunction.evolution import (
     EvolveConfig,
     Stepper,
@@ -16,7 +17,7 @@ from trijunction.evolution import (
 )
 from trijunction.parameterization import GraphState
 from trijunction.stability import max_eigenvalue
-from trijunction.tensions import junction_matrix, young_angles
+from trijunction.tensions import constraint_basis, junction_matrix, young_angles
 
 from oracles import boundary_residuals_reference
 
@@ -35,6 +36,61 @@ def test_zero_state_is_machine_fixed_point(disk, disk_network, unit_tensions):
         state = stepper.step(state)
     assert np.abs(state.rho).max() == 0.0
     assert np.abs(state.mu).max() == 0.0
+
+
+class _NanGradientDisk(CircleDomain):
+    """Unit disk whose wall gradient is NaN: the wall residuals are NaN, so
+    no step of the boundary sweep can lower the residual norm."""
+
+    def grad(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
+def _break_boundary_sweep(failure, domain, monkeypatch):
+    """Set up one failure of the boundary Newton sweep for Steppers built
+    after the call; returns the domain to build them on."""
+    if failure == "singular":
+        # a plane basis whose second row is zero: the second unknown moves
+        # no boundary value, so its Jacobian column is exactly zero
+        def degenerate_basis(tensions):
+            b = constraint_basis(tensions).copy()
+            b[1] = 0.0
+            return b
+
+        monkeypatch.setattr(evolution, "constraint_basis", degenerate_basis)
+    elif failure == "cap":
+        monkeypatch.setattr(evolution, "_NEWTON_MAX", 1)
+    else:
+        domain = _NanGradientDisk(1.0)
+    return domain
+
+
+_SWEEP_FAILURES = {"singular": "singular", "stall": "stalled", "cap": "did not reach"}
+
+
+@pytest.mark.parametrize("failure", sorted(_SWEEP_FAILURES))
+def test_failed_sweep_raises_newton_diverged_from_step(disk, disk_network, unit_tensions,
+                                                       failure, monkeypatch):
+    cfg = make_config(disk_network, 24, 1.0)
+    state = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                          amplitude=1e-2)
+    domain = _break_boundary_sweep(failure, disk, monkeypatch)
+    stepper = Stepper(disk_network, domain, unit_tensions, cfg)
+    with pytest.raises(NewtonDiverged, match=_SWEEP_FAILURES[failure]):
+        stepper.step(state)
+    # run() ends the trajectory with the typed status instead of raising
+    traj = run(disk_network, domain, unit_tensions, state, cfg)
+    assert traj.status == "NewtonDiverged" and _SWEEP_FAILURES[failure] in traj.message
+
+
+@pytest.mark.parametrize("failure", sorted(_SWEEP_FAILURES))
+def test_failed_sweep_raises_compatibility_failed_from_initial_state(
+        disk, disk_network, unit_tensions, failure, monkeypatch):
+    cfg = make_config(disk_network, 24, 1.0)
+    domain = _break_boundary_sweep(failure, disk, monkeypatch)
+    with pytest.raises(CompatibilityFailed, match=_SWEEP_FAILURES[failure]):
+        initial_state(disk_network, domain, unit_tensions, cfg, kind="cosine",
+                      amplitude=1e-2)
 
 
 def test_cfl_guard(disk, disk_network, unit_tensions):

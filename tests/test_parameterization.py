@@ -371,16 +371,17 @@ def test_outer_bc_residual_linearization(disk_network, disk, ellipse_network,
 def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
                                                   two_dents_network, two_dents,
                                                   ellipse_network, ellipse,
-                                                  unit_tensions):
-    # batched stepper route against the per-branch psi_jet route of
-    # tests/oracles.py at perturbed boundary values; unequal tensions make
-    # the two Young angles in g12 and g13 differ
+                                                  disk_network, disk, unit_tensions):
+    # the stepper's float route against the per-branch psi_jet route of
+    # tests/oracles.py at perturbed boundary values, on both exit routes
+    # (line polynomial, closed-form conic); unequal tensions make the two
+    # Young angles in g12 and g13 differ
     rng = np.random.default_rng(21)
     for tensions in (unit_tensions, SurfaceTensions((1.0, 1.3, 0.8))):
         angles = young_angles(tensions)
         q = junction_matrix(angles).q
         for net, dom in ((trefoil_network, trefoil), (two_dents_network, two_dents),
-                         (ellipse_network, ellipse)):
+                         (ellipse_network, ellipse), (disk_network, disk)):
             state = smooth_state(net, unit_tensions, 40, amp=0.03, seed=4)
             r0 = state.rho[:, 0] + 1e-3 * rng.normal(size=3)
             w = state.rho[:, -1] + 1e-3 * rng.normal(size=3)

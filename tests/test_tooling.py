@@ -125,6 +125,72 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
     assert best["record"] <= 2.0 * best["coefficients"], best
 
 
+def _disk_eigenmode_state(disk, disk_network, unit_tensions, n):
+    config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
+    phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
+    state = initial_state(disk_network, disk, unit_tensions, config, kind="eigenmode",
+                          amplitude=1e-2, eigenfunction=phi)
+    return Stepper(disk_network, disk, unit_tensions, config), state
+
+
+def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
+        disk, disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  A converged sweep is one residual evaluation: one exit call for
+    # the six branch ends, one wall-gradient call and a few hundred flops in
+    # Python floats, 0.36-0.39 of a coefficients call at n = 200.  The same
+    # flops as about 100 numpy calls on 3- to 6-entry arrays cost 0.55-0.58;
+    # the bound sits about 20 % above the first and 15 % below the second.
+    stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
+    for _ in range(3):
+        state = stepper.step(state)
+    rho = state.rho.copy()
+    stepper.enforce_bcs(rho)  # converge once; timed calls then need no iteration
+    calls = {
+        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state,
+                                             q_matrix=stepper.qmat),
+        "sweep": lambda: stepper.enforce_bcs(rho),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(20):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["sweep"] <= 0.47 * best["coefficients"], best
+
+
+def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
+                                                              unit_tensions, monkeypatch):
+    # One exit call per residual evaluation: on the disk at n = 200 the
+    # lagged-Jacobian sweep converges in one iteration (two evaluations) and
+    # refreshes its five-column Jacobian every 100 steps, 2.05 per step.
+    stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
+    for _ in range(20):
+        state = stepper.step(state)
+    exits, in_sweep = [], [False]
+    offset_exit, enforce_bcs = type(disk).offset_exit, stepper.enforce_bcs
+
+    def counted(self, *args, **kwargs):
+        exits.append(in_sweep[0])
+        return offset_exit(self, *args, **kwargs)
+
+    def sweep(*args, **kwargs):
+        in_sweep[0] = True
+        try:
+            return enforce_bcs(*args, **kwargs)
+        finally:
+            in_sweep[0] = False
+
+    monkeypatch.setattr(type(disk), "offset_exit", counted)
+    monkeypatch.setattr(stepper, "enforce_bcs", sweep)
+    steps = 200
+    for _ in range(steps):
+        state = stepper.step(state)
+    assert sum(exits) <= 2 * steps + 5 * (steps // 100), sum(exits) / steps
+    assert len(exits) - sum(exits) == steps  # plus the chart's one per step
+
+
 def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_tensions,
                                              monkeypatch):
     # A step on a polynomial domain finds its exits by Newton on the line
