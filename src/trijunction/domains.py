@@ -413,6 +413,7 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
     This orientation matches the second derivative of the branch-length
     function mu(q): sliding an endpoint sideways along a positively curved
     (dented) wall lengthens the branch, which is the stabilizing case.
+    A gradient under the floor or not finite raises SingularGradient.
     """
     x = np.asarray(x, dtype=float)
     val = np.asarray(domain.psi(x))
@@ -421,8 +422,9 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
         raise NotOnBoundary(f"psi(x) = {val} exceeds boundary tolerance")
     g = domain.grad(x)
     gnorm = np.linalg.norm(g, axis=-1)
-    if np.any(gnorm < _GRAD_FLOOR):
-        raise SingularGradient("gradient vanishes on the boundary")
+    if not np.all(gnorm >= _GRAD_FLOOR):  # NaN fails the test too
+        raise SingularGradient(f"gradient vanishes or is not finite on the boundary "
+                               f"(|grad psi| = {gnorm})")
     t = (g / gnorm[..., None]) @ ROT90.T  # outward normal rotated by pi/2
     quad = np.einsum("...i,...ij,...j->...", t, domain.hess(x), t)
     h = -quad / gnorm

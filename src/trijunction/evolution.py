@@ -13,9 +13,12 @@ junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
 every sweep so the stick condition cannot drift.  The sweep runs in Python
 floats: each residual evaluation makes one exit call for the six branch
-ends and one wall-gradient call, and the lagged Jacobian is inverted once
-per refresh, because numpy's per-call dispatch would cost more than the few
-hundred flops on 5-entry vectors.
+ends, whose jet also gives the wall normals, and the lagged Jacobian is
+inverted once per refresh, because numpy's per-call dispatch would cost more
+than the few hundred flops on 5-entry vectors.  The step's exit searches
+start from a second-order prediction off the last chart's exit jet,
+mu_b + dq (mu_b' + mu_b'' dq / 2) with dq the change of rho since that
+chart, so that a polynomial exit is mostly accepted at its first evaluation.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -121,7 +124,7 @@ class Stepper:
         self._q = self.qmat.q.tolist()
         self._jac_inv = None  # inverse of the lagged boundary Jacobian
         self._jac_age = 0
-        self._mu_b_prev = None
+        self._last = None  # (rho, chart) that the next chart predicts its exits from
         self._ahead = None  # (state, its coefficients) for the next step to read
 
     def enforce_bcs(self, rho, exc=NewtonDiverged):
@@ -129,14 +132,13 @@ class Stepper:
 
         The unknowns are c = b rho(0) in the constraint_basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
-        holds exactly throughout.  The last step's exits warm-start the six.
+        holds exactly throughout.  The six exits are predicted from the
+        last chart's jet (the reference lengths before the first chart).
         The iteration runs in Python floats on the float core of
         boundary_residuals, with the lagged Jacobian kept as its inverse.
         """
         bc, (b0, b1), q = self._bc, self._basis, self._q
         inner = bc.inner(rho)
-        mu_b = self._mu_b_prev
-        s_guess = None if mu_b is None else np.concatenate([mu_b[:, 0], mu_b[:, -1]])
 
         def unpack(u):
             c0, c1 = u[0], u[1]
@@ -146,7 +148,7 @@ class Stepper:
             # junction angle + outer perpendicularity residuals, interior frozen
             r0, w = unpack(u)
             mu = [qa * r0[0] + qb * r0[1] + qc * r0[2] for qa, qb, qc in q]
-            return bc(inner, r0, w, mu, s_guess)
+            return bc(inner, r0, w, mu)
 
         u = (self.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
         F = residual(u)
@@ -184,11 +186,19 @@ class Stepper:
     # -- one time step -----------------------------------------------------
 
     def chart(self, state: GraphState):
-        """Coefficients of `state`, its exits warm-started from the last
-        chart's; step(state) reads them instead of evaluating them again."""
+        """Coefficients of `state`; step(state) reads them instead of
+        evaluating them again.  Its exits start from the last chart's jet
+        and the change of rho since (the first chart cold-starts), and the
+        boundary sweep predicts its exits from its jet in turn."""
+        guess = None
+        if self._last is not None:
+            rho, geo = self._last
+            dq = state.rho - rho
+            guess = geo.mu_b + dq * (geo.dmu_b + 0.5 * geo.ddmu_b * dq)
         coef = coefficients(self.network, self.domain, self.tensions, state,
-                            q_matrix=self.qmat, mu_b_guess=self._mu_b_prev)
-        self._mu_b_prev = coef.mu_b
+                            q_matrix=self.qmat, mu_b_guess=guess)
+        self._last = (state.rho.copy(), coef)
+        self._bc.anchor(state.rho, coef)
         self._ahead = (state, coef)
         return coef
 

@@ -18,7 +18,10 @@ differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 All evaluators are vectorized over sigma/q arrays and over batches of branch
 indices; the evolution stepper leans on that heavily.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
-ends only and which therefore runs in Python floats.
+ends only and which therefore runs in Python floats.  It reads the wall
+normal from the exit jet: differentiating psi(p_* + mu_b T + q N) = 0 in q
+gives grad psi = (grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an
+outward crossing, so no gradient of psi is evaluated.
 """
 
 from __future__ import annotations
@@ -235,6 +238,8 @@ class ChartGeometry:
     terms they come from; all arrays are (3, n+1)."""
 
     mu_b: np.ndarray  # exit abscissae mu_b(rho)
+    dmu_b: np.ndarray  # mu_b'(rho), its q-derivative
+    ddmu_b: np.ndarray  # mu_b''(rho)
     frac: np.ndarray  # sigma / l, read-only
     xi_sigma: np.ndarray
     phi_T: np.ndarray  # (Phi_sigma, T_*); (Phi_sigma, N_*) is rho_sigma
@@ -253,8 +258,9 @@ def chart_geometry(network, domain, state: GraphState,
     branch frame (T, N); the curvature then collapses to a scalar expression
     in the xi partials.  The general vector route of the chart jet is the
     reference in tests/oracles.py and agrees with these values to rounding.
-    mu_b_guess warm-starts
-    the exit root search; the reference lengths are the cold start.
+    mu_b_guess starts the exit root search; the reference lengths are the
+    cold start.  The exit jet (mu_b, mu_b', mu_b'') is kept, so that the
+    next chart can predict its exits from it.
     """
     rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
     l = network.lengths[:, None]
@@ -276,8 +282,8 @@ def chart_geometry(network, domain, state: GraphState,
         raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
     J = np.sqrt(J2)
     kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
-    return ChartGeometry(mu_b=mu_b, frac=frac, xi_sigma=xi_sigma, phi_T=phi_T,
-                         rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
+    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, ddmu_b=ddmu, frac=frac, xi_sigma=xi_sigma,
+                         phi_T=phi_T, rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
 
 
 @dataclass
@@ -333,10 +339,13 @@ class BoundaryOperator:
     domain and grid, evaluated in Python floats.
 
     The per-run constants (frames, lengths, 2 dsigma, cos theta) are
-    converted to floats once.  An evaluation takes the six exits from one
-    domain.offset_exit call and the three wall gradients from one
-    domain.grad call; the rest is a few hundred flops on 3- and 6-entry
-    vectors, which as numpy calls would cost mostly their dispatch.
+    converted to floats once.  An evaluation takes the six exit jets
+    (mu_b, mu_b') from one domain.offset_exit call and reads the wall
+    normals from them; the rest is a few hundred flops on 3- and 6-entry
+    vectors, which as numpy calls would cost mostly their dispatch.  The
+    exits start from a second-order prediction off the anchor chart (see
+    anchor), so that a polynomial exit is mostly accepted at its first
+    evaluation.
     """
 
     def __init__(self, network, domain, angles: JunctionAngles, n: int):
@@ -344,12 +353,25 @@ class BoundaryOperator:
         self.p_star = network.p_star
         self.tangents6 = network.tangents[_BRANCH6]
         self.normals6 = network.normals[_BRANCH6]
-        self.lengths6 = network.lengths[_BRANCH6]  # the exits' cold start
-        self.p = network.p_star.tolist()
+        self.lengths6 = network.lengths[_BRANCH6].tolist()
         self.frames = list(zip(network.tangents.tolist(), network.normals.tolist(),
                                network.lengths.tolist()))
         self.two_d = [2.0 * (l / n) for l in network.lengths.tolist()]
         self.cos = angles.cos.tolist()
+        self.anchor()
+
+    def anchor(self, rho=None, geo=None):
+        """Predict the exits from the chart geo of rho: at ends where rho
+        moved by dq, from mu_b + dq (mu_b' + mu_b'' dq / 2).  Without a
+        chart the prediction is the reference lengths, the cold start.  The
+        end values are copied as floats, so later writes to rho or geo do
+        not move the anchor."""
+        if geo is None:
+            self._jet = [(0.0, l, 0.0, 0.0) for l in self.lengths6]
+        else:
+            ends = (a[:, 0].tolist() + a[:, -1].tolist()
+                    for a in (rho, geo.mu_b, geo.dmu_b, geo.ddmu_b))
+            self._jet = list(zip(*ends))
 
     @staticmethod
     def inner(rho):
@@ -357,16 +379,18 @@ class BoundaryOperator:
         read besides the boundary values."""
         return rho[:, [1, 2, -2, -3]].tolist()
 
-    def __call__(self, inner, r0, w, mu, s_guess=None) -> list:
+    def __call__(self, inner, r0, w, mu) -> list:
         """[g12, g13, outer_1, outer_2, outer_3] as floats; r0, w and mu are
-        3-lists, inner is inner(rho) and s_guess an optional (6,) warm start
-        of the exits."""
-        s_ref = self.lengths6 if s_guess is None else s_guess
+        3-lists and inner is inner(rho)."""
+        q = r0 + w
+        s_ref = []
+        for qk, (q0, s, ds, dds) in zip(q, self._jet):
+            dq = qk - q0
+            s_ref.append(s + dq * (ds + 0.5 * dds * dq))
         mu_b, dmu, _ = self.domain.offset_exit(self.p_star, self.tangents6, self.normals6,
-                                               np.array(r0 + w), s_ref, second=False)
+                                               np.array(q), np.array(s_ref), second=False)
         mu_b, dmu = mu_b.tolist(), dmu.tolist()
-        px, py = self.p
-        junction, wall, walls = [], [], []
+        junction, res = [], []
         for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
             a1, a2, b1, b2 = inner[i]
             two_d = self.two_d[i]
@@ -374,46 +398,41 @@ class BoundaryOperator:
             xs = (mu_b[i] - mu[i]) / l
             rs = end_slope(r0[i], a1, a2, two_d)
             junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
-            # wall end, sigma = l: Phi_q = mu_b' T + N, at xi = mu_b
+            # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
+            # = a T + rs N, and grad psi is parallel to T - mu_b' N, so
+            # -(R Phi_sigma, grad psi) / (J |grad psi|) is a frame expression
             xs = (mu_b[3 + i] - mu[i]) / l
             rs = -end_slope(w[i], b1, b2, two_d)
-            dmu_i = dmu[3 + i]
-            qx, qy = dmu_i * tx + nx, dmu_i * ty + ny
-            wall.append((xs * tx + rs * qx, xs * ty + rs * qy))
-            xi = mu[i] + (mu_b[3 + i] - mu[i])
-            walls.append((px + xi * tx + w[i] * nx, py + xi * ty + w[i] * ny))
+            d = dmu[3 + i]
+            a = xs + rs * d
+            res.append((a * d + rs) / (math.hypot(a, rs) * math.hypot(1.0, d)))
 
         (x1, y1), (x2, y2), (x3, y3) = junction
         J1, J2, J3 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
         c = self.cos
-        res = [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1]]
-        for (x, y), (gx, gy) in zip(wall, self.domain.grad(np.array(walls)).tolist()):
-            # -(R Phi_sigma, grad psi) / (J |grad psi|)
-            res.append(-(x * gy - y * gx) / (math.hypot(x, y) * math.hypot(gx, gy)))
-        return res
+        return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
 
 
-def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu,
-                       s_guess=None) -> np.ndarray:
+def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu) -> np.ndarray:
     """[g12, g13, outer_1, outer_2, outer_3] for boundary values (r0, w).
 
     r0 and w replace the junction and wall nodes of rho, whose interior
     enters only through the one-sided end slopes; mu are the tangential
-    junction offsets and s_guess an optional warm start (6,) for the exit
-    abscissae, junction ends first.
+    junction offsets.  The exits cold-start from the reference lengths.
 
     g12 = (Phi^1_sigma, Phi^2_sigma) - J^1 J^2 cos(theta^3) and cyclically
     g13 with cos(theta^2): the curves meet at the Young angles iff both
     vanish; about the reference g12 linearizes to (rho1_s - rho2_s)
     sin(theta^3).  outer_i = -(R Phi_sigma, grad psi)/(J |grad psi|) at
     sigma = l^i vanishes iff branch i meets the wall at a right angle and
-    linearizes to rho_sigma + h_* rho.  The stepper's sweep calls the
+    linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
+    as (grad psi, T) (T - mu_b' N).  The stepper's sweep calls the
     BoundaryOperator behind it directly.
     """
     rho = np.asarray(rho, dtype=float)
     op = BoundaryOperator(network, domain, angles, rho.shape[1] - 1)
     r0, w, mu = (np.asarray(v, dtype=float).tolist() for v in (r0, w, mu))
-    return np.array(op(op.inner(rho), r0, w, mu, s_guess))
+    return np.array(op(op.inner(rho), r0, w, mu))
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:

@@ -114,6 +114,14 @@ def two_dents_network(two_dents, unit_tensions):
     return find_stationary(two_dents, unit_tensions, SteadyGuess(p=(0.03, 0.02), gauge=0.0))
 
 
+class NanGradientDisk(CircleDomain):
+    """Unit disk whose gradient is NaN everywhere; its exits are the disk's
+    closed form, which needs no gradient."""
+
+    def grad(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
 def random_tensions(rng):
     """Admissible tension triple by rejection sampling."""
     while True:

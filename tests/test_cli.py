@@ -2,8 +2,12 @@ import re
 
 import pytest
 
+from trijunction import steady
 from trijunction.cli import main
+from trijunction.config import RunConfig
 from trijunction.storage import read_trajectory
+
+from conftest import NanGradientDisk
 
 DISK_CFG = """
 domain.type = circle
@@ -162,6 +166,16 @@ def test_numerical_failure_exit_code(workdir):
         "guess.p = 0.05, 0.03\n"
     )
     assert main(["steady", str(nogauge), "--out", str(workdir / "x.txt")]) == 2
+
+
+def test_record_on_a_nan_gradient_wall_exits_2(workdir, capsys, disk_network, monkeypatch):
+    # The stepper needs no wall gradient; the first record's wall curvature
+    # does, and a NaN one raises SingularGradient, a numerical failure.
+    monkeypatch.setattr(RunConfig, "make_domain", lambda cfg: NanGradientDisk(1.0))
+    monkeypatch.setattr(steady, "find_stationary", lambda *args: disk_network)
+    assert main(["evolve", str(workdir / "disk.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("SingularGradient: gradient vanishes or is "
+                                              "not finite")
 
 
 def test_determinism_identical_runs(workdir):

@@ -8,8 +8,11 @@ from trijunction.diagnostics import (
     record_from_state,
     resample,
 )
-from trijunction.errors import MatrixMNotInvertible, NonPositiveSeries
-from trijunction.parameterization import GraphState, coefficients, state_from_rho
+from trijunction.errors import MatrixMNotInvertible, NonPositiveSeries, SingularGradient
+from trijunction.parameterization import (GraphState, chart_geometry, coefficients,
+                                          state_from_rho)
+
+from conftest import NanGradientDisk
 
 from oracles import (
     circle_points,
@@ -133,6 +136,18 @@ def test_record_skips_the_step_det_m_floor(disk, disk_network, unit_tensions):
     rec = record_from_state(disk_network, disk, unit_tensions, state)
     values = [getattr(rec, name) for name in rec.__dataclass_fields__]
     assert np.all(np.isfinite(np.hstack(values)))
+
+
+def test_record_raises_on_a_nan_wall_gradient(disk, disk_network, unit_tensions):
+    # NaN passes a "below the floor" test, so the record would carry NaN
+    # res_outer and res_perp; the wall curvature raises instead.
+    sigma = disk_network.sigma_grid(32)
+    rho = 1e-2 * np.cos(np.pi * sigma / disk_network.lengths[:, None])
+    state = state_from_rho(disk_network, unit_tensions, rho)
+    for chart in (None, chart_geometry(disk_network, disk, state)):
+        with pytest.raises(SingularGradient, match="not finite"):
+            record_from_state(disk_network, NanGradientDisk(1.0), unit_tensions, state,
+                              chart=chart)
 
 
 def test_energy_law_residual_stationary(trefoil, trefoil_network, unit_tensions):

@@ -38,12 +38,17 @@ def test_zero_state_is_machine_fixed_point(disk, disk_network, unit_tensions):
     assert np.abs(state.mu).max() == 0.0
 
 
-class _NanGradientDisk(CircleDomain):
-    """Unit disk whose wall gradient is NaN: the wall residuals are NaN, so
-    no step of the boundary sweep can lower the residual norm."""
+class _NanSlopeDisk(CircleDomain):
+    """Unit disk whose exit slope mu_b' is NaN at the six branch ends that
+    the boundary sweep evaluates.  The sweep reads its wall normals from
+    that slope, so the wall residuals are NaN and no step of the sweep can
+    lower the residual norm; the chart's exits on the full grids are exact."""
 
-    def grad(self, x):
-        return np.full(np.shape(x), np.nan)
+    def offset_exit(self, base, T, N, q, s_ref, second=True):
+        s, ds, dds = super().offset_exit(base, T, N, q, s_ref, second)
+        if np.shape(q) == (6,):
+            ds = np.full_like(ds, np.nan)
+        return s, ds, dds
 
 
 def _break_boundary_sweep(failure, domain, monkeypatch):
@@ -61,7 +66,7 @@ def _break_boundary_sweep(failure, domain, monkeypatch):
     elif failure == "cap":
         monkeypatch.setattr(evolution, "_NEWTON_MAX", 1)
     else:
-        domain = _NanGradientDisk(1.0)
+        domain = _NanSlopeDisk(1.0)
     return domain
 
 
@@ -91,6 +96,27 @@ def test_failed_sweep_raises_compatibility_failed_from_initial_state(
     with pytest.raises(CompatibilityFailed, match=_SWEEP_FAILURES[failure]):
         initial_state(disk_network, domain, unit_tensions, cfg, kind="cosine",
                       amplitude=1e-2)
+
+
+def test_step_evaluates_no_wall_gradient(disk, disk_network, two_dents, two_dents_network,
+                                        unit_tensions, monkeypatch):
+    # The sweep reads its wall normals from the exit jet and the chart needs
+    # none, so neither a step nor the initial boundary solve calls grad.
+    def no_grad(self, x):
+        raise AssertionError("domain.grad called")
+
+    for network, domain in ((disk_network, disk), (two_dents_network, two_dents)):
+        cfg = make_config(network, 24, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(domain), "grad", no_grad)
+            state = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
+                                  amplitude=1e-2)
+            stepper = Stepper(network, domain, unit_tensions, cfg)
+            for _ in range(5):
+                state = stepper.step(state)
+            rho = state.rho.copy()
+            rho[:, [0, -1]] += 1e-4  # off the conditions: the sweep iterates
+            stepper.enforce_bcs(rho)
 
 
 def test_cfl_guard(disk, disk_network, unit_tensions):
@@ -274,7 +300,7 @@ def _run_and_rerecord(network, domain, tensions, cfg, init):
 def test_run_records_equal_records_of_its_states_on_conics(disk, disk_network, ellipse,
                                                           ellipse_network, unit_tensions):
     # A run records the chart its next step reads.  Conic exits are closed
-    # form and ignore the warm start, so every field equals the plain record
+    # form and ignore their start, so every field equals the plain record
     # of the stored state bitwise: on the disk eigenmode run, and on the
     # ellipse with cosine data (the CLI pipeline's config, every step).
     n = 48
@@ -300,7 +326,7 @@ def test_run_records_equal_records_of_its_states_on_conics(disk, disk_network, e
 def test_run_records_match_records_of_its_states_on_two_dents(two_dents, two_dents_network,
                                                              unit_tensions):
     # Polynomial exits are Newton roots, so the run's records (exits
-    # warm-started from the last chart) and the plain ones (cold-started)
+    # predicted from the last chart) and the plain ones (cold-started)
     # differ at rounding, the amplitude-cap record included: within 1e-12 of
     # each field's largest magnitude along the run.  The identity residuals
     # sit at rounding level themselves (res_perp at 1e-10, the sweep's

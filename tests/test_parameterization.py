@@ -7,6 +7,7 @@ from trijunction.parameterization import (
     GraphState,
     StationaryNetwork,
     boundary_residuals,
+    chart_geometry,
     coefficients,
     curve_from_graph,
     mu_boundary,
@@ -389,6 +390,28 @@ def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
             F = boundary_residuals(*args)
             assert np.abs(F[:2]).max() > 1e-3  # off the junction conditions
             assert np.abs(F - boundary_residuals_reference(*args)).max() <= 1e-15
+
+
+def test_exit_jet_gives_the_wall_normal(disk_network, disk, ellipse_network, ellipse,
+                                        trefoil_network, trefoil, two_dents_network,
+                                        two_dents, unit_tensions):
+    # psi(p_* + mu_b T + q N) = 0 differentiated in q gives
+    # grad psi = (grad psi, T) (T - mu_b' N) with (grad psi, T) > 0 at an
+    # outward crossing, so the boundary sweep reads its wall normals from the
+    # exit jet.  At every exit of perturbed charts, T - mu_b' N points along
+    # domain.grad to within 1e-14 rad, on both exit routes.
+    for net, dom in ((disk_network, disk), (ellipse_network, ellipse),
+                     (trefoil_network, trefoil), (two_dents_network, two_dents)):
+        for seed, amp in enumerate((1e-3, 1e-2, 5e-2)):
+            state = smooth_state(net, unit_tensions, 32, amp=amp, seed=seed)
+            geo = chart_geometry(net, dom, state)
+            T, N = net.tangents[:, None, :], net.normals[:, None, :]
+            wall = net.p_star + geo.mu_b[..., None] * T + state.rho[..., None] * N
+            g = dom.grad(wall)
+            v = T - geo.dmu_b[..., None] * N
+            angle = np.arctan2(v[..., 0] * g[..., 1] - v[..., 1] * g[..., 0],
+                               np.sum(v * g, axis=-1))
+            assert np.abs(angle).max() <= 1e-14, (dom.family, amp, np.abs(angle).max())
 
 
 def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):

@@ -29,7 +29,7 @@ from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import coefficients
-from trijunction import stability
+from trijunction import domains, stability
 from trijunction.stability import max_eigenvalue
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,10 +137,11 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
         disk, disk_network, unit_tensions):
     # A ratio of two timings in one process does not depend on the host's
     # speed.  A converged sweep is one residual evaluation: one exit call for
-    # the six branch ends, one wall-gradient call and a few hundred flops in
-    # Python floats, 0.36-0.39 of a coefficients call at n = 200.  The same
-    # flops as about 100 numpy calls on 3- to 6-entry arrays cost 0.55-0.58;
-    # the bound sits about 20 % above the first and 15 % below the second.
+    # the six branch ends, whose jet also gives the wall normals, and a few
+    # hundred flops in Python floats, 0.30-0.31 of a coefficients call at
+    # n = 200 (0.35-0.40 with a wall-gradient call besides).  The same flops
+    # as about 100 numpy calls on 3- to 6-entry arrays cost 0.55-0.58; the
+    # bound sits 15 % below that.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
     for _ in range(3):
         state = stepper.step(state)
@@ -214,6 +215,57 @@ def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_t
     monkeypatch.setattr(PolynomialDomain, "psi_and_grad", counted)
     stepper.step(state)
     assert calls == []
+
+
+def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_network,
+                                                       unit_tensions, monkeypatch):
+    # Every exit search starts from a second-order prediction off the last
+    # chart's exit jet, so the first evaluation of the line polynomial
+    # already meets |P| < 1e-13 on almost every call, for the chart's
+    # (3, n+1) exits and the sweep's six.  Started from the last exits
+    # instead, each call takes two Newton steps and a confirming evaluation,
+    # three in all.  One evaluation is one power ladder of s; each call
+    # also builds one ladder of q.
+    n = 48
+    config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
+    phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
+    state = initial_state(two_dents_network, two_dents, unit_tensions, config,
+                          kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
+    stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
+    for _ in range(5):
+        state = stepper.step(state)
+    counts = {"chart": [0, 0], "sweep": [0, 0]}  # exit calls, ladders inside them
+    where, inside = ["chart"], [False]
+    ladder, offset_exit = domains._ladder, PolynomialDomain.offset_exit
+    enforce_bcs = stepper.enforce_bcs
+
+    def counted_ladder(*args):
+        counts[where[0]][1] += inside[0]
+        return ladder(*args)
+
+    def counted_exit(self, *args, **kwargs):
+        counts[where[0]][0] += 1
+        inside[0] = True
+        try:
+            return offset_exit(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def sweep(*args, **kwargs):
+        where[0] = "sweep"
+        try:
+            return enforce_bcs(*args, **kwargs)
+        finally:
+            where[0] = "chart"
+
+    monkeypatch.setattr(domains, "_ladder", counted_ladder)
+    monkeypatch.setattr(PolynomialDomain, "offset_exit", counted_exit)
+    monkeypatch.setattr(stepper, "enforce_bcs", sweep)
+    for _ in range(100):
+        state = stepper.step(state)
+    per_call = {k: (ladders - calls) / calls for k, (calls, ladders) in counts.items()}
+    assert counts["chart"][0] == 100 and counts["sweep"][0] >= 200, counts
+    assert max(per_call.values()) <= 1.2, per_call
 
 
 def test_max_eigenvalue_assembles_once_through_module_global(disk_network, unit_tensions,
