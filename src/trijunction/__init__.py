@@ -55,6 +55,7 @@ from .diagnostics import (
     energy_law_residual,
     decay_fit,
     record_from_state,
+    records_from_states,
 )
 from .config import RunConfig, parse_config
 from .storage import (

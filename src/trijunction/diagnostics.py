@@ -3,8 +3,12 @@
 A record measures a state on the sigma grids of its own chart: J and kappa
 come from parameterization.chart_geometry, the kernel the time step uses,
 so the energy law is checked on the discretization that dissipates it.
-evolution.run hands each record the coefficients that the next step reads,
-so a recorded state's chart is evaluated once.
+evolution.run hands each record the chart that the next step reads, so a
+recorded state's chart is evaluated once.  records_from_states evaluates
+the records of many states on one grid as one batch, vectorized over a
+leading record axis, because a record of a small grid costs mostly numpy
+dispatch; record_from_state is its batch of one, and a record is bitwise
+the same in any batch.  run evaluates its records in batches of 8.
 Integrals are composite trapezoid sums in the arc element J dsigma;
 arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
 stencils of rho_derivatives, one-sided at the junction and the wall.
@@ -25,11 +29,12 @@ suite builds its cross-check of the records on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .domains import boundary_curvature
-from .errors import DegenerateCurve, NonPositiveSeries
+from .errors import DegenerateCurve, NonPositiveSeries, TriJunctionError
 from .parameterization import GraphState, _cross, chart_geometry, junction_point, rho_derivatives
 from .tensions import junction_matrix, young_angles
 
@@ -161,70 +166,143 @@ class DiagnosticsRecord:
 
 def _branch_integrals(values, J, dx):
     """Per-branch trapezoid integrals of values in the arc element J dsigma,
-    over the last axis; values may stack several integrands."""
-    return np.trapezoid(values * J, dx=1.0, axis=-1) * dx
+    over the last axis; values may stack several integrands, and is
+    overwritten.  The trapezoid sum of numpy.trapezoid is written out in
+    place, so that a batch of records holds two copies of its integrands,
+    not four."""
+    values *= J
+    pairs = values[..., 1:] + values[..., :-1]
+    pairs /= 2.0
+    return pairs.sum(axis=-1) * dx
 
 
 def _weighted_integral(gammas, values, J, dx) -> float:
+    """sum_i gamma_i of _branch_integrals; values is overwritten."""
     return float(np.sum(gammas * _branch_integrals(values, J, dx)))
+
+
+class RecordChart(NamedTuple):
+    """What a record reads of a chart: kappa and J on the sigma grids and
+    the wall-end columns (3, 1) of mu_b, phi_T and rho_sigma."""
+
+    kappa: np.ndarray
+    J: np.ndarray
+    mu_b: np.ndarray
+    phi_T: np.ndarray
+    rho_sigma: np.ndarray
+
+    @classmethod
+    def of(cls, geo) -> RecordChart:
+        """The slices of a ChartGeometry (or Coefficients) that a record
+        reads; a run keeps these for a pending record, not the whole chart."""
+        return cls(geo.kappa, geo.J, geo.mu_b[:, -1:].copy(), geo.phi_T[:, -1:].copy(),
+                   geo.rho_sigma[:, -1:].copy())
+
+
+def _rowwise(a, x):
+    """a @ x[k] for every row x[k] of x.  The stacked product makes, per
+    row, the BLAS call that one record makes alone, so it rounds alike for
+    any batch.  x @ a.T, one matrix product, rounds differently with the
+    batch size, and a sum of three written-out terms rounds differently
+    from that BLAS call."""
+    return (a @ x[..., None])[..., 0]
 
 
 def record_from_state(network, domain, tensions, state: GraphState, chart=None,
                       q_matrix=None) -> DiagnosticsRecord:
-    """Energy, curvature norms and identity residuals of one state.
+    """Energy, curvature norms and identity residuals of one state: the
+    batch of one of records_from_states."""
+    return records_from_states(network, domain, tensions, [state], [chart], q_matrix)[0]
 
-    chart is the ChartGeometry (or the Coefficients) of `state`, such as the
-    ones the next time step reads; without it the record evaluates
-    chart_geometry, cold-started.  q_matrix is the junction matrix of
-    `tensions`, computed when not given.  The det M floor of `coefficients`
-    is not applied: it guards the time step, and records are also taken of
-    states no step has evaluated.
+
+def records_from_states(network, domain, tensions, states, charts=None,
+                        q_matrix=None) -> list[DiagnosticsRecord]:
+    """Records of `states`, all on one grid, evaluated as one batch.
+
+    charts[k] is the ChartGeometry (or the Coefficients, or the RecordChart)
+    of states[k], such as the ones the next time step reads; for a None
+    entry, or charts=None, the record evaluates chart_geometry,
+    cold-started.  q_matrix is the junction matrix of `tensions`, computed
+    when not given.  The det M floor of `coefficients` is not applied: it
+    guards the time step, and records are also taken of states no step has
+    evaluated.
+
+    Every field is computed along a leading record axis, and the products
+    over the three branches are made record by record, so a record does not
+    depend on the batch it is evaluated in.  A batch that raises is
+    evaluated again record by record, so the error raised is the first
+    failing record's own.
     """
-    geo = chart_geometry(network, domain, state) if chart is None else chart
+    if charts is None:
+        charts = [None] * len(states)
+    if not states:
+        return []
+    try:
+        return _records(network, domain, tensions, states, charts, q_matrix)
+    except TriJunctionError:
+        if len(states) == 1:
+            raise
+        for state, chart in zip(states, charts):
+            _records(network, domain, tensions, [state], [chart], q_matrix)
+        raise
+
+
+# the scalar fields of a record, in the column order of _records
+_SCALAR_FIELDS = ("E", "kappa_l2_sq", "kappa_l4_4", "kappa_s_l2_sq", "kappa_ss_l2_sq",
+                  "kappa_linf", "res_junction", "res_flux", "res_sum_gamma_v", "res_outer",
+                  "res_perp")
+
+
+def _records(network, domain, tensions, states, charts, q_matrix):
+    geos = [chart_geometry(network, domain, state) if chart is None else chart
+            for state, chart in zip(states, charts, strict=True)]
     if q_matrix is None:
         q_matrix = junction_matrix(young_angles(tensions))
     g = tensions.array
-    dx = network.lengths / state.n
-    kap, J = geo.kappa, geo.J
+    dx = network.lengths / states[0].n
+    rho = np.array([state.rho for state in states])  # (records, 3, n+1)
+    mu = np.array([state.mu for state in states])
+    kap = np.array([geo.kappa for geo in geos])
+    J = np.array([geo.J for geo in geos])
     kap_s = rho_derivatives(kap, network.lengths, second=False)[0] / J
     kap_ss = rho_derivatives(kap_s, network.lengths, second=False)[0] / J
-    # one quadrature of the stacked integrands and one weighted sum of its
-    # rows: row for row the sums of _branch_integrals and _weighted_integral
+    # one quadrature of the stacked integrands, (5, records, 3), and one
+    # weighted sum of its rows: row for row the sums of _weighted_integral
     integrals = _branch_integrals(
-        np.stack([np.ones_like(kap), kap**2, kap**4, kap_s**2, kap_ss**2]), J, dx)
-    E, k2, k4, ks2, kss2 = (g * integrals).sum(axis=1).tolist()
+        np.array([np.ones_like(kap), kap**2, kap**4, kap_s**2, kap_ss**2]), J, dx)
 
     # junction: tangential speeds v = Q V from the flow law V = kappa
-    kap0 = kap[:, 0]
-    velocities = q_matrix.q @ kap0
-    flux = kap_s[:, 0] + kap0 * velocities
+    kap0 = kap[..., 0]
+    velocities = _rowwise(q_matrix.q, kap0)
+    flux = kap_s[..., 0] + kap0 * velocities
 
     # wall: contact points p_* + mu_b T + rho N and the unit tangent
     # Phi_sigma / J there, with Phi_sigma = phi_T T + rho_sigma N
     T, N = network.tangents, network.normals
-    wall = network.p_star + geo.mu_b[:, -1, None] * T + state.rho[:, -1, None] * N
-    tangent = (geo.phi_T[:, -1, None] * T + geo.rho_sigma[:, -1, None] * N) / J[:, -1, None]
+    mu_b, phi_T, rho_sigma = np.array(
+        [(geo.mu_b[:, -1], geo.phi_T[:, -1], geo.rho_sigma[:, -1]) for geo in geos]
+    ).transpose(1, 0, 2)
+    wall = network.p_star + mu_b[..., None] * T + rho[..., -1, None] * N
+    tangent = (phi_T[..., None] * T + rho_sigma[..., None] * N) / J[..., -1, None]
     h = boundary_curvature(domain, wall)
     grad = domain.grad(wall)
-    perp = _cross(tangent, grad) / np.linalg.norm(grad, axis=1)  # (R tangent, grad) / |grad|
+    perp = _cross(tangent, grad) / np.linalg.norm(grad, axis=-1)  # (R tangent, grad) / |grad|
 
-    return DiagnosticsRecord(
-        t=float(state.t),
-        E=E,
-        kappa_l2_sq=k2,
-        kappa_l4_4=k4,
-        kappa_linf=float(np.abs(kap).max()),
-        kappa_s_l2_sq=ks2,
-        kappa_ss_l2_sq=kss2,
-        res_junction=float(abs(g @ kap0)),
-        res_flux=float(flux.max() - flux.min()),
-        res_sum_gamma_v=float(abs(g @ velocities)),
-        res_outer=float(np.abs(kap_s[:, -1] + h * kap[:, -1]).max()),
-        res_perp=float(np.abs(perp).max()),
-        p=junction_point(network, state),
-        mu=state.mu.copy(),
-        lengths=integrals[0],
-    )
+    # (records, 11), in the order of _SCALAR_FIELDS
+    scalars = np.concatenate([(g * integrals).sum(axis=-1), [
+        np.abs(kap).max(axis=(1, 2)),
+        np.abs(_rowwise(g, kap0)),
+        flux.max(axis=1) - flux.min(axis=1),
+        np.abs(_rowwise(g, velocities)),
+        np.abs(kap_s[..., -1] + h * kap[..., -1]).max(axis=1),
+        np.abs(perp).max(axis=1),
+    ]]).T.tolist()
+    points = junction_point(network, GraphState(rho=rho, mu=mu))
+    return [
+        DiagnosticsRecord(t=float(state.t), p=p, mu=m, lengths=lengths,
+                          **dict(zip(_SCALAR_FIELDS, row)))
+        for state, row, p, m, lengths in zip(states, scalars, points, mu, integrals[0])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -299,28 +299,44 @@ _ABORTING = (MatrixMNotInvertible, DegenerateMetric, CflViolation,
              NewtonDiverged, OffsetMissesBoundary)
 
 
+_RECORD_BATCH = 8  # pending records that run evaluates together
+
+
 def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Trajectory:
     """Integrate to t_end, recording diagnostics every output_every steps.
 
     The run never blows up silently: leaving the admissible neighbourhood
     (det M floor, metric collapse, step-size guard, failed sweep) or hitting
     the amplitude cap ends the trajectory with that status.
+
+    Records are evaluated in batches of 8 by records_from_states, and once
+    more at the end.  A pending record keeps the state copy that the
+    trajectory stores and the slices of the chart that it reads
+    (RecordChart), never the whole coefficients.  A record error
+    (SingularGradient, NotOnBoundary, or a plain chart's DegenerateMetric)
+    is raised when its batch is evaluated, at most 7 records later, with
+    the same type and message as a lone record's.
     """
-    from .diagnostics import record_from_state
+    from .diagnostics import RecordChart, records_from_states
 
     stepper = Stepper(network, domain, tensions, config)
-    records, states = [], []
+    records, states, charts = [], [], []
+
+    def evaluate_pending():
+        records.extend(records_from_states(network, domain, tensions, states[len(records):],
+                                           charts, q_matrix=stepper.qmat))
+        charts.clear()
 
     def record(state):
         # the record reads the chart that the next step starts from; past
         # the det M floor it takes the plain chart, and that step aborts
         try:
-            chart = stepper.chart(state)
+            charts.append(RecordChart.of(stepper.chart(state)))
         except _ABORTING:
-            chart = None
-        records.append(record_from_state(network, domain, tensions, state, chart=chart,
-                                         q_matrix=stepper.qmat))
+            charts.append(None)
         states.append(state.copy())
+        if len(charts) == _RECORD_BATCH:
+            evaluate_pending()
 
     state = init
     record(state)
@@ -339,6 +355,7 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
             break
         if k % config.output_every == 0 or k == n_steps:
             record(state)
+    evaluate_pending()
     return Trajectory(records=records, states=states, status=status, message=message)
 
 

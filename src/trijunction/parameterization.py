@@ -207,11 +207,12 @@ def curve_from_graph(network, domain, state: GraphState) -> np.ndarray:
 
 def junction_point(network, state: GraphState) -> np.ndarray:
     """Junction position: the mean of the three branch starts
-    p_* + mu T + rho(0) N, which coincide up to the stick residual."""
+    p_* + mu T + rho(0) N, which coincide up to the stick residual.
+    state.rho and state.mu may carry a leading axis of stacked states."""
     pts = (network.p_star
-           + state.mu[:, None] * network.tangents
-           + state.rho[:, 0, None] * network.normals)
-    return pts.mean(axis=0)
+           + state.mu[..., None] * network.tangents
+           + state.rho[..., 0, None] * network.normals)
+    return pts.mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trijunction.diagnostics import (
+    RecordChart,
     decay_fit,
     energy_law_residual,
     kappa_l2_sq_sigma_grid,
     record_from_state,
+    records_from_states,
     resample,
 )
-from trijunction.errors import MatrixMNotInvertible, NonPositiveSeries, SingularGradient
+from trijunction.errors import (MatrixMNotInvertible, NonPositiveSeries, NotOnBoundary,
+                                SingularGradient)
 from trijunction.parameterization import (GraphState, chart_geometry, coefficients,
                                           state_from_rho)
+from trijunction.tensions import SurfaceTensions, junction_matrix, young_angles
 
 from conftest import NanGradientDisk
 
@@ -148,6 +154,83 @@ def test_record_raises_on_a_nan_wall_gradient(disk, disk_network, unit_tensions)
         with pytest.raises(SingularGradient, match="not finite"):
             record_from_state(disk_network, NanGradientDisk(1.0), unit_tensions, state,
                               chart=chart)
+
+
+def _assert_bitwise(record, want):
+    for f in dataclasses.fields(record):
+        a, b = np.asarray(getattr(record, f.name)), np.asarray(getattr(want, f.name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+def _mixed_charts(network, domain, tensions, states):
+    """Per state in turn: none, the plain chart, the step's coefficients and
+    the slices of a chart that a run keeps."""
+    charts = []
+    for k, state in enumerate(states):
+        kind = k % 4
+        if kind == 0:
+            charts.append(None)
+        elif kind == 2:
+            charts.append(coefficients(network, domain, tensions, state))
+        else:
+            geo = chart_geometry(network, domain, state)
+            charts.append(geo if kind == 1 else RecordChart.of(geo))
+    return charts
+
+
+@pytest.mark.parametrize("fork", ["disk", "ellipse", "trefoil", "two_dents"])
+def test_batch_records_equal_their_singles_bitwise(request, fork, unit_tensions):
+    # A record does not depend on the batch it is evaluated in, so the
+    # batch of one (record_from_state) and every larger batch agree in
+    # every bit; also under unequal tensions, where the junction sums round
+    # differently in each order of their three terms.  Those sums are
+    # numpy's products of one record, so the stored trajectories keep
+    # their bits.
+    from test_parameterization import smooth_state
+
+    domain = request.getfixturevalue(fork)
+    network = request.getfixturevalue(f"{fork}_network")
+    for tensions in (unit_tensions, SurfaceTensions((0.9, 1.3, 1.1))):
+        states = [smooth_state(network, tensions, 40, amp=0.01 + 0.002 * k, seed=k)
+                  for k in range(9)]
+        charts = _mixed_charts(network, domain, tensions, states)
+        singles = [record_from_state(network, domain, tensions, state, chart=chart)
+                   for state, chart in zip(states, charts)]
+        q = junction_matrix(young_angles(tensions)).q
+        for state, chart, want in zip(states, charts, singles):
+            geo = chart_geometry(network, domain, state) if chart is None else chart
+            kap0 = geo.kappa[:, 0]
+            assert want.res_junction == abs(tensions.array @ kap0)
+            assert want.res_sum_gamma_v == abs(tensions.array @ (q @ kap0))
+        for size in (1, 3, 8, 9):
+            for start in range(0, 9, size):
+                batch = records_from_states(network, domain, tensions,
+                                            states[start:start + size],
+                                            charts[start:start + size])
+                for record, want in zip(batch, singles[start:start + size], strict=True):
+                    _assert_bitwise(record, want)
+    assert records_from_states(network, domain, unit_tensions, []) == []
+
+
+def test_a_failing_batch_raises_its_first_failing_records_error(disk, disk_network,
+                                                               unit_tensions):
+    # Records 2 and 3 have their wall ends moved off the circle.  The batch
+    # raises record 2's own NotOnBoundary, message included, not one that
+    # lists the psi values of the whole batch.
+    from test_parameterization import smooth_state
+
+    states = [smooth_state(disk_network, unit_tensions, 32, amp=0.01, seed=k)
+              for k in range(5)]
+    charts = [RecordChart.of(chart_geometry(disk_network, disk, s)) for s in states]
+    for k, shift in ((2, 1e-3), (3, 2e-3)):
+        charts[k] = charts[k]._replace(mu_b=charts[k].mu_b + shift)
+    with pytest.raises(NotOnBoundary) as single:
+        record_from_state(disk_network, disk, unit_tensions, states[2], chart=charts[2])
+    with pytest.raises(NotOnBoundary) as batch:
+        records_from_states(disk_network, disk, unit_tensions, states, charts)
+    assert str(batch.value) == str(single.value)
+    with pytest.raises(SingularGradient, match="not finite"):
+        records_from_states(disk_network, NanGradientDisk(1.0), unit_tensions, states, charts)
 
 
 def test_energy_law_residual_stationary(trefoil, trefoil_network, unit_tensions):

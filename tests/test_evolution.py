@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from trijunction import diagnostics, evolution, parameterization
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
-from trijunction.errors import CflViolation, CompatibilityFailed, NewtonDiverged
+from trijunction.errors import (CflViolation, CompatibilityFailed, NewtonDiverged,
+                               SingularGradient)
 from trijunction.evolution import (
     EvolveConfig,
     Stepper,
@@ -19,6 +20,7 @@ from trijunction.parameterization import GraphState
 from trijunction.stability import max_eigenvalue
 from trijunction.tensions import constraint_basis, junction_matrix, young_angles
 
+from conftest import NanGradientDisk
 from oracles import boundary_residuals_reference
 
 
@@ -343,6 +345,22 @@ def test_run_records_match_records_of_its_states_on_two_dents(two_dents, two_den
     for name, move in moves.items():
         scale = 1.0 if name.startswith("res_") else scales[name]
         assert move <= 1e-12 * scale, (name, move, scales[name])
+
+
+def test_run_on_a_nan_gradient_wall_raises_singular_gradient(disk, disk_network,
+                                                             unit_tensions):
+    # The step reads no wall gradient, so only the records meet the NaN one.
+    # A run evaluates its records in batches of 8, and the error surfaces
+    # with its type when the batch is evaluated: the first full batch of
+    # the 12-step run, the closing one of the 3-step run.
+    n = 24
+    cfg = make_config(disk_network, n, 0.0, output_every=1)
+    init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                         amplitude=1e-2)
+    for steps in (3, 12):
+        cfg.t_end = steps * cfg.dt
+        with pytest.raises(SingularGradient, match="not finite"):
+            run(disk_network, NanGradientDisk(1.0), unit_tensions, init, cfg)
 
 
 def test_step_reads_only_the_chart_of_its_own_state(disk, disk_network, unit_tensions):

@@ -1,8 +1,8 @@
 """Guards for files outside the package that depend on its names, and for
-the cost of the per-step diagnostics with and without the step's chart, the
-route of the per-step exit, the single route of the spectrum solve, its
-LAPACK calls, the cost of the stability pencil's assembly and the modules
-`import trijunction` loads.
+the cost of the per-step diagnostics with and without the step's chart and
+in batches, the route of the per-step exit, the single route of the
+spectrum solve, its LAPACK calls, the cost of the stability pencil's
+assembly and the modules `import trijunction` loads.
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -26,7 +26,7 @@ import numpy as np
 
 from trijunction.config import SCALAR_KEYS, parse_config
 from trijunction.domains import PolynomialDomain
-from trijunction.diagnostics import record_from_state
+from trijunction.diagnostics import record_from_state, records_from_states
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import coefficients
 from trijunction import domains, stability
@@ -123,6 +123,37 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
             call()
             best[name] = min(best[name], perf_counter() - start)
     assert best["record"] <= 2.0 * best["coefficients"], best
+
+
+def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_network,
+                                                        unit_tensions):
+    # A record of a (3, 65) state is about 60 numpy calls whose cost is
+    # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
+    # on the step's charts) makes those calls once, about 0.3 of 32 single
+    # records; the bound leaves room for a host that drifts.
+    n = 64
+    dt = 0.45 * float(np.min(ellipse_network.lengths / n) ** 2)
+    config = EvolveConfig(dt=dt, t_end=0.0, n=n)
+    stepper = Stepper(ellipse_network, ellipse, unit_tensions, config)
+    state = initial_state(ellipse_network, ellipse, unit_tensions, config)
+    states, charts = [], []
+    for _ in range(32):
+        states.append(state)
+        charts.append(stepper.chart(state))
+        state = stepper.step(state)
+    args = (ellipse_network, ellipse, unit_tensions)
+    calls = {
+        "singles": lambda: [record_from_state(*args, s, chart=c, q_matrix=stepper.qmat)
+                            for s, c in zip(states, charts)],
+        "batch": lambda: records_from_states(*args, states, charts, q_matrix=stepper.qmat),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(5):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    assert best["batch"] <= 0.5 * best["singles"], best
 
 
 def _disk_eigenmode_state(disk, disk_network, unit_tensions, n):
