@@ -29,6 +29,7 @@ class ImplicitDomain:
 
     family = "abstract"
     bounding_box = _BOX
+    exit_reads_start = True  # offset_exit's result depends on its start s_ref
 
     def psi(self, x):
         raise NotImplementedError
@@ -90,6 +91,20 @@ class ImplicitDomain:
         Subclasses give the route of their family."""
         raise NotImplementedError
 
+    def end_exits(self, base, T, N):
+        """Exits of the fixed lines base + q N + s T, one per row of T and
+        N, at a few offsets at a time: a callable (q, s_ref) -> (s, s') of
+        float lists, one offset and start per line (s_ref may be None where
+        exit_reads_start is False).  This default calls offset_exit once
+        per evaluation."""
+
+        def exits(q, s_ref):
+            s, ds, _ = self.offset_exit(base, T, N, np.array(q), np.array(s_ref),
+                                        second=False)
+            return s.tolist(), ds.tolist()
+
+        return exits
+
     def _bracketed_root(self, origin, direction, s_ref):
         # widen a bracket around the reference abscissa until psi changes sign
         sign_ref = np.sign(float(self.psi(origin + s_ref * direction)))
@@ -110,12 +125,15 @@ class ImplicitDomain:
 class ConicDomain(ImplicitDomain):
     """psi = (x - c)^T W (x - c) - r with W = diag(w), an axis-aligned conic."""
 
+    exit_reads_start = False  # the closed-form exit ignores its start
+
     def __init__(self, w, center, r):
         self.w = np.asarray(w, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.r = r
         self._scale = np.sqrt(self.w)  # W = S^2: a circle in y = S (x - c)
         self._hess_diag = 2.0 * self.w
+        self._frame_memo = {}
 
     def psi(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -130,33 +148,90 @@ class ConicDomain(ImplicitDomain):
         return h
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        # Closed form, per component, in y = S (x - c) where psi = |y|^2 - r.
-        # With o = S (base + q N - c) and T, N scaled by S the exit solves
-        # a s^2 + 2 b s + (|o|^2 - r) = 0, a = |T|^2, b = (o, T), and is the
-        # root on the far side of the chord, the one continuous in the
-        # reference root.  At the exit (grad psi, T) = 2 sqrt(disc),
-        # (grad psi, N) = 2 (o + s T, N) and D2psi = 2 W, so the factors 2
-        # cancel.  On a circle S = Id and every product is exact.
-        T, N = T * self._scale, N * self._scale
-        T0, T1, N0, N1 = T[..., 0], T[..., 1], N[..., 0], N[..., 1]
-        shift = (np.asarray(base, dtype=float) - self.center) * self._scale
-        o0 = shift[..., 0] + q * N0
-        o1 = shift[..., 1] + q * N1
-        a = T0 * T0 + T1 * T1
-        b = o0 * T0 + o1 * T1
-        disc = b * b - a * (o0 * o0 + o1 * o1 - self.r)
+        """The closed form of _conic_chord and _conic_jet on arrays, from the
+        cached frame constants of (base, T, N); s_ref is not read.  The
+        chart's (3, n+1) exits take this route, the sweep's six end_exits."""
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)))
+        o0, o1, b, disc = _conic_chord(frame, self.r, q)
         if (disc <= 0.0).any():
             raise OffsetMissesBoundary("offset line misses the boundary")
         root = np.sqrt(disc)
         if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
             raise OffsetMissesBoundary("offset line tangent to the boundary")
-        s = (root - b) / a
-        TN = T0 * N0 + T1 * N1
-        ds = -(o0 * N0 + o1 * N1 + s * TN) / root
-        if not second:
-            return s, ds, None
-        xx = ds * ds * a + 2.0 * ds * TN + (N0 * N0 + N1 * N1)
-        return s, ds, -xx / root
+        return _conic_jet(frame, o0, o1, b, root, second)
+
+    def end_exits(self, base, T, N):
+        # The same kernel per line in Python floats, with the frame
+        # constants converted once; the checks run over all lines in
+        # offset_exit's order, so both routes give the same bits and raise
+        # the same error.  math.sqrt runs only after the miss check.
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)))
+        shape = np.broadcast_shapes(*(np.shape(c) for c in frame))
+        lines = list(zip(*(np.broadcast_to(c, shape).tolist() for c in frame)))
+        r = float(self.r)
+
+        def exits(q, s_ref=None):
+            chords = [_conic_chord(line, r, qk) for line, qk in zip(lines, q)]
+            discs = [chord[3] for chord in chords]
+            if [disc for disc in discs if disc <= 0.0]:  # NaN passes, as in numpy
+                raise OffsetMissesBoundary("offset line misses the boundary")
+            roots = [math.sqrt(disc) for disc in discs]
+            if [root for root in roots if root < 0.5e-10]:
+                raise OffsetMissesBoundary("offset line tangent to the boundary")
+            jets = [_conic_jet(line, o0, o1, b, root, False)
+                    for line, (o0, o1, b, _), root in zip(lines, chords, roots)]
+            return [jet[0] for jet in jets], [jet[1] for jet in jets]
+
+        return exits
+
+    def _frame(self, base, T, N):
+        """Constants of the closed form for the lines base + q N + s T in
+        y = S (x - c): the shifted base S (base - c), the components of
+        S T and S N, a = |S T|^2, (S T, S N) and |S N|^2.  The frames of a
+        run repeat every step, so they are kept per (base, T, N), at most
+        16 of them."""
+        key = tuple((v.tobytes(), v.shape) for v in (base, T, N))
+        frame = self._frame_memo.get(key)
+        if frame is not None:
+            return frame
+        T, N = T * self._scale, N * self._scale
+        T0, T1, N0, N1 = T[..., 0], T[..., 1], N[..., 0], N[..., 1]
+        shift = (base - self.center) * self._scale
+        frame = (shift[..., 0], shift[..., 1], T0, T1, N0, N1,
+                 T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
+        if len(self._frame_memo) >= 16:
+            del self._frame_memo[next(iter(self._frame_memo))]
+        self._frame_memo[key] = frame
+        return frame
+
+
+# The conic exit in y = S (x - c), where psi = |y|^2 - r, for arrays and for
+# Python floats alike.  With o = S (base + q N - c) and T, N scaled by S the
+# exit solves a s^2 + 2 b s + (|o|^2 - r) = 0, a = |T|^2, b = (o, T), and is
+# the root on the far side of the chord, the one continuous in the reference
+# root.  At the exit (grad psi, T) = 2 sqrt(disc), (grad psi, N) =
+# 2 (o + s T, N) and D2psi = 2 W, so the factors 2 cancel.  On a circle
+# S = Id and every product is exact.
+
+def _conic_chord(frame, r, q):
+    """(o0, o1, b, disc) of the offset line at q."""
+    sh0, sh1, T0, T1, N0, N1, a, _, _ = frame
+    o0 = sh0 + q * N0
+    o1 = sh1 + q * N1
+    b = o0 * T0 + o1 * T1
+    return o0, o1, b, b * b - a * (o0 * o0 + o1 * o1 - r)
+
+
+def _conic_jet(frame, o0, o1, b, root, second):
+    """(s, s', s'') at the exit from the chord and root = sqrt(disc); s''
+    is None when second=False."""
+    _, _, _, _, N0, N1, a, TN, NN = frame
+    s = (root - b) / a
+    ds = -(o0 * N0 + o1 * N1 + s * TN) / root
+    if not second:
+        return s, ds, None
+    xx = ds * ds * a + 2.0 * ds * TN + NN
+    return s, ds, -xx / root
 
 
 class CircleDomain(ConicDomain):

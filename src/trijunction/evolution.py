@@ -12,13 +12,16 @@ frozen.  It works in constraint_basis coordinates: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
 every sweep so the stick condition cannot drift.  The sweep runs in Python
-floats: each residual evaluation makes one exit call for the six branch
-ends, whose jet also gives the wall normals, and the lagged Jacobian is
-inverted once per refresh, because numpy's per-call dispatch would cost more
-than the few hundred flops on 5-entry vectors.  The step's exit searches
-start from a second-order prediction off the last chart's exit jet,
-mu_b + dq (mu_b' + mu_b'' dq / 2) with dq the change of rho since that
-chart, so that a polynomial exit is mostly accepted at its first evaluation.
+floats: each residual evaluation makes one call of the domain's end_exits
+callable for the six branch ends, whose jet also gives the wall normals,
+and the lagged Jacobian is inverted once per refresh, because numpy's
+per-call dispatch would cost more than the few hundred flops on 5-entry
+vectors.  On a conic domain the exits themselves are Python floats too.
+Where the domain's exit reads its start (exit_reads_start), the step's exit
+searches start from a second-order prediction off the last chart's exit
+jet, mu_b + dq (mu_b' + mu_b'' dq / 2) with dq the change of rho since that
+chart, so that a polynomial exit is mostly accepted at its first evaluation;
+a conic's closed form needs no start, and none is predicted.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -132,8 +135,9 @@ class Stepper:
 
         The unknowns are c = b rho(0) in the constraint_basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
-        holds exactly throughout.  The six exits are predicted from the
-        last chart's jet (the reference lengths before the first chart).
+        holds exactly throughout.  Where the domain's exit reads its start,
+        the six exits are predicted from the last chart's jet (the
+        reference lengths before the first chart).
         The iteration runs in Python floats on the float core of
         boundary_residuals, with the lagged Jacobian kept as its inverse.
         """
@@ -189,7 +193,8 @@ class Stepper:
         """Coefficients of `state`; step(state) reads them instead of
         evaluating them again.  Its exits start from the last chart's jet
         and the change of rho since (the first chart cold-starts), and the
-        boundary sweep predicts its exits from its jet in turn."""
+        boundary sweep predicts its exits from its jet in turn; on a domain
+        whose exit does not read its start, neither predicts."""
         guess = None
         if self._last is not None:
             rho, geo = self._last
@@ -197,7 +202,8 @@ class Stepper:
             guess = geo.mu_b + dq * (geo.dmu_b + 0.5 * geo.ddmu_b * dq)
         coef = coefficients(self.network, self.domain, self.tensions, state,
                             q_matrix=self.qmat, mu_b_guess=guess)
-        self._last = (state.rho.copy(), coef)
+        if self.domain.exit_reads_start:
+            self._last = (state.rho.copy(), coef)
         self._bc.anchor(state.rho, coef)
         self._ahead = (state, coef)
         return coef

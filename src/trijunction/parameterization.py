@@ -18,7 +18,8 @@ differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 All evaluators are vectorized over sigma/q arrays and over batches of branch
 indices; the evolution stepper leans on that heavily.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
-ends only and which therefore runs in Python floats.  It reads the wall
+ends only and which therefore runs in Python floats, its exits included
+where the domain has them in floats (domain.end_exits).  It reads the wall
 normal from the exit jet: differentiating psi(p_* + mu_b T + q N) = 0 in q
 gives grad psi = (grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an
 outward crossing, so no gradient of psi is evaluated.
@@ -341,19 +342,19 @@ class BoundaryOperator:
 
     The per-run constants (frames, lengths, 2 dsigma, cos theta) are
     converted to floats once.  An evaluation takes the six exit jets
-    (mu_b, mu_b') from one domain.offset_exit call and reads the wall
-    normals from them; the rest is a few hundred flops on 3- and 6-entry
-    vectors, which as numpy calls would cost mostly their dispatch.  The
-    exits start from a second-order prediction off the anchor chart (see
-    anchor), so that a polynomial exit is mostly accepted at its first
-    evaluation.
+    (mu_b, mu_b') from one call of exits, the domain's end_exits callable
+    for the six end lines, and reads the wall normals from them; the rest
+    is a few hundred flops on 3- and 6-entry vectors, which as numpy calls
+    would cost mostly their dispatch.  Where the domain's exit reads its
+    start, the exits start from a second-order prediction off the anchor
+    chart (see anchor), so that a polynomial exit is mostly accepted at its
+    first evaluation.
     """
 
     def __init__(self, network, domain, angles: JunctionAngles, n: int):
         self.domain = domain
-        self.p_star = network.p_star
-        self.tangents6 = network.tangents[_BRANCH6]
-        self.normals6 = network.normals[_BRANCH6]
+        self.exits = domain.end_exits(network.p_star, network.tangents[_BRANCH6],
+                                      network.normals[_BRANCH6])
         self.lengths6 = network.lengths[_BRANCH6].tolist()
         self.frames = list(zip(network.tangents.tolist(), network.normals.tolist(),
                                network.lengths.tolist()))
@@ -366,8 +367,11 @@ class BoundaryOperator:
         moved by dq, from mu_b + dq (mu_b' + mu_b'' dq / 2).  Without a
         chart the prediction is the reference lengths, the cold start.  The
         end values are copied as floats, so later writes to rho or geo do
-        not move the anchor."""
-        if geo is None:
+        not move the anchor.  A domain whose exit does not read its start
+        takes no prediction."""
+        if not self.domain.exit_reads_start:
+            self._jet = None
+        elif geo is None:
             self._jet = [(0.0, l, 0.0, 0.0) for l in self.lengths6]
         else:
             ends = (a[:, 0].tolist() + a[:, -1].tolist()
@@ -384,13 +388,13 @@ class BoundaryOperator:
         """[g12, g13, outer_1, outer_2, outer_3] as floats; r0, w and mu are
         3-lists and inner is inner(rho)."""
         q = r0 + w
-        s_ref = []
-        for qk, (q0, s, ds, dds) in zip(q, self._jet):
-            dq = qk - q0
-            s_ref.append(s + dq * (ds + 0.5 * dds * dq))
-        mu_b, dmu, _ = self.domain.offset_exit(self.p_star, self.tangents6, self.normals6,
-                                               np.array(q), np.array(s_ref), second=False)
-        mu_b, dmu = mu_b.tolist(), dmu.tolist()
+        s_ref = None
+        if self._jet is not None:
+            s_ref = []
+            for qk, (q0, s, ds, dds) in zip(q, self._jet):
+                dq = qk - q0
+                s_ref.append(s + dq * (ds + 0.5 * dds * dq))
+        mu_b, dmu = self.exits(q, s_ref)
         junction, res = [], []
         for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
             a1, a2, b1, b2 = inner[i]

@@ -262,6 +262,62 @@ def test_circle_offset_exit_closed_form_matches_implicit_route(name):
             _assert_exits_agree(closed, generic, tol)
 
 
+def _raised(call):
+    """(type, message) of what call raises, or None."""
+    try:
+        call()
+    except Exception as e:  # noqa: BLE001 -- compared between the two routes
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", ["centred circle", "shifted circle", "ellipse 1.2x1.0"])
+def test_conic_end_exits_equal_offset_exit_bitwise(name):
+    # The sweep's float exits and the chart's array exits share one closed
+    # form: on random frames, offsets and starts they give the same bits, in
+    # either order of building their frame constants.
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        domain = CONICS[name][0]()
+        ang = rng.uniform(0.0, 2.0 * np.pi, 6)
+        T = np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.uniform(0.5, 1.5, (6, 1))
+        N = T @ ROT90.T + rng.uniform(-0.3, 0.3, (6, 1)) * T  # unit/orthogonal or not
+        base = rng.uniform(-0.2, 0.2, 2)
+        q, s_ref = rng.uniform(-0.2, 0.2, 6), rng.uniform(-1.0, 2.0, 6)
+        if trial % 2:
+            exits = domain.end_exits(base, T, N)
+        s, ds, _ = domain.offset_exit(base, T, N, q, s_ref, second=False)
+        if not trial % 2:
+            exits = domain.end_exits(base, T, N)
+        fs, fds = exits(q.tolist(), s_ref.tolist())
+        assert np.array(fs).tobytes() == s.tobytes()
+        assert np.array(fds).tobytes() == ds.tobytes()
+
+    # a NaN offset gives NaN on both routes, and no error
+    q[2] = np.nan
+    s, ds, _ = domain.offset_exit(base, T, N, q, s_ref, second=False)
+    fs, fds = exits(q.tolist(), s_ref.tolist())
+    for array, floats in ((s, fs), (ds, fds)):
+        assert np.isnan(array[2]) and np.isnan(floats[2])
+        assert np.delete(floats, 2).tobytes() == np.delete(array, 2).tobytes()
+
+    # line 3 moved far off the wall misses it; line 1 with its tangent
+    # scaled down to 1e-12 falls under the floor on (grad psi, T); with
+    # both, the miss is raised first, as offset_exit checks every line for
+    # a miss before any for the floor
+    far = np.tile(base, (6, 1))
+    far[3] += 5.0 * N[3]
+    tiny = T.copy()
+    tiny[1] *= 1e-12
+    cases = {"misses": (far, T), "tangent": (base, tiny), "both": (far, tiny)}
+    q = np.zeros(6)
+    for case, (base_, T_) in cases.items():
+        got = _raised(lambda: domain.end_exits(base_, T_, N)(q.tolist(), s_ref.tolist()))
+        want = _raised(lambda: domain.offset_exit(base_, T_, N, q, s_ref))
+        assert got == want and got[0] is OffsetMissesBoundary, (case, got)
+        assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
+
+
 POLYNOMIALS = {
     "trefoil": trefoil_domain,
     "two dents": two_dents_domain,

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -42,15 +43,44 @@ def test_zero_state_is_machine_fixed_point(disk, disk_network, unit_tensions):
 
 class _NanSlopeDisk(CircleDomain):
     """Unit disk whose exit slope mu_b' is NaN at the six branch ends that
-    the boundary sweep evaluates.  The sweep reads its wall normals from
-    that slope, so the wall residuals are NaN and no step of the sweep can
-    lower the residual norm; the chart's exits on the full grids are exact."""
+    the boundary sweep evaluates through end_exits.  The sweep reads its
+    wall normals from that slope, so the wall residuals are NaN and no step
+    of the sweep can lower the residual norm; the chart's exits on the full
+    grids (offset_exit) are exact."""
 
-    def offset_exit(self, base, T, N, q, s_ref, second=True):
-        s, ds, dds = super().offset_exit(base, T, N, q, s_ref, second)
-        if np.shape(q) == (6,):
-            ds = np.full_like(ds, np.nan)
-        return s, ds, dds
+    def end_exits(self, base, T, N):
+        exits = super().end_exits(base, T, N)
+
+        def nan_slopes(q, s_ref):
+            s, _ = exits(q, s_ref)
+            return s, [float("nan")] * len(s)
+
+        return nan_slopes
+
+
+@pytest.mark.parametrize("conic", ["disk", "ellipse"])
+def test_conic_steps_skip_the_exit_prediction_bitwise(conic, unit_tensions, request):
+    # A conic's closed-form exit does not read its start, so neither the
+    # chart nor the sweep predicts one there; the same domain made to take
+    # the predictions steps to the same bits.
+    domain = request.getfixturevalue(conic)
+    network = request.getfixturevalue(f"{conic}_network")
+    predicting = copy.copy(domain)
+    predicting.exit_reads_start = True
+    cfg = make_config(network, 48, 1.0)
+    init = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
+                         amplitude=2e-2)
+    finals = []
+    for dom in (domain, predicting):
+        stepper = Stepper(network, dom, unit_tensions, cfg)
+        state = init
+        for _ in range(30):
+            state = stepper.step(state)
+        finals.append(state)
+        skips = not dom.exit_reads_start
+        assert (stepper._last is None) == skips and (stepper._bc._jet is None) == skips
+    assert finals[0].rho.tobytes() == finals[1].rho.tobytes()
+    assert finals[0].mu.tobytes() == finals[1].mu.tobytes()
 
 
 def _break_boundary_sweep(failure, domain, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trijunction.errors import EigenSolveFailed, RootSearchFailed, ZeroFunction
+from trijunction.errors import (EigenSolveFailed, RootSearchFailed, TensionsDegenerate,
+                               ZeroFunction)
 from trijunction import stability
 from trijunction.stability import (
     _lambda_upper_bound,
@@ -13,7 +14,7 @@ from trijunction.stability import (
     stability_criterion,
 )
 from trijunction.parameterization import end_slope
-from trijunction.tensions import SurfaceTensions, constraint_basis
+from trijunction.tensions import SurfaceTensions, constraint_basis, young_angles
 
 from conftest import random_tensions, synthetic_network
 from oracles import (
@@ -451,6 +452,10 @@ def admissible_forks(draw):
     batch: at most one non-positive wall curvature."""
     g = draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
     assume(all(g[k] < g[(k + 1) % 3] + g[(k + 2) % 3] for k in range(3)))
+    try:  # e.g. (1.5, 2 - 2^-52, 0.5) is strict but rounds to cos theta = -1
+        young_angles(SurfaceTensions(tuple(g)))
+    except TensionsDegenerate:
+        assume(False)
     lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
     h = np.array(draw(st.lists(st.floats(-0.8, 2.0), min_size=3, max_size=3)))
     if np.sum(h <= 0) > 1:
