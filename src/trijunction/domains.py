@@ -95,8 +95,9 @@ class ImplicitDomain:
         """Exits of the fixed lines base + q N + s T, one per row of T and
         N, at a few offsets at a time: a callable (q, s_ref) -> (s, s') of
         float lists, one offset and start per line (s_ref may be None where
-        exit_reads_start is False).  This default calls offset_exit once
-        per evaluation."""
+        exit_reads_start is False).  The callable binds what the lines
+        share once; the conic and polynomial families override this default,
+        which calls offset_exit once per evaluation."""
 
         def exits(q, s_ref):
             s, ds, _ = self.offset_exit(base, T, N, np.array(q), np.array(s_ref),
@@ -152,12 +153,15 @@ class ConicDomain(ImplicitDomain):
         cached frame constants of (base, T, N); s_ref is not read.  The
         chart's (3, n+1) exits take this route; the sweep's six take
         end_exits."""
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)))
+        q = np.asarray(q, dtype=float)
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape)
         o0, o1, b, disc = _conic_chord(frame, self.r, q)
-        if (disc <= 0.0).any():
+        # one reduction each; NaN entries pass both checks, as with any()
+        if np.fmin.reduce(disc, axis=None, initial=np.inf) <= 0.0:
             raise OffsetMissesBoundary("offset line misses the boundary")
         root = np.sqrt(disc)
-        if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
+        # the generic floor |(grad psi, T)| < 1e-10
+        if np.fmin.reduce(root, axis=None, initial=np.inf) < 0.5e-10:
             raise OffsetMissesBoundary("offset line tangent to the boundary")
         return _conic_jet(frame, o0, o1, b, root, second)
 
@@ -166,9 +170,8 @@ class ConicDomain(ImplicitDomain):
         # constants converted once; the checks run over all lines in
         # offset_exit's order, so both routes give the same bits and raise
         # the same error.  math.sqrt runs only after the miss check.
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)))
-        shape = np.broadcast_shapes(*(np.shape(c) for c in frame))
-        lines = list(zip(*(np.broadcast_to(c, shape).tolist() for c in frame)))
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), ())
+        lines = list(zip(*(c.tolist() for c in frame)))
         r = float(self.r)
 
         def exits(q, s_ref=None):
@@ -185,13 +188,15 @@ class ConicDomain(ImplicitDomain):
 
         return exits
 
-    def _frame(self, base, T, N):
+    def _frame(self, base, T, N, shape):
         """Constants of the closed form for the lines base + q N + s T in
         y = S (x - c): the shifted base S (base - c), the components of
-        S T and S N, a = |S T|^2, (S T, S N) and |S N|^2.  The frames of a
-        run repeat every step, so they are kept per (base, T, N), at most
-        16 of them."""
-        key = tuple((v.tobytes(), v.shape) for v in (base, T, N))
+        S T and S N, a = |S T|^2, (S T, S N) and |S N|^2, each broadcast to
+        the lines' shape and that of shape (the offsets'), so that the
+        closed form runs on equal shapes.  The frames of a run repeat every
+        step, so they are kept per (base, T, N) and shape, at most 16 of
+        them."""
+        key = (*((v.tobytes(), v.shape) for v in (base, T, N)), shape)
         frame = self._frame_memo.get(key)
         if frame is not None:
             return frame
@@ -200,6 +205,8 @@ class ConicDomain(ImplicitDomain):
         shift = (base - self.center) * self._scale
         frame = (shift[..., 0], shift[..., 1], T0, T1, N0, N1,
                  T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
+        shape = np.broadcast_shapes(shape, *(c.shape for c in frame))
+        frame = tuple(np.broadcast_to(c, shape).copy() for c in frame)
         if len(self._frame_memo) >= 16:
             del self._frame_memo[next(iter(self._frame_memo))]
         self._frame_memo[key] = frame
@@ -304,7 +311,7 @@ class PolynomialDomain(ImplicitDomain):
         x = np.asarray(x, dtype=float)
         xs = _ladder(x[..., 0], self._deg_x)
         ys = _ladder(x[..., 1], self._deg_y)
-        return np.einsum("...i,kij,...j->...k", xs, self._stack[lo:hi], ys)
+        return np.einsum("i...,kij,j...->...k", xs, self._stack[lo:hi], ys)
 
     def psi(self, x):
         return self._fields(x, 0, 1)[..., 0][()]  # a scalar for a single point
@@ -320,65 +327,118 @@ class PolynomialDomain(ImplicitDomain):
         return vals[..., 0], vals[..., 1:3]
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        # Newton in s on the line polynomial P(s, q) = psi(base + s T + q N).
-        # One evaluation gives all six fields, so the one that confirms
-        # |P| < 1e-13 also gives (grad psi, T) = P_s, (grad psi, N) = P_q and
-        # x' . D2psi . x' = s'^2 P_ss + 2 s' P_sq + P_qq with x' = s' T + N,
-        # for any frame (T, N).  Entries that do not converge go to line_exit.
+        """Newton in s on the line polynomial P(s, q) = psi(base + s T +
+        q N), the kernel of _exit_jet.  The entries along trailing axes
+        where the frame does not change (sigma, for the chart's (3, 1)
+        frames and (3, n+1) offsets) form one row block per frame, so q is
+        contracted with each frame's stack in one matmul; the sweep's six
+        exits take the same kernel through end_exits."""
         base, T, N, q = (np.asarray(a, dtype=float) for a in (base, T, N, q))
-        # contract q once: (..., 6, K) coefficients of the six fields in s
-        coef = (_ladder(q, self._deg)[..., None, :] @ self._line_stacks(base, T, N))
-        coef = coef.reshape(coef.shape[:-2] + (6, self._deg + 1))
-        out_shape = np.broadcast_shapes(coef.shape[:-2], np.shape(s_ref))
-        s = np.empty(out_shape or (1,))
-        s[...] = s_ref
+        shape, blocks, stacks = self._line_blocks(base, T, N, q.shape, np.shape(s_ref))
+        qs = np.empty((2,) + shape)
+        qs[0], qs[1] = q, s_ref
+        jet = self._exit_jet(stacks, qs.reshape((2,) + blocks), (base, T, N, shape), second)
+        return tuple(None if v is None else v.reshape(shape) for v in jet)
+
+    def end_exits(self, base, T, N):
+        # One one-entry block per line, its stack bound once, through the
+        # kernel of offset_exit: no memo lookup or broadcasting per call,
+        # and the same bits as offset_exit on the same lines.  The sweep
+        # reads P, P_s and P_q only, but all six fields are kept: the
+        # matrix-vector product over three of them rounds differently.
+        base, T, N = (np.asarray(a, dtype=float) for a in (base, T, N))
+        shape = np.broadcast_shapes(base.shape[:-1], T.shape[:-1], N.shape[:-1])
+        _, blocks, stacks = self._line_blocks(base, T, N, shape, shape)
+        lines = (base, T, N, shape)
+
+        def exits(q, s_ref):
+            qs = np.array((q, s_ref)).reshape((2,) + blocks)
+            s, ds, _ = self._exit_jet(stacks, qs, lines, False)
+            return s.ravel().tolist(), ds.ravel().tolist()
+
+        return exits
+
+    def _exit_jet(self, stacks, qs, lines, second):
+        """(s, s', s'') of offset lines in row blocks, (B, R) each: stacks
+        (B, K, 6 K) holds the six fields of each block's line polynomial
+        (see _line_blocks), qs (2, B, R) the offsets q and the starts, and
+        lines = (base, T, N, shape) the frames, which broadcast to shape,
+        the shape of the entries before their split into blocks.
+
+        Newton in s, with steps clipped to 0.25, until |P| < 1e-13.  One
+        evaluation gives every field, so the one that confirms the root also
+        gives (grad psi, T) = P_s, (grad psi, N) = P_q and x' . D2psi . x' =
+        s'^2 P_ss + 2 s' P_sq + P_qq with x' = s' T + N, for any frame
+        (T, N).  Entries under the slope floor take no step; entries left
+        unconverged go to line_exit from their start.
+
+        One ladder serves q and the start.  q is contracted once per call:
+        one matmul of its powers against each block's stack gives every
+        entry's fields as polynomials in s, which each evaluation then
+        contracts with the powers of s (_line_fields)."""
+        deg = self._deg
+        ladders = _ladder(qs, deg)  # one ladder for q and the start
+        coef = ladders[:, 0].transpose(1, 2, 0) @ stacks  # (B, R, F K)
+        coef = coef.reshape(coef.shape[:2] + (-1, deg + 1))
+        s = qs[1]
+        powers = ladders[:, 1]
         for _ in range(60):
-            vals = (coef @ _ladder(s, self._deg)[..., None])[..., 0]
-            f, df = vals[..., 0], vals[..., 1]
-            converged = np.abs(f) < 1e-13
-            if converged.all():
+            vals = _line_fields(coef, powers)
+            f, df = vals[:, 0], vals[:, 1]
+            if np.maximum.reduce(np.abs(f), axis=None, initial=0.0) < 1e-13:  # NaN fails
                 break
+            converged = np.abs(f) < 1e-13
             # converged entries and slopes under the floor take no step
             df = np.where(converged | (np.abs(df) < _GRAD_FLOOR), np.inf, df)
             # keep the iteration local to the reference root
             s = s - np.clip(f / df, -0.25, 0.25)
-        if not converged.all():
+            powers = _ladder(s, deg)
+        else:  # 60 steps without convergence
             idx = np.nonzero(~converged)
-            origin = np.broadcast_to(base + q[..., None] * N, s.shape + (2,))
-            s[idx] = self.line_exit(origin[idx], np.broadcast_to(T, s.shape + (2,))[idx],
-                                    np.broadcast_to(s_ref, s.shape)[idx])
-            coef = np.broadcast_to(coef, s.shape + coef.shape[-2:])[idx]
-            vals[idx] = (coef @ _ladder(s[idx], self._deg)[..., None])[..., 0]
-        gT = vals[..., 1]
-        if (np.abs(gT) < 1e-10).any():
+            base, T, N = (np.broadcast_to(a, lines[3] + (2,)).reshape(qs.shape[1:] + (2,))[idx]
+                          for a in lines[:3])
+            s[idx] = self.line_exit(base + qs[0][idx][:, None] * N, T, qs[1][idx])
+            vals = _line_fields(coef, _ladder(s, deg))
+        gT = vals[:, 1]
+        if np.fmin.reduce(np.abs(gT), axis=None, initial=np.inf) < 1e-10:  # NaN passes
             raise OffsetMissesBoundary("offset line tangent to the boundary")
-        ds = -vals[..., 2] / gT
+        ds = vals[:, 2] / gT  # the third field is -P_q
         if not second:
-            return s.reshape(out_shape), ds.reshape(out_shape), None
-        quad = ds * ds * vals[..., 3] + 2.0 * ds * vals[..., 4] + vals[..., 5]
-        return s.reshape(out_shape), ds.reshape(out_shape), (-quad / gT).reshape(out_shape)
+            return s, ds, None
+        quad = ds * ds * vals[:, 3] + 2.0 * ds * vals[:, 4] + vals[:, 5]
+        return s, ds, -quad / gT
 
-    def _line_stacks(self, base, T, N):
-        """Six-field stacks of the line polynomial of every frame, (..., K,
-        6 K): row c holds the coefficients of q^c s^a in P, P_s, P_q, P_ss,
-        P_sq, P_qq, so that one matmul with the q-ladder contracts q.  The
-        frames of a run repeat every step, so the stacks are kept per
-        (base, T, N), at most 16 of them."""
-        key = tuple((a.tobytes(), a.shape) for a in (base, T, N))
-        stack = self._line_memo.get(key)
-        if stack is not None:
-            return stack
-        shape = np.broadcast_shapes(base.shape, T.shape, N.shape)
-        rows = np.concatenate([np.broadcast_to(a, shape) for a in (base, T, N)], axis=-1)
-        # a frame array repeats a few frames along sigma: build each once
-        frames, inverse = np.unique(rows.reshape(-1, 6), axis=0, return_inverse=True)
-        stack = np.stack([self._line_stack(*frame) for frame in frames])[inverse]
-        stack = stack.reshape(shape[:-1] + stack.shape[1:])
-        stack.flags.writeable = False
+    def _line_blocks(self, base, T, N, q_shape, s_shape):
+        """(shape, (B, R), stacks) of the exits of offset_exit's arguments:
+        their broadcast shape, its split into B row blocks of R entries
+        along which the frame is constant (the trailing axes where base, T
+        and N all have length 1), and the six-field stack of each block's
+        line polynomial, (B, K, 6 K): row c, column f K + a holds the
+        coefficient of q^c s^a in field f of P, P_s, -P_q, P_ss, P_sq, P_qq
+        (-P_q, so that s' = -P_q / P_s is one division, with the same bits).
+        The frames of a run repeat every step, so the blocks are kept per
+        (base, T, N) and shapes, at most 16 of them."""
+        key = (*((a.tobytes(), a.shape) for a in (base, T, N)), q_shape, s_shape)
+        layout = self._line_memo.get(key)
+        if layout is not None:
+            return layout
+        frames = np.broadcast_shapes(base.shape[:-1], T.shape[:-1], N.shape[:-1])
+        shape = np.broadcast_shapes(frames, q_shape, s_shape)
+        frames = (1,) * (len(shape) - len(frames)) + frames
+        k = len(shape)
+        while k and frames[k - 1] == 1:
+            k -= 1
+        blocks = (math.prod(shape[:k]), math.prod(shape[k:]))
+        rows = np.concatenate([np.broadcast_to(a, shape + (2,)).reshape(blocks + (2,))[:, 0]
+                               for a in (base, T, N)], axis=-1)
+        # a frame array repeats a few frames: build each once
+        frames, inverse = np.unique(rows, axis=0, return_inverse=True)
+        stacks = np.stack([self._line_stack(*frame) for frame in frames])[inverse.ravel()]
+        stacks.flags.writeable = False
         if len(self._line_memo) >= 16:
             del self._line_memo[next(iter(self._line_memo))]
-        self._line_memo[key] = stack
-        return stack
+        self._line_memo[key] = layout = (shape, blocks, stacks)
+        return layout
 
     def _line_stack(self, b0, b1, T0, T1, N0, N1):
         # x and y as polynomials in (s, q), composed exactly with each term
@@ -394,7 +454,7 @@ class PolynomialDomain(ImplicitDomain):
             for a, k, v in poly_scale(poly_product(powers[0][i], powers[1][j]), c):
                 mat[a, k] += v
         ms, mq = _derivative(mat, 0), _derivative(mat, 1)
-        stack = np.stack([mat, ms, mq, _derivative(ms, 0), _derivative(ms, 1),
+        stack = np.stack([mat, ms, -mq, _derivative(ms, 0), _derivative(ms, 1),
                           _derivative(mq, 1)])  # (6, K, K) over (field, s, q)
         return stack.transpose(2, 0, 1).reshape(self._deg + 1, -1)
 
@@ -417,13 +477,31 @@ def _derivative(mat, axis):
 
 
 def _ladder(v, deg):
-    """Powers v^0 .. v^deg on a new last axis, as cumulative products;
+    """Powers v^0 .. v^deg on a new first axis, by repeated multiplication:
+    one accumulate for a few entries (the sweep's), row by row for more
+    (the chart's), whichever dispatches faster; both are the product loop.
     v**k rounds differently and would move every fingerprint."""
-    v = np.asarray(v)
-    out = np.empty(v.shape + (deg + 1,))
-    out[..., 0] = 1.0
-    out[..., 1:] = v[..., None]
-    return np.cumprod(out, axis=-1, out=out)
+    v = np.asarray(v, dtype=float)
+    out = np.empty((deg + 1,) + v.shape)
+    out[0] = 1.0
+    if v.size <= 32:
+        out[1:] = v
+        return np.multiply.accumulate(out, axis=0, out=out)
+    for k in range(deg):
+        np.multiply(out[k], v, out=out[k + 1])
+    return out
+
+
+def _line_fields(coef, powers):
+    """Fields of the line polynomials, (B, F, R), from their coefficients
+    in s, coef (B, R, F, K), and the powers of s, (K, B, R): a matrix-vector
+    product per entry for one-entry blocks, whose bits do not depend on the
+    number of blocks (the sweep's six lines, a single line), and one einsum
+    for rows of entries (the chart's), about a tenth of the cost of 3 (n+1)
+    products."""
+    if coef.shape[1] == 1:
+        return coef[:, 0] @ powers.transpose(1, 0, 2)
+    return np.einsum("brfk,kbr->bfr", coef, powers)
 
 
 def _sym2(vals):

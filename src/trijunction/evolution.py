@@ -16,7 +16,9 @@ floats: each residual evaluation makes one call of the domain's end_exits
 callable for the six branch ends, whose jet also gives the wall normals,
 and the lagged Jacobian is inverted once per refresh, because numpy's
 per-call dispatch would cost more than the few hundred flops on 5-entry
-vectors.  On a conic domain the exits themselves are Python floats too.
+vectors.  On a conic domain the exits themselves are Python floats too; on
+a polynomial domain they are one call of the line-polynomial kernel, with
+the six lines' stacks bound once per Stepper.
 Where the domain's exit reads its start (exit_reads_start), the step's exit
 searches start from a second-order prediction off the last chart's exit
 jet, mu_b + dq (mu_b' + mu_b'' dq / 2) with dq the change of rho since that
@@ -113,7 +115,8 @@ class Stepper:
         self.qmat = junction_matrix(self.angles)
         self.basis = constraint_basis(tensions)  # (2, 3)
         n = config.n
-        self._dsigma_sq = (network.lengths / n) ** 2
+        # dsigma^2 per branch, at grid shape for the step-size guard
+        self._dsigma_sq = np.repeat(((network.lengths / n) ** 2)[:, None], n + 1, axis=1)
         # banded matrix of the interior solve in solve_banded's layout (rows:
         # super-, main and subdiagonal): the entries that decouple the branch
         # blocks stay zero, and step() rewrites the rest through the (3, n-1)
@@ -216,7 +219,8 @@ class Stepper:
         self._ahead = None
         a = coef.a
         d2 = self._dsigma_sq
-        guard = 0.5 * float((d2 / a.max(axis=1)).min())
+        # min over branches of dsigma^2 / max a, as one division and one min
+        guard = 0.5 * float((d2 / a).min())
         if cfg.dt > guard * _CFL_SLACK:
             raise CflViolation(f"dt = {cfg.dt:.3e} exceeds guard {guard:.3e}")
 
@@ -233,7 +237,7 @@ class Stepper:
         # batched tridiagonal solve for the interior nodes of all branches;
         # row i of the banded matrix couples node j to j-1 and j+1 of the
         # same branch only
-        r = dt * a[:, 1:-1] / d2[:, None]  # (3, n-1)
+        r = dt * a[:, 1:-1] / d2[:, 1:-1]  # (3, n-1)
         rhs_int = rho[:, 1:-1] + dt * expl[:, 1:-1]
         rhs_int[:, 0] += r[:, 0] * b0
         rhs_int[:, -1] += r[:, -1] * bn

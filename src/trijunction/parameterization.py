@@ -18,11 +18,14 @@ differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 All evaluators are vectorized over sigma/q arrays and over batches of branch
 indices; the evolution stepper leans on that heavily.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
-ends only and which therefore runs in Python floats, its exits included
-where the domain has them in floats (domain.end_exits).  It reads the wall
-normal from the exit jet: differentiating psi(p_* + mu_b T + q N) = 0 in q
+ends only and which therefore runs in Python floats.  Its exits come from
+the domain's end_exits, bound once per operator: the closed form in Python
+floats on a conic, one call of the line-polynomial kernel on six one-entry
+blocks on a polynomial domain.  It reads the wall normal from the exit jet: differentiating psi(p_* + mu_b T + q N) = 0 in q
 gives grad psi = (grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an
-outward crossing, so no gradient of psi is evaluated.
+outward crossing, so no gradient of psi is evaluated.  The chart keeps its
+per-branch constants (lengths, mobilities, grid spacings) at grid shape, so
+that its arithmetic runs on equal shapes.
 """
 
 from __future__ import annotations
@@ -160,11 +163,10 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
     rho_sigmasigma is None when second is False."""
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[-1] - 1
-    d = (np.asarray(lengths, dtype=float) / n)[..., None]
+    two_d, d_sq = _grid_spacing(n, tuple(np.ravel(lengths).tolist()))
 
-    two_d = 2.0 * d
     rs = np.empty_like(rho)
-    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d
+    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d[..., 1:-1]
 
     # one-sided ends; the last node reads the first-node stencils mirrored,
     # which flips the sign of the odd derivative
@@ -175,12 +177,19 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
     if not second:
         return rs, None
 
-    d_sq = d**2
     rss = np.empty_like(rho)
-    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq
+    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq[..., 1:-1]
     rss[..., 0] = first[..., 1] / d_sq[..., 0]
     rss[..., -1] = last[..., 1] / d_sq[..., 0]
     return rs, rss
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_spacing(n, lengths):
+    """2 dsigma and dsigma^2 per branch at grid shape, (3, n+1) each and
+    read-only (see _branch_grid)."""
+    d = np.array(lengths) / n
+    return _branch_grid(tuple((2.0 * d).tolist()), n), _branch_grid(tuple((d**2).tolist()), n)
 
 
 _SLOPE_WEIGHTS = tuple(float(c) for c in _END_STENCILS[:3, 0])
@@ -234,6 +243,18 @@ def _grid_fraction(n, lengths):
     return frac
 
 
+@functools.lru_cache(maxsize=32)
+def _branch_grid(values, n):
+    """The per-branch constants values repeated along the (3, n+1) grids,
+    read-only.  The chart keeps its per-branch constants (lengths,
+    mobilities, grid spacings) at grid shape, with the same values: an
+    operation on two (3, n+1) arrays costs about half of one between
+    (3, n+1) and (3, 1)."""
+    grid = np.repeat(np.array(values)[:, None], n + 1, axis=1)
+    grid.flags.writeable = False
+    return grid
+
+
 @dataclass
 class ChartGeometry:
     """Metric and curvature of a state on its sigma grids, with the chart
@@ -265,14 +286,15 @@ def chart_geometry(network, domain, state: GraphState,
     next chart can predict its exits from it.
     """
     rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
-    l = network.lengths[:, None]
+    lengths = tuple(network.lengths.tolist())
+    l = _branch_grid(lengths, state.n)
     mu = state.mu[:, None]
 
     # one branch index per row; the frames broadcast along sigma
     s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
     mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
                                          network.normals[_BRANCH_ROWS], state.rho, s_ref)
-    frac = _grid_fraction(state.n, tuple(network.lengths.tolist()))
+    frac = _grid_fraction(state.n, lengths)
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
     xi_sq = dmu / l
@@ -280,7 +302,7 @@ def chart_geometry(network, domain, state: GraphState,
 
     phi_T = xi_sigma + xi_q * rho_s
     J2 = phi_T**2 + rho_s**2
-    if (J2 < _J_FLOOR**2).any():
+    if np.fmin.reduce(J2, axis=None) < _J_FLOOR**2:  # NaN entries pass, as with any()
         raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
     J = np.sqrt(J2)
     kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
@@ -319,7 +341,7 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
 
     geo = chart_geometry(network, domain, state, mu_b_guess)
     xi_sigma, J, kappa = geo.xi_sigma, geo.J, geo.kappa
-    mobility = (g / beta)[:, None]
+    mobility = _branch_grid(tuple((g / beta).tolist()), state.n)
     L = mobility / xi_sigma * J
     Lam = (1.0 - geo.frac) * geo.rho_sigma / xi_sigma
     a = mobility / geo.J2
@@ -334,6 +356,7 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
 
 
 _BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
+_INNER_NODES = np.array([1, 2, -2, -3])  # the nodes besides the ends that end_slope reads
 
 
 class BoundaryOperator:
@@ -382,7 +405,7 @@ class BoundaryOperator:
     def inner(rho):
         """Per branch the nodes 1, 2, n-1, n-2 of rho, which the end slopes
         read besides the boundary values."""
-        return rho[:, [1, 2, -2, -3]].tolist()
+        return rho.take(_INNER_NODES, axis=1).tolist()
 
     def __call__(self, inner, r0, w, mu) -> list:
         """[g12, g13, outer_1, outer_2, outer_3] as floats; r0, w and mu are
@@ -395,19 +418,20 @@ class BoundaryOperator:
                 dq = qk - q0
                 s_ref.append(s + dq * (ds + 0.5 * dds * dq))
         mu_b, dmu = self.exits(q, s_ref)
+        c0, c1, c2 = _SLOPE_WEIGHTS  # end_slope, written out
         junction, res = [], []
         for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
             a1, a2, b1, b2 = inner[i]
             two_d = self.two_d[i]
             # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
             xs = (mu_b[i] - mu[i]) / l
-            rs = end_slope(r0[i], a1, a2, two_d)
+            rs = (c0 * r0[i] + c1 * a1 + c2 * a2) / two_d
             junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
             # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
             # = a T + rs N, and grad psi is parallel to T - mu_b' N, so
             # -(R Phi_sigma, grad psi) / (J |grad psi|) is a frame expression
             xs = (mu_b[3 + i] - mu[i]) / l
-            rs = -end_slope(w[i], b1, b2, two_d)
+            rs = -((c0 * w[i] + c1 * b1 + c2 * b2) / two_d)
             d = dmu[3 + i]
             a = xs + rs * d
             res.append((a * d + rs) / (math.hypot(a, rs) * math.hypot(1.0, d)))

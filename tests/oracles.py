@@ -614,11 +614,10 @@ def implicit_offset_exit(domain, base, T, N, q, s_ref, second=True):
 
 
 def ladder_loop(v, deg):
-    """Powers v^0 .. v^deg on a new last axis by the product loop; the
-    package's cumulative product must give the same bits."""
+    """Powers v^0 .. v^deg on a new first axis by the product loop, one
+    power at a time; the package's ladder must give the same bits."""
     v = np.asarray(v, dtype=float)
-    out = np.empty(v.shape + (deg + 1,))
-    out[..., 0] = 1.0
-    for k in range(deg):
-        out[..., k + 1] = out[..., k] * v
-    return out
+    out = [np.ones_like(v)]
+    for _ in range(deg):
+        out.append(out[-1] * v)
+    return np.array(out)

@@ -337,28 +337,122 @@ def _count_line_exits(domain):
     return calls
 
 
-@pytest.mark.parametrize("second", [True, False])
-@pytest.mark.parametrize("skew", [False, True])
-@pytest.mark.parametrize("name", list(POLYNOMIALS))
-def test_polynomial_offset_exit_matches_implicit_route(name, skew, second):
-    # the line-polynomial Newton against root search plus implicit
-    # differentiation at the (x, y) fields; only rounding separates them
-    domain = POLYNOMIALS[name]()
-    rng = np.random.default_rng(5)
-    ang = rng.uniform(0, 2 * np.pi, 3)
+def _polynomial_frames(domain, rng, skew, count=3):
+    """count unit, orthogonal frames at random angles about a base inside
+    the domain, and the abscissae where their lines leave it; skewed, T is
+    scaled by 1.3 and N sheared by 0.2 T, so that the frames are neither."""
+    ang = rng.uniform(0, 2 * np.pi, count)
     T = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     N = T @ ROT90.T
     base = np.array([0.05, 0.02])
     s_ref = np.array([boundary_hit(domain, base, t)[1] for t in T])
-    if skew:  # neither unit nor orthogonal: the root moves to about s / 1.3
+    if skew:  # the root moves to about s / 1.3
         T, N, s_ref = 1.3 * T, N + 0.2 * T, s_ref / 1.3
-    q = rng.uniform(-0.1, 0.1, (3, 7))
+    return base, T, N, s_ref
+
+
+@pytest.mark.parametrize("layout", ["rows", "chart", "entries"])
+@pytest.mark.parametrize("second", [True, False])
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(POLYNOMIALS))
+def test_polynomial_offset_exit_matches_implicit_route(name, skew, second, layout):
+    # the line-polynomial Newton against root search plus implicit
+    # differentiation at the (x, y) fields; only rounding separates them.
+    # The layouts: (3, 1) frames along (3, 7) offsets, the chart's (3, 1)
+    # frames along (3, n+1) offsets at n = 48 (row blocks of 7 and 49
+    # entries), and one frame per entry (one-entry blocks); one start per
+    # frame.
+    domain = POLYNOMIALS[name]()
+    rng = np.random.default_rng(5)
+    base, T, N, s_ref = _polynomial_frames(domain, rng, skew)
+    q = rng.uniform(-0.1, 0.1, (3, 49 if layout == "chart" else 7))
     frame = (base, T[:, None], N[:, None], q, s_ref[:, None])
+    if layout == "entries":
+        frame = (base,) + tuple(np.broadcast_to(a[:, None], q.shape + (2,)) for a in (T, N)) \
+            + frame[3:]
     calls = _count_line_exits(domain)
     fast = domain.offset_exit(*frame, second=second)
     assert calls == []  # every entry converged on the line polynomial
     assert fast[0].shape == q.shape
     _assert_exits_agree(fast, implicit_offset_exit(domain, *frame, second=second), 1e-13)
+
+
+def _ulps(a, b):
+    """Largest distance of a from b in units of the last place of b, or of
+    1.0 where |b| < 1 (s' vanishes at a perpendicular exit)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(b), 1.0))))
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(POLYNOMIALS))
+def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
+    # The sweep's exits (end_exits, one-entry blocks bound once) against
+    # offset_exit on the same six lines and one line at a time.  Both run
+    # the kernel of _exit_jet with the same arithmetic per entry, so they
+    # agree bitwise on the six lines; against single lines the bound is
+    # 4 ulps, and s is the start itself wherever the start is accepted.
+    domain = POLYNOMIALS[name]()
+    rng = np.random.default_rng(20)
+    base, T, N, hit = _polynomial_frames(domain, rng, skew, count=6)
+
+    def both(q, s_ref, base=base, T=T, N=N):
+        calls = _count_line_exits(domain)
+        got = domain.end_exits(base, T, N)(q.tolist(), s_ref.tolist())
+        swept = len(calls)
+        want = domain.offset_exit(base, T, N, q, s_ref, second=False)[:2]
+        assert len(calls) == 2 * swept  # the same entries go to line_exit
+        for x, y in zip(got, want):
+            assert np.array(x).tobytes() == y.tobytes()
+        singles = [domain.offset_exit(base, T[k], N[k], q[k], s_ref[k], second=False)
+                   for k in range(6)]
+        for x, y in zip(got, zip(*singles)):
+            assert _ulps(x, np.array(y, dtype=float)) <= 4
+        return np.array(got[0]), swept
+
+    for trial in range(10):
+        q = rng.uniform(-0.1, 0.1, 6)
+        cold = hit.copy()  # the lines' exits at q = 0
+        s, swept = both(q, cold)
+        assert swept == 0
+        # a start predicted to within 1e-15 of the root is accepted as it is
+        predicted = s + rng.uniform(-1e-15, 1e-15, 6)
+        s_pred, _ = both(q, predicted)
+        accepted = np.abs(s_pred - s) < 1e-12
+        assert accepted.all() and s_pred.tobytes() == predicted.tobytes()
+
+    # a start where the line is tangent to a level set of psi (P_s = 0, the
+    # line's critical point inside the domain) takes no Newton step and goes
+    # to line_exit on both routes
+    start = hit.copy()
+    g = lambda t: float(domain.grad(base + t * T[2]) @ T[2])  # noqa: E731
+    crit = 0.0
+    for _ in range(50):
+        crit -= g(crit) / float(T[2] @ domain.hess(base + crit * T[2]) @ T[2])
+    assert abs(g(crit)) < 1e-8
+    start[2] = crit
+    _, swept = both(np.zeros(6), start)
+    assert swept == 1
+
+    # a NaN offset ends the same way on both routes
+    q = np.zeros(6)
+    q[4] = np.nan
+    got = _raised(lambda: domain.end_exits(base, T, N)(q.tolist(), hit.tolist()))
+    want = _raised(lambda: domain.offset_exit(base, T, N, q, hit, second=False))
+    assert got == want
+
+    # line 1 moved onto the tangent of the wall at its exit: both routes
+    # raise the same error
+    exit_point = base + hit[1] * T[1]
+    wall = domain.grad(exit_point)
+    tangent = wall @ ROT90.T
+    T_, N_ = T.copy(), N.copy()
+    T_[1], N_[1] = tangent, wall / np.linalg.norm(wall)
+    base_ = np.tile(base, (6, 1))
+    base_[1] = exit_point - hit[1] * tangent
+    got = _raised(lambda: domain.end_exits(base_, T_, N_)(np.zeros(6).tolist(), hit.tolist()))
+    want = _raised(lambda: domain.offset_exit(base_, T_, N_, np.zeros(6), hit, second=False))
+    assert got == want == (OffsetMissesBoundary, "offset line tangent to the boundary")
 
 
 def test_polynomial_offset_exit_falls_back_under_the_slope_floor():
@@ -388,8 +482,10 @@ def test_polynomial_offset_exit_rejects_a_tangent_frame():
 
 
 @pytest.mark.parametrize("deg", [0, 1, 6])
-@pytest.mark.parametrize("shape", [(), (6,), (3, 49)])
+@pytest.mark.parametrize("shape", [(), (6,), (3, 49), (2, 6, 1), (2, 3, 49)])
 def test_ladder_is_bitwise_the_product_loop(shape, deg):
+    # small ladders (the sweep's) accumulate, larger ones (the chart's)
+    # multiply row by row; both are the product loop
     v = np.random.default_rng(2).uniform(-1.3, 1.3, shape)
     assert np.array_equal(_ladder(v, deg), ladder_loop(v, deg))
 

@@ -6,8 +6,8 @@ means bitwise: the same root, or a failure where scipy raises, with scipy's
 message.
 """
 
+import dis
 import hashlib
-import inspect
 import math
 import sys
 
@@ -42,9 +42,12 @@ def _assert_same(f, a, b, **tol):
 
 
 def _bisect_line():
-    """Line number of the port's fallback for a zero denominator."""
-    lines, start = inspect.getsourcelines(brentq)
-    return start + next(i for i, line in enumerate(lines) if "stry = math.inf" in line)
+    """Line number of the port's fallback for a zero denominator, the one
+    line that loads math.inf, read from the loaded code object rather than
+    from the file on disk, which may have changed since the import."""
+    code = brentq.__code__
+    offset = next(ins.offset for ins in dis.get_instructions(code) if ins.argval == "inf")
+    return next(line for start, end, line in code.co_lines() if start <= offset < end)
 
 
 def _lines_run(call):
