@@ -95,16 +95,10 @@ class ImplicitDomain:
         """Exits of the fixed lines base + q N + s T, one per row of T and
         N, at a few offsets at a time: a callable (q, s_ref) -> (s, s') of
         float lists, one offset and start per line (s_ref may be None where
-        exit_reads_start is False).  The callable binds what the lines
-        share once; the conic and polynomial families override this default,
-        which calls offset_exit once per evaluation."""
-
-        def exits(q, s_ref):
-            s, ds, _ = self.offset_exit(base, T, N, np.array(q), np.array(s_ref),
-                                        second=False)
-            return s.tolist(), ds.tolist()
-
-        return exits
+        exit_reads_start is False), the same values as offset_exit's.  The
+        callable binds what the lines share once.  Subclasses give the
+        route of their family."""
+        raise NotImplementedError
 
     def _bracketed_root(self, origin, direction, s_ref):
         # widen a bracket around the reference abscissa until psi changes sign
@@ -341,11 +335,11 @@ class PolynomialDomain(ImplicitDomain):
         return tuple(None if v is None else v.reshape(shape) for v in jet)
 
     def end_exits(self, base, T, N):
-        # One one-entry block per line, its stack bound once, through the
-        # kernel of offset_exit: no memo lookup or broadcasting per call,
-        # and the same bits as offset_exit on the same lines.  The sweep
-        # reads P, P_s and P_q only, but all six fields are kept: the
-        # matrix-vector product over three of them rounds differently.
+        # Each line is a one-entry block whose stack is bound here, so a
+        # call runs the kernel of offset_exit with no memo lookup or
+        # broadcasting, to the same bits as offset_exit on the same lines.
+        # The sweep reads P, P_s and P_q only, but all six fields are kept:
+        # the matrix-vector product over three of them rounds differently.
         base, T, N = (np.asarray(a, dtype=float) for a in (base, T, N))
         shape = np.broadcast_shapes(base.shape[:-1], T.shape[:-1], N.shape[:-1])
         _, blocks, stacks = self._line_blocks(base, T, N, shape, shape)

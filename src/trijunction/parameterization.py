@@ -21,11 +21,11 @@ boundary operator, which the step evaluates a few times on the six branch
 ends only and which therefore runs in Python floats.  Its exits come from
 the domain's end_exits, bound once per operator: the closed form in Python
 floats on a conic, one call of the line-polynomial kernel on six one-entry
-blocks on a polynomial domain.  It reads the wall normal from the exit jet: differentiating psi(p_* + mu_b T + q N) = 0 in q
-gives grad psi = (grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an
-outward crossing, so no gradient of psi is evaluated.  The chart keeps its
-per-branch constants (lengths, mobilities, grid spacings) at grid shape, so
-that its arithmetic runs on equal shapes.
+blocks on a polynomial domain.  It reads the wall normal from the exit jet:
+differentiating psi(p_* + mu_b T + q N) = 0 in q gives grad psi =
+(grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an outward crossing,
+so no gradient of psi is evaluated.  The chart keeps its lengths and
+mobilities at grid shape, so that its arithmetic runs on equal shapes.
 """
 
 from __future__ import annotations
@@ -163,10 +163,11 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
     rho_sigmasigma is None when second is False."""
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[-1] - 1
-    two_d, d_sq = _grid_spacing(n, tuple(np.ravel(lengths).tolist()))
+    d = (np.asarray(lengths, dtype=float) / n)[..., None]
 
+    two_d = 2.0 * d
     rs = np.empty_like(rho)
-    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d[..., 1:-1]
+    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d
 
     # one-sided ends; the last node reads the first-node stencils mirrored,
     # which flips the sign of the odd derivative
@@ -177,19 +178,12 @@ def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
     if not second:
         return rs, None
 
+    d_sq = d**2
     rss = np.empty_like(rho)
-    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq[..., 1:-1]
+    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq
     rss[..., 0] = first[..., 1] / d_sq[..., 0]
     rss[..., -1] = last[..., 1] / d_sq[..., 0]
     return rs, rss
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_spacing(n, lengths):
-    """2 dsigma and dsigma^2 per branch at grid shape, (3, n+1) each and
-    read-only (see _branch_grid)."""
-    d = np.array(lengths) / n
-    return _branch_grid(tuple((2.0 * d).tolist()), n), _branch_grid(tuple((d**2).tolist()), n)
 
 
 _SLOPE_WEIGHTS = tuple(float(c) for c in _END_STENCILS[:3, 0])
@@ -246,10 +240,9 @@ def _grid_fraction(n, lengths):
 @functools.lru_cache(maxsize=32)
 def _branch_grid(values, n):
     """The per-branch constants values repeated along the (3, n+1) grids,
-    read-only.  The chart keeps its per-branch constants (lengths,
-    mobilities, grid spacings) at grid shape, with the same values: an
-    operation on two (3, n+1) arrays costs about half of one between
-    (3, n+1) and (3, 1)."""
+    read-only.  The chart keeps its lengths and mobilities at grid shape,
+    with the same values: an operation on two (3, n+1) arrays costs about
+    half of one between (3, n+1) and (3, 1)."""
     grid = np.repeat(np.array(values)[:, None], n + 1, axis=1)
     grid.flags.writeable = False
     return grid
@@ -418,20 +411,19 @@ class BoundaryOperator:
                 dq = qk - q0
                 s_ref.append(s + dq * (ds + 0.5 * dds * dq))
         mu_b, dmu = self.exits(q, s_ref)
-        c0, c1, c2 = _SLOPE_WEIGHTS  # end_slope, written out
         junction, res = [], []
         for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
             a1, a2, b1, b2 = inner[i]
             two_d = self.two_d[i]
             # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
             xs = (mu_b[i] - mu[i]) / l
-            rs = (c0 * r0[i] + c1 * a1 + c2 * a2) / two_d
+            rs = end_slope(r0[i], a1, a2, two_d)
             junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
             # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
             # = a T + rs N, and grad psi is parallel to T - mu_b' N, so
             # -(R Phi_sigma, grad psi) / (J |grad psi|) is a frame expression
             xs = (mu_b[3 + i] - mu[i]) / l
-            rs = -((c0 * w[i] + c1 * b1 + c2 * b2) / two_d)
+            rs = -end_slope(w[i], b1, b2, two_d)
             d = dmu[3 + i]
             a = xs + rs * d
             res.append((a * d + rs) / (math.hypot(a, rs) * math.hypot(1.0, d)))

@@ -310,12 +310,14 @@ def test_conic_end_exits_equal_offset_exit_bitwise(name):
     tiny = T.copy()
     tiny[1] *= 1e-12
     cases = {"misses": (far, T), "tangent": (base, tiny), "both": (far, tiny)}
-    q = np.zeros(6)
-    for case, (base_, T_) in cases.items():
-        got = _raised(lambda: domain.end_exits(base_, T_, N)(q.tolist(), s_ref.tolist()))
-        want = _raised(lambda: domain.offset_exit(base_, T_, N, q, s_ref))
-        assert got == want and got[0] is OffsetMissesBoundary, (case, got)
-        assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
+    for nan in (False, True):  # a NaN line beside them hides neither error
+        q = np.zeros(6)
+        q[5] = np.nan if nan else 0.0
+        for case, (base_, T_) in cases.items():
+            got = _raised(lambda: domain.end_exits(base_, T_, N)(q.tolist(), s_ref.tolist()))
+            want = _raised(lambda: domain.offset_exit(base_, T_, N, q, s_ref))
+            assert got == want and got[0] is OffsetMissesBoundary, (case, got)
+            assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
 
 
 POLYNOMIALS = {
@@ -360,16 +362,16 @@ def test_polynomial_offset_exit_matches_implicit_route(name, skew, second, layou
     # differentiation at the (x, y) fields; only rounding separates them.
     # The layouts: (3, 1) frames along (3, 7) offsets, the chart's (3, 1)
     # frames along (3, n+1) offsets at n = 48 (row blocks of 7 and 49
-    # entries), and one frame per entry (one-entry blocks); one start per
-    # frame.
+    # entries), and (3, 7) frames that change along both axes (one-entry
+    # blocks).
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(5)
     base, T, N, s_ref = _polynomial_frames(domain, rng, skew)
     q = rng.uniform(-0.1, 0.1, (3, 49 if layout == "chart" else 7))
     frame = (base, T[:, None], N[:, None], q, s_ref[:, None])
     if layout == "entries":
-        frame = (base,) + tuple(np.broadcast_to(a[:, None], q.shape + (2,)) for a in (T, N)) \
-            + frame[3:]
+        which = (np.arange(3)[:, None] + np.arange(7)) % 3
+        frame = (base, T[which], N[which], q, s_ref[which])
     calls = _count_line_exits(domain)
     fast = domain.offset_exit(*frame, second=second)
     assert calls == []  # every entry converged on the line polynomial
