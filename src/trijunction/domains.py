@@ -144,9 +144,9 @@ class ConicDomain(ImplicitDomain):
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
         """The closed form of _conic_chord and _conic_jet on arrays, from the
-        cached frame constants of (base, T, N); s_ref is not read.  The
-        chart's (3, n+1) exits take this route; the sweep's six take
-        end_exits."""
+        frame constants of (base, T, N) cached at the offsets' shape; s_ref
+        is not read.  The chart's (3, n+1) exits take this route; the
+        sweep's six take end_exits."""
         q = np.asarray(q, dtype=float)
         frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape)
         o0, o1, b, disc = _conic_chord(frame, self.r, q)

@@ -398,7 +398,7 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
     rng = np.random.default_rng(20)
     base, T, N, hit = _polynomial_frames(domain, rng, skew, count=6)
 
-    def both(q, s_ref, base=base, T=T, N=N):
+    def both(q, s_ref):
         calls = _count_line_exits(domain)
         got = domain.end_exits(base, T, N)(q.tolist(), s_ref.tolist())
         swept = len(calls)
@@ -419,19 +419,19 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
         assert swept == 0
         # a start predicted to within 1e-15 of the root is accepted as it is
         predicted = s + rng.uniform(-1e-15, 1e-15, 6)
-        s_pred, _ = both(q, predicted)
-        accepted = np.abs(s_pred - s) < 1e-12
-        assert accepted.all() and s_pred.tobytes() == predicted.tobytes()
+        assert both(q, predicted)[0].tobytes() == predicted.tobytes()
 
     # a start where the line is tangent to a level set of psi (P_s = 0, the
     # line's critical point inside the domain) takes no Newton step and goes
     # to line_exit on both routes
-    start = hit.copy()
-    g = lambda t: float(domain.grad(base + t * T[2]) @ T[2])  # noqa: E731
+    def slope(t):
+        return float(domain.grad(base + t * T[2]) @ T[2])
+
     crit = 0.0
     for _ in range(50):
-        crit -= g(crit) / float(T[2] @ domain.hess(base + crit * T[2]) @ T[2])
-    assert abs(g(crit)) < 1e-8
+        crit -= slope(crit) / float(T[2] @ domain.hess(base + crit * T[2]) @ T[2])
+    assert abs(slope(crit)) < 1e-8
+    start = hit.copy()
     start[2] = crit
     _, swept = both(np.zeros(6), start)
     assert swept == 1

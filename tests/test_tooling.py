@@ -313,8 +313,7 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
         return run
 
     monkeypatch.setattr(domains, "_ladder", counted_ladder)
-    monkeypatch.setattr(PolynomialDomain, "offset_exit",
-                        lambda self, *a, **k: counted("chart", offset_exit)(self, *a, **k))
+    monkeypatch.setattr(PolynomialDomain, "offset_exit", counted("chart", offset_exit))
     monkeypatch.setattr(stepper._bc, "exits", counted("sweep", exits))
     for _ in range(100):
         state = stepper.step(state)
