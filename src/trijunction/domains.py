@@ -150,12 +150,10 @@ class ConicDomain(ImplicitDomain):
         q = np.asarray(q, dtype=float)
         frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape)
         o0, o1, b, disc = _conic_chord(frame, self.r, q)
-        # one reduction each; NaN entries pass both checks, as with any()
-        if np.fmin.reduce(disc, axis=None, initial=np.inf) <= 0.0:
+        if (disc <= 0.0).any():
             raise OffsetMissesBoundary("offset line misses the boundary")
         root = np.sqrt(disc)
-        # the generic floor |(grad psi, T)| < 1e-10
-        if np.fmin.reduce(root, axis=None, initial=np.inf) < 0.5e-10:
+        if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
             raise OffsetMissesBoundary("offset line tangent to the boundary")
         return _conic_jet(frame, o0, o1, b, root, second)
 
@@ -300,7 +298,7 @@ class PolynomialDomain(ImplicitDomain):
     def _fields(self, x, lo, hi):
         """Fields lo..hi-1 of (psi, px, py, pxx, pxy, pyy) at x: (..., hi - lo).
 
-        One pair of cumulative-product power ladders serves every field.
+        One pair of power ladders serves every field.
         """
         x = np.asarray(x, dtype=float)
         xs = _ladder(x[..., 0], self._deg_x)
@@ -379,9 +377,9 @@ class PolynomialDomain(ImplicitDomain):
         for _ in range(60):
             vals = _line_fields(coef, powers)
             f, df = vals[:, 0], vals[:, 1]
-            if np.maximum.reduce(np.abs(f), axis=None, initial=0.0) < 1e-13:  # NaN fails
-                break
             converged = np.abs(f) < 1e-13
+            if converged.all():
+                break
             # converged entries and slopes under the floor take no step
             df = np.where(converged | (np.abs(df) < _GRAD_FLOOR), np.inf, df)
             # keep the iteration local to the reference root
@@ -394,7 +392,7 @@ class PolynomialDomain(ImplicitDomain):
             s[idx] = self.line_exit(base + qs[0][idx][:, None] * N, T, qs[1][idx])
             vals = _line_fields(coef, _ladder(s, deg))
         gT = vals[:, 1]
-        if np.fmin.reduce(np.abs(gT), axis=None, initial=np.inf) < 1e-10:  # NaN passes
+        if (np.abs(gT) < 1e-10).any():
             raise OffsetMissesBoundary("offset line tangent to the boundary")
         ds = vals[:, 2] / gT  # the third field is -P_q
         if not second:
@@ -471,18 +469,13 @@ def _derivative(mat, axis):
 
 
 def _ladder(v, deg):
-    """Powers v^0 .. v^deg on a new first axis, by repeated multiplication:
-    one accumulate for a few entries (the sweep's), row by row for more
-    (the chart's), whichever dispatches faster; both are the product loop.
+    """Powers v^0 .. v^deg on a new first axis, by repeated multiplication;
     v**k rounds differently and would move every fingerprint."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty((deg + 1,) + v.shape)
+    out = np.empty((deg + 1,) + np.shape(v))
     out[0] = 1.0
-    if v.size <= 32:
-        out[1:] = v
-        return np.multiply.accumulate(out, axis=0, out=out)
-    for k in range(deg):
-        np.multiply(out[k], v, out=out[k + 1])
+    out[1:] = v
+    for k in range(1, deg):
+        out[k + 1] *= out[k]
     return out
 
 

@@ -295,7 +295,7 @@ def chart_geometry(network, domain, state: GraphState,
 
     phi_T = xi_sigma + xi_q * rho_s
     J2 = phi_T**2 + rho_s**2
-    if np.fmin.reduce(J2, axis=None) < _J_FLOOR**2:  # NaN entries pass, as with any()
+    if (J2 < _J_FLOOR**2).any():
         raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
     J = np.sqrt(J2)
     kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)

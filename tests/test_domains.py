@@ -486,10 +486,31 @@ def test_polynomial_offset_exit_rejects_a_tangent_frame():
 @pytest.mark.parametrize("deg", [0, 1, 6])
 @pytest.mark.parametrize("shape", [(), (6,), (3, 49), (2, 6, 1), (2, 3, 49)])
 def test_ladder_is_bitwise_the_product_loop(shape, deg):
-    # small ladders (the sweep's) accumulate, larger ones (the chart's)
-    # multiply row by row; both are the product loop
+    # (2, 6, 1) and (2, 3, 49): the exit kernel's ladders of q and the start
+    # for the sweep's six lines and the chart at n = 48
     v = np.random.default_rng(2).uniform(-1.3, 1.3, shape)
     assert np.array_equal(_ladder(v, deg), ladder_loop(v, deg))
+
+
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_polynomial_fields_are_bitwise_the_last_axis_contraction(name):
+    # psi_grad_hess contracts its first-axis ladders with the coefficient
+    # stack; the sum must keep the bits of the same contraction over
+    # contiguous last-axis ladders, whatever the layout of the points
+    domain = POLYNOMIALS[name]()
+    deg_x, deg_y = (k - 1 for k in domain._stack.shape[1:])
+    rng = np.random.default_rng(5)
+    for shape in [(), (6,), (3, 49), (1000,), (4, 5, 6)]:
+        x = rng.uniform(-1.5, 1.5, shape + (2,))
+        xs = np.moveaxis(ladder_loop(x[..., 0], deg_x), 0, -1).copy()
+        ys = np.moveaxis(ladder_loop(x[..., 1], deg_y), 0, -1).copy()
+        want = np.einsum("...i,kij,...j->...k", xs, domain._stack, ys)
+        for points in (x, np.asfortranarray(x)):
+            psi, grad, hess = domain.psi_grad_hess(points)
+            assert np.array_equal(psi, want[..., 0])
+            assert np.array_equal(grad, want[..., 1:3])
+            assert np.array_equal(hess[..., [0, 0, 1], [0, 1, 1]], want[..., 3:])
+            assert np.array_equal(hess[..., 1, 0], want[..., 4])
 
 
 def test_make_domain_factory():

@@ -182,10 +182,11 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
         two_dents, two_dents_network, unit_tensions):
     # The same ratio on the two dents at n = 48, where the six exits are
     # one call of the line-polynomial kernel on six one-entry blocks:
-    # 0.195-0.235 of a coefficients call, median 0.208, over 5 processes
-    # (0.223-0.231, median 0.226, with the exits through the generic
-    # offset_exit and the chart's q contracted per node).  The bound sits
-    # 15 % above the median.
+    # 0.192-0.226 of a coefficients call, median 0.214, over 20 processes.
+    # The bound sits about 10 % above the highest.  It bounds the sweep's
+    # cost, not its route: with the exits through the generic offset_exit
+    # and the chart's q contracted per node, both sides were slower and the
+    # ratio read 0.209-0.246.
     n = 48
     config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
     phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
@@ -193,7 +194,7 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
                           kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
     stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
     best = _converged_sweep_and_chart(stepper, state)
-    assert best["sweep"] <= 0.24 * best["coefficients"], best
+    assert best["sweep"] <= 0.25 * best["coefficients"], best
 
 
 def _converged_sweep_and_chart(stepper, state):
