@@ -37,8 +37,8 @@ for gamma in [(1.0, 1.0, 1.0), (1.0, 1.0, 1.2), (0.8, 1.0, 1.5)]:
     rho0 = np.array([0.02, -0.015, 0.0])
     g = tensions.array
     rho0 -= g * (g @ rho0) / (g @ g)  # admissible: weighted sum vanishes
-    mu = q.q @ rho0
-    print(f"  Q =\n{np.array_str(q.q, precision=5)}")
+    mu = q @ rho0
+    print(f"  Q =\n{np.array_str(q, precision=5)}")
     print(f"  stick residual for mu = Q rho(0): "
           f"{stick_residual(angles, rho0, mu, rotation=0.3):.2e}")
     print()

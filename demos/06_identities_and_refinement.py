@@ -19,17 +19,15 @@ from trijunction import (
     find_stationary,
     initial_state,
     junction_kinematics,
-    junction_matrix,
     max_eigenvalue,
     run,
-    young_angles,
 )
 
 print(__doc__)
 tensions = SurfaceTensions((1.0, 1.0, 1.0))
 disk = CircleDomain(1.0)
 network = find_stationary(disk, tensions, SteadyGuess(p=(0.05, 0.03), gauge=0.0))
-q = junction_matrix(young_angles(tensions)).q
+q = tensions.q
 
 worst = {}
 for n in (50, 100):

@@ -11,7 +11,6 @@ measures the energy-dissipation and junction identities along trajectories.
 from .tensions import (
     SurfaceTensions,
     JunctionAngles,
-    JunctionMatrix,
     young_angles,
     junction_matrix,
     force_balance_residual,

@@ -36,7 +36,6 @@ import numpy as np
 from .domains import boundary_curvature
 from .errors import DegenerateCurve, NonPositiveSeries, TriJunctionError
 from .parameterization import GraphState, _cross, chart_geometry, junction_point, rho_derivatives
-from .tensions import junction_matrix, young_angles
 
 
 @dataclass
@@ -161,7 +160,6 @@ class DiagnosticsRecord:
     kappa_l4_4: float
     kappa_linf: float
     res_sum_gamma_v: float  # |sum gamma_i v_i| with v = Q kappa(0)
-    lengths: np.ndarray = field(repr=False)
 
 
 def _branch_integrals(values, J, dx):
@@ -208,22 +206,21 @@ def _rowwise(a, x):
     return (a @ x[..., None])[..., 0]
 
 
-def record_from_state(network, domain, tensions, state: GraphState, chart=None,
-                      q_matrix=None) -> DiagnosticsRecord:
+def record_from_state(network, domain, tensions, state: GraphState,
+                      chart=None) -> DiagnosticsRecord:
     """Energy, curvature norms and identity residuals of one state: the
     batch of one of records_from_states."""
-    return records_from_states(network, domain, tensions, [state], [chart], q_matrix)[0]
+    return records_from_states(network, domain, tensions, [state], [chart])[0]
 
 
-def records_from_states(network, domain, tensions, states, charts=None,
-                        q_matrix=None) -> list[DiagnosticsRecord]:
+def records_from_states(network, domain, tensions, states,
+                        charts=None) -> list[DiagnosticsRecord]:
     """Records of `states`, all on one grid, evaluated as one batch.
 
     charts[k] is the ChartGeometry (or the Coefficients, or the RecordChart)
     of states[k], such as the ones the next time step reads; for a None
     entry, or charts=None, the record evaluates chart_geometry,
-    cold-started.  q_matrix is the junction matrix of `tensions`, computed
-    when not given.  The det M floor of `coefficients` is not applied: it
+    cold-started.  The det M floor of `coefficients` is not applied: it
     guards the time step, and records are also taken of states no step has
     evaluated.
 
@@ -238,12 +235,12 @@ def records_from_states(network, domain, tensions, states, charts=None,
     if not states:
         return []
     try:
-        return _records(network, domain, tensions, states, charts, q_matrix)
+        return _records(network, domain, tensions, states, charts)
     except TriJunctionError:
         if len(states) == 1:
             raise
         for state, chart in zip(states, charts):
-            _records(network, domain, tensions, [state], [chart], q_matrix)
+            _records(network, domain, tensions, [state], [chart])
         raise
 
 
@@ -253,11 +250,9 @@ _SCALAR_FIELDS = ("E", "kappa_l2_sq", "kappa_l4_4", "kappa_s_l2_sq", "kappa_ss_l
                   "res_perp")
 
 
-def _records(network, domain, tensions, states, charts, q_matrix):
+def _records(network, domain, tensions, states, charts):
     geos = [chart_geometry(network, domain, state) if chart is None else chart
             for state, chart in zip(states, charts, strict=True)]
-    if q_matrix is None:
-        q_matrix = junction_matrix(young_angles(tensions))
     g = tensions.array
     dx = network.lengths / states[0].n
     rho = np.array([state.rho for state in states])  # (records, 3, n+1)
@@ -273,7 +268,7 @@ def _records(network, domain, tensions, states, charts, q_matrix):
 
     # junction: tangential speeds v = Q V from the flow law V = kappa
     kap0 = kap[..., 0]
-    velocities = _rowwise(q_matrix.q, kap0)
+    velocities = _rowwise(tensions.q, kap0)
     flux = kap_s[..., 0] + kap0 * velocities
 
     # wall: contact points p_* + mu_b T + rho N and the unit tangent
@@ -299,9 +294,8 @@ def _records(network, domain, tensions, states, charts, q_matrix):
     ]]).T.tolist()
     points = junction_point(network, GraphState(rho=rho, mu=mu))
     return [
-        DiagnosticsRecord(t=float(state.t), p=p, mu=m, lengths=lengths,
-                          **dict(zip(_SCALAR_FIELDS, row)))
-        for state, row, p, m, lengths in zip(states, scalars, points, mu, integrals[0])
+        DiagnosticsRecord(t=float(state.t), p=p, mu=m, **dict(zip(_SCALAR_FIELDS, row)))
+        for state, row, p, m in zip(states, scalars, points, mu)
     ]
 
 

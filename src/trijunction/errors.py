@@ -38,6 +38,10 @@ class DegenerateMetric(TriJunctionError):
     """Graph metric J dropped below the admissible floor."""
 
 
+class NonFiniteState(TriJunctionError):
+    """A state's offsets rho or junction offsets mu hold NaN or infinity."""
+
+
 class MatrixMNotInvertible(TriJunctionError):
     """Junction coupling matrix M left its invertibility region."""
 

@@ -8,7 +8,7 @@ L kappa + Lambda mu_t - a rho_ss evaluated at the current state, is
 explicit.  A Newton sweep on the six boundary nodal values then re-enforces
 the junction conditions (weighted sum exactly, the two angle residuals to
 tolerance) and the three perpendicularity conditions, with interior nodes
-frozen.  It works in constraint_basis coordinates: its unknowns are the
+frozen.  It works in the constraint plane's basis: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
 every sweep so the stick condition cannot drift.  The sweep runs in Python
@@ -46,6 +46,7 @@ from .errors import (
     DegenerateMetric,
     MatrixMNotInvertible,
     NewtonDiverged,
+    NonFiniteState,
     OffsetMissesBoundary,
 )
 from .parameterization import (
@@ -56,9 +57,10 @@ from .parameterization import (
     end_slope,
     junction_point,
     psi_first_jet,
+    sigma_grids,
     state_from_rho,
 )
-from .tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
+from .tensions import SurfaceTensions
 
 _CFL_SLACK = 1.0 + 1e-9
 _NEWTON_TOL = 1e-10  # boundary sweep: max-norm residual tolerance
@@ -111,12 +113,7 @@ class Stepper:
         self.domain = domain
         self.tensions = tensions
         self.config = config
-        self.angles = young_angles(tensions)
-        self.qmat = junction_matrix(self.angles)
-        self.basis = constraint_basis(tensions)  # (2, 3)
         n = config.n
-        # dsigma^2 per branch, at grid shape for the step-size guard
-        self._dsigma_sq = np.repeat(((network.lengths / n) ** 2)[:, None], n + 1, axis=1)
         # banded matrix of the interior solve in solve_banded's layout (rows:
         # super-, main and subdiagonal): the entries that decouple the branch
         # blocks stay zero, and step() rewrites the rest through the (3, n-1)
@@ -125,9 +122,9 @@ class Stepper:
         self._ab = np.zeros((3, 3 * m))
         self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
         # the boundary sweep's per-run constants as Python floats
-        self._bc = BoundaryOperator(network, domain, self.angles, n)
-        self._basis = self.basis.tolist()
-        self._q = self.qmat.q.tolist()
+        self._bc = BoundaryOperator(network, domain, tensions.angles, n)
+        self._basis = tensions.basis.tolist()
+        self._q = tensions.q.tolist()
         self._jac_inv = None  # inverse of the lagged boundary Jacobian
         self._jac_age = 0
         self._last = None  # (rho, chart) that the next chart predicts its exits from
@@ -136,7 +133,7 @@ class Stepper:
     def enforce_bcs(self, rho, exc=NewtonDiverged):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
 
-        The unknowns are c = b rho(0) in the constraint_basis b, with
+        The unknowns are c = b rho(0) in the constraint plane's basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
         holds exactly throughout.  Where the domain's exit reads its start,
         the six exits are predicted from the last chart's jet (the
@@ -157,7 +154,7 @@ class Stepper:
             mu = [qa * r0[0] + qb * r0[1] + qc * r0[2] for qa, qb, qc in q]
             return bc(inner, r0, w, mu)
 
-        u = (self.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
+        u = (self.tensions.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
         F = residual(u)
         for it in range(_NEWTON_MAX):
             if all(abs(f) < _NEWTON_TOL for f in F):  # NaN never passes
@@ -204,7 +201,7 @@ class Stepper:
             dq = state.rho - rho
             guess = geo.mu_b + dq * (geo.dmu_b + 0.5 * geo.ddmu_b * dq)
         coef = coefficients(self.network, self.domain, self.tensions, state,
-                            q_matrix=self.qmat, mu_b_guess=guess)
+                            mu_b_guess=guess)
         if self.domain.exit_reads_start:
             self._last = (state.rho.copy(), coef)
         self._bc.anchor(state.rho, coef)
@@ -218,7 +215,7 @@ class Stepper:
         coef = self._ahead[1]
         self._ahead = None
         a = coef.a
-        d2 = self._dsigma_sq
+        d2 = sigma_grids(cfg.n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
         # min over branches of dsigma^2 / max a, as one division and one min
         guard = 0.5 * float((d2 / a).min())
         if cfg.dt > guard * _CFL_SLACK:
@@ -257,7 +254,7 @@ class Stepper:
         rho_new[:, 0] = b0
         rho_new[:, -1] = bn
         rho_new, r0 = self.enforce_bcs(rho_new)
-        return GraphState(rho=rho_new, mu=self.qmat.q @ r0, t=state.t + dt)
+        return GraphState(rho=rho_new, mu=self.tensions.q @ r0, t=state.t + dt)
 
 
 def initial_state(network, domain, tensions, config: EvolveConfig,
@@ -299,14 +296,14 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
     state = state_from_rho(network, tensions, rho, t=0.0)
     stepper = Stepper(network, domain, tensions, config)
     rho, r0 = stepper.enforce_bcs(state.rho, exc=CompatibilityFailed)
-    state = GraphState(rho=rho, mu=stepper.qmat.q @ r0, t=0.0)
+    state = GraphState(rho=rho, mu=tensions.q @ r0, t=0.0)
     # fail early if the state starts outside the admissible region
-    coefficients(network, domain, tensions, state, q_matrix=stepper.qmat)
+    coefficients(network, domain, tensions, state)
     return state
 
 
 _ABORTING = (MatrixMNotInvertible, DegenerateMetric, CflViolation,
-             NewtonDiverged, OffsetMissesBoundary)
+             NewtonDiverged, OffsetMissesBoundary, NonFiniteState)
 
 
 _RECORD_BATCH = 8  # pending records that run evaluates together
@@ -316,8 +313,10 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
     """Integrate to t_end, recording diagnostics every output_every steps.
 
     The run never blows up silently: leaving the admissible neighbourhood
-    (det M floor, metric collapse, step-size guard, failed sweep) or hitting
-    the amplitude cap ends the trajectory with that status.
+    (det M floor, metric collapse, step-size guard, failed sweep, a
+    non-finite state) or hitting the amplitude cap ends the trajectory with
+    that status.  A non-finite state is not recorded, and its status
+    NonFiniteState replaces amplitude_cap.
 
     Records are evaluated in batches of 8 by records_from_states, and once
     more at the end.  A pending record keeps the state copy that the
@@ -334,14 +333,17 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
 
     def evaluate_pending():
         records.extend(records_from_states(network, domain, tensions, states[len(records):],
-                                           charts, q_matrix=stepper.qmat))
+                                           charts))
         charts.clear()
 
     def record(state):
         # the record reads the chart that the next step starts from; past
-        # the det M floor it takes the plain chart, and that step aborts
+        # the det M floor it takes the plain chart, and that step aborts.
+        # A non-finite state has no chart: it ends the run unrecorded.
         try:
             charts.append(RecordChart.of(stepper.chart(state)))
+        except NonFiniteState:
+            raise
         except _ABORTING:
             charts.append(None)
         states.append(state.copy())
@@ -349,22 +351,22 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
             evaluate_pending()
 
     state = init
-    record(state)
     status, message = "completed", ""
     n_steps = int(round(config.t_end / config.dt))
-    for k in range(1, n_steps + 1):
-        try:
+    try:
+        record(state)
+        for k in range(1, n_steps + 1):
             state = stepper.step(state)
-        except _ABORTING as exc:
-            status, message = type(exc).__name__, str(exc)
-            break
-        if np.abs(state.rho).max() > config.amplitude_cap:
-            status = "amplitude_cap"
-            message = f"max |rho| exceeded {config.amplitude_cap} at t = {state.t:.6g}"
-            record(state)
-            break
-        if k % config.output_every == 0 or k == n_steps:
-            record(state)
+            if np.abs(state.rho).max() > config.amplitude_cap:
+                status = "amplitude_cap"
+                message = f"max |rho| exceeded {config.amplitude_cap} at t = {state.t:.6g}"
+                record(state)
+                break
+            if k % config.output_every == 0 or k == n_steps:
+                record(state)
+    except _ABORTING as exc:
+        # a batch whose record raised is evaluated again below and raises
+        status, message = type(exc).__name__, str(exc)
     evaluate_pending()
     return Trajectory(records=records, states=states, status=status, message=message)
 

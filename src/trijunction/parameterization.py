@@ -24,8 +24,8 @@ floats on a conic, one call of the line-polynomial kernel on six one-entry
 blocks on a polynomial domain.  It reads the wall normal from the exit jet:
 differentiating psi(p_* + mu_b T + q N) = 0 in q gives grad psi =
 (grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an outward crossing,
-so no gradient of psi is evaluated.  The chart keeps its lengths and
-mobilities at grid shape, so that its arithmetic runs on equal shapes.
+so no gradient of psi is evaluated.  The chart keeps its lengths at grid
+shape, so that its arithmetic runs on equal shapes.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import ImplicitDomain
-from .errors import DegenerateMetric, MatrixMNotInvertible
-from .tensions import (JunctionAngles, JunctionMatrix, SurfaceTensions, constraint_basis,
-                       force_balance_residual, junction_matrix, young_angles)
+from .errors import DegenerateMetric, MatrixMNotInvertible, NonFiniteState
+from .tensions import JunctionAngles, SurfaceTensions, force_balance_residual
 
 _J_FLOOR = 1e-8
 _DET_M_FLOOR = 0.5
@@ -83,7 +82,6 @@ def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
     """Invariant residuals of a reference network (all should be tiny)."""
     g = domain.grad(network.endpoints)
     gn = g / np.linalg.norm(g, axis=1, keepdims=True)
-    angles = young_angles(tensions)
     cos_pair = np.array(
         [
             float(network.tangents[i] @ network.tangents[j])
@@ -94,7 +92,7 @@ def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
         "force_balance": force_balance_residual(network.tangents, tensions),
         "on_boundary": float(np.max(np.abs(domain.psi(network.endpoints)))),
         "perpendicular": float(np.max(np.abs(np.einsum("ik,ik->i", network.normals, gn)))),
-        "angles": float(np.max(np.abs(cos_pair - angles.cos))),
+        "angles": float(np.max(np.abs(cos_pair - tensions.angles.cos))),
     }
 
 
@@ -115,16 +113,15 @@ def mu_boundary(network, domain, i: int, q: float) -> float:
     return float(mu_b) if np.ndim(q) == 0 else mu_b
 
 
-def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
+def psi_first_jet(network, domain, branch, sigma, q, mu):
     """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu), batched.
 
     The exit abscissa and its q-derivative come from differentiating
     psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
         mu_b' = -(grad psi, N) / (grad psi, T);
     the curvature of the exit abscissa (a Hessian evaluation) is skipped,
-    since positions and first-order boundary residuals never need it.
-    s_guess warm-starts the root search; the reference lengths are the cold
-    start.
+    since positions and first-order boundary residuals never need it.  The
+    root search starts from the reference lengths.
     """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -134,8 +131,7 @@ def psi_first_jet(network, domain, branch, sigma, q, mu, s_guess=None):
     N = network.normals[b]
     l = network.lengths[b]
 
-    start = l if s_guess is None else s_guess
-    mu_b, dmu, _ = domain.offset_exit(network.p_star, T, N, q, start, second=False)
+    mu_b, dmu, _ = domain.offset_exit(network.p_star, T, N, q, l, second=False)
 
     frac = sigma / l
     xi = mu_arr + frac * (mu_b - mu_arr)
@@ -224,28 +220,20 @@ def junction_point(network, state: GraphState) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_fraction(n, lengths):
-    """sigma / l on the (3, n+1) grids of sigma_grid(n), rounded exactly as
-    sigma_grid(n) / l, read-only.
-
-    Every step evaluates the chart on the same grids, so the fraction is
-    cached per (n, lengths).
-    """
-    l = np.array(lengths)
-    frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * l[:, None]) / l[:, None]
-    frac.flags.writeable = False
-    return frac
-
-
-@functools.lru_cache(maxsize=32)
-def _branch_grid(values, n):
-    """The per-branch constants values repeated along the (3, n+1) grids,
-    read-only.  The chart keeps its lengths and mobilities at grid shape,
-    with the same values: an operation on two (3, n+1) arrays costs about
-    half of one between (3, n+1) and (3, 1)."""
-    grid = np.repeat(np.array(values)[:, None], n + 1, axis=1)
-    grid.flags.writeable = False
-    return grid
+def sigma_grids(n: int, lengths: tuple) -> tuple:
+    """(l, sigma / l, dsigma^2) on the (3, n+1) grids of sigma_grid(n) for
+    the tuple of branch lengths, read-only, cached per (n, lengths) since
+    every step reads them.  l and dsigma^2 repeat the per-branch constants
+    along the grid, where an operation on two (3, n+1) arrays costs about
+    half of one between (3, n+1) and (3, 1); sigma / l is rounded exactly
+    as sigma_grid(n) / l."""
+    lengths = np.array(lengths)
+    l = np.repeat(lengths[:, None], n + 1, axis=1)
+    frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * lengths[:, None]) / lengths[:, None]
+    d2 = np.repeat(((lengths / n) ** 2)[:, None], n + 1, axis=1)
+    for grid in (l, frac, d2):
+        grid.flags.writeable = False
+    return l, frac, d2
 
 
 @dataclass
@@ -276,18 +264,19 @@ def chart_geometry(network, domain, state: GraphState,
     reference in tests/oracles.py and agrees with these values to rounding.
     mu_b_guess starts the exit root search; the reference lengths are the
     cold start.  The exit jet (mu_b, mu_b', mu_b'') is kept, so that the
-    next chart can predict its exits from it.
+    next chart can predict its exits from it.  A state with a non-finite
+    rho or mu raises NonFiniteState before any exit search.
     """
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.mu).all()):
+        raise NonFiniteState(f"non-finite rho or mu at t = {state.t:.6g}")
     rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
-    lengths = tuple(network.lengths.tolist())
-    l = _branch_grid(lengths, state.n)
+    l, frac, _ = sigma_grids(state.n, tuple(network.lengths.tolist()))
     mu = state.mu[:, None]
 
     # one branch index per row; the frames broadcast along sigma
     s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
     mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
                                          network.normals[_BRANCH_ROWS], state.rho, s_ref)
-    frac = _grid_fraction(state.n, lengths)
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
     xi_sq = dmu / l
@@ -317,27 +306,21 @@ class Coefficients(ChartGeometry):
 
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
-                 q_matrix: JunctionMatrix | None = None,
                  mu_b_guess: np.ndarray | None = None) -> Coefficients:
     """Evaluate L, Lambda, a, kappa and the junction matrix M.
 
     The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
     as well, so one call provides the entire right-hand side
     rho_t = L kappa + Lambda mu_t of the flow.  J and kappa come from
-    chart_geometry; the det M floor guards the step.
+    chart_geometry; the det M floor guards the step.  The mobilities equal
+    the tensions, so L and a carry no mobility factor.
     """
-    if q_matrix is None:
-        q_matrix = junction_matrix(young_angles(tensions))
-    Q = q_matrix.q
-    g = tensions.array
-    beta = tensions.beta
-
+    Q = tensions.q
     geo = chart_geometry(network, domain, state, mu_b_guess)
     xi_sigma, J, kappa = geo.xi_sigma, geo.J, geo.kappa
-    mobility = _branch_grid(tuple((g / beta).tolist()), state.n)
-    L = mobility / xi_sigma * J
+    L = 1.0 / xi_sigma * J
     Lam = (1.0 - geo.frac) * geo.rho_sigma / xi_sigma
-    a = mobility / geo.J2
+    a = 1.0 / geo.J2
 
     M = np.eye(3) - Lam[:, 0, None] * Q
     det_M = float(np.linalg.det(M))
@@ -460,10 +443,9 @@ def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:
     """Bundle nodal values into a GraphState with mu slaved to rho(0).
 
     The junction triple is first projected onto the plane
-    sum_i gamma^i rho^i(0) = 0 of constraint_basis b: rho(0) <- (b rho(0)) b.
+    sum_i gamma^i rho^i(0) = 0 of its basis b: rho(0) <- (b rho(0)) b.
     """
     rho = np.array(rho, dtype=float)
-    b = constraint_basis(tensions)
+    b = tensions.basis
     rho[:, 0] = (b @ rho[:, 0]) @ b
-    q = junction_matrix(young_angles(tensions)).q
-    return GraphState(rho=rho, mu=q @ rho[:, 0], t=t)
+    return GraphState(rho=rho, mu=tensions.q @ rho[:, 0], t=t)

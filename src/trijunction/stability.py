@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dstebz
 from .domains import brentq
 from .errors import EigenSolveFailed, RootSearchFailed, ZeroFunction
 from .parameterization import StationaryNetwork
-from .tensions import SurfaceTensions, constraint_basis
+from .tensions import SurfaceTensions
 
 _MARGINAL_BAND = 1e-10
 # A second eigenvalue this close (relative) to lambda_max makes it double:
@@ -64,11 +64,11 @@ def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
     """(forms, b): forms (2, 4, 3) holds per branch the (diagonal, last
     diagonal, off-diagonal, junction diagonal) of the stiffness with the Robin
     term, then of the consistent mass, of linear elements, gamma divided out;
-    b is constraint_basis(tensions), the plane coordinates of phi(0)."""
+    b is tensions.basis, the plane coordinates of phi(0)."""
     d = network.lengths / int(n_per_branch)
     forms = np.array([(2.0 / d, 1.0 / d + network.h_star, -1.0 / d, 1.0 / d),
                       (4.0 * d / 6.0, 2.0 * d / 6.0, d / 6.0, 2.0 * d / 6.0)])
-    return forms, constraint_basis(tensions)
+    return forms, tensions.basis
 
 
 def _pencil_values(network, g, phi):
@@ -258,7 +258,7 @@ def rayleigh_quotient(network: StationaryNetwork, tensions: SurfaceTensions,
     """I[phi,phi] / ||phi||^2 for nodal values phi, with phi(0) first
     projected onto the constraint plane as (b phi(0)) b."""
     phi = np.array(phi, dtype=float)
-    b = constraint_basis(tensions)
+    b = tensions.basis
     phi[:, 0] = (b @ phi[:, 0]) @ b
     return _quotient(*_pencil_values(network, tensions.array, phi))
 

@@ -21,7 +21,7 @@ from .diagnostics import _weighted_integral, kappa_l2_sq_sigma_grid
 from .domains import ImplicitDomain, boundary_curvature, boundary_hit
 from .errors import NoConvergence, SingularJacobian
 from .parameterization import GraphState, StationaryNetwork, chart_geometry
-from .tensions import SurfaceTensions, tangent_frames, young_angles
+from .tensions import SurfaceTensions, tangent_frames
 
 _COND_LIMIT = 1e10
 _FD_STEP = 1e-7
@@ -40,7 +40,7 @@ class SteadyGuess:
 
 
 def _residual_and_hits(domain, tensions, p, phi):
-    tangents, normals = tangent_frames(young_angles(tensions), phi)
+    tangents, normals = tangent_frames(tensions.angles, phi)
     res = np.empty(3)
     hits = np.empty((3, 2))
     dists = np.empty(3)

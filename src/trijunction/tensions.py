@@ -5,13 +5,17 @@ one point.  Force balance sum_i gamma^i T^i = 0 fixes the angles theta^i
 between the tangents of the other two curves (Young's law), and the stick
 condition (all three parameterized curve origins coincide) couples the
 tangential junction offsets mu^i to the normal offsets rho^i(0) through a
-3x3 matrix Q.  Mobilities are fixed to beta^i = gamma^i throughout.
+3x3 matrix Q.  The mobilities equal the tensions throughout, so their ratio
+is 1 and the package carries no mobility.  The angles, Q and the basis of
+the constraint plane sum_i gamma^i rho^i(0) = 0 depend on the tensions
+alone; SurfaceTensions computes each once, on first use, read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +47,23 @@ class SurfaceTensions:
     def array(self) -> np.ndarray:
         return np.asarray(self.gamma, dtype=float)
 
-    @property
-    def beta(self) -> np.ndarray:
-        """Mobilities; the package fixes beta^i = gamma^i."""
-        return self.array
+    # the derived constants, each computed on first use; the arrays are read-only
+    @functools.cached_property
+    def angles(self) -> JunctionAngles:
+        return young_angles(self)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        return _read_only(junction_matrix(self.angles))
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return _read_only(constraint_basis(self))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -71,14 +88,6 @@ class JunctionAngles:
         return np.sin(np.asarray(self.theta))
 
 
-@dataclass(frozen=True)
-class JunctionMatrix:
-    """Matrix Q with mu = Q rho(0), plus its scalar prefactor d."""
-
-    q: np.ndarray = field(repr=False)
-    d: float
-
-
 def young_angles(tensions: SurfaceTensions) -> JunctionAngles:
     """Angles of the force-balanced junction, by the law of cosines.
 
@@ -98,8 +107,8 @@ def young_angles(tensions: SurfaceTensions) -> JunctionAngles:
     return JunctionAngles(theta=tuple(theta))
 
 
-def junction_matrix(angles: JunctionAngles) -> JunctionMatrix:
-    """Coupling matrix of tangential to normal junction offsets.
+def junction_matrix(angles: JunctionAngles) -> np.ndarray:
+    """Coupling matrix Q (3, 3) of tangential to normal junction offsets.
 
     Solving the stick condition mu^i T^i + rho^i(0) N^i all equal pairwise
     gives mu^i - c^k mu^j = -s^k rho^j(0) for cyclic (i, j, k); eliminating
@@ -107,14 +116,13 @@ def junction_matrix(angles: JunctionAngles) -> JunctionMatrix:
     """
     c, s = angles.cos, angles.sin
     d = -1.0 / (1.0 - c[0] * c[1] * c[2])
-    q = d * np.array(
+    return d * np.array(
         [
             [c[2] * c[0] * s[1], s[2], c[2] * s[0]],
             [c[0] * s[1], c[0] * c[1] * s[2], s[0]],
             [s[1], c[1] * s[2], c[1] * c[2] * s[0]],
         ]
     )
-    return JunctionMatrix(q=q, d=d)
 
 
 def tangent_frames(angles: JunctionAngles, rotation: float = 0.0):

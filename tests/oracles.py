@@ -547,7 +547,7 @@ def junction_and_robin_residuals(sample, tensions, domain, norms=None) -> dict:
     from trijunction.tensions import junction_matrix, young_angles
 
     g = tensions.array
-    Q = junction_matrix(young_angles(tensions)).q
+    Q = junction_matrix(young_angles(tensions))
     kap0 = np.array([b.kappa[0] for b in sample.branches])
     velocities = Q @ kap0
     if norms is None:

@@ -124,7 +124,7 @@ def test_acceptance_1_junction_algebra():
         ratios = a.sin / t.array
         sine_worst = max(sine_worst, (ratios.max() - ratios.min()) / ratios.max())
         sum_worst = max(sum_worst, abs(sum(a.theta) - 2.0 * np.pi))
-        q = junction_matrix(a).q
+        q = junction_matrix(a)
         g = t.array
         rho0 = rng.normal(size=3)
         rho0 -= g * (g @ rho0) / (g @ g)
@@ -459,7 +459,7 @@ def test_acceptance_9_identity_refinement(disk, disk_network, unit_tensions,
             worst[label] = float(vals[keep].max())
         orders[name] = np.log2(worst["c"] / worst["f"])
 
-    q = junction_matrix(young_angles(unit_tensions)).q
+    q = junction_matrix(young_angles(unit_tensions))
     vqv = {}
     for label, traj in (("c", run100), ("f", run200)):
         worst = 0.0

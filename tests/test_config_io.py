@@ -328,7 +328,7 @@ def test_row_from_record_mapping(trefoil, trefoil_network, unit_tensions):
     assert row.mu1 == 0.0
 
 
-_VECTORS = {"p": 2, "mu": 3, "lengths": 3}  # the array fields of a record
+_VECTORS = {"p": 2, "mu": 3}  # the array fields of a record
 
 
 @st.composite

@@ -196,7 +196,7 @@ def test_batch_records_equal_their_singles_bitwise(request, fork, unit_tensions)
         charts = _mixed_charts(network, domain, tensions, states)
         singles = [record_from_state(network, domain, tensions, state, chart=chart)
                    for state, chart in zip(states, charts)]
-        q = junction_matrix(young_angles(tensions)).q
+        q = junction_matrix(young_angles(tensions))
         for state, chart, want in zip(states, charts, singles):
             geo = chart_geometry(network, domain, state) if chart is None else chart
             kap0 = geo.kappa[:, 0]

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trijunction import diagnostics, evolution, parameterization
+from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
 from trijunction.errors import (CflViolation, CompatibilityFailed, NewtonDiverged,
@@ -19,7 +21,7 @@ from trijunction.evolution import (
 )
 from trijunction.parameterization import GraphState
 from trijunction.stability import max_eigenvalue
-from trijunction.tensions import constraint_basis, junction_matrix, young_angles
+from trijunction.tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
 
 from conftest import NanGradientDisk
 from oracles import boundary_residuals_reference
@@ -90,11 +92,11 @@ def _break_boundary_sweep(failure, domain, monkeypatch):
         # a plane basis whose second row is zero: the second unknown moves
         # no boundary value, so its Jacobian column is exactly zero
         def degenerate_basis(tensions):
-            b = constraint_basis(tensions).copy()
+            b = constraint_basis(tensions)
             b[1] = 0.0
             return b
 
-        monkeypatch.setattr(evolution, "constraint_basis", degenerate_basis)
+        monkeypatch.setattr(SurfaceTensions, "basis", property(degenerate_basis))
     elif failure == "cap":
         monkeypatch.setattr(evolution, "_NEWTON_MAX", 1)
     else:
@@ -204,7 +206,7 @@ def test_constraints_preserved_along_run(trefoil, trefoil_network, unit_tensions
     cfg = make_config(trefoil_network, n, 0.02, output_every=10)
     state = initial_state(trefoil_network, trefoil, unit_tensions, cfg,
                           kind="cosine", amplitude=5e-3)
-    q = junction_matrix(young_angles(unit_tensions)).q
+    q = junction_matrix(young_angles(unit_tensions))
     g = unit_tensions.array
     stepper = Stepper(trefoil_network, trefoil, unit_tensions, cfg)
     for _ in range(50):
@@ -237,7 +239,7 @@ def test_constraints_hold_to_rounding_after_every_step(disk, disk_network, two_d
     for _ in range(20):
         state = stepper.step(state)
         r0 = state.rho[:, 0]
-        assert np.array_equal(state.mu, stepper.qmat.q @ r0)
+        assert np.array_equal(state.mu, unit_tensions.q @ r0)
         assert abs(g @ r0) <= 8 * np.finfo(float).eps * g.sum() * np.abs(state.rho).max()
 
 
@@ -393,6 +395,64 @@ def test_run_on_a_nan_gradient_wall_raises_singular_gradient(disk, disk_network,
             run(disk_network, NanGradientDisk(1.0), unit_tensions, init, cfg)
 
 
+@pytest.mark.parametrize("when", ["initial", "after_3_steps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("family", ["disk", "ellipse", "trefoil", "two_dents"])
+def test_non_finite_state_ends_run_with_typed_status(family, value, when, unit_tensions,
+                                                     request, monkeypatch):
+    # One non-finite interior node ends the run with the same status on a
+    # conic and on a polynomial domain, without a warning: the chart rejects
+    # the state before any exit search, and the state is not recorded.  With
+    # a record every other step, NaN after step 3 reaches the next step's
+    # chart, and an infinity the record of its amplitude-cap state.
+    domain = request.getfixturevalue(family)
+    network = request.getfixturevalue(f"{family}_network")
+    cfg = make_config(network, 48, 0.0, output_every=2)
+    cfg.t_end = 8 * cfg.dt
+    init = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
+                         amplitude=1e-2)
+    if when == "initial":
+        init.rho[1, 20] = value
+    else:
+        step, steps = Stepper.step, []
+
+        def corrupted_step(self, state):
+            new = step(self, state)
+            steps.append(new)
+            if len(steps) == 3:
+                new.rho[1, 20] = value
+            return new
+
+        monkeypatch.setattr(Stepper, "step", corrupted_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(network, domain, unit_tensions, init, cfg)
+    assert traj.status == "NonFiniteState", (traj.status, traj.message)
+    assert len(traj.records) == len(traj.states) == (0 if when == "initial" else 2)
+    assert all(np.isfinite(s.rho).all() for s in traj.states)
+
+
+def test_run_on_a_fresh_triple_derives_its_constants_once(disk, disk_network, monkeypatch):
+    # Q, the Young angles and the plane basis live on SurfaceTensions: a
+    # whole run computes each once, however many steps and records it takes.
+    calls = []
+    for name in ("young_angles", "junction_matrix", "constraint_basis"):
+        original = getattr(tensions_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(tensions_module, name, counted)
+    fresh = SurfaceTensions((1.0, 1.0, 1.0))
+    cfg = make_config(disk_network, 24, 0.0, output_every=2)
+    cfg.t_end = 10 * cfg.dt
+    init = initial_state(disk_network, disk, fresh, cfg, kind="cosine", amplitude=1e-2)
+    traj = run(disk_network, disk, fresh, init, cfg)
+    assert traj.status == "completed" and len(traj.records) == 6
+    assert sorted(calls) == ["constraint_basis", "junction_matrix", "young_angles"], calls
+
+
 def test_step_reads_only_the_chart_of_its_own_state(disk, disk_network, unit_tensions):
     # A chart taken of another state is not read: the step evaluates its own.
     n = 24
@@ -453,7 +513,7 @@ def test_junction_kinematics_tangential_coupling(trefoil, trefoil_network,
                          kind="eigenmode", amplitude=5e-3,
                          eigenfunction=spec.eigenfunction)
     traj = run(trefoil_network, trefoil, unit_tensions, init, cfg)
-    q = junction_matrix(young_angles(unit_tensions)).q
+    q = junction_matrix(young_angles(unit_tensions))
     g = unit_tensions.array
     scale = max(np.abs(r.kappa_linf) for r in traj.records)
     for s0, s1 in zip(traj.states[:-2], traj.states[1:-1]):

@@ -380,7 +380,7 @@ def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
     rng = np.random.default_rng(21)
     for tensions in (unit_tensions, SurfaceTensions((1.0, 1.3, 0.8))):
         angles = young_angles(tensions)
-        q = junction_matrix(angles).q
+        q = junction_matrix(angles)
         for net, dom in ((trefoil_network, trefoil), (two_dents_network, two_dents),
                          (ellipse_network, ellipse), (disk_network, disk)):
             state = smooth_state(net, unit_tensions, 40, amp=0.03, seed=4)
@@ -420,5 +420,5 @@ def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):
     state = state_from_rho(trefoil_network, unit_tensions, rho)
     g = unit_tensions.array
     assert abs(g @ state.rho[:, 0]) < 1e-12
-    q = junction_matrix(young_angles(unit_tensions)).q
+    q = junction_matrix(young_angles(unit_tensions))
     assert np.abs(state.mu - q @ state.rho[:, 0]).max() < 1e-12

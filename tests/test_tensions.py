@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from trijunction.errors import TensionsDegenerate
 from trijunction.tensions import (
     SurfaceTensions,
+    constraint_basis,
     force_balance_residual,
     junction_matrix,
     stick_residual,
@@ -87,12 +89,12 @@ def test_force_balance_direct_values():
 
 
 def test_junction_matrix_symmetric_entry():
-    q = junction_matrix(young_angles(SurfaceTensions((1.0, 1.0, 1.0)))).q
+    q = junction_matrix(young_angles(SurfaceTensions((1.0, 1.0, 1.0))))
     assert abs(q[0, 0] + math.sqrt(3.0) / 9.0) < 1e-14
 
 
 def test_junction_matrix_zero_maps_to_zero():
-    q = junction_matrix(young_angles(SurfaceTensions((1.0, 1.0, 1.0)))).q
+    q = junction_matrix(young_angles(SurfaceTensions((1.0, 1.0, 1.0))))
     assert np.all(q @ np.zeros(3) == 0.0)
 
 
@@ -101,7 +103,7 @@ def test_stick_condition_random():
     for _ in range(100):
         t = random_tensions(rng)
         angles = young_angles(t)
-        q = junction_matrix(angles).q
+        q = junction_matrix(angles)
         g = t.array
         rho0 = rng.normal(size=3)
         rho0 -= g * (g @ rho0) / (g @ g)
@@ -116,7 +118,7 @@ def test_stick_condition_against_pairwise_solve():
     for _ in range(50):
         t = random_tensions(rng)
         angles = young_angles(t)
-        q = junction_matrix(angles).q
+        q = junction_matrix(angles)
         tangents, normals = tangent_frames(angles, rotation=rng.uniform(0, 2 * np.pi))
         g = t.array
         rho0 = rng.normal(size=3)
@@ -134,12 +136,31 @@ def test_junction_matrix_determinant_identity():
     for _ in range(100):
         t = random_tensions(rng)
         angles = young_angles(t)
-        jm = junction_matrix(angles)
+        q = junction_matrix(angles)
         c, s = angles.cos, angles.sin
+        d = -1.0 / (1.0 - c[0] * c[1] * c[2])
         lam = rng.uniform(-1.5, 1.5, 3)
-        direct = np.linalg.det(np.eye(3) - np.diag(lam) @ jm.q)
-        closed = jm.d * (
+        direct = np.linalg.det(np.eye(3) - np.diag(lam) @ q)
+        closed = d * (
             -1.0
             + (c[1] - lam[0] * s[1]) * (c[2] - lam[1] * s[2]) * (c[0] - lam[2] * s[0])
         )
         assert abs(direct - closed) < 1e-12
+
+
+def test_derived_constants_are_bitwise_the_module_functions_and_read_only():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        gamma = tuple(random_tensions(rng).gamma)
+        t = SurfaceTensions(gamma)
+        assert t.angles == young_angles(SurfaceTensions(gamma))
+        assert t.q.tobytes() == junction_matrix(young_angles(SurfaceTensions(gamma))).tobytes()
+        assert t.basis.tobytes() == constraint_basis(SurfaceTensions(gamma)).tobytes()
+        assert t.q.shape == (3, 3) and t.basis.shape == (2, 3)
+        assert t.q is t.q and t.basis is t.basis and t.angles is t.angles
+        for array in (t.q, t.basis):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        for name in ("angles", "q", "basis"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, None)

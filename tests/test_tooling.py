@@ -7,7 +7,8 @@ assembly and the modules `import trijunction` loads.
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
 benchmark runs.  The demos are never imported by the suite, so a removed
-export would otherwise surface only when someone runs them.  The README's
+export would otherwise surface only when someone runs them; the quick ones
+run as subprocesses, so a changed return type surfaces too.  The README's
 config example documents the config schema; a key added to or removed from
 the schema would otherwise leave it stale.
 """
@@ -23,14 +24,16 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from trijunction.config import SCALAR_KEYS, parse_config
 from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state, records_from_states
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import coefficients
-from trijunction import domains, stability
+from trijunction import domains, stability, tensions
 from trijunction.stability import max_eigenvalue
+from trijunction.tensions import SurfaceTensions
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -63,6 +66,21 @@ def test_demo_imports_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), (path.name, node.module, alias.name)
+
+
+# the demos that run in a few seconds; 04 and 05 integrate long trajectories
+_QUICK_DEMOS = ["01_junction_algebra", "02_domains_and_steady_forks",
+                "03_stability_of_forks", "06_identities_and_refinement"]
+
+
+@pytest.mark.parametrize("demo", _QUICK_DEMOS)
+def test_quick_demo_runs(demo):
+    # Resolving a demo's imports does not show that it still runs against
+    # the package's return types; running it does.
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                         capture_output=True, text=True, cwd=ROOT, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_readme_config_block_matches_schema():
@@ -111,10 +129,9 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
     stepper = Stepper(disk_network, disk, unit_tensions, config)
     chart = stepper.chart(state)
     calls = {
-        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state,
-                                             q_matrix=stepper.qmat),
+        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state),
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state,
-                                            chart=chart, q_matrix=stepper.qmat),
+                                            chart=chart),
     }
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(5):
@@ -143,9 +160,9 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
         state = stepper.step(state)
     args = (ellipse_network, ellipse, unit_tensions)
     calls = {
-        "singles": lambda: [record_from_state(*args, s, chart=c, q_matrix=stepper.qmat)
+        "singles": lambda: [record_from_state(*args, s, chart=c)
                             for s, c in zip(states, charts)],
-        "batch": lambda: records_from_states(*args, states, charts, q_matrix=stepper.qmat),
+        "batch": lambda: records_from_states(*args, states, charts),
     }
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(5):
@@ -206,7 +223,7 @@ def _converged_sweep_and_chart(stepper, state):
     stepper.enforce_bcs(rho)  # converge once; timed calls then need no iteration
     calls = {
         "coefficients": lambda: coefficients(stepper.network, stepper.domain, stepper.tensions,
-                                             state, q_matrix=stepper.qmat),
+                                             state),
         "sweep": lambda: stepper.enforce_bcs(rho),
     }
     best = dict.fromkeys(calls, float("inf"))
@@ -323,25 +340,27 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
     assert max(per_call.values()) <= 1.2, per_call
 
 
-def test_max_eigenvalue_assembles_once_through_module_global(disk_network, unit_tensions,
-                                                            monkeypatch):
+def test_max_eigenvalue_assembles_once_through_module_global(disk_network, monkeypatch):
     # The stability.assemble_forms span then measures the element forms the
-    # solve uses, and the constraint plane is built once per solve.
+    # solve uses, and the constraint plane is built once per tension triple,
+    # not once per solve.
     calls = []
-    assemble_forms, constraint_basis = stability.assemble_forms, stability.constraint_basis
+    assemble_forms, constraint_basis = stability.assemble_forms, tensions.constraint_basis
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return assemble_forms(*args, **kwargs)
 
-    def counted_basis(tensions):
+    def counted_basis(t):
         calls.append("constraint_basis")
-        return constraint_basis(tensions)
+        return constraint_basis(t)
 
     monkeypatch.setattr(stability, "assemble_forms", counted)
-    monkeypatch.setattr(stability, "constraint_basis", counted_basis)
-    max_eigenvalue(disk_network, unit_tensions, 48)
-    assert calls == [48, "constraint_basis"]
+    monkeypatch.setattr(tensions, "constraint_basis", counted_basis)
+    fresh = SurfaceTensions((1.0, 1.0, 1.0))
+    max_eigenvalue(disk_network, fresh, 48)
+    max_eigenvalue(disk_network, fresh, 48)
+    assert calls == [48, "constraint_basis", 48]
 
 
 def test_max_eigenvalue_needs_no_arpack_or_dense_solver(disk_network, trefoil_network,
