@@ -15,13 +15,16 @@ import sys
 
 import numpy as np
 
-from .errors import (NoIntersection, NotOnBoundary, OffsetMissesBoundary, RootSearchFailed,
-                     SingularGradient)
+from .errors import (NoConvergence, NoIntersection, NotOnBoundary, OffsetMissesBoundary,
+                     RootSearchFailed, SingularGradient, SingularJacobian)
 from .tensions import ROT90
 
 _GRAD_FLOOR = 1e-8
 _BOX = (-4.0, 4.0, -4.0, 4.0)
 MAX_POWER = 32  # largest power of x or y in a polynomial level set
+_NEWTON_TOL = 1e-10  # newton: max-norm residual tolerance
+_NEWTON_MAX = 20  # newton: iteration cap
+_COND_LIMIT = 1e6  # newton: a Jacobian past this condition number is singular
 
 
 class ImplicitDomain:
@@ -681,3 +684,63 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RootSearchFailed(f"Failed to converge after {maxiter} iterations.")
+
+
+class LaggedJacobian:
+    """A Newton Jacobian's (pseudo-)inverse as row lists, held across solves,
+    and the number of solves it has served since it was evaluated."""
+
+    def __init__(self):
+        self.inv = None
+        self.age = 0
+
+
+def newton(residual, u, held=None):
+    """Root of residual, a map from a float list to a float list, by damped
+    Newton from the start u (Gauss-Newton when there are more residuals than
+    unknowns); returns the root as a list once every residual is below 1e-10.
+    The Jacobian is a forward difference (step 1e-7), kept as its inverse or
+    pseudo-inverse.  Without held it is evaluated every iteration; with held,
+    a LaggedJacobian, it is reused across solves and evaluated when none is
+    held, from the third iteration, or after 100 solves, and a step that a
+    stale one cannot make forces one refresh (Deuflhard 2004).  Each
+    step is halved up to 11 times until the residual norm drops.  A
+    condition number past 1e6 raises SingularJacobian; no descent from a
+    fresh Jacobian, a non-finite one, or 20 iterations raise NoConvergence."""
+    lagged = held is not None
+    held = held if lagged else LaggedJacobian()
+    F = residual(u)
+    for it in range(_NEWTON_MAX):
+        if all(abs(f) < _NEWTON_TOL for f in F):  # NaN never passes
+            held.age += 1
+            return u
+        base = math.hypot(*F)
+        if not lagged or held.inv is None or it >= 2 or held.age > 100:
+            cols = []
+            for k in range(len(u)):
+                up = list(u)
+                up[k] += 1e-7
+                cols.append([(a - b) / 1e-7 for a, b in zip(residual(up), F)])
+            jac = np.array(cols).T
+            if not np.isfinite(jac).all():  # no step: it stalls
+                raise NoConvergence(it + 1, base, stalled=True)
+            cond = np.linalg.cond(jac)
+            if cond > _COND_LIMIT:
+                raise SingularJacobian(f"Jacobian condition number {cond:.3e} exceeds "
+                                       f"{_COND_LIMIT:.0e}")
+            held.inv = (np.linalg.inv(jac) if len(F) == len(u) else np.linalg.pinv(jac)).tolist()
+            held.age = 0
+        step = [-sum(a * f for a, f in zip(row, F)) for row in held.inv]
+        lam = 1.0
+        for _ in range(11):
+            u_try = [x + lam * dx for x, dx in zip(u, step)]
+            F_try = residual(u_try)
+            if math.hypot(*F_try) < base:
+                u, F = u_try, F_try
+                break
+            lam *= 0.5
+        else:
+            if held.age == 0:  # no descent from a fresh Jacobian
+                raise NoConvergence(it + 1, base, stalled=True)
+            held.inv = None  # a stale one: refresh it once
+    raise NoConvergence(_NEWTON_MAX, max(map(abs, F)))

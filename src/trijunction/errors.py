@@ -51,12 +51,14 @@ class SingularJacobian(TriJunctionError):
 
 
 class NoConvergence(TriJunctionError):
-    """Iteration exhausted max_iter without meeting its tolerance."""
+    """Iteration stalled or exhausted its cap without meeting its tolerance."""
 
-    def __init__(self, max_iter, residual):
-        self.max_iter = max_iter
+    def __init__(self, iterations, residual, stalled=False):
+        self.iterations = iterations
         self.residual = residual
-        super().__init__(f"no convergence within {max_iter} iterations "
+        self.stalled = stalled
+        super().__init__(f"stalled at residual {residual:.3e} on iteration {iterations}"
+                         if stalled else f"no convergence within {iterations} iterations "
                          f"(residual {residual:.3e})")
 
 

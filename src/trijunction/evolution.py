@@ -11,10 +11,11 @@ tolerance) and the three perpendicularity conditions, with interior nodes
 frozen.  It works in the constraint plane's basis: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
-every sweep so the stick condition cannot drift.  The sweep runs in Python
-floats: each residual evaluation makes one call of the domain's end_exits
-callable for the six branch ends, whose jet also gives the wall normals,
-and the lagged Jacobian is inverted once per refresh, because numpy's
+every sweep so the stick condition cannot drift.  The sweep runs
+domains.newton, the package's one damped Newton, in Python floats with a
+lagged Jacobian that the Stepper holds and inverts once per refresh: each
+residual evaluation makes one call of the domain's end_exits callable for
+the six branch ends, whose jet also gives the wall normals, because numpy's
 per-call dispatch would cost more than the few hundred flops on 5-entry
 vectors.  On a conic domain the exits themselves are Python floats too; on
 a polynomial domain they are one call of the line-polynomial kernel, with
@@ -32,22 +33,24 @@ principal part is implicit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401 -- bench/spans.py traces this name
 from scipy.linalg.lapack import dgtsv
 
-from .domains import ImplicitDomain
+from .domains import _NEWTON_TOL, ImplicitDomain, LaggedJacobian, newton
 from .errors import (
     CflViolation,
     CompatibilityFailed,
     DegenerateMetric,
     MatrixMNotInvertible,
     NewtonDiverged,
+    NoConvergence,
+    NoIntersection,
     NonFiniteState,
     OffsetMissesBoundary,
+    SingularJacobian,
 )
 from .parameterization import (
     BoundaryOperator,
@@ -63,23 +66,6 @@ from .parameterization import (
 from .tensions import SurfaceTensions
 
 _CFL_SLACK = 1.0 + 1e-9
-_NEWTON_TOL = 1e-10  # boundary sweep: max-norm residual tolerance
-_NEWTON_MAX = 20  # boundary sweep: iteration cap
-
-
-def _inverse_jacobian(residual, u, F0, exc):
-    """Inverse of the forward-difference Jacobian of residual at u (step
-    1e-7), as row lists; a singular Jacobian raises exc."""
-    h = 1e-7
-    cols = []
-    for k in range(len(u)):
-        up = list(u)
-        up[k] += h
-        cols.append([(a - b) / h for a, b in zip(residual(up), F0)])
-    try:
-        return np.linalg.inv(np.array(cols).T).tolist()
-    except np.linalg.LinAlgError as e:
-        raise exc(f"boundary sweep Jacobian singular: {e}") from e
 
 
 @dataclass
@@ -125,12 +111,11 @@ class Stepper:
         self._bc = BoundaryOperator(network, domain, tensions.angles, n)
         self._basis = tensions.basis.tolist()
         self._q = tensions.q.tolist()
-        self._jac_inv = None  # inverse of the lagged boundary Jacobian
-        self._jac_age = 0
+        self._jac = LaggedJacobian()  # the boundary sweep's
         self._last = None  # (rho, chart) that the next chart predicts its exits from
         self._ahead = None  # (state, its coefficients) for the next step to read
 
-    def enforce_bcs(self, rho, exc=NewtonDiverged):
+    def enforce_bcs(self, rho):
         """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
 
         The unknowns are c = b rho(0) in the constraint plane's basis b, with
@@ -138,8 +123,9 @@ class Stepper:
         holds exactly throughout.  Where the domain's exit reads its start,
         the six exits are predicted from the last chart's jet (the
         reference lengths before the first chart).
-        The iteration runs in Python floats on the float core of
-        boundary_residuals, with the lagged Jacobian kept as its inverse.
+        The iteration is domains.newton on the float core of
+        boundary_residuals, with this Stepper's lagged Jacobian; a singular
+        Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
         bc, (b0, b1), q = self._bc, self._basis, self._q
         inner = bc.inner(rho)
@@ -155,33 +141,15 @@ class Stepper:
             return bc(inner, r0, w, mu)
 
         u = (self.tensions.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
-        F = residual(u)
-        for it in range(_NEWTON_MAX):
-            if all(abs(f) < _NEWTON_TOL for f in F):  # NaN never passes
-                break
-            if self._jac_inv is None or it >= 2 or self._jac_age > 100:
-                self._jac_inv = _inverse_jacobian(residual, u, F, exc)
-                self._jac_age = 0
-            step = [-sum(a * f for a, f in zip(row, F)) for row in self._jac_inv]
-            lam, base = 1.0, math.hypot(*F)
-            for _ in range(9):
-                u_try = [x + lam * dx for x, dx in zip(u, step)]
-                F_try = residual(u_try)
-                if math.hypot(*F_try) < base:
-                    u, F = u_try, F_try
-                    break
-                lam *= 0.5
-            else:
-                # stale Jacobian made no progress; force a refresh once
-                if self._jac_age == 0:
-                    raise exc(f"boundary sweep stalled at residual {base:.3e}")
-                self._jac_inv = None
-        else:
-            raise exc(
-                f"boundary sweep did not reach {_NEWTON_TOL:.1e} "
-                f"(residual {max(map(abs, F)):.3e})"
-            )
-        self._jac_age += 1
+        try:
+            u = newton(residual, u, self._jac)
+        except SingularJacobian as e:
+            raise NewtonDiverged(f"boundary sweep Jacobian singular: {e}") from e
+        except NoConvergence as e:
+            raise NewtonDiverged(
+                f"boundary sweep stalled at residual {e.residual:.3e}" if e.stalled else
+                f"boundary sweep did not reach {_NEWTON_TOL:.1e} (residual {e.residual:.3e})"
+            ) from e
         r0_new, w_new = unpack(u)
         rho[:, 0] = r0_new
         rho[:, -1] = w_new
@@ -295,7 +263,10 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
 
     state = state_from_rho(network, tensions, rho, t=0.0)
     stepper = Stepper(network, domain, tensions, config)
-    rho, r0 = stepper.enforce_bcs(state.rho, exc=CompatibilityFailed)
+    try:
+        rho, r0 = stepper.enforce_bcs(state.rho)
+    except NewtonDiverged as e:
+        raise CompatibilityFailed(str(e)) from e
     state = GraphState(rho=rho, mu=tensions.q @ r0, t=0.0)
     # fail early if the state starts outside the admissible region
     coefficients(network, domain, tensions, state)
@@ -303,7 +274,7 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
 
 
 _ABORTING = (MatrixMNotInvertible, DegenerateMetric, CflViolation,
-             NewtonDiverged, OffsetMissesBoundary, NonFiniteState)
+             NewtonDiverged, OffsetMissesBoundary, NoIntersection, NonFiniteState)
 
 
 _RECORD_BATCH = 8  # pending records that run evaluates together
@@ -313,10 +284,11 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
     """Integrate to t_end, recording diagnostics every output_every steps.
 
     The run never blows up silently: leaving the admissible neighbourhood
-    (det M floor, metric collapse, step-size guard, failed sweep, a
-    non-finite state) or hitting the amplitude cap ends the trajectory with
-    that status.  A non-finite state is not recorded, and its status
-    NonFiniteState replaces amplitude_cap.
+    (det M floor, metric collapse, step-size guard, failed sweep, an offset
+    line that misses the wall, a non-finite state) or hitting the amplitude
+    cap ends the trajectory with that status.  A state whose chart fails
+    past the det M floor is recorded on the plain chart; one whose chart
+    fails otherwise is not recorded, and its status replaces amplitude_cap.
 
     Records are evaluated in batches of 8 by records_from_states, and once
     more at the end.  A pending record keeps the state copy that the
@@ -339,12 +311,10 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
     def record(state):
         # the record reads the chart that the next step starts from; past
         # the det M floor it takes the plain chart, and that step aborts.
-        # A non-finite state has no chart: it ends the run unrecorded.
+        # Any other chart error ends the run with the state unrecorded.
         try:
             charts.append(RecordChart.of(stepper.chart(state)))
-        except NonFiniteState:
-            raise
-        except _ABORTING:
+        except MatrixMNotInvertible:
             charts.append(None)
         states.append(state.copy())
         if len(charts) == _RECORD_BATCH:

@@ -8,7 +8,7 @@ problem to three scalar perpendicularity residuals in the unknowns
 
 Rotationally symmetric domains make the phi direction neutral; callers must
 then pin phi with a gauge, and the solve drops to a Gauss-Newton iteration
-in p alone.
+in p alone.  Both run on domains.newton with a fresh Jacobian every step.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _weighted_integral, kappa_l2_sq_sigma_grid
-from .domains import ImplicitDomain, boundary_curvature, boundary_hit
-from .errors import NoConvergence, SingularJacobian
+from .domains import ImplicitDomain, boundary_curvature, boundary_hit, newton
+from .errors import SingularJacobian
 from .parameterization import GraphState, StationaryNetwork, chart_geometry
 from .tensions import SurfaceTensions, tangent_frames
 
-_COND_LIMIT = 1e10
-_FD_STEP = 1e-7
-_NEWTON_TOL = 1e-10  # max-norm residual tolerance of the steady solve
-_NEWTON_MAX = 60  # iteration cap of the steady solve
 _KAPPA_FLOOR = 1e-12  # h2_ratio_series skips states with ||kappa||_L2 <= this
 
 
@@ -65,61 +61,29 @@ def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
                     guess: SteadyGuess) -> StationaryNetwork:
     """Damped Newton / Gauss-Newton solve of the steady-state conditions.
 
-    Free problem: 3 residuals, 3 unknowns (p, phi), plain Newton with a
-    forward-difference Jacobian.  Gauged problem (guess.gauge set): phi is
-    frozen and the 3x2 system is solved in the least-squares sense, which is
-    exact whenever the gauge slice actually contains a root.  A Jacobian
-    condition number beyond 1e10 reports the missing gauge on symmetric
-    domains instead of wandering.
+    Free problem: 3 residuals, 3 unknowns (p, phi).  Gauged problem
+    (guess.gauge set): phi is frozen and the 3x2 system is solved in the
+    least-squares sense, which is exact whenever the gauge slice actually
+    contains a root.  domains.newton's condition guard (1e6) reports a
+    missing gauge on symmetric domains as SingularJacobian: healthy
+    Jacobians read at most a few hundred, rank-deficient ones 1e6 and more.
     """
     gauged = guess.gauge is not None
-    phi0 = guess.gauge if gauged else guess.phi
-    x = np.array([*guess.p, phi0], dtype=float)
-    m = 2 if gauged else 3
 
-    def residual(xv):
-        r, *_ = _residual_and_hits(domain, tensions, xv[:2], xv[2])
-        return r
+    def solution(u):  # u = [p_x, p_y] with phi pinned, else [p_x, p_y, phi]
+        phi = float(guess.gauge) if gauged else u[2]
+        return _residual_and_hits(domain, tensions, np.array(u[:2]), phi)
 
-    r = residual(x)
-    for _ in range(_NEWTON_MAX):
-        if np.max(np.abs(r)) < _NEWTON_TOL:
-            break
-        jac = np.empty((3, m))
-        for k in range(m):
-            xp = x.copy()
-            xp[k] += _FD_STEP
-            jac[:, k] = (residual(xp) - r) / _FD_STEP
-        if np.linalg.cond(jac) > _COND_LIMIT:
-            raise SingularJacobian(
-                "steady Jacobian is rank deficient; fix the rotation gauge"
-            )
-        if gauged:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        else:
-            step = np.linalg.solve(jac, -r)
-        # damped line search on the residual norm
-        lam = 1.0
-        base = np.linalg.norm(r)
-        for _ in range(11):
-            x_try = x.copy()
-            x_try[:m] += lam * step
-            r_try = residual(x_try)
-            if np.linalg.norm(r_try) < base:
-                x, r = x_try, r_try
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence(_NEWTON_MAX, residual=float(base))
-    else:
-        raise NoConvergence(_NEWTON_MAX, residual=float(np.max(np.abs(r))))
-
-    res, hits, dists, tangents, normals = _residual_and_hits(
-        domain, tensions, x[:2], x[2]
-    )
+    start = [float(v) for v in guess.p] + ([] if gauged else [float(guess.phi)])
+    try:
+        u = newton(lambda u: solution(u)[0].tolist(), start)
+    except SingularJacobian as e:
+        raise SingularJacobian(f"steady Jacobian is rank deficient ({e}); "
+                               "fix the rotation gauge") from e
+    res, hits, dists, tangents, normals = solution(u)
     h = np.array([boundary_curvature(domain, hits[i]) for i in range(3)])
     return StationaryNetwork(
-        p_star=x[:2].copy(),
+        p_star=np.array(u[:2]),
         tangents=tangents,
         normals=normals,
         lengths=dists,

@@ -470,6 +470,69 @@ def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
     return np.array(res)
 
 
+def boundary_residuals_mp(network, domain, angles, rho, r0, w, mu, dps=40):
+    """[g12, g13, outer_1, outer_2, outer_3] in dps-digit arithmetic, taking
+    every float input as exact: the six exits by Newton on psi in mpmath
+    from domain.line_exit's root, the wall normal from grad psi there, the
+    end slopes from the one-sided stencil at the exact spacing l / n.  The
+    level set is a conic (w, center, r) or a polynomial (terms)."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    rho = np.array(rho, dtype=float)
+    n = rho.shape[1] - 1
+    if hasattr(domain, "terms"):
+        terms = [(i, j, mp.mpf(c)) for i, j, c in domain.terms]
+
+        def psi_grad(x, y):
+            return (sum(c * x**i * y**j for i, j, c in terms),
+                    [sum(i * c * x ** (i - 1) * y**j for i, j, c in terms if i),
+                     sum(j * c * x**i * y ** (j - 1) for i, j, c in terms if j)])
+    else:
+        (wx, wy), (cx, cy), r = ([mp.mpf(v) for v in a]
+                                 for a in (domain.w, domain.center, [domain.r]))
+
+        def psi_grad(x, y):
+            return (wx * (x - cx) ** 2 + wy * (y - cy) ** 2 - r[0],
+                    [2 * wx * (x - cx), 2 * wy * (y - cy)])
+
+    def exit_and_grad(i, q):
+        # the exit abscissa s of the line p_* + s T + q N and grad psi there
+        P, T, N = ([mp.mpf(v) for v in a] for a in (network.p_star, network.tangents[i],
+                                                   network.normals[i]))
+        s = mp.mpf(domain.line_exit(network.p_star + q * network.normals[i],
+                                    network.tangents[i], network.lengths[i]))
+        q = mp.mpf(q)
+        for _ in range(60):
+            f, g = psi_grad(*(P[k] + s * T[k] + q * N[k] for k in (0, 1)))
+            ds = f / (g[0] * T[0] + g[1] * T[1])
+            s -= ds
+            if abs(ds) < mp.mpf(10) ** -dps:
+                break
+        return s, psi_grad(*(P[k] + s * T[k] + q * N[k] for k in (0, 1)))[1], T, N
+
+    junction, res = [], []
+    for i in range(3):
+        l = mp.mpf(network.lengths[i])
+        two_d = 2 * l / n
+        v = [mp.mpf(x) for x in (r0[i], *rho[i, 1:3], w[i], *rho[i, -2:-4:-1], mu[i])]
+        # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
+        s, _, T, N = exit_and_grad(i, r0[i])
+        xs, rs = (s - v[6]) / l, (-3 * v[0] + 4 * v[1] - v[2]) / two_d
+        junction.append([xs * T[k] + rs * N[k] for k in (0, 1)])
+        # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
+        s, g, T, N = exit_and_grad(i, w[i])
+        xs, rs = (s - v[6]) / l, -(-3 * v[3] + 4 * v[4] - v[5]) / two_d
+        dmu = -(g[0] * N[0] + g[1] * N[1]) / (g[0] * T[0] + g[1] * T[1])
+        t = [xs * T[k] + rs * (dmu * T[k] + N[k]) for k in (0, 1)]
+        res.append(-(t[0] * g[1] - t[1] * g[0]) / (mp.hypot(*t) * mp.hypot(*g)))
+    (x1, y1), (x2, y2), (x3, y3) = junction
+    J1, J2, J3 = mp.hypot(x1, y1), mp.hypot(x2, y2), mp.hypot(x3, y3)
+    c = [mp.mpf(v) for v in angles.cos]
+    return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
+
+
 # ---------------------------------------------------------------------------
 # arc-length records: the chord-length PCHIP route
 #

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trijunction import diagnostics, evolution, parameterization
+from trijunction import diagnostics, domains, parameterization
 from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
@@ -98,7 +98,7 @@ def _break_boundary_sweep(failure, domain, monkeypatch):
 
         monkeypatch.setattr(SurfaceTensions, "basis", property(degenerate_basis))
     elif failure == "cap":
-        monkeypatch.setattr(evolution, "_NEWTON_MAX", 1)
+        monkeypatch.setattr(domains, "_NEWTON_MAX", 1)
     else:
         domain = _NanSlopeDisk(1.0)
     return domain
@@ -430,6 +430,32 @@ def test_non_finite_state_ends_run_with_typed_status(family, value, when, unit_t
     assert traj.status == "NonFiniteState", (traj.status, traj.message)
     assert len(traj.records) == len(traj.states) == (0 if when == "initial" else 2)
     assert all(np.isfinite(s.rho).all() for s in traj.states)
+
+
+_HUGE_OFFSET_STATUS = {
+    ("disk", 1e3): "OffsetMissesBoundary", ("disk", 1e200): "OffsetMissesBoundary",
+    ("ellipse", 1e3): "OffsetMissesBoundary", ("ellipse", 1e200): "NewtonDiverged",
+    ("trefoil", 1e3): "OffsetMissesBoundary", ("trefoil", 1e200): "NoIntersection",
+    ("two_dents", 1e3): "OffsetMissesBoundary", ("two_dents", 1e200): "NoIntersection",
+}
+
+
+@pytest.mark.parametrize("family, offset", sorted(_HUGE_OFFSET_STATUS))
+def test_huge_offset_ends_run_with_typed_status(family, offset, unit_tensions, request):
+    # A finite offset far off the wall makes the chart's exit search fail;
+    # run returns that failure as its status, and records no state whose
+    # chart failed.  Only the ellipse at 1e200 gets a chart (of overflowed
+    # values), and its step's sweep stalls.
+    domain = request.getfixturevalue(family)
+    network = request.getfixturevalue(f"{family}_network")
+    cfg = make_config(network, 48, 1.0)
+    init = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
+                         amplitude=1e-2)
+    init.rho[1, 20] = offset
+    with np.errstate(all="ignore"):
+        traj = run(network, domain, unit_tensions, init, cfg)
+    assert traj.status == _HUGE_OFFSET_STATUS[family, offset], (traj.status, traj.message)
+    assert len(traj.records) == len(traj.states) == (traj.status == "NewtonDiverged")
 
 
 def test_run_on_a_fresh_triple_derives_its_constants_once(disk, disk_network, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trijunction.errors import SingularJacobian
+from trijunction.errors import NoConvergence, SingularJacobian
 from trijunction.evolution import EvolveConfig, initial_state, run
 from trijunction.parameterization import network_residuals
 from trijunction.stability import max_eigenvalue
@@ -12,6 +12,7 @@ from trijunction.steady import (
     h2_ratio_series,
     steady_residual,
 )
+from trijunction.tensions import SurfaceTensions
 
 
 def test_disk_solution_from_offset_guess(disk, unit_tensions):
@@ -41,6 +42,38 @@ def test_disk_offset_residual_nonzero(disk, unit_tensions):
 def test_disk_without_gauge_raises(disk, unit_tensions):
     with pytest.raises(SingularJacobian):
         find_stationary(disk, unit_tensions, SteadyGuess(p=(0.05, 0.03)))
+
+
+def test_missing_gauge_raises_from_every_start(disk, unit_tensions):
+    # The disk's rotation is neutral at every p, so the forward-difference
+    # Jacobian is rank deficient and its condition number is noise (1e9 and
+    # more); a healthy steady Jacobian reads at most a few hundred.
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        guess = SteadyGuess(p=tuple(rng.uniform(-0.2, 0.2, 2)), phi=rng.uniform(-0.5, 0.5))
+        with pytest.raises(SingularJacobian, match="fix the rotation gauge"):
+            find_stationary(disk, unit_tensions, guess)
+
+
+@pytest.mark.parametrize("gammas", [(1.219, 0.74, 1.602), (1.638, 1.818, 0.653)])
+def test_missing_gauge_raises_near_a_neutral_fork(two_dents, gammas):
+    # From this start the ungauged solve heads for the fork at p = 0 whose
+    # three branches all end on the outer circle, where the rotation is
+    # neutral; its condition numbers grow past 1e7 on the way.
+    with pytest.raises(SingularJacobian):
+        find_stationary(two_dents, SurfaceTensions(gammas), SteadyGuess(p=(0.03, 0.02)))
+
+
+def test_stall_reports_its_iteration(ellipse):
+    # Unequal tensions leave no root on the gauge slice phi = 0 of the
+    # ellipse; Gauss-Newton stalls at the least-squares residual and says
+    # on which iteration, well before the cap.
+    with pytest.raises(NoConvergence, match="stalled at residual") as info:
+        find_stationary(ellipse, SurfaceTensions((1.0, 1.3, 0.8)),
+                        SteadyGuess(p=(0.1, 0.0), gauge=0.0))
+    assert info.value.stalled and 1 <= info.value.iterations < 20
+    assert f"on iteration {info.value.iterations}" in str(info.value)
+    assert info.value.residual > 1e-6
 
 
 def test_ellipse_solution_invariants(ellipse, ellipse_network, unit_tensions):
