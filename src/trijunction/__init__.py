@@ -33,7 +33,6 @@ from .parameterization import (
     mu_boundary,
     curve_from_graph,
     coefficients,
-    boundary_residuals,
     state_from_rho,
     network_residuals,
 )

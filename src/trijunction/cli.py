@@ -79,10 +79,7 @@ def _cmd_spectrum(args) -> int:
 
 def _run_once(cfg: RunConfig, output_path) -> evolution.Trajectory:
     domain, tensions, network = _problem(cfg)
-    dt = cfg.dt
-    if dt is None:
-        dt = 0.45 * float(np.min(network.lengths / cfg.n) ** 2)
-    econf = evolution.EvolveConfig(dt=dt, t_end=cfg.t_end, n=cfg.n,
+    econf = evolution.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end, n=cfg.n,
                                    output_every=cfg.output_every,
                                    amplitude_cap=cfg.amplitude_cap)
     init = evolution.initial_state(

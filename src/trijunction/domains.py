@@ -5,7 +5,10 @@ gradient on {psi = 0}, so the gradient points out of Omega.  Three analytic
 families are built in: circles, axis-aligned ellipses, and polynomial level
 sets sum c * x^i y^j (which covers half-planes, dented circles, Cassini-type
 shapes, ...).  Derivatives are exact in all cases; no finite differencing
-happens inside curvature or Newton kernels.
+happens inside curvature or Newton kernels.  Offset-line exits come in the
+two shapes the package uses: offset_exit on lines as rows of offsets (the
+chart's three branch lines along the sigma grids), and end_exits, bound once
+to the boundary sweep's six branch ends.
 """
 
 from __future__ import annotations
@@ -52,22 +55,14 @@ class ImplicitDomain:
     def psi_grad_hess(self, x):
         return self.psi(x), self.grad(x), self.hess(x)
 
-    # Roots of psi along a line: a damped Newton iteration on the (x, y)
-    # fields (vectorized over many offsets at once) with a bracketed
+    # Roots of psi along K lines (origin and direction (K, 2), s_ref (K,)):
+    # a damped Newton iteration on the (x, y) fields with a bracketed
     # fallback.  The polynomial exit sends the entries its own Newton leaves
     # unconverged here; the test oracles build the generic exit on it.
     def line_exit(self, origin, direction, s_ref):
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        s0 = np.asarray(s_ref, dtype=float)
-        shape = np.broadcast_shapes(s0.shape, origin.shape[:-1], direction.shape[:-1])
-        scalar = shape == ()
-        if scalar:
-            shape = (1,)
-        s = np.broadcast_to(s0, shape).astype(float).copy()
-        origin = np.broadcast_to(origin, shape + (2,))
-        direction = np.broadcast_to(direction, shape + (2,))
-
+        origin, direction, s_ref = (np.asarray(a, dtype=float)
+                                    for a in (origin, direction, s_ref))
+        s = s_ref.copy()
         converged = np.zeros(s.shape, dtype=bool)
         for _ in range(60):
             pts = origin + s[..., None] * direction
@@ -82,15 +77,16 @@ class ImplicitDomain:
             # keep the iteration local to the reference root
             np.clip(step, -0.25, 0.25, out=step)
             s = s - step
-        ref = np.broadcast_to(s0, shape)
-        for idx in zip(*np.nonzero(~converged)):
-            s[idx] = self._bracketed_root(origin[idx], direction[idx], ref[idx])
-        return float(s[0]) if scalar else s
+        for k in np.flatnonzero(~converged):
+            s[k] = self._bracketed_root(origin[k], direction[k], s_ref[k])
+        return s
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """Exit abscissa s(q) of the offset line base + q N + s T, from a
-        start near s_ref, with s' and s'' (None when second=False): the root
-        of psi(base + s T + q N) = 0 and its implicit q-derivatives.
+        """Exit abscissae s(q) of the offset lines base + q N + s T, one line
+        per row, from starts near s_ref, with s' and s'' (None when
+        second=False): the roots of psi(base + s T + q N) = 0 and their
+        implicit q-derivatives.  T and N are (B, 2), base is (2,) or (B, 2),
+        q is (B, R) and s_ref broadcasts to it; s, s' and s'' are (B, R).
         Subclasses give the route of their family."""
         raise NotImplementedError
 
@@ -146,12 +142,13 @@ class ConicDomain(ImplicitDomain):
         return h
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """The closed form of _conic_chord and _conic_jet on arrays, from the
-        frame constants of (base, T, N) cached at the offsets' shape; s_ref
-        is not read.  The chart's (3, n+1) exits take this route; the
-        sweep's six take end_exits."""
+        """The closed form of _conic_chord and _conic_jet on the (B, R)
+        offsets q of B lines, T and N (B, 2) and base (2,) or (B, 2), from
+        the frame constants of (base, T, N) cached at (B, R); s_ref is not
+        read.  The chart's (3, n+1) exits take this route; the sweep's six
+        take end_exits."""
         q = np.asarray(q, dtype=float)
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape)
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape[1])
         o0, o1, b, disc = _conic_chord(frame, self.r, q)
         if (disc <= 0.0).any():
             raise OffsetMissesBoundary("offset line misses the boundary")
@@ -165,8 +162,8 @@ class ConicDomain(ImplicitDomain):
         # constants converted once; the checks run over all lines in
         # offset_exit's order, so both routes give the same bits and raise
         # the same error.  math.sqrt runs only after the miss check.
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), ())
-        lines = list(zip(*(c.tolist() for c in frame)))
+        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), 1)
+        lines = list(zip(*(c[:, 0].tolist() for c in frame)))
         r = float(self.r)
 
         def exits(q, s_ref=None):
@@ -183,25 +180,24 @@ class ConicDomain(ImplicitDomain):
 
         return exits
 
-    def _frame(self, base, T, N, shape):
+    def _frame(self, base, T, N, width):
         """Constants of the closed form for the lines base + q N + s T in
-        y = S (x - c): the shifted base S (base - c), the components of
-        S T and S N, a = |S T|^2, (S T, S N) and |S N|^2, each broadcast to
-        the lines' shape and that of shape (the offsets'), so that the
-        closed form runs on equal shapes.  The frames of a run repeat every
-        step, so they are kept per (base, T, N) and shape, at most 16 of
-        them."""
-        key = (*((v.tobytes(), v.shape) for v in (base, T, N)), shape)
+        y = S (x - c), one line per row of T and N: the shifted base
+        S (base - c), the components of S T and S N, a = |S T|^2, (S T, S N)
+        and |S N|^2, each repeated along the width of the offsets' rows,
+        (B, width), so that the closed form runs on equal shapes.  The
+        frames of a run repeat every step, so they are kept per (base, T, N)
+        and width, at most 16 of them."""
+        key = (base.tobytes(), T.tobytes(), N.tobytes(), width)
         frame = self._frame_memo.get(key)
         if frame is not None:
             return frame
         T, N = T * self._scale, N * self._scale
-        T0, T1, N0, N1 = T[..., 0], T[..., 1], N[..., 0], N[..., 1]
+        T0, T1, N0, N1 = T[:, :1], T[:, 1:], N[:, :1], N[:, 1:]
         shift = (base - self.center) * self._scale
-        frame = (shift[..., 0], shift[..., 1], T0, T1, N0, N1,
+        frame = (shift[..., :1], shift[..., 1:], T0, T1, N0, N1,
                  T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
-        shape = np.broadcast_shapes(shape, *(c.shape for c in frame))
-        frame = tuple(np.broadcast_to(c, shape).copy() for c in frame)
+        frame = tuple(np.broadcast_to(c, (len(T), width)).copy() for c in frame)
         if len(self._frame_memo) >= 16:
             del self._frame_memo[next(iter(self._frame_memo))]
         self._frame_memo[key] = frame
@@ -322,43 +318,37 @@ class PolynomialDomain(ImplicitDomain):
         return vals[..., 0], vals[..., 1:3]
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """Newton in s on the line polynomial P(s, q) = psi(base + s T +
-        q N), the kernel of _exit_jet.  The entries along trailing axes
-        where the frame does not change (sigma, for the chart's (3, 1)
-        frames and (3, n+1) offsets) form one row block per frame, so q is
-        contracted with each frame's stack in one matmul; the sweep's six
-        exits take the same kernel through end_exits."""
+        """Newton in s on the line polynomials P(s, q) = psi(base + s T +
+        q N) of B lines, the kernel of _exit_jet: T and N are (B, 2), base
+        (2,) or (B, 2), q (B, R) and s_ref broadcasts to it.  The offsets of
+        a row share its line, so q is contracted with each line's stack in
+        one matmul; the sweep's six exits take the same kernel through
+        end_exits."""
         base, T, N, q = (np.asarray(a, dtype=float) for a in (base, T, N, q))
-        shape, blocks, stacks = self._line_blocks(base, T, N, q.shape, np.shape(s_ref))
-        qs = np.empty((2,) + shape)
+        qs = np.empty((2,) + q.shape)
         qs[0], qs[1] = q, s_ref
-        jet = self._exit_jet(stacks, qs.reshape((2,) + blocks), (base, T, N, shape), second)
-        return tuple(None if v is None else v.reshape(shape) for v in jet)
+        return self._exit_jet(self._line_stacks(base, T, N), qs, (base, T, N), second)
 
     def end_exits(self, base, T, N):
-        # Each line is a one-entry block whose stack is bound here, so a
-        # call runs the kernel of offset_exit with no memo lookup or
-        # broadcasting, to the same bits as offset_exit on the same lines.
-        # The sweep reads P, P_s and P_q only, but all six fields are kept:
-        # the matrix-vector product over three of them rounds differently.
-        base, T, N = (np.asarray(a, dtype=float) for a in (base, T, N))
-        shape = np.broadcast_shapes(base.shape[:-1], T.shape[:-1], N.shape[:-1])
-        _, blocks, stacks = self._line_blocks(base, T, N, shape, shape)
-        lines = (base, T, N, shape)
+        # Each line is a row of one offset whose stack is bound here, so a
+        # call runs the kernel of offset_exit with no cache lookup, to the
+        # same bits as offset_exit on the same lines.  The sweep reads P,
+        # P_s and P_q only, but all six fields are kept: the matrix-vector
+        # product over three of them rounds differently.
+        lines = tuple(np.asarray(a, dtype=float) for a in (base, T, N))
+        stacks = self._line_stacks(*lines)
 
         def exits(q, s_ref):
-            qs = np.array((q, s_ref)).reshape((2,) + blocks)
-            s, ds, _ = self._exit_jet(stacks, qs, lines, False)
+            s, ds, _ = self._exit_jet(stacks, np.array((q, s_ref))[..., None], lines, False)
             return s.ravel().tolist(), ds.ravel().tolist()
 
         return exits
 
     def _exit_jet(self, stacks, qs, lines, second):
-        """(s, s', s'') of offset lines in row blocks, (B, R) each: stacks
-        (B, K, 6 K) holds the six fields of each block's line polynomial
-        (see _line_blocks), qs (2, B, R) the offsets q and the starts, and
-        lines = (base, T, N, shape) the frames, which broadcast to shape,
-        the shape of the entries before their split into blocks.
+        """(s, s', s'') of B offset lines at R offsets each, (B, R): stacks
+        (B, K, 6 K) holds the six fields of each line polynomial (see
+        _line_stacks), qs (2, B, R) the offsets q and the starts, and
+        lines = (base, T, N) the lines, T and N (B, 2).
 
         Newton in s, with steps clipped to 0.25, until |P| < 1e-13.  One
         evaluation gives every field, so the one that confirms the root also
@@ -368,7 +358,7 @@ class PolynomialDomain(ImplicitDomain):
         unconverged go to line_exit from their start.
 
         One ladder serves q and the start.  q is contracted once per call:
-        one matmul of its powers against each block's stack gives every
+        one matmul of its powers against each line's stack gives every
         entry's fields as polynomials in s, which each evaluation then
         contracts with the powers of s (_line_fields)."""
         deg = self._deg
@@ -389,10 +379,10 @@ class PolynomialDomain(ImplicitDomain):
             s = s - np.clip(f / df, -0.25, 0.25)
             powers = _ladder(s, deg)
         else:  # 60 steps without convergence
-            idx = np.nonzero(~converged)
-            base, T, N = (np.broadcast_to(a, lines[3] + (2,)).reshape(qs.shape[1:] + (2,))[idx]
-                          for a in lines[:3])
-            s[idx] = self.line_exit(base + qs[0][idx][:, None] * N, T, qs[1][idx])
+            rows, cols = np.nonzero(~converged)
+            base, T, N = (np.broadcast_to(a, lines[1].shape)[rows] for a in lines)
+            q, start = qs[:, rows, cols]
+            s[rows, cols] = self.line_exit(base + q[:, None] * N, T, start)
             vals = _line_fields(coef, _ladder(s, deg))
         gT = vals[:, 1]
         if (np.abs(gT) < 1e-10).any():
@@ -403,37 +393,27 @@ class PolynomialDomain(ImplicitDomain):
         quad = ds * ds * vals[:, 3] + 2.0 * ds * vals[:, 4] + vals[:, 5]
         return s, ds, -quad / gT
 
-    def _line_blocks(self, base, T, N, q_shape, s_shape):
-        """(shape, (B, R), stacks) of the exits of offset_exit's arguments:
-        their broadcast shape, its split into B row blocks of R entries
-        along which the frame is constant (the trailing axes where base, T
-        and N all have length 1), and the six-field stack of each block's
-        line polynomial, (B, K, 6 K): row c, column f K + a holds the
-        coefficient of q^c s^a in field f of P, P_s, -P_q, P_ss, P_sq, P_qq
-        (-P_q, so that s' = -P_q / P_s is one division, with the same bits).
-        The frames of a run repeat every step, so the blocks are kept per
-        (base, T, N) and shapes, at most 16 of them."""
-        key = (*((a.tobytes(), a.shape) for a in (base, T, N)), q_shape, s_shape)
-        layout = self._line_memo.get(key)
-        if layout is not None:
-            return layout
-        frames = np.broadcast_shapes(base.shape[:-1], T.shape[:-1], N.shape[:-1])
-        shape = np.broadcast_shapes(frames, q_shape, s_shape)
-        frames = (1,) * (len(shape) - len(frames)) + frames
-        k = len(shape)
-        while k and frames[k - 1] == 1:
-            k -= 1
-        blocks = (math.prod(shape[:k]), math.prod(shape[k:]))
-        rows = np.concatenate([np.broadcast_to(a, shape + (2,)).reshape(blocks + (2,))[:, 0]
-                               for a in (base, T, N)], axis=-1)
-        # a frame array repeats a few frames: build each once
-        frames, inverse = np.unique(rows, axis=0, return_inverse=True)
-        stacks = np.stack([self._line_stack(*frame) for frame in frames])[inverse.ravel()]
+    def _line_stacks(self, base, T, N):
+        """The six-field stack of the line polynomial of each row of T and
+        N, (B, K, 6 K): row c, column f K + a holds the coefficient of
+        q^c s^a in field f of P, P_s, -P_q, P_ss, P_sq, P_qq (-P_q, so that
+        s' = -P_q / P_s is one division, with the same bits).  The lines of
+        a run repeat every step, so the stacks are kept per (base, T, N), at
+        most 16 of them; lines with the same six floats (the sweep's two
+        ends of a branch) share one stack."""
+        key = (base.tobytes(), T.tobytes(), N.tobytes())
+        stacks = self._line_memo.get(key)
+        if stacks is not None:
+            return stacks
+        lines = list(map(tuple, np.concatenate((np.broadcast_to(base, T.shape), T, N),
+                                               axis=1).tolist()))
+        built = {line: self._line_stack(*line) for line in set(lines)}
+        stacks = np.stack([built[line] for line in lines])
         stacks.flags.writeable = False
         if len(self._line_memo) >= 16:
             del self._line_memo[next(iter(self._line_memo))]
-        self._line_memo[key] = layout = (shape, blocks, stacks)
-        return layout
+        self._line_memo[key] = stacks
+        return stacks
 
     def _line_stack(self, b0, b1, T0, T1, N0, N1):
         # x and y as polynomials in (s, q), composed exactly with each term
@@ -485,9 +465,9 @@ def _ladder(v, deg):
 def _line_fields(coef, powers):
     """Fields of the line polynomials, (B, F, R), from their coefficients
     in s, coef (B, R, F, K), and the powers of s, (K, B, R): a matrix-vector
-    product per entry for one-entry blocks, whose bits do not depend on the
-    number of blocks (the sweep's six lines, a single line), and one einsum
-    for rows of entries (the chart's), about a tenth of the cost of 3 (n+1)
+    product per line for rows of one entry, whose bits do not depend on the
+    number of lines (the sweep's six lines, a single line), and one einsum
+    for longer rows (the chart's), about a tenth of the cost of 3 (n+1)
     products."""
     if coef.shape[1] == 1:
         return coef[:, 0] @ powers.transpose(1, 0, 2)
@@ -704,7 +684,9 @@ def newton(residual, u, held=None):
     a LaggedJacobian, it is reused across solves and evaluated when none is
     held, from the third iteration, or after 100 solves, and a step that a
     stale one cannot make forces one refresh (Deuflhard 2004).  Each
-    step is halved up to 11 times until the residual norm drops.  A
+    step is halved up to 11 times until the residual norm drops; a trial
+    whose residual raises NoIntersection or OffsetMissesBoundary counts as
+    one that does not (the first residual and the Jacobian's raise).  A
     condition number past 1e6 raises SingularJacobian; no descent from a
     fresh Jacobian, a non-finite one, or 20 iterations raise NoConvergence."""
     lagged = held is not None
@@ -734,7 +716,10 @@ def newton(residual, u, held=None):
         lam = 1.0
         for _ in range(11):
             u_try = [x + lam * dx for x, dx in zip(u, step)]
-            F_try = residual(u_try)
+            try:
+                F_try = residual(u_try)
+            except (NoIntersection, OffsetMissesBoundary):  # left the domain: a failed trial
+                F_try = [math.inf]
             if math.hypot(*F_try) < base:
                 u, F = u_try, F_try
                 break

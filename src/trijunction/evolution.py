@@ -70,8 +70,8 @@ _CFL_SLACK = 1.0 + 1e-9
 
 @dataclass
 class EvolveConfig:
-    dt: float
     t_end: float
+    dt: float | None = None  # None: 0.45 dsigma_min^2, resolved by each Stepper
     n: int = 100
     output_every: int = 50
     amplitude_cap: float = 0.25
@@ -100,6 +100,8 @@ class Stepper:
         self.tensions = tensions
         self.config = config
         n = config.n
+        self.dt = (0.45 * float(np.min(network.lengths / n) ** 2) if config.dt is None
+                   else config.dt)
         # banded matrix of the interior solve in solve_banded's layout (rows:
         # super-, main and subdiagonal): the entries that decouple the branch
         # blocks stay zero, and step() rewrites the rest through the (3, n-1)
@@ -123,9 +125,9 @@ class Stepper:
         holds exactly throughout.  Where the domain's exit reads its start,
         the six exits are predicted from the last chart's jet (the
         reference lengths before the first chart).
-        The iteration is domains.newton on the float core of
-        boundary_residuals, with this Stepper's lagged Jacobian; a singular
-        Jacobian, a stall or the iteration cap raises NewtonDiverged.
+        The iteration is domains.newton on the Stepper's BoundaryOperator,
+        with its lagged Jacobian; a singular Jacobian, a stall or the
+        iteration cap raises NewtonDiverged.
         """
         bc, (b0, b1), q = self._bc, self._basis, self._q
         inner = bc.inner(rho)
@@ -177,23 +179,22 @@ class Stepper:
         return coef
 
     def step(self, state: GraphState) -> GraphState:
-        cfg = self.config
         if self._ahead is None or self._ahead[0] is not state:
             self.chart(state)
         coef = self._ahead[1]
         self._ahead = None
         a = coef.a
-        d2 = sigma_grids(cfg.n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
+        d2 = sigma_grids(self.config.n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
         # min over branches of dsigma^2 / max a, as one division and one min
         guard = 0.5 * float((d2 / a).min())
-        if cfg.dt > guard * _CFL_SLACK:
-            raise CflViolation(f"dt = {cfg.dt:.3e} exceeds guard {guard:.3e}")
+        dt = self.dt
+        if dt > guard * _CFL_SLACK:
+            raise CflViolation(f"dt = {dt:.3e} exceeds guard {guard:.3e}")
 
         rhs = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
         expl = rhs - a * coef.rho_ss
 
         rho = state.rho
-        dt = cfg.dt
 
         # explicit predictor for the boundary nodes
         b0 = rho[:, 0] + dt * rhs[:, 0]
@@ -322,7 +323,7 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
 
     state = init
     status, message = "completed", ""
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = int(round(config.t_end / stepper.dt))
     try:
         record(state)
         for k in range(1, n_steps + 1):
@@ -355,9 +356,9 @@ def junction_kinematics(network, domain, state0: GraphState, state1: GraphState)
     dp = (junction_point(network, state1) - junction_point(network, state0)) / dt
     rho = state0.rho
     rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], 2.0 * network.lengths / state0.n)
-    _, d_sigma, d_q = psi_first_jet(network, domain, np.arange(3), np.zeros(3),
-                                    rho[:, 0], state0.mu)
-    phi_s = d_sigma + rs0[:, None] * d_q
+    _, d_sigma, d_q = psi_first_jet(network, domain, np.arange(3), np.zeros((3, 1)),
+                                    rho[:, :1], state0.mu[:, None])
+    phi_s = d_sigma[:, 0] + rs0[:, None] * d_q[:, 0]
     J = np.linalg.norm(phi_s, axis=1)
     T = phi_s / J[:, None]
     N = np.stack([-T[:, 1], T[:, 0]], axis=1)

@@ -15,8 +15,9 @@ straight (extended to full lines), every partial of Psi is an exact closed
 form once mu_b and its two q-derivatives are known; those come from implicit
 differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 
-All evaluators are vectorized over sigma/q arrays and over batches of branch
-indices; the evolution stepper leans on that heavily.  The exception is the
+The chart's evaluators work on the (3, n+1) sigma grids, one branch per
+row, and hand the domain's offset_exit the three branch lines as rows;
+psi_first_jet takes rows of one branch or of several.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
 ends only and which therefore runs in Python floats.  Its exits come from
 the domain's end_exits, bound once per operator: the closed form in Python
@@ -42,7 +43,6 @@ from .tensions import JunctionAngles, SurfaceTensions, force_balance_residual
 
 _J_FLOOR = 1e-8
 _DET_M_FLOOR = 0.5
-_BRANCH_ROWS = np.arange(3)[:, None]  # branch index of every row of a (3, n+1) grid
 
 
 @dataclass
@@ -107,16 +107,19 @@ def mu_boundary(network, domain, i: int, q: float) -> float:
     (mu_b^i)''(0) = h_*^i, so the branch length responds quadratically to
     lateral sliding with the wall curvature as coefficient.
     """
-    mu_b, _, _ = domain.offset_exit(network.p_star, network.tangents[i],
-                                    network.normals[i], np.asarray(q, dtype=float),
+    mu_b, _, _ = domain.offset_exit(network.p_star, network.tangents[[i]],
+                                    network.normals[[i]], np.full((1, 1), q),
                                     network.lengths[i], second=False)
-    return float(mu_b) if np.ndim(q) == 0 else mu_b
+    return float(mu_b[0, 0])
 
 
 def psi_first_jet(network, domain, branch, sigma, q, mu):
-    """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu), batched.
+    """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu) on rows.
 
-    The exit abscissa and its q-derivative come from differentiating
+    branch is a branch index, with sigma, q and mu rows (R,) along it, or a
+    1-D array of B indices, with sigma, q and mu (B, R), one row per index
+    (mu may be (B, 1)); the three results carry a trailing axis of 2.  The
+    exit abscissa and its q-derivative come from differentiating
     psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
         mu_b' = -(grad psi, N) / (grad psi, T);
     the curvature of the exit abscissa (a Hessian evaluation) is skipped,
@@ -127,11 +130,11 @@ def psi_first_jet(network, domain, branch, sigma, q, mu):
     q = np.asarray(q, dtype=float)
     mu_arr = np.asarray(mu, dtype=float)
     b = np.asarray(branch, dtype=int)
-    T = network.tangents[b]
-    N = network.normals[b]
-    l = network.lengths[b]
-
-    mu_b, dmu, _ = domain.offset_exit(network.p_star, T, N, q, l, second=False)
+    # one frame and length per row: (1, 2) and (1,) for an index, (B, 1, 2) and (B, 1) for B
+    T, N, l = (a[b, None] for a in (network.tangents, network.normals, network.lengths))
+    mu_b, dmu, _ = domain.offset_exit(network.p_star, T.reshape(-1, 2), N.reshape(-1, 2),
+                                      q.reshape(b.size, -1), l, second=False)
+    mu_b, dmu = mu_b.reshape(q.shape), dmu.reshape(q.shape)
 
     frac = sigma / l
     xi = mu_arr + frac * (mu_b - mu_arr)
@@ -198,10 +201,8 @@ def end_slope(v0, v1, v2, two_dsigma):
 
 def curve_from_graph(network, domain, state: GraphState) -> np.ndarray:
     """Sampled curves Phi^i(sigma_j), shape (3, n+1, 2)."""
-    sigma = network.sigma_grid(state.n)
-    branch = np.repeat(np.arange(3)[:, None], state.n + 1, axis=1)
-    psi, _, _ = psi_first_jet(network, domain, branch, sigma, state.rho,
-                              state.mu[:, None] * np.ones_like(sigma))
+    psi, _, _ = psi_first_jet(network, domain, np.arange(3), network.sigma_grid(state.n),
+                              state.rho, state.mu[:, None])
     return psi
 
 
@@ -273,10 +274,9 @@ def chart_geometry(network, domain, state: GraphState,
     l, frac, _ = sigma_grids(state.n, tuple(network.lengths.tolist()))
     mu = state.mu[:, None]
 
-    # one branch index per row; the frames broadcast along sigma
-    s_ref = network.lengths[_BRANCH_ROWS] if mu_b_guess is None else mu_b_guess
-    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents[_BRANCH_ROWS],
-                                         network.normals[_BRANCH_ROWS], state.rho, s_ref)
+    s_ref = network.lengths[:, None] if mu_b_guess is None else mu_b_guess
+    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents, network.normals,
+                                         state.rho, s_ref)
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
     xi_sq = dmu / l
@@ -300,9 +300,8 @@ class Coefficients(ChartGeometry):
     L: np.ndarray  # (3, n+1)
     Lam: np.ndarray  # (3, n+1)
     a: np.ndarray  # (3, n+1)
-    M: np.ndarray  # (3, 3) junction matrix Id - diag(Lam(0)) Q
     mu_t: np.ndarray  # (3,) tangential junction velocity
-    det_M: float
+    det_M: float  # of the junction matrix M = Id - diag(Lam(0)) Q
 
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
@@ -328,7 +327,7 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
         raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {_DET_M_FLOOR}")
     mu_t = Q @ (np.linalg.inv(M) @ (L[:, 0] * kappa[:, 0]))
 
-    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, M=M, mu_t=mu_t, det_M=det_M)
+    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, mu_t=mu_t, det_M=det_M)
 
 
 _BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
@@ -336,8 +335,8 @@ _INNER_NODES = np.array([1, 2, -2, -3])  # the nodes besides the ends that end_s
 
 
 class BoundaryOperator:
-    """The junction and wall residuals of boundary_residuals for one network,
-    domain and grid, evaluated in Python floats.
+    """The junction and wall residuals for one network, domain and grid,
+    evaluated in Python floats (see __call__).
 
     The per-run constants (frames, lengths, 2 dsigma, cos theta) are
     converted to floats once.  An evaluation takes the six exit jets
@@ -384,8 +383,19 @@ class BoundaryOperator:
         return rho.take(_INNER_NODES, axis=1).tolist()
 
     def __call__(self, inner, r0, w, mu) -> list:
-        """[g12, g13, outer_1, outer_2, outer_3] as floats; r0, w and mu are
-        3-lists and inner is inner(rho)."""
+        """[g12, g13, outer_1, outer_2, outer_3] as floats for the boundary
+        values (r0, w), 3-lists that replace the junction and wall nodes of
+        rho, whose interior enters only through the one-sided end slopes
+        (inner = inner(rho)); mu, a 3-list, holds the tangential junction
+        offsets.
+
+        g12 = (Phi^1_sigma, Phi^2_sigma) - J^1 J^2 cos(theta^3) and cyclically
+        g13 with cos(theta^2): the curves meet at the Young angles iff both
+        vanish; about the reference g12 linearizes to (rho1_s - rho2_s)
+        sin(theta^3).  outer_i = -(R Phi_sigma, grad psi)/(J |grad psi|) at
+        sigma = l^i vanishes iff branch i meets the wall at a right angle and
+        linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
+        as (grad psi, T) (T - mu_b' N)."""
         q = r0 + w
         s_ref = None
         if self._jet is not None:
@@ -415,28 +425,6 @@ class BoundaryOperator:
         J1, J2, J3 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
         c = self.cos
         return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
-
-
-def boundary_residuals(network, domain, angles: JunctionAngles, rho, r0, w, mu) -> np.ndarray:
-    """[g12, g13, outer_1, outer_2, outer_3] for boundary values (r0, w).
-
-    r0 and w replace the junction and wall nodes of rho, whose interior
-    enters only through the one-sided end slopes; mu are the tangential
-    junction offsets.  The exits cold-start from the reference lengths.
-
-    g12 = (Phi^1_sigma, Phi^2_sigma) - J^1 J^2 cos(theta^3) and cyclically
-    g13 with cos(theta^2): the curves meet at the Young angles iff both
-    vanish; about the reference g12 linearizes to (rho1_s - rho2_s)
-    sin(theta^3).  outer_i = -(R Phi_sigma, grad psi)/(J |grad psi|) at
-    sigma = l^i vanishes iff branch i meets the wall at a right angle and
-    linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
-    as (grad psi, T) (T - mu_b' N).  The stepper's sweep calls the
-    BoundaryOperator behind it directly.
-    """
-    rho = np.asarray(rho, dtype=float)
-    op = BoundaryOperator(network, domain, angles, rho.shape[1] - 1)
-    r0, w, mu = (np.asarray(v, dtype=float).tolist() for v in (r0, w, mu))
-    return np.array(op(op.inner(rho), r0, w, mu))
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:

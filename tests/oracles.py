@@ -348,7 +348,9 @@ class PsiJet:
 
 
 def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
-    """Closed-form jet of the stretched map at (sigma, q, mu), batched.
+    """Closed-form jet of the stretched map at (sigma, q, mu), on rows as
+    in psi_first_jet: one branch index with sigma, q and mu a row (or
+    scalars), or B indices with sigma, q and mu (B, R).
 
     The exit abscissa and its two q-derivatives come from differentiating
     psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
@@ -359,10 +361,13 @@ def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float)
     b = np.asarray(branch, dtype=int)
-    T = network.tangents[b]
-    N = network.normals[b]
-    l = network.lengths[b]
-    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, T, N, q, l)
+    rows = b.shape + (1,) * b.ndim  # one length and frame per row
+    l = network.lengths[b].reshape(rows)
+    T = network.tangents[b].reshape(rows + (2,))
+    N = network.normals[b].reshape(rows + (2,))
+    mu_b, dmu, ddmu = (v.reshape(q.shape) for v in domain.offset_exit(
+        network.p_star, T.reshape(-1, 2), N.reshape(-1, 2), q.reshape(b.size, -1),
+        l.reshape(-1, 1)))
 
     frac = sigma / l
     xi = mu + frac * (mu_b - mu)
@@ -445,8 +450,8 @@ def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
 
     General route, one psi_jet per branch end: slopes from rho_derivatives
     on rho with its end nodes replaced by (r0, w), J and |grad psi| by
-    np.linalg.norm.  Reference for the stepper's batched
-    parameterization.boundary_residuals, several times its cost per call.
+    np.linalg.norm.  Reference for the stepper's float route,
+    parameterization.BoundaryOperator, several times its cost per call.
     """
     from trijunction.parameterization import rho_derivatives
 
@@ -501,8 +506,8 @@ def boundary_residuals_mp(network, domain, angles, rho, r0, w, mu, dps=40):
         # the exit abscissa s of the line p_* + s T + q N and grad psi there
         P, T, N = ([mp.mpf(v) for v in a] for a in (network.p_star, network.tangents[i],
                                                    network.normals[i]))
-        s = mp.mpf(domain.line_exit(network.p_star + q * network.normals[i],
-                                    network.tangents[i], network.lengths[i]))
+        s = mp.mpf(domain.line_exit([network.p_star + q * network.normals[i]],
+                                    [network.tangents[i]], [network.lengths[i]])[0])
         q = mp.mpf(q)
         for _ in range(60):
             f, g = psi_grad(*(P[k] + s * T[k] + q * N[k] for k in (0, 1)))
@@ -648,12 +653,17 @@ def junction_and_robin_residuals(sample, tensions, domain, norms=None) -> dict:
 
 
 def implicit_offset_exit(domain, base, T, N, q, s_ref, second=True):
-    """(s, s', s'') of the offset line base + q N + s T; s'' is None when
-    second=False, and the Hessian is then never evaluated."""
+    """(s, s', s'') of the offset lines base + q N + s T in offset_exit's
+    layout: T and N (B, 2), base (2,) or (B, 2), q (B, R), s_ref
+    broadcastable to q; s'' is None when second=False, and the Hessian is
+    then never evaluated."""
     from trijunction.errors import OffsetMissesBoundary
 
+    base, T, N = (np.asarray(v, dtype=float)[..., None, :] for v in (base, T, N))
     origin = base + q[..., None] * N
-    s = np.asarray(domain.line_exit(origin, T, s_ref), dtype=float)
+    # line_exit takes one line per entry: origin and direction (K, 2), s_ref (K,)
+    s = domain.line_exit(origin.reshape(-1, 2), np.broadcast_to(T, origin.shape).reshape(-1, 2),
+                         np.broadcast_to(s_ref, q.shape).ravel()).reshape(q.shape)
     pts = origin + s[..., None] * T
     if second:
         _, grad, hess = domain.psi_grad_hess(pts)

@@ -173,7 +173,7 @@ def test_acceptance_2_chart_kernel(disk, disk_network, ellipse, ellipse_network,
                 ]
 
             def exit_jet(q):
-                return dom.offset_exit(net.p_star, T, N, np.asarray(q), l)
+                return dom.offset_exit(net.p_star, T[None], N[None], np.full((1, 1), q), l)
 
             for q0 in (0.0, 0.02):
                 _, dmu, ddmu = exit_jet(q0)

@@ -162,7 +162,7 @@ class _NanAtPoints(CircleDomain):
 
 def test_failed_line_root_raises_no_intersection():
     for search in (lambda d: boundary_hit(d, (0.1, 0.0), (1.0, 0.0)),
-                   lambda d: d.line_exit((0.0, 0.0), (1.0, 0.0), 0.9)):
+                   lambda d: d.line_exit([(0.0, 0.0)], [(1.0, 0.0)], [0.9])):
         with pytest.raises(NoIntersection, match="NaN") as info:
             search(_NanAtPoints())
         assert isinstance(info.value.__cause__, RootSearchFailed)
@@ -221,7 +221,7 @@ def test_conic_line_exit_matches_generic_newton():
             direction = np.array([np.cos(ang), np.sin(ang)])
             _, t_ref = boundary_hit(domain, origin, direction)
             s_oracle = conic_line_root(w, c, r, origin, direction)
-            s_newton = domain.line_exit(origin, direction, t_ref * 1.05)
+            s_newton = domain.line_exit([origin], [direction], [t_ref * 1.05])[0]
             assert abs(s_oracle - t_ref) < 1e-10
             assert abs(s_newton - t_ref) < 1e-10
             assert abs(s_newton - s_oracle) < 1e-10
@@ -255,10 +255,8 @@ def test_circle_offset_exit_closed_form_matches_implicit_route(name):
     tol = 64 * np.finfo(float).eps
     for T_, N_ in frames:
         for second in (True, False):
-            closed = domain.offset_exit(base, T_[:, None], N_[:, None], q, None,
-                                        second=second)
-            generic = implicit_offset_exit(domain, base, T_[:, None], N_[:, None], q,
-                                           None, second=second)
+            closed = domain.offset_exit(base, T_, N_, q, None, second=second)
+            generic = implicit_offset_exit(domain, base, T_, N_, q, None, second=second)
             _assert_exits_agree(closed, generic, tol)
 
 
@@ -275,7 +273,8 @@ def _raised(call):
 def test_conic_end_exits_equal_offset_exit_bitwise(name):
     # The sweep's float exits and the chart's array exits share one closed
     # form: on random frames, offsets and starts they give the same bits, in
-    # either order of building their frame constants.
+    # either order of building their frame constants.  offset_exit takes
+    # the six lines as rows of one offset each.
     rng = np.random.default_rng(19)
     for trial in range(40):
         domain = CONICS[name][0]()
@@ -286,7 +285,8 @@ def test_conic_end_exits_equal_offset_exit_bitwise(name):
         q, s_ref = rng.uniform(-0.2, 0.2, 6), rng.uniform(-1.0, 2.0, 6)
         if trial % 2:
             exits = domain.end_exits(base, T, N)
-        s, ds, _ = domain.offset_exit(base, T, N, q, s_ref, second=False)
+        s, ds = (v.ravel() for v in domain.offset_exit(base, T, N, q[:, None], s_ref[:, None],
+                                                        second=False)[:2])
         if not trial % 2:
             exits = domain.end_exits(base, T, N)
         fs, fds = exits(q.tolist(), s_ref.tolist())
@@ -295,7 +295,8 @@ def test_conic_end_exits_equal_offset_exit_bitwise(name):
 
     # a NaN offset gives NaN on both routes, and no error
     q[2] = np.nan
-    s, ds, _ = domain.offset_exit(base, T, N, q, s_ref, second=False)
+    s, ds = (v.ravel() for v in domain.offset_exit(base, T, N, q[:, None], s_ref[:, None],
+                                                    second=False)[:2])
     fs, fds = exits(q.tolist(), s_ref.tolist())
     for array, floats in ((s, fs), (ds, fds)):
         assert np.isnan(array[2]) and np.isnan(floats[2])
@@ -315,7 +316,7 @@ def test_conic_end_exits_equal_offset_exit_bitwise(name):
         q[5] = np.nan if nan else 0.0
         for case, (base_, T_) in cases.items():
             got = _raised(lambda: domain.end_exits(base_, T_, N)(q.tolist(), s_ref.tolist()))
-            want = _raised(lambda: domain.offset_exit(base_, T_, N, q, s_ref))
+            want = _raised(lambda: domain.offset_exit(base_, T_, N, q[:, None], s_ref[:, None]))
             assert got == want and got[0] is OffsetMissesBoundary, (case, got)
             assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
 
@@ -353,25 +354,23 @@ def _polynomial_frames(domain, rng, skew, count=3):
     return base, T, N, s_ref
 
 
-@pytest.mark.parametrize("layout", ["rows", "chart", "entries"])
+@pytest.mark.parametrize("layout", ["rows", "chart", "bases"])
 @pytest.mark.parametrize("second", [True, False])
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
 def test_polynomial_offset_exit_matches_implicit_route(name, skew, second, layout):
     # the line-polynomial Newton against root search plus implicit
     # differentiation at the (x, y) fields; only rounding separates them.
-    # The layouts: (3, 1) frames along (3, 7) offsets, the chart's (3, 1)
-    # frames along (3, n+1) offsets at n = 48 (row blocks of 7 and 49
-    # entries), and (3, 7) frames that change along both axes (one-entry
-    # blocks).
+    # The layouts: three lines as rows of 7 offsets, the chart's three
+    # lines as rows of n+1 offsets at n = 48, and three lines with a base
+    # each, (3, 2), moved back along T by 0.05.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(5)
     base, T, N, s_ref = _polynomial_frames(domain, rng, skew)
     q = rng.uniform(-0.1, 0.1, (3, 49 if layout == "chart" else 7))
-    frame = (base, T[:, None], N[:, None], q, s_ref[:, None])
-    if layout == "entries":
-        which = (np.arange(3)[:, None] + np.arange(7)) % 3
-        frame = (base, T[which], N[which], q, s_ref[which])
+    frame = (base, T, N, q, s_ref[:, None])
+    if layout == "bases":
+        frame = (base - 0.05 * T, T, N, q, s_ref[:, None] + 0.05)
     calls = _count_line_exits(domain)
     fast = domain.offset_exit(*frame, second=second)
     assert calls == []  # every entry converged on the line polynomial
@@ -389,11 +388,12 @@ def _ulps(a, b):
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
 def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
-    # The sweep's exits (end_exits, one-entry blocks bound once) against
-    # offset_exit on the same six lines and one line at a time.  Both run
-    # the kernel of _exit_jet with the same arithmetic per entry, so they
-    # agree bitwise on the six lines; against single lines the bound is
-    # 4 ulps, and s is the start itself wherever the start is accepted.
+    # The sweep's exits (end_exits, six lines bound once) against
+    # offset_exit on the same six lines, as rows of one offset each, and
+    # one line at a time.  Both run the kernel of _exit_jet with the same
+    # arithmetic per entry, so they agree bitwise on the six lines; against
+    # single lines the bound is 4 ulps, and s is the start itself wherever
+    # the start is accepted.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(20)
     base, T, N, hit = _polynomial_frames(domain, rng, skew, count=6)
@@ -402,11 +402,12 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
         calls = _count_line_exits(domain)
         got = domain.end_exits(base, T, N)(q.tolist(), s_ref.tolist())
         swept = len(calls)
-        want = domain.offset_exit(base, T, N, q, s_ref, second=False)[:2]
+        want = domain.offset_exit(base, T, N, q[:, None], s_ref[:, None], second=False)[:2]
         assert len(calls) == 2 * swept  # the same entries go to line_exit
         for x, y in zip(got, want):
-            assert np.array(x).tobytes() == y.tobytes()
-        singles = [domain.offset_exit(base, T[k], N[k], q[k], s_ref[k], second=False)
+            assert np.array(x).tobytes() == y.ravel().tobytes()
+        singles = [[v[0, 0] for v in domain.offset_exit(base, T[[k]], N[[k]], q[[k], None],
+                                                        s_ref[k], second=False)[:2]]
                    for k in range(6)]
         for x, y in zip(got, zip(*singles)):
             assert _ulps(x, np.array(y, dtype=float)) <= 4
@@ -440,7 +441,8 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
     q = np.zeros(6)
     q[4] = np.nan
     got = _raised(lambda: domain.end_exits(base, T, N)(q.tolist(), hit.tolist()))
-    want = _raised(lambda: domain.offset_exit(base, T, N, q, hit, second=False))
+    want = _raised(lambda: domain.offset_exit(base, T, N, q[:, None], hit[:, None],
+                                              second=False))
     assert got == want
 
     # line 1 moved onto the tangent of the wall at its exit: both routes
@@ -453,8 +455,25 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
     base_ = np.tile(base, (6, 1))
     base_[1] = exit_point - hit[1] * tangent
     got = _raised(lambda: domain.end_exits(base_, T_, N_)(np.zeros(6).tolist(), hit.tolist()))
-    want = _raised(lambda: domain.offset_exit(base_, T_, N_, np.zeros(6), hit, second=False))
+    want = _raised(lambda: domain.offset_exit(base_, T_, N_, np.zeros((6, 1)), hit[:, None],
+                                              second=False))
     assert got == want == (OffsetMissesBoundary, "offset line tangent to the boundary")
+
+
+def test_polynomial_lines_build_one_stack_each():
+    # The sweep's six lines are three lines twice: a stack is built once per
+    # distinct line, and offset_exit on the same lines reuses the six.
+    domain = POLYNOMIALS["two dents"]()
+    built = []
+    line_stack = domain._line_stack
+    domain._line_stack = lambda *line: built.append(line) or line_stack(*line)
+    base, T, N, hit = _polynomial_frames(domain, np.random.default_rng(3), False)
+    T6, N6 = np.tile(T, (2, 1)), np.tile(N, (2, 1))
+    exits = domain.end_exits(base, T6, N6)
+    assert len(built) == 3
+    s, _, _ = domain.offset_exit(base, T6, N6, np.zeros((6, 1)), np.tile(hit, 2)[:, None])
+    assert len(built) == 3
+    assert exits([0.0] * 6, np.tile(hit, 2).tolist())[0] == s.ravel().tolist()
 
 
 def test_polynomial_offset_exit_falls_back_under_the_slope_floor():
@@ -465,7 +484,7 @@ def test_polynomial_offset_exit_falls_back_under_the_slope_floor():
     base, T, N = np.array([0.05, 0.02]), np.array([0.6, 0.8]), np.array([-0.8, 0.6])
     mid = -float((base - (0.1, -0.05)) @ T)
     assert abs(domain.grad(base + mid * T) @ T) < 1e-8
-    frame = (base, T, N, np.array([0.0, 0.05]), np.array([mid, 1.0]))
+    frame = (base, T[None], N[None], np.array([[0.0, 0.05]]), np.array([[mid, 1.0]]))
     calls = _count_line_exits(domain)
     fast = domain.offset_exit(*frame)
     assert calls == [(1,)]
@@ -480,7 +499,7 @@ def test_polynomial_offset_exit_rejects_a_tangent_frame():
     T, N = n @ ROT90.T, n
     for route in (domain.offset_exit, lambda *a: implicit_offset_exit(domain, *a)):
         with pytest.raises(OffsetMissesBoundary, match="tangent"):
-            route(base, T, N, np.zeros(1), np.zeros(1))
+            route(base, T[None], N[None], np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("deg", [0, 1, 6])

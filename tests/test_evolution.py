@@ -43,6 +43,27 @@ def test_zero_state_is_machine_fixed_point(disk, disk_network, unit_tensions):
     assert np.abs(state.mu).max() == 0.0
 
 
+def test_unset_step_is_the_default_step_bitwise(disk, disk_network, unit_tensions):
+    # EvolveConfig(dt=None) steps at 0.45 dsigma_min^2, resolved once per
+    # Stepper; the run is bit for bit the run with that dt set.
+    n = 24
+    dt = 0.45 * float(np.min(disk_network.lengths / n) ** 2)
+    runs = []
+    for step in (None, dt):
+        cfg = EvolveConfig(dt=step, t_end=40 * dt, n=n, output_every=10)
+        assert Stepper(disk_network, disk, unit_tensions, cfg).dt == dt
+        init = initial_state(disk_network, disk, unit_tensions, cfg)
+        runs.append(run(disk_network, disk, unit_tensions, init, cfg))
+    unset, fixed = runs
+    assert unset.status == fixed.status == "completed"
+    assert len(unset.states) == len(fixed.states) == 5
+    for a, b in zip(unset.states, fixed.states):
+        assert a.t == b.t
+        assert a.rho.tobytes() == b.rho.tobytes() and a.mu.tobytes() == b.mu.tobytes()
+    assert [(r.t, r.E, r.kappa_l2_sq) for r in unset.records] == \
+        [(r.t, r.E, r.kappa_l2_sq) for r in fixed.records]
+
+
 class _NanSlopeDisk(CircleDomain):
     """Unit disk whose exit slope mu_b' is NaN at the six branch ends that
     the boundary sweep evaluates through end_exits.  The sweep reads its

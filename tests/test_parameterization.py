@@ -4,9 +4,9 @@ import pytest
 from trijunction.domains import PolynomialDomain
 from trijunction.errors import MatrixMNotInvertible
 from trijunction.parameterization import (
+    BoundaryOperator,
     GraphState,
     StationaryNetwork,
-    boundary_residuals,
     chart_geometry,
     coefficients,
     curve_from_graph,
@@ -119,8 +119,9 @@ def test_mu_terms_derivatives_match_fd(trefoil_network, trefoil):
     eps = 1e-5
     for i in range(3):
         for q0 in (0.0, 0.04, -0.07):
-            mu_b, dmu, ddmu = dom.offset_exit(net.p_star, net.tangents[i], net.normals[i],
-                                              np.asarray(q0), net.lengths[i])
+            mu_b, dmu, ddmu = (v[0, 0] for v in dom.offset_exit(
+                net.p_star, net.tangents[[i]], net.normals[[i]], np.full((1, 1), q0),
+                net.lengths[i]))
             f = lambda q: mu_boundary(net, dom, i, q)
             fd1 = (f(q0 + eps) - f(q0 - eps)) / (2 * eps)
             fd2 = (f(q0 + eps) - 2 * f(q0) + f(q0 - eps)) / eps**2
@@ -209,12 +210,10 @@ def test_first_jet_routes_match_vector_oracle_bitwise(n, disk, disk_network, ell
                      (trefoil_network, trefoil), (two_dents_network, two_dents)):
         state = smooth_state(net, unit_tensions, n, amp=0.03, seed=7)
         sigma = net.sigma_grid(n)
-        branch = np.repeat(np.arange(3)[:, None], n + 1, axis=1)
-        oracle = psi_jet(net, dom, branch, sigma, state.rho,
-                         state.mu[:, None] * np.ones_like(sigma))
+        oracle = psi_jet(net, dom, np.arange(3), sigma, state.rho, state.mu[:, None])
         assert np.array_equal(curve_from_graph(net, dom, state), oracle.psi)
 
-        ends = (net, dom, np.arange(3), np.zeros(3), state.rho[:, 0], state.mu)
+        ends = (net, dom, np.arange(3), np.zeros((3, 1)), state.rho[:, :1], state.mu[:, None])
         _, d_sigma, d_q = psi_first_jet(*ends)
         oracle = psi_jet(*ends)
         assert np.array_equal(d_sigma, oracle.d_sigma)
@@ -312,10 +311,18 @@ def test_matrix_m_floor_raises(disk_network, disk, unit_tensions):
         coefficients(disk_network, disk, unit_tensions, state)
 
 
+def bc_residuals(network, domain, angles, rho, r0, w, mu):
+    """[g12, g13, outer_1, outer_2, outer_3] of the BoundaryOperator, the
+    route the boundary sweep runs, at boundary values (r0, w) of rho."""
+    op = BoundaryOperator(network, domain, angles, rho.shape[1] - 1)
+    return np.array(op(op.inner(rho), *(np.asarray(v, dtype=float).tolist()
+                                        for v in (r0, w, mu))))
+
+
 def state_bc_residuals(network, domain, tensions, state):
-    """boundary_residuals at the boundary values a state already holds."""
-    return boundary_residuals(network, domain, young_angles(tensions), state.rho,
-                              state.rho[:, 0], state.rho[:, -1], state.mu)
+    """bc_residuals at the boundary values a state already holds."""
+    return bc_residuals(network, domain, young_angles(tensions), state.rho,
+                        state.rho[:, 0], state.rho[:, -1], state.mu)
 
 
 def test_junction_angle_residuals_zero_state(disk_network, disk, unit_tensions):
@@ -394,7 +401,7 @@ def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
             w = state.rho[:, -1] + 1e-3 * rng.normal(size=3)
             args = (net, dom, angles, state.rho, r0, w, q @ r0)
             exact = np.array(boundary_residuals_mp(*args), dtype=float)
-            F = boundary_residuals(*args)
+            F = bc_residuals(*args)
             assert np.abs(F[:2]).max() > 1e-3  # off the junction conditions
             assert np.abs(F - exact).max() <= bound
             assert np.abs(boundary_residuals_reference(*args) - exact).max() <= bound

@@ -76,6 +76,18 @@ def test_stall_reports_its_iteration(ellipse):
     assert info.value.residual > 1e-6
 
 
+def test_line_search_trial_outside_the_domain_is_a_failed_trial(ellipse):
+    # Draw 5 of the ungauged ellipse solves (tensions as in the benchmark's
+    # random_tensions, default_rng(0)): a full Newton step moves the
+    # junction out of the ellipse, where the residual raises NoIntersection
+    # ("ray origin must lie inside the domain").  The line search halves
+    # that step as it halves one that raises the residual norm.
+    tensions = SurfaceTensions((0.7634834309038385, 1.7947683835248298, 1.3121918303736375))
+    net = find_stationary(ellipse, tensions, SteadyGuess(p=(0.1, 0.0)))
+    assert np.abs(net.p_star - (-0.02824, 0.32572)).max() < 1e-5
+    assert max(network_residuals(net, ellipse, tensions).values()) <= 3.2e-12
+
+
 def test_ellipse_solution_invariants(ellipse, ellipse_network, unit_tensions):
     res = network_residuals(ellipse_network, ellipse, unit_tensions)
     assert max(res.values()) < 1e-8
