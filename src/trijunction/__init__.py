@@ -36,7 +36,7 @@ from .parameterization import (
     state_from_rho,
     network_residuals,
 )
-from .steady import SteadyGuess, steady_residual, find_stationary, h2_bound_check, h2_ratio_series
+from .steady import SteadyGuess, steady_residual, find_stationary, h2_ratio_series
 from .stability import (
     SpectrumResult,
     StabilityVerdict,

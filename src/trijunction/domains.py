@@ -8,7 +8,8 @@ shapes, ...).  Derivatives are exact in all cases; no finite differencing
 happens inside curvature or Newton kernels.  Offset-line exits come in the
 two shapes the package uses: offset_exit on lines as rows of offsets (the
 chart's three branch lines along the sigma grids), and end_exits, bound once
-to the boundary sweep's six branch ends.
+to the boundary sweep's six branch ends.  Rays to the wall (boundary_hit,
+which the steady solve shoots) take ray_exit, closed form on conics.
 """
 
 from __future__ import annotations
@@ -99,6 +100,28 @@ class ImplicitDomain:
         route of their family."""
         raise NotImplementedError
 
+    def ray_exit(self, origin, direction):
+        """Abscissa t > 0 of the first crossing of psi = 0 along the ray
+        origin + t direction, from an interior origin along a unit direction
+        (boundary_hit checks both).  The generic route: a 513-point scan
+        through the bounding box brackets the first sign change, Newton on
+        psi_and_grad from the bracket's secant point finds the root, and
+        brentq on the bracket takes over where Newton leaves |psi| >= 1e-13
+        or leaves the bracket.  No crossing in the box, or a failed root,
+        raises NoIntersection."""
+        ts = np.linspace(0.0, _box_diameter(self.bounding_box), 513)
+        vals = self.psi(origin + ts[:, None] * direction)
+        pos = np.nonzero(vals > 0.0)[0]
+        if pos.size == 0:
+            raise NoIntersection("ray does not exit the domain inside the bounding box")
+        k = pos[0]
+        lo, hi, f_lo, f_hi = (float(v) for v in (ts[k - 1], ts[k], vals[k - 1], vals[k]))
+        secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        t, converged = _newton_on_line(self, origin, direction, secant)
+        if converged and lo <= t <= hi:  # NaN fails the test too
+            return t
+        return _root_on_line(self, origin, direction, lo, hi)
+
     def _bracketed_root(self, origin, direction, s_ref):
         # widen a bracket around the reference abscissa until psi changes sign
         sign_ref = np.sign(float(self.psi(origin + s_ref * direction)))
@@ -179,6 +202,19 @@ class ConicDomain(ImplicitDomain):
             return [jet[0] for jet in jets], [jet[1] for jet in jets]
 
         return exits
+
+    def ray_exit(self, origin, direction):
+        # The far root of the closed form at q = 0, from frame constants
+        # built per ray in Python floats (rays would thrash _frame's memo).
+        # From an interior origin it is the one crossing.
+        (s0, s1), (c0, c1) = self._scale.tolist(), self.center.tolist()
+        (x0, x1), (d0, d1) = origin.tolist(), direction.tolist()
+        T0, T1 = d0 * s0, d1 * s1
+        frame = ((x0 - c0) * s0, (x1 - c1) * s1, T0, T1, 0.0, 0.0, T0 * T0 + T1 * T1, 0.0, 0.0)
+        o0, o1, b, disc = _conic_chord(frame, float(self.r), 0.0)
+        if not disc > 0.0:  # NaN fails the test too
+            raise NoIntersection("ray does not cross the boundary")
+        return _conic_jet(frame, o0, o1, b, math.sqrt(disc), False)[0]
 
     def _frame(self, base, T, N, width):
         """Constants of the closed form for the lines base + q N + s T in
@@ -558,28 +594,25 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
 def boundary_hit(domain: ImplicitDomain, origin, direction):
     """First boundary crossing of the ray origin + t*direction, t > 0.
 
-    Returns (point, distance) with |psi(point)| < 1e-12.  Marches through the
-    bounding box to bracket the first sign change, then finds the root by
-    Brent's method (brentq) and polishes it with Newton.
+    Returns (point, distance) with |psi(point)| <= 1e-12.  The domain's
+    family gives the crossing (ray_exit): conics in closed form, other
+    families by a scan through the bounding box, then Newton, then Brent's
+    method (brentq) where Newton fails.  A zero or non-finite direction, an
+    origin that is not a finite interior point, no crossing (inside the box,
+    on the scan), or a failed root raise NoIntersection.
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    if domain.psi(origin) >= 0.0:
+    norm = np.linalg.norm(direction)
+    if not 0.0 < norm < math.inf:  # NaN fails the test too
+        raise NoIntersection("ray direction must be finite and nonzero")
+    if not (np.isfinite(origin).all() and domain.psi(origin) < 0.0):
         raise NoIntersection("ray origin must lie inside the domain")
-
-    t_max = _box_diameter(domain.bounding_box)
-    n_scan = 512
-    ts = np.linspace(0.0, t_max, n_scan + 1)
-    vals = domain.psi(origin + ts[:, None] * direction)
-    pos = np.nonzero(vals > 0.0)[0]
-    if pos.size == 0:
-        raise NoIntersection("ray does not exit the domain inside the bounding box")
-    k = pos[0]
-    t = _root_on_line(domain, origin, direction, ts[k - 1], ts[k])
+    direction = direction / norm
+    t = domain.ray_exit(origin, direction)
     point = origin + t * direction
-    if abs(float(domain.psi(point))) > 1e-12:
-        raise NoIntersection("root polish failed to reach |psi| < 1e-12")
+    if not abs(float(domain.psi(point))) <= 1e-12:  # NaN fails the test too
+        raise NoIntersection("|psi| at the crossing exceeds 1e-12 or is not finite")
     return point, float(t)
 
 
@@ -595,15 +628,24 @@ def _root_on_line(domain, origin, direction, lo, hi):
         t = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     except RootSearchFailed as e:
         raise NoIntersection(f"no root of psi on [{lo}, {hi}] along the line: {e}") from e
+    return _newton_on_line(domain, origin, direction, t)[0]
+
+
+def _newton_on_line(domain, origin, direction, t):
+    """Newton on psi(origin + t direction) from t, on psi_and_grad: at most
+    four steps, the last taken from the first point with |psi| < 1e-13 (a
+    step of at most 1e-13 / slope, which takes the root to rounding).  A
+    slope under the floor stops it.  Returns t and whether such a point was
+    met."""
     for _ in range(4):
-        val = f(t)
-        if abs(val) < 1e-13:
-            break
-        slope = float(np.dot(domain.grad(origin + t * direction), direction))
+        val, g = domain.psi_and_grad(origin + t * direction)
+        slope = float(g @ direction)
         if abs(slope) < _GRAD_FLOOR:
             break
-        t -= val / slope
-    return t
+        t -= float(val) / slope
+        if abs(val) < 1e-13:
+            return t, True
+    return t, False
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):

@@ -9,6 +9,10 @@ problem to three scalar perpendicularity residuals in the unknowns
 Rotationally symmetric domains make the phi direction neutral; callers must
 then pin phi with a gauge, and the solve drops to a Gauss-Newton iteration
 in p alone.  Both run on domains.newton with a fresh Jacobian every step.
+Each residual evaluation shoots the three rays with domains.boundary_hit,
+whose crossing each domain family gives: the closed-form quadratic root on
+a conic, and on other walls Newton from the bracket of a scan along the
+ray, with Brent's method on that bracket as the fallback.
 """
 
 from __future__ import annotations
@@ -113,10 +117,3 @@ def h2_ratio_series(network: StationaryNetwork, domain: ImplicitDomain,
         out.append(h2 / kap)
     return np.asarray(out)
 
-
-def h2_bound_check(network, domain, tensions, states) -> float:
-    """Empirical supremum of ||rho||_{H^2} / ||kappa||_{L^2} along a trajectory."""
-    ratios = h2_ratio_series(network, domain, tensions, states)
-    if ratios.size == 0:
-        raise ValueError("no states with ||kappa|| above the floor")
-    return float(ratios.max())

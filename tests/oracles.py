@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from trijunction.steady import h2_ratio_series
 from trijunction.tensions import constraint_basis
 
 
@@ -538,6 +539,57 @@ def boundary_residuals_mp(network, domain, angles, rho, r0, w, mu, dps=40):
     return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
 
 
+def ray_hit_mp(domain, origin, direction, dps=40):
+    """First crossing (point, t) of the ray origin + t d, t > 0, with d the
+    unit direction, in dps-digit arithmetic, taking every float input as
+    exact.  psi along the ray is a polynomial in t, composed exactly from
+    the level set (a conic (w, center, r) or a polynomial (terms)); the hit
+    is its smallest positive real root among all of its roots
+    (mpmath.polyroots), polished by Newton, so neither a scan nor a start
+    from the package enters."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    d = [mp.mpf(v) for v in direction]
+    d = [v / mp.hypot(*d) for v in d]
+    if hasattr(domain, "terms"):
+        shift, terms = (0, 0), [(i, j, mp.mpf(c)) for i, j, c in domain.terms]
+    else:
+        shift = [mp.mpf(v) for v in domain.center]
+        terms = [(2, 0, mp.mpf(domain.w[0])), (0, 2, mp.mpf(domain.w[1])),
+                 (0, 0, -mp.mpf(domain.r))]
+    lines = [[mp.mpf(origin[k]) - shift[k], d[k]] for k in (0, 1)]
+
+    def times(a, b):  # product of coefficient lists in t, lowest power first
+        out = [mp.zero] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def power(line, k):
+        out = [mp.one]
+        for _ in range(k):
+            out = times(out, line)
+        return out
+
+    coef = [mp.zero] * (1 + max(i + j for i, j, _ in terms))
+    for i, j, c in terms:
+        for k, v in enumerate(times(power(lines[0], i), power(lines[1], j))):
+            coef[k] += c * v
+    while coef[-1] == 0:
+        coef.pop()
+    high = coef[::-1]  # highest power first, as polyval and polyroots read it
+    roots = mp.polyroots(high, maxsteps=200, extraprec=4 * dps)
+    tiny = mp.mpf(10) ** (-dps // 2)
+    t = min(mp.re(z) for z in roots if abs(mp.im(z)) < tiny and mp.re(z) > 0)
+    for _ in range(3):
+        f, df = mp.polyval(high, t, derivative=True)
+        t -= f / df
+    return [mp.mpf(origin[k]) + t * d[k] for k in (0, 1)], t
+
+
 # ---------------------------------------------------------------------------
 # arc-length records: the chord-length PCHIP route
 #
@@ -694,3 +746,12 @@ def ladder_loop(v, deg):
     for _ in range(deg):
         out.append(out[-1] * v)
     return np.array(out)
+
+
+def h2_bound_check(network, domain, tensions, states) -> float:
+    """Empirical supremum of ||rho||_{H^2} / ||kappa||_{L^2} along a
+    trajectory, from steady.h2_ratio_series."""
+    ratios = h2_ratio_series(network, domain, tensions, states)
+    if ratios.size == 0:
+        raise ValueError("no states with ||kappa|| above the floor")
+    return float(ratios.max())

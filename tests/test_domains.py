@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from trijunction.domains import (
     EllipseDomain,
     PolynomialDomain,
     _ladder,
+    _root_on_line,
     boundary_curvature,
     boundary_hit,
     disk_terms,
@@ -28,6 +31,7 @@ from oracles import (
     ellipse_curvature_magnitude,
     implicit_offset_exit,
     ladder_loop,
+    ray_hit_mp,
 )
 
 
@@ -147,25 +151,132 @@ def test_boundary_hit_requires_interior_origin():
         boundary_hit(CircleDomain(1.0), (2.0, 0.0), (1.0, 0.0))
 
 
-class _NanAtPoints(CircleDomain):
-    """The unit disk whose psi is NaN at single points and finite on arrays
-    of several: boundary_hit's scan finds a crossing, line_exit's Newton
-    falls back to its bracketed root, and the root search along the line
-    then meets a NaN."""
+class _NanPastHalf:
+    """A domain whose psi and gradient are NaN at single points past x = 0.5
+    and finite on arrays of several.  On the unit disk as a polynomial,
+    boundary_hit's scan finds a crossing, Newton from the bracket's secant
+    point meets a NaN, and so does the root search on the bracket after it.
+    On the unit circle line_exit's Newton falls back to its bracketed root,
+    which meets a NaN, and boundary_hit's closed-form crossing reads no psi,
+    so only the check at the hit meets one."""
 
+    def psi(self, x):
+        return self._nan_past_half(x, super().psi(x))
+
+    def psi_and_grad(self, x):
+        return tuple(self._nan_past_half(x, v) for v in super().psi_and_grad(x))
+
+    @staticmethod
+    def _nan_past_half(x, v):
+        if np.size(x) == 2 and np.ravel(x)[0] > 0.5:
+            return np.full(np.shape(v), np.nan)
+        return v
+
+
+class _NanCircle(_NanPastHalf, CircleDomain):
     def __init__(self):
         super().__init__(1.0)
 
-    def psi(self, x):
-        return np.full(np.shape(x)[:-1], np.nan) if np.size(x) == 2 else super().psi(x)
+
+class _NanPolynomialDisk(_NanPastHalf, PolynomialDomain):
+    def __init__(self):
+        super().__init__(disk_terms(1.0))
 
 
 def test_failed_line_root_raises_no_intersection():
-    for search in (lambda d: boundary_hit(d, (0.1, 0.0), (1.0, 0.0)),
-                   lambda d: d.line_exit([(0.0, 0.0)], [(1.0, 0.0)], [0.9])):
+    for search in (lambda: boundary_hit(_NanPolynomialDisk(), (0.1, 0.0), (1.0, 0.0)),
+                   lambda: _NanCircle().line_exit([(0.0, 0.0)], [(1.0, 0.0)], [0.9])):
         with pytest.raises(NoIntersection, match="NaN") as info:
-            search(_NanAtPoints())
+            search()
         assert isinstance(info.value.__cause__, RootSearchFailed)
+
+
+def test_nan_at_a_conic_hit_raises_no_intersection():
+    with pytest.raises(NoIntersection, match="not finite"):
+        boundary_hit(_NanCircle(), (0.1, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("domain", [CircleDomain(1.0), EllipseDomain(1.2, 1.0), trefoil_domain()],
+                         ids=["circle", "ellipse", "trefoil"])
+def test_boundary_hit_rejects_bad_rays_without_warning(domain):
+    # A non-finite origin is not inside; a zero or non-finite direction has
+    # its own message and is rejected before any division.
+    bad_origins = [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)]
+    bad_directions = [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1.0, -np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for origin in bad_origins:
+            with pytest.raises(NoIntersection, match="origin must lie inside"):
+                boundary_hit(domain, origin, (1.0, 0.0))
+        for direction in bad_directions:
+            with pytest.raises(NoIntersection, match="direction must be finite and nonzero"):
+                boundary_hit(domain, (0.1, 0.0), direction)
+
+
+# Random rays against the 40-digit reference, by route: the conic closed
+# form (circle, shifted circle, ellipse), and on polynomial walls Newton from
+# the scan's bracket and brentq on that bracket (trefoil, two dents).  The
+# errors of t and of the point (max norm) are read in units of the rounding
+# floor of the hit, eps sum_m |c_m x^i y^j| / |(grad psi, d)|, the sum over
+# the terms of psi (for a conic those of (x - c)^T W (x - c) and r).  Over
+# 1000 draws per domain (this stream; these 100 are its first) the largest
+# errors of the scan-and-brentq route that every family took before the
+# closed form and the Newton start read, on the five domains in order,
+# 3.46, 2.78, 3.12, 2.77 and 4.83 floors for t and 2.62, 2.44, 2.61, 2.86
+# and 3.54 for the point; each bound sits under the least of its five.  The
+# routes here read at most 2.44 (t) and 1.91 (point) over those draws.
+RAY_T_FLOORS = 2.7
+RAY_POINT_FLOORS = 2.4
+RAY_DOMAINS = {
+    "circle": lambda: CircleDomain(1.0),
+    "shifted circle": lambda: CircleDomain(1.1, center=(0.1, -0.05)),
+    "ellipse": lambda: EllipseDomain(1.2, 1.0),
+    "trefoil": trefoil_domain,
+    "two dents": two_dents_domain,
+}
+
+
+def _rounding_floor(domain, point, direction):
+    if isinstance(domain, PolynomialDomain):
+        x, y = point
+        size = sum(abs(c * x**i * y**j) for i, j, c in domain.terms)
+    else:
+        v = point - domain.center
+        size = float(domain.w @ (v * v)) + domain.r
+    return np.finfo(float).eps * size / abs(float(domain.grad(point) @ direction))
+
+
+def _random_rays(n):
+    rng = np.random.default_rng(5)
+    for _ in range(n):
+        origin = rng.uniform(-0.3, 0.3, 2)
+        angle = rng.uniform(0, 2 * np.pi)
+        yield origin, np.array([np.cos(angle), np.sin(angle)])
+
+
+@pytest.mark.parametrize("name", list(RAY_DOMAINS))
+def test_boundary_hit_matches_40_digit_reference(name):
+    domain = RAY_DOMAINS[name]()
+    for origin, direction in _random_rays(100):
+        point, t = boundary_hit(domain, origin, direction)
+        point_ref, t_ref = ray_hit_mp(domain, origin, direction)
+        floor = _rounding_floor(domain, point, direction)
+        assert float(abs(t - t_ref)) <= RAY_T_FLOORS * floor, (origin, direction)
+        point_err = max(float(abs(point[k] - point_ref[k])) for k in (0, 1))
+        assert point_err <= RAY_POINT_FLOORS * floor, (origin, direction)
+        if isinstance(domain, PolynomialDomain):  # the fallback on the same bracket
+            lo, hi = _scan_bracket(domain, origin, direction)
+            t_fallback = _root_on_line(domain, origin, direction, lo, hi)
+            assert float(abs(t_fallback - t_ref)) <= RAY_T_FLOORS * floor, (origin, direction)
+
+
+def _scan_bracket(domain, origin, direction):
+    """The bracket of the first sign change that the generic route's scan
+    gives (ImplicitDomain.ray_exit)."""
+    x0, x1, y0, y1 = domain.bounding_box
+    ts = np.linspace(0.0, np.hypot(x1 - x0, y1 - y0), 513)
+    k = np.flatnonzero(domain.psi(origin + ts[:, None] * direction) > 0.0)[0]
+    return ts[k - 1], ts[k]
 
 
 @pytest.mark.parametrize(

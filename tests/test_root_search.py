@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from trijunction import domains, stability
-from trijunction.domains import boundary_hit, brentq
+from trijunction.domains import brentq
 from trijunction.errors import RootSearchFailed
 from trijunction.stability import max_eigenvalue
 from trijunction.tensions import SurfaceTensions
@@ -172,9 +172,16 @@ def test_spectrum_batch_and_symmetric_fork_equal_scipy(monkeypatch):
 
 
 def test_line_roots_equal_scipy(monkeypatch):
+    # The line root search on the brackets of boundary_hit's scan, the
+    # bracket that its Newton start falls back on.
+    from test_domains import _scan_bracket
+
     searches = _compare_with_scipy(monkeypatch, domains)
     rng = np.random.default_rng(17)
+    origin = np.array((0.05, -0.02))
     for domain in (trefoil_domain(), two_dents_domain()):
         for angle in rng.uniform(0.0, 2.0 * np.pi, 20):
-            boundary_hit(domain, (0.05, -0.02), (np.cos(angle), np.sin(angle)))
+            direction = np.array((np.cos(angle), np.sin(angle)))
+            domains._root_on_line(domain, origin, direction,
+                                  *_scan_bracket(domain, origin, direction))
     assert len(searches) == 40

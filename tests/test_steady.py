@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trijunction import domains, steady
 from trijunction.errors import NoConvergence, SingularJacobian
 from trijunction.evolution import EvolveConfig, initial_state, run
 from trijunction.parameterization import network_residuals
@@ -8,11 +9,12 @@ from trijunction.stability import max_eigenvalue
 from trijunction.steady import (
     SteadyGuess,
     find_stationary,
-    h2_bound_check,
     h2_ratio_series,
     steady_residual,
 )
 from trijunction.tensions import SurfaceTensions
+
+from oracles import h2_bound_check
 
 
 def test_disk_solution_from_offset_guess(disk, unit_tensions):
@@ -62,6 +64,24 @@ def test_missing_gauge_raises_near_a_neutral_fork(two_dents, gammas):
     # neutral; its condition numbers grow past 1e7 on the way.
     with pytest.raises(SingularJacobian):
         find_stationary(two_dents, SurfaceTensions(gammas), SteadyGuess(p=(0.03, 0.02)))
+
+
+def test_fixture_solves_take_no_line_root_search(monkeypatch, disk, ellipse, trefoil,
+                                                two_dents, unit_tensions):
+    # A route pin by call counts: a conic's ray hit is closed form, and on
+    # the trefoil and the two dents Newton from the scan's bracket meets
+    # |psi| < 1e-13 on every hit of the fixtures' solves, so brentq, the
+    # fallback, never runs.
+    hits, searches = [], []
+    hit, search = steady.boundary_hit, domains.brentq
+    monkeypatch.setattr(steady, "boundary_hit", lambda *a: hits.append(a) or hit(*a))
+    monkeypatch.setattr(domains, "brentq",
+                        lambda *a, **kw: searches.append(a) or search(*a, **kw))
+    for domain, p in ((disk, (0.05, 0.03)), (ellipse, (0.1, 0.0)),
+                      (trefoil, (0.02, 0.01)), (two_dents, (0.03, 0.02))):
+        hits.clear()
+        find_stationary(domain, unit_tensions, SteadyGuess(p=p, gauge=0.0))
+        assert len(hits) >= 9 and not searches, (domain.family, len(hits), len(searches))
 
 
 def test_stall_reports_its_iteration(ellipse):
