@@ -15,10 +15,12 @@ symmetric reduced pencil: three tridiagonal branch blocks bordered by the two
 plane coordinates.  lambda_max comes from that structure alone, by a Sturm
 count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
 Martin & Wilkinson 1967; Golub 1973).  Each block has constant coefficients
-but for its wall row, so the Schur complement and the eigenfunction have
-closed forms in Chebyshev polynomials, and the root search runs on those,
-by Brent's method (domains.brentq, scipy's iteration in Python floats, so
-the package does not import scipy.optimize).
+but for its wall row, so its Sturm sequence, the Schur complement and the
+eigenfunction have closed forms in Chebyshev polynomials (Yueh 2005): the
+count reads each block's sign changes from one angle or one sign, and the
+root search runs on the closed-form Schur complement, by Brent's method
+(domains.brentq, scipy's iteration in Python floats, so the package does not
+import scipy.optimize).
 The pencil is never assembled: the solve reads the per-branch element forms
 of assemble_forms, and norms and Rayleigh quotients are sums over the nodal
 values of each branch.
@@ -27,11 +29,11 @@ values of each branch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg  # noqa: F401 -- bench/spans.py looks this module up to trace eigsh
-from scipy.linalg.lapack import dstebz
 
 from .domains import brentq
 from .errors import EigenSolveFailed, RootSearchFailed, ZeroFunction
@@ -57,6 +59,17 @@ class StabilityVerdict:
     verdict: str  # "Stable" | "Unstable" | "Marginal"
     case: str  # clause that decided: "all_h_positive" | "expression" | "two_nonpositive"
     criterion_value: float | None
+
+
+def _checked_fork(lengths, h_star):
+    """(lengths, h_star) as float arrays; ValueError unless they are three
+    positive finite lengths and three finite wall curvatures."""
+    l, h = np.asarray(lengths, dtype=float), np.asarray(h_star, dtype=float)
+    if l.shape != (3,) or not all(0.0 < x < math.inf for x in l.tolist()):
+        raise ValueError(f"lengths must be three positive finite numbers, got {lengths}")
+    if h.shape != (3,) or not all(map(math.isfinite, h.tolist())):
+        raise ValueError(f"wall curvatures must be three finite numbers, got {h_star}")
+    return l, h
 
 
 def assemble_forms(network: StationaryNetwork, tensions: SurfaceTensions,
@@ -178,19 +191,39 @@ def _lower(lam, n, branches, weights):
     return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q), p, q, r
 
 
-def _inertia(lam, forms, n, branches, weights):
-    """(above, poles) at lam.  The branch blocks of K + lam B form one 3n
-    tridiagonal with zero seams, and one LAPACK dstebz count of its negative
-    eigenvalues gives the branch poles above lam.  By Sylvester's law of
-    inertia #{eigenvalues above lam} = poles + #{negative eigenvalues of S},
-    so one lies above lam when there is a pole or S's lower eigenvalue is
-    negative."""
-    diag, last, off, _ = forms[0] + lam * forms[1]
-    d = np.repeat(diag, n)
-    d[n - 1::n] = last
-    e = np.repeat(off, n)
-    e[n - 1::n] = 0.0
-    poles = dstebz(d, e[:-1], 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0]
+def _poles(lam, n, kd, ko, md, mo, d, h):
+    """Branch poles above lam: the negative eigenvalues of the branch block,
+    the sign changes of E_0 ... E_n.  With o = 0 the block is diagonal.  For
+    x = cosh t, E_m / cosh(m t) = 1 + eta tanh(m t) / sinh t is monotone in m,
+    so only E_n can be negative; for x = cos theta, E_m is a positive multiple
+    of cos(m theta - phi) with phi = atan(eta / sin theta), whose argument
+    steps by theta <= pi/2 and crosses pi/2 + k pi once per sign change.  A
+    block read at -x counts the eigenvalues of the reflected block that are
+    not negative, as E_m(-x, eta) = (-1)^m E_m(x, -eta).  An E_n of exactly 0
+    is a zero eigenvalue and does not count, where _weight is -inf."""
+    reg = _regime(lam, kd, ko, md, mo, d, h)
+    if reg is None:
+        a = kd + lam * md
+        return (n - 1) * (a < 0.0) + (0.5 * a + h < 0.0)
+    _, eps, eta, sign = reg
+    if eps >= 0.0:
+        s = math.sqrt(eps) * math.sqrt(2.0 + eps)
+        th = math.tanh(2.0 * n * math.asinh(math.sqrt(0.5 * eps)))
+        den = 1.0 + eta * (th / s if s else n)
+        count = int(den < 0.0 if sign > 0 else den <= 0.0)
+    else:
+        sn = math.sqrt(-eps) * math.sqrt(2.0 + eps)
+        y = (2.0 * n * math.asin(math.sqrt(-0.5 * eps)) - math.atan(eta / sn)) / math.pi
+        count = math.ceil(y - 0.5) if sign > 0 else math.floor(y + 0.5)
+    return count if sign > 0 else n - count
+
+
+def _inertia(lam, n, branches, weights):
+    """(above, poles) at lam, with the branch poles above lam counted in
+    closed form by _poles.  By Sylvester's law of inertia #{eigenvalues above
+    lam} = poles + #{negative eigenvalues of S}, so one lies above lam when
+    there is a pole or S's lower eigenvalue is negative."""
+    poles = sum(_poles(lam, n, *branch) for branch in branches)
     return poles > 0 or _lower(lam, n, branches, weights)[0] < 0, poles
 
 
@@ -211,25 +244,26 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
     failed bracket, a failed root search (a NaN value, no sign change, or no
     convergence in 100 iterations), or a Rayleigh quotient of the
     eigenfunction more than 1e-6 off lambda_max, raises EigenSolveFailed.
+    A fork without positive finite lengths and finite wall curvatures, or
+    an n_per_branch that is not an integer >= 1, raises ValueError.
     """
+    _checked_fork(network.lengths, network.h_star)
+    if not (isinstance(n_per_branch, numbers.Integral) and n_per_branch >= 1):
+        raise ValueError(f"n_per_branch must be an integer >= 1, got {n_per_branch!r}")
     n = int(n_per_branch)
     forms, b = assemble_forms(network, tensions, n)
     branches, weights = _branch_scalars(network, tensions, n, forms, b)
-
-    def inertia(lam):
-        return _inertia(lam, forms, n, branches, weights)
-
     w0 = tensions.array * b[0] ** 2
     lo = -float(w0 @ network.h_star) / float(w0 @ network.lengths) - 1.0
     hi = _lambda_upper_bound(network)
-    (above, poles), (above_hi, _) = inertia(lo), inertia(hi)
-    if not above or above_hi:
+    above, poles = _inertia(lo, n, branches, weights)
+    if not above or _inertia(hi, n, branches, weights)[0]:
         raise EigenSolveFailed(f"[{lo}, {hi}] does not bracket the top eigenvalue")
     while poles:  # bisect on the count until no branch pole is left in (lo, hi]
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise EigenSolveFailed(f"the top eigenvalue meets a branch pole at {mid}")
-        above, mid_poles = inertia(mid)
+        above, mid_poles = _inertia(mid, n, branches, weights)
         lo, hi, poles = (mid, hi, mid_poles) if above else (lo, mid, poles)
     try:
         lam = brentq(lambda t: _lower(t, n, branches, weights)[0], lo, hi, xtol=1e-13)
@@ -273,10 +307,11 @@ def stability_criterion(lengths, h_star, tensions: SurfaceTensions) -> Stability
                                  + gamma3 (1 + l3 h3) h1 h2 > 0.
 
     Two or more non-positive curvatures are unstable outright; expression
-    values within _MARGINAL_BAND of 0 are reported as Marginal.
+    values within _MARGINAL_BAND of 0 are reported as Marginal.  Lengths
+    that are not positive and finite, or wall curvatures that are not
+    finite, raise ValueError.
     """
-    l = np.asarray(lengths, dtype=float)
-    h = np.asarray(h_star, dtype=float)
+    l, h = _checked_fork(lengths, h_star)
     g = tensions.array
     if np.all(h > 0.0):
         return StabilityVerdict("Stable", "all_h_positive", None)

@@ -202,6 +202,21 @@ def arpack_max_eigenvalue(network, tensions, n):
     return float(eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
 
 
+def lapack_pole_count(lam, forms, n):
+    """Branch poles above lam: the negative eigenvalues of the branch blocks
+    of K + lam B (gamma divided out), forms as from assemble_forms, by one
+    LAPACK dstebz Sturm bisection count of the 3n tridiagonal with zero
+    seams."""
+    from scipy.linalg.lapack import dstebz
+
+    diag, last, off, _ = forms[0] + lam * forms[1]
+    d = np.repeat(diag, n)
+    d[n - 1::n] = last
+    e = np.repeat(off, n)
+    e[n - 1::n] = 0.0
+    return int(dstebz(d, e[:-1], 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0])
+
+
 def pivot_schur_lower(network, tensions, n, lam):
     """Lower eigenvalue of the junction Schur complement
     S = sum_i g_i (e_i - o_i^2 (M_i^-1)_11) b_i b_i^T at lam, with the columns

@@ -20,6 +20,7 @@ from conftest import random_tensions, synthetic_network
 from oracles import (
     arpack_max_eigenvalue,
     full_space_forms,
+    lapack_pole_count,
     null_space_pencil,
     pivot_lambda_max_mp,
     pivot_schur_lower,
@@ -188,6 +189,13 @@ def _closed_lower(net, t, n, lam):
     return stability._lower(lam, n, branches, weights)[0]
 
 
+def _closed_poles(net, t, n, lam):
+    """Branch poles above lam by the closed-form count of the solve."""
+    forms, b = stability.assemble_forms(net, t, n)
+    branches, _ = stability._branch_scalars(net, t, n, forms, b)
+    return sum(stability._poles(lam, n, *branch) for branch in branches)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 48, 400])
 def test_closed_form_schur_matches_pivot_solves(n):
     # lam spans both sides of 0, |lam| <= 1e-12, and lam < -12/d^2 (x < -1 on
@@ -220,13 +228,17 @@ def test_closed_form_schur_matches_pivot_solves(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_closed_form_schur_reads_a_decoupled_block(n):
     # At lam = 6/d^2 the off-diagonal -1/d + lam d/6 is exactly 0 here: the
-    # block decouples from the junction and w = e.
-    net = synthetic_network((1.0, 1.0, 1.0), (0.5, 1.0, -0.3), UNIT)
+    # block decouples from the junction and w = e.  The block is diagonal,
+    # a = 6/d > 0 on its n - 1 inner rows and 3/d + h on its wall row, which
+    # h = -4n makes a branch pole above lam (l = 1, d = 1/n).
     lam = 6.0 * n**2
-    forms = stability.assemble_forms(net, UNIT, n)[0]
-    assert np.all(forms[0, 2] + lam * forms[1, 2] == 0.0)
-    assert _closed_lower(net, UNIT, n, lam) == pytest.approx(
-        pivot_schur_lower(net, UNIT, n, lam), rel=1e-15)
+    for h, poles in (((0.5, 1.0, -0.3), 0), ((0.5, -4.0 * n, -0.3), 1)):
+        net = synthetic_network((1.0, 1.0, 1.0), h, UNIT)
+        forms = stability.assemble_forms(net, UNIT, n)[0]
+        assert np.all(forms[0, 2] + lam * forms[1, 2] == 0.0)
+        assert _closed_lower(net, UNIT, n, lam) == pytest.approx(
+            pivot_schur_lower(net, UNIT, n, lam), rel=1e-15)
+        assert _closed_poles(net, UNIT, n, lam) == lapack_pole_count(lam, forms, n) == poles
 
 
 @pytest.mark.parametrize("n", [48, 400])
@@ -261,15 +273,71 @@ def test_symmetric_disk_fork_solves_from_its_zero_pole(n, monkeypatch):
     assert abs(lam - robin_neumann_root(-1.0, positive=True)) < 3e-6
 
 
-@pytest.mark.parametrize("g, l, h, regime", [
+# At n = 1 these forks put a branch block's x = a/(2|o|) below 0 or -1, or
+# its off-diagonal o above 0, at lambda_max.
+_REGIME_FORKS = [
     ((1.7, 1.7, 1.3), (1.0, 0.35, 1.27), (9.3, -3.4, -3.3), "o > 0"),
     ((2.0, 1.5, 0.85), (1.4, 2.9, 2.7), (24.5, 8.7, 12.3), "x < 0"),
     ((1.34, 0.85, 0.74), (1.8, 0.23, 0.28), (7.0, 15.5, 27.5), "x < -1"),
-])
+]
+
+
+def test_closed_form_pole_count_matches_lapack_sturm_count(monkeypatch):
+    # The population: every count that the solve makes at n = 400 on the 50
+    # spectrum batch forks of seed 1; the three regime forks at every n; and
+    # 400 forks with l in [0.2, 3] and |h| <= 100, or <= 1 for a
+    # quarter of them, at n in {1, 2, 7, 48, 200, 800} with lambda uniform
+    # from -300 up to _lambda_upper_bound, three per (fork, n).  Counts
+    # differ only at ties, lambda within a few ulps of a branch pole, and
+    # none of these draws comes that close.
+    inertia, draws = stability._inertia, []
+
+    def recorded(lam, *args):
+        draws.append(lam)
+        return inertia(lam, *args)
+
+    for net, t in _spectrum_batch(1, 50):
+        draws.clear()
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_inertia", recorded)
+            max_eigenvalue(net, t, 400)
+        forms = stability.assemble_forms(net, t, 400)[0]
+        for lam in draws:
+            assert _closed_poles(net, t, 400, lam) == lapack_pole_count(lam, forms, 400), lam
+    rng = np.random.default_rng(25)
+    forks = [(SurfaceTensions(g), l, h) for g, l, h, _ in _REGIME_FORKS]
+    for k in range(400):
+        t = random_tensions(rng)
+        forks.append((t, rng.uniform(0.2, 3.0, 3), rng.uniform(-100.0, 100.0, 3) / (1 + 99 * (k % 4 == 0))))
+    checked = 0
+    for t, l, h in forks:
+        net = synthetic_network(l, h, t)
+        for n in (1, 2, 7, 48, 200, 800):
+            forms = stability.assemble_forms(net, t, n)[0]
+            for lam in rng.uniform(-300.0, _lambda_upper_bound(net), 3):
+                assert _closed_poles(net, t, n, lam) == lapack_pole_count(lam, forms, n), (l, h, n, lam)
+                checked += 1
+    assert checked == 403 * 6 * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 48, 400, 800])
+def test_closed_form_pole_count_leaves_out_the_zero_pole(n):
+    # The tie: on the symmetric fork l = 1, h = -1 every branch block is
+    # singular at lam = 0, and E_n = 1 + eta n is exactly 0 in the closed form
+    # at these n.  A zero eigenvalue is not negative, so the count reads 0,
+    # where _weight reads -inf; dstebz's rounding reads 3 at some of these n
+    # and 0 at others.  Off the tie both counts agree: 3 below 0, 0 above.
+    net = synthetic_network((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), UNIT)
+    forms = stability.assemble_forms(net, UNIT, n)[0]
+    assert _closed_poles(net, UNIT, n, 0.0) == 0
+    assert _closed_lower(net, UNIT, n, 0.0) == -np.inf
+    for lam, poles in ((-1e-9, 3), (1e-9, 0)):
+        assert _closed_poles(net, UNIT, n, lam) == lapack_pole_count(lam, forms, n) == poles
+
+
+@pytest.mark.parametrize("g, l, h, regime", _REGIME_FORKS)
 def test_eigenfunction_is_the_dense_eigenvector_in_every_regime(g, l, h, regime):
-    # At n = 1 these forks put a branch block's x = a/(2|o|) below 0 or -1,
-    # or its off-diagonal o above 0, at lambda_max, where the continuation
-    # alternates in sign.
+    # The continuation alternates in sign in each of these regimes.
     import scipy.linalg
 
     t = SurfaceTensions(g)
@@ -512,3 +580,38 @@ def test_criterion_marginal_band():
     v = stability_criterion((4.0, 1.0, 1.0), (-0.125, 1.0, 1.0), UNIT)
     assert v.criterion_value == 0.0
     assert v.verdict == "Marginal"
+
+
+@pytest.mark.parametrize("l, h, read", [
+    ((1.0, 1.0, 1.0), (-0.5, math.nan, 1.0), "Marginal with a NaN criterion"),
+    ((1.0, math.nan, 1.0), (-0.5, 1.0, 1.0), "Marginal with a NaN criterion"),
+    ((1.0, 1.0, 1.0), (math.inf, 1.0, 1.0), "Stable, all_h_positive"),
+    ((1.0, 1.0, 1.0), (-math.inf, 1.0, 1.0), "Unstable with a -inf criterion"),
+    ((1.0, 0.0, 1.0), (-0.5, 1.0, 1.0), "Unstable"),
+    ((1.0, -0.8, 1.0), (-0.5, 1.0, 1.0), "Unstable"),
+    ((1.0, math.inf, 1.0), (0.5, 1.0, 1.0), "Stable, all_h_positive"),
+    ((1.0, 1.0), (0.5, 1.0), "Stable, all_h_positive"),
+])
+def test_criterion_and_solve_reject_a_fork_off_the_admissible_numbers(l, h, read):
+    # Three lengths, positive and finite, and three finite wall curvatures:
+    # the criterion read these forks as `read`, and the solve failed on them
+    # with EigenSolveFailed or numpy's ValueError.
+    with pytest.raises(ValueError, match="lengths|wall curvatures"):
+        stability_criterion(l, h, UNIT)
+    with pytest.raises(ValueError, match="lengths|wall curvatures"):
+        max_eigenvalue(synthetic_network(l, h, UNIT), UNIT, 48)
+
+
+@pytest.mark.parametrize("n", [0, -3, 48.0, math.nan, "48", None])
+def test_solve_rejects_a_branch_count_that_is_not_an_integer_of_at_least_one(n):
+    # n = 0 raised numpy's "slice step cannot be zero" and n = -3 its
+    # "negative dimensions are not allowed", and int() took 48.0 and "48";
+    # a closed-form count would read n = 0 as a count of no poles.
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    with pytest.raises(ValueError, match="n_per_branch"):
+        max_eigenvalue(net, UNIT, n)
+
+
+def test_solve_takes_a_numpy_integer_branch_count():
+    net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
+    assert max_eigenvalue(net, UNIT, np.int64(48)).lambda_max == max_eigenvalue(net, UNIT, 48).lambda_max

@@ -382,43 +382,39 @@ def test_max_eigenvalue_needs_no_arpack_or_dense_solver(disk_network, trefoil_ne
     assert got == expected and got[0] > 0 > got[1]
 
 
-def test_one_solve_counts_with_lapack_only_to_certify_its_bracket(
+def test_one_solve_counts_in_closed_form_only_to_certify_its_bracket(
         disk_network, trefoil_network, two_dents_network, unit_tensions, monkeypatch):
-    # Host-independent: brentq reads S in closed form, so a solve makes one
-    # dstebz count per bracket end and per bisection step, all before the
-    # root search, and no dgtsv solve.  The pivot route made about 26 of
-    # each at n = 400.
+    # Host-independent: the branch poles are counted in closed form and
+    # brentq reads S in closed form, so a solve makes one count per bracket
+    # end and per bisection step, all before the root search, and no LAPACK
+    # call at all.  The pivot route made about 26 dgtsv solves and as many
+    # dstebz counts at n = 400; the count route one dstebz per count.
     import scipy.linalg.lapack as lapack
 
-    calls, ends = [], []
-    dstebz, brentq, inertia = stability.dstebz, stability.brentq, stability._inertia
-
-    def counted(*args):
-        calls.append("dstebz")
-        return dstebz(*args)
+    calls = []
+    brentq, inertia = stability.brentq, stability._inertia
 
     def searched(*args, **kwargs):
         calls.append("brentq")
         return brentq(*args, **kwargs)
 
-    def recorded(lam, *args):
-        ends.append(lam)
-        return inertia(lam, *args)
+    def recorded(*args):
+        calls.append("count")
+        return inertia(*args)
 
     def unavailable(*args, **kwargs):
-        raise AssertionError("the spectrum solve called dgtsv")
+        raise AssertionError("the spectrum solve called LAPACK")
 
-    assert not hasattr(stability, "dgtsv")
+    assert not hasattr(stability, "dgtsv") and not hasattr(stability, "dstebz")
     monkeypatch.setattr(lapack, "dgtsv", unavailable)
-    monkeypatch.setattr(stability, "dstebz", counted)
+    monkeypatch.setattr(lapack, "dstebz", unavailable)
     monkeypatch.setattr(stability, "brentq", searched)
     monkeypatch.setattr(stability, "_inertia", recorded)
     for net in (disk_network, trefoil_network, two_dents_network):
         calls.clear()
-        ends.clear()
         max_eigenvalue(net, unit_tensions, 400)
-        bisection_steps = len(ends) - 2
-        assert calls == ["dstebz"] * (2 + bisection_steps) + ["brentq"], calls
+        bisection_steps = len(calls) - 3
+        assert calls == ["count"] * (2 + bisection_steps) + ["brentq"], calls
         assert bisection_steps <= 4  # 2, 0 and 3 here
 
 
