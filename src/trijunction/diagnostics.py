@@ -320,9 +320,13 @@ _FIT_FLOOR = 1e-12  # decay_fit drops samples at or below this
 def decay_fit(times, series, window: float = 0.5):
     """(rate, intercept, r2) of a log-linear fit on the trailing window.
 
-    The fit uses the last `window` fraction of the samples whose values
-    exceed 1e-12; raises NonPositiveSeries if fewer than three remain.
+    The fit uses the last `window` fraction, 0 < window <= 1 (ValueError
+    otherwise), of the samples whose values exceed 1e-12; raises
+    NonPositiveSeries if fewer than three samples remain, or fewer than
+    three in the window.
     """
+    if not 0.0 < window <= 1.0:  # NaN fails the test too
+        raise ValueError(f"window must lie in (0, 1], got {window}")
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     keep = series > _FIT_FLOOR
@@ -331,6 +335,8 @@ def decay_fit(times, series, window: float = 0.5):
         raise NonPositiveSeries("too few usable samples for a decay fit")
     start = int(np.floor((1.0 - window) * times.size))
     times, series = times[start:], series[start:]
+    if times.size < 3:
+        raise NonPositiveSeries(f"fewer than three samples in the trailing window {window}")
     logy = np.log(series)
     A = np.stack([times, np.ones_like(times)], axis=1)
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)

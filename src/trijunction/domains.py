@@ -5,11 +5,14 @@ gradient on {psi = 0}, so the gradient points out of Omega.  Three analytic
 families are built in: circles, axis-aligned ellipses, and polynomial level
 sets sum c * x^i y^j (which covers half-planes, dented circles, Cassini-type
 shapes, ...).  Derivatives are exact in all cases; no finite differencing
-happens inside curvature or Newton kernels.  Offset-line exits come in the
-two shapes the package uses: offset_exit on lines as rows of offsets (the
-chart's three branch lines along the sigma grids), and end_exits, bound once
-to the boundary sweep's six branch ends.  Rays to the wall (boundary_hit,
-which the steady solve shoots) take ray_exit, closed form on conics.
+happens inside curvature or Newton kernels.  Offset-line exits come in two
+routes: offset_exit, stateless, on lines as rows of offsets, and
+network_exits, which binds a network's three branch lines once and gives
+their exits on the chart's (3, n+1) grids and at the boundary sweep's six
+branch ends.  The binding alone decides where an exit search starts: on a
+polynomial wall it predicts every start from the last chart's exit jet; a
+conic's closed form reads no start.  Rays to the wall (boundary_hit, which
+the steady solve shoots) take ray_exit, closed form on conics.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ MAX_POWER = 32  # largest power of x or y in a polynomial level set
 _NEWTON_TOL = 1e-10  # newton: max-norm residual tolerance
 _NEWTON_MAX = 20  # newton: iteration cap
 _COND_LIMIT = 1e6  # newton: a Jacobian past this condition number is singular
+_BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # the sweep's ends: junction ends, then wall ends
 
 
 class ImplicitDomain:
@@ -36,7 +40,6 @@ class ImplicitDomain:
 
     family = "abstract"
     bounding_box = _BOX
-    exit_reads_start = True  # offset_exit's result depends on its start s_ref
 
     def psi(self, x):
         raise NotImplementedError
@@ -91,13 +94,14 @@ class ImplicitDomain:
         Subclasses give the route of their family."""
         raise NotImplementedError
 
-    def end_exits(self, base, T, N):
-        """Exits of the fixed lines base + q N + s T, one per row of T and
-        N, at a few offsets at a time: a callable (q, s_ref) -> (s, s') of
-        float lists, one offset and start per line (s_ref may be None where
-        exit_reads_start is False), the same values as offset_exit's.  The
-        callable binds what the lines share once.  Subclasses give the
-        route of their family."""
+    def network_exits(self, p_star, tangents, normals, lengths, n):
+        """The exits of a network's three branch lines p_* + q N + s T, bound
+        once, for a Stepper on the (3, n+1) grids: an object whose chart(q)
+        gives (s, s', s'') at the (3, n+1) offsets q, and whose ends(q)
+        gives (s, s') as float lists at the six offsets q, a 6-list, of the
+        branch ends (junction ends, then wall ends).  Both give offset_exit's
+        values on the same lines from the starts the binding picks.
+        Subclasses give the route of their family."""
         raise NotImplementedError
 
     def ray_exit(self, origin, direction):
@@ -142,15 +146,12 @@ class ImplicitDomain:
 class ConicDomain(ImplicitDomain):
     """psi = (x - c)^T W (x - c) - r with W = diag(w), an axis-aligned conic."""
 
-    exit_reads_start = False  # the closed-form exit ignores its start
-
     def __init__(self, w, center, r):
         self.w = np.asarray(w, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.r = r
         self._scale = np.sqrt(self.w)  # W = S^2: a circle in y = S (x - c)
         self._hess_diag = 2.0 * self.w
-        self._frame_memo = {}
 
     def psi(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -167,46 +168,18 @@ class ConicDomain(ImplicitDomain):
     def offset_exit(self, base, T, N, q, s_ref, second=True):
         """The closed form of _conic_chord and _conic_jet on the (B, R)
         offsets q of B lines, T and N (B, 2) and base (2,) or (B, 2), from
-        the frame constants of (base, T, N) cached at (B, R); s_ref is not
-        read.  The chart's (3, n+1) exits take this route; the sweep's six
-        take end_exits."""
+        the frame constants of (base, T, N) at (B, R); s_ref is not read."""
         q = np.asarray(q, dtype=float)
         frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape[1])
-        o0, o1, b, disc = _conic_chord(frame, self.r, q)
-        if (disc <= 0.0).any():
-            raise OffsetMissesBoundary("offset line misses the boundary")
-        root = np.sqrt(disc)
-        if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
-            raise OffsetMissesBoundary("offset line tangent to the boundary")
-        return _conic_jet(frame, o0, o1, b, root, second)
+        return _conic_exits(frame, self.r, q, second)
 
-    def end_exits(self, base, T, N):
-        # The same kernel per line in Python floats, with the frame
-        # constants converted once; the checks run over all lines in
-        # offset_exit's order, so both routes give the same bits and raise
-        # the same error.  math.sqrt runs only after the miss check.
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), 1)
-        lines = list(zip(*(c[:, 0].tolist() for c in frame)))
-        r = float(self.r)
-
-        def exits(q, s_ref=None):
-            chords = [_conic_chord(line, r, qk) for line, qk in zip(lines, q)]
-            discs = [chord[3] for chord in chords]
-            if [disc for disc in discs if disc <= 0.0]:  # NaN passes, as in numpy
-                raise OffsetMissesBoundary("offset line misses the boundary")
-            roots = [math.sqrt(disc) for disc in discs]
-            if [root for root in roots if root < 0.5e-10]:
-                raise OffsetMissesBoundary("offset line tangent to the boundary")
-            jets = [_conic_jet(line, o0, o1, b, root, False)
-                    for line, (o0, o1, b, _), root in zip(lines, chords, roots)]
-            return [jet[0] for jet in jets], [jet[1] for jet in jets]
-
-        return exits
+    def network_exits(self, p_star, tangents, normals, lengths, n):
+        return _ConicExits(self, p_star, tangents, normals, n)
 
     def ray_exit(self, origin, direction):
         # The far root of the closed form at q = 0, from frame constants
-        # built per ray in Python floats (rays would thrash _frame's memo).
-        # From an interior origin it is the one crossing.
+        # built per ray in Python floats.  From an interior origin it is the
+        # one crossing.
         (s0, s1), (c0, c1) = self._scale.tolist(), self.center.tolist()
         (x0, x1), (d0, d1) = origin.tolist(), direction.tolist()
         T0, T1 = d0 * s0, d1 * s1
@@ -221,23 +194,44 @@ class ConicDomain(ImplicitDomain):
         y = S (x - c), one line per row of T and N: the shifted base
         S (base - c), the components of S T and S N, a = |S T|^2, (S T, S N)
         and |S N|^2, each repeated along the width of the offsets' rows,
-        (B, width), so that the closed form runs on equal shapes.  The
-        frames of a run repeat every step, so they are kept per (base, T, N)
-        and width, at most 16 of them."""
-        key = (base.tobytes(), T.tobytes(), N.tobytes(), width)
-        frame = self._frame_memo.get(key)
-        if frame is not None:
-            return frame
-        T, N = T * self._scale, N * self._scale
-        T0, T1, N0, N1 = T[:, :1], T[:, 1:], N[:, :1], N[:, 1:]
-        shift = (base - self.center) * self._scale
-        frame = (shift[..., :1], shift[..., 1:], T0, T1, N0, N1,
-                 T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
-        frame = tuple(np.broadcast_to(c, (len(T), width)).copy() for c in frame)
-        if len(self._frame_memo) >= 16:
-            del self._frame_memo[next(iter(self._frame_memo))]
-        self._frame_memo[key] = frame
-        return frame
+        (B, width), so that the closed form runs on equal shapes."""
+        scale = self._scale
+        shift = np.broadcast_to((base - self.center) * scale, T.shape).tolist()
+        lines = [(s0, s1, T0, T1, N0, N1, T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
+                 for (s0, s1), (T0, T1), (N0, N1)
+                 in zip(shift, (T * scale).tolist(), (N * scale).tolist())]
+        return tuple(np.repeat(np.array(lines).T[..., None], width, axis=2))
+
+
+class _ConicExits:
+    """network_exits on a conic: the closed form, which reads no start, from
+    frame constants bound once, at the chart's width for chart and per line
+    in Python floats for ends.  ends runs the kernel per line in floats and
+    makes its checks over all six lines in offset_exit's order, so both
+    give offset_exit's bits and raise its errors; math.sqrt runs only after
+    the miss check."""
+
+    def __init__(self, domain, p_star, tangents, normals, n):
+        self._frame = domain._frame(p_star, tangents, normals, n + 1)
+        lines = list(zip(*(c[:, 0].tolist() for c in self._frame)))
+        self._ends = [lines[i] for i in _BRANCH6]
+        self._r = float(domain.r)
+
+    def chart(self, q):
+        return _conic_exits(self._frame, self._r, q, True)
+
+    def ends(self, q):
+        r = self._r
+        chords = [_conic_chord(line, r, qk) for line, qk in zip(self._ends, q)]
+        discs = [chord[3] for chord in chords]
+        if [disc for disc in discs if disc <= 0.0]:  # NaN passes, as in numpy
+            raise OffsetMissesBoundary("offset line misses the boundary")
+        roots = [math.sqrt(disc) for disc in discs]
+        if [root for root in roots if root < 0.5e-10]:
+            raise OffsetMissesBoundary("offset line tangent to the boundary")
+        jets = [_conic_jet(line, o0, o1, b, root, False)
+                for line, (o0, o1, b, _), root in zip(self._ends, chords, roots)]
+        return [jet[0] for jet in jets], [jet[1] for jet in jets]
 
 
 # The conic exit in y = S (x - c), where psi = |y|^2 - r, for arrays and for
@@ -255,6 +249,17 @@ def _conic_chord(frame, r, q):
     o1 = sh1 + q * N1
     b = o0 * T0 + o1 * T1
     return o0, o1, b, b * b - a * (o0 * o0 + o1 * o1 - r)
+
+
+def _conic_exits(frame, r, q, second):
+    """(s, s', s'') on arrays of offsets q, after the miss and tangent checks."""
+    o0, o1, b, disc = _conic_chord(frame, r, q)
+    if (disc <= 0.0).any():
+        raise OffsetMissesBoundary("offset line misses the boundary")
+    root = np.sqrt(disc)
+    if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
+        raise OffsetMissesBoundary("offset line tangent to the boundary")
+    return _conic_jet(frame, o0, o1, b, root, second)
 
 
 def _conic_jet(frame, o0, o1, b, root, second):
@@ -358,27 +363,14 @@ class PolynomialDomain(ImplicitDomain):
         q N) of B lines, the kernel of _exit_jet: T and N are (B, 2), base
         (2,) or (B, 2), q (B, R) and s_ref broadcasts to it.  The offsets of
         a row share its line, so q is contracted with each line's stack in
-        one matmul; the sweep's six exits take the same kernel through
-        end_exits."""
+        one matmul."""
         base, T, N, q = (np.asarray(a, dtype=float) for a in (base, T, N, q))
         qs = np.empty((2,) + q.shape)
         qs[0], qs[1] = q, s_ref
         return self._exit_jet(self._line_stacks(base, T, N), qs, (base, T, N), second)
 
-    def end_exits(self, base, T, N):
-        # Each line is a row of one offset whose stack is bound here, so a
-        # call runs the kernel of offset_exit with no cache lookup, to the
-        # same bits as offset_exit on the same lines.  The sweep reads P,
-        # P_s and P_q only, but all six fields are kept: the matrix-vector
-        # product over three of them rounds differently.
-        lines = tuple(np.asarray(a, dtype=float) for a in (base, T, N))
-        stacks = self._line_stacks(*lines)
-
-        def exits(q, s_ref):
-            s, ds, _ = self._exit_jet(stacks, np.array((q, s_ref))[..., None], lines, False)
-            return s.ravel().tolist(), ds.ravel().tolist()
-
-        return exits
+    def network_exits(self, p_star, tangents, normals, lengths, n):
+        return _PolynomialExits(self, p_star, tangents, normals, lengths)
 
     def _exit_jet(self, stacks, qs, lines, second):
         """(s, s', s'') of B offset lines at R offsets each, (B, R): stacks
@@ -433,18 +425,15 @@ class PolynomialDomain(ImplicitDomain):
         """The six-field stack of the line polynomial of each row of T and
         N, (B, K, 6 K): row c, column f K + a holds the coefficient of
         q^c s^a in field f of P, P_s, -P_q, P_ss, P_sq, P_qq (-P_q, so that
-        s' = -P_q / P_s is one division, with the same bits).  The lines of
-        a run repeat every step, so the stacks are kept per (base, T, N), at
-        most 16 of them; lines with the same six floats (the sweep's two
-        ends of a branch) share one stack."""
+        s' = -P_q / P_s is one division, with the same bits).  A stack costs
+        about 0.3 ms per line, so the stacks are kept per (base, T, N), at
+        most 16 of them."""
         key = (base.tobytes(), T.tobytes(), N.tobytes())
         stacks = self._line_memo.get(key)
         if stacks is not None:
             return stacks
-        lines = list(map(tuple, np.concatenate((np.broadcast_to(base, T.shape), T, N),
-                                               axis=1).tolist()))
-        built = {line: self._line_stack(*line) for line in set(lines)}
-        stacks = np.stack([built[line] for line in lines])
+        lines = np.concatenate((np.broadcast_to(base, T.shape), T, N), axis=1).tolist()
+        stacks = np.stack([self._line_stack(*line) for line in lines])
         stacks.flags.writeable = False
         if len(self._line_memo) >= 16:
             del self._line_memo[next(iter(self._line_memo))]
@@ -468,6 +457,52 @@ class PolynomialDomain(ImplicitDomain):
         stack = np.stack([mat, ms, -mq, _derivative(ms, 0), _derivative(ms, 1),
                           _derivative(mq, 1)])  # (6, K, K) over (field, s, q)
         return stack.transpose(2, 0, 1).reshape(self._deg + 1, -1)
+
+
+class _PolynomialExits:
+    """network_exits on a polynomial wall: the kernel of _exit_jet on the
+    three lines' stacks, bound once, for chart and on the same stacks taken
+    twice for the six ends.  Every start is predicted from the exit jet
+    (mu_b, mu_b', mu_b'') of the last chart, at q0 = the offsets it was
+    taken at: mu_b + dq (mu_b' + mu_b'' dq / 2) with dq = q - q0, at the
+    end columns for ends.  Before the first chart the jet is (l, 0, 0) at
+    q0 = 0, which predicts the reference lengths.  A start within reach of
+    the root is accepted at the first evaluation of the line polynomial.
+    chart moves the jet as soon as its exits are found."""
+
+    def __init__(self, domain, p_star, tangents, normals, lengths):
+        self._kernel = domain._exit_jet
+        self._lines = (p_star, tangents, normals)
+        self._stacks = domain._line_stacks(*self._lines)
+        self._end_lines = (p_star, tangents[_BRANCH6], normals[_BRANCH6])
+        self._end_stacks = self._stacks[_BRANCH6]
+        zero = np.zeros((3, 1))
+        self._keep_jet(zero, lengths[:, None], zero, zero)
+
+    def _keep_jet(self, *jet):
+        # the jet, and its end columns as float 4-tuples for ends
+        self._jet = jet
+        self._end_jet = list(zip(*(a[:, 0].tolist() + a[:, -1].tolist() for a in jet)))
+
+    def chart(self, q):
+        q0, s, ds, dds = self._jet
+        dq = q - q0
+        qs = np.empty((2,) + q.shape)
+        qs[0], qs[1] = q, s + dq * (ds + 0.5 * dds * dq)
+        jet = self._kernel(self._stacks, qs, self._lines, True)
+        self._keep_jet(q.copy(), *jet)
+        return jet
+
+    def ends(self, q):
+        s_ref = []
+        for qk, (q0, s, ds, dds) in zip(q, self._end_jet):
+            dq = qk - q0
+            s_ref.append(s + dq * (ds + 0.5 * dds * dq))
+        # The sweep reads P, P_s and P_q only, but all six fields are kept:
+        # the matrix-vector product over three of them rounds differently.
+        s, ds, _ = self._kernel(self._end_stacks, np.array((q, s_ref))[..., None],
+                                self._end_lines, False)
+        return s.ravel().tolist(), ds.ravel().tolist()
 
 
 def polynomial_power(value) -> int:

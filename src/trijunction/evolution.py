@@ -13,18 +13,13 @@ junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
 every sweep so the stick condition cannot drift.  The sweep runs
 domains.newton, the package's one damped Newton, in Python floats with a
-lagged Jacobian that the Stepper holds and inverts once per refresh: each
-residual evaluation makes one call of the domain's end_exits callable for
-the six branch ends, whose jet also gives the wall normals, because numpy's
-per-call dispatch would cost more than the few hundred flops on 5-entry
-vectors.  On a conic domain the exits themselves are Python floats too; on
-a polynomial domain they are one call of the line-polynomial kernel, with
-the six lines' stacks bound once per Stepper.
-Where the domain's exit reads its start (exit_reads_start), the step's exit
-searches start from a second-order prediction off the last chart's exit
-jet, mu_b + dq (mu_b' + mu_b'' dq / 2) with dq the change of rho since that
-chart, so that a polynomial exit is mostly accepted at its first evaluation;
-a conic's closed form needs no start, and none is predicted.
+lagged Jacobian that the Stepper holds and inverts once per refresh,
+because numpy's per-call dispatch would cost more than the few hundred
+flops on 5-entry vectors.  Each residual evaluation reads the six branch
+ends' exits, whose jet also gives the wall normals, from the Stepper's exit
+binding (the domain's network_exits), which the chart reads too: it binds
+the three branch lines once and picks every exit search's start, from the
+last chart's exit jet on a polynomial wall and none on a conic.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
@@ -109,12 +104,13 @@ class Stepper:
         m = n - 1
         self._ab = np.zeros((3, 3 * m))
         self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
+        self._exits = domain.network_exits(network.p_star, network.tangents, network.normals,
+                                           network.lengths, n)
         # the boundary sweep's per-run constants as Python floats
-        self._bc = BoundaryOperator(network, domain, tensions.angles, n)
+        self._bc = BoundaryOperator(network, self._exits, tensions.angles, n)
         self._basis = tensions.basis.tolist()
         self._q = tensions.q.tolist()
         self._jac = LaggedJacobian()  # the boundary sweep's
-        self._last = None  # (rho, chart) that the next chart predicts its exits from
         self._ahead = None  # (state, its coefficients) for the next step to read
 
     def enforce_bcs(self, rho):
@@ -122,12 +118,9 @@ class Stepper:
 
         The unknowns are c = b rho(0) in the constraint plane's basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
-        holds exactly throughout.  Where the domain's exit reads its start,
-        the six exits are predicted from the last chart's jet (the
-        reference lengths before the first chart).
-        The iteration is domains.newton on the Stepper's BoundaryOperator,
-        with its lagged Jacobian; a singular Jacobian, a stall or the
-        iteration cap raises NewtonDiverged.
+        holds exactly throughout.  The iteration is domains.newton on the
+        Stepper's BoundaryOperator, with its lagged Jacobian; a singular
+        Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
         bc, (b0, b1), q = self._bc, self._basis, self._q
         inner = bc.inner(rho)
@@ -160,21 +153,9 @@ class Stepper:
     # -- one time step -----------------------------------------------------
 
     def chart(self, state: GraphState):
-        """Coefficients of `state`; step(state) reads them instead of
-        evaluating them again.  Its exits start from the last chart's jet
-        and the change of rho since (the first chart cold-starts), and the
-        boundary sweep predicts its exits from its jet in turn; on a domain
-        whose exit does not read its start, neither predicts."""
-        guess = None
-        if self._last is not None:
-            rho, geo = self._last
-            dq = state.rho - rho
-            guess = geo.mu_b + dq * (geo.dmu_b + 0.5 * geo.ddmu_b * dq)
-        coef = coefficients(self.network, self.domain, self.tensions, state,
-                            mu_b_guess=guess)
-        if self.domain.exit_reads_start:
-            self._last = (state.rho.copy(), coef)
-        self._bc.anchor(state.rho, coef)
+        """Coefficients of `state`, with the exits of the Stepper's binding;
+        step(state) reads them instead of evaluating them again."""
+        coef = coefficients(self.network, self.domain, self.tensions, state, self._exits)
         self._ahead = (state, coef)
         return coef
 

@@ -16,17 +16,17 @@ form once mu_b and its two q-derivatives are known; those come from implicit
 differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 
 The chart's evaluators work on the (3, n+1) sigma grids, one branch per
-row, and hand the domain's offset_exit the three branch lines as rows;
+row.  Their exits come from the network's exit binding (the domain's
+network_exits) where a Stepper holds one, and otherwise from the domain's
+stateless offset_exit, cold-started from the reference lengths;
 psi_first_jet takes rows of one branch or of several.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
-ends only and which therefore runs in Python floats.  Its exits come from
-the domain's end_exits, bound once per operator: the closed form in Python
-floats on a conic, one call of the line-polynomial kernel on six one-entry
-blocks on a polynomial domain.  It reads the wall normal from the exit jet:
-differentiating psi(p_* + mu_b T + q N) = 0 in q gives grad psi =
-(grad psi, T) (T - mu_b' N), and (grad psi, T) > 0 at an outward crossing,
-so no gradient of psi is evaluated.  The chart keeps its lengths at grid
-shape, so that its arithmetic runs on equal shapes.
+ends only and which therefore runs in Python floats, on the ends of the
+same binding.  It reads the wall normal from the exit jet: differentiating
+psi(p_* + mu_b T + q N) = 0 in q gives grad psi = (grad psi, T)
+(T - mu_b' N), and (grad psi, T) > 0 at an outward crossing, so no gradient
+of psi is evaluated.  The chart keeps its lengths at grid shape, so that
+its arithmetic runs on equal shapes.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ class ChartGeometry:
 
     mu_b: np.ndarray  # exit abscissae mu_b(rho)
     dmu_b: np.ndarray  # mu_b'(rho), its q-derivative
-    ddmu_b: np.ndarray  # mu_b''(rho)
     frac: np.ndarray  # sigma / l, read-only
     xi_sigma: np.ndarray
     phi_T: np.ndarray  # (Phi_sigma, T_*); (Phi_sigma, N_*) is rho_sigma
@@ -255,18 +254,17 @@ class ChartGeometry:
     kappa: np.ndarray
 
 
-def chart_geometry(network, domain, state: GraphState,
-                   mu_b_guess: np.ndarray | None = None) -> ChartGeometry:
+def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeometry:
     """Exit jet -> xi partials -> J and kappa on the sigma grids of `state`.
 
     Because the reference fork is straight, every jet component lies in the
     branch frame (T, N); the curvature then collapses to a scalar expression
     in the xi partials.  The general vector route of the chart jet is the
     reference in tests/oracles.py and agrees with these values to rounding.
-    mu_b_guess starts the exit root search; the reference lengths are the
-    cold start.  The exit jet (mu_b, mu_b', mu_b'') is kept, so that the
-    next chart can predict its exits from it.  A state with a non-finite
-    rho or mu raises NonFiniteState before any exit search.
+    exits, the network's exit binding (domain.network_exits), gives the
+    exit jet (mu_b, mu_b', mu_b'') from the starts it predicts; without it
+    offset_exit cold-starts from the reference lengths.  A state with a
+    non-finite rho or mu raises NonFiniteState before any exit search.
     """
     if not (np.isfinite(state.rho).all() and np.isfinite(state.mu).all()):
         raise NonFiniteState(f"non-finite rho or mu at t = {state.t:.6g}")
@@ -274,9 +272,12 @@ def chart_geometry(network, domain, state: GraphState,
     l, frac, _ = sigma_grids(state.n, tuple(network.lengths.tolist()))
     mu = state.mu[:, None]
 
-    s_ref = network.lengths[:, None] if mu_b_guess is None else mu_b_guess
-    mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents, network.normals,
-                                         state.rho, s_ref)
+    if exits is None:
+        mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents,
+                                             network.normals, state.rho,
+                                             network.lengths[:, None])
+    else:
+        mu_b, dmu, ddmu = exits.chart(state.rho)
     xi_sigma = (mu_b - mu) / l
     xi_q = frac * dmu
     xi_sq = dmu / l
@@ -288,8 +289,8 @@ def chart_geometry(network, domain, state: GraphState,
         raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
     J = np.sqrt(J2)
     kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
-    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, ddmu_b=ddmu, frac=frac, xi_sigma=xi_sigma,
-                         phi_T=phi_T, rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
+    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, frac=frac, xi_sigma=xi_sigma, phi_T=phi_T,
+                         rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
 
 
 @dataclass
@@ -305,17 +306,18 @@ class Coefficients(ChartGeometry):
 
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
-                 mu_b_guess: np.ndarray | None = None) -> Coefficients:
+                 exits=None) -> Coefficients:
     """Evaluate L, Lambda, a, kappa and the junction matrix M.
 
     The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
     as well, so one call provides the entire right-hand side
     rho_t = L kappa + Lambda mu_t of the flow.  J and kappa come from
     chart_geometry; the det M floor guards the step.  The mobilities equal
-    the tensions, so L and a carry no mobility factor.
+    the tensions, so L and a carry no mobility factor.  exits is passed to
+    chart_geometry.
     """
     Q = tensions.q
-    geo = chart_geometry(network, domain, state, mu_b_guess)
+    geo = chart_geometry(network, domain, state, exits)
     xi_sigma, J, kappa = geo.xi_sigma, geo.J, geo.kappa
     L = 1.0 / xi_sigma * J
     Lam = (1.0 - geo.frac) * geo.rho_sigma / xi_sigma
@@ -330,51 +332,27 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
     return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, mu_t=mu_t, det_M=det_M)
 
 
-_BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # junction ends, then wall ends
 _INNER_NODES = np.array([1, 2, -2, -3])  # the nodes besides the ends that end_slope reads
 
 
 class BoundaryOperator:
-    """The junction and wall residuals for one network, domain and grid,
-    evaluated in Python floats (see __call__).
+    """The junction and wall residuals for one network and grid, evaluated
+    in Python floats (see __call__).
 
     The per-run constants (frames, lengths, 2 dsigma, cos theta) are
     converted to floats once.  An evaluation takes the six exit jets
-    (mu_b, mu_b') from one call of exits, the domain's end_exits callable
-    for the six end lines, and reads the wall normals from them; the rest
-    is a few hundred flops on 3- and 6-entry vectors, which as numpy calls
-    would cost mostly their dispatch.  Where the domain's exit reads its
-    start, the exits start from a second-order prediction off the anchor
-    chart (see anchor), so that a polynomial exit is mostly accepted at its
-    first evaluation.
+    (mu_b, mu_b') from one call of exits.ends, the network's exit binding
+    (domain.network_exits), which picks their starts, and reads the wall
+    normals from them; the rest is a few hundred flops on 3- and 6-entry
+    vectors, which as numpy calls would cost mostly their dispatch.
     """
 
-    def __init__(self, network, domain, angles: JunctionAngles, n: int):
-        self.domain = domain
-        self.exits = domain.end_exits(network.p_star, network.tangents[_BRANCH6],
-                                      network.normals[_BRANCH6])
-        self.lengths6 = network.lengths[_BRANCH6].tolist()
+    def __init__(self, network, exits, angles: JunctionAngles, n: int):
+        self.exits = exits
         self.frames = list(zip(network.tangents.tolist(), network.normals.tolist(),
                                network.lengths.tolist()))
         self.two_d = [2.0 * (l / n) for l in network.lengths.tolist()]
         self.cos = angles.cos.tolist()
-        self.anchor()
-
-    def anchor(self, rho=None, geo=None):
-        """Predict the exits from the chart geo of rho: at ends where rho
-        moved by dq, from mu_b + dq (mu_b' + mu_b'' dq / 2).  Without a
-        chart the prediction is the reference lengths, the cold start.  The
-        end values are copied as floats, so later writes to rho or geo do
-        not move the anchor.  A domain whose exit does not read its start
-        takes no prediction."""
-        if not self.domain.exit_reads_start:
-            self._jet = None
-        elif geo is None:
-            self._jet = [(0.0, l, 0.0, 0.0) for l in self.lengths6]
-        else:
-            ends = (a[:, 0].tolist() + a[:, -1].tolist()
-                    for a in (rho, geo.mu_b, geo.dmu_b, geo.ddmu_b))
-            self._jet = list(zip(*ends))
 
     @staticmethod
     def inner(rho):
@@ -396,14 +374,7 @@ class BoundaryOperator:
         sigma = l^i vanishes iff branch i meets the wall at a right angle and
         linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
         as (grad psi, T) (T - mu_b' N)."""
-        q = r0 + w
-        s_ref = None
-        if self._jet is not None:
-            s_ref = []
-            for qk, (q0, s, ds, dds) in zip(q, self._jet):
-                dq = qk - q0
-                s_ref.append(s + dq * (ds + 0.5 * dds * dq))
-        mu_b, dmu = self.exits(q, s_ref)
+        mu_b, dmu = self.exits.ends(r0 + w)
         junction, res = [], []
         for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
             a1, a2, b1, b2 = inner[i]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from trijunction import steady
 from trijunction.cli import main
 from trijunction.config import RunConfig
-from trijunction.storage import read_trajectory
+from trijunction.storage import read_trajectory, write_trajectory
 
 from conftest import NanGradientDisk
 
@@ -67,6 +68,49 @@ def test_verify_flags_energy_increase(workdir):
     lines[-1] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(path), "--res-tol", "0.05"]) == 3
+
+
+def _verify_rows(workdir, **changes):
+    """The records of an evolved disk run, as 5 rows, with the listed
+    fields replaced by {field: [value per row]}; written to bad.csv."""
+    main(["evolve", str(workdir / "disk.cfg")])
+    rows = read_trajectory(workdir / "run.csv")
+    rows = [rows[k] for k in (0, 1, 1, 2, 3)]
+    for field, values in changes.items():
+        rows = [dataclasses.replace(r, **{field: v}) for r, v in zip(rows, values)]
+    path = workdir / "bad.csv"
+    write_trajectory(rows, path)
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_fails_on_a_nan_residual(workdir, capsys):
+    path = _verify_rows(workdir, t=[0.0, 0.005, 0.01, 0.015, 0.02])
+    assert main(["verify", str(path), "--res-tol", "0.05"]) == 0
+    capsys.readouterr()
+    path = _verify_rows(workdir, t=[0.0, 0.005, 0.01, 0.015, 0.02],
+                        res_outer=[0.0, 0.0, float("nan"), 0.0, 0.0])
+    assert main(["verify", str(path), "--res-tol", "0.05"]) == 3
+    assert "res_outer reaches nan" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_fails_when_record_times_do_not_increase(workdir, capsys):
+    # t = 0, 0.1, 0.1, 0.1, 0.2: the energy law's centred difference would
+    # divide 0 by 0, so it is not evaluated
+    path = _verify_rows(workdir, t=[0.0, 0.1, 0.1, 0.1, 0.2],
+                        E=[3.0, 2.9, 2.9, 2.9, 2.8])
+    assert main(["verify", str(path), "--res-tol", "0.05"]) == 3
+    out = capsys.readouterr().out
+    assert "record times do not increase between records 1 and 2" in out
+    assert "energy law" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.1"])
+def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(workdir, capsys, tol):
+    main(["evolve", str(workdir / "disk.cfg")])
+    assert main(["verify", str(workdir / "run.csv"), "--res-tol", tol]) == 1
+    assert "config error: --res-tol: must be positive and finite" in capsys.readouterr().err
 
 
 def test_network_reuse_between_subcommands(workdir):

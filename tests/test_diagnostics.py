@@ -256,3 +256,20 @@ def test_decay_fit_rejects_nonpositive():
     t = np.linspace(0.0, 1.0, 10)
     with pytest.raises(NonPositiveSeries):
         decay_fit(t, np.zeros(10), window=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_decay_fit_needs_a_window_with_three_samples():
+    # On 10 samples a window of 0 or 0.05 keeps fewer than three of them,
+    # from which no fit is made; a window outside (0, 1] or NaN is rejected.
+    t = np.linspace(0.0, 1.0, 10)
+    y = np.exp(-1.5 * t) * (1.0 + 0.01 * np.cos(7.0 * t))
+    for window in (0.05, 0.2):
+        with pytest.raises(NonPositiveSeries, match="trailing window"):
+            decay_fit(t, y, window=window)
+    for window in (0.0, -0.5, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="window must lie in"):
+            decay_fit(t, y, window=window)
+    rate, _, r2 = decay_fit(t, y, window=0.3)  # three samples
+    assert abs(rate + 1.5) < 0.1 and r2 < 1.0
+

@@ -380,58 +380,6 @@ def _raised(call):
     return None
 
 
-@pytest.mark.parametrize("name", ["centred circle", "shifted circle", "ellipse 1.2x1.0"])
-def test_conic_end_exits_equal_offset_exit_bitwise(name):
-    # The sweep's float exits and the chart's array exits share one closed
-    # form: on random frames, offsets and starts they give the same bits, in
-    # either order of building their frame constants.  offset_exit takes
-    # the six lines as rows of one offset each.
-    rng = np.random.default_rng(19)
-    for trial in range(40):
-        domain = CONICS[name][0]()
-        ang = rng.uniform(0.0, 2.0 * np.pi, 6)
-        T = np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.uniform(0.5, 1.5, (6, 1))
-        N = T @ ROT90.T + rng.uniform(-0.3, 0.3, (6, 1)) * T  # unit/orthogonal or not
-        base = rng.uniform(-0.2, 0.2, 2)
-        q, s_ref = rng.uniform(-0.2, 0.2, 6), rng.uniform(-1.0, 2.0, 6)
-        if trial % 2:
-            exits = domain.end_exits(base, T, N)
-        s, ds = (v.ravel() for v in domain.offset_exit(base, T, N, q[:, None], s_ref[:, None],
-                                                        second=False)[:2])
-        if not trial % 2:
-            exits = domain.end_exits(base, T, N)
-        fs, fds = exits(q.tolist(), s_ref.tolist())
-        assert np.array(fs).tobytes() == s.tobytes()
-        assert np.array(fds).tobytes() == ds.tobytes()
-
-    # a NaN offset gives NaN on both routes, and no error
-    q[2] = np.nan
-    s, ds = (v.ravel() for v in domain.offset_exit(base, T, N, q[:, None], s_ref[:, None],
-                                                    second=False)[:2])
-    fs, fds = exits(q.tolist(), s_ref.tolist())
-    for array, floats in ((s, fs), (ds, fds)):
-        assert np.isnan(array[2]) and np.isnan(floats[2])
-        assert np.delete(floats, 2).tobytes() == np.delete(array, 2).tobytes()
-
-    # line 3 moved far off the wall misses it; line 1 with its tangent
-    # scaled down to 1e-12 falls under the floor on (grad psi, T); with
-    # both, the miss is raised first, as offset_exit checks every line for
-    # a miss before any for the floor
-    far = np.tile(base, (6, 1))
-    far[3] += 5.0 * N[3]
-    tiny = T.copy()
-    tiny[1] *= 1e-12
-    cases = {"misses": (far, T), "tangent": (base, tiny), "both": (far, tiny)}
-    for nan in (False, True):  # a NaN line beside them hides neither error
-        q = np.zeros(6)
-        q[5] = np.nan if nan else 0.0
-        for case, (base_, T_) in cases.items():
-            got = _raised(lambda: domain.end_exits(base_, T_, N)(q.tolist(), s_ref.tolist()))
-            want = _raised(lambda: domain.offset_exit(base_, T_, N, q[:, None], s_ref[:, None]))
-            assert got == want and got[0] is OffsetMissesBoundary, (case, got)
-            assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
-
-
 POLYNOMIALS = {
     "trefoil": trefoil_domain,
     "two dents": two_dents_domain,
@@ -451,7 +399,7 @@ def _count_line_exits(domain):
     return calls
 
 
-def _polynomial_frames(domain, rng, skew, count=3):
+def _random_frames(domain, rng, skew, count=3):
     """count unit, orthogonal frames at random angles about a base inside
     the domain, and the abscissae where their lines leave it; skewed, T is
     scaled by 1.3 and N sheared by 0.2 T, so that the frames are neither."""
@@ -477,7 +425,7 @@ def test_polynomial_offset_exit_matches_implicit_route(name, skew, second, layou
     # each, (3, 2), moved back along T by 0.05.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(5)
-    base, T, N, s_ref = _polynomial_frames(domain, rng, skew)
+    base, T, N, s_ref = _random_frames(domain, rng, skew)
     q = rng.uniform(-0.1, 0.1, (3, 49 if layout == "chart" else 7))
     frame = (base, T, N, q, s_ref[:, None])
     if layout == "bases":
@@ -496,46 +444,138 @@ def _ulps(a, b):
     return float(np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(b), 1.0))))
 
 
+_BRANCH6 = [0, 1, 2, 0, 1, 2]  # the sweep's six ends: junction ends, then wall ends
+EXIT_DOMAINS = {**{name: CONICS[name][0]
+                   for name in ("centred circle", "shifted circle", "ellipse 1.2x1.0")},
+                **POLYNOMIALS}
+
+
+def _predicted(jet, q):
+    """The start that a network's exit binding predicts at the offsets q
+    from the exit jet (q0, s, s', s'') of its last chart."""
+    q0, s, ds, dds = jet
+    dq = q - q0
+    return s + dq * (ds + 0.5 * dds * dq)
+
+
+def _end_columns(jet):
+    """The jet at the six ends, from its first and last columns."""
+    return [np.concatenate((a[:, 0], a[:, -1])) for a in jet]
+
+
+def _assert_bitwise(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert np.asarray(x, dtype=float).tobytes() == np.ravel(y).tobytes()
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(EXIT_DOMAINS))
+def test_network_exits_equal_offset_exit_bitwise(name, skew):
+    # A network's exit binding against offset_exit on the same lines: the
+    # chart's (3, n+1) exits, and the six ends as rows of one offset each.
+    # offset_exit is given the starts that the binding is to pick: the
+    # reference lengths before the first chart (a cold jet (l, 0, 0) at
+    # q0 = 0), then the prediction off the last chart's jet.  A conic reads
+    # no start.  A chart taken again at the same offsets starts from its own
+    # exits, which are accepted as they are.
+    domain = EXIT_DOMAINS[name]()
+    rng = np.random.default_rng(20)
+    base, T, N, lengths = _random_frames(domain, rng, skew)
+    n = 48
+    exits = domain.network_exits(base, T, N, lengths, n)
+    zero = np.zeros((3, 1))
+    jet = (zero, lengths[:, None], zero, zero)
+    q = np.zeros((3, n + 1))
+    assert _predicted(jet, q).tobytes() == np.repeat(lengths[:, None], n + 1, 1).tobytes()
+    for trial in range(8):
+        q6 = np.concatenate((q[:, 0], q[:, -1])) + rng.uniform(-0.02, 0.02, 6)
+        want = domain.offset_exit(base, T[_BRANCH6], N[_BRANCH6], q6[:, None],
+                                  _predicted(_end_columns(jet), q6)[:, None], second=False)
+        _assert_bitwise(exits.ends(q6.tolist()), want[:2])
+        q = q + rng.uniform(-0.02, 0.02, q.shape)
+        want = domain.offset_exit(base, T, N, q, _predicted(jet, q))
+        _assert_bitwise(exits.chart(q), want)
+        jet = (q, *want)
+    _assert_bitwise(exits.chart(q), jet[1:])
+
+
+@pytest.mark.parametrize("name", ["centred circle", "shifted circle", "ellipse 1.2x1.0"])
+def test_conic_network_exits_raise_as_offset_exit(name):
+    # At a NaN offset both routes give NaN, and no error.  An offset far off
+    # the wall misses it, and a tangent scaled down to 1e-12 falls under the
+    # floor on (grad psi, T); with both, the miss is raised first, as
+    # offset_exit checks every line for a miss before any for the floor.  A
+    # NaN offset beside them hides neither error.
+    domain = CONICS[name][0]()
+    base, T, N, lengths = _random_frames(domain, np.random.default_rng(19), True)
+    n = 8
+    q6 = np.zeros(6)
+    q6[5] = np.nan
+    s, ds = (v.ravel() for v in domain.offset_exit(base, T[_BRANCH6], N[_BRANCH6],
+                                                    q6[:, None], None, second=False)[:2])
+    fs, fds = domain.network_exits(base, T, N, lengths, n).ends(q6.tolist())
+    for array, floats in ((s, fs), (ds, fds)):
+        assert np.isnan(array[5]) and np.isnan(floats[5])
+        assert np.delete(floats, 5).tobytes() == np.delete(array, 5).tobytes()
+
+    tiny = T.copy()
+    tiny[1] *= 1e-12
+    cases = {"misses": (5.0, T), "tangent": (0.0, T * [[1.0], [1e-12], [1.0]]),
+             "both": (5.0, tiny)}
+    for nan in (False, True):
+        for case, (far, T_) in cases.items():
+            exits = domain.network_exits(base, T_, N, lengths, n)
+            q6, q = np.zeros(6), np.zeros((3, n + 1))
+            q6[3] = q[0, 4] = far  # a wall end, and a node of the chart
+            if nan:
+                q6[5] = q[2, 6] = np.nan
+            for got, want in (
+                    (lambda: exits.ends(q6.tolist()),
+                     lambda: domain.offset_exit(base, T_[_BRANCH6], N[_BRANCH6], q6[:, None],
+                                                None, second=False)),
+                    (lambda: exits.chart(q), lambda: domain.offset_exit(base, T_, N, q, None))):
+                got, want = _raised(got), _raised(want)
+                assert got == want and got[0] is OffsetMissesBoundary, (case, got)
+                assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
+
+
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
-def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
-    # The sweep's exits (end_exits, six lines bound once) against
-    # offset_exit on the same six lines, as rows of one offset each, and
-    # one line at a time.  Both run the kernel of _exit_jet with the same
-    # arithmetic per entry, so they agree bitwise on the six lines; against
-    # single lines the bound is 4 ulps, and s is the start itself wherever
-    # the start is accepted.
+def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
+    # The sweep's six exits against offset_exit on single lines, within 4
+    # ulps, with the same entries sent to line_exit as offset_exit on the
+    # six lines; a start where the line is tangent to a level set of psi
+    # (P_s = 0, the line's critical point inside the domain) takes no Newton
+    # step and goes to line_exit on both routes; a NaN offset and a line
+    # tangent to the wall end the same way on both.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(20)
-    base, T, N, hit = _polynomial_frames(domain, rng, skew, count=6)
+    base, T, N, hit = _random_frames(domain, rng, skew)
+    T6, N6 = T[_BRANCH6], N[_BRANCH6]
 
-    def both(q, s_ref):
+    def cold(lengths, q6):
+        # the start of a binding's ends before its first chart
+        zero = np.zeros(6)
+        return _predicted((zero, lengths[_BRANCH6], zero, zero), q6)
+
+    def both(exits, q6, start):
         calls = _count_line_exits(domain)
-        got = domain.end_exits(base, T, N)(q.tolist(), s_ref.tolist())
-        swept = len(calls)
-        want = domain.offset_exit(base, T, N, q[:, None], s_ref[:, None], second=False)[:2]
-        assert len(calls) == 2 * swept  # the same entries go to line_exit
-        for x, y in zip(got, want):
-            assert np.array(x).tobytes() == y.ravel().tobytes()
-        singles = [[v[0, 0] for v in domain.offset_exit(base, T[[k]], N[[k]], q[[k], None],
-                                                        s_ref[k], second=False)[:2]]
+        got = exits.ends(q6.tolist())
+        swept = list(calls)
+        want = domain.offset_exit(base, T6, N6, q6[:, None], start[:, None], second=False)
+        assert calls == swept + swept
+        _assert_bitwise(got, want[:2])
+        singles = [[v[0, 0] for v in domain.offset_exit(base, T6[[k]], N6[[k]], q6[[k], None],
+                                                        start[k], second=False)[:2]]
                    for k in range(6)]
         for x, y in zip(got, zip(*singles)):
             assert _ulps(x, np.array(y, dtype=float)) <= 4
-        return np.array(got[0]), swept
+        return swept
 
     for trial in range(10):
-        q = rng.uniform(-0.1, 0.1, 6)
-        cold = hit.copy()  # the lines' exits at q = 0
-        s, swept = both(q, cold)
-        assert swept == 0
-        # a start predicted to within 1e-15 of the root is accepted as it is
-        predicted = s + rng.uniform(-1e-15, 1e-15, 6)
-        assert both(q, predicted)[0].tobytes() == predicted.tobytes()
+        q6 = rng.uniform(-0.1, 0.1, 6)
+        assert both(domain.network_exits(base, T, N, hit, 8), q6, cold(hit, q6)) == []
 
-    # a start where the line is tangent to a level set of psi (P_s = 0, the
-    # line's critical point inside the domain) takes no Newton step and goes
-    # to line_exit on both routes
     def slope(t):
         return float(domain.grad(base + t * T[2]) @ T[2])
 
@@ -545,46 +585,46 @@ def test_polynomial_end_exits_agree_with_offset_exit(name, skew):
     assert abs(slope(crit)) < 1e-8
     start = hit.copy()
     start[2] = crit
-    _, swept = both(np.zeros(6), start)
-    assert swept == 1
+    exits = domain.network_exits(base, T, N, start, 8)
+    assert both(exits, np.zeros(6), cold(start, np.zeros(6))) == [(2,)]  # both ends of branch 2
 
-    # a NaN offset ends the same way on both routes
-    q = np.zeros(6)
-    q[4] = np.nan
-    got = _raised(lambda: domain.end_exits(base, T, N)(q.tolist(), hit.tolist()))
-    want = _raised(lambda: domain.offset_exit(base, T, N, q[:, None], hit[:, None],
-                                              second=False))
-    assert got == want
+    q6 = np.zeros(6)
+    q6[4] = np.nan
+    got = _raised(lambda: exits.ends(q6.tolist()))
+    want = _raised(lambda: domain.offset_exit(base, T6, N6, q6[:, None],
+                                              cold(start, q6)[:, None], second=False))
+    assert got == want  # the NaN offset predicts a NaN start
 
-    # line 1 moved onto the tangent of the wall at its exit: both routes
-    # raise the same error
+    # line 1 turned onto the tangent of the wall at its exit e, at the
+    # offset that puts it through e, started at e
     exit_point = base + hit[1] * T[1]
     wall = domain.grad(exit_point)
-    tangent = wall @ ROT90.T
     T_, N_ = T.copy(), N.copy()
-    T_[1], N_[1] = tangent, wall / np.linalg.norm(wall)
-    base_ = np.tile(base, (6, 1))
-    base_[1] = exit_point - hit[1] * tangent
-    got = _raised(lambda: domain.end_exits(base_, T_, N_)(np.zeros(6).tolist(), hit.tolist()))
-    want = _raised(lambda: domain.offset_exit(base_, T_, N_, np.zeros((6, 1)), hit[:, None],
-                                              second=False))
+    T_[1], N_[1] = wall @ ROT90.T, wall / np.linalg.norm(wall)
+    offset = float((exit_point - base) @ N_[1])
+    start = hit.copy()
+    start[1] = float((exit_point - base) @ T_[1]) / float(T_[1] @ T_[1])
+    q6 = np.zeros(6)
+    q6[1] = offset
+    got = _raised(lambda: domain.network_exits(base, T_, N_, start, 8).ends(q6.tolist()))
+    want = _raised(lambda: domain.offset_exit(base, T_[_BRANCH6], N_[_BRANCH6], q6[:, None],
+                                              cold(start, q6)[:, None], second=False))
     assert got == want == (OffsetMissesBoundary, "offset line tangent to the boundary")
 
 
-def test_polynomial_lines_build_one_stack_each():
-    # The sweep's six lines are three lines twice: a stack is built once per
-    # distinct line, and offset_exit on the same lines reuses the six.
+def test_polynomial_network_exits_build_one_stack_per_line():
+    # The binding builds one stack per branch line and takes each twice for
+    # the sweep's six ends; offset_exit on the same three lines reuses them.
     domain = POLYNOMIALS["two dents"]()
     built = []
     line_stack = domain._line_stack
     domain._line_stack = lambda *line: built.append(line) or line_stack(*line)
-    base, T, N, hit = _polynomial_frames(domain, np.random.default_rng(3), False)
-    T6, N6 = np.tile(T, (2, 1)), np.tile(N, (2, 1))
-    exits = domain.end_exits(base, T6, N6)
+    base, T, N, hit = _random_frames(domain, np.random.default_rng(3), False)
+    exits = domain.network_exits(base, T, N, hit, 48)
     assert len(built) == 3
-    s, _, _ = domain.offset_exit(base, T6, N6, np.zeros((6, 1)), np.tile(hit, 2)[:, None])
+    s, _, _ = domain.offset_exit(base, T, N, np.zeros((3, 1)), hit[:, None])
     assert len(built) == 3
-    assert exits([0.0] * 6, np.tile(hit, 2).tolist())[0] == s.ravel().tolist()
+    assert exits.ends([0.0] * 6)[0] == np.tile(s.ravel(), 2).tolist()
 
 
 def test_polynomial_offset_exit_falls_back_under_the_slope_floor():

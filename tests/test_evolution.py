@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import warnings
 
@@ -10,8 +9,8 @@ from trijunction import diagnostics, domains, parameterization
 from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
-from trijunction.errors import (CflViolation, CompatibilityFailed, NewtonDiverged,
-                               SingularGradient)
+from trijunction.errors import (CflViolation, CompatibilityFailed, MatrixMNotInvertible,
+                               NewtonDiverged, SingularGradient)
 from trijunction.evolution import (
     EvolveConfig,
     Stepper,
@@ -66,44 +65,21 @@ def test_unset_step_is_the_default_step_bitwise(disk, disk_network, unit_tension
 
 class _NanSlopeDisk(CircleDomain):
     """Unit disk whose exit slope mu_b' is NaN at the six branch ends that
-    the boundary sweep evaluates through end_exits.  The sweep reads its
-    wall normals from that slope, so the wall residuals are NaN and no step
-    of the sweep can lower the residual norm; the chart's exits on the full
-    grids (offset_exit) are exact."""
+    the boundary sweep evaluates through its exit binding's ends.  The sweep
+    reads its wall normals from that slope, so the wall residuals are NaN
+    and no step of the sweep can lower the residual norm; the chart's exits
+    on the full grids (the binding's chart) are exact."""
 
-    def end_exits(self, base, T, N):
-        exits = super().end_exits(base, T, N)
+    def network_exits(self, *network):
+        exits = super().network_exits(*network)
+        ends = exits.ends
 
-        def nan_slopes(q, s_ref):
-            s, _ = exits(q, s_ref)
+        def nan_slopes(q):
+            s, _ = ends(q)
             return s, [float("nan")] * len(s)
 
-        return nan_slopes
-
-
-@pytest.mark.parametrize("conic", ["disk", "ellipse"])
-def test_conic_steps_skip_the_exit_prediction_bitwise(conic, unit_tensions, request):
-    # A conic's closed-form exit does not read its start, so neither the
-    # chart nor the sweep predicts one there; the same domain made to take
-    # the predictions steps to the same bits.
-    domain = request.getfixturevalue(conic)
-    network = request.getfixturevalue(f"{conic}_network")
-    predicting = copy.copy(domain)
-    predicting.exit_reads_start = True
-    cfg = make_config(network, 48, 1.0)
-    init = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
-                         amplitude=2e-2)
-    finals = []
-    for dom in (domain, predicting):
-        stepper = Stepper(network, dom, unit_tensions, cfg)
-        state = init
-        for _ in range(30):
-            state = stepper.step(state)
-        finals.append(state)
-        skips = not dom.exit_reads_start
-        assert (stepper._last is None) == skips and (stepper._bc._jet is None) == skips
-    assert finals[0].rho.tobytes() == finals[1].rho.tobytes()
-    assert finals[0].mu.tobytes() == finals[1].mu.tobytes()
+        exits.ends = nan_slopes
+        return exits
 
 
 def _break_boundary_sweep(failure, domain, monkeypatch):
@@ -331,6 +307,46 @@ def test_run_reports_admissibility_loss(disk, disk_network, unit_tensions):
     want = record_from_state(disk_network, disk, unit_tensions, state)
     moves, _ = _record_moves(traj.records, [want])
     assert not any(moves.values()), moves
+
+
+def test_run_meeting_the_det_m_floor_at_a_record_on_a_polynomial_wall(
+        two_dents, two_dents_network, unit_tensions, monkeypatch):
+    # The Stepper's exit binding moves its anchor as soon as a chart's exits
+    # are found, before coefficients checks det M.  A run that meets the
+    # floor at a record charts the failing state twice: for the record, from
+    # the jet of the state before it, and for the step, from its own jet,
+    # whose exits are accepted as they are.  Both raise the same error; the
+    # record is taken on the plain chart and the run stops there.  The floor
+    # is raised here so that the negated eigenmode on the two dents, where
+    # det M falls by about 1.3e-6 per step from 0.99698, meets it at step 11.
+    network, domain, tensions = two_dents_network, two_dents, unit_tensions
+    n = 24
+    monkeypatch.setattr(parameterization, "_DET_M_FLOOR", 0.99696597)
+    cfg = make_config(network, n, 0.0, output_every=1)
+    cfg.t_end = 40 * cfg.dt
+    phi = max_eigenvalue(network, tensions, n).eigenfunction
+    init = initial_state(network, domain, tensions, cfg, kind="eigenmode", amplitude=0.02,
+                         eigenfunction=-phi)
+    traj = run(network, domain, tensions, init, cfg)
+    assert traj.status == "MatrixMNotInvertible"
+    assert traj.message.startswith("det M = 0.9970 at or below floor 0.99696597")
+    assert len(traj.records) == len(traj.states) == 12
+    last = traj.states[-1]
+    assert traj.records[-1].t == last.t == traj.states[-2].t + cfg.dt
+    moves, _ = _record_moves(traj.records[-1:],
+                             [record_from_state(network, domain, tensions, last)])
+    assert not any(moves.values()), moves
+
+    # the run's last two charts again, on a fresh Stepper
+    stepper = Stepper(network, domain, tensions, cfg)
+    found, chart = [], stepper._exits.chart
+    stepper._exits.chart = lambda q: found.append(chart(q)) or found[-1]
+    stepper.chart(traj.states[-2])
+    for _ in range(2):
+        with pytest.raises(MatrixMNotInvertible) as err:
+            stepper.chart(last)
+        assert str(err.value) == traj.message
+    assert [a.tobytes() for a in found[1]] == [a.tobytes() for a in found[2]]
 
 
 def _record_moves(records, others):

@@ -314,7 +314,10 @@ def test_matrix_m_floor_raises(disk_network, disk, unit_tensions):
 def bc_residuals(network, domain, angles, rho, r0, w, mu):
     """[g12, g13, outer_1, outer_2, outer_3] of the BoundaryOperator, the
     route the boundary sweep runs, at boundary values (r0, w) of rho."""
-    op = BoundaryOperator(network, domain, angles, rho.shape[1] - 1)
+    n = rho.shape[1] - 1
+    exits = domain.network_exits(network.p_star, network.tangents, network.normals,
+                                 network.lengths, n)
+    op = BoundaryOperator(network, exits, angles, n)
     return np.array(op(op.inner(rho), *(np.asarray(v, dtype=float).tolist()
                                         for v in (r0, w, mu))))
 

@@ -92,6 +92,18 @@ def test_readme_config_block_matches_schema():
     assert set(SCALAR_KEYS) <= keys, sorted(set(SCALAR_KEYS) - keys)
 
 
+def _best_of(calls, repeats):
+    """Per name the shortest of `repeats` timings of calls[name], the calls
+    interleaved, so that a busy spell of the host slows them alike."""
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = perf_counter()
+            call()
+            best[name] = min(best[name], perf_counter() - start)
+    return best
+
+
 def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
     # A ratio of two timings in one process does not depend on the host's
     # speed.  The record shares the chart kernel of coefficients and adds
@@ -106,12 +118,7 @@ def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_te
         "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state),
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state),
     }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(5):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
+    best = _best_of(calls, 5)
     assert best["record"] <= 5.0 * best["coefficients"], best
 
 
@@ -120,7 +127,8 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
     # A run hands each record the coefficients its next step reads, so the
     # record adds only its quadratures, end stencils and wall terms to the
     # chart (about 1.4-1.6 calls); one that evaluates the chart again costs
-    # about 2.2-2.6.
+    # about 2.2-2.6.  The best of 20 interleaved timings read 1.36-1.55 in
+    # 18 processes on a shared 2-core host; the best of 5 read up to 2.21.
     n = 200
     config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
     phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
@@ -133,12 +141,7 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state,
                                             chart=chart),
     }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(5):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
+    best = _best_of(calls, 20)
     assert best["record"] <= 2.0 * best["coefficients"], best
 
 
@@ -164,12 +167,7 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
                             for s, c in zip(states, charts)],
         "batch": lambda: records_from_states(*args, states, charts),
     }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(5):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
+    best = _best_of(calls, 5)
     assert best["batch"] <= 0.5 * best["singles"], best
 
 
@@ -186,10 +184,12 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
     # A ratio of two timings in one process does not depend on the host's
     # speed.  A converged sweep is one residual evaluation: the six exits of
     # the branch ends, whose jet also gives the wall normals, and a few
-    # hundred flops, all in Python floats, 0.19-0.22 of a coefficients call
-    # at n = 200 (0.31-0.34 with the exits as numpy calls on 6 entries,
-    # 0.55-0.58 with every flop as numpy calls).  The bound sits about 15 %
-    # above the median ratio, 0.195.
+    # hundred flops, all in Python floats, 0.16-0.19 of a coefficients call
+    # at n = 200 over 28 processes; a plain coefficients call on a conic
+    # builds the frame constants that a Stepper binds once.  With the exits
+    # as numpy calls on 6 entries the sweep read 0.31-0.34 of a call whose
+    # frames were cached, 0.55-0.58 with every flop as numpy calls.  The
+    # bound sits about 15 % above 0.195, the median against cached frames.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
     best = _converged_sweep_and_chart(stepper, state)
     assert best["sweep"] <= 0.23 * best["coefficients"], best
@@ -199,8 +199,9 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
         two_dents, two_dents_network, unit_tensions):
     # The same ratio on the two dents at n = 48, where the six exits are
     # one call of the line-polynomial kernel on six one-entry blocks:
-    # 0.192-0.226 of a coefficients call, median 0.214, over 20 processes.
-    # The bound sits about 10 % above the highest.  It bounds the sweep's
+    # 0.192-0.226 of a coefficients call, median 0.214, over 20 processes
+    # (0.218-0.239 over 18 later ones on a busier host).  The bound sits
+    # about 10 % above the highest of the first 20.  It bounds the sweep's
     # cost, not its route: with the exits through the generic offset_exit
     # and the chart's q contracted per node, both sides were slower and the
     # ratio read 0.209-0.246.
@@ -226,13 +227,7 @@ def _converged_sweep_and_chart(stepper, state):
                                              state),
         "sweep": lambda: stepper.enforce_bcs(rho),
     }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(20):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
-    return best
+    return _best_of(calls, 20)
 
 
 def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
@@ -240,30 +235,31 @@ def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
     # One exit evaluation per residual evaluation: on the disk at n = 200 the
     # lagged-Jacobian sweep converges in one iteration (two evaluations) and
     # refreshes its five-column Jacobian every 100 steps, 2.05 per step.  The
-    # sweep evaluates its six exits through the callable of the domain's
-    # end_exits, kept by its BoundaryOperator; the chart calls offset_exit.
+    # sweep evaluates its six exits through the ends of the Stepper's exit
+    # binding, the chart through its chart; nothing calls offset_exit.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
     for _ in range(20):
         state = stepper.step(state)
-    counts = {"sweep": 0, "chart": 0}
-    exits, offset_exit = stepper._bc.exits, type(disk).offset_exit
+    counts = {"sweep": 0, "chart": 0, "offset_exit": 0}
+    exits = stepper._exits
 
-    def counted_exits(*args):
-        counts["sweep"] += 1
-        return exits(*args)
+    def counted(where, call):
+        def run(*args, **kwargs):
+            counts[where] += 1
+            return call(*args, **kwargs)
 
-    def counted_offset_exit(self, *args, **kwargs):
-        counts["chart"] += 1
-        return offset_exit(self, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(stepper._bc, "exits", counted_exits)
-    monkeypatch.setattr(type(disk), "offset_exit", counted_offset_exit)
+    monkeypatch.setattr(exits, "ends", counted("sweep", exits.ends))
+    monkeypatch.setattr(exits, "chart", counted("chart", exits.chart))
+    monkeypatch.setattr(type(disk), "offset_exit", counted("offset_exit", type(disk).offset_exit))
     steps = 200
     for _ in range(steps):
         state = stepper.step(state)
     # each sweep evaluates its residual at least once
     assert steps <= counts["sweep"] <= 2 * steps + 5 * (steps // 100), counts
     assert counts["chart"] == steps, counts  # the chart's one per step
+    assert counts["offset_exit"] == 0, counts
 
 
 def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_tensions,
@@ -296,8 +292,8 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
     # Every exit search starts from a second-order prediction off the last
     # chart's exit jet, so the first evaluation of the line polynomial
     # already meets |P| < 1e-13 on almost every call, for the chart's
-    # (3, n+1) exits (offset_exit) and the sweep's six (the end_exits
-    # callable that its BoundaryOperator keeps as exits).  Started from the
+    # (3, n+1) exits and the sweep's six (the chart and the ends of the
+    # Stepper's exit binding).  Started from the
     # last exits instead, each call takes two Newton steps and a confirming
     # evaluation, three in all.  A call builds one power ladder for q and
     # its start together, which serves the first evaluation, and one ladder
@@ -312,7 +308,7 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
         state = stepper.step(state)
     counts = {"chart": [0, 0], "sweep": [0, 0]}  # exit calls, ladders inside them
     inside = [None]
-    ladder, offset_exit, exits = domains._ladder, PolynomialDomain.offset_exit, stepper._bc.exits
+    ladder, exits = domains._ladder, stepper._exits
 
     def counted_ladder(*args):
         if inside[0]:
@@ -331,8 +327,8 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
         return run
 
     monkeypatch.setattr(domains, "_ladder", counted_ladder)
-    monkeypatch.setattr(PolynomialDomain, "offset_exit", counted("chart", offset_exit))
-    monkeypatch.setattr(stepper._bc, "exits", counted("sweep", exits))
+    monkeypatch.setattr(exits, "chart", counted("chart", exits.chart))
+    monkeypatch.setattr(exits, "ends", counted("sweep", exits.ends))
     for _ in range(100):
         state = stepper.step(state)
     per_call = {k: ladders / calls for k, (calls, ladders) in counts.items()}
@@ -472,10 +468,5 @@ def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_
         "assemble": lambda: stability.assemble_forms(disk_network, unit_tensions, n),
         "null_space": lambda: null_space_pencil(disk_network, unit_tensions, n),
     }
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(5):
-        for name, call in calls.items():
-            start = perf_counter()
-            call()
-            best[name] = min(best[name], perf_counter() - start)
+    best = _best_of(calls, 5)
     assert best["assemble"] <= 0.1 * best["null_space"], best
