@@ -94,14 +94,15 @@ class ImplicitDomain:
         Subclasses give the route of their family."""
         raise NotImplementedError
 
-    def network_exits(self, p_star, tangents, normals, lengths, n):
-        """The exits of a network's three branch lines p_* + q N + s T, bound
-        once, for a Stepper on the (3, n+1) grids: an object whose chart(q)
-        gives (s, s', s'') at the (3, n+1) offsets q, and whose ends(q)
-        gives (s, s') as float lists at the six offsets q, a 6-list, of the
-        branch ends (junction ends, then wall ends).  Both give offset_exit's
-        values on the same lines from the starts the binding picks.
-        Subclasses give the route of their family."""
+    def network_exits(self, network, n):
+        """The exits of the branch lines p_* + q N + s T of a network (its
+        p_star, tangents, normals and lengths), bound once, for a Stepper on
+        the (3, n+1) grids: an object whose chart(q) gives (s, s', s'') at
+        the (3, n+1) offsets q, and whose ends(q) gives (s, s') as float
+        lists at the six offsets q, a 6-list, of the branch ends (junction
+        ends, then wall ends).  Both give offset_exit's values on the same
+        lines from the starts the binding picks.  Subclasses give the route
+        of their family."""
         raise NotImplementedError
 
     def ray_exit(self, origin, direction):
@@ -173,8 +174,8 @@ class ConicDomain(ImplicitDomain):
         frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape[1])
         return _conic_exits(frame, self.r, q, second)
 
-    def network_exits(self, p_star, tangents, normals, lengths, n):
-        return _ConicExits(self, p_star, tangents, normals, n)
+    def network_exits(self, network, n):
+        return _ConicExits(self, network, n)
 
     def ray_exit(self, origin, direction):
         # The far root of the closed form at q = 0, from frame constants
@@ -195,12 +196,12 @@ class ConicDomain(ImplicitDomain):
         S (base - c), the components of S T and S N, a = |S T|^2, (S T, S N)
         and |S N|^2, each repeated along the width of the offsets' rows,
         (B, width), so that the closed form runs on equal shapes."""
-        scale = self._scale
-        shift = np.broadcast_to((base - self.center) * scale, T.shape).tolist()
-        lines = [(s0, s1, T0, T1, N0, N1, T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
-                 for (s0, s1), (T0, T1), (N0, N1)
-                 in zip(shift, (T * scale).tolist(), (N * scale).tolist())]
-        return tuple(np.repeat(np.array(lines).T[..., None], width, axis=2))
+        T, N = T * self._scale, N * self._scale
+        T0, T1, N0, N1 = T[:, :1], T[:, 1:], N[:, :1], N[:, 1:]
+        shift = (base - self.center) * self._scale
+        frame = (shift[..., :1], shift[..., 1:], T0, T1, N0, N1,
+                 T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
+        return tuple(np.broadcast_to(c, (len(T), width)).copy() for c in frame)
 
 
 class _ConicExits:
@@ -211,8 +212,8 @@ class _ConicExits:
     give offset_exit's bits and raise its errors; math.sqrt runs only after
     the miss check."""
 
-    def __init__(self, domain, p_star, tangents, normals, n):
-        self._frame = domain._frame(p_star, tangents, normals, n + 1)
+    def __init__(self, domain, network, n):
+        self._frame = domain._frame(network.p_star, network.tangents, network.normals, n + 1)
         lines = list(zip(*(c[:, 0].tolist() for c in self._frame)))
         self._ends = [lines[i] for i in _BRANCH6]
         self._r = float(domain.r)
@@ -369,8 +370,8 @@ class PolynomialDomain(ImplicitDomain):
         qs[0], qs[1] = q, s_ref
         return self._exit_jet(self._line_stacks(base, T, N), qs, (base, T, N), second)
 
-    def network_exits(self, p_star, tangents, normals, lengths, n):
-        return _PolynomialExits(self, p_star, tangents, normals, lengths)
+    def network_exits(self, network, n):
+        return _PolynomialExits(self, network)
 
     def _exit_jet(self, stacks, qs, lines, second):
         """(s, s', s'') of B offset lines at R offsets each, (B, R): stacks
@@ -470,14 +471,15 @@ class _PolynomialExits:
     the root is accepted at the first evaluation of the line polynomial.
     chart moves the jet as soon as its exits are found."""
 
-    def __init__(self, domain, p_star, tangents, normals, lengths):
+    def __init__(self, domain, network):
+        p_star, tangents, normals = network.p_star, network.tangents, network.normals
         self._kernel = domain._exit_jet
         self._lines = (p_star, tangents, normals)
         self._stacks = domain._line_stacks(*self._lines)
         self._end_lines = (p_star, tangents[_BRANCH6], normals[_BRANCH6])
         self._end_stacks = self._stacks[_BRANCH6]
         zero = np.zeros((3, 1))
-        self._keep_jet(zero, lengths[:, None], zero, zero)
+        self._keep_jet(zero, network.lengths[:, None], zero, zero)
 
     def _keep_jet(self, *jet):
         # the jet, and its end columns as float 4-tuples for ends

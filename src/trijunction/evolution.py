@@ -104,8 +104,7 @@ class Stepper:
         m = n - 1
         self._ab = np.zeros((3, 3 * m))
         self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
-        self._exits = domain.network_exits(network.p_star, network.tangents, network.normals,
-                                           network.lengths, n)
+        self._exits = domain.network_exits(network, n)
         # the boundary sweep's per-run constants as Python floats
         self._bc = BoundaryOperator(network, self._exits, tensions.angles, n)
         self._basis = tensions.basis.tolist()

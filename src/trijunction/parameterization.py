@@ -273,9 +273,8 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     mu = state.mu[:, None]
 
     if exits is None:
-        mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents,
-                                             network.normals, state.rho,
-                                             network.lengths[:, None])
+        mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents, network.normals,
+                                             state.rho, network.lengths[:, None])
     else:
         mu_b, dmu, ddmu = exits.chart(state.rho)
     xi_sigma = (mu_b - mu) / l

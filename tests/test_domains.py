@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -463,6 +464,13 @@ def _end_columns(jet):
     return [np.concatenate((a[:, 0], a[:, -1])) for a in jet]
 
 
+def _bind(domain, base, T, N, lengths, n):
+    """The domain's exit binding of the lines base + q N + s T, the rows of
+    T and N, with reference lengths `lengths`, on (3, n+1) grids."""
+    return domain.network_exits(
+        SimpleNamespace(p_star=base, tangents=T, normals=N, lengths=lengths), n)
+
+
 def _assert_bitwise(got, want):
     for x, y in zip(got, want, strict=True):
         assert np.asarray(x, dtype=float).tobytes() == np.ravel(y).tobytes()
@@ -482,7 +490,7 @@ def test_network_exits_equal_offset_exit_bitwise(name, skew):
     rng = np.random.default_rng(20)
     base, T, N, lengths = _random_frames(domain, rng, skew)
     n = 48
-    exits = domain.network_exits(base, T, N, lengths, n)
+    exits = _bind(domain, base, T, N, lengths, n)
     zero = np.zeros((3, 1))
     jet = (zero, lengths[:, None], zero, zero)
     q = np.zeros((3, n + 1))
@@ -513,7 +521,7 @@ def test_conic_network_exits_raise_as_offset_exit(name):
     q6[5] = np.nan
     s, ds = (v.ravel() for v in domain.offset_exit(base, T[_BRANCH6], N[_BRANCH6],
                                                     q6[:, None], None, second=False)[:2])
-    fs, fds = domain.network_exits(base, T, N, lengths, n).ends(q6.tolist())
+    fs, fds = _bind(domain, base, T, N, lengths, n).ends(q6.tolist())
     for array, floats in ((s, fs), (ds, fds)):
         assert np.isnan(array[5]) and np.isnan(floats[5])
         assert np.delete(floats, 5).tobytes() == np.delete(array, 5).tobytes()
@@ -524,7 +532,7 @@ def test_conic_network_exits_raise_as_offset_exit(name):
              "both": (5.0, tiny)}
     for nan in (False, True):
         for case, (far, T_) in cases.items():
-            exits = domain.network_exits(base, T_, N, lengths, n)
+            exits = _bind(domain, base, T_, N, lengths, n)
             q6, q = np.zeros(6), np.zeros((3, n + 1))
             q6[3] = q[0, 4] = far  # a wall end, and a node of the chart
             if nan:
@@ -574,7 +582,7 @@ def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
 
     for trial in range(10):
         q6 = rng.uniform(-0.1, 0.1, 6)
-        assert both(domain.network_exits(base, T, N, hit, 8), q6, cold(hit, q6)) == []
+        assert both(_bind(domain, base, T, N, hit, 8), q6, cold(hit, q6)) == []
 
     def slope(t):
         return float(domain.grad(base + t * T[2]) @ T[2])
@@ -585,7 +593,7 @@ def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
     assert abs(slope(crit)) < 1e-8
     start = hit.copy()
     start[2] = crit
-    exits = domain.network_exits(base, T, N, start, 8)
+    exits = _bind(domain, base, T, N, start, 8)
     assert both(exits, np.zeros(6), cold(start, np.zeros(6))) == [(2,)]  # both ends of branch 2
 
     q6 = np.zeros(6)
@@ -606,10 +614,52 @@ def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
     start[1] = float((exit_point - base) @ T_[1]) / float(T_[1] @ T_[1])
     q6 = np.zeros(6)
     q6[1] = offset
-    got = _raised(lambda: domain.network_exits(base, T_, N_, start, 8).ends(q6.tolist()))
+    got = _raised(lambda: _bind(domain, base, T_, N_, start, 8).ends(q6.tolist()))
     want = _raised(lambda: domain.offset_exit(base, T_[_BRANCH6], N_[_BRANCH6], q6[:, None],
                                               cold(start, q6)[:, None], second=False))
     assert got == want == (OffsetMissesBoundary, "offset line tangent to the boundary")
+
+
+def _within_reach(domain, base, T, N, q, s):
+    """Where |psi| at base + s T + q N is under 0.9e-13: short of the
+    kernel's acceptance bound 1e-13 by more than the rounding of the point
+    and of psi, so that the kernel takes such an s as it is."""
+    points = base + s[..., None] * T[:, None] + q[..., None] * N[:, None]
+    return np.abs(domain.psi(points)) < 0.9e-13
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(POLYNOMIALS))
+def test_polynomial_start_near_the_root_comes_back_as_it_is(name, skew):
+    # The prediction rests on this: a start within 1e-15 of the root is
+    # nearly always within reach (|P| < 1e-13 at the first evaluation) and
+    # is then returned unchanged, on the chart's (3, n+1) lines and on the
+    # six end lines alike.  The binding's ends at the end columns of its
+    # last chart start from that chart's exits, and return them.  A root
+    # that Newton left just under 1e-13 can be pushed out of reach by the
+    # 1e-15, or by the ends' own rounding; such entries are not checked.
+    domain = POLYNOMIALS[name]()
+    rng = np.random.default_rng(21)
+    base, T, N, lengths = _random_frames(domain, rng, skew)
+    T6, N6 = T[_BRANCH6], N[_BRANCH6]
+    n = 48
+    for trial in range(5):
+        q = rng.uniform(-0.1, 0.1, (3, n + 1))
+        s = domain.offset_exit(base, T, N, q, lengths[:, None])[0]
+        start = s + rng.uniform(-1e-15, 1e-15, s.shape)
+        reach = _within_reach(domain, base, T, N, q, start)
+        assert reach.mean() > 0.95
+        got = domain.offset_exit(base, T, N, q, start)[0]
+        assert got[reach].tobytes() == start[reach].tobytes()
+        q6, start6, reach6 = _end_columns((q, start, reach))
+        got = domain.offset_exit(base, T6, N6, q6[:, None], start6[:, None], second=False)[0]
+        assert got.ravel()[reach6].tobytes() == start6[reach6].tobytes()
+
+        exits = _bind(domain, base, T, N, lengths, n)
+        (chart6,) = _end_columns(exits.chart(q)[:1])
+        reach6 = _within_reach(domain, base, T6, N6, q6[:, None], chart6[:, None]).ravel()
+        got = np.array(exits.ends(q6.tolist())[0])
+        assert got[reach6].tobytes() == chart6[reach6].tobytes()
 
 
 def test_polynomial_network_exits_build_one_stack_per_line():
@@ -620,7 +670,7 @@ def test_polynomial_network_exits_build_one_stack_per_line():
     line_stack = domain._line_stack
     domain._line_stack = lambda *line: built.append(line) or line_stack(*line)
     base, T, N, hit = _random_frames(domain, np.random.default_rng(3), False)
-    exits = domain.network_exits(base, T, N, hit, 48)
+    exits = _bind(domain, base, T, N, hit, 48)
     assert len(built) == 3
     s, _, _ = domain.offset_exit(base, T, N, np.zeros((3, 1)), hit[:, None])
     assert len(built) == 3

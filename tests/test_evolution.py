@@ -70,8 +70,8 @@ class _NanSlopeDisk(CircleDomain):
     and no step of the sweep can lower the residual norm; the chart's exits
     on the full grids (the binding's chart) are exact."""
 
-    def network_exits(self, *network):
-        exits = super().network_exits(*network)
+    def network_exits(self, network, n):
+        exits = super().network_exits(network, n)
         ends = exits.ends
 
         def nan_slopes(q):
@@ -318,19 +318,28 @@ def test_run_meeting_the_det_m_floor_at_a_record_on_a_polynomial_wall(
     # whose exits are accepted as they are.  Both raise the same error; the
     # record is taken on the plain chart and the run stops there.  The floor
     # is raised here so that the negated eigenmode on the two dents, where
-    # det M falls by about 1.3e-6 per step from 0.99698, meets it at step 11.
+    # det M falls by about 1.3e-6 per step from 0.99698, meets it at state
+    # k: a dry run reads det M of the first k + 1 states, and the floor goes
+    # halfway between the last two.
     network, domain, tensions = two_dents_network, two_dents, unit_tensions
-    n = 24
-    monkeypatch.setattr(parameterization, "_DET_M_FLOOR", 0.99696597)
+    n, k = 24, 11
     cfg = make_config(network, n, 0.0, output_every=1)
     cfg.t_end = 40 * cfg.dt
     phi = max_eigenvalue(network, tensions, n).eigenfunction
     init = initial_state(network, domain, tensions, cfg, kind="eigenmode", amplitude=0.02,
                          eigenfunction=-phi)
+    stepper, state, det_M = Stepper(network, domain, tensions, cfg), init, []
+    for step in range(k + 1):
+        det_M.append(stepper.chart(state).det_M)
+        if step < k:
+            state = stepper.step(state)
+    floor = 0.5 * (det_M[k - 1] + det_M[k])
+    assert min(det_M[:k]) > floor > det_M[k]
+    monkeypatch.setattr(parameterization, "_DET_M_FLOOR", floor)
     traj = run(network, domain, tensions, init, cfg)
     assert traj.status == "MatrixMNotInvertible"
-    assert traj.message.startswith("det M = 0.9970 at or below floor 0.99696597")
-    assert len(traj.records) == len(traj.states) == 12
+    assert traj.message == f"det M = {det_M[k]:.4f} at or below floor {floor}"
+    assert len(traj.records) == len(traj.states) == k + 1
     last = traj.states[-1]
     assert traj.records[-1].t == last.t == traj.states[-2].t + cfg.dt
     moves, _ = _record_moves(traj.records[-1:],

@@ -315,9 +315,7 @@ def bc_residuals(network, domain, angles, rho, r0, w, mu):
     """[g12, g13, outer_1, outer_2, outer_3] of the BoundaryOperator, the
     route the boundary sweep runs, at boundary values (r0, w) of rho."""
     n = rho.shape[1] - 1
-    exits = domain.network_exits(network.p_star, network.tangents, network.normals,
-                                 network.lengths, n)
-    op = BoundaryOperator(network, exits, angles, n)
+    op = BoundaryOperator(network, domain.network_exits(network, n), angles, n)
     return np.array(op(op.inner(rho), *(np.asarray(v, dtype=float).tolist()
                                         for v in (r0, w, mu))))
 

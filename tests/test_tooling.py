@@ -126,9 +126,11 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
         disk, disk_network, unit_tensions):
     # A run hands each record the coefficients its next step reads, so the
     # record adds only its quadratures, end stencils and wall terms to the
-    # chart (about 1.4-1.6 calls); one that evaluates the chart again costs
-    # about 2.2-2.6.  The best of 20 interleaved timings read 1.36-1.55 in
-    # 18 processes on a shared 2-core host; the best of 5 read up to 2.21.
+    # chart (1.4-1.9 calls, by host); one that evaluates the chart again costs
+    # about 2.2-2.6.  The coefficients call is timed on the Stepper's exit
+    # binding, as a run makes it.  The best of 20 interleaved timings read
+    # 1.82-1.90 over 10 processes on a shared 2-core host; the best of 5
+    # once read 2.21 on a busier one.
     n = 200
     config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
     phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
@@ -137,7 +139,8 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
     stepper = Stepper(disk_network, disk, unit_tensions, config)
     chart = stepper.chart(state)
     calls = {
-        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state),
+        "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state,
+                                             exits=stepper._exits),
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state,
                                             chart=chart),
     }
@@ -184,14 +187,14 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
     # A ratio of two timings in one process does not depend on the host's
     # speed.  A converged sweep is one residual evaluation: the six exits of
     # the branch ends, whose jet also gives the wall normals, and a few
-    # hundred flops, all in Python floats, 0.16-0.19 of a coefficients call
-    # at n = 200 over 28 processes; a plain coefficients call on a conic
-    # builds the frame constants that a Stepper binds once.  With the exits
-    # as numpy calls on 6 entries the sweep read 0.31-0.34 of a call whose
-    # frames were cached, 0.55-0.58 with every flop as numpy calls.  The
-    # bound sits about 15 % above 0.195, the median against cached frames.
+    # hundred flops, all in Python floats, 0.19-0.22 of a coefficients call
+    # at n = 200 timed on the Stepper's exit binding, whose frame constants
+    # are bound once (0.31-0.34 with the exits as numpy calls on 6 entries,
+    # 0.55-0.58 with every flop as numpy calls).  The bound sits about 15 %
+    # above the median ratio, 0.195; over 10 later processes on a busier
+    # host it read 0.206-0.222.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
-    best = _converged_sweep_and_chart(stepper, state)
+    best = _converged_sweep_and_chart(stepper, state, stepper._exits)
     assert best["sweep"] <= 0.23 * best["coefficients"], best
 
 
@@ -200,31 +203,34 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
     # The same ratio on the two dents at n = 48, where the six exits are
     # one call of the line-polynomial kernel on six one-entry blocks:
     # 0.192-0.226 of a coefficients call, median 0.214, over 20 processes
-    # (0.218-0.239 over 18 later ones on a busier host).  The bound sits
-    # about 10 % above the highest of the first 20.  It bounds the sweep's
-    # cost, not its route: with the exits through the generic offset_exit
-    # and the chart's q contracted per node, both sides were slower and the
-    # ratio read 0.209-0.246.
+    # (0.217-0.237 over 10 later ones on a busier host).  The bound sits
+    # about 10 % above the highest of the first 20.  The coefficients call
+    # takes no binding, so its exits start cold from the reference lengths;
+    # from the binding's prediction they take one evaluation and the ratio
+    # reads about 0.34.  It bounds the sweep's cost, not its route: with the
+    # exits through the generic offset_exit and the chart's q contracted per
+    # node, both sides were slower and the ratio read 0.209-0.246.
     n = 48
     config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
     phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
     state = initial_state(two_dents_network, two_dents, unit_tensions, config,
                           kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
     stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
-    best = _converged_sweep_and_chart(stepper, state)
+    best = _converged_sweep_and_chart(stepper, state, None)
     assert best["sweep"] <= 0.25 * best["coefficients"], best
 
 
-def _converged_sweep_and_chart(stepper, state):
+def _converged_sweep_and_chart(stepper, state, exits):
     """Best of 20 timings of a converged boundary sweep and of a
-    coefficients call, interleaved, after three steps from state."""
+    coefficients call with the exit binding `exits`, interleaved, after
+    three steps from state."""
     for _ in range(3):
         state = stepper.step(state)
     rho = state.rho.copy()
     stepper.enforce_bcs(rho)  # converge once; timed calls then need no iteration
     calls = {
         "coefficients": lambda: coefficients(stepper.network, stepper.domain, stepper.tensions,
-                                             state),
+                                             state, exits=exits),
         "sweep": lambda: stepper.enforce_bcs(rho),
     }
     return _best_of(calls, 20)
