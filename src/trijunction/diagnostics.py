@@ -11,7 +11,9 @@ dispatch; record_from_state is its batch of one, and a record is bitwise
 the same in any batch.  run evaluates its records in batches of 8.
 Integrals are composite trapezoid sums in the arc element J dsigma;
 arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
-stencils of rho_derivatives, one-sided at the junction and the wall.
+stencils of rho_derivatives, one-sided at the junction and the wall.  One
+gradient of psi at the wall gives both the wall curvature h and the
+perpendicularity residual (domains.wall_curvature_and_gradient).
 Norms are gamma-weighted: ||phi||_Lp^p = sum_i gamma_i int |phi^i|^p ds.
 
 The central identities checked along trajectories:
@@ -33,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import boundary_curvature
+from .domains import wall_curvature_and_gradient
 from .errors import DegenerateCurve, NonPositiveSeries, TriJunctionError
-from .parameterization import GraphState, _cross, chart_geometry, junction_point, rho_derivatives
+from .parameterization import GraphState, _cross, chart_geometry, rho_derivatives
 
 
 @dataclass
@@ -170,8 +172,7 @@ def _branch_integrals(values, J, dx):
     not four."""
     values *= J
     pairs = values[..., 1:] + values[..., :-1]
-    pairs /= 2.0
-    return pairs.sum(axis=-1) * dx
+    return pairs.sum(axis=-1) / 2.0 * dx  # halving is exact: the bits of sum(pairs / 2)
 
 
 def _weighted_integral(gammas, values, J, dx) -> float:
@@ -255,47 +256,58 @@ def _records(network, domain, tensions, states, charts):
             for state, chart in zip(states, charts, strict=True)]
     g = tensions.array
     dx = network.lengths / states[0].n
-    rho = np.array([state.rho for state in states])  # (records, 3, n+1)
-    mu = np.array([state.mu for state in states])
-    kap = np.array([geo.kappa for geo in geos])
+    kap = np.array([geo.kappa for geo in geos])  # (records, 3, n+1)
     J = np.array([geo.J for geo in geos])
-    kap_s = rho_derivatives(kap, network.lengths, second=False)[0] / J
-    kap_ss = rho_derivatives(kap_s, network.lengths, second=False)[0] / J
+    kap_s = rho_derivatives(kap, network.lengths, second=False)[0]
+    kap_s /= J
+    kap_ss = rho_derivatives(kap_s, network.lengths, second=False)[0]
+    kap_ss /= J
+    kap0, kap_wall = kap[..., 0], kap[..., -1]
+    # (11, records), in the order of _SCALAR_FIELDS
+    scalars = np.empty((len(_SCALAR_FIELDS), len(states)))
+    np.abs(kap).max(axis=(1, 2), out=scalars[5])  # kappa_linf
+    # the stacked integrands 1, kappa^2, kappa^4 = (kappa^2)^2, kappa_s^2
+    # and kappa_ss^2, (5, records, 3, n+1)
+    values = np.empty((5,) + kap.shape)
+    values[0] = 1.0
+    np.multiply(kap, kap, out=values[1])
+    np.multiply(values[1], values[1], out=values[2])
+    np.multiply(kap_s, kap_s, out=values[3])
+    np.multiply(kap_ss, kap_ss, out=values[4])
     # one quadrature of the stacked integrands, (5, records, 3), and one
     # weighted sum of its rows: row for row the sums of _weighted_integral
-    integrals = _branch_integrals(
-        np.array([np.ones_like(kap), kap**2, kap**4, kap_s**2, kap_ss**2]), J, dx)
+    integrals = _branch_integrals(values, J, dx)
 
     # junction: tangential speeds v = Q V from the flow law V = kappa
-    kap0 = kap[..., 0]
     velocities = _rowwise(tensions.q, kap0)
-    flux = kap_s[..., 0] + kap0 * velocities
 
-    # wall: contact points p_* + mu_b T + rho N and the unit tangent
-    # Phi_sigma / J there, with Phi_sigma = phi_T T + rho_sigma N
+    # per record the rows mu_b, phi_T, rho_sigma and rho at the wall, and mu
+    # and rho at the junction, (records, 6, 3)
+    ends = np.array([(geo.mu_b[:, -1], geo.phi_T[:, -1], geo.rho_sigma[:, -1],
+                      state.rho[:, -1], state.mu, state.rho[:, 0])
+                     for geo, state in zip(geos, states)])
+    # the contact points p_* + mu_b T + rho N and the branch starts
+    # p_* + mu T + rho(0) N, (records, 2, 3, 2); the junction is the mean of
+    # the starts (junction_point)
     T, N = network.tangents, network.normals
-    mu_b, phi_T, rho_sigma = np.array(
-        [(geo.mu_b[:, -1], geo.phi_T[:, -1], geo.rho_sigma[:, -1]) for geo in geos]
-    ).transpose(1, 0, 2)
-    wall = network.p_star + mu_b[..., None] * T + rho[..., -1, None] * N
-    tangent = (phi_T[..., None] * T + rho_sigma[..., None] * N) / J[..., -1, None]
-    h = boundary_curvature(domain, wall)
-    grad = domain.grad(wall)
-    perp = _cross(tangent, grad) / np.linalg.norm(grad, axis=-1)  # (R tangent, grad) / |grad|
+    pts = network.p_star + ends[:, 0::4, :, None] * T + ends[:, 3::2, :, None] * N
+    # the unit tangent Phi_sigma / J at the wall, Phi_sigma = phi_T T + rho_sigma N;
+    # one gradient of psi gives h and the perpendicularity residual
+    tangent = (ends[:, 1, :, None] * T + ends[:, 2, :, None] * N) / J[..., -1, None]
+    h, grad, gnorm = wall_curvature_and_gradient(domain, pts[:, 0])
+    perp = _cross(tangent, grad) / gnorm  # (R tangent, grad) / |grad|
 
-    # (records, 11), in the order of _SCALAR_FIELDS
-    scalars = np.concatenate([(g * integrals).sum(axis=-1), [
-        np.abs(kap).max(axis=(1, 2)),
-        np.abs(_rowwise(g, kap0)),
-        flux.max(axis=1) - flux.min(axis=1),
-        np.abs(_rowwise(g, velocities)),
-        np.abs(kap_s[..., -1] + h * kap[..., -1]).max(axis=1),
-        np.abs(perp).max(axis=1),
-    ]]).T.tolist()
-    points = junction_point(network, GraphState(rho=rho, mu=mu))
+    (g * integrals).sum(axis=-1, out=scalars[:5])
+    weighted = _rowwise(g, np.array([kap0, velocities]))  # sum gamma kappa, sum gamma v
+    np.abs(weighted[0], out=scalars[6])
+    np.abs(weighted[1], out=scalars[8])
+    flux = kap_s[..., 0] + kap0 * velocities
+    np.subtract(flux.max(axis=1), flux.min(axis=1), out=scalars[7])
+    np.abs(np.array([kap_s[..., -1] + h * kap_wall, perp])).max(axis=-1, out=scalars[9:])
+    points = pts[:, 1].sum(axis=-2) / 3.0
     return [
-        DiagnosticsRecord(t=float(state.t), p=p, mu=m, **dict(zip(_SCALAR_FIELDS, row)))
-        for state, row, p, m in zip(states, scalars, points, mu)
+        DiagnosticsRecord(t=float(state.t), p=p, mu=row[4], **dict(zip(_SCALAR_FIELDS, fields)))
+        for state, fields, p, row in zip(states, scalars.T.tolist(), points, ends)
     ]
 
 

@@ -11,8 +11,11 @@ network_exits, which binds a network's three branch lines once and gives
 their exits on the chart's (3, n+1) grids and at the boundary sweep's six
 branch ends.  The binding alone decides where an exit search starts: on a
 polynomial wall it predicts every start from the last chart's exit jet; a
-conic's closed form reads no start.  Rays to the wall (boundary_hit, which
-the steady solve shoots) take ray_exit, closed form on conics.
+conic's closed form reads no start.  On a conic every route runs one
+kernel, a quadratic in the offset q on per-line constants (_conic_disc,
+_conic_jet): grid-shaped in the binding's chart, floats in its ends, (B, 1)
+in offset_exit, and at q = 0 with N = 0 for the rays to the wall
+(boundary_hit, which the steady solve shoots, takes ray_exit).
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ class ImplicitDomain:
         p_star, tangents, normals and lengths), bound once, for a Stepper on
         the (3, n+1) grids: an object whose chart(q) gives (s, s', s'') at
         the (3, n+1) offsets q, and whose ends(q) gives (s, s') as float
-        lists at the six offsets q, a 6-list, of the branch ends (junction
-        ends, then wall ends).  Both give offset_exit's values on the same
-        lines from the starts the binding picks.  Subclasses give the route
-        of their family."""
+        sequences at the six offsets q, a 6-list, of the branch ends
+        (junction ends, then wall ends).  Both give offset_exit's values on
+        the same lines from the starts the binding picks.  Subclasses give
+        the route of their family."""
         raise NotImplementedError
 
     def ray_exit(self, origin, direction):
@@ -151,8 +154,9 @@ class ConicDomain(ImplicitDomain):
         self.w = np.asarray(w, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.r = r
-        self._scale = np.sqrt(self.w)  # W = S^2: a circle in y = S (x - c)
         self._hess_diag = 2.0 * self.w
+        # W = S^2: a circle in y = S (x - c); S, c and r as floats for _line
+        self._frame = (*np.sqrt(self.w).tolist(), *self.center.tolist(), float(r))
 
     def psi(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -167,112 +171,119 @@ class ConicDomain(ImplicitDomain):
         return h
 
     def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """The closed form of _conic_chord and _conic_jet on the (B, R)
-        offsets q of B lines, T and N (B, 2) and base (2,) or (B, 2), from
-        the frame constants of (base, T, N) at (B, R); s_ref is not read."""
-        q = np.asarray(q, dtype=float)
-        frame = self._frame(*(np.asarray(v, dtype=float) for v in (base, T, N)), q.shape[1])
-        return _conic_exits(frame, self.r, q, second)
+        """The conic kernel (_conic_disc, _conic_jet) on the (B, R) offsets q
+        of B lines, T and N (B, 2) and base (2,) or (B, 2), from per-line
+        constants (B, 1); s_ref is not read."""
+        lines = np.broadcast_to(base, np.shape(T))
+        consts = [self._line(*b, *t, *nn) for b, t, nn in
+                  zip(lines.tolist(), np.asarray(T).tolist(), np.asarray(N).tolist())]
+        return _conic_exits(np.array(consts).T[..., None], np.asarray(q, dtype=float), second)
 
     def network_exits(self, network, n):
         return _ConicExits(self, network, n)
 
     def ray_exit(self, origin, direction):
-        # The far root of the closed form at q = 0, from frame constants
-        # built per ray in Python floats.  From an interior origin it is the
-        # one crossing.
-        (s0, s1), (c0, c1) = self._scale.tolist(), self.center.tolist()
+        # The far root at q = 0 on the constants of the line with N = 0,
+        # those of _line with every term in N dropped; from an interior
+        # origin it is the one crossing.
+        s0, s1, c0, c1, r = self._frame
         (x0, x1), (d0, d1) = origin.tolist(), direction.tolist()
-        T0, T1 = d0 * s0, d1 * s1
-        frame = ((x0 - c0) * s0, (x1 - c1) * s1, T0, T1, 0.0, 0.0, T0 * T0 + T1 * T1, 0.0, 0.0)
-        o0, o1, b, disc = _conic_chord(frame, float(self.r), 0.0)
+        sh0, sh1, T0, T1 = (x0 - c0) * s0, (x1 - c1) * s1, d0 * s0, d1 * s1
+        a, b = T0 * T0 + T1 * T1, sh0 * T0 + sh1 * T1
+        line = (b, 0.0, 0.0, 0.0, a, b * b - a * (sh0 * sh0 + sh1 * sh1 - r), 0.0, 0.0)
+        disc = _conic_disc(line, 0.0)
         if not disc > 0.0:  # NaN fails the test too
             raise NoIntersection("ray does not cross the boundary")
-        return _conic_jet(frame, o0, o1, b, math.sqrt(disc), False)[0]
+        return _conic_jet(line, 0.0, math.sqrt(disc), False)[0]
 
-    def _frame(self, base, T, N, width):
-        """Constants of the closed form for the lines base + q N + s T in
-        y = S (x - c), one line per row of T and N: the shifted base
-        S (base - c), the components of S T and S N, a = |S T|^2, (S T, S N)
-        and |S N|^2, each repeated along the width of the offsets' rows,
-        (B, width), so that the closed form runs on equal shapes."""
-        T, N = T * self._scale, N * self._scale
-        T0, T1, N0, N1 = T[:, :1], T[:, 1:], N[:, :1], N[:, 1:]
-        shift = (base - self.center) * self._scale
-        frame = (shift[..., :1], shift[..., 1:], T0, T1, N0, N1,
-                 T0 * T0 + T1 * T1, T0 * N0 + T1 * N1, N0 * N0 + N1 * N1)
-        return tuple(np.broadcast_to(c, (len(T), width)).copy() for c in frame)
+    def _line(self, b0, b1, T0, T1, N0, N1):
+        """The constants of the conic kernel for the line base + q N + s T in
+        y = S (x - c), as a tuple of floats."""
+        s0, s1, c0, c1, r = self._frame
+        sh0, sh1 = (b0 - c0) * s0, (b1 - c1) * s1
+        T0, T1, N0, N1 = T0 * s0, T1 * s1, N0 * s0, N1 * s1
+        a = T0 * T0 + T1 * T1
+        TN = T0 * N0 + T1 * N1
+        NN = N0 * N0 + N1 * N1
+        b = sh0 * T0 + sh1 * T1
+        sN = sh0 * N0 + sh1 * N1
+        return (b, TN, sN, NN, a, b * b - a * (sh0 * sh0 + sh1 * sh1 - r),
+                2.0 * (b * TN - a * sN), TN * TN - a * NN)
 
 
 class _ConicExits:
-    """network_exits on a conic: the closed form, which reads no start, from
-    frame constants bound once, at the chart's width for chart and per line
-    in Python floats for ends.  ends runs the kernel per line in floats and
-    makes its checks over all six lines in offset_exit's order, so both
-    give offset_exit's bits and raise its errors; math.sqrt runs only after
-    the miss check."""
+    """network_exits on a conic: the conic kernel, which reads no start, on the
+    constants of the three branch lines, bound once: grid-shaped, (3, n+1),
+    for chart, and per line in Python floats for ends.  ends runs the
+    kernel per line in floats and makes offset_exit's checks over all six
+    lines, so chart, ends and offset_exit agree bitwise and raise alike."""
 
     def __init__(self, domain, network, n):
-        self._frame = domain._frame(network.p_star, network.tangents, network.normals, n + 1)
-        lines = list(zip(*(c[:, 0].tolist() for c in self._frame)))
+        lines = [domain._line(*network.p_star.tolist(), *t, *nn) for t, nn in
+                 zip(network.tangents.tolist(), network.normals.tolist())]
+        self._grid = np.repeat(np.array(lines).T[..., None], n + 1, axis=2)
         self._ends = [lines[i] for i in _BRANCH6]
-        self._r = float(domain.r)
 
     def chart(self, q):
-        return _conic_exits(self._frame, self._r, q, True)
+        return _conic_exits(self._grid, q, True)
 
     def ends(self, q):
-        r = self._r
-        chords = [_conic_chord(line, r, qk) for line, qk in zip(self._ends, q)]
-        discs = [chord[3] for chord in chords]
-        if [disc for disc in discs if disc <= 0.0]:  # NaN passes, as in numpy
-            raise OffsetMissesBoundary("offset line misses the boundary")
-        roots = [math.sqrt(disc) for disc in discs]
-        if [root for root in roots if root < 0.5e-10]:
-            raise OffsetMissesBoundary("offset line tangent to the boundary")
-        jets = [_conic_jet(line, o0, o1, b, root, False)
-                for line, (o0, o1, b, _), root in zip(self._ends, chords, roots)]
-        return [jet[0] for jet in jets], [jet[1] for jet in jets]
+        discs = list(map(_conic_disc, self._ends, q))
+        if not min(discs) > _DISC_CLEAR:
+            _check_discs(discs)
+        s, ds, _ = zip(*map(_conic_jet, self._ends, q, map(math.sqrt, discs), _FIRST6))
+        return s, ds
 
 
-# The conic exit in y = S (x - c), where psi = |y|^2 - r, for arrays and for
-# Python floats alike.  With o = S (base + q N - c) and T, N scaled by S the
-# exit solves a s^2 + 2 b s + (|o|^2 - r) = 0, a = |T|^2, b = (o, T), and is
-# the root on the far side of the chord, the one continuous in the reference
-# root.  At the exit (grad psi, T) = 2 sqrt(disc), (grad psi, N) =
-# 2 (o + s T, N) and D2psi = 2 W, so the factors 2 cancel.  On a circle
-# S = Id and every product is exact.
+# The conic kernel, _conic_disc and _conic_jet: the exit in y = S (x - c),
+# where psi = |y|^2 - r, as a quadratic in the offset q on per-line
+# constants (ConicDomain._line), for arrays and for Python floats alike.
+# With o = S (base + q N - c) and T, N scaled by S, the exit solves
+# a s^2 + 2 b s + (|o|^2 - r) = 0 with a = |T|^2 and b = (o, T) =
+# b0 + q (T, N), so its discriminant b^2 - a (|o|^2 - r) is
+# A0 + q (A1 + q A2): A0 = b0^2 - a (|o0|^2 - r), A1 = 2 (b0 (T, N) -
+# a (o0, N)), A2 = (T, N)^2 - a |N|^2.  The exit is the root on the far side
+# of the chord, s = (sqrt(disc) - b) / a, the one continuous in the
+# reference root.  At the exit (grad psi, T) = 2 sqrt(disc), (grad psi, N) =
+# 2 (o + s T, N) and D2psi = 2 W, so the factors 2 cancel.  At q = 0 every
+# term in q vanishes exactly, which leaves the rays' expression.
 
-def _conic_chord(frame, r, q):
-    """(o0, o1, b, disc) of the offset line at q."""
-    sh0, sh1, T0, T1, N0, N1, a, _, _ = frame
-    o0 = sh0 + q * N0
-    o1 = sh1 + q * N1
-    b = o0 * T0 + o1 * T1
-    return o0, o1, b, b * b - a * (o0 * o0 + o1 * o1 - r)
-
-
-def _conic_exits(frame, r, q, second):
-    """(s, s', s'') on arrays of offsets q, after the miss and tangent checks."""
-    o0, o1, b, disc = _conic_chord(frame, r, q)
-    if (disc <= 0.0).any():
-        raise OffsetMissesBoundary("offset line misses the boundary")
-    root = np.sqrt(disc)
-    if (root < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
-        raise OffsetMissesBoundary("offset line tangent to the boundary")
-    return _conic_jet(frame, o0, o1, b, root, second)
+_DISC_CLEAR = 1e-20  # a discriminant above it passes both checks of _check_discs
+_FIRST6 = (False,) * 6  # second=False for the six ends
 
 
-def _conic_jet(frame, o0, o1, b, root, second):
-    """(s, s', s'') at the exit from the chord and root = sqrt(disc); s''
-    is None when second=False."""
-    _, _, _, _, N0, N1, a, TN, NN = frame
-    s = (root - b) / a
-    ds = -(o0 * N0 + o1 * N1 + s * TN) / root
+def _conic_disc(line, q):
+    _, _, _, _, _, A0, A1, A2 = line
+    return A0 + q * (A1 + q * A2)
+
+
+def _conic_jet(line, q, root, second):
+    """(s, s', s'') at the exit from root = sqrt(disc); s'' is None when
+    second=False."""
+    b, TN, sN, NN, a, _, _, _ = line
+    s = (root - (b + q * TN)) / a
+    ds = -(sN + q * NN + s * TN) / root
     if not second:
         return s, ds, None
-    xx = ds * ds * a + 2.0 * ds * TN + NN
-    return s, ds, -xx / root
+    return s, ds, -(ds * ds * a + 2.0 * ds * TN + NN) / root
+
+
+def _check_discs(discs):
+    """The miss and tangent checks of the discriminants; NaN passes both."""
+    discs = np.asarray(discs)
+    if (discs <= 0.0).any():
+        raise OffsetMissesBoundary("offset line misses the boundary")
+    if (np.sqrt(discs) < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
+        raise OffsetMissesBoundary("offset line tangent to the boundary")
+
+
+def _conic_exits(lines, q, second):
+    """(s, s', s'') on arrays of offsets q from the constants `lines`, eight
+    arrays that broadcast to q, after the miss and tangent checks."""
+    disc = _conic_disc(lines, q)
+    if not disc.min() > _DISC_CLEAR:  # NaN takes the exact checks too
+        _check_discs(disc)
+    return _conic_jet(lines, q, np.sqrt(disc), second)
 
 
 class CircleDomain(ConicDomain):
@@ -399,9 +410,9 @@ class PolynomialDomain(ImplicitDomain):
         for _ in range(60):
             vals = _line_fields(coef, powers)
             f, df = vals[:, 0], vals[:, 1]
-            converged = np.abs(f) < 1e-13
-            if converged.all():
+            if np.abs(f).max() < 1e-13:  # NaN fails the test too
                 break
+            converged = np.abs(f) < 1e-13
             # converged entries and slopes under the floor take no step
             df = np.where(converged | (np.abs(df) < _GRAD_FLOOR), np.inf, df)
             # keep the iteration local to the reference root
@@ -414,7 +425,8 @@ class PolynomialDomain(ImplicitDomain):
             s[rows, cols] = self.line_exit(base + q[:, None] * N, T, start)
             vals = _line_fields(coef, _ladder(s, deg))
         gT = vals[:, 1]
-        if (np.abs(gT) < 1e-10).any():
+        slope = np.abs(gT)
+        if not slope.min() >= 1e-10 and (slope < 1e-10).any():  # NaN entries pass
             raise OffsetMissesBoundary("offset line tangent to the boundary")
         ds = vals[:, 2] / gT  # the third field is -P_q
         if not second:
@@ -526,10 +538,16 @@ def _derivative(mat, axis):
 
 def _ladder(v, deg):
     """Powers v^0 .. v^deg on a new first axis, by repeated multiplication;
-    v**k rounds differently and would move every fingerprint."""
+    v**k rounds differently and would move every fingerprint.  Up to 64
+    entries (the sweep's six ends) one multiply.accumulate makes every
+    product, about half the cost of a loop of in-place products; on longer
+    rows (a chart's) numpy's accumulate along the first axis is several
+    times slower than that loop.  Both give the same bits."""
     out = np.empty((deg + 1,) + np.shape(v))
     out[0] = 1.0
     out[1:] = v
+    if out[0].size <= 64:
+        return np.multiply.accumulate(out, axis=0, out=out)
     for k in range(1, deg):
         out[k + 1] *= out[k]
     return out
@@ -612,20 +630,27 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
     (dented) wall lengthens the branch, which is the stabilizing case.
     A gradient under the floor or not finite raises SingularGradient.
     """
+    h = wall_curvature_and_gradient(domain, x, tol)[0]
+    return float(h) if h.ndim == 0 else h
+
+
+def wall_curvature_and_gradient(domain: ImplicitDomain, x, tol: float = 1e-8):
+    """(h, grad psi, |grad psi|) at boundary points x: boundary_curvature's
+    h, with its checks, and the gradient it reads, for callers that need
+    both (a record's wall terms)."""
     x = np.asarray(x, dtype=float)
     val = np.asarray(domain.psi(x))
     scale = max(1.0, _box_diameter(domain.bounding_box))
     if np.any(np.abs(val) > tol * scale):
         raise NotOnBoundary(f"psi(x) = {val} exceeds boundary tolerance")
     g = domain.grad(x)
-    gnorm = np.linalg.norm(g, axis=-1)
-    if not np.all(gnorm >= _GRAD_FLOOR):  # NaN fails the test too
+    gnorm = np.sqrt((g * g).sum(axis=-1))  # the bits of np.linalg.norm(g, axis=-1)
+    if not gnorm.min() >= _GRAD_FLOOR:  # NaN fails the test too
         raise SingularGradient(f"gradient vanishes or is not finite on the boundary "
                                f"(|grad psi| = {gnorm})")
     t = (g / gnorm[..., None]) @ ROT90.T  # outward normal rotated by pi/2
     quad = np.einsum("...i,...ij,...j->...", t, domain.hess(x), t)
-    h = -quad / gnorm
-    return float(h) if h.ndim == 0 else h
+    return -quad / gnorm, g, gnorm
 
 
 def boundary_hit(domain: ImplicitDomain, origin, direction):
@@ -772,7 +797,7 @@ def newton(residual, u, held=None):
     held = held if lagged else LaggedJacobian()
     F = residual(u)
     for it in range(_NEWTON_MAX):
-        if all(abs(f) < _NEWTON_TOL for f in F):  # NaN never passes
+        if all(map(_NEWTON_TOL.__gt__, map(abs, F))):  # every |f| < tol; NaN never passes
             held.age += 1
             return u
         base = math.hypot(*F)

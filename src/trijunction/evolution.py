@@ -23,7 +23,9 @@ last chart's exit jet on a polynomial wall and none on a conic.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
-principal part is implicit.
+principal part is implicit.  The step reads it as max r <= 0.5 from the
+weights r = a dt / dsigma^2 on all n + 1 nodes, whose interior the
+tridiagonal solve takes.
 """
 
 from __future__ import annotations
@@ -121,20 +123,25 @@ class Stepper:
         Stepper's BoundaryOperator, with its lagged Jacobian; a singular
         Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
-        bc, (b0, b1), q = self._bc, self._basis, self._q
-        inner = bc.inner(rho)
+        bc = self._bc
+        (x0, x1, x2), (y0, y1, y2) = self._basis
+        (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = self._q
+        nodes = bc.nodes(rho)
 
         def unpack(u):
             c0, c1 = u[0], u[1]
-            return [c0 * x + c1 * y for x, y in zip(b0, b1)], u[2:]
+            return [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2], u[2:]
 
         def residual(u):
             # junction angle + outer perpendicularity residuals, interior frozen
             r0, w = unpack(u)
-            mu = [qa * r0[0] + qb * r0[1] + qc * r0[2] for qa, qb, qc in q]
-            return bc(inner, r0, w, mu)
+            r1, r2, r3 = r0
+            mu = [q00 * r1 + q01 * r2 + q02 * r3, q10 * r1 + q11 * r2 + q12 * r3,
+                  q20 * r1 + q21 * r2 + q22 * r3]
+            return bc(nodes, r0, w, mu)
 
-        u = (self.tensions.basis @ rho[:, 0]).tolist() + rho[:, -1].tolist()
+        (r1, *_, w1), (r2, *_, w2), (r3, *_, w3) = nodes
+        u = [x0 * r1 + x1 * r2 + x2 * r3, y0 * r1 + y1 * r2 + y2 * r3, w1, w2, w3]
         try:
             u = newton(residual, u, self._jac)
         except SingularJacobian as e:
@@ -163,34 +170,39 @@ class Stepper:
             self.chart(state)
         coef = self._ahead[1]
         self._ahead = None
-        a = coef.a
-        d2 = sigma_grids(self.config.n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
-        # min over branches of dsigma^2 / max a, as one division and one min
-        guard = 0.5 * float((d2 / a).min())
-        dt = self.dt
-        if dt > guard * _CFL_SLACK:
-            raise CflViolation(f"dt = {dt:.3e} exceeds guard {guard:.3e}")
+        n, dt = self.config.n, self.dt
+        d2 = sigma_grids(n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
+        # r = a dt / dsigma^2 on every node: the interior solve's weights,
+        # and the guard dt <= 0.5 min(dsigma^2 / a) as max r <= 0.5
+        r = coef.a * dt
+        r /= d2
+        r_max = float(r.max())
+        if r_max > 0.5 * _CFL_SLACK:
+            raise CflViolation(f"dt = {dt:.3e} exceeds guard {0.5 * dt / r_max:.3e}")
 
-        rhs = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
-        expl = rhs - a * coef.rho_ss
-
+        rhs = coef.L * coef.kappa
+        rhs += coef.Lam * coef.mu_t[:, None]
         rho = state.rho
 
-        # explicit predictor for the boundary nodes
-        b0 = rho[:, 0] + dt * rhs[:, 0]
-        bn = rho[:, -1] + dt * rhs[:, -1]
+        # explicit predictor for the boundary nodes (columns 0 and n)
+        ends = rhs[:, ::n] * dt
+        ends += rho[:, ::n]
+        b0, bn = ends[:, 0], ends[:, 1]
 
         # batched tridiagonal solve for the interior nodes of all branches;
         # row i of the banded matrix couples node j to j-1 and j+1 of the
-        # same branch only
-        r = dt * a[:, 1:-1] / d2[:, 1:-1]  # (3, n-1)
-        rhs_int = rho[:, 1:-1] + dt * expl[:, 1:-1]
-        rhs_int[:, 0] += r[:, 0] * b0
-        rhs_int[:, -1] += r[:, -1] * bn
-        np.negative(r[:, :-1], out=self._upper[:, 1:])
-        np.multiply(2.0, r, out=self._diag)
+        # same branch only.  Its right-hand side is rho + dt (rhs - a rho_ss),
+        # the explicit part, on the interior nodes.
+        rhs_int = coef.a[:, 1:-1] * coef.rho_ss[:, 1:-1]
+        np.subtract(rhs[:, 1:-1], rhs_int, out=rhs_int)
+        rhs_int *= dt
+        rhs_int += rho[:, 1:-1]
+        rhs_int[:, 0] += r[:, 1] * b0
+        rhs_int[:, -1] += r[:, -2] * bn
+        np.negative(r[:, 1:-2], out=self._upper[:, 1:])
+        np.multiply(2.0, r[:, 1:-1], out=self._diag)
         self._diag += 1.0
-        np.negative(r[:, 1:], out=self._lower[:, :-1])
+        np.negative(r[:, 2:-1], out=self._lower[:, :-1])
         # LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it
         ab = self._ab
         *_, sol, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs_int.ravel(),
@@ -199,9 +211,8 @@ class Stepper:
             raise np.linalg.LinAlgError(f"interior solve failed (dgtsv info {info})")
 
         rho_new = np.empty_like(rho)
-        rho_new[:, 1:-1] = sol.reshape(r.shape)
-        rho_new[:, 0] = b0
-        rho_new[:, -1] = bn
+        rho_new[:, 1:-1] = sol.reshape(rhs_int.shape)
+        rho_new[:, ::n] = ends
         rho_new, r0 = self.enforce_bcs(rho_new)
         return GraphState(rho=rho_new, mu=self.tensions.q @ r0, t=state.t + dt)
 
@@ -250,7 +261,7 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
         raise CompatibilityFailed(str(e)) from e
     state = GraphState(rho=rho, mu=tensions.q @ r0, t=0.0)
     # fail early if the state starts outside the admissible region
-    coefficients(network, domain, tensions, state)
+    coefficients(network, domain, tensions, state, stepper._exits)
     return state
 
 

@@ -26,7 +26,9 @@ same binding.  It reads the wall normal from the exit jet: differentiating
 psi(p_* + mu_b T + q N) = 0 in q gives grad psi = (grad psi, T)
 (T - mu_b' N), and (grad psi, T) > 0 at an outward crossing, so no gradient
 of psi is evaluated.  The chart keeps its lengths at grid shape, so that
-its arithmetic runs on equal shapes.
+its arithmetic runs on equal shapes, and runs it in place, each line
+rounding as its formula.  Its sigma-derivatives (rho_derivatives) read
+every stencil off one array of first differences.
 """
 
 from __future__ import annotations
@@ -152,40 +154,42 @@ def _cross(a, b):
 # ---------------------------------------------------------------------------
 # finite differences on the rho grid (second order, one-sided at the ends)
 
-# second-order one-sided stencils at the first node, applied to
-# rho_0..rho_3: column 0 gives 2 dsigma rho_sigma, column 1 dsigma^2 rho_ss
-_END_STENCILS = np.array([[-3.0, 2.0], [4.0, -5.0], [-1.0, 4.0], [0.0, -1.0]])
+# second-order one-sided stencils on the first differences D = diff(rho):
+# rows D_0, D_1, D_2, D_{n-1}, D_{n-2}, D_{n-3}; columns 2 dsigma rho_sigma
+# = 3 D_0 - D_1 and dsigma^2 rho_ss = -2 D_0 + 3 D_1 - D_2 at the first
+# node, then the same at the last node, mirrored, which flips the sign of
+# every difference
+_END_DIFFS = np.array([0, 1, 2, -1, -2, -3])
+_END_STENCILS = np.array([[3.0, -2.0, 0.0, 0.0], [-1.0, 3.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+                          [0.0, 0.0, 3.0, 2.0], [0.0, 0.0, -1.0, -3.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
-    """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids;
-    rho_sigmasigma is None when second is False."""
+    """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids, second
+    order, one-sided at the ends; rho_sigmasigma is None when second is
+    False.  Every stencil reads one array of first differences D: inside,
+    (D_j + D_{j-1}) / (2 dsigma) and (D_j - D_{j-1}) / dsigma^2, and the
+    four end stencils are one product of its end columns with
+    _END_STENCILS."""
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[-1] - 1
     d = (np.asarray(lengths, dtype=float) / n)[..., None]
-
-    two_d = 2.0 * d
+    diff = rho[..., 1:] - rho[..., :-1]
+    ends = diff.take(_END_DIFFS, axis=-1) @ _END_STENCILS
     rs = np.empty_like(rho)
-    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / two_d
-
-    # one-sided ends; the last node reads the first-node stencils mirrored,
-    # which flips the sign of the odd derivative
-    first = rho[..., :4] @ _END_STENCILS
-    last = rho[..., :-5:-1] @ _END_STENCILS
-    rs[..., 0] = first[..., 0] / two_d[..., 0]
-    rs[..., -1] = -(last[..., 0] / two_d[..., 0])
+    np.add(diff[..., 1:], diff[..., :-1], out=rs[..., 1:-1])
+    rs[..., ::n] = ends[..., ::2]
+    rs /= 2.0 * d
     if not second:
         return rs, None
-
-    d_sq = d**2
     rss = np.empty_like(rho)
-    rss[..., 1:-1] = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / d_sq
-    rss[..., 0] = first[..., 1] / d_sq[..., 0]
-    rss[..., -1] = last[..., 1] / d_sq[..., 0]
+    np.subtract(diff[..., 1:], diff[..., :-1], out=rss[..., 1:-1])
+    rss[..., ::n] = ends[..., 1::2]
+    rss /= d * d
     return rs, rss
 
 
-_SLOPE_WEIGHTS = tuple(float(c) for c in _END_STENCILS[:3, 0])
+_SLOPE_WEIGHTS = (-3.0, 4.0, -1.0)
 
 
 def end_slope(v0, v1, v2, two_dsigma):
@@ -213,7 +217,7 @@ def junction_point(network, state: GraphState) -> np.ndarray:
     pts = (network.p_star
            + state.mu[..., None] * network.tangents
            + state.rho[..., 0, None] * network.normals)
-    return pts.mean(axis=-2)
+    return pts.sum(axis=-2) / 3.0  # the bits of pts.mean(axis=-2), without its dispatch
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +281,30 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
                                              state.rho, network.lengths[:, None])
     else:
         mu_b, dmu, ddmu = exits.chart(state.rho)
-    xi_sigma = (mu_b - mu) / l
-    xi_q = frac * dmu
-    xi_sq = dmu / l
-    xi_qq = frac * ddmu
-
-    phi_T = xi_sigma + xi_q * rho_s
-    J2 = phi_T**2 + rho_s**2
-    if (J2 < _J_FLOOR**2).any():
+    # in place, each quantity rounding as its formula: with xi_q = frac mu_b',
+    # xi_sq = mu_b' / l and xi_qq = frac mu_b'', xi_sigma = (mu_b - mu) / l,
+    # phi_T = xi_sigma + xi_q rho_sigma, J^2 = phi_T^2 + rho_sigma^2 and
+    # kappa = (xi_sigma rho_ss - (2 xi_sq + xi_qq rho_sigma) rho_sigma^2) / (J^2 J)
+    xi_sigma = mu_b - mu
+    xi_sigma /= l
+    phi_T = frac * dmu
+    phi_T *= rho_s
+    phi_T += xi_sigma
+    rs2 = rho_s * rho_s
+    J2 = phi_T * phi_T
+    J2 += rs2
+    if not J2.min() >= _J_FLOOR**2 and (J2 < _J_FLOOR**2).any():  # NaN entries pass
         raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
     J = np.sqrt(J2)
-    kappa = (xi_sigma * rho_ss - (2.0 * xi_sq + xi_qq * rho_s) * rho_s**2) / (J2 * J)
+    bend = frac * ddmu
+    bend *= rho_s
+    xi_sq = dmu / l
+    xi_sq *= 2.0
+    bend += xi_sq
+    bend *= rs2
+    kappa = xi_sigma * rho_ss
+    kappa -= bend
+    kappa /= J2 * J
     return ChartGeometry(mu_b=mu_b, dmu_b=dmu, frac=frac, xi_sigma=xi_sigma, phi_T=phi_T,
                          rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
 
@@ -311,27 +328,43 @@ def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
     The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
     as well, so one call provides the entire right-hand side
     rho_t = L kappa + Lambda mu_t of the flow.  J and kappa come from
-    chart_geometry; the det M floor guards the step.  The mobilities equal
-    the tensions, so L and a carry no mobility factor.  exits is passed to
-    chart_geometry.
+    chart_geometry; the det M floor guards the step.  det M and mu_t are a
+    3x3 solve, made in Python floats (_junction_solve).  The mobilities
+    equal the tensions, so L and a carry no mobility factor.  exits is
+    passed to chart_geometry.
     """
-    Q = tensions.q
     geo = chart_geometry(network, domain, state, exits)
-    xi_sigma, J, kappa = geo.xi_sigma, geo.J, geo.kappa
-    L = 1.0 / xi_sigma * J
-    Lam = (1.0 - geo.frac) * geo.rho_sigma / xi_sigma
+    L = 1.0 / geo.xi_sigma
+    L *= geo.J
+    Lam = 1.0 - geo.frac
+    Lam *= geo.rho_sigma
+    Lam /= geo.xi_sigma
     a = 1.0 / geo.J2
-
-    M = np.eye(3) - Lam[:, 0, None] * Q
-    det_M = float(np.linalg.det(M))
-    if det_M <= _DET_M_FLOOR:
-        raise MatrixMNotInvertible(f"det M = {det_M:.4f} at or below floor {_DET_M_FLOOR}")
-    mu_t = Q @ (np.linalg.inv(M) @ (L[:, 0] * kappa[:, 0]))
-
-    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, mu_t=mu_t, det_M=det_M)
+    det_M, mu_t = _junction_solve(tensions.q.tolist(), Lam[:, 0].tolist(),
+                                  (L[:, 0] * geo.kappa[:, 0]).tolist())
+    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, mu_t=np.array(mu_t), det_M=det_M)
 
 
-_INNER_NODES = np.array([1, 2, -2, -3])  # the nodes besides the ends that end_slope reads
+def _junction_solve(Q, lam, v):
+    """det M and Q M^-1 v for M = Id - diag(lam) Q, in Python floats: Q a
+    3x3 row list, lam and v 3-lists.  det M is expanded along M's first
+    row, and M^-1 v is its adjugate applied to v over det M; a 3x3 system
+    costs a few dozen flops, less than one numpy call.  det M at or below
+    the floor raises MatrixMNotInvertible before the division."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+        [(1.0 if i == j else 0.0) - lam[i] * Q[i][j] for j in range(3)] for i in range(3))
+    c00, c01, c02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
+    det = m00 * c00 + m01 * c01 + m02 * c02
+    if det <= _DET_M_FLOOR:
+        raise MatrixMNotInvertible(f"det M = {det:.4f} at or below floor {_DET_M_FLOOR}")
+    v0, v1, v2 = v
+    x = ((c00 * v0 + (m02 * m21 - m01 * m22) * v1 + (m01 * m12 - m02 * m11) * v2) / det,
+         (c01 * v0 + (m00 * m22 - m02 * m20) * v1 + (m02 * m10 - m00 * m12) * v2) / det,
+         (c02 * v0 + (m01 * m20 - m00 * m21) * v1 + (m00 * m11 - m01 * m10) * v2) / det)
+    return det, [row[0] * x[0] + row[1] * x[1] + row[2] * x[2] for row in Q]
+
+
+_SWEEP_NODES = np.array([0, 1, 2, -2, -3, -1])  # the boundary values and what end_slope reads
 
 
 class BoundaryOperator:
@@ -348,23 +381,25 @@ class BoundaryOperator:
 
     def __init__(self, network, exits, angles: JunctionAngles, n: int):
         self.exits = exits
-        self.frames = list(zip(network.tangents.tolist(), network.normals.tolist(),
-                               network.lengths.tolist()))
-        self.two_d = [2.0 * (l / n) for l in network.lengths.tolist()]
+        # per branch (T, N, l, 2 dsigma) as six floats
+        self.frames = [(*t, *nn, l, 2.0 * (l / n)) for t, nn, l in
+                       zip(network.tangents.tolist(), network.normals.tolist(),
+                           network.lengths.tolist())]
         self.cos = angles.cos.tolist()
 
     @staticmethod
-    def inner(rho):
-        """Per branch the nodes 1, 2, n-1, n-2 of rho, which the end slopes
-        read besides the boundary values."""
-        return rho.take(_INNER_NODES, axis=1).tolist()
+    def nodes(rho):
+        """Per branch the nodes 0, 1, 2, n-1, n-2 and n of rho, one fetch:
+        the junction and wall values and the nodes that the end slopes read
+        besides them."""
+        return rho.take(_SWEEP_NODES, axis=1).tolist()
 
-    def __call__(self, inner, r0, w, mu) -> list:
+    def __call__(self, nodes, r0, w, mu) -> list:
         """[g12, g13, outer_1, outer_2, outer_3] as floats for the boundary
         values (r0, w), 3-lists that replace the junction and wall nodes of
         rho, whose interior enters only through the one-sided end slopes
-        (inner = inner(rho)); mu, a 3-list, holds the tangential junction
-        offsets.
+        (nodes = nodes(rho), whose boundary values are not read); mu, a
+        3-list, holds the tangential junction offsets.
 
         g12 = (Phi^1_sigma, Phi^2_sigma) - J^1 J^2 cos(theta^3) and cyclically
         g13 with cos(theta^2): the curves meet at the Young angles iff both
@@ -374,20 +409,19 @@ class BoundaryOperator:
         linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
         as (grad psi, T) (T - mu_b' N)."""
         mu_b, dmu = self.exits.ends(r0 + w)
+        c0, c1, c2 = _SLOPE_WEIGHTS  # end_slope, written out
         junction, res = [], []
-        for i, ((tx, ty), (nx, ny), l) in enumerate(self.frames):
-            a1, a2, b1, b2 = inner[i]
-            two_d = self.two_d[i]
+        for (tx, ty, nx, ny, l, two_d), (_, a1, a2, b1, b2, _), r, ww, m, m0, m1, d in zip(
+                self.frames, nodes, r0, w, mu, mu_b, mu_b[3:], dmu[3:]):
             # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
-            xs = (mu_b[i] - mu[i]) / l
-            rs = end_slope(r0[i], a1, a2, two_d)
+            xs = (m0 - m) / l
+            rs = (c0 * r + c1 * a1 + c2 * a2) / two_d
             junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
             # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
             # = a T + rs N, and grad psi is parallel to T - mu_b' N, so
             # -(R Phi_sigma, grad psi) / (J |grad psi|) is a frame expression
-            xs = (mu_b[3 + i] - mu[i]) / l
-            rs = -end_slope(w[i], b1, b2, two_d)
-            d = dmu[3 + i]
+            xs = (m1 - m) / l
+            rs = -((c0 * ww + c1 * b1 + c2 * b2) / two_d)
             a = xs + rs * d
             res.append((a * d + rs) / (math.hypot(a, rs) * math.hypot(1.0, d)))
 

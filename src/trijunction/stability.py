@@ -155,7 +155,10 @@ def _weight(lam, n, kd, ko, md, mo, d, h):
 def _profile(lam, n, kd, ko, md, mo, d, h):
     """phi_k / phi(0) = (-o/|o|)^k E_{n-k}/E_n, k = 0..n: the continuation of
     the junction value into the branch that solves its block, with E_m scaled
-    by e^{-m t} for x = cosh t so that nothing overflows."""
+    by e^{-m t} for x = cosh t so that nothing overflows.  An E_n that is 0
+    or not finite, where lambda sits on a branch pole to rounding, raises
+    EigenSolveFailed before the division (a NaN elsewhere in E fails the
+    solve's Rayleigh check)."""
     reg = _regime(lam, kd, ko, md, mo, d, h)
     if reg is None:
         return np.r_[1.0, np.zeros(n)]
@@ -170,7 +173,10 @@ def _profile(lam, n, kd, ko, md, mo, d, h):
         E = np.cos(theta * m) + eta * np.sin(theta * m) / (math.sqrt(-eps) * math.sqrt(2.0 + eps))
     if (ko + lam * mo > 0) != (sign < 0):
         E[1::2] *= -1.0
-    return E / E[0]
+    E_n = E[0]
+    if not (E_n != 0.0 and math.isfinite(E_n)):  # lam on a branch pole, to rounding
+        raise EigenSolveFailed(f"the branch profile is lost at lambda = {lam}: E_n = {E_n}")
+    return E / E_n
 
 
 def _branch_scalars(network, tensions, n, forms, b):

@@ -10,6 +10,7 @@ produced by these oracles and compare the library against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,66 @@ def conic_line_root(weights, center, level, origin, direction):
     disc = b * b - a * c
     assert np.all(disc > 0.0), "line misses the conic"
     return (-b + np.sqrt(disc)) / a
+
+
+def conic_exit_jet_mp(weights, center, level, base, T, N, q, dps=40):
+    """(s, s', s'') of the conic exit at offset q as mpmath numbers, every
+    float input taken as exact: psi(base + s T + q N) = A s^2 + 2 B s + C
+    with A = sum w T^2, B = sum w T o, C = sum w o^2 - level, o = base + q N
+    - center; s = (sqrt(B^2 - A C) - B) / A, the far root, and s', s'' by
+    implicit differentiation of psi = 0 in q."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    w, c, b, t, nn = ([mp.mpf(float(v)) for v in a] for a in (weights, center, base, T, N))
+    q, level = mp.mpf(float(q)), mp.mpf(float(level))
+    o = [b[k] + q * nn[k] - c[k] for k in range(2)]
+    A = sum(w[k] * t[k] ** 2 for k in range(2))
+    B = sum(w[k] * t[k] * o[k] for k in range(2))
+    C = sum(w[k] * o[k] ** 2 for k in range(2)) - level
+    s = (mp.sqrt(B * B - A * C) - B) / A
+    p_s = 2 * (A * s + B)
+    p_q = 2 * sum(w[k] * nn[k] * (o[k] + s * t[k]) for k in range(2))
+    p_sq = 2 * sum(w[k] * t[k] * nn[k] for k in range(2))
+    p_qq = 2 * sum(w[k] * nn[k] ** 2 for k in range(2))
+    ds = -p_q / p_s
+    return s, ds, -(2 * A * ds * ds + 2 * p_sq * ds + p_qq) / p_s
+
+
+def conic_ray_root_expanded(weights, center, level, origin, direction):
+    """The far root t of psi(origin + t direction) = 0 on an axis-aligned
+    conic in Python floats, expanded per ray in y = S (x - c), S^2 =
+    diag(weights): o = S (origin - c), d = S direction, a = |d|^2,
+    b = (o, d), disc = b^2 - a (|o|^2 - level), t = (sqrt(disc) - b) / a;
+    None when disc is not positive."""
+    s0, s1 = np.sqrt(np.asarray(weights, dtype=float)).tolist()
+    c0, c1 = np.asarray(center, dtype=float).tolist()
+    (x0, x1), (d0, d1) = np.asarray(origin).tolist(), np.asarray(direction).tolist()
+    o0, o1, T0, T1 = (x0 - c0) * s0, (x1 - c1) * s1, d0 * s0, d1 * s1
+    a = T0 * T0 + T1 * T1
+    b = o0 * T0 + o1 * T1
+    disc = b * b - a * (o0 * o0 + o1 * o1 - float(level))
+    return (math.sqrt(disc) - b) / a if disc > 0.0 else None
+
+
+def rho_derivatives_stencils(rho, lengths):
+    """(rho_sigma, rho_sigmasigma) by the three-point stencils on the nodes
+    themselves: (rho_{j+1} - rho_{j-1}) / (2 d) and (rho_{j+1} - 2 rho_j +
+    rho_{j-1}) / d^2 inside, (-3 rho_0 + 4 rho_1 - rho_2) / (2 d) and
+    (2 rho_0 - 5 rho_1 + 4 rho_2 - rho_3) / d^2 at the first node, mirrored
+    at the last."""
+    rho = np.asarray(rho, dtype=float)
+    n = rho.shape[-1] - 1
+    d = (np.asarray(lengths, dtype=float) / n)[..., None]
+    rs, rss = np.empty_like(rho), np.empty_like(rho)
+    rs[..., 1:-1] = (rho[..., 2:] - rho[..., :-2]) / (2 * d)
+    rss[..., 1:-1] = (rho[..., 2:] - 2 * rho[..., 1:-1] + rho[..., :-2]) / d**2
+    for k, sign in ((0, 1.0), (-1, -1.0)):
+        r0, r1, r2, r3 = (rho[..., j] if k == 0 else rho[..., -1 - j] for j in range(4))
+        rs[..., k] = sign * (-3 * r0 + 4 * r1 - r2) / (2 * d[..., 0])
+        rss[..., k] = (2 * r0 - 5 * r1 + 4 * r2 - r3) / d[..., 0] ** 2
+    return rs, rss
 
 
 def circle_points(radius, t0, t1, n):

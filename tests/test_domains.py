@@ -28,7 +28,9 @@ from trijunction.tensions import ROT90
 
 from conftest import trefoil_domain, two_dents_domain
 from oracles import (
+    conic_exit_jet_mp,
     conic_line_root,
+    conic_ray_root_expanded,
     ellipse_curvature_magnitude,
     implicit_offset_exit,
     ladder_loop,
@@ -545,6 +547,50 @@ def test_conic_network_exits_raise_as_offset_exit(name):
                 got, want = _raised(got), _raised(want)
                 assert got == want and got[0] is OffsetMissesBoundary, (case, got)
                 assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("name", list(CONICS))
+def test_conic_exit_jet_is_within_five_ulps_of_40_digit_reference(name, skew):
+    # The conic kernel, a quadratic in q on per-line constants, against the
+    # exit solved at 40 digits from the same float inputs: (s, s', s'') from
+    # offset_exit, from the binding's chart and (s, s') from its ends, which
+    # agree bitwise.  In units of the last place of max(|ref|, 1), over these
+    # draws (4 frames per case, 75 offsets each, q uniform in [-0.2, 0.2];
+    # 2400 entries per component over the four conics and both frame kinds)
+    # the errors read at most 2.0, 2.5 and 3.0 ulps (the expansion in
+    # o = base + q N it replaced: 2.0, 1.75 and 4.0); the bound is 5.
+    make, w, c, r = CONICS[name]
+    domain = make()
+    rng = np.random.default_rng(27)
+    for _ in range(4):
+        base, T, N, lengths = _random_frames(domain, rng, skew)
+        q = rng.uniform(-0.2, 0.2, (3, 25))
+        want = np.array([[[float(v) for v in conic_exit_jet_mp(w, c, r, base, T[i], N[i], qk)]
+                          for qk in q[i]] for i in range(3)]).transpose(2, 0, 1)
+        got = domain.offset_exit(base, T, N, q, None)
+        exits = _bind(domain, base, T, N, lengths, q.shape[1] - 1)
+        _assert_bitwise(exits.chart(q), got)
+        q6 = np.concatenate((q[:, 0], q[:, -1]))
+        _assert_bitwise(exits.ends(q6.tolist()), [_end_columns(got)[k] for k in (0, 1)])
+        for k in range(3):
+            assert _ulps(got[k], want[k]) <= 5.0, (k, _ulps(got[k], want[k]))
+
+
+@pytest.mark.parametrize("name", list(CONICS))
+def test_conic_ray_exit_is_the_expanded_closed_form_bitwise(name):
+    # ray_exit is the conic kernel at q = 0 on a line with N = 0, where every
+    # term in q vanishes exactly: its roots are bitwise those of the closed
+    # form expanded per ray, on 1000 rays from interior origins.
+    make, w, c, r = CONICS[name]
+    domain = make()
+    rng = np.random.default_rng(27)
+    for _ in range(1000):
+        origin = np.asarray(c) + rng.uniform(-0.3, 0.3, 2)
+        direction = rng.normal(size=2)
+        direction /= np.linalg.norm(direction)
+        want = conic_ray_root_expanded(w, c, r, origin, direction)
+        assert domain.ray_exit(origin, direction) == want
 
 
 @pytest.mark.parametrize("skew", [False, True])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from trijunction.parameterization import (
     psi_first_jet,
     rho_derivatives,
     state_from_rho,
+    _junction_solve,
 )
 from trijunction.tensions import ROT90, SurfaceTensions, junction_matrix, young_angles
 
@@ -25,7 +28,10 @@ from oracles import (
     metric_J,
     psi_jet,
     psi_map,
+    rho_derivatives_stencils,
 )
+
+from conftest import random_tensions
 
 
 def geometric_curvature(points):
@@ -316,7 +322,7 @@ def bc_residuals(network, domain, angles, rho, r0, w, mu):
     route the boundary sweep runs, at boundary values (r0, w) of rho."""
     n = rho.shape[1] - 1
     op = BoundaryOperator(network, domain.network_exits(network, n), angles, n)
-    return np.array(op(op.inner(rho), *(np.asarray(v, dtype=float).tolist()
+    return np.array(op(op.nodes(rho), *(np.asarray(v, dtype=float).tolist()
                                         for v in (r0, w, mu))))
 
 
@@ -438,3 +444,57 @@ def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):
     assert abs(g @ state.rho[:, 0]) < 1e-12
     q = junction_matrix(young_angles(unit_tensions))
     assert np.abs(state.mu - q @ state.rho[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 8, 48, 200])
+def test_derivatives_from_one_difference_array_match_the_node_stencils(n):
+    # rho_derivatives reads every stencil off D = diff(rho); the same
+    # stencils on the nodes themselves round differently.  Over these 100
+    # draws per n (unstacked and stacked, 400 in all) the differences read
+    # at most 6.3 eps max|rho| / dsigma for rho_sigma and 14.5 eps max|rho| /
+    # dsigma^2 for rho_sigmasigma, per branch; the bounds are about twice
+    # that.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(27)
+    for shape in [(3, n + 1), (5, 3, n + 1)]:
+        for _ in range(50):
+            rho = rng.normal(size=shape) * rng.uniform(1e-3, 1)
+            lengths = rng.uniform(0.2, 3, 3)
+            d = (lengths / n)[:, None]
+            scale = eps * np.abs(rho).max(axis=-1, keepdims=True)
+            rs, rss = rho_derivatives(rho, lengths)
+            want_rs, want_rss = rho_derivatives_stencils(rho, lengths)
+            assert np.all(np.abs(rs - want_rs) * d <= 12 * scale)
+            assert np.all(np.abs(rss - want_rss) * d**2 <= 32 * scale)
+            first, _ = rho_derivatives(rho, lengths, second=False)
+            assert first.tobytes() == rs.tobytes()
+
+
+def test_junction_solve_in_floats_matches_numpy_linalg():
+    # det M and mu_t = Q M^-1 v for M = Id - diag(Lam(0)) Q, solved in
+    # Python floats, against np.linalg.det and inv.  Errors are in units of
+    # eps times the size of the terms they sum: the permanent of |M| for
+    # det M, |Q| |M^-1| |v| for mu_t.  Over these 2000 draws (random
+    # admissible tensions, Lam(0) uniform in [-0.5, 0.5], v normal; draws
+    # with det M at or below the floor are checked to raise) they read at
+    # most 2.3 and 2.6; the bounds are about twice that.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(27)
+    solved = 0
+    while solved < 2000:
+        tensions = random_tensions(rng)
+        Q, lam, v = tensions.q, rng.uniform(-0.5, 0.5, 3), rng.normal(size=3)
+        M = np.eye(3) - lam[:, None] * Q
+        want_det = np.linalg.det(M)
+        if want_det <= 0.5:
+            with pytest.raises(MatrixMNotInvertible):
+                _junction_solve(Q.tolist(), lam.tolist(), v.tolist())
+            continue
+        det, mu_t = _junction_solve(Q.tolist(), lam.tolist(), v.tolist())
+        inv = np.linalg.inv(M)
+        permanent = sum(np.prod(np.abs(M[[0, 1, 2], list(p)]))
+                        for p in itertools.permutations(range(3)))
+        assert abs(det - want_det) <= 5 * eps * permanent
+        terms = np.abs(Q) @ (np.abs(inv) @ np.abs(v))
+        assert np.all(np.abs(np.array(mu_t) - Q @ (inv @ v)) <= 5 * eps * terms)
+        solved += 1

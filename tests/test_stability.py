@@ -615,3 +615,25 @@ def test_solve_rejects_a_branch_count_that_is_not_an_integer_of_at_least_one(n):
 def test_solve_takes_a_numpy_integer_branch_count():
     net = synthetic_network((1.0, 0.8, 1.2), (-0.5, 1.0, 0.7), UNIT)
     assert max_eigenvalue(net, UNIT, np.int64(48)).lambda_max == max_eigenvalue(net, UNIT, 48).lambda_max
+
+
+# Two forks of the wide census (default_rng(2026), per fork random_tensions,
+# l = uniform(0.2, 3, 3), h = uniform(-100, 100, 3), n = integers(1, 49);
+# draws 110 and 172 of 4000) whose top eigenvalue sits on a branch pole to
+# rounding: E_n of one branch profile is exactly 0 there.
+_PROFILE_LOST = [
+    ((2.1158031483708726, 0.3552062320943598, 2.781565407435637),
+     (-58.975685549145204, -53.265486804470406, -82.1801083263197),
+     (1.1431191290251526, 1.2550916380826702, 1.5398253529232335), 22),
+    ((1.3182755550962741, 1.399322508897182, 0.5457671869378985),
+     (-14.280178082264428, 99.68976187913213, 50.38042619625861),
+     (1.609539830942612, 1.078942501930687, 1.4624555253242777), 29),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("l, h, gamma, n", _PROFILE_LOST)
+def test_solve_raises_without_warning_when_a_profile_is_lost_at_a_pole(l, h, gamma, n):
+    tensions = SurfaceTensions(gamma)
+    with pytest.raises(EigenSolveFailed, match="profile is lost"):
+        max_eigenvalue(synthetic_network(l, h, tensions), tensions, n)

@@ -104,38 +104,48 @@ def _best_of(calls, repeats):
     return best
 
 
-def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
-    # A ratio of two timings in one process does not depend on the host's
-    # speed.  The record shares the chart kernel of coefficients and adds
-    # quadratures and end stencils (about 2 calls); a second curvature route
-    # such as the chord-length resampling of tests/oracles.py costs over 10.
+def _gate_ratio(name, *fixtures):
+    """The reading of the ratio gate `name` (RATIO_GATES): its timing body
+    run once on the fixtures, and the ratio it bounds."""
+    body, _, num, den, bound = RATIO_GATES[name]
+    best = body(*fixtures)
+    return best[num] / best[den], bound, best
+
+
+def _check_gate(name, *fixtures):
+    ratio, bound, best = _gate_ratio(name, *fixtures)
+    assert ratio <= bound, (ratio, best)
+
+
+def _disk_record_state(disk, disk_network, unit_tensions):
     n = 200
     config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
     phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
     state = initial_state(disk_network, disk, unit_tensions, config, kind="eigenmode",
                           amplitude=1e-2, eigenfunction=phi)
+    return config, state
+
+
+def _plain_record_timings(disk, disk_network, unit_tensions):
+    _, state = _disk_record_state(disk, disk_network, unit_tensions)
     calls = {
         "coefficients": lambda: coefficients(disk_network, disk, unit_tensions, state),
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state),
     }
-    best = _best_of(calls, 5)
-    assert best["record"] <= 5.0 * best["coefficients"], best
+    return _best_of(calls, 5)
 
 
-def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
-        disk, disk_network, unit_tensions):
-    # A run hands each record the coefficients its next step reads, so the
-    # record adds only its quadratures, end stencils and wall terms to the
-    # chart (1.4-1.9 calls, by host); one that evaluates the chart again costs
-    # about 2.2-2.6.  The coefficients call is timed on the Stepper's exit
-    # binding, as a run makes it.  The best of 20 interleaved timings read
-    # 1.82-1.90 over 10 processes on a shared 2-core host; the best of 5
-    # once read 2.21 on a busier one.
-    n = 200
-    config = EvolveConfig(dt=0.45 / n**2, t_end=0.0, n=n)
-    phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
-    state = initial_state(disk_network, disk, unit_tensions, config, kind="eigenmode",
-                          amplitude=1e-2, eigenfunction=phi)
+def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  The record shares the chart kernel of coefficients and adds
+    # quadratures and end stencils (about 2 calls; 2.05-2.20 over 10 fresh
+    # processes, tests/gate_readings.py); a second curvature route such as
+    # the chord-length resampling of tests/oracles.py costs over 10.
+    _check_gate("record_plain", disk, disk_network, unit_tensions)
+
+
+def _chart_record_timings(disk, disk_network, unit_tensions):
+    config, state = _disk_record_state(disk, disk_network, unit_tensions)
     stepper = Stepper(disk_network, disk, unit_tensions, config)
     chart = stepper.chart(state)
     calls = {
@@ -144,16 +154,24 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
         "record": lambda: record_from_state(disk_network, disk, unit_tensions, state,
                                             chart=chart),
     }
-    best = _best_of(calls, 20)
-    assert best["record"] <= 2.0 * best["coefficients"], best
+    return _best_of(calls, 20)
 
 
-def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_network,
-                                                        unit_tensions):
-    # A record of a (3, 65) state is about 60 numpy calls whose cost is
-    # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
-    # on the step's charts) makes those calls once, about 0.3 of 32 single
-    # records; the bound leaves room for a host that drifts.
+def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
+        disk, disk_network, unit_tensions):
+    # A run hands each record the coefficients its next step reads, so the
+    # record adds only its quadratures, end stencils and wall terms to the
+    # chart; one that evaluates the chart again costs about 2.1-2.2.  The
+    # coefficients call is timed on the Stepper's exit binding, as a run
+    # makes it.  The best of 20 interleaved timings read 1.54-1.67 over 10
+    # fresh processes on a shared 2-core host (tests/gate_readings.py), with
+    # the record's integrands written in place, kappa^4 as (kappa^2)^2 and
+    # one wall gradient; 1.65-1.82 before, when the record's share was
+    # larger; the best of 5 once read 2.21 on a busier host.
+    _check_gate("record_given_chart", disk, disk_network, unit_tensions)
+
+
+def _batch_record_timings(ellipse, ellipse_network, unit_tensions):
     n = 64
     dt = 0.45 * float(np.min(ellipse_network.lengths / n) ** 2)
     config = EvolveConfig(dt=dt, t_end=0.0, n=n)
@@ -170,8 +188,17 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
                             for s, c in zip(states, charts)],
         "batch": lambda: records_from_states(*args, states, charts),
     }
-    best = _best_of(calls, 5)
-    assert best["batch"] <= 0.5 * best["singles"], best
+    return _best_of(calls, 5)
+
+
+def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_network,
+                                                        unit_tensions):
+    # A record of a (3, 65) state is about 60 numpy calls whose cost is
+    # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
+    # on the step's charts) makes those calls once, 0.19-0.23 of 32 single
+    # records over 10 fresh processes; the bound leaves room for a host
+    # that drifts.
+    _check_gate("record_batch", ellipse, ellipse_network, unit_tensions)
 
 
 def _disk_eigenmode_state(disk, disk_network, unit_tensions, n):
@@ -182,42 +209,49 @@ def _disk_eigenmode_state(disk, disk_network, unit_tensions, n):
     return Stepper(disk_network, disk, unit_tensions, config), state
 
 
+def _disk_sweep_timings(disk, disk_network, unit_tensions):
+    stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
+    return _converged_sweep_and_chart(stepper, state, stepper._exits)
+
+
 def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
         disk, disk_network, unit_tensions):
     # A ratio of two timings in one process does not depend on the host's
     # speed.  A converged sweep is one residual evaluation: the six exits of
     # the branch ends, whose jet also gives the wall normals, and a few
-    # hundred flops, all in Python floats, 0.19-0.22 of a coefficients call
-    # at n = 200 timed on the Stepper's exit binding, whose frame constants
-    # are bound once (0.31-0.34 with the exits as numpy calls on 6 entries,
-    # 0.55-0.58 with every flop as numpy calls).  The bound sits about 15 %
-    # above the median ratio, 0.195; over 10 later processes on a busier
-    # host it read 0.206-0.222.
-    stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
-    best = _converged_sweep_and_chart(stepper, state, stepper._exits)
-    assert best["sweep"] <= 0.23 * best["coefficients"], best
+    # hundred flops, all in Python floats, with one fetch of the nodes it
+    # reads, 0.19-0.22 of a coefficients call at n = 200 timed on the
+    # Stepper's exit binding, whose line constants are bound once (0.31-0.34
+    # with the exits as numpy calls on 6 entries, 0.55-0.58 with every flop
+    # as numpy calls).  Over 10 fresh processes it read 0.191-0.224
+    # (tests/gate_readings.py), median 0.200, with the chart at about 0.7 of
+    # its former cost and the six exits of the sweep at 4 us.
+    _check_gate("disk_sweep", disk, disk_network, unit_tensions)
 
 
-def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
-        two_dents, two_dents_network, unit_tensions):
-    # The same ratio on the two dents at n = 48, where the six exits are
-    # one call of the line-polynomial kernel on six one-entry blocks:
-    # 0.192-0.226 of a coefficients call, median 0.214, over 20 processes
-    # (0.217-0.237 over 10 later ones on a busier host).  The bound sits
-    # about 10 % above the highest of the first 20.  The coefficients call
-    # takes no binding, so its exits start cold from the reference lengths;
-    # from the binding's prediction they take one evaluation and the ratio
-    # reads about 0.34.  It bounds the sweep's cost, not its route: with the
-    # exits through the generic offset_exit and the chart's q contracted per
-    # node, both sides were slower and the ratio read 0.209-0.246.
+def _dents_sweep_timings(two_dents, two_dents_network, unit_tensions):
     n = 48
     config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
     phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
     state = initial_state(two_dents_network, two_dents, unit_tensions, config,
                           kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
     stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
-    best = _converged_sweep_and_chart(stepper, state, None)
-    assert best["sweep"] <= 0.25 * best["coefficients"], best
+    return _converged_sweep_and_chart(stepper, state, None)
+
+
+def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
+        two_dents, two_dents_network, unit_tensions):
+    # The same ratio on the two dents at n = 48, where the six exits are
+    # one call of the line-polynomial kernel on six one-entry blocks:
+    # 0.192-0.223 of a coefficients call, median 0.200, over 10 fresh
+    # processes (tests/gate_readings.py), with one multiply.accumulate for
+    # the six exits' power ladder.  The coefficients call
+    # takes no binding, so its exits start cold from the reference lengths;
+    # from the binding's prediction they take one evaluation and the ratio
+    # reads about 0.34.  It bounds the sweep's cost, not its route: with the
+    # exits through the generic offset_exit and the chart's q contracted per
+    # node, both sides were slower and the ratio read 0.209-0.246.
+    _check_gate("dents_sweep", two_dents, two_dents_network, unit_tensions)
 
 
 def _converged_sweep_and_chart(stepper, state, exits):
@@ -461,12 +495,7 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert out.stdout.split() == ["False", "[]", "[]"], out.stdout
 
 
-def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_tensions):
-    # A ratio of two timings in one process does not depend on the host's
-    # speed.  The solve reads its pencil from the per-branch element forms
-    # and the constraint plane, a few scalars per branch, so the assembly
-    # stays far below the full-space forms with the null-space product of
-    # tests/oracles.py, the route the reduced coordinates replaced.
+def _assembly_timings(disk_network, unit_tensions):
     from oracles import null_space_pencil
 
     n = 400
@@ -474,5 +503,33 @@ def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_
         "assemble": lambda: stability.assemble_forms(disk_network, unit_tensions, n),
         "null_space": lambda: null_space_pencil(disk_network, unit_tensions, n),
     }
-    best = _best_of(calls, 5)
-    assert best["assemble"] <= 0.1 * best["null_space"], best
+    return _best_of(calls, 5)
+
+
+def test_assembly_is_a_small_share_of_the_null_space_product(disk_network, unit_tensions):
+    # A ratio of two timings in one process does not depend on the host's
+    # speed.  The solve reads its pencil from the per-branch element forms
+    # and the constraint plane, a few scalars per branch, so the assembly
+    # stays far below the full-space forms with the null-space product of
+    # tests/oracles.py, the route the reduced coordinates replaced.
+    _check_gate("assembly", disk_network, unit_tensions)
+
+
+# Every wall-clock ratio gate of this file: name -> (timing body, the
+# fixtures it takes, numerator, denominator, bound).  The tests above
+# assert numerator <= bound * denominator; tests/gate_readings.py runs the
+# same bodies in fresh processes and prints their spread.
+RATIO_GATES = {
+    "record_plain": (_plain_record_timings, ("disk", "disk_network", "unit_tensions"),
+                     "record", "coefficients", 5.0),
+    "record_given_chart": (_chart_record_timings, ("disk", "disk_network", "unit_tensions"),
+                           "record", "coefficients", 2.0),
+    "record_batch": (_batch_record_timings, ("ellipse", "ellipse_network", "unit_tensions"),
+                     "batch", "singles", 0.5),
+    "disk_sweep": (_disk_sweep_timings, ("disk", "disk_network", "unit_tensions"),
+                   "sweep", "coefficients", 0.23),
+    "dents_sweep": (_dents_sweep_timings, ("two_dents", "two_dents_network", "unit_tensions"),
+                    "sweep", "coefficients", 0.25),
+    "assembly": (_assembly_timings, ("disk_network", "unit_tensions"),
+                 "assemble", "null_space", 0.1),
+}
