@@ -37,7 +37,10 @@ def _problem(cfg: RunConfig, solve=False):
     if solve or cfg.network is None:
         guess = steady.SteadyGuess(p=cfg.guess_p, phi=cfg.guess_phi, gauge=cfg.gauge)
         return domain, tensions, steady.find_stationary(domain, tensions, guess)
-    network = storage.read_network(cfg.network)
+    try:
+        network = storage.read_network(cfg.network)
+    except IoError as exc:
+        raise ValidationError("network", str(exc)) from exc
     bad = {k: v for k, v in network_residuals(network, domain, tensions).items()
            if not v < _NETWORK_TOL}
     if bad:

@@ -11,9 +11,13 @@ dispatch; record_from_state is its batch of one, and a record is bitwise
 the same in any batch.  run evaluates its records in batches of 8.
 Integrals are composite trapezoid sums in the arc element J dsigma;
 arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
-stencils of rho_derivatives, one-sided at the junction and the wall.  One
-gradient of psi at the wall gives both the wall curvature h and the
-perpendicularity residual (domains.wall_curvature_and_gradient).
+stencils of rho_derivatives, one-sided at the junction and the wall.  The
+wall terms come from the chart's exit jet, as the boundary sweep's do: the
+contact curve x(q) = p_* + mu_b(q) T + q N lies on the wall, so
+x' = mu_b' T + N is its tangent, and differentiating psi(x(q)) = 0 twice
+gives the wall curvature h = mu_b'' / (1 + mu_b'^2)^(3/2) and the wall
+normal, parallel to T - mu_b' N.  A record given its chart makes no
+domain call.
 Norms are gamma-weighted: ||phi||_Lp^p = sum_i gamma_i int |phi^i|^p ds.
 
 The central identities checked along trajectories:
@@ -31,13 +35,11 @@ suite builds its cross-check of the records on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .domains import wall_curvature_and_gradient
-from .errors import DegenerateCurve, NonPositiveSeries, TriJunctionError
-from .parameterization import GraphState, _cross, chart_geometry, rho_derivatives
+from .errors import DegenerateCurve, NonPositiveSeries
+from .parameterization import GraphState, chart_geometry, rho_derivatives
 
 
 @dataclass
@@ -180,24 +182,6 @@ def _weighted_integral(gammas, values, J, dx) -> float:
     return float(np.sum(gammas * _branch_integrals(values, J, dx)))
 
 
-class RecordChart(NamedTuple):
-    """What a record reads of a chart: kappa and J on the sigma grids and
-    the wall-end columns (3, 1) of mu_b, phi_T and rho_sigma."""
-
-    kappa: np.ndarray
-    J: np.ndarray
-    mu_b: np.ndarray
-    phi_T: np.ndarray
-    rho_sigma: np.ndarray
-
-    @classmethod
-    def of(cls, geo) -> RecordChart:
-        """The slices of a ChartGeometry (or Coefficients) that a record
-        reads; a run keeps these for a pending record, not the whole chart."""
-        return cls(geo.kappa, geo.J, geo.mu_b[:, -1:].copy(), geo.phi_T[:, -1:].copy(),
-                   geo.rho_sigma[:, -1:].copy())
-
-
 def _rowwise(a, x):
     """a @ x[k] for every row x[k] of x.  The stacked product makes, per
     row, the BLAS call that one record makes alone, so it rounds alike for
@@ -205,6 +189,12 @@ def _rowwise(a, x):
     batch size, and a sum of three written-out terms rounds differently
     from that BLAS call."""
     return (a @ x[..., None])[..., 0]
+
+
+# the scalar fields of a record, in the column order of records_from_states
+_SCALAR_FIELDS = ("E", "kappa_l2_sq", "kappa_l4_4", "kappa_s_l2_sq", "kappa_ss_l2_sq",
+                  "kappa_linf", "res_junction", "res_flux", "res_sum_gamma_v", "res_outer",
+                  "res_perp")
 
 
 def record_from_state(network, domain, tensions, state: GraphState,
@@ -218,40 +208,22 @@ def records_from_states(network, domain, tensions, states,
                         charts=None) -> list[DiagnosticsRecord]:
     """Records of `states`, all on one grid, evaluated as one batch.
 
-    charts[k] is the ChartGeometry (or the Coefficients, or the RecordChart)
-    of states[k], such as the ones the next time step reads; for a None
-    entry, or charts=None, the record evaluates chart_geometry,
-    cold-started.  The det M floor of `coefficients` is not applied: it
-    guards the time step, and records are also taken of states no step has
-    evaluated.
+    charts[k] is the ChartGeometry (or the Coefficients) of states[k], such
+    as the ones the next time step reads; for a None entry, or charts=None,
+    the record evaluates chart_geometry, cold-started.  The det M floor of
+    `coefficients` is not applied: it guards the time step, and records are
+    also taken of states no step has evaluated.
 
     Every field is computed along a leading record axis, and the products
     over the three branches are made record by record, so a record does not
-    depend on the batch it is evaluated in.  A batch that raises is
-    evaluated again record by record, so the error raised is the first
-    failing record's own.
+    depend on the batch it is evaluated in.  Only the charts a batch
+    evaluates can raise, and they are evaluated in record order, so the
+    error raised is the first failing record's own.
     """
     if charts is None:
         charts = [None] * len(states)
     if not states:
         return []
-    try:
-        return _records(network, domain, tensions, states, charts)
-    except TriJunctionError:
-        if len(states) == 1:
-            raise
-        for state, chart in zip(states, charts):
-            _records(network, domain, tensions, [state], [chart])
-        raise
-
-
-# the scalar fields of a record, in the column order of _records
-_SCALAR_FIELDS = ("E", "kappa_l2_sq", "kappa_l4_4", "kappa_s_l2_sq", "kappa_ss_l2_sq",
-                  "kappa_linf", "res_junction", "res_flux", "res_sum_gamma_v", "res_outer",
-                  "res_perp")
-
-
-def _records(network, domain, tensions, states, charts):
     geos = [chart_geometry(network, domain, state) if chart is None else chart
             for state, chart in zip(states, charts, strict=True)]
     g = tensions.array
@@ -281,21 +253,25 @@ def _records(network, domain, tensions, states, charts):
     # junction: tangential speeds v = Q V from the flow law V = kappa
     velocities = _rowwise(tensions.q, kap0)
 
-    # per record the rows mu_b, phi_T, rho_sigma and rho at the wall, and mu
-    # and rho at the junction, (records, 6, 3)
-    ends = np.array([(geo.mu_b[:, -1], geo.phi_T[:, -1], geo.rho_sigma[:, -1],
-                      state.rho[:, -1], state.mu, state.rho[:, 0])
+    # per record the rows mu_b', mu_b'', phi_T and rho_sigma at the wall, and
+    # mu and rho at the junction, (records, 6, 3)
+    ends = np.array([(geo.dmu_b[:, -1], geo.ddmu_b[:, -1], geo.phi_T[:, -1],
+                      geo.rho_sigma[:, -1], state.mu, state.rho[:, 0])
                      for geo, state in zip(geos, states)])
-    # the contact points p_* + mu_b T + rho N and the branch starts
-    # p_* + mu T + rho(0) N, (records, 2, 3, 2); the junction is the mean of
-    # the starts (junction_point)
-    T, N = network.tangents, network.normals
-    pts = network.p_star + ends[:, 0::4, :, None] * T + ends[:, 3::2, :, None] * N
-    # the unit tangent Phi_sigma / J at the wall, Phi_sigma = phi_T T + rho_sigma N;
-    # one gradient of psi gives h and the perpendicularity residual
-    tangent = (ends[:, 1, :, None] * T + ends[:, 2, :, None] * N) / J[..., -1, None]
-    h, grad, gnorm = wall_curvature_and_gradient(domain, pts[:, 0])
-    perp = _cross(tangent, grad) / gnorm  # (R tangent, grad) / |grad|
+    # the wall terms off the exit jet (see the module docstring): with
+    # |x'| = sqrt(1 + mu_b'^2), h = mu_b'' / |x'|^3, and the cross product of
+    # the unit tangent (phi_T T + rho_sigma N) / J with the wall normal
+    # (T - mu_b' N) / |x'| is (phi_T mu_b' + rho_sigma) / (J |x'|)
+    dmu, ddmu, phi_T, rho_s, mu, rho0 = ends.transpose(1, 0, 2)
+    slope = np.sqrt(1.0 + dmu * dmu)
+    h = ddmu / (slope * slope * slope)
+    perp = phi_T * dmu
+    perp += rho_s
+    perp /= J[..., -1] * slope
+    # the junction is the mean of the branch starts p_* + mu T + rho(0) N
+    # (junction_point)
+    starts = (network.p_star + mu[..., None] * network.tangents
+              + rho0[..., None] * network.normals)
 
     (g * integrals).sum(axis=-1, out=scalars[:5])
     weighted = _rowwise(g, np.array([kap0, velocities]))  # sum gamma kappa, sum gamma v
@@ -304,10 +280,10 @@ def _records(network, domain, tensions, states, charts):
     flux = kap_s[..., 0] + kap0 * velocities
     np.subtract(flux.max(axis=1), flux.min(axis=1), out=scalars[7])
     np.abs(np.array([kap_s[..., -1] + h * kap_wall, perp])).max(axis=-1, out=scalars[9:])
-    points = pts[:, 1].sum(axis=-2) / 3.0
+    points = starts.sum(axis=-2) / 3.0
     return [
-        DiagnosticsRecord(t=float(state.t), p=p, mu=row[4], **dict(zip(_SCALAR_FIELDS, fields)))
-        for state, fields, p, row in zip(states, scalars.T.tolist(), points, ends)
+        DiagnosticsRecord(t=float(state.t), p=p, mu=m, **dict(zip(_SCALAR_FIELDS, fields)))
+        for state, fields, p, m in zip(states, scalars.T.tolist(), points, mu)
     ]
 
 

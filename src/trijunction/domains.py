@@ -630,14 +630,6 @@ def boundary_curvature(domain: ImplicitDomain, x, tol: float = 1e-8):
     (dented) wall lengthens the branch, which is the stabilizing case.
     A gradient under the floor or not finite raises SingularGradient.
     """
-    h = wall_curvature_and_gradient(domain, x, tol)[0]
-    return float(h) if h.ndim == 0 else h
-
-
-def wall_curvature_and_gradient(domain: ImplicitDomain, x, tol: float = 1e-8):
-    """(h, grad psi, |grad psi|) at boundary points x: boundary_curvature's
-    h, with its checks, and the gradient it reads, for callers that need
-    both (a record's wall terms)."""
     x = np.asarray(x, dtype=float)
     val = np.asarray(domain.psi(x))
     scale = max(1.0, _box_diameter(domain.bounding_box))
@@ -649,8 +641,8 @@ def wall_curvature_and_gradient(domain: ImplicitDomain, x, tol: float = 1e-8):
         raise SingularGradient(f"gradient vanishes or is not finite on the boundary "
                                f"(|grad psi| = {gnorm})")
     t = (g / gnorm[..., None]) @ ROT90.T  # outward normal rotated by pi/2
-    quad = np.einsum("...i,...ij,...j->...", t, domain.hess(x), t)
-    return -quad / gnorm, g, gnorm
+    h = -np.einsum("...i,...ij,...j->...", t, domain.hess(x), t) / gnorm
+    return float(h) if h.ndim == 0 else h
 
 
 def boundary_hit(domain: ImplicitDomain, origin, direction):

@@ -284,13 +284,13 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
 
     Records are evaluated in batches of 8 by records_from_states, and once
     more at the end.  A pending record keeps the state copy that the
-    trajectory stores and the slices of the chart that it reads
-    (RecordChart), never the whole coefficients.  A record error
-    (SingularGradient, NotOnBoundary, or a plain chart's DegenerateMetric)
-    is raised when its batch is evaluated, at most 7 records later, with
-    the same type and message as a lone record's.
+    trajectory stores and the coefficients that the Stepper charted for it,
+    whose exit jet gives the record its wall terms: a record given its
+    chart makes no domain call.  The error of a plain chart (a
+    DegenerateMetric, say) is raised when its batch is evaluated, at most 7
+    records later, with the same type and message as a lone record's.
     """
-    from .diagnostics import RecordChart, records_from_states
+    from .diagnostics import records_from_states
 
     stepper = Stepper(network, domain, tensions, config)
     records, states, charts = [], [], []
@@ -305,7 +305,7 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
         # the det M floor it takes the plain chart, and that step aborts.
         # Any other chart error ends the run with the state unrecorded.
         try:
-            charts.append(RecordChart.of(stepper.chart(state)))
+            charts.append(stepper.chart(state))
         except MatrixMNotInvertible:
             charts.append(None)
         states.append(state.copy())

@@ -25,10 +25,13 @@ ends only and which therefore runs in Python floats, on the ends of the
 same binding.  It reads the wall normal from the exit jet: differentiating
 psi(p_* + mu_b T + q N) = 0 in q gives grad psi = (grad psi, T)
 (T - mu_b' N), and (grad psi, T) > 0 at an outward crossing, so no gradient
-of psi is evaluated.  The chart keeps its lengths at grid shape, so that
-its arithmetic runs on equal shapes, and runs it in place, each line
-rounding as its formula.  Its sigma-derivatives (rho_derivatives) read
-every stencil off one array of first differences.
+of psi is evaluated.  The records read the wall normal and the wall
+curvature off the chart's jet in the same way (ChartGeometry keeps
+mu_b''), so a chart is the one source of wall geometry.  The chart keeps
+its lengths at grid shape, so that its arithmetic runs on equal shapes,
+and runs it in place, each line rounding as its formula.  Its
+sigma-derivatives (rho_derivatives) read every stencil off one array of
+first differences.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ImplicitDomain
+from .domains import ImplicitDomain, boundary_curvature
 from .errors import DegenerateMetric, MatrixMNotInvertible, NonFiniteState
 from .tensions import JunctionAngles, SurfaceTensions, force_balance_residual
 
@@ -81,7 +84,11 @@ class GraphState:
 
 def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
                       tensions: SurfaceTensions) -> dict:
-    """Invariant residuals of a reference network (all should be tiny)."""
+    """Invariant residuals of a reference network (all should be tiny):
+    besides the contact, angle and force-balance conditions, the closure
+    max |p_* + l_i T_i - endpoint_i| and the wall curvature
+    max |h_i - boundary_curvature(endpoint_i)|, which reads h wherever the
+    endpoints lie (on_boundary measures how far off the wall that is)."""
     g = domain.grad(network.endpoints)
     gn = g / np.linalg.norm(g, axis=1, keepdims=True)
     cos_pair = np.array(
@@ -95,6 +102,10 @@ def network_residuals(network: StationaryNetwork, domain: ImplicitDomain,
         "on_boundary": float(np.max(np.abs(domain.psi(network.endpoints)))),
         "perpendicular": float(np.max(np.abs(np.einsum("ik,ik->i", network.normals, gn)))),
         "angles": float(np.max(np.abs(cos_pair - tensions.angles.cos))),
+        "closure": float(np.max(np.abs(network.p_star + network.lengths[:, None]
+                                       * network.tangents - network.endpoints))),
+        "curvature": float(np.max(np.abs(
+            network.h_star - boundary_curvature(domain, network.endpoints, tol=math.inf)))),
     }
 
 
@@ -144,11 +155,6 @@ def psi_first_jet(network, domain, branch, sigma, q, mu):
     d_sigma = ((mu_b - mu_arr) / l)[..., None] * T
     d_q = (frac * dmu)[..., None] * T + N
     return psi, d_sigma, d_q
-
-
-def _cross(a, b):
-    """Scalar cross product; (X, R Y) = _cross(Y, X) for the pi/2 rotation R."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,7 @@ class ChartGeometry:
 
     mu_b: np.ndarray  # exit abscissae mu_b(rho)
     dmu_b: np.ndarray  # mu_b'(rho), its q-derivative
+    ddmu_b: np.ndarray  # mu_b''(rho)
     frac: np.ndarray  # sigma / l, read-only
     xi_sigma: np.ndarray
     phi_T: np.ndarray  # (Phi_sigma, T_*); (Phi_sigma, N_*) is rho_sigma
@@ -305,8 +312,8 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     kappa = xi_sigma * rho_ss
     kappa -= bend
     kappa /= J2 * J
-    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, frac=frac, xi_sigma=xi_sigma, phi_T=phi_T,
-                         rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
+    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, ddmu_b=ddmu, frac=frac, xi_sigma=xi_sigma,
+                         phi_T=phi_T, rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
 
 
 @dataclass

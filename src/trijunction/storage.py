@@ -103,7 +103,15 @@ def write_network(network: StationaryNetwork, path) -> None:
     write_lines(path, lines)
 
 
+# the fields of a network block and the number of values each holds
+_NETWORK_FIELDS = {"p": 2, **{f"tangent.{i}": 2 for i in (1, 2, 3)}, "lengths": 3, "h": 3,
+                   **{f"endpoint.{i}": 2 for i in (1, 2, 3)}}
+
+
 def read_network(path) -> StationaryNetwork:
+    """The network block of write_network.  A malformed line, a missing
+    field, a field with the wrong number of values or a non-finite one, or
+    a length that is not positive raises IoError."""
     data = {}
     for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
@@ -116,16 +124,20 @@ def read_network(path) -> StationaryNetwork:
             data[key] = np.array([float(tok) for tok in value.replace(",", " ").split()])
         except ValueError as exc:
             raise IoError(f"{path}: {key}: {exc}") from exc
-    try:
-        tangents = np.stack([data[f"tangent.{i}"] for i in (1, 2, 3)])
-        endpoints = np.stack([data[f"endpoint.{i}"] for i in (1, 2, 3)])
-        return StationaryNetwork(
-            p_star=data["p"],
-            tangents=tangents,
-            normals=tangents @ ROT90.T,
-            lengths=data["lengths"],
-            h_star=data["h"],
-            endpoints=endpoints,
-        )
-    except KeyError as exc:
-        raise IoError(f"{path}: missing field {exc}") from exc
+    for key, size in _NETWORK_FIELDS.items():
+        if key not in data:
+            raise IoError(f"{path}: missing field {key!r}")
+        if data[key].size != size or not np.isfinite(data[key]).all():
+            raise IoError(f"{path}: {key}: expected {size} finite values, "
+                          f"got {data[key].tolist()}")
+    if not (data["lengths"] > 0.0).all():
+        raise IoError(f"{path}: lengths: must be positive, got {data['lengths'].tolist()}")
+    tangents = np.stack([data[f"tangent.{i}"] for i in (1, 2, 3)])
+    return StationaryNetwork(
+        p_star=data["p"],
+        tangents=tangents,
+        normals=tangents @ ROT90.T,
+        lengths=data["lengths"],
+        h_star=data["h"],
+        endpoints=np.stack([data[f"endpoint.{i}"] for i in (1, 2, 3)]),
+    )

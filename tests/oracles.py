@@ -484,10 +484,15 @@ def metric_J(network, domain, i, rho, rho_sigma, mu, sigma):
     return float(J) if J.ndim == 0 else J
 
 
+def _cross(a, b):
+    """Scalar cross product; (X, R Y) = _cross(Y, X) for the pi/2 rotation R."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def _kappa_from_jet(jet: PsiJet, rho_sigma, rho_ss):
     """Curvature of sigma -> Psi(sigma, rho(sigma), mu) from chain-rule terms."""
     from trijunction.errors import DegenerateMetric
-    from trijunction.parameterization import _J_FLOOR, _cross
+    from trijunction.parameterization import _J_FLOOR
 
     rs = np.asarray(rho_sigma)
     q_Rs = _cross(jet.d_sigma, jet.d_q)  # (Psi_q, R Psi_sigma)
@@ -766,6 +771,34 @@ def junction_and_robin_residuals(sample, tensions, domain, norms=None) -> dict:
         "res_outer": float(max(robin)),
         "res_perp": float(max(perp)),
     }
+
+
+# ---------------------------------------------------------------------------
+# a record's wall terms from the level set
+#
+# The records read h and the wall normal off the chart's exit jet.  This
+# route evaluates psi, its gradient and its Hessian at the contact points
+# instead (boundary_curvature), on the same chart and end stencils.
+
+
+def wall_terms_from_gradient(network, domain, state, geo):
+    """(h, res_outer, res_perp) of one state on its chart geo: h the
+    boundary curvature at the three contact points p_* + mu_b T + rho N,
+    and the record's two wall residuals, the maxima over the branches of
+    |kappa_s + h kappa| and of |(R tangent, grad psi)| / |grad psi| with
+    the unit tangent Phi_sigma / J at the wall."""
+    from trijunction.domains import boundary_curvature
+    from trijunction.parameterization import rho_derivatives
+
+    T, N = network.tangents, network.normals
+    pts = network.p_star + geo.mu_b[:, -1, None] * T + state.rho[:, -1, None] * N
+    tangent = (geo.phi_T[:, -1, None] * T + geo.rho_sigma[:, -1, None] * N) / geo.J[:, -1, None]
+    h = boundary_curvature(domain, pts)
+    grad = domain.grad(pts)
+    perp = _cross(tangent, grad) / np.sqrt((grad * grad).sum(axis=-1))
+    kap_s = rho_derivatives(geo.kappa, network.lengths, second=False)[0] / geo.J
+    res_outer = float(np.abs(kap_s[:, -1] + h * geo.kappa[:, -1]).max())
+    return h, res_outer, float(np.abs(perp).max())
 
 
 # ---------------------------------------------------------------------------

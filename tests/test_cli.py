@@ -143,6 +143,74 @@ def test_network_file_must_fit_the_config(workdir, capsys):
     assert not (workdir / "eig.csv").exists()
 
 
+def _reused_network(workdir, **lines):
+    """A disk config that reuses the network file of `steady`, with the
+    listed lines of that file replaced ({"tangent.1": "1, 0, 0"}, or None to
+    drop one); returns the config's path."""
+    assert main(["steady", str(workdir / "disk.cfg"), "--out", str(workdir / "net.txt")]) == 0
+    net = workdir / "net.txt"
+    kept = []
+    for line in net.read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        if key not in lines:
+            kept.append(line)
+        elif lines[key] is not None:
+            kept.append(f"{key} = {lines[key]}")
+    net.write_text("\n".join(kept) + "\n")
+    cfg = workdir / "reuse.cfg"
+    cfg.write_text(DISK_CFG + f"output = {workdir / 'reuse.csv'}\n" + f"network = {net}\n")
+    return cfg
+
+
+def test_network_file_must_close_and_carry_the_wall_curvature(workdir, capsys):
+    # On a unit-disk fork (h = -1, unstable) a file that claims h = 5 and
+    # lengths 0.5 on all three branches still meets the wall at right
+    # angles with balanced forces; read as it is, spectrum would print a
+    # stable verdict.  Its endpoints do not close the branches and its h is
+    # not the wall's, so both subcommands reject it as a config error.
+    cfg = _reused_network(workdir, h="5, 5, 5", lengths="0.5, 0.5, 0.5")
+    capsys.readouterr()
+    assert main(["spectrum", str(cfg), "--out", str(workdir / "eig.csv")]) == 1
+    assert main(["evolve", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert err.count("config error: network:") == 2
+    assert "closure = 5.000e-01" in err and "curvature = 6.000e+00" in err
+    assert "on_boundary" not in err and "perpendicular" not in err
+    assert out == ""
+    assert not (workdir / "eig.csv").exists() and not (workdir / "reuse.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+@pytest.mark.parametrize("lines, reason", [
+    ({"tangent.1": "1, 0, 0"}, "tangent.1: expected 2 finite values"),
+    ({"lengths": "1, 1"}, "lengths: expected 3 finite values"),
+    ({"h": "-1, nan, -1"}, "h: expected 3 finite values"),
+    ({"endpoint.2": "inf, 0"}, "endpoint.2: expected 2 finite values"),
+    ({"lengths": "-1, 1, 1"}, "lengths: must be positive"),
+    ({"p": None}, "missing field 'p'"),
+    ({"h": "-1, x, -1"}, "h: could not convert"),
+], ids=["tangent_3_values", "lengths_2_values", "nan_h", "inf_endpoint", "negative_length",
+        "missing_p", "not_a_number"])
+def test_malformed_network_file_is_a_config_error(workdir, capsys, command, lines, reason):
+    cfg = _reused_network(workdir, **lines)
+    capsys.readouterr()
+    assert main([command, str(cfg), "--out", str(workdir / "eig.csv")]
+                if command == "spectrum" else [command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: network: {workdir / 'net.txt'}: {reason}"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_missing_network_file_is_a_config_error(workdir, capsys, command):
+    missing = workdir / "no_such_net.txt"
+    cfg = workdir / "missing.cfg"
+    cfg.write_text(DISK_CFG + f"output = {workdir / 'run.csv'}\n" + f"network = {missing}\n")
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: network: cannot read {missing}: ")
+
+
 def test_steady_prints_residual_of_solved_network(workdir, capsys):
     # no gauge: the solve moves the rotation away from guess.phi
     ell = workdir / "ellipse.cfg"
@@ -212,14 +280,18 @@ def test_numerical_failure_exit_code(workdir):
     assert main(["steady", str(nogauge), "--out", str(workdir / "x.txt")]) == 2
 
 
-def test_record_on_a_nan_gradient_wall_exits_2(workdir, capsys, disk_network, monkeypatch):
-    # The stepper needs no wall gradient; the first record's wall curvature
-    # does, and a NaN one raises SingularGradient, a numerical failure.
-    monkeypatch.setattr(RunConfig, "make_domain", lambda cfg: NanGradientDisk(1.0))
+def test_evolve_on_a_nan_gradient_wall_writes_the_disks_trajectory(workdir, capsys,
+                                                                    disk_network, monkeypatch):
+    # Neither the step nor the records evaluate a wall gradient, so evolve
+    # on a wall whose gradient is NaN everywhere, with the disk's exits,
+    # completes and writes the disk's trajectory byte for byte.
     monkeypatch.setattr(steady, "find_stationary", lambda *args: disk_network)
-    assert main(["evolve", str(workdir / "disk.cfg")]) == 2
-    assert capsys.readouterr().err.startswith("SingularGradient: gradient vanishes or is "
-                                              "not finite")
+    assert main(["evolve", str(workdir / "disk.cfg")]) == 0
+    want = (workdir / "run.csv").read_bytes()
+    monkeypatch.setattr(RunConfig, "make_domain", lambda cfg: NanGradientDisk(1.0))
+    assert main(["evolve", str(workdir / "disk.cfg")]) == 0
+    assert (workdir / "run.csv").read_bytes() == want
+    assert capsys.readouterr().err == ""
 
 
 def test_determinism_identical_runs(workdir):

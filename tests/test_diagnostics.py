@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trijunction.diagnostics import (
-    RecordChart,
     decay_fit,
     energy_law_residual,
     kappa_l2_sq_sigma_grid,
@@ -12,8 +11,7 @@ from trijunction.diagnostics import (
     records_from_states,
     resample,
 )
-from trijunction.errors import (MatrixMNotInvertible, NonPositiveSeries, NotOnBoundary,
-                                SingularGradient)
+from trijunction.errors import MatrixMNotInvertible, NonFiniteState, NonPositiveSeries
 from trijunction.parameterization import (GraphState, chart_geometry, coefficients,
                                           state_from_rho)
 from trijunction.tensions import SurfaceTensions, junction_matrix, young_angles
@@ -28,6 +26,7 @@ from oracles import (
     sample_network,
     shooting_eigenfunction,
     shooting_lambda_max,
+    wall_terms_from_gradient,
 )
 
 
@@ -144,16 +143,18 @@ def test_record_skips_the_step_det_m_floor(disk, disk_network, unit_tensions):
     assert np.all(np.isfinite(np.hstack(values)))
 
 
-def test_record_raises_on_a_nan_wall_gradient(disk, disk_network, unit_tensions):
-    # NaN passes a "below the floor" test, so the record would carry NaN
-    # res_outer and res_perp; the wall curvature raises instead.
+def test_records_on_a_nan_gradient_wall_equal_the_disks(disk, disk_network, unit_tensions):
+    # A record reads its wall terms off the chart's exit jet and evaluates
+    # no gradient, so a wall whose gradient is NaN everywhere, with the
+    # disk's exits, gives the disk's records in every bit, on a plain chart
+    # and on a given one.
     sigma = disk_network.sigma_grid(32)
     rho = 1e-2 * np.cos(np.pi * sigma / disk_network.lengths[:, None])
     state = state_from_rho(disk_network, unit_tensions, rho)
-    for chart in (None, chart_geometry(disk_network, disk, state)):
-        with pytest.raises(SingularGradient, match="not finite"):
-            record_from_state(disk_network, NanGradientDisk(1.0), unit_tensions, state,
-                              chart=chart)
+    nan_disk = NanGradientDisk(1.0)
+    for chart in (None, chart_geometry(disk_network, nan_disk, state)):
+        record = record_from_state(disk_network, nan_disk, unit_tensions, state, chart=chart)
+        _assert_bitwise(record, record_from_state(disk_network, disk, unit_tensions, state))
 
 
 def _assert_bitwise(record, want):
@@ -163,18 +164,16 @@ def _assert_bitwise(record, want):
 
 
 def _mixed_charts(network, domain, tensions, states):
-    """Per state in turn: none, the plain chart, the step's coefficients and
-    the slices of a chart that a run keeps."""
+    """Per state in turn: none, the plain chart and the step's coefficients."""
     charts = []
     for k, state in enumerate(states):
-        kind = k % 4
+        kind = k % 3
         if kind == 0:
             charts.append(None)
-        elif kind == 2:
-            charts.append(coefficients(network, domain, tensions, state))
+        elif kind == 1:
+            charts.append(chart_geometry(network, domain, state))
         else:
-            geo = chart_geometry(network, domain, state)
-            charts.append(geo if kind == 1 else RecordChart.of(geo))
+            charts.append(coefficients(network, domain, tensions, state))
     return charts
 
 
@@ -214,23 +213,76 @@ def test_batch_records_equal_their_singles_bitwise(request, fork, unit_tensions)
 
 def test_a_failing_batch_raises_its_first_failing_records_error(disk, disk_network,
                                                                unit_tensions):
-    # Records 2 and 3 have their wall ends moved off the circle.  The batch
-    # raises record 2's own NotOnBoundary, message included, not one that
-    # lists the psi values of the whole batch.
+    # Records 2 and 3 are cold-charted states with a NaN node, at distinct
+    # times; each chart raises NonFiniteState with its own t in the message.
+    # The batch raises record 2's own error, message included.
     from test_parameterization import smooth_state
 
     states = [smooth_state(disk_network, unit_tensions, 32, amp=0.01, seed=k)
               for k in range(5)]
-    charts = [RecordChart.of(chart_geometry(disk_network, disk, s)) for s in states]
-    for k, shift in ((2, 1e-3), (3, 2e-3)):
-        charts[k] = charts[k]._replace(mu_b=charts[k].mu_b + shift)
-    with pytest.raises(NotOnBoundary) as single:
-        record_from_state(disk_network, disk, unit_tensions, states[2], chart=charts[2])
-    with pytest.raises(NotOnBoundary) as batch:
+    charts = [chart_geometry(disk_network, disk, s) for s in states]
+    for k in (2, 3):
+        states[k].t = 0.1 * k
+        states[k].rho[1, 10] = np.nan
+        charts[k] = None
+    with pytest.raises(NonFiniteState) as single:
+        record_from_state(disk_network, disk, unit_tensions, states[2])
+    with pytest.raises(NonFiniteState) as batch:
         records_from_states(disk_network, disk, unit_tensions, states, charts)
     assert str(batch.value) == str(single.value)
-    with pytest.raises(SingularGradient, match="not finite"):
-        records_from_states(disk_network, NanGradientDisk(1.0), unit_tensions, states, charts)
+    assert "t = 0.2" in str(single.value)
+
+
+@pytest.mark.parametrize("fork", ["disk", "ellipse", "trefoil", "two_dents"])
+def test_records_given_charts_make_no_domain_call(request, fork, unit_tensions,
+                                                  monkeypatch):
+    # The chart holds the exit jet that gives the wall terms, so a batch of
+    # records given their charts evaluates neither psi nor its derivatives.
+    from test_parameterization import smooth_state
+
+    domain = request.getfixturevalue(fork)
+    network = request.getfixturevalue(f"{fork}_network")
+    states = [smooth_state(network, unit_tensions, 40, amp=0.01 + 0.002 * k, seed=k)
+              for k in range(4)]
+    charts = [chart_geometry(network, domain, s) for s in states[:2]]
+    charts += [coefficients(network, domain, unit_tensions, s) for s in states[2:]]
+    want = records_from_states(network, domain, unit_tensions, states, charts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a record given its chart called the domain")
+
+    for name in ("psi", "grad", "hess", "psi_and_grad", "psi_grad_hess"):
+        monkeypatch.setattr(domain, name, forbidden)
+    got = records_from_states(network, domain, unit_tensions, states, charts)
+    for record, expected in zip(got, want, strict=True):
+        _assert_bitwise(record, expected)
+
+
+@pytest.mark.parametrize("fork", ["disk", "ellipse", "trefoil", "two_dents"])
+def test_wall_terms_of_the_exit_jet_agree_with_the_gradient_route(request, fork,
+                                                                  unit_tensions):
+    # The jet's h = mu_b'' / (1 + mu_b'^2)^(3/2) against boundary_curvature
+    # at the contact points, and the record's res_outer and res_perp against
+    # the same residuals with h, grad psi and |grad psi| evaluated there
+    # (oracles.wall_terms_from_gradient).  Over these 20 draws per family
+    # (n = 64, amplitudes 0.01-0.048) the largest differences read: h
+    # 2.2e-15 relative (two dents; 1.3e-15 or less on the others), res_outer
+    # 1.2e-15 relative to max(1, res_outer), res_perp 1.6e-15 absolute.
+    from test_parameterization import smooth_state
+
+    domain = request.getfixturevalue(fork)
+    network = request.getfixturevalue(f"{fork}_network")
+    for k in range(20):
+        state = smooth_state(network, unit_tensions, 64, amp=0.01 + 0.002 * k, seed=100 + k)
+        geo = chart_geometry(network, domain, state)
+        h, res_outer, res_perp = wall_terms_from_gradient(network, domain, state, geo)
+        dmu, ddmu = geo.dmu_b[:, -1], geo.ddmu_b[:, -1]
+        h_jet = ddmu / (1.0 + dmu * dmu) ** 1.5
+        assert np.abs(h_jet - h).max() <= 1e-14 * np.abs(h).max(), (k, h_jet, h)
+        record = record_from_state(network, domain, unit_tensions, state, chart=geo)
+        assert abs(record.res_outer - res_outer) <= 1e-14 * max(1.0, res_outer), k
+        assert abs(record.res_perp - res_perp) <= 1e-14, k
+        assert res_perp > 1e-4  # the draws are off the reference: the check is not vacuous
 
 
 def test_energy_law_residual_stationary(trefoil, trefoil_network, unit_tensions):

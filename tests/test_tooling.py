@@ -138,9 +138,10 @@ def _plain_record_timings(disk, disk_network, unit_tensions):
 def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
     # A ratio of two timings in one process does not depend on the host's
     # speed.  The record shares the chart kernel of coefficients and adds
-    # quadratures and end stencils (about 2 calls; 2.05-2.20 over 10 fresh
-    # processes, tests/gate_readings.py); a second curvature route such as
-    # the chord-length resampling of tests/oracles.py costs over 10.
+    # quadratures and end stencils (1.68-1.84 over 10 fresh processes,
+    # tests/gate_readings.py; 1.99-2.21 when it also evaluated the wall's
+    # gradient and Hessian); a second curvature route such as the
+    # chord-length resampling of tests/oracles.py costs over 10.
     _check_gate("record_plain", disk, disk_network, unit_tensions)
 
 
@@ -163,11 +164,11 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
     # record adds only its quadratures, end stencils and wall terms to the
     # chart; one that evaluates the chart again costs about 2.1-2.2.  The
     # coefficients call is timed on the Stepper's exit binding, as a run
-    # makes it.  The best of 20 interleaved timings read 1.54-1.67 over 10
+    # makes it.  The best of 20 interleaved timings read 1.12-1.31 over 10
     # fresh processes on a shared 2-core host (tests/gate_readings.py), with
-    # the record's integrands written in place, kappa^4 as (kappa^2)^2 and
-    # one wall gradient; 1.65-1.82 before, when the record's share was
-    # larger; the best of 5 once read 2.21 on a busier host.
+    # the wall terms read off the chart's exit jet; 1.53-1.76 when the
+    # record evaluated the wall's gradient and Hessian; the best of 5 once
+    # read 2.21 on a busier host.
     _check_gate("record_given_chart", disk, disk_network, unit_tensions)
 
 
@@ -195,9 +196,11 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
                                                         unit_tensions):
     # A record of a (3, 65) state is about 60 numpy calls whose cost is
     # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
-    # on the step's charts) makes those calls once, 0.19-0.23 of 32 single
+    # on the step's charts) makes those calls once, 0.21-0.30 of 32 single
     # records over 10 fresh processes; the bound leaves room for a host
-    # that drifts.
+    # that drifts.  (0.14-0.22 when each record also evaluated the wall's
+    # gradient and Hessian, which the batch made once: the ratio rose as
+    # its unit, a single record, got cheaper.)
     _check_gate("record_batch", ellipse, ellipse_network, unit_tensions)
 
 
