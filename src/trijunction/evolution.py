@@ -1,12 +1,22 @@
 """Time integration of the junction flow on the fixed sigma grids.
 
 One step is linearly implicit: the stiff local diffusion a^i rho_ss is
-advanced implicitly (one tridiagonal solve per branch), while the nonlocal
-junction coupling Lambda^i mu_t, whose mu_t carries the junction traces
-of rho_ss, and all lower-order content, i.e. the difference
-L kappa + Lambda mu_t - a rho_ss evaluated at the current state, is
-explicit.  A Newton sweep on the six boundary nodal values then re-enforces
-the junction conditions (weighted sum exactly, the two angle residuals to
+advanced implicitly, while the nonlocal junction coupling Lambda^i mu_t,
+whose mu_t carries the junction traces of rho_ss, and all lower-order
+content is explicit.  With F = L kappa + Lambda mu_t at the current state
+and the weights r = a dt / dsigma^2, the step solves
+
+    (I - r D2) delta = dt F,    rho_new = rho + delta,
+
+on all 3(n + 1) nodes in one tridiagonal solve (LAPACK dgtsv), where D2 is
+the second difference along a branch.  Inside a branch r D2 rho = dt a rho_ss
+exactly, so this is the implicit step of a rho_ss with the explicit
+remainder F - a rho_ss, which is never formed.  The six end rows are the
+identity: they carry the explicit predictor rho + dt F, which dgtsv returns
+bitwise, and no row couples two branches.
+
+A Newton sweep on the six boundary nodal values then re-enforces the
+junction conditions (weighted sum exactly, the two angle residuals to
 tolerance) and the three perpendicularity conditions, with interior nodes
 frozen.  It works in the constraint plane's basis: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
@@ -23,13 +33,14 @@ last chart's exit jet on a polynomial wall and none on a conic.
 
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
-principal part is implicit.  The step reads it as max r <= 0.5 from the
-weights r = a dt / dsigma^2 on all n + 1 nodes, whose interior the
-tridiagonal solve takes.
+principal part is implicit.  The step reads it as max r <= 0.5 on all
+n + 1 nodes of each branch.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +84,35 @@ class EvolveConfig:
     output_every: int = 50
     amplitude_cap: float = 0.25
 
+    def __post_init__(self):
+        # every Stepper, run and initial_state reads a checked config
+        for field, ok, want in (
+                ("n", isinstance(self.n, numbers.Integral) and self.n >= 3, "an integer >= 3"),
+                ("dt", self.dt is None or _finite(self.dt) and self.dt > 0,
+                 "None or finite and > 0"),
+                ("t_end", _finite(self.t_end) and self.t_end >= 0, "finite and >= 0"),
+                ("output_every",
+                 isinstance(self.output_every, numbers.Integral) and self.output_every >= 1,
+                 "an integer >= 1"),
+                ("amplitude_cap",
+                 isinstance(self.amplitude_cap, numbers.Real) and self.amplitude_cap > 0,
+                 "> 0")):
+            if not ok:
+                raise ValueError(f"EvolveConfig.{field} must be {want}, "
+                                 f"got {getattr(self, field)!r}")
+
+
+def _finite(v):
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
+def _three_finite_lists(rows):
+    try:
+        rows = [np.asarray(row, dtype=float) for row in rows]
+    except (TypeError, ValueError):
+        return False
+    return len(rows) == 3 and all(row.ndim == 1 and np.isfinite(row).all() for row in rows)
+
 
 @dataclass
 class Trajectory:
@@ -99,13 +139,15 @@ class Stepper:
         n = config.n
         self.dt = (0.45 * float(np.min(network.lengths / n) ** 2) if config.dt is None
                    else config.dt)
-        # banded matrix of the interior solve in solve_banded's layout (rows:
-        # super-, main and subdiagonal): the entries that decouple the branch
-        # blocks stay zero, and step() rewrites the rest through the (3, n-1)
-        # views
-        m = n - 1
-        self._ab = np.zeros((3, 3 * m))
-        self._upper, self._diag, self._lower = (row.reshape(3, m) for row in self._ab)
+        # step() solves (I - r D2) delta = dt F for all three branches in one
+        # tridiagonal system on the flattened (3, n+1) grid, with the weights
+        # r = a c and the grid constant c = dt / dsigma^2.  Its band is r times
+        # _minus_inner, -1 inside and 0 at the six end columns, so the end rows
+        # are the identity and no row couples two branches.
+        self._c = self.dt / sigma_grids(n, tuple(network.lengths.tolist()))[2]
+        self._minus_inner = np.full((3, n + 1), -1.0)
+        self._minus_inner[:, ::n] = 0.0
+        self._diag = np.empty(3 * (n + 1))
         self._exits = domain.network_exits(network, n)
         # the boundary sweep's per-run constants as Python floats
         self._bc = BoundaryOperator(network, self._exits, tensions.angles, n)
@@ -170,49 +212,32 @@ class Stepper:
             self.chart(state)
         coef = self._ahead[1]
         self._ahead = None
-        n, dt = self.config.n, self.dt
-        d2 = sigma_grids(n, tuple(self.network.lengths.tolist()))[2]  # dsigma^2
-        # r = a dt / dsigma^2 on every node: the interior solve's weights,
-        # and the guard dt <= 0.5 min(dsigma^2 / a) as max r <= 0.5
-        r = coef.a * dt
-        r /= d2
+        dt = self.dt
+        # the guard dt <= 0.5 min(dsigma^2 / a) as max r <= 0.5 on every node
+        r = coef.a * self._c
         r_max = float(r.max())
         if r_max > 0.5 * _CFL_SLACK:
             raise CflViolation(f"dt = {dt:.3e} exceeds guard {0.5 * dt / r_max:.3e}")
 
+        # the band: -r inside, 0 on the end rows; the diagonal: 1 - 2 band
+        band = r
+        band *= self._minus_inner
+        band = band.ravel()
+        np.multiply(band, -2.0, out=self._diag)
+        self._diag += 1.0
+        # right-hand side dt F, F = L kappa + Lambda mu_t, on every node: the
+        # end rows return it as the explicit predictor's increment, bitwise
         rhs = coef.L * coef.kappa
         rhs += coef.Lam * coef.mu_t[:, None]
-        rho = state.rho
-
-        # explicit predictor for the boundary nodes (columns 0 and n)
-        ends = rhs[:, ::n] * dt
-        ends += rho[:, ::n]
-        b0, bn = ends[:, 0], ends[:, 1]
-
-        # batched tridiagonal solve for the interior nodes of all branches;
-        # row i of the banded matrix couples node j to j-1 and j+1 of the
-        # same branch only.  Its right-hand side is rho + dt (rhs - a rho_ss),
-        # the explicit part, on the interior nodes.
-        rhs_int = coef.a[:, 1:-1] * coef.rho_ss[:, 1:-1]
-        np.subtract(rhs[:, 1:-1], rhs_int, out=rhs_int)
-        rhs_int *= dt
-        rhs_int += rho[:, 1:-1]
-        rhs_int[:, 0] += r[:, 1] * b0
-        rhs_int[:, -1] += r[:, -2] * bn
-        np.negative(r[:, 1:-2], out=self._upper[:, 1:])
-        np.multiply(2.0, r[:, 1:-1], out=self._diag)
-        self._diag += 1.0
-        np.negative(r[:, 2:-1], out=self._lower[:, :-1])
-        # LAPACK's tridiagonal solver, as solve_banded((1, 1), ...) calls it
-        ab = self._ab
-        *_, sol, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs_int.ravel(),
-                              overwrite_b=1)
+        rhs *= dt
+        # dgtsv overwrites its bands, so f2py hands it copies of the views
+        # dl = band[1:] and du = band[:-1]; the diagonal is rewritten each step
+        *_, rho_new, info = dgtsv(band[1:], self._diag, band[:-1], rhs.ravel(),
+                                  overwrite_d=1, overwrite_b=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"interior solve failed (dgtsv info {info})")
-
-        rho_new = np.empty_like(rho)
-        rho_new[:, 1:-1] = sol.reshape(rhs_int.shape)
-        rho_new[:, ::n] = ends
+            raise np.linalg.LinAlgError(f"step solve failed (dgtsv info {info})")
+        rho_new = rho_new.reshape(rhs.shape)
+        rho_new += state.rho
         rho_new, r0 = self.enforce_bcs(rho_new)
         return GraphState(rho=rho_new, mu=self.tensions.q @ r0, t=state.t + dt)
 
@@ -229,13 +254,21 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
 
     The junction triple is projected exactly onto the weighted constraint
     plane and the boundary values are Newton-corrected until the nonlinear
-    junction and wall conditions hold to 1e-10.
+    junction and wall conditions hold to 1e-10.  A non-finite amplitude,
+    coefficients other than three lists of finite numbers and an
+    eigenfunction that is non-finite or identically zero raise ValueError
+    before any work.
     """
+    if not _finite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     n = config.n
     sigma = network.sigma_grid(n)
     if kind == "cosine":
         if cosine_coefficients is None:
             cosine_coefficients = [[0.0, 1.0]] * 3
+        elif not _three_finite_lists(cosine_coefficients):
+            raise ValueError("cosine_coefficients must be three lists of finite numbers, "
+                             f"got {cosine_coefficients!r}")
         rho = np.zeros((3, n + 1))
         for i in range(3):
             for k, ck in enumerate(cosine_coefficients[i]):
@@ -249,7 +282,10 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
         phi = np.asarray(eigenfunction, dtype=float)
         if phi.shape != (3, n + 1):
             raise ValueError(f"eigenfunction shape {phi.shape} != (3, {n + 1})")
-        rho = amplitude * phi / np.max(np.abs(phi))
+        scale = np.max(np.abs(phi))  # NaN or inf if any entry is
+        if not 0.0 < scale < math.inf:
+            raise ValueError("eigenfunction must be finite and not identically zero")
+        rho = amplitude * phi / scale
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from trijunction.steady import h2_ratio_series
 from trijunction.tensions import constraint_basis
@@ -383,6 +384,33 @@ def rho_derivatives_stencils(rho, lengths):
         rs[..., k] = sign * (-3 * r0 + 4 * r1 - r2) / (2 * d[..., 0])
         rss[..., k] = (2 * r0 - 5 * r1 + 4 * r2 - r3) / d[..., 0] ** 2
     return rs, rss
+
+
+def dirichlet_interior_step(network, state, coef, dt):
+    """rho after one linearly implicit step, before the boundary sweep, by
+    the predictor and Dirichlet interior route: the end nodes move by the
+    explicit predictor rho + dt F, F = L kappa + Lambda mu_t; then, per
+    branch, the interior solves (1 + 2 r) x_j - r (x_{j-1} + x_{j+1}) =
+    rho_j + dt (F_j - a_j rho_ss_j) with r = a dt / dsigma^2 and the
+    predicted ends as Dirichlet data, by solve_banded.  coef is the
+    Coefficients of state."""
+    n = state.n
+    d2 = (network.lengths / n) ** 2
+    rho = state.rho
+    F = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
+    out = np.empty_like(rho)
+    out[:, ::n] = rho[:, ::n] + dt * F[:, ::n]
+    for i in range(3):
+        r = coef.a[i] * dt / d2[i]
+        rhs = rho[i, 1:-1] + dt * (F[i, 1:-1] - coef.a[i, 1:-1] * coef.rho_ss[i, 1:-1])
+        rhs[0] += r[1] * out[i, 0]
+        rhs[-1] += r[-2] * out[i, n]
+        ab = np.zeros((3, n - 1))
+        ab[0, 1:] = -r[1:-2]
+        ab[1] = 1.0 + 2.0 * r[1:-1]
+        ab[2, :-1] = -r[2:-1]
+        out[i, 1:-1] = solve_banded((1, 1), ab, rhs)
+    return out
 
 
 def circle_points(radius, t0, t1, n):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trijunction import diagnostics, domains, parameterization
+from trijunction import evolution as evolution_module
 from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
@@ -23,7 +24,7 @@ from trijunction.stability import max_eigenvalue
 from trijunction.tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
 
 from conftest import NanGradientDisk
-from oracles import boundary_residuals_reference
+from oracles import boundary_residuals_reference, dirichlet_interior_step
 
 
 def make_config(network, n, t_end, safety=0.4, **kw):
@@ -159,6 +160,77 @@ def test_cfl_guard(disk, disk_network, unit_tensions):
         Stepper(disk_network, disk, unit_tensions, cfg).step(state)
 
 
+@pytest.mark.parametrize("family", ["disk", "two_dents"])
+def test_cfl_guard_reads_max_r_on_every_node(family, unit_tensions, request):
+    # the guard admits dt = 0.5 / max(a / dsigma^2) and refuses (1 + 1e-6) of it
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    n = 48
+    state = _perturbed_state(network, domain, unit_tensions, n, seed=0)
+    a = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0)).chart(state).a
+    dt = 0.5 / float(np.max(a / ((network.lengths / n) ** 2)[:, None]))
+    cfg = EvolveConfig(dt=dt, t_end=0.0, n=n)
+    assert Stepper(network, domain, unit_tensions, cfg).step(state).t == dt
+    cfg = EvolveConfig(dt=(1.0 + 1e-6) * dt, t_end=0.0, n=n)
+    with pytest.raises(CflViolation):
+        Stepper(network, domain, unit_tensions, cfg).step(state)
+
+
+def _perturbed_state(network, domain, tensions, n, seed):
+    # compatible cosine data of modes 0-4 with coefficients uniform in
+    # [-1, 1], so that max |rho| <= 0.01
+    coefficients = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 5)).tolist()
+    return initial_state(network, domain, tensions, make_config(network, n, 0.0),
+                         kind="cosine", amplitude=0.002, cosine_coefficients=coefficients)
+
+
+def _dirichlet_step(stepper, state):
+    # one step by the predictor and Dirichlet interior route, then the sweep
+    rho = dirichlet_interior_step(stepper.network, state, stepper.chart(state), stepper.dt)
+    rho, r0 = stepper.enforce_bcs(rho)
+    return GraphState(rho=rho, mu=stepper.tensions.q @ r0, t=state.t + stepper.dt)
+
+
+# Bounds on max |rho - rho_oracle| / max |rho_oracle|, set from the draws of
+# _perturbed_state at seeds 0-199 on each fixture below (800 states): one
+# step read at most 4.3e-16 (median 1.9e-16); 300 steps read at most
+# 3.3e-15 on the disk, the ellipse and the trefoil and 7.5e-14 on the two
+# dents, where the difference grows at the sweep's Jacobian refresh after
+# 100 sweeps: its forward difference (step 1e-7) magnifies rounding by
+# about 1e7 in the lagged Jacobian the two routes then hold
+_ONE_STEP_BOUND, _LONG_RUN_BOUND = 1e-15, 2e-13
+
+
+@pytest.mark.parametrize("family, n", [("disk", 200), ("ellipse", 64), ("trefoil", 48),
+                                       ("two_dents", 48)])
+def test_step_agrees_with_the_dirichlet_interior_route(family, n, unit_tensions, request):
+    # The step solves (I - r D2) delta = dt F on all nodes with identity end
+    # rows; the oracle predicts the ends by rho + dt F and solves the
+    # interior with them as Dirichlet data.  The two are one scheme in exact
+    # arithmetic, and the end columns before the sweep are the same bits.
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    state = _perturbed_state(network, domain, unit_tensions, n, seed=0)
+    stepper = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
+    swept = []
+    sweep = stepper.enforce_bcs
+    stepper.enforce_bcs = lambda rho: sweep(swept.append(rho.copy()) or rho)
+    coef = stepper.chart(state)
+    stepper.step(state)
+    want = dirichlet_interior_step(network, state, coef, stepper.dt)
+    F = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
+    got = swept[0]
+    assert np.array_equal(got[:, ::n], state.rho[:, ::n] + stepper.dt * F[:, ::n])
+    assert np.array_equal(got[:, ::n], want[:, ::n])
+    assert np.abs(got - want).max() <= _ONE_STEP_BOUND * np.abs(want).max()
+
+    new = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
+    old = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
+    a = b = state
+    for _ in range(300):
+        a, b = new.step(a), _dirichlet_step(old, b)
+    assert a.t == b.t
+    assert np.abs(a.rho - b.rho).max() <= _LONG_RUN_BOUND * np.abs(b.rho).max()
+
+
 def test_initial_state_zero_perturbation(trefoil, trefoil_network, unit_tensions):
     cfg = make_config(trefoil_network, 24, 0.1)
     state = initial_state(trefoil_network, trefoil, unit_tensions, cfg,
@@ -186,6 +258,72 @@ def test_initial_state_compatibility(trefoil, trefoil_network, unit_tensions):
     # nonlinear correction of the boundary values is second order
     raw = 1e-2 * spec.eigenfunction / np.abs(spec.eigenfunction).max()
     assert np.abs(state.rho - raw).max() < 5e-4
+
+
+_BAD_CONFIGS = {
+    "n=1": ("n", dict(n=1)),
+    "n=2": ("n", dict(n=2)),
+    "n=16.0": ("n", dict(n=16.0)),
+    "dt=0": ("dt", dict(dt=0.0)),
+    "dt<0": ("dt", dict(dt=-1e-5)),
+    "dt=inf": ("dt", dict(dt=np.inf)),
+    "dt=nan": ("dt", dict(dt=np.nan)),
+    "t_end=nan": ("t_end", dict(t_end=np.nan)),
+    "t_end=inf": ("t_end", dict(t_end=np.inf)),
+    "t_end<0": ("t_end", dict(t_end=-0.1)),
+    "output_every=0": ("output_every", dict(output_every=0)),
+    "output_every=-1": ("output_every", dict(output_every=-1)),
+    "output_every=2.0": ("output_every", dict(output_every=2.0)),
+    "amplitude_cap=nan": ("amplitude_cap", dict(amplitude_cap=np.nan)),
+    "amplitude_cap=0": ("amplitude_cap", dict(amplitude_cap=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_bad_evolve_config_raises_value_error_naming_the_field(case):
+    field, bad = _BAD_CONFIGS[case]
+    with pytest.raises(ValueError, match=rf"EvolveConfig\.{field} "):
+        EvolveConfig(**{"t_end": 0.0, "dt": 1e-4, **bad})
+
+
+def test_evolve_config_takes_numpy_integers_and_an_unset_step():
+    cfg = EvolveConfig(t_end=0.0, n=np.int64(3), output_every=np.int32(1),
+                       amplitude_cap=np.inf)
+    assert cfg.dt is None and cfg.n == 3
+
+
+_BAD_RECIPES = {
+    "zero eigenfunction": dict(kind="eigenmode", eigenfunction=0.0),
+    "nan eigenfunction": dict(kind="eigenmode", eigenfunction=np.nan),
+    "inf eigenfunction": dict(kind="eigenmode", eigenfunction=np.inf),
+    "nan amplitude": dict(kind="cosine", amplitude=np.nan),
+    "inf amplitude": dict(kind="eigenmode", amplitude=np.inf, eigenfunction=1.0),
+    "nan coefficient": dict(kind="cosine", cosine_coefficients=[[0.0, 1.0], [np.nan], [1.0]]),
+    "two coefficient lists": dict(kind="cosine", cosine_coefficients=[[0.0, 1.0], [1.0]]),
+    "nested coefficients": dict(kind="cosine", cosine_coefficients=[[[1.0]], [1.0], [1.0]]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_BAD_RECIPES))
+def test_bad_initial_recipe_raises_value_error_before_any_work(case, disk, disk_network,
+                                                               unit_tensions, monkeypatch):
+    n = 12
+    recipe = dict(_BAD_RECIPES[case])
+    if "eigenfunction" in recipe:
+        phi = np.zeros((3, n + 1))
+        phi[1, 3] = recipe["eigenfunction"]
+        recipe["eigenfunction"] = phi
+    # no projection, no sweep: the recipe is refused first
+    monkeypatch.setattr(evolution_module, "state_from_rho", _never)
+    monkeypatch.setattr(evolution_module, "Stepper", _never)
+    with pytest.raises(ValueError):
+        initial_state(disk_network, disk, unit_tensions, make_config(disk_network, n, 0.0),
+                      **recipe)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def test_initial_state_projects_constraint_violation(trefoil, trefoil_network,
