@@ -184,13 +184,9 @@ class ConicDomain(ImplicitDomain):
 
     def ray_exit(self, origin, direction):
         # The far root at q = 0 on the constants of the line with N = 0,
-        # those of _line with every term in N dropped; from an interior
-        # origin it is the one crossing.
-        s0, s1, c0, c1, r = self._frame
-        (x0, x1), (d0, d1) = origin.tolist(), direction.tolist()
-        sh0, sh1, T0, T1 = (x0 - c0) * s0, (x1 - c1) * s1, d0 * s0, d1 * s1
-        a, b = T0 * T0 + T1 * T1, sh0 * T0 + sh1 * T1
-        line = (b, 0.0, 0.0, 0.0, a, b * b - a * (sh0 * sh0 + sh1 * sh1 - r), 0.0, 0.0)
+        # whose terms in N are exact zeros; from an interior origin it is
+        # the one crossing.
+        line = self._line(*origin.tolist(), *direction.tolist(), 0.0, 0.0)
         disc = _conic_disc(line, 0.0)
         if not disc > 0.0:  # NaN fails the test too
             raise NoIntersection("ray does not cross the boundary")

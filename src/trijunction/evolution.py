@@ -76,7 +76,7 @@ from .tensions import SurfaceTensions
 _CFL_SLACK = 1.0 + 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolveConfig:
     t_end: float
     dt: float | None = None  # None: 0.45 dsigma_min^2, resolved by each Stepper

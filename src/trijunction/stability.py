@@ -16,11 +16,13 @@ plane coordinates.  lambda_max comes from that structure alone, by a Sturm
 count of the blocks plus the 2x2 Schur complement onto the plane (Barth,
 Martin & Wilkinson 1967; Golub 1973).  Each block has constant coefficients
 but for its wall row, so its Sturm sequence, the Schur complement and the
-eigenfunction have closed forms in Chebyshev polynomials (Yueh 2005): the
-count reads each block's sign changes from one angle or one sign, and the
-root search runs on the closed-form Schur complement, by Brent's method
-(domains.brentq, scipy's iteration in Python floats, so the package does not
-import scipy.optimize).
+eigenfunction have closed forms in Chebyshev polynomials (Yueh 2005): one
+evaluation of a block (_branch) gives both its Schur weight and its pole
+count, the sign changes read from one angle or one sign, so a count
+evaluates each block once (about 5 us per count at n = 400 on a 2-core
+Xeon host), and the root search runs on the closed-form Schur complement,
+by Brent's method (domains.brentq, scipy's iteration in Python floats, so
+the package does not import scipy.optimize).
 The pencil is never assembled: the solve reads the per-branch element forms
 of assemble_forms, and norms and Rayleigh quotients are sums over the nodal
 values of each branch.
@@ -129,27 +131,43 @@ def _regime(lam, kd, ko, md, mo, d, h):
     return r, below / (2.0 * r), h / r, 1.0
 
 
-def _weight(lam, n, kd, ko, md, mo, d, h):
-    """w = e - o^2 (M^-1)_11 of one branch block in closed form.  As
-    (M^-1)_11 = E_{n-1}/(|o| E_n) and the junction entry e is a/2,
+def _branch(lam, n, kd, ko, md, mo, d, h):
+    """(w, poles) of one branch block from one evaluation.  w = e - o^2
+    (M^-1)_11 in closed form: as (M^-1)_11 = E_{n-1}/(|o| E_n) and the
+    junction entry e is a/2,
     w = |o| ((x^2 - 1) U_{n-1}(x) + eta T_n(x)) / (T_n(x) + eta U_{n-1}(x))
     without the cancellation of e against o^2 (M^-1)_11; at x = cosh t both
     are divided by cosh(n t), so nothing overflows.  At a branch pole
-    (E_n = 0) w is -inf, its limit from above."""
+    (E_n = 0) w is -inf, its limit from above.  poles counts the branch
+    poles above lam: the negative eigenvalues of the block, the sign changes
+    of E_0 ... E_n.  With o = 0 the block is diagonal.  For x = cosh t,
+    E_m / cosh(m t) = 1 + eta tanh(m t) / sinh t is monotone in m, so only
+    E_n can be negative, and its sign is that of w's denominator; for
+    x = cos theta, E_m is a positive multiple of cos(m theta - phi) with
+    phi = atan(eta / sin theta), whose argument steps by theta <= pi/2 and
+    crosses pi/2 + k pi once per sign change.  A block read at -x counts the
+    eigenvalues of the reflected block that are not negative, as
+    E_m(-x, eta) = (-1)^m E_m(x, -eta).  An E_n of exactly 0 is a zero
+    eigenvalue and does not count, where w is -inf."""
     reg = _regime(lam, kd, ko, md, mo, d, h)
     if reg is None:
-        return 0.5 * (kd + lam * md)
+        a = kd + lam * md
+        return 0.5 * a, (n - 1) * (a < 0.0) + (0.5 * a + h < 0.0)
     r, eps, eta, sign = reg
     if eps >= 0.0:  # x = cosh t, divided by T_n = cosh(n t)
         s = math.sqrt(eps) * math.sqrt(2.0 + eps)  # sinh t
         th = math.tanh(2.0 * n * math.asinh(math.sqrt(0.5 * eps)))
         num, den = s * th + eta, 1.0 + eta * (th / s if s else n)
+        count = int(den < 0.0 if sign > 0 else den <= 0.0)
     else:  # x = cos theta
         sn = math.sqrt(-eps) * math.sqrt(2.0 + eps)
         nth = 2.0 * n * math.asin(math.sqrt(-0.5 * eps))
         cn, sin_n = math.cos(nth), math.sin(nth)
         num, den = eta * cn - sn * sin_n, cn + eta * sin_n / sn
-    return sign * r * num / den if den else -math.inf
+        y = (nth - math.atan(eta / sn)) / math.pi
+        count = math.ceil(y - 0.5) if sign > 0 else math.floor(y + 0.5)
+    w = sign * r * num / den if den else -math.inf
+    return w, count if sign > 0 else n - count
 
 
 def _profile(lam, n, kd, ko, md, mo, d, h):
@@ -180,7 +198,7 @@ def _profile(lam, n, kd, ko, md, mo, d, h):
 
 
 def _branch_scalars(network, tensions, n, forms, b):
-    """Per branch (kd, ko, md, mo, d, h) for _weight and _profile, and the
+    """Per branch (kd, ko, md, mo, d, h) for _branch and _profile, and the
     rows g b_0 b_0, g b_0 b_1, g b_1 b_1 that weight S's entries, as floats."""
     branches = np.column_stack([forms[0, 0], forms[0, 2], forms[1, 0], forms[1, 2],
                                 network.lengths / n, network.h_star]).tolist()
@@ -188,49 +206,24 @@ def _branch_scalars(network, tensions, n, forms, b):
 
 
 def _lower(lam, n, branches, weights):
-    """(low, p, q, r): S = sum_i g_i w_i b_i b_i^T = [[p, q], [q, r]] and its
-    lower eigenvalue; at a branch pole low is -inf and p, q, r are nan."""
-    w = [_weight(lam, n, *branch) for branch in branches]
-    if -math.inf in w:
-        return -math.inf, math.nan, math.nan, math.nan
-    p, q, r = (w[0] * c[0] + w[1] * c[1] + w[2] * c[2] for c in weights)
-    return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q), p, q, r
-
-
-def _poles(lam, n, kd, ko, md, mo, d, h):
-    """Branch poles above lam: the negative eigenvalues of the branch block,
-    the sign changes of E_0 ... E_n.  With o = 0 the block is diagonal.  For
-    x = cosh t, E_m / cosh(m t) = 1 + eta tanh(m t) / sinh t is monotone in m,
-    so only E_n can be negative; for x = cos theta, E_m is a positive multiple
-    of cos(m theta - phi) with phi = atan(eta / sin theta), whose argument
-    steps by theta <= pi/2 and crosses pi/2 + k pi once per sign change.  A
-    block read at -x counts the eigenvalues of the reflected block that are
-    not negative, as E_m(-x, eta) = (-1)^m E_m(x, -eta).  An E_n of exactly 0
-    is a zero eigenvalue and does not count, where _weight is -inf."""
-    reg = _regime(lam, kd, ko, md, mo, d, h)
-    if reg is None:
-        a = kd + lam * md
-        return (n - 1) * (a < 0.0) + (0.5 * a + h < 0.0)
-    _, eps, eta, sign = reg
-    if eps >= 0.0:
-        s = math.sqrt(eps) * math.sqrt(2.0 + eps)
-        th = math.tanh(2.0 * n * math.asinh(math.sqrt(0.5 * eps)))
-        den = 1.0 + eta * (th / s if s else n)
-        count = int(den < 0.0 if sign > 0 else den <= 0.0)
-    else:
-        sn = math.sqrt(-eps) * math.sqrt(2.0 + eps)
-        y = (2.0 * n * math.asin(math.sqrt(-0.5 * eps)) - math.atan(eta / sn)) / math.pi
-        count = math.ceil(y - 0.5) if sign > 0 else math.floor(y + 0.5)
-    return count if sign > 0 else n - count
+    """(low, poles, p, q, r) from one _branch evaluation per block: S =
+    sum_i g_i w_i b_i b_i^T = [[p, q], [q, r]], its lower eigenvalue and the
+    branch poles above lam; at a branch pole low is -inf and p, q, r are
+    nan."""
+    (w0, k0), (w1, k1), (w2, k2) = (_branch(lam, n, *branch) for branch in branches)
+    poles = k0 + k1 + k2
+    if -math.inf in (w0, w1, w2):
+        return -math.inf, poles, math.nan, math.nan, math.nan
+    p, q, r = (w0 * c[0] + w1 * c[1] + w2 * c[2] for c in weights)
+    return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q), poles, p, q, r
 
 
 def _inertia(lam, n, branches, weights):
-    """(above, poles) at lam, with the branch poles above lam counted in
-    closed form by _poles.  By Sylvester's law of inertia #{eigenvalues above
-    lam} = poles + #{negative eigenvalues of S}, so one lies above lam when
-    there is a pole or S's lower eigenvalue is negative."""
-    poles = sum(_poles(lam, n, *branch) for branch in branches)
-    return poles > 0 or _lower(lam, n, branches, weights)[0] < 0, poles
+    """(above, poles) at lam.  By Sylvester's law of inertia #{eigenvalues
+    above lam} = poles + #{negative eigenvalues of S}, so one lies above lam
+    when there is a pole or S's lower eigenvalue is negative."""
+    low, poles, *_ = _lower(lam, n, branches, weights)
+    return poles > 0 or low < 0, poles
 
 
 def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
@@ -275,12 +268,12 @@ def max_eigenvalue(network: StationaryNetwork, tensions: SurfaceTensions,
         lam = brentq(lambda t: _lower(t, n, branches, weights)[0], lo, hi, xtol=1e-13)
     except RootSearchFailed as e:
         raise EigenSolveFailed(f"root search on [{lo}, {hi}]: {e}") from e
-    _, p, q, r = _lower(lam, n, branches, weights)
+    _, _, p, q, r = _lower(lam, n, branches, weights)
     theta = 0.5 * math.atan2(q, 0.5 * (p - r))  # (cos, sin) spans the upper eigenvector
     c = (-math.sin(theta), math.cos(theta))
     below = lam - _DOUBLE_BAND * max(1.0, abs(lam))
     if below > lo:  # no pole in [below, lam], so two eigenvalues there make S negative definite
-        low, p, q, r = _lower(below, n, branches, weights)
+        low, _, p, q, r = _lower(below, n, branches, weights)
         if p + r - low < 0:
             c = (1.0, 0.0)
     profiles = np.array([_profile(lam, n, *branch) for branch in branches])

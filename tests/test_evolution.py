@@ -286,6 +286,19 @@ def test_bad_evolve_config_raises_value_error_naming_the_field(case):
         EvolveConfig(**{"t_end": 0.0, "dt": 1e-4, **bad})
 
 
+@pytest.mark.parametrize("field, bad", [("output_every", 0), ("dt", np.nan)])
+def test_evolve_config_is_frozen_and_replace_rechecks(field, bad):
+    # A field assigned after construction would skip the check, and run
+    # would end in a ZeroDivisionError (output_every = 0) or in "cannot
+    # convert float NaN to integer" (dt = nan); replace builds a new config
+    # and checks it.
+    cfg = EvolveConfig(t_end=0.0, dt=1e-4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, bad)
+    with pytest.raises(ValueError, match=rf"EvolveConfig\.{field} "):
+        dataclasses.replace(cfg, **{field: bad})
+
+
 def test_evolve_config_takes_numpy_integers_and_an_unset_step():
     cfg = EvolveConfig(t_end=0.0, n=np.int64(3), output_every=np.int32(1),
                        amplitude_cap=np.inf)
@@ -462,7 +475,7 @@ def test_run_meeting_the_det_m_floor_at_a_record_on_a_polynomial_wall(
     network, domain, tensions = two_dents_network, two_dents, unit_tensions
     n, k = 24, 11
     cfg = make_config(network, n, 0.0, output_every=1)
-    cfg.t_end = 40 * cfg.dt
+    cfg = dataclasses.replace(cfg, t_end=40 * cfg.dt)
     phi = max_eigenvalue(network, tensions, n).eigenfunction
     init = initial_state(network, domain, tensions, cfg, kind="eigenmode", amplitude=0.02,
                          eigenfunction=-phi)
@@ -523,7 +536,7 @@ def test_run_records_equal_records_of_its_states_on_conics(disk, disk_network, e
     # ellipse with cosine data (the CLI pipeline's config, every step).
     n = 48
     cfg = make_config(disk_network, n, 0.0, output_every=7)
-    cfg.t_end = 50 * cfg.dt
+    cfg = dataclasses.replace(cfg, t_end=50 * cfg.dt)
     phi = max_eigenvalue(disk_network, unit_tensions, n).eigenfunction
     init = initial_state(disk_network, disk, unit_tensions, cfg, kind="eigenmode",
                          amplitude=1e-2, eigenfunction=phi)
@@ -574,7 +587,7 @@ def test_run_on_a_nan_gradient_wall_equals_the_disks(disk, disk_network, unit_te
     init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
                          amplitude=1e-2)
     for steps in (3, 12):
-        cfg.t_end = steps * cfg.dt
+        cfg = dataclasses.replace(cfg, t_end=steps * cfg.dt)
         traj = run(disk_network, NanGradientDisk(1.0), unit_tensions, init, cfg)
         want = run(disk_network, disk, unit_tensions, init, cfg)
         assert traj.status == want.status == "completed"
@@ -600,7 +613,7 @@ def test_non_finite_state_ends_run_with_typed_status(family, value, when, unit_t
     domain = request.getfixturevalue(family)
     network = request.getfixturevalue(f"{family}_network")
     cfg = make_config(network, 48, 0.0, output_every=2)
-    cfg.t_end = 8 * cfg.dt
+    cfg = dataclasses.replace(cfg, t_end=8 * cfg.dt)
     init = initial_state(network, domain, unit_tensions, cfg, kind="cosine",
                          amplitude=1e-2)
     if when == "initial":
@@ -666,7 +679,7 @@ def test_run_on_a_fresh_triple_derives_its_constants_once(disk, disk_network, mo
         monkeypatch.setattr(tensions_module, name, counted)
     fresh = SurfaceTensions((1.0, 1.0, 1.0))
     cfg = make_config(disk_network, 24, 0.0, output_every=2)
-    cfg.t_end = 10 * cfg.dt
+    cfg = dataclasses.replace(cfg, t_end=10 * cfg.dt)
     init = initial_state(disk_network, disk, fresh, cfg, kind="cosine", amplitude=1e-2)
     traj = run(disk_network, disk, fresh, init, cfg)
     assert traj.status == "completed" and len(traj.records) == 6
@@ -694,7 +707,7 @@ def test_run_evaluates_one_chart_per_step(disk, disk_network, unit_tensions, mon
     # and again for the record cost 2K + 1.
     n, steps = 24, 12
     cfg = make_config(disk_network, n, 0.0, output_every=1)
-    cfg.t_end = steps * cfg.dt
+    cfg = dataclasses.replace(cfg, t_end=steps * cfg.dt)
     init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
                          amplitude=1e-2)
     calls = []

@@ -193,7 +193,7 @@ def _closed_poles(net, t, n, lam):
     """Branch poles above lam by the closed-form count of the solve."""
     forms, b = stability.assemble_forms(net, t, n)
     branches, _ = stability._branch_scalars(net, t, n, forms, b)
-    return sum(stability._poles(lam, n, *branch) for branch in branches)
+    return sum(stability._branch(lam, n, *branch)[1] for branch in branches)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 48, 400])
@@ -325,7 +325,7 @@ def test_closed_form_pole_count_leaves_out_the_zero_pole(n):
     # The tie: on the symmetric fork l = 1, h = -1 every branch block is
     # singular at lam = 0, and E_n = 1 + eta n is exactly 0 in the closed form
     # at these n.  A zero eigenvalue is not negative, so the count reads 0,
-    # where _weight reads -inf; dstebz's rounding reads 3 at some of these n
+    # where _branch's w reads -inf; dstebz's rounding reads 3 at some of these n
     # and 0 at others.  Off the tie both counts agree: 3 below 0, 0 above.
     net = synthetic_network((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), UNIT)
     forms = stability.assemble_forms(net, UNIT, n)[0]
@@ -333,6 +333,33 @@ def test_closed_form_pole_count_leaves_out_the_zero_pole(n):
     assert _closed_lower(net, UNIT, n, 0.0) == -np.inf
     for lam, poles in ((-1e-9, 3), (1e-9, 0)):
         assert _closed_poles(net, UNIT, n, lam) == lapack_pole_count(lam, forms, n) == poles
+
+
+def test_each_count_evaluates_each_branch_block_once(
+        disk_network, trefoil_network, two_dents_network, monkeypatch):
+    # The Schur weight and the pole count of a block come from one closed
+    # form, so a count evaluates each of the three blocks once, whether or
+    # not it finds a pole.
+    regime, inertia = stability._regime, stability._inertia
+    regime_calls, per_count = [0], []
+
+    def counted(*args):
+        regime_calls[0] += 1
+        return regime(*args)
+
+    def recorded(*args):
+        before = regime_calls[0]
+        result = inertia(*args)
+        per_count.append(regime_calls[0] - before)
+        return result
+
+    monkeypatch.setattr(stability, "_regime", counted)
+    monkeypatch.setattr(stability, "_inertia", recorded)
+    forks = [(net, UNIT) for net in (disk_network, trefoil_network, two_dents_network)]
+    for net, t in forks + list(_spectrum_batch(1, 50)):
+        per_count.clear()
+        max_eigenvalue(net, t, 400)
+        assert len(per_count) >= 2 and set(per_count) == {3}, per_count
 
 
 @pytest.mark.parametrize("g, l, h, regime", _REGIME_FORKS)
