@@ -175,9 +175,10 @@ class ConicDomain(ImplicitDomain):
         of B lines, T and N (B, 2) and base (2,) or (B, 2), from per-line
         constants (B, 1); s_ref is not read."""
         lines = np.broadcast_to(base, np.shape(T))
-        consts = [self._line(*b, *t, *nn) for b, t, nn in
-                  zip(lines.tolist(), np.asarray(T).tolist(), np.asarray(N).tolist())]
-        return _conic_exits(np.array(consts).T[..., None], np.asarray(q, dtype=float), second)
+        consts = np.array([self._line(*b, *t, *nn) for b, t, nn in
+                           zip(lines.tolist(), np.asarray(T).tolist(), np.asarray(N).tolist())])
+        consts = consts.T[..., None]
+        return _conic_exits(consts[:3], tuple(consts), np.asarray(q, dtype=float), second)
 
     def network_exits(self, network, n):
         return _ConicExits(self, network, n)
@@ -187,14 +188,16 @@ class ConicDomain(ImplicitDomain):
         # whose terms in N are exact zeros; from an interior origin it is
         # the one crossing.
         line = self._line(*origin.tolist(), *direction.tolist(), 0.0, 0.0)
-        disc = _conic_disc(line, 0.0)
+        disc = _conic_disc(line, 0.0, 0.0)
         if not disc > 0.0:  # NaN fails the test too
             raise NoIntersection("ray does not cross the boundary")
-        return _conic_jet(line, 0.0, math.sqrt(disc), False)[0]
+        return _conic_jet(line, 0.0, 0.0, math.sqrt(disc), False)[0]
 
     def _line(self, b0, b1, T0, T1, N0, N1):
         """The constants of the conic kernel for the line base + q N + s T in
-        y = S (x - c), as a tuple of floats."""
+        y = S (x - c), as a tuple of floats: first the three that multiply
+        q, (T, N), |N|^2 and A2, then b0, -(o0, N), a, A0, A1, 2 (T, N) and
+        -|N|^2."""
         s0, s1, c0, c1, r = self._frame
         sh0, sh1 = (b0 - c0) * s0, (b1 - c1) * s1
         T0, T1, N0, N1 = T0 * s0, T1 * s1, N0 * s0, N1 * s1
@@ -203,31 +206,40 @@ class ConicDomain(ImplicitDomain):
         NN = N0 * N0 + N1 * N1
         b = sh0 * T0 + sh1 * T1
         sN = sh0 * N0 + sh1 * N1
-        return (b, TN, sN, NN, a, b * b - a * (sh0 * sh0 + sh1 * sh1 - r),
-                2.0 * (b * TN - a * sN), TN * TN - a * NN)
+        return (TN, NN, TN * TN - a * NN, b, -sN, a, b * b - a * (sh0 * sh0 + sh1 * sh1 - r),
+                2.0 * (b * TN - a * sN), 2.0 * TN, -NN)
 
 
 class _ConicExits:
     """network_exits on a conic: the conic kernel, which reads no start, on the
     constants of the three branch lines, bound once: grid-shaped, (3, n+1),
     for chart, and per line in Python floats for ends.  ends runs the
-    kernel per line in floats and makes offset_exit's checks over all six
+    kernel per line in one float loop and, at the first discriminant that
+    is not clear of both checks, makes offset_exit's checks over all six
     lines, so chart, ends and offset_exit agree bitwise and raise alike."""
 
     def __init__(self, domain, network, n):
         lines = [domain._line(*network.p_star.tolist(), *t, *nn) for t, nn in
                  zip(network.tangents.tolist(), network.normals.tolist())]
-        self._grid = np.repeat(np.array(lines).T[..., None], n + 1, axis=2)
-        self._ends = [lines[i] for i in _BRANCH6]
+        grid = np.repeat(np.array(lines).T[..., None], n + 1, axis=2)
+        self._qterms, self._grid = grid[:3], tuple(grid)
+        self._ends = [lines[i][:8] for i in _BRANCH6]  # ends reads no s'' constant
 
     def chart(self, q):
-        return _conic_exits(self._grid, q, True)
+        return _conic_exits(self._qterms, self._grid, q, True)
 
     def ends(self, q):
-        discs = list(map(_conic_disc, self._ends, q))
-        if not min(discs) > _DISC_CLEAR:
-            _check_discs(discs)
-        s, ds, _ = zip(*map(_conic_jet, self._ends, q, map(math.sqrt, discs), _FIRST6))
+        # _conic_disc and _conic_jet (second=False), written out in floats
+        s, ds = [], []
+        for (TN, NN, A2, b, msN, a, A0, A1), qk in zip(self._ends, q):
+            disc = A0 + qk * (A1 + qk * A2)
+            if not disc > _DISC_CLEAR:  # NaN takes the exact checks too
+                _check_discs([_conic_disc(line, x, x * line[2])
+                              for line, x in zip(self._ends, q)])
+            root = math.sqrt(disc)
+            sk = (root - (b + qk * TN)) / a
+            s.append(sk)
+            ds.append((msN - qk * NN - sk * TN) / root)
         return s, ds
 
 
@@ -241,27 +253,30 @@ class _ConicExits:
 # a (o0, N)), A2 = (T, N)^2 - a |N|^2.  The exit is the root on the far side
 # of the chord, s = (sqrt(disc) - b) / a, the one continuous in the
 # reference root.  At the exit (grad psi, T) = 2 sqrt(disc), (grad psi, N) =
-# 2 (o + s T, N) and D2psi = 2 W, so the factors 2 cancel.  At q = 0 every
+# 2 (o + s T, N) and D2psi = 2 W, so the factors 2 cancel.  q enters through
+# the three products q (T, N), q |N|^2 and q A2, which the array route
+# takes in one multiplication of the stacked constants.  At q = 0 every
 # term in q vanishes exactly, which leaves the rays' expression.
 
 _DISC_CLEAR = 1e-20  # a discriminant above it passes both checks of _check_discs
-_FIRST6 = (False,) * 6  # second=False for the six ends
 
 
-def _conic_disc(line, q):
-    _, _, _, _, _, A0, A1, A2 = line
-    return A0 + q * (A1 + q * A2)
+def _conic_disc(line, q, qA2):
+    """The discriminant A0 + q (A1 + q A2), given qA2 = q A2."""
+    return line[6] + q * (line[7] + qA2)
 
 
-def _conic_jet(line, q, root, second):
-    """(s, s', s'') at the exit from root = sqrt(disc); s'' is None when
-    second=False."""
-    b, TN, sN, NN, a, _, _, _ = line
-    s = (root - (b + q * TN)) / a
-    ds = -(sN + q * NN + s * TN) / root
+def _conic_jet(line, qTN, qNN, root, second):
+    """(s, s', s'') at the exit from root = sqrt(disc) and the q-terms
+    qTN = q (T, N) and qNN = q |N|^2; s'' is None when second=False.  With
+    the negated constants, s' = -((o, N) + s (T, N)) / root and s'' =
+    -(s'^2 a + 2 s' (T, N) + |N|^2) / root round as written out."""
+    TN, _, _, b, msN, a, _, _, TN2, mNN = line
+    s = (root - (b + qTN)) / a
+    ds = (msN - qNN - s * TN) / root
     if not second:
         return s, ds, None
-    return s, ds, -(ds * ds * a + 2.0 * ds * TN + NN) / root
+    return s, ds, (mNN - (ds * ds * a + ds * TN2)) / root
 
 
 def _check_discs(discs):
@@ -273,13 +288,16 @@ def _check_discs(discs):
         raise OffsetMissesBoundary("offset line tangent to the boundary")
 
 
-def _conic_exits(lines, q, second):
-    """(s, s', s'') on arrays of offsets q from the constants `lines`, eight
-    arrays that broadcast to q, after the miss and tangent checks."""
-    disc = _conic_disc(lines, q)
+def _conic_exits(qterms, lines, q, second):
+    """(s, s', s'') on arrays of offsets q from `lines`, the ten constants as
+    arrays that broadcast to q, after the miss and tangent checks.  qterms
+    stacks the first three, so that one product with q gives all three
+    q-terms."""
+    qTN, qNN, qA2 = qterms * q
+    disc = _conic_disc(lines, q, qA2)
     if not disc.min() > _DISC_CLEAR:  # NaN takes the exact checks too
         _check_discs(disc)
-    return _conic_jet(lines, q, np.sqrt(disc), second)
+    return _conic_jet(lines, qTN, qNN, np.sqrt(disc), second)
 
 
 class CircleDomain(ConicDomain):
@@ -405,9 +423,10 @@ class PolynomialDomain(ImplicitDomain):
         powers = ladders[:, 1]
         for _ in range(60):
             vals = _line_fields(coef, powers)
-            f, df = vals[:, 0], vals[:, 1]
-            if np.abs(f).max() < 1e-13:  # NaN fails the test too
+            f = vals[:, 0]
+            if _every_under(f, 1e-13):
                 break
+            df = vals[:, 1]
             converged = np.abs(f) < 1e-13
             # converged entries and slopes under the floor take no step
             df = np.where(converged | (np.abs(df) < _GRAD_FLOOR), np.inf, df)
@@ -421,8 +440,7 @@ class PolynomialDomain(ImplicitDomain):
             s[rows, cols] = self.line_exit(base + q[:, None] * N, T, start)
             vals = _line_fields(coef, _ladder(s, deg))
         gT = vals[:, 1]
-        slope = np.abs(gT)
-        if not slope.min() >= 1e-10 and (slope < 1e-10).any():  # NaN entries pass
+        if _some_under(gT, 1e-10):
             raise OffsetMissesBoundary("offset line tangent to the boundary")
         ds = vals[:, 2] / gT  # the third field is -P_q
         if not second:
@@ -504,10 +522,8 @@ class _PolynomialExits:
         return jet
 
     def ends(self, q):
-        s_ref = []
-        for qk, (q0, s, ds, dds) in zip(q, self._end_jet):
-            dq = qk - q0
-            s_ref.append(s + dq * (ds + 0.5 * dds * dq))
+        s_ref = [s + (dq := qk - q0) * (ds + 0.5 * dds * dq)
+                 for qk, (q0, s, ds, dds) in zip(q, self._end_jet)]
         # The sweep reads P, P_s and P_q only, but all six fields are kept:
         # the matrix-vector product over three of them rounds differently.
         s, ds, _ = self._kernel(self._end_stacks, np.array((q, s_ref))[..., None],
@@ -547,6 +563,24 @@ def _ladder(v, deg):
     for k in range(1, deg):
         out[k + 1] *= out[k]
     return out
+
+
+def _every_under(v, tol):
+    """Whether |v| < tol for every entry, a NaN failing; in floats up to 64
+    entries (the sweep's six ends), where that costs less than numpy's abs
+    and its reduction."""
+    if v.size <= 64:
+        return all([abs(x) < tol for x in v.ravel().tolist()])
+    return np.abs(v).max() < tol
+
+
+def _some_under(v, tol):
+    """Whether |v| < tol for some entry, a NaN not; in floats up to 64
+    entries, as _every_under."""
+    if v.size <= 64:
+        return any([abs(x) < tol for x in v.ravel().tolist()])
+    slope = np.abs(v)
+    return not slope.min() >= tol and (slope < tol).any()
 
 
 def _line_fields(coef, powers):
@@ -785,7 +819,7 @@ def newton(residual, u, held=None):
     held = held if lagged else LaggedJacobian()
     F = residual(u)
     for it in range(_NEWTON_MAX):
-        if all(map(_NEWTON_TOL.__gt__, map(abs, F))):  # every |f| < tol; NaN never passes
+        if all([abs(f) < _NEWTON_TOL for f in F]):  # NaN never passes
             held.age += 1
             return u
         base = math.hypot(*F)

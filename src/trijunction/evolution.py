@@ -3,8 +3,9 @@
 One step is linearly implicit: the stiff local diffusion a^i rho_ss is
 advanced implicitly, while the nonlocal junction coupling Lambda^i mu_t,
 whose mu_t carries the junction traces of rho_ss, and all lower-order
-content is explicit.  With F = L kappa + Lambda mu_t at the current state
-and the weights r = a dt / dsigma^2, the step solves
+content is explicit.  With F = L kappa + Lambda mu_t at the current state,
+as the chart (parameterization.coefficients) gives it, and the weights
+r = a dt / dsigma^2 = c / J^2, c = dt / dsigma^2 per branch, the step solves
 
     (I - r D2) delta = dt F,    rho_new = rho + delta,
 
@@ -34,7 +35,12 @@ last chart's exit jet on a polynomial wall and none on a conic.
 The explicit remainder carries second-derivative traces, so the classic
 diffusive guard dt <= 0.5 dsigma^2 / max(a) is enforced even though the
 principal part is implicit.  The step reads it as max r <= 0.5 on all
-n + 1 nodes of each branch.
+n + 1 nodes of each branch, from the chart's per-branch minimum of J^2:
+division is monotone, so c / min J^2 is max(c / J^2) bitwise.  The band
+-c / J^2 is one division of a Stepper constant by the chart's J^2; neither
+L nor a is formed.  The sweep's maps (its start, the junction values of
+its unknowns and its residual) are closures bound once per Stepper, and it
+writes the six swept ends in one assignment.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ from .parameterization import (
     end_slope,
     junction_point,
     psi_first_jet,
-    sigma_grids,
     state_from_rho,
 )
 from .tensions import SurfaceTensions
@@ -141,19 +146,20 @@ class Stepper:
                    else config.dt)
         # step() solves (I - r D2) delta = dt F for all three branches in one
         # tridiagonal system on the flattened (3, n+1) grid, with the weights
-        # r = a c and the grid constant c = dt / dsigma^2.  Its band is r times
-        # _minus_inner, -1 inside and 0 at the six end columns, so the end rows
-        # are the identity and no row couples two branches.
-        self._c = self.dt / sigma_grids(n, tuple(network.lengths.tolist()))[2]
-        self._minus_inner = np.full((3, n + 1), -1.0)
-        self._minus_inner[:, ::n] = 0.0
+        # r = c / J^2 and the per-branch constant c = dt / dsigma^2.  Its band
+        # is _band_c / J^2, with _band_c = -c inside and 0 at the six end
+        # columns, so the end rows are the identity and no row couples two
+        # branches.
+        self._c = self.dt / (network.lengths / n) ** 2
+        self._band_c = np.repeat(-self._c[:, None], n + 1, axis=1)
+        self._band_c[:, ::n] = 0.0
         self._diag = np.empty(3 * (n + 1))
         self._exits = domain.network_exits(network, n)
-        # the boundary sweep's per-run constants as Python floats
+        # the boundary sweep's operator and maps, on per-run constants as
+        # Python floats, and its lagged Jacobian
         self._bc = BoundaryOperator(network, self._exits, tensions.angles, n)
-        self._basis = tensions.basis.tolist()
-        self._q = tensions.q.tolist()
-        self._jac = LaggedJacobian()  # the boundary sweep's
+        self._sweep = _sweep_maps(self._bc, tensions)
+        self._jac = LaggedJacobian()
         self._ahead = None  # (state, its coefficients) for the next step to read
 
     def enforce_bcs(self, rho):
@@ -165,27 +171,9 @@ class Stepper:
         Stepper's BoundaryOperator, with its lagged Jacobian; a singular
         Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
-        bc = self._bc
-        (x0, x1, x2), (y0, y1, y2) = self._basis
-        (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = self._q
-        nodes = bc.nodes(rho)
-
-        def unpack(u):
-            c0, c1 = u[0], u[1]
-            return [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2], u[2:]
-
-        def residual(u):
-            # junction angle + outer perpendicularity residuals, interior frozen
-            r0, w = unpack(u)
-            r1, r2, r3 = r0
-            mu = [q00 * r1 + q01 * r2 + q02 * r3, q10 * r1 + q11 * r2 + q12 * r3,
-                  q20 * r1 + q21 * r2 + q22 * r3]
-            return bc(nodes, r0, w, mu)
-
-        (r1, *_, w1), (r2, *_, w2), (r3, *_, w3) = nodes
-        u = [x0 * r1 + x1 * r2 + x2 * r3, y0 * r1 + y1 * r2 + y2 * r3, w1, w2, w3]
+        start, unpack, residual = self._sweep
         try:
-            u = newton(residual, u, self._jac)
+            u = newton(residual, start(self._bc.nodes(rho)), self._jac)
         except SingularJacobian as e:
             raise NewtonDiverged(f"boundary sweep Jacobian singular: {e}") from e
         except NoConvergence as e:
@@ -193,10 +181,9 @@ class Stepper:
                 f"boundary sweep stalled at residual {e.residual:.3e}" if e.stalled else
                 f"boundary sweep did not reach {_NEWTON_TOL:.1e} (residual {e.residual:.3e})"
             ) from e
-        r0_new, w_new = unpack(u)
-        rho[:, 0] = r0_new
-        rho[:, -1] = w_new
-        return rho, np.array(r0_new)
+        ends = np.array((unpack(u), u[2:]))
+        rho.T[::rho.shape[1] - 1] = ends  # the six ends in one write
+        return rho, ends[0]
 
     # -- one time step -----------------------------------------------------
 
@@ -213,23 +200,19 @@ class Stepper:
         coef = self._ahead[1]
         self._ahead = None
         dt = self.dt
-        # the guard dt <= 0.5 min(dsigma^2 / a) as max r <= 0.5 on every node
-        r = coef.a * self._c
-        r_max = float(r.max())
+        # the guard dt <= 0.5 min(dsigma^2 / a), a = 1/J^2, as max r <= 0.5 on
+        # every node: per branch c / min J^2, which is max(c / J^2) bitwise
+        r_max = float((self._c / coef.J2_min).max())
         if r_max > 0.5 * _CFL_SLACK:
             raise CflViolation(f"dt = {dt:.3e} exceeds guard {0.5 * dt / r_max:.3e}")
 
         # the band: -r inside, 0 on the end rows; the diagonal: 1 - 2 band
-        band = r
-        band *= self._minus_inner
-        band = band.ravel()
+        band = np.divide(self._band_c, coef.J2).ravel()
         np.multiply(band, -2.0, out=self._diag)
         self._diag += 1.0
-        # right-hand side dt F, F = L kappa + Lambda mu_t, on every node: the
-        # end rows return it as the explicit predictor's increment, bitwise
-        rhs = coef.L * coef.kappa
-        rhs += coef.Lam * coef.mu_t[:, None]
-        rhs *= dt
+        # right-hand side dt F on every node: the end rows return it as the
+        # explicit predictor's increment, bitwise
+        rhs = coef.F * dt
         # dgtsv overwrites its bands, so f2py hands it copies of the views
         # dl = band[1:] and du = band[:-1]; the diagonal is rewritten each step
         *_, rho_new, info = dgtsv(band[1:], self._diag, band[:-1], rhs.ravel(),
@@ -240,6 +223,37 @@ class Stepper:
         rho_new += state.rho
         rho_new, r0 = self.enforce_bcs(rho_new)
         return GraphState(rho=rho_new, mu=self.tensions.q @ r0, t=state.t + dt)
+
+
+def _sweep_maps(bc, tensions):
+    """The boundary sweep's maps in Python floats, on the constraint basis b
+    and the junction matrix Q bound once per Stepper: start(nodes) gives
+    the unknowns u = (b rho(0), rho(l)) from the nodes of rho that bc.nodes
+    fetches and holds them for residual, unpack(u) gives the junction values
+    r0 = c b as a 3-list, and residual(u) the junction and wall residuals
+    of bc, the BoundaryOperator, at u with the held nodes' interior frozen
+    and mu = Q r0."""
+    (x0, x1, x2), (y0, y1, y2) = tensions.basis.tolist()
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = tensions.q.tolist()
+    held = [None]  # the nodes of the rho being swept
+
+    def start(nodes):
+        held[0] = nodes
+        (r1, _, _, _, _, w1), (r2, _, _, _, _, w2), (r3, _, _, _, _, w3) = nodes
+        return [x0 * r1 + x1 * r2 + x2 * r3, y0 * r1 + y1 * r2 + y2 * r3, w1, w2, w3]
+
+    def unpack(u):
+        c0, c1 = u[0], u[1]
+        return [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
+
+    def residual(u):
+        r0 = unpack(u)
+        r1, r2, r3 = r0
+        return bc(held[0], r0, u[2:], [q00 * r1 + q01 * r2 + q02 * r3,
+                                       q10 * r1 + q11 * r2 + q12 * r3,
+                                       q20 * r1 + q21 * r2 + q22 * r3])
+
+    return start, unpack, residual
 
 
 def initial_state(network, domain, tensions, config: EvolveConfig,

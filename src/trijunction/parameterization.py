@@ -31,7 +31,13 @@ mu_b''), so a chart is the one source of wall geometry.  The chart keeps
 its lengths at grid shape, so that its arithmetic runs on equal shapes,
 and runs it in place, each line rounding as its formula.  Its
 sigma-derivatives (rho_derivatives) read every stencil off one array of
-first differences.
+first differences and come out of one stacked pass with one division.
+
+A chart computes what the time step reads and no more: J^2 and its
+per-branch minimum, kappa J^3, and in coefficients the right-hand side
+F = L kappa + Lambda mu_t with L kappa = kappa J^3 / (xi_sigma J^2), so a
+step takes no square root.  J = sqrt(J^2) and kappa = kappa J^3 / (J^2 J),
+which the records read, are formed when first asked for.
 """
 
 from __future__ import annotations
@@ -160,39 +166,54 @@ def psi_first_jet(network, domain, branch, sigma, q, mu):
 # ---------------------------------------------------------------------------
 # finite differences on the rho grid (second order, one-sided at the ends)
 
-# second-order one-sided stencils on the first differences D = diff(rho):
-# rows D_0, D_1, D_2, D_{n-1}, D_{n-2}, D_{n-3}; columns 2 dsigma rho_sigma
-# = 3 D_0 - D_1 and dsigma^2 rho_ss = -2 D_0 + 3 D_1 - D_2 at the first
-# node, then the same at the last node, mirrored, which flips the sign of
-# every difference
-_END_DIFFS = np.array([0, 1, 2, -1, -2, -3])
-_END_STENCILS = np.array([[3.0, -2.0, 0.0, 0.0], [-1.0, 3.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
-                          [0.0, 0.0, 3.0, 2.0], [0.0, 0.0, -1.0, -3.0], [0.0, 0.0, 0.0, 1.0]])
+# second-order one-sided stencils on the first differences D = diff(rho),
+# stored one row per branch with an unread last column: columns D_0, D_1,
+# D_2, D_{n-1}, D_{n-2}, D_{n-3}; rows 2 dsigma rho_sigma = 3 D_0 - D_1 at
+# the first node and the same at the last node, mirrored, which flips the
+# sign of every difference, then dsigma^2 rho_ss = -2 D_0 + 3 D_1 - D_2 at
+# the two nodes
+_END_DIFFS = np.array([0, 1, 2, -2, -3, -4])
+_END_STENCILS = np.array([[3.0, 0.0, -2.0, 0.0], [-1.0, 0.0, 3.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+                          [0.0, 3.0, 0.0, 2.0], [0.0, -1.0, 0.0, -3.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
     """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids, second
     order, one-sided at the ends; rho_sigmasigma is None when second is
-    False.  Every stencil reads one array of first differences D: inside,
+    False (see _stencils)."""
+    rho = np.asarray(rho, dtype=float)
+    d = (np.asarray(lengths, dtype=float) / (rho.shape[-1] - 1))[..., None]
+    scale = np.stack((2.0 * d, d * d) if second else (2.0 * d,))
+    # one divisor row per derivative, broadcast over any leading axes of rho
+    out = _stencils(rho, scale[(slice(None),) + (None,) * (rho.ndim - d.ndim)])
+    return out[0], (out[1] if second else None)
+
+
+def _stencils(rho, scale):
+    """rho_sigma, and rho_sigmasigma if scale has two rows, stacked on a
+    leading axis: one pass that divides the stacked differences by scale,
+    (2 dsigma,) or (2 dsigma, dsigma^2), shaped to broadcast.  Every
+    stencil reads one array of first differences D: inside,
     (D_j + D_{j-1}) / (2 dsigma) and (D_j - D_{j-1}) / dsigma^2, and the
     four end stencils are one product of its end columns with
-    _END_STENCILS."""
-    rho = np.asarray(rho, dtype=float)
+    _END_STENCILS.  The differences and the inner stencils run on the
+    flattened rows, as single contiguous passes; what they give across two
+    rows lands on end nodes, which the end stencils overwrite, or in the
+    last column of D, which no stencil reads."""
     n = rho.shape[-1] - 1
-    d = (np.asarray(lengths, dtype=float) / n)[..., None]
-    diff = rho[..., 1:] - rho[..., :-1]
+    diff = np.empty(rho.shape)
+    flat, d = rho.reshape(-1), diff.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=d[:-1])
     ends = diff.take(_END_DIFFS, axis=-1) @ _END_STENCILS
-    rs = np.empty_like(rho)
-    np.add(diff[..., 1:], diff[..., :-1], out=rs[..., 1:-1])
-    rs[..., ::n] = ends[..., ::2]
-    rs /= 2.0 * d
-    if not second:
-        return rs, None
-    rss = np.empty_like(rho)
-    np.subtract(diff[..., 1:], diff[..., :-1], out=rss[..., 1:-1])
-    rss[..., ::n] = ends[..., 1::2]
-    rss /= d * d
-    return rs, rss
+    out = np.empty(scale.shape[:1] + rho.shape)
+    inner = out.reshape(len(out), -1)[:, 1:-1]
+    np.add(d[1:-1], d[:-2], out=inner[0])
+    out[0, ..., ::n] = ends[..., :2]
+    if len(out) == 2:
+        np.subtract(d[1:-1], d[:-2], out=inner[1])
+        out[1, ..., ::n] = ends[..., 2:]
+    out /= scale
+    return out
 
 
 _SLOPE_WEIGHTS = (-3.0, 4.0, -1.0)
@@ -232,25 +253,29 @@ def junction_point(network, state: GraphState) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def sigma_grids(n: int, lengths: tuple) -> tuple:
-    """(l, sigma / l, dsigma^2) on the (3, n+1) grids of sigma_grid(n) for
-    the tuple of branch lengths, read-only, cached per (n, lengths) since
-    every step reads them.  l and dsigma^2 repeat the per-branch constants
-    along the grid, where an operation on two (3, n+1) arrays costs about
-    half of one between (3, n+1) and (3, 1); sigma / l is rounded exactly
-    as sigma_grid(n) / l."""
+    """(l, sigma / l, 1 - sigma / l, scale) on the (3, n+1) grids of
+    sigma_grid(n) for the tuple of branch lengths, read-only, cached per
+    (n, lengths) since every step reads them.  l repeats the branch
+    lengths along the grid, where an operation on two (3, n+1) arrays costs
+    about half of one between (3, n+1) and (3, 1); sigma / l is rounded
+    exactly as sigma_grid(n) / l; scale, (2, 3, n+1), repeats the divisor
+    (2 dsigma, dsigma^2) of the stacked stencils (rho_derivatives)."""
     lengths = np.array(lengths)
     l = np.repeat(lengths[:, None], n + 1, axis=1)
     frac = (np.linspace(0.0, 1.0, n + 1)[None, :] * lengths[:, None]) / lengths[:, None]
-    d2 = np.repeat(((lengths / n) ** 2)[:, None], n + 1, axis=1)
-    for grid in (l, frac, d2):
+    d = (lengths / n)[:, None]
+    grids = (l, frac, 1.0 - frac, np.repeat(np.stack((2.0 * d, d * d)), n + 1, axis=2))
+    for grid in grids:
         grid.flags.writeable = False
-    return l, frac, d2
+    return grids
 
 
 @dataclass
 class ChartGeometry:
     """Metric and curvature of a state on its sigma grids, with the chart
-    terms they come from; all arrays are (3, n+1)."""
+    terms they come from; all arrays are (3, n+1) but J2_min.  J and kappa
+    are read off J2 and kappa_num when first asked for, so a chart that no
+    record reads takes no square root."""
 
     mu_b: np.ndarray  # exit abscissae mu_b(rho)
     dmu_b: np.ndarray  # mu_b'(rho), its q-derivative
@@ -261,12 +286,22 @@ class ChartGeometry:
     rho_sigma: np.ndarray
     rho_ss: np.ndarray
     J2: np.ndarray
-    J: np.ndarray
-    kappa: np.ndarray
+    J2_min: np.ndarray  # (3,) per branch the minimum of J2
+    kappa_num: np.ndarray  # kappa J^3
+
+    @functools.cached_property
+    def J(self) -> np.ndarray:
+        return np.sqrt(self.J2)
+
+    @functools.cached_property
+    def kappa(self) -> np.ndarray:
+        kappa = self.J2 * self.J
+        return np.divide(self.kappa_num, kappa, out=kappa)
 
 
 def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeometry:
-    """Exit jet -> xi partials -> J and kappa on the sigma grids of `state`.
+    """Exit jet -> xi partials -> J^2 and kappa J^3 on the sigma grids of
+    `state`.
 
     Because the reference fork is straight, every jet component lies in the
     branch frame (T, N); the curvature then collapses to a scalar expression
@@ -275,12 +310,18 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     exits, the network's exit binding (domain.network_exits), gives the
     exit jet (mu_b, mu_b', mu_b'') from the starts it predicts; without it
     offset_exit cold-starts from the reference lengths.  A state with a
-    non-finite rho or mu raises NonFiniteState before any exit search.
+    non-finite rho or mu raises NonFiniteState before any exit search, and
+    a metric J under 1e-8 raises DegenerateMetric.
     """
-    if not (np.isfinite(state.rho).all() and np.isfinite(state.mu).all()):
+    return ChartGeometry(*_chart(network, domain, state, exits)[0])
+
+
+def _chart(network, domain, state, exits):
+    """The fields of chart_geometry, in order, and 1 - sigma / l."""
+    if not (np.isfinite(state.rho).all() and all(map(math.isfinite, state.mu.tolist()))):
         raise NonFiniteState(f"non-finite rho or mu at t = {state.t:.6g}")
-    rho_s, rho_ss = rho_derivatives(state.rho, network.lengths)
-    l, frac, _ = sigma_grids(state.n, tuple(network.lengths.tolist()))
+    l, frac, one_minus_frac, scale = sigma_grids(state.n, tuple(network.lengths.tolist()))
+    rho_s, rho_ss = _stencils(state.rho, scale)
     mu = state.mu[:, None]
 
     if exits is None:
@@ -291,7 +332,7 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     # in place, each quantity rounding as its formula: with xi_q = frac mu_b',
     # xi_sq = mu_b' / l and xi_qq = frac mu_b'', xi_sigma = (mu_b - mu) / l,
     # phi_T = xi_sigma + xi_q rho_sigma, J^2 = phi_T^2 + rho_sigma^2 and
-    # kappa = (xi_sigma rho_ss - (2 xi_sq + xi_qq rho_sigma) rho_sigma^2) / (J^2 J)
+    # kappa J^3 = xi_sigma rho_ss - (2 xi_sq + xi_qq rho_sigma) rho_sigma^2
     xi_sigma = mu_b - mu
     xi_sigma /= l
     phi_T = frac * dmu
@@ -300,56 +341,58 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     rs2 = rho_s * rho_s
     J2 = phi_T * phi_T
     J2 += rs2
-    if not J2.min() >= _J_FLOOR**2 and (J2 < _J_FLOOR**2).any():  # NaN entries pass
-        raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2.min())}")
-    J = np.sqrt(J2)
+    J2_min = J2.min(axis=1)
+    # Python's min of the three is NaN or the least non-NaN one, so an entry
+    # under the floor always reaches the full test
+    if not min(J2_min.tolist()) >= _J_FLOOR**2 and (J2 < _J_FLOOR**2).any():  # NaN entries pass
+        raise DegenerateMetric(f"metric J collapsed to {np.sqrt(J2_min.min())}")
     bend = frac * ddmu
     bend *= rho_s
     xi_sq = dmu / l
     xi_sq *= 2.0
     bend += xi_sq
     bend *= rs2
-    kappa = xi_sigma * rho_ss
-    kappa -= bend
-    kappa /= J2 * J
-    return ChartGeometry(mu_b=mu_b, dmu_b=dmu, ddmu_b=ddmu, frac=frac, xi_sigma=xi_sigma,
-                         phi_T=phi_T, rho_sigma=rho_s, rho_ss=rho_ss, J2=J2, J=J, kappa=kappa)
+    kappa_num = xi_sigma * rho_ss
+    kappa_num -= bend
+    return ((mu_b, dmu, ddmu, frac, xi_sigma, phi_T, rho_s, rho_ss, J2, J2_min, kappa_num),
+            one_minus_frac)
 
 
 @dataclass
 class Coefficients(ChartGeometry):
-    """Per-node flow coefficients plus the junction coupling blocks, on top
-    of the chart geometry they are built from."""
+    """The right-hand side of the flow and the junction coupling, on top of
+    the chart geometry they are built from."""
 
-    L: np.ndarray  # (3, n+1)
+    F: np.ndarray  # (3, n+1) rho_t = L kappa + Lambda mu_t
     Lam: np.ndarray  # (3, n+1)
-    a: np.ndarray  # (3, n+1)
     mu_t: np.ndarray  # (3,) tangential junction velocity
     det_M: float  # of the junction matrix M = Id - diag(Lam(0)) Q
 
 
 def coefficients(network, domain, tensions: SurfaceTensions, state: GraphState,
                  exits=None) -> Coefficients:
-    """Evaluate L, Lambda, a, kappa and the junction matrix M.
+    """The chart of `state` (chart_geometry) and the flow's right-hand side
+    F = L kappa + Lambda mu_t on it, with the junction matrix M.
 
-    The tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are returned
-    as well, so one call provides the entire right-hand side
-    rho_t = L kappa + Lambda mu_t of the flow.  J and kappa come from
-    chart_geometry; the det M floor guards the step.  det M and mu_t are a
-    3x3 solve, made in Python floats (_junction_solve).  The mobilities
-    equal the tensions, so L and a carry no mobility factor.  exits is
-    passed to chart_geometry.
+    L = J / xi_sigma, so L kappa = kappa J^3 / (xi_sigma J^2) takes no
+    square root; Lambda = (1 - sigma / l) rho_sigma / xi_sigma.  The
+    tangential velocities mu_t = Q (T0 M)^{-1} T0(L kappa) are a 3x3 solve
+    in Python floats (_junction_solve), which also checks the det M floor.
+    The mobilities equal the tensions, so L carries no mobility factor.
+    The diffusion weight a = 1/J^2 of L kappa = a rho_ss + ... is left to
+    the step, which reads J2 and J2_min.  exits is read as in
+    chart_geometry.
     """
-    geo = chart_geometry(network, domain, state, exits)
-    L = 1.0 / geo.xi_sigma
-    L *= geo.J
-    Lam = 1.0 - geo.frac
-    Lam *= geo.rho_sigma
-    Lam /= geo.xi_sigma
-    a = 1.0 / geo.J2
-    det_M, mu_t = _junction_solve(tensions.q.tolist(), Lam[:, 0].tolist(),
-                                  (L[:, 0] * geo.kappa[:, 0]).tolist())
-    return Coefficients(**vars(geo), L=L, Lam=Lam, a=a, mu_t=np.array(mu_t), det_M=det_M)
+    fields, one_minus_frac = _chart(network, domain, state, exits)
+    *_, xi_sigma, _, rho_s, _, J2, _, kappa_num = fields
+    F = xi_sigma * J2
+    np.divide(kappa_num, F, out=F)  # L kappa
+    Lam = one_minus_frac * rho_s
+    Lam /= xi_sigma
+    det_M, mu_t = _junction_solve(tensions.q.tolist(), Lam[:, 0].tolist(), F[:, 0].tolist())
+    mu_t = np.array(mu_t)
+    F += Lam * mu_t[:, None]
+    return Coefficients(*fields, F=F, Lam=Lam, mu_t=mu_t, det_M=det_M)
 
 
 def _junction_solve(Q, lam, v):
@@ -416,19 +459,19 @@ class BoundaryOperator:
         linearizes to rho_sigma + h_* rho; grad psi is read from the exit jet
         as (grad psi, T) (T - mu_b' N)."""
         mu_b, dmu = self.exits.ends(r0 + w)
-        c0, c1, c2 = _SLOPE_WEIGHTS  # end_slope, written out
+        c0, c1, _ = _SLOPE_WEIGHTS  # end_slope, written out; the last weight is -1
         junction, res = [], []
         for (tx, ty, nx, ny, l, two_d), (_, a1, a2, b1, b2, _), r, ww, m, m0, m1, d in zip(
                 self.frames, nodes, r0, w, mu, mu_b, mu_b[3:], dmu[3:]):
             # junction end, sigma = 0: Phi_sigma = xi_sigma T + rho_sigma N
             xs = (m0 - m) / l
-            rs = (c0 * r + c1 * a1 + c2 * a2) / two_d
+            rs = (c0 * r + c1 * a1 - a2) / two_d
             junction.append((xs * tx + rs * nx, xs * ty + rs * ny))
             # wall end, sigma = l: Phi_sigma = xi_sigma T + rho_sigma (mu_b' T + N)
             # = a T + rs N, and grad psi is parallel to T - mu_b' N, so
             # -(R Phi_sigma, grad psi) / (J |grad psi|) is a frame expression
             xs = (m1 - m) / l
-            rs = -((c0 * ww + c1 * b1 + c2 * b2) / two_d)
+            rs = -((c0 * ww + c1 * b1 - b2) / two_d)
             a = xs + rs * d
             res.append((a * d + rs) / (math.hypot(a, rs) * math.hypot(1.0, d)))
 

@@ -386,23 +386,46 @@ def rho_derivatives_stencils(rho, lengths):
     return rs, rss
 
 
+def reference_weights(coef):
+    """(L, a) = (J / xi_sigma, 1 / J^2) on a chart's geometry, rounded as
+    coefficients built them before it formed F directly."""
+    L = 1.0 / coef.xi_sigma
+    L *= coef.J
+    return L, 1.0 / coef.J2
+
+
+def flow_reference(coef, tensions):
+    """The step's inputs from a chart's geometry by the reference formulas:
+    L and a (reference_weights) with the chart's kappa, mu_t = Q M^-1
+    (L kappa)(0) with M = Id - diag(Lambda(0)) Q by numpy, and F = L kappa +
+    Lambda mu_t.  Returns (L, a, mu_t, F)."""
+    L, a = reference_weights(coef)
+    Lk = L * coef.kappa
+    Q = tensions.q
+    M = np.eye(3) - coef.Lam[:, 0, None] * Q
+    mu_t = Q @ np.linalg.solve(M, Lk[:, 0])
+    return L, a, mu_t, Lk + coef.Lam * mu_t[:, None]
+
+
 def dirichlet_interior_step(network, state, coef, dt):
     """rho after one linearly implicit step, before the boundary sweep, by
     the predictor and Dirichlet interior route: the end nodes move by the
-    explicit predictor rho + dt F, F = L kappa + Lambda mu_t; then, per
-    branch, the interior solves (1 + 2 r) x_j - r (x_{j-1} + x_{j+1}) =
-    rho_j + dt (F_j - a_j rho_ss_j) with r = a dt / dsigma^2 and the
-    predicted ends as Dirichlet data, by solve_banded.  coef is the
-    Coefficients of state."""
+    explicit predictor rho + dt F, F = L kappa + Lambda mu_t with L and a
+    by the reference formulas (reference_weights) and the chart's Lambda and
+    mu_t; then, per branch, the interior solves (1 + 2 r) x_j -
+    r (x_{j-1} + x_{j+1}) = rho_j + dt (F_j - a_j rho_ss_j) with r = a dt /
+    dsigma^2 and the predicted ends as Dirichlet data, by solve_banded.
+    coef is the Coefficients of state."""
     n = state.n
     d2 = (network.lengths / n) ** 2
     rho = state.rho
-    F = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
+    L, a = reference_weights(coef)
+    F = L * coef.kappa + coef.Lam * coef.mu_t[:, None]
     out = np.empty_like(rho)
     out[:, ::n] = rho[:, ::n] + dt * F[:, ::n]
     for i in range(3):
-        r = coef.a[i] * dt / d2[i]
-        rhs = rho[i, 1:-1] + dt * (F[i, 1:-1] - coef.a[i, 1:-1] * coef.rho_ss[i, 1:-1])
+        r = a[i] * dt / d2[i]
+        rhs = rho[i, 1:-1] + dt * (F[i, 1:-1] - a[i, 1:-1] * coef.rho_ss[i, 1:-1])
         rhs[0] += r[1] * out[i, 0]
         rhs[-1] += r[-2] * out[i, n]
         ab = np.zeros((3, n - 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trijunction import diagnostics, domains, parameterization
+from trijunction import domains, parameterization
 from trijunction import evolution as evolution_module
 from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
@@ -24,7 +24,8 @@ from trijunction.stability import max_eigenvalue
 from trijunction.tensions import SurfaceTensions, constraint_basis, junction_matrix, young_angles
 
 from conftest import NanGradientDisk
-from oracles import boundary_residuals_reference, dirichlet_interior_step
+from oracles import (boundary_residuals_reference, dirichlet_interior_step, flow_reference,
+                     reference_weights)
 
 
 def make_config(network, n, t_end, safety=0.4, **kw):
@@ -166,7 +167,8 @@ def test_cfl_guard_reads_max_r_on_every_node(family, unit_tensions, request):
     domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
     n = 48
     state = _perturbed_state(network, domain, unit_tensions, n, seed=0)
-    a = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0)).chart(state).a
+    _, a = reference_weights(Stepper(network, domain, unit_tensions,
+                                     make_config(network, n, 0.0)).chart(state))
     dt = 0.5 / float(np.max(a / ((network.lengths / n) ** 2)[:, None]))
     cfg = EvolveConfig(dt=dt, t_end=0.0, n=n)
     assert Stepper(network, domain, unit_tensions, cfg).step(state).t == dt
@@ -205,8 +207,9 @@ _ONE_STEP_BOUND, _LONG_RUN_BOUND = 1e-15, 2e-13
 def test_step_agrees_with_the_dirichlet_interior_route(family, n, unit_tensions, request):
     # The step solves (I - r D2) delta = dt F on all nodes with identity end
     # rows; the oracle predicts the ends by rho + dt F and solves the
-    # interior with them as Dirichlet data.  The two are one scheme in exact
-    # arithmetic, and the end columns before the sweep are the same bits.
+    # interior with them as Dirichlet data, with L and a by the reference
+    # formulas.  The two are one scheme in exact arithmetic, and the end
+    # columns before the sweep are the bits of rho + dt F for the chart's F.
     domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
     state = _perturbed_state(network, domain, unit_tensions, n, seed=0)
     stepper = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
@@ -216,10 +219,8 @@ def test_step_agrees_with_the_dirichlet_interior_route(family, n, unit_tensions,
     coef = stepper.chart(state)
     stepper.step(state)
     want = dirichlet_interior_step(network, state, coef, stepper.dt)
-    F = coef.L * coef.kappa + coef.Lam * coef.mu_t[:, None]
     got = swept[0]
-    assert np.array_equal(got[:, ::n], state.rho[:, ::n] + stepper.dt * F[:, ::n])
-    assert np.array_equal(got[:, ::n], want[:, ::n])
+    assert np.array_equal(got[:, ::n], state.rho[:, ::n] + stepper.dt * coef.F[:, ::n])
     assert np.abs(got - want).max() <= _ONE_STEP_BOUND * np.abs(want).max()
 
     new = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
@@ -229,6 +230,60 @@ def test_step_agrees_with_the_dirichlet_interior_route(family, n, unit_tensions,
         a, b = new.step(a), _dirichlet_step(old, b)
     assert a.t == b.t
     assert np.abs(a.rho - b.rho).max() <= _LONG_RUN_BOUND * np.abs(b.rho).max()
+
+
+# Bounds on the step's inputs against the reference formulas, set from the
+# draws of _perturbed_state at seeds 0-199 on each fixture below (800
+# states), relative to the largest reference entry: F read at most 5.7e-16
+# (median 1.7e-16), mu_t 1.3e-15, the band 1.4e-16 and r_max 1.4e-16 of
+# max r, the diagonal 1.24e-16 of its largest entry; the bounds are about
+# twice that
+_F_BOUND, _MU_T_BOUND, _WEIGHT_BOUND = 1e-15, 2.5e-15, 3e-16
+
+
+@pytest.mark.parametrize("family, n", [("disk", 200), ("ellipse", 64), ("trefoil", 48),
+                                       ("two_dents", 48)])
+def test_step_inputs_agree_with_the_reference_formulas(family, n, unit_tensions, request,
+                                                       monkeypatch):
+    # The chart forms F = L kappa + Lambda mu_t with L kappa = kappa J^3 /
+    # (xi_sigma J^2), and the step reads the band -c / J^2 and the guard
+    # c / min J^2 per branch, c = dt / dsigma^2; the reference is L = J /
+    # xi_sigma, the record's kappa and a = 1 / J^2 (oracles.flow_reference).
+    # The system is read where dgtsv receives it.
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    solves = []
+    dgtsv = evolution_module.dgtsv
+
+    def spy(*args, **kwargs):
+        solves.append([np.array(a) for a in args])
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(evolution_module, "dgtsv", spy)
+    for seed in range(3):
+        state = _perturbed_state(network, domain, unit_tensions, n, seed)
+        stepper = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
+        coef = stepper.chart(state)
+        stepper.step(state)
+        dl, diag, du, rhs = solves.pop()
+        _, a, mu_t, F = flow_reference(coef, unit_tensions)
+        c = stepper.dt / ((network.lengths / n) ** 2)[:, None]
+        r = a * c
+        inner = np.ones((3, n + 1))
+        inner[:, ::n] = 0.0  # the identity end rows
+        band, want_diag = (-r * inner).ravel(), (1.0 + 2.0 * r * inner).ravel()
+
+        assert np.abs(coef.F - F).max() <= _F_BOUND * np.abs(F).max()
+        assert np.abs(coef.mu_t - mu_t).max() <= _MU_T_BOUND * np.abs(mu_t).max()
+        assert np.array_equal(rhs, (stepper.dt * coef.F).ravel())
+        assert np.abs(dl - band[1:]).max() <= _WEIGHT_BOUND * r.max()
+        assert np.abs(du - band[:-1]).max() <= _WEIGHT_BOUND * r.max()
+        assert not dl[band[1:] == 0.0].any() and not du[band[:-1] == 0.0].any()  # end rows
+        assert np.abs(diag - want_diag).max() <= _WEIGHT_BOUND * want_diag.max()
+        # the guard's r_max, c / min J^2 per branch, is max(c / J^2) bitwise
+        assert np.array_equal(coef.J2_min, coef.J2.min(axis=1))
+        r_max = float((c[:, 0] / coef.J2_min).max())
+        assert r_max == float((c / coef.J2).max())
+        assert abs(r_max - r.max()) <= _WEIGHT_BOUND * r.max()
 
 
 def test_initial_state_zero_perturbation(trefoil, trefoil_network, unit_tensions):
@@ -711,14 +766,13 @@ def test_run_evaluates_one_chart_per_step(disk, disk_network, unit_tensions, mon
     init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
                          amplitude=1e-2)
     calls = []
-    chart_geometry = parameterization.chart_geometry
+    chart = parameterization._chart  # the one chart kernel of chart_geometry and coefficients
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return chart_geometry(*args, **kwargs)
+        return chart(*args, **kwargs)
 
-    monkeypatch.setattr(parameterization, "chart_geometry", counted)
-    monkeypatch.setattr(diagnostics, "chart_geometry", counted)
+    monkeypatch.setattr(parameterization, "_chart", counted)
     traj = run(disk_network, disk, unit_tensions, init, cfg)
     assert traj.status == "completed" and len(traj.records) == steps + 1
     assert len(calls) == steps + 1

@@ -28,6 +28,7 @@ from oracles import (
     metric_J,
     psi_jet,
     psi_map,
+    reference_weights,
     rho_derivatives_stencils,
 )
 
@@ -288,7 +289,7 @@ def test_coefficients_reference_values(disk_network, disk, unit_tensions):
     coef = coefficients(disk_network, disk, unit_tensions, state)
     assert np.abs(coef.Lam).max() < 1e-12
     assert abs(coef.det_M - 1.0) < 1e-12
-    assert np.abs(coef.a - 1.0).max() < 1e-12
+    assert np.abs(reference_weights(coef)[1] - 1.0).max() < 1e-12
     assert np.abs(coef.kappa).max() < 1e-12
 
 

@@ -138,9 +138,10 @@ def _plain_record_timings(disk, disk_network, unit_tensions):
 def test_record_costs_at_most_five_coefficient_calls(disk, disk_network, unit_tensions):
     # A ratio of two timings in one process does not depend on the host's
     # speed.  The record shares the chart kernel of coefficients and adds
-    # quadratures and end stencils (1.68-1.84 over 10 fresh processes,
-    # tests/gate_readings.py; 1.99-2.21 when it also evaluated the wall's
-    # gradient and Hessian); a second curvature route such as the
+    # quadratures and end stencils (1.96-2.17 over 10 fresh processes,
+    # tests/gate_readings.py, since coefficients forms F without J and
+    # kappa; 1.66-1.81 before, 1.99-2.21 when the record also evaluated the
+    # wall's gradient and Hessian); a second curvature route such as the
     # chord-length resampling of tests/oracles.py costs over 10.
     _check_gate("record_plain", disk, disk_network, unit_tensions)
 
@@ -162,13 +163,14 @@ def test_record_given_the_step_chart_costs_at_most_two_coefficient_calls(
         disk, disk_network, unit_tensions):
     # A run hands each record the coefficients its next step reads, so the
     # record adds only its quadratures, end stencils and wall terms to the
-    # chart; one that evaluates the chart again costs about 2.1-2.2.  The
+    # chart, and J and kappa, which the chart leaves to the first reader;
+    # one that evaluates the chart again costs about 2.0-2.2.  The
     # coefficients call is timed on the Stepper's exit binding, as a run
-    # makes it.  The best of 20 interleaved timings read 1.12-1.31 over 10
+    # makes it.  The best of 20 interleaved timings read 1.45-1.59 over 10
     # fresh processes on a shared 2-core host (tests/gate_readings.py), with
-    # the wall terms read off the chart's exit jet; 1.53-1.76 when the
-    # record evaluated the wall's gradient and Hessian; the best of 5 once
-    # read 2.21 on a busier host.
+    # coefficients forming F without J and kappa; 1.13-1.16 when it formed
+    # both; 1.53-1.76 when the record evaluated the wall's gradient and
+    # Hessian; the best of 5 once read 2.21 on a busier host.
     _check_gate("record_given_chart", disk, disk_network, unit_tensions)
 
 
@@ -196,7 +198,7 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
                                                         unit_tensions):
     # A record of a (3, 65) state is about 60 numpy calls whose cost is
     # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
-    # on the step's charts) makes those calls once, 0.21-0.30 of 32 single
+    # on the step's charts) makes those calls once, 0.22-0.26 of 32 single
     # records over 10 fresh processes; the bound leaves room for a host
     # that drifts.  (0.14-0.22 when each record also evaluated the wall's
     # gradient and Hessian, which the batch made once: the ratio rose as
@@ -226,9 +228,10 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
     # reads, 0.19-0.22 of a coefficients call at n = 200 timed on the
     # Stepper's exit binding, whose line constants are bound once (0.31-0.34
     # with the exits as numpy calls on 6 entries, 0.55-0.58 with every flop
-    # as numpy calls).  Over 10 fresh processes it read 0.191-0.224
-    # (tests/gate_readings.py), median 0.200, with the chart at about 0.7 of
-    # its former cost and the six exits of the sweep at 4 us.
+    # as numpy calls).  Over 10 fresh processes it read 0.175-0.207
+    # (tests/gate_readings.py), median 0.182, with the chart forming the
+    # step's inputs directly (about 0.8 of its cost before) and the sweep's
+    # maps bound once per Stepper (0.181-0.207, median 0.192, before).
     _check_gate("disk_sweep", disk, disk_network, unit_tensions)
 
 
@@ -246,9 +249,11 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
         two_dents, two_dents_network, unit_tensions):
     # The same ratio on the two dents at n = 48, where the six exits are
     # one call of the line-polynomial kernel on six one-entry blocks:
-    # 0.192-0.223 of a coefficients call, median 0.200, over 10 fresh
-    # processes (tests/gate_readings.py), with one multiply.accumulate for
-    # the six exits' power ladder.  The coefficients call
+    # 0.180-0.208 of a coefficients call, median 0.193, over 10 fresh
+    # processes (tests/gate_readings.py; 0.187-0.206, median 0.197, before
+    # the chart formed the step's inputs directly and the six exits' checks
+    # ran in floats), with one multiply.accumulate for the six exits' power
+    # ladder.  The coefficients call
     # takes no binding, so its exits start cold from the reference lengths;
     # from the binding's prediction they take one evaluation and the ratio
     # reads about 0.34.  It bounds the sweep's cost, not its route: with the
