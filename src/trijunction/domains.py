@@ -21,6 +21,7 @@ in offset_exit, and at q = 0 with N = 0 for the rays to the wall
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -838,7 +839,7 @@ def newton(residual, u, held=None):
                                        f"{_COND_LIMIT:.0e}")
             held.inv = (np.linalg.inv(jac) if len(F) == len(u) else np.linalg.pinv(jac)).tolist()
             held.age = 0
-        step = [-sum(a * f for a, f in zip(row, F)) for row in held.inv]
+        step = [-sum(map(operator.mul, row, F)) for row in held.inv]
         lam = 1.0
         for _ in range(11):
             u_try = [x + lam * dx for x, dx in zip(u, step)]

@@ -22,11 +22,17 @@ tolerance) and the three perpendicularity conditions, with interior nodes
 frozen.  It works in the constraint plane's basis: its unknowns are the
 junction triple's two coordinates in the weighted constraint plane and the
 three wall values.  mu is slaved to rho(0) through the junction matrix after
-every sweep so the stick condition cannot drift.  The sweep runs
-domains.newton, the package's one damped Newton, in Python floats with a
-lagged Jacobian that the Stepper holds and inverts once per refresh,
-because numpy's per-call dispatch would cost more than the few hundred
-flops on 5-entry vectors.  Each residual evaluation reads the six branch
+every sweep, as the Python floats Q r0 that the sweep's residual summed, so
+the stick condition cannot drift.  The sweep runs domains.newton, the
+package's one damped Newton, in Python floats with a lagged Jacobian that
+the Stepper holds and inverts once per refresh, because numpy's per-call
+dispatch would cost more than the few hundred flops on 5-entry vectors.
+It starts from the predicted unknowns u_pred plus 2 d_k - d_{k-1}, the
+corrections d = u - u_pred of the last two sweeps extrapolated, which the
+Stepper holds as floats: the start of a continuation method (Deuflhard
+2004), from which a sweep often converges at its first evaluation.  A
+start whose exits leave the domain is dropped with its history, and the
+sweep runs again from u_pred.  Each residual evaluation reads the six branch
 ends' exits, whose jet also gives the wall normals, from the Stepper's exit
 binding (the domain's network_exits), which the chart reads too: it binds
 the three branch lines once and picks every exit search's start, from the
@@ -38,9 +44,9 @@ principal part is implicit.  The step reads it as max r <= 0.5 on all
 n + 1 nodes of each branch, from the chart's per-branch minimum of J^2:
 division is monotone, so c / min J^2 is max(c / J^2) bitwise.  The band
 -c / J^2 is one division of a Stepper constant by the chart's J^2; neither
-L nor a is formed.  The sweep's maps (its start, the junction values of
-its unknowns and its residual) are closures bound once per Stepper, and it
-writes the six swept ends in one assignment.
+L nor a is formed.  The sweep's maps (its start, its residual and the
+accepted root's boundary values, which also update the start's history)
+are closures bound once per Stepper.
 """
 
 from __future__ import annotations
@@ -163,17 +169,29 @@ class Stepper:
         self._ahead = None  # (state, its coefficients) for the next step to read
 
     def enforce_bcs(self, rho):
-        """Newton on the 5 boundary unknowns; returns (rho, r0) updated.
+        """Newton on the 5 boundary unknowns; returns (rho, mu) updated, with
+        mu = Q rho(0) the 3-list of floats that the sweep's residual formed.
 
         The unknowns are c = b rho(0) in the constraint plane's basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
         holds exactly throughout.  The iteration is domains.newton on the
-        Stepper's BoundaryOperator, with its lagged Jacobian; a singular
+        Stepper's BoundaryOperator, with its lagged Jacobian, started from
+        the predicted unknowns u_pred (those of rho) plus 2 d_k - d_{k-1},
+        the corrections d = u - u_pred of the last two sweeps extrapolated
+        (d_k with one held, nothing with none).  A start whose exits leave
+        the domain (NoIntersection, OffsetMissesBoundary) is dropped with
+        its history, and the sweep runs again from u_pred.  A singular
         Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
-        start, unpack, residual = self._sweep
+        start, residual, accept, forget = self._sweep
+        warm, cold = start(self._bc.nodes(rho))
         try:
-            u = newton(residual, start(self._bc.nodes(rho)), self._jac)
+            try:
+                u = newton(residual, warm, self._jac)
+            except (NoIntersection, OffsetMissesBoundary):
+                if not forget():  # no history: the start was u_pred
+                    raise
+                u = newton(residual, cold, self._jac)
         except SingularJacobian as e:
             raise NewtonDiverged(f"boundary sweep Jacobian singular: {e}") from e
         except NoConvergence as e:
@@ -181,9 +199,10 @@ class Stepper:
                 f"boundary sweep stalled at residual {e.residual:.3e}" if e.stalled else
                 f"boundary sweep did not reach {_NEWTON_TOL:.1e} (residual {e.residual:.3e})"
             ) from e
-        ends = np.array((unpack(u), u[2:]))
-        rho.T[::rho.shape[1] - 1] = ends  # the six ends in one write
-        return rho, ends[0]
+        r0, w, mu = accept(u)
+        rho[:, 0] = r0
+        rho[:, -1] = w
+        return rho, mu
 
     # -- one time step -----------------------------------------------------
 
@@ -221,39 +240,65 @@ class Stepper:
             raise np.linalg.LinAlgError(f"step solve failed (dgtsv info {info})")
         rho_new = rho_new.reshape(rhs.shape)
         rho_new += state.rho
-        rho_new, r0 = self.enforce_bcs(rho_new)
-        return GraphState(rho=rho_new, mu=self.tensions.q @ r0, t=state.t + dt)
+        rho_new, mu = self.enforce_bcs(rho_new)
+        return GraphState(rho=rho_new, mu=np.array(mu), t=state.t + dt)
 
 
 def _sweep_maps(bc, tensions):
     """The boundary sweep's maps in Python floats, on the constraint basis b
-    and the junction matrix Q bound once per Stepper: start(nodes) gives
-    the unknowns u = (b rho(0), rho(l)) from the nodes of rho that bc.nodes
-    fetches and holds them for residual, unpack(u) gives the junction values
-    r0 = c b as a 3-list, and residual(u) the junction and wall residuals
-    of bc, the BoundaryOperator, at u with the held nodes' interior frozen
-    and mu = Q r0."""
+    and the junction matrix Q bound once per Stepper, and its start history.
+
+    start(nodes) takes the nodes of rho that bc.nodes fetches and holds them
+    for residual; it returns the warm start u_pred + s and the predicted
+    unknowns u_pred = (b rho(0), rho(l)).  residual(u) gives the junction
+    and wall residuals of bc, the BoundaryOperator, at u with the held
+    nodes' interior frozen, r0 = c b and mu = Q r0.  accept(u) gives the
+    accepted root's r0, wall values and mu as 3-lists, bitwise those its
+    residual formed, holds d = u - u_pred and sets the next shift
+    s = 2 d - d_prev (d when no d_prev is held).  forget() drops the
+    history, so the next start is u_pred, and says whether there was one."""
     (x0, x1, x2), (y0, y1, y2) = tensions.basis.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = tensions.q.tolist()
-    held = [None]  # the nodes of the rho being swept
+    held = pred = last = None  # the swept rho's nodes, its u_pred, the last d
+    shift = 0.0, 0.0, 0.0, 0.0, 0.0  # the next start's shift
 
     def start(nodes):
-        held[0] = nodes
+        nonlocal held, pred
+        held = nodes
         (r1, _, _, _, _, w1), (r2, _, _, _, _, w2), (r3, _, _, _, _, w3) = nodes
-        return [x0 * r1 + x1 * r2 + x2 * r3, y0 * r1 + y1 * r2 + y2 * r3, w1, w2, w3]
-
-    def unpack(u):
-        c0, c1 = u[0], u[1]
-        return [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
+        c0 = x0 * r1 + x1 * r2 + x2 * r3
+        c1 = y0 * r1 + y1 * r2 + y2 * r3
+        s0, s1, s2, s3, s4 = shift
+        pred = [c0, c1, w1, w2, w3]
+        return [c0 + s0, c1 + s1, w1 + s2, w2 + s3, w3 + s4], pred
 
     def residual(u):
-        r0 = unpack(u)
-        r1, r2, r3 = r0
-        return bc(held[0], r0, u[2:], [q00 * r1 + q01 * r2 + q02 * r3,
-                                       q10 * r1 + q11 * r2 + q12 * r3,
-                                       q20 * r1 + q21 * r2 + q22 * r3])
+        c0, c1 = u[0], u[1]
+        r1, r2, r3 = r0 = [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
+        return bc(held, r0, u[2:], [q00 * r1 + q01 * r2 + q02 * r3,
+                                    q10 * r1 + q11 * r2 + q12 * r3,
+                                    q20 * r1 + q21 * r2 + q22 * r3])
 
-    return start, unpack, residual
+    def accept(u):
+        nonlocal shift, last
+        c0, c1, w1, w2, w3 = u
+        p0, p1, p2, p3, p4 = pred
+        d = d0, d1, d2, d3, d4 = c0 - p0, c1 - p1, w1 - p2, w2 - p3, w3 - p4
+        e0, e1, e2, e3, e4 = last or d
+        shift = d0 + d0 - e0, d1 + d1 - e1, d2 + d2 - e2, d3 + d3 - e3, d4 + d4 - e4
+        last = d
+        r1, r2, r3 = r0 = [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
+        return r0, [w1, w2, w3], [q00 * r1 + q01 * r2 + q02 * r3,
+                                  q10 * r1 + q11 * r2 + q12 * r3,
+                                  q20 * r1 + q21 * r2 + q22 * r3]
+
+    def forget():
+        nonlocal shift, last
+        had, last = last is not None, None
+        shift = 0.0, 0.0, 0.0, 0.0, 0.0
+        return had
+
+    return start, residual, accept, forget
 
 
 def initial_state(network, domain, tensions, config: EvolveConfig,
@@ -306,10 +351,10 @@ def initial_state(network, domain, tensions, config: EvolveConfig,
     state = state_from_rho(network, tensions, rho, t=0.0)
     stepper = Stepper(network, domain, tensions, config)
     try:
-        rho, r0 = stepper.enforce_bcs(state.rho)
+        rho, mu = stepper.enforce_bcs(state.rho)
     except NewtonDiverged as e:
         raise CompatibilityFailed(str(e)) from e
-    state = GraphState(rho=rho, mu=tensions.q @ r0, t=0.0)
+    state = GraphState(rho=rho, mu=np.array(mu), t=0.0)
     # fail early if the state starts outside the admissible region
     coefficients(network, domain, tensions, state, stepper._exits)
     return state

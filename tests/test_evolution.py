@@ -11,7 +11,7 @@ from trijunction import tensions as tensions_module
 from trijunction.diagnostics import decay_fit, record_from_state
 from trijunction.domains import CircleDomain
 from trijunction.errors import (CflViolation, CompatibilityFailed, MatrixMNotInvertible,
-                               NewtonDiverged)
+                               NewtonDiverged, NoIntersection, OffsetMissesBoundary)
 from trijunction.evolution import (
     EvolveConfig,
     Stepper,
@@ -131,6 +131,54 @@ def test_failed_sweep_raises_compatibility_failed_from_initial_state(
                       amplitude=1e-2)
 
 
+@pytest.mark.parametrize("family", ["disk", "two_dents"])
+def test_sweep_start_off_the_domain_falls_back_to_the_predictor(family, unit_tensions,
+                                                               request, monkeypatch):
+    # The sweep starts from the predicted unknowns plus the extrapolated
+    # correction of the last two sweeps.  A forced history whose last
+    # correction is 1e3 on every unknown puts that start about 2e3 off:
+    # its first residual raises NoIntersection or OffsetMissesBoundary, the
+    # sweep drops the history and runs again from the predicted unknowns,
+    # and the steps go on with the conditions met below 1e-10.
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    cfg = make_config(network, 24, 1.0)
+    state = initial_state(network, domain, unit_tensions, cfg, kind="cosine", amplitude=1e-2)
+    stepper = Stepper(network, domain, unit_tensions, cfg)
+    for _ in range(3):
+        state = stepper.step(state)
+    start, residual, accept, forget = stepper._sweep
+    _, pred = start(stepper._bc.nodes(state.rho))
+    accept([u + 1e3 for u in pred])
+    starts, predicted, raised = [], [], []
+    newton = evolution_module.newton
+
+    def recorded_start(nodes):
+        warm, pred = start(nodes)
+        predicted.append(pred)
+        return warm, pred
+
+    def watched_newton(residual, u, held):
+        starts.append(u)
+        try:
+            return newton(residual, u, held)
+        except Exception as e:
+            raised.append(type(e))
+            raise
+
+    monkeypatch.setattr(evolution_module, "newton", watched_newton)
+    stepper._sweep = (recorded_start, residual, accept, forget)
+    state = stepper.step(state)
+    assert raised in ([NoIntersection], [OffsetMissesBoundary]), raised
+    assert len(starts) == 2 and min(starts[0]) > 1e3 and starts[1] is predicted[0]
+    for _ in range(5):
+        state = stepper.step(state)
+        rho = state.rho
+        got = stepper._bc(stepper._bc.nodes(rho), rho[:, 0].tolist(), rho[:, -1].tolist(),
+                          state.mu.tolist())
+        assert np.abs(got).max() < 1e-10
+    assert len(starts) == 7 and len(raised) == 1
+
+
 def test_step_evaluates_no_wall_gradient(disk, disk_network, two_dents, two_dents_network,
                                         unit_tensions, monkeypatch):
     # The sweep reads its wall normals from the exit jet and the chart needs
@@ -188,8 +236,8 @@ def _perturbed_state(network, domain, tensions, n, seed):
 def _dirichlet_step(stepper, state):
     # one step by the predictor and Dirichlet interior route, then the sweep
     rho = dirichlet_interior_step(stepper.network, state, stepper.chart(state), stepper.dt)
-    rho, r0 = stepper.enforce_bcs(rho)
-    return GraphState(rho=rho, mu=stepper.tensions.q @ r0, t=state.t + stepper.dt)
+    rho, mu = stepper.enforce_bcs(rho)
+    return GraphState(rho=rho, mu=np.array(mu), t=state.t + stepper.dt)
 
 
 # Bounds on max |rho - rho_oracle| / max |rho_oracle|, set from the draws of
@@ -424,7 +472,8 @@ def test_constraints_preserved_along_run(trefoil, trefoil_network, unit_tensions
 def test_constraints_hold_to_rounding_after_every_step(disk, disk_network, two_dents,
                                                        two_dents_network, unit_tensions,
                                                        on_dents, amplitude, mix):
-    # mu is slaved to rho(0) through Q bitwise, and the weighted junction
+    # mu is slaved to rho(0) through Q, bitwise as the sweep's residual sums
+    # Q r0 in Python floats, and the weighted junction
     # constraint holds to a few ulps step after step.  The ulps are those of
     # the predicted junction values the sweep projects, which max|rho|
     # bounds; the final rho(0) can cancel far below them (to 4e-14 from a
@@ -439,10 +488,12 @@ def test_constraints_hold_to_rounding_after_every_step(disk, disk_network, two_d
                           cosine_coefficients=[mix[0:3], mix[3:6], mix[6:9]])
     stepper = Stepper(network, domain, unit_tensions, cfg)
     g = unit_tensions.array
+    q = unit_tensions.q.tolist()
     for _ in range(20):
         state = stepper.step(state)
         r0 = state.rho[:, 0]
-        assert np.array_equal(state.mu, unit_tensions.q @ r0)
+        r1, r2, r3 = r0.tolist()
+        assert state.mu.tolist() == [a * r1 + b * r2 + c * r3 for a, b, c in q]
         assert abs(g @ r0) <= 8 * np.finfo(float).eps * g.sum() * np.abs(state.rho).max()
 
 

@@ -30,7 +30,7 @@ from trijunction.config import SCALAR_KEYS, parse_config
 from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state, records_from_states
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
-from trijunction.parameterization import coefficients
+from trijunction.parameterization import BoundaryOperator, coefficients
 from trijunction import domains, stability, tensions
 from trijunction.stability import max_eigenvalue
 from trijunction.tensions import SurfaceTensions
@@ -235,13 +235,17 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
     _check_gate("disk_sweep", disk, disk_network, unit_tensions)
 
 
-def _dents_sweep_timings(two_dents, two_dents_network, unit_tensions):
+def _dents_eigenmode_state(two_dents, two_dents_network, unit_tensions):
     n = 48
     config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
     phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
     state = initial_state(two_dents_network, two_dents, unit_tensions, config,
                           kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
-    stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
+    return Stepper(two_dents_network, two_dents, unit_tensions, config), state
+
+
+def _dents_sweep_timings(two_dents, two_dents_network, unit_tensions):
+    stepper, state = _dents_eigenmode_state(two_dents, two_dents_network, unit_tensions)
     return _converged_sweep_and_chart(stepper, state, None)
 
 
@@ -269,7 +273,10 @@ def _converged_sweep_and_chart(stepper, state, exits):
     for _ in range(3):
         state = stepper.step(state)
     rho = state.rho.copy()
-    stepper.enforce_bcs(rho)  # converge once; timed calls then need no iteration
+    # converge once; the timed calls still extrapolate the noise-level
+    # corrections of the calls before them, so some iterate once, and the
+    # best of 20 is a call that converged at its first evaluation
+    stepper.enforce_bcs(rho)
     calls = {
         "coefficients": lambda: coefficients(stepper.network, stepper.domain, stepper.tensions,
                                              state, exits=exits),
@@ -281,8 +288,9 @@ def _converged_sweep_and_chart(stepper, state, exits):
 def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
                                                               unit_tensions, monkeypatch):
     # One exit evaluation per residual evaluation: on the disk at n = 200 the
-    # lagged-Jacobian sweep converges in one iteration (two evaluations) and
-    # refreshes its five-column Jacobian every 100 steps, 2.05 per step.  The
+    # lagged-Jacobian sweep converges in at most one iteration (two
+    # evaluations) and refreshes its five-column Jacobian every 100 steps,
+    # 1.6 per step from the warm start (2.05 from the predictor).  The
     # sweep evaluates its six exits through the ends of the Stepper's exit
     # binding, the chart through its chart; nothing calls offset_exit.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
@@ -310,17 +318,55 @@ def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
     assert counts["offset_exit"] == 0, counts
 
 
+# Residual evaluations per step from the warm start, over 200 steps after
+# 20, on eigenmode data at amplitudes 0.5, 1, 2 and 4 x 1e-2: 1.535, 1.595,
+# 1.66 and 1.785 on the disk at n = 200, 1.525, 1.56, 1.63 and 1.72 on the
+# two dents at n = 48 (2.05 on all eight from the predictor).  The tests
+# run the disk at 1e-2 and the dents at 2e-2.
+_WARM_EVALUATIONS = {"disk": 1.65, "two_dents": 1.75}
+
+
+@pytest.mark.parametrize("family", sorted(_WARM_EVALUATIONS))
+def test_warm_sweep_takes_under_two_evaluations_per_step(family, unit_tensions, request,
+                                                         monkeypatch):
+    # From the predictor a sweep took one Newton step on the lagged Jacobian,
+    # two evaluations; from the predictor plus the extrapolated correction of
+    # the last two sweeps it often converges at its first.  Every state it
+    # returns meets the junction and wall conditions below 1e-10, read by a
+    # BoundaryOperator on an exit binding of its own.
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    stepper, state = (_disk_eigenmode_state(domain, network, unit_tensions, 200)
+                      if family == "disk" else
+                      _dents_eigenmode_state(domain, network, unit_tensions))
+    for _ in range(20):
+        state = stepper.step(state)
+    evaluations = [0]
+    exits = stepper._exits
+    ends = exits.ends
+
+    def counted(q):
+        evaluations[0] += 1
+        return ends(q)
+
+    monkeypatch.setattr(exits, "ends", counted)
+    n = state.n
+    check = BoundaryOperator(network, domain.network_exits(network, n), unit_tensions.angles, n)
+    residuals, steps = [], 200
+    for _ in range(steps):
+        state = stepper.step(state)
+        rho = state.rho
+        residuals.append(check(check.nodes(rho), rho[:, 0].tolist(), rho[:, -1].tolist(),
+                               state.mu.tolist()))
+    assert np.abs(residuals).max() < 1e-10
+    assert evaluations[0] <= _WARM_EVALUATIONS[family] * steps, evaluations
+
+
 def test_polynomial_step_skips_field_newton(two_dents, two_dents_network, unit_tensions,
                                              monkeypatch):
     # A step on a polynomial domain finds its exits by Newton on the line
     # polynomial; a call of psi_and_grad means an exit fell back to the
     # Newton on the (x, y) fields, at about three calls per exit.
-    n = 48
-    config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
-    phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
-    state = initial_state(two_dents_network, two_dents, unit_tensions, config,
-                          kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
-    stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
+    stepper, state = _dents_eigenmode_state(two_dents, two_dents_network, unit_tensions)
     for _ in range(3):
         state = stepper.step(state)
     calls = []
@@ -346,12 +392,7 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
     # evaluation, three in all.  A call builds one power ladder for q and
     # its start together, which serves the first evaluation, and one ladder
     # of s for each later evaluation.
-    n = 48
-    config = EvolveConfig(dt=0.45 * (0.75 / n) ** 2, t_end=0.0, n=n)
-    phi = max_eigenvalue(two_dents_network, unit_tensions, n).eigenfunction
-    state = initial_state(two_dents_network, two_dents, unit_tensions, config,
-                          kind="eigenmode", amplitude=2e-2, eigenfunction=phi)
-    stepper = Stepper(two_dents_network, two_dents, unit_tensions, config)
+    stepper, state = _dents_eigenmode_state(two_dents, two_dents_network, unit_tensions)
     for _ in range(5):
         state = stepper.step(state)
     counts = {"chart": [0, 0], "sweep": [0, 0]}  # exit calls, ladders inside them
@@ -380,7 +421,9 @@ def test_predicted_polynomial_exits_take_one_evaluation(two_dents, two_dents_net
     for _ in range(100):
         state = stepper.step(state)
     per_call = {k: ladders / calls for k, (calls, ladders) in counts.items()}
-    assert counts["chart"][0] == 100 and counts["sweep"][0] >= 200, counts
+    # every sweep evaluates its residual at least once (185 calls in 100
+    # steps from the warm start, which often converges at its first)
+    assert counts["chart"][0] == 100 and counts["sweep"][0] >= 100, counts
     assert max(per_call.values()) <= 1.2, per_call
 
 
