@@ -230,9 +230,9 @@ def records_from_states(network, domain, tensions, states,
     dx = network.lengths / states[0].n
     kap = np.array([geo.kappa for geo in geos])  # (records, 3, n+1)
     J = np.array([geo.J for geo in geos])
-    kap_s = rho_derivatives(kap, network.lengths, second=False)[0]
+    kap_s = rho_derivatives(kap, network.lengths)
     kap_s /= J
-    kap_ss = rho_derivatives(kap_s, network.lengths, second=False)[0]
+    kap_ss = rho_derivatives(kap_s, network.lengths)
     kap_ss /= J
     kap0, kap_wall = kap[..., 0], kap[..., -1]
     # (11, records), in the order of _SCALAR_FIELDS

@@ -5,21 +5,22 @@ gradient on {psi = 0}, so the gradient points out of Omega.  Three analytic
 families are built in: circles, axis-aligned ellipses, and polynomial level
 sets sum c * x^i y^j (which covers half-planes, dented circles, Cassini-type
 shapes, ...).  Derivatives are exact in all cases; no finite differencing
-happens inside curvature or Newton kernels.  Offset-line exits come in two
-routes: offset_exit, stateless, on lines as rows of offsets, and
-network_exits, which binds a network's three branch lines once and gives
-their exits on the chart's (3, n+1) grids and at the boundary sweep's six
-branch ends.  The binding alone decides where an exit search starts: on a
-polynomial wall it predicts every start from the last chart's exit jet; a
-conic's closed form reads no start.  On a conic every route runs one
-kernel, a quadratic in the offset q on per-line constants (_conic_disc,
-_conic_jet): grid-shaped in the binding's chart, floats in its ends, (B, 1)
-in offset_exit, and at q = 0 with N = 0 for the rays to the wall
-(boundary_hit, which the steady solve shoots, takes ray_exit).
+happens inside curvature or Newton kernels.  Offset-line exits have one
+route, network_exits, which binds a network's three branch lines once and
+gives their exits on the chart's (3, n+1) grids and at the boundary sweep's
+six branch ends.  The binding alone decides where an exit search starts: a
+fresh one starts every search from the reference lengths; on a polynomial
+wall it then predicts every start from the last chart's exit jet; a
+conic's closed form reads no start.  On a conic one kernel, a quadratic in
+the offset q on per-line constants (_conic_disc, _conic_jet), serves the
+binding's chart (grid-shaped), its ends (in floats) and the rays to the
+wall (at q = 0 with N = 0; boundary_hit, which the steady solve shoots,
+takes ray_exit).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -89,24 +90,17 @@ class ImplicitDomain:
             s[k] = self._bracketed_root(origin[k], direction[k], s_ref[k])
         return s
 
-    def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """Exit abscissae s(q) of the offset lines base + q N + s T, one line
-        per row, from starts near s_ref, with s' and s'' (None when
-        second=False): the roots of psi(base + s T + q N) = 0 and their
-        implicit q-derivatives.  T and N are (B, 2), base is (2,) or (B, 2),
-        q is (B, R) and s_ref broadcasts to it; s, s' and s'' are (B, R).
-        Subclasses give the route of their family."""
-        raise NotImplementedError
-
     def network_exits(self, network, n):
         """The exits of the branch lines p_* + q N + s T of a network (its
-        p_star, tangents, normals and lengths), bound once, for a Stepper on
-        the (3, n+1) grids: an object whose chart(q) gives (s, s', s'') at
-        the (3, n+1) offsets q, and whose ends(q) gives (s, s') as float
+        p_star, tangents, normals and lengths), bound once, on the (3, n+1)
+        grids: an object whose chart(q) gives (s, s', s''), the roots of
+        psi(p_* + s T + q N) = 0 and their implicit q-derivatives, at the
+        (3, n+1) offsets q, and whose ends(q) gives (s, s') as float
         sequences at the six offsets q, a 6-list, of the branch ends
-        (junction ends, then wall ends).  Both give offset_exit's values on
-        the same lines from the starts the binding picks.  Subclasses give
-        the route of their family."""
+        (junction ends, then wall ends).  A Stepper holds one for its run; a
+        chart given none binds the network afresh.  A fresh binding starts
+        every search from the reference lengths.  Subclasses give the route
+        of their family."""
         raise NotImplementedError
 
     def ray_exit(self, origin, direction):
@@ -171,16 +165,6 @@ class ConicDomain(ImplicitDomain):
         h[..., 0, 0], h[..., 1, 1] = self._hess_diag
         return h
 
-    def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """The conic kernel (_conic_disc, _conic_jet) on the (B, R) offsets q
-        of B lines, T and N (B, 2) and base (2,) or (B, 2), from per-line
-        constants (B, 1); s_ref is not read."""
-        lines = np.broadcast_to(base, np.shape(T))
-        consts = np.array([self._line(*b, *t, *nn) for b, t, nn in
-                           zip(lines.tolist(), np.asarray(T).tolist(), np.asarray(N).tolist())])
-        consts = consts.T[..., None]
-        return _conic_exits(consts[:3], tuple(consts), np.asarray(q, dtype=float), second)
-
     def network_exits(self, network, n):
         return _ConicExits(self, network, n)
 
@@ -214,10 +198,12 @@ class ConicDomain(ImplicitDomain):
 class _ConicExits:
     """network_exits on a conic: the conic kernel, which reads no start, on the
     constants of the three branch lines, bound once: grid-shaped, (3, n+1),
-    for chart, and per line in Python floats for ends.  ends runs the
-    kernel per line in one float loop and, at the first discriminant that
-    is not clear of both checks, makes offset_exit's checks over all six
-    lines, so chart, ends and offset_exit agree bitwise and raise alike."""
+    for chart, and per line in Python floats for ends.  chart checks its
+    discriminants for a miss or a tangent (_check_discs) where one is not
+    clear of both checks.  ends runs the kernel per line in one float loop
+    and, at the first discriminant that is not clear of both checks, makes
+    the same checks over all six lines, so chart and ends agree bitwise and
+    raise alike."""
 
     def __init__(self, domain, network, n):
         lines = [domain._line(*network.p_star.tolist(), *t, *nn) for t, nn in
@@ -227,7 +213,11 @@ class _ConicExits:
         self._ends = [lines[i][:8] for i in _BRANCH6]  # ends reads no s'' constant
 
     def chart(self, q):
-        return _conic_exits(self._qterms, self._grid, q, True)
+        qTN, qNN, qA2 = self._qterms * q  # the three q-terms in one product
+        disc = _conic_disc(self._grid, q, qA2)
+        if not disc.min() > _DISC_CLEAR:  # NaN takes the exact checks too
+            _check_discs(disc)
+        return _conic_jet(self._grid, qTN, qNN, np.sqrt(disc), True)
 
     def ends(self, q):
         # _conic_disc and _conic_jet (second=False), written out in floats
@@ -287,18 +277,6 @@ def _check_discs(discs):
         raise OffsetMissesBoundary("offset line misses the boundary")
     if (np.sqrt(discs) < 0.5e-10).any():  # the generic floor |(grad psi, T)| < 1e-10
         raise OffsetMissesBoundary("offset line tangent to the boundary")
-
-
-def _conic_exits(qterms, lines, q, second):
-    """(s, s', s'') on arrays of offsets q from `lines`, the ten constants as
-    arrays that broadcast to q, after the miss and tangent checks.  qterms
-    stacks the first three, so that one product with q gives all three
-    q-terms."""
-    qTN, qNN, qA2 = qterms * q
-    disc = _conic_disc(lines, q, qA2)
-    if not disc.min() > _DISC_CLEAR:  # NaN takes the exact checks too
-        _check_discs(disc)
-    return _conic_jet(lines, qTN, qNN, np.sqrt(disc), second)
 
 
 class CircleDomain(ConicDomain):
@@ -385,17 +363,6 @@ class PolynomialDomain(ImplicitDomain):
         vals = self._fields(x, 0, 3)
         return vals[..., 0], vals[..., 1:3]
 
-    def offset_exit(self, base, T, N, q, s_ref, second=True):
-        """Newton in s on the line polynomials P(s, q) = psi(base + s T +
-        q N) of B lines, the kernel of _exit_jet: T and N are (B, 2), base
-        (2,) or (B, 2), q (B, R) and s_ref broadcasts to it.  The offsets of
-        a row share its line, so q is contracted with each line's stack in
-        one matmul."""
-        base, T, N, q = (np.asarray(a, dtype=float) for a in (base, T, N, q))
-        qs = np.empty((2,) + q.shape)
-        qs[0], qs[1] = q, s_ref
-        return self._exit_jet(self._line_stacks(base, T, N), qs, (base, T, N), second)
-
     def network_exits(self, network, n):
         return _PolynomialExits(self, network)
 
@@ -454,8 +421,9 @@ class PolynomialDomain(ImplicitDomain):
         N, (B, K, 6 K): row c, column f K + a holds the coefficient of
         q^c s^a in field f of P, P_s, -P_q, P_ss, P_sq, P_qq (-P_q, so that
         s' = -P_q / P_s is one division, with the same bits).  A stack costs
-        about 0.3 ms per line, so the stacks are kept per (base, T, N), at
-        most 16 of them."""
+        about 0.3 ms per line, and a chart given no binding binds its
+        network afresh, so the stacks are kept per (base, T, N), at most 16
+        of them."""
         key = (base.tobytes(), T.tobytes(), N.tobytes())
         stacks = self._line_memo.get(key)
         if stacks is not None:
@@ -490,45 +458,58 @@ class PolynomialDomain(ImplicitDomain):
 class _PolynomialExits:
     """network_exits on a polynomial wall: the kernel of _exit_jet on the
     three lines' stacks, bound once, for chart and on the same stacks taken
-    twice for the six ends.  Every start is predicted from the exit jet
-    (mu_b, mu_b', mu_b'') of the last chart, at q0 = the offsets it was
-    taken at: mu_b + dq (mu_b' + mu_b'' dq / 2) with dq = q - q0, at the
-    end columns for ends.  Before the first chart the jet is (l, 0, 0) at
-    q0 = 0, which predicts the reference lengths.  A start within reach of
-    the root is accepted at the first evaluation of the line polynomial.
-    chart moves the jet as soon as its exits are found."""
+    twice for the six ends.  A fresh binding starts every search from the
+    reference lengths: its ends read the jet (l, 0, 0) at q0 = 0, which
+    predicts them.  After a chart every start is predicted from that
+    chart's exit jet (mu_b, mu_b', mu_b''), at q0 = the offsets it was taken
+    at: mu_b + dq (mu_b' + mu_b'' dq / 2) with dq = q - q0, at the end
+    columns for ends.  A start within reach of the root is accepted at the
+    first evaluation of the line polynomial.  chart moves the jet as soon as
+    its exits are found.  The six ends' stacks, and the jet's end columns
+    as floats, are formed by the first ends call that reads them, so that a
+    binding that only charts (a chart given none binds one) costs little
+    more than its chart."""
 
     def __init__(self, domain, network):
-        p_star, tangents, normals = network.p_star, network.tangents, network.normals
         self._kernel = domain._exit_jet
-        self._lines = (p_star, tangents, normals)
+        self._lines = (network.p_star, network.tangents, network.normals)
         self._stacks = domain._line_stacks(*self._lines)
-        self._end_lines = (p_star, tangents[_BRANCH6], normals[_BRANCH6])
-        self._end_stacks = self._stacks[_BRANCH6]
-        zero = np.zeros((3, 1))
-        self._keep_jet(zero, network.lengths[:, None], zero, zero)
+        self._lengths = network.lengths
+        self._jet = None  # (q0, s, s', s'') of the last chart
+        self._end_jet = None  # its end columns as float 4-tuples, for ends
 
-    def _keep_jet(self, *jet):
-        # the jet, and its end columns as float 4-tuples for ends
-        self._jet = jet
-        self._end_jet = list(zip(*(a[:, 0].tolist() + a[:, -1].tolist() for a in jet)))
+    @functools.cached_property
+    def _end_frames(self):
+        """The stacks and lines of the six ends, the three lines' taken twice."""
+        p_star, tangents, normals = self._lines
+        return self._stacks[_BRANCH6], (p_star, tangents[_BRANCH6], normals[_BRANCH6])
 
     def chart(self, q):
-        q0, s, ds, dds = self._jet
-        dq = q - q0
         qs = np.empty((2,) + q.shape)
-        qs[0], qs[1] = q, s + dq * (ds + 0.5 * dds * dq)
+        qs[0] = q
+        if self._jet is None:
+            qs[1] = self._lengths[:, None]
+        else:
+            q0, s, ds, dds = self._jet
+            dq = q - q0
+            qs[1] = s + dq * (ds + 0.5 * dds * dq)
         jet = self._kernel(self._stacks, qs, self._lines, True)
-        self._keep_jet(q.copy(), *jet)
+        self._jet = (q.copy(), *jet)
+        self._end_jet = None
         return jet
 
     def ends(self, q):
+        if self._end_jet is None:
+            self._end_jet = ([(0.0, l, 0.0, 0.0) for l in self._lengths[_BRANCH6].tolist()]
+                             if self._jet is None else
+                             list(zip(*(a[:, 0].tolist() + a[:, -1].tolist()
+                                        for a in self._jet))))
         s_ref = [s + (dq := qk - q0) * (ds + 0.5 * dds * dq)
                  for qk, (q0, s, ds, dds) in zip(q, self._end_jet)]
+        stacks, lines = self._end_frames
         # The sweep reads P, P_s and P_q only, but all six fields are kept:
         # the matrix-vector product over three of them rounds differently.
-        s, ds, _ = self._kernel(self._end_stacks, np.array((q, s_ref))[..., None],
-                                self._end_lines, False)
+        s, ds, _ = self._kernel(stacks, np.array((q, s_ref))[..., None], lines, False)
         return s.ravel().tolist(), ds.ravel().tolist()
 
 

@@ -442,8 +442,8 @@ def junction_kinematics(network, domain, state0: GraphState, state1: GraphState)
     dp = (junction_point(network, state1) - junction_point(network, state0)) / dt
     rho = state0.rho
     rs0 = end_slope(rho[:, 0], rho[:, 1], rho[:, 2], 2.0 * network.lengths / state0.n)
-    _, d_sigma, d_q = psi_first_jet(network, domain, np.arange(3), np.zeros((3, 1)),
-                                    rho[:, :1], state0.mu[:, None])
+    _, d_sigma, d_q = psi_first_jet(network, domain, np.zeros((3, 1)), rho[:, :1],
+                                    state0.mu[:, None])
     phi_s = d_sigma[:, 0] + rs0[:, None] * d_q[:, 0]
     J = np.linalg.norm(phi_s, axis=1)
     T = phi_s / J[:, None]

@@ -17,9 +17,8 @@ differentiation of psi(Phi_* + q N_*) = 0, never from finite differences.
 
 The chart's evaluators work on the (3, n+1) sigma grids, one branch per
 row.  Their exits come from the network's exit binding (the domain's
-network_exits) where a Stepper holds one, and otherwise from the domain's
-stateless offset_exit, cold-started from the reference lengths;
-psi_first_jet takes rows of one branch or of several.  The exception is the
+network_exits): the Stepper's where it holds one, and otherwise a fresh
+binding, which starts from the reference lengths.  The exception is the
 boundary operator, which the step evaluates a few times on the six branch
 ends only and which therefore runs in Python floats, on the ends of the
 same binding.  It reads the wall normal from the exit jet: differentiating
@@ -124,41 +123,34 @@ def mu_boundary(network, domain, i: int, q: float) -> float:
 
     mu_b^i(0) = l^i exactly, (mu_b^i)'(0) = 0 by perpendicularity, and
     (mu_b^i)''(0) = h_*^i, so the branch length responds quadratically to
-    lateral sliding with the wall curvature as coefficient.
+    lateral sliding with the wall curvature as coefficient.  It is row i
+    of a fresh exit binding at n = 0 with the other two lines at q = 0, so
+    that only line i can miss the wall.
     """
-    mu_b, _, _ = domain.offset_exit(network.p_star, network.tangents[[i]],
-                                    network.normals[[i]], np.full((1, 1), q),
-                                    network.lengths[i], second=False)
-    return float(mu_b[0, 0])
+    offsets = np.zeros((3, 1))
+    offsets[i] = q
+    return float(domain.network_exits(network, 0).chart(offsets)[0][i, 0])
 
 
-def psi_first_jet(network, domain, branch, sigma, q, mu):
-    """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu) on rows.
-
-    branch is a branch index, with sigma, q and mu rows (R,) along it, or a
-    1-D array of B indices, with sigma, q and mu (B, R), one row per index
-    (mu may be (B, 1)); the three results carry a trailing axis of 2.  The
-    exit abscissa and its q-derivative come from differentiating
-    psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
-        mu_b' = -(grad psi, N) / (grad psi, T);
-    the curvature of the exit abscissa (a Hessian evaluation) is skipped,
-    since positions and first-order boundary residuals never need it.  The
-    root search starts from the reference lengths.
+def psi_first_jet(network, domain, sigma, q, mu):
+    """(psi, d_sigma, d_q) of the stretched map at (sigma, q, mu) on rows of
+    the three branches: sigma and q (3, R), mu (3, R) or (3, 1); the three
+    results are (3, R, 2).  The exit abscissa and its q-derivative
+    mu_b' = -(grad psi, N) / (grad psi, T), from differentiating
+    psi(p_* + mu_b T + q N) = 0, come from a fresh exit binding at
+    n = R - 1 (domain.network_exits), which starts from the reference
+    lengths; positions and first-order boundary residuals do not read the
+    curvature mu_b''.
     """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
-    mu_arr = np.asarray(mu, dtype=float)
-    b = np.asarray(branch, dtype=int)
-    # one frame and length per row: (1, 2) and (1,) for an index, (B, 1, 2) and (B, 1) for B
-    T, N, l = (a[b, None] for a in (network.tangents, network.normals, network.lengths))
-    mu_b, dmu, _ = domain.offset_exit(network.p_star, T.reshape(-1, 2), N.reshape(-1, 2),
-                                      q.reshape(b.size, -1), l, second=False)
-    mu_b, dmu = mu_b.reshape(q.shape), dmu.reshape(q.shape)
-
+    mu = np.asarray(mu, dtype=float)
+    mu_b, dmu, _ = domain.network_exits(network, q.shape[1] - 1).chart(q)
+    T, N, l = network.tangents[:, None], network.normals[:, None], network.lengths[:, None]
     frac = sigma / l
-    xi = mu_arr + frac * (mu_b - mu_arr)
+    xi = mu + frac * (mu_b - mu)
     psi = network.p_star + xi[..., None] * T + q[..., None] * N
-    d_sigma = ((mu_b - mu_arr) / l)[..., None] * T
+    d_sigma = ((mu_b - mu) / l)[..., None] * T
     d_q = (frac * dmu)[..., None] * T + N
     return psi, d_sigma, d_q
 
@@ -177,16 +169,12 @@ _END_STENCILS = np.array([[3.0, 0.0, -2.0, 0.0], [-1.0, 0.0, 3.0, 0.0], [0.0, 0.
                           [0.0, 3.0, 0.0, 2.0], [0.0, -1.0, 0.0, -3.0], [0.0, 0.0, 0.0, 1.0]])
 
 
-def rho_derivatives(rho: np.ndarray, lengths: np.ndarray, second: bool = True):
-    """(rho_sigma, rho_sigmasigma) on the uniform per-branch grids, second
-    order, one-sided at the ends; rho_sigmasigma is None when second is
-    False (see _stencils)."""
+def rho_derivatives(rho: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """rho_sigma on the uniform per-branch grids, second order, one-sided at
+    the ends (see _stencils); the chart reads rho_sigmasigma as well."""
     rho = np.asarray(rho, dtype=float)
     d = (np.asarray(lengths, dtype=float) / (rho.shape[-1] - 1))[..., None]
-    scale = np.stack((2.0 * d, d * d) if second else (2.0 * d,))
-    # one divisor row per derivative, broadcast over any leading axes of rho
-    out = _stencils(rho, scale[(slice(None),) + (None,) * (rho.ndim - d.ndim)])
-    return out[0], (out[1] if second else None)
+    return _stencils(rho, (2.0 * d)[None])[0]  # one divisor row, (1, 3, 1)
 
 
 def _stencils(rho, scale):
@@ -232,8 +220,8 @@ def end_slope(v0, v1, v2, two_dsigma):
 
 def curve_from_graph(network, domain, state: GraphState) -> np.ndarray:
     """Sampled curves Phi^i(sigma_j), shape (3, n+1, 2)."""
-    psi, _, _ = psi_first_jet(network, domain, np.arange(3), network.sigma_grid(state.n),
-                              state.rho, state.mu[:, None])
+    psi, _, _ = psi_first_jet(network, domain, network.sigma_grid(state.n), state.rho,
+                              state.mu[:, None])
     return psi
 
 
@@ -309,7 +297,7 @@ def chart_geometry(network, domain, state: GraphState, exits=None) -> ChartGeome
     reference in tests/oracles.py and agrees with these values to rounding.
     exits, the network's exit binding (domain.network_exits), gives the
     exit jet (mu_b, mu_b', mu_b'') from the starts it predicts; without it
-    offset_exit cold-starts from the reference lengths.  A state with a
+    a fresh binding starts from the reference lengths.  A state with a
     non-finite rho or mu raises NonFiniteState before any exit search, and
     a metric J under 1e-8 raises DegenerateMetric.
     """
@@ -325,10 +313,8 @@ def _chart(network, domain, state, exits):
     mu = state.mu[:, None]
 
     if exits is None:
-        mu_b, dmu, ddmu = domain.offset_exit(network.p_star, network.tangents, network.normals,
-                                             state.rho, network.lengths[:, None])
-    else:
-        mu_b, dmu, ddmu = exits.chart(state.rho)
+        exits = domain.network_exits(network, state.n)
+    mu_b, dmu, ddmu = exits.chart(state.rho)
     # in place, each quantity rounding as its formula: with xi_q = frac mu_b',
     # xi_sq = mu_b' / l and xi_qq = frac mu_b'', xi_sigma = (mu_b - mu) / l,
     # phi_T = xi_sigma + xi_q rho_sigma, J^2 = phi_T^2 + rho_sigma^2 and

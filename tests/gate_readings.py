@@ -1,13 +1,18 @@
 """Readings of the wall-clock ratio gates of test_tooling.py.
 
-    PYTHONPATH=src python tests/gate_readings.py [-k K] [GATE ...]
+    python tests/gate_readings.py [-k K] [--against DIR] [GATE ...]
 
 Runs the timing body of each ratio gate (test_tooling.RATIO_GATES, all of
 them unless named) once in each of K fresh processes (default 10), one
 after another, and prints per gate the min, median and max of the ratio it
 bounds, with the bound.  A ratio of two timings in one process does not
 depend on the host's speed, but its best-of-N spread between processes
-does, so a gate's margin is read from several processes.  pytest does not
+does, so a gate's margin is read from several processes.  With --against
+DIR the gates of a second source tree are read too, from DIR/tests on the
+package in DIR/src (another checkout, say of the parent commit), in fresh
+processes that alternate with this tree's, so that a drift of the host
+reaches both alike; its readings are printed beside this tree's.  Each
+process imports the package from its own tree's src.  pytest does not
 collect this file.
 """
 
@@ -55,11 +60,14 @@ def child(names):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", type=int, default=10, help="fresh processes (default 10)")
+    parser.add_argument("-k", type=int, default=10,
+                        help="fresh processes per tree (default 10)")
+    parser.add_argument("--against", metavar="DIR", type=Path,
+                        help="also read the gates of the source tree at DIR")
     parser.add_argument("gates", nargs="*", help="gate names (default: every gate)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(TESTS))
+    sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
     from test_tooling import RATIO_GATES
 
     names = args.gates or list(RATIO_GATES)
@@ -69,17 +77,30 @@ def main(argv=None):
     if args.child:
         child(names)
         return
-    runs = {name: [] for name in names}
+    trees = {"this": TESTS.parent}
+    if args.against is not None:
+        trees = {"against": args.against.resolve(), **trees}
+        for part in ("src", "tests/gate_readings.py"):
+            if not (trees["against"] / part).exists():
+                parser.error(f"--against: no {part} under {trees['against']}")
+    runs = {(tree, name): [] for tree in trees for name in names}
     for _ in range(args.k):
-        out = subprocess.run([sys.executable, __file__, "--child", *names], check=True,
-                             capture_output=True, text=True, env=os.environ.copy())
-        for name, ratio in json.loads(out.stdout.splitlines()[-1]).items():
-            runs[name].append(ratio)
-    print(f"{'gate':<20} {'min':>8} {'median':>8} {'max':>8} {'bound':>8}   ({args.k} processes)")
+        for tree, root in trees.items():
+            out = subprocess.run(
+                [sys.executable, str(root / "tests" / "gate_readings.py"), "--child", *names],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")})
+            for name, ratio in json.loads(out.stdout.splitlines()[-1]).items():
+                runs[tree, name].append(ratio)
+    for tree, root in trees.items():
+        print(f"{tree}: {root}")
+    print(f"{'gate':<20}" + "".join(f" {tree + ' min':>12} {'median':>8} {'max':>8}"
+                                    for tree in trees)
+          + f" {'bound':>8}   ({args.k} processes per tree)")
     for name in names:
-        values = runs[name]
-        print(f"{name:<20} {min(values):8.4f} {statistics.median(values):8.4f} "
-              f"{max(values):8.4f} {RATIO_GATES[name][4]:8.4f}")
+        cells = "".join(f" {min(v):12.4f} {statistics.median(v):8.4f} {max(v):8.4f}"
+                        for v in (runs[tree, name] for tree in trees))
+        print(f"{name:<20}{cells} {RATIO_GATES[name][4]:8.4f}")
 
 
 if __name__ == "__main__":

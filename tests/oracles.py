@@ -476,14 +476,16 @@ class PsiJet:
 
 
 def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
-    """Closed-form jet of the stretched map at (sigma, q, mu), on rows as
-    in psi_first_jet: one branch index with sigma, q and mu a row (or
-    scalars), or B indices with sigma, q and mu (B, R).
+    """Closed-form jet of the stretched map at (sigma, q, mu), on rows: one
+    branch index with sigma, q and mu a row (or scalars), or B indices with
+    sigma, q and mu (B, R).
 
     The exit abscissa and its two q-derivatives come from differentiating
-    psi(p_* + mu_b T + q N) = 0 (domain.offset_exit):
+    psi(p_* + mu_b T + q N) = 0:
         mu_b'  = -(grad psi, N) / (grad psi, T)
-        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N.
+        mu_b'' = -(x' . D2psi . x') / (grad psi, T),  x' = mu_b' T + N,
+    each row from the chart of a fresh exit binding (domain.network_exits)
+    with that row on its branch's line and the other two lines at q = 0.
     """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -493,9 +495,14 @@ def psi_jet(network, domain, branch, sigma, q, mu) -> PsiJet:
     l = network.lengths[b].reshape(rows)
     T = network.tangents[b].reshape(rows + (2,))
     N = network.normals[b].reshape(rows + (2,))
-    mu_b, dmu, ddmu = (v.reshape(q.shape) for v in domain.offset_exit(
-        network.p_star, T.reshape(-1, 2), N.reshape(-1, 2), q.reshape(b.size, -1),
-        l.reshape(-1, 1)))
+    q_rows = q.reshape(b.size, -1)
+    n = q_rows.shape[1] - 1
+    jets = []
+    for i, row in zip(b.ravel().tolist(), q_rows):
+        offsets = np.zeros((3, n + 1))
+        offsets[i] = row
+        jets.append([v[i] for v in domain.network_exits(network, n).chart(offsets)])
+    mu_b, dmu, ddmu = (np.array(v).reshape(q.shape) for v in zip(*jets))
 
     frac = sigma / l
     xi = mu + frac * (mu_b - mu)
@@ -590,7 +597,7 @@ def boundary_residuals_reference(network, domain, angles, rho, r0, w, mu):
 
     rho = np.array(rho, dtype=float)
     rho[:, 0], rho[:, -1] = r0, w
-    rs, _ = rho_derivatives(rho, network.lengths)
+    rs = rho_derivatives(rho, network.lengths)
 
     def point_and_tangent(i, end):
         # end 0: junction (sigma = 0, node 0); end 1: wall (sigma = l, node -1)
@@ -847,7 +854,7 @@ def wall_terms_from_gradient(network, domain, state, geo):
     h = boundary_curvature(domain, pts)
     grad = domain.grad(pts)
     perp = _cross(tangent, grad) / np.sqrt((grad * grad).sum(axis=-1))
-    kap_s = rho_derivatives(geo.kappa, network.lengths, second=False)[0] / geo.J
+    kap_s = rho_derivatives(geo.kappa, network.lengths) / geo.J
     res_outer = float(np.abs(kap_s[:, -1] + h * geo.kappa[:, -1]).max())
     return h, res_outer, float(np.abs(perp).max())
 
@@ -865,10 +872,10 @@ def wall_terms_from_gradient(network, domain, state, geo):
 
 
 def implicit_offset_exit(domain, base, T, N, q, s_ref, second=True):
-    """(s, s', s'') of the offset lines base + q N + s T in offset_exit's
-    layout: T and N (B, 2), base (2,) or (B, 2), q (B, R), s_ref
-    broadcastable to q; s'' is None when second=False, and the Hessian is
-    then never evaluated."""
+    """(s, s', s'') of the offset lines base + q N + s T, one line per row:
+    T and N (B, 2), base (2,) or (B, 2), q (B, R), s_ref broadcastable to
+    q; s'' is None when second=False, and the Hessian is then never
+    evaluated."""
     from trijunction.errors import OffsetMissesBoundary
 
     base, T, N = (np.asarray(v, dtype=float)[..., None, :] for v in (base, T, N))

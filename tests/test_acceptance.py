@@ -158,28 +158,27 @@ def test_acceptance_2_chart_kernel(disk, disk_network, ellipse, ellipse_network,
     jet_worst = 0.0
     for net, dom in ((disk_network, disk), (ellipse_network, ellipse),
                      (trefoil_network, trefoil)):
-        for i in range(3):
-            T, N, l = net.tangents[i], net.normals[i], net.lengths[i]
-            s = np.linspace(0.05, l * 0.95, 5)
-            checks = []
-            for q0, m0 in ((0.0, 0.0), (0.02, 0.01)):
-                q, m = np.full(5, q0), np.full(5, m0)
-                _, d_sigma, d_q = psi_first_jet(net, dom, i, s, q, m)
-                if q0 == 0.0:  # on the reference fork
-                    checks += [d_sigma - T, d_q - N]
-                checks += [
-                    fd(lambda x: psi_first_jet(net, dom, i, x, q, m)[0], s) - d_sigma,
-                    fd(lambda x: psi_first_jet(net, dom, i, s, x, m)[0], q) - d_q,
-                ]
+        T, N = net.tangents[:, None], net.normals[:, None]
+        s = np.array([np.linspace(0.05, l * 0.95, 5) for l in net.lengths])
+        checks = []
+        for q0, m0 in ((0.0, 0.0), (0.02, 0.01)):
+            q, m = np.full((3, 5), q0), np.full((3, 5), m0)
+            _, d_sigma, d_q = psi_first_jet(net, dom, s, q, m)
+            if q0 == 0.0:  # on the reference fork
+                checks += [d_sigma - T, d_q - N]
+            checks += [
+                fd(lambda x: psi_first_jet(net, dom, x, q, m)[0], s) - d_sigma,
+                fd(lambda x: psi_first_jet(net, dom, s, x, m)[0], q) - d_q,
+            ]
 
-            def exit_jet(q):
-                return dom.offset_exit(net.p_star, T[None], N[None], np.full((1, 1), q), l)
+        def exit_jet(q):
+            return dom.network_exits(net, 0).chart(np.full((3, 1), q))
 
-            for q0 in (0.0, 0.02):
-                _, dmu, ddmu = exit_jet(q0)
-                checks += [fd(lambda x: exit_jet(x)[0], q0) - dmu,
-                           fd(lambda x: exit_jet(x)[1], q0) - ddmu]
-            jet_worst = max(jet_worst, max(np.abs(c).max() for c in checks))
+        for q0 in (0.0, 0.02):
+            _, dmu, ddmu = exit_jet(q0)
+            checks += [fd(lambda x: exit_jet(x)[0], q0) - dmu,
+                       fd(lambda x: exit_jet(x)[1], q0) - ddmu]
+        jet_worst = max(jet_worst, max(np.abs(c).max() for c in checks))
 
     errs = []
     for n in (32, 64, 128):

@@ -345,13 +345,34 @@ def _assert_exits_agree(got, want, tol):
     """(s, s', s'') of two exit routes agree to tol relative; s'' may be None."""
     for x, y in zip(got, want):
         if y is None:
-            assert x is None
             continue
+        x, y = np.asarray(x, dtype=float).reshape(np.shape(y)), np.asarray(y)
         assert np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y))) < tol
 
 
+_BRANCH6 = [0, 1, 2, 0, 1, 2]  # the sweep's six ends: junction ends, then wall ends
+
+
+def _bind(domain, base, T, N, lengths, n):
+    """The domain's exit binding of the lines base + q N + s T, the rows of
+    T and N, with reference lengths `lengths`, the starts of a fresh
+    binding, on (3, n+1) grids."""
+    return domain.network_exits(
+        SimpleNamespace(p_star=base, tangents=T, normals=N, lengths=lengths), n)
+
+
+def _end_columns(jet):
+    """The jet at the six ends, from its first and last columns."""
+    return [np.concatenate((a[:, 0], a[:, -1])) for a in jet]
+
+
+def _ends_grid(q6):
+    """The (3, 2) offsets whose columns are the six ends' q6."""
+    return np.array([q6[:3], q6[3:]]).T
+
+
 @pytest.mark.parametrize("name", list(CONICS))
-def test_circle_offset_exit_closed_form_matches_implicit_route(name):
+def test_conic_exits_closed_form_matches_implicit_route(name):
     # the conic closed form for the exit abscissa and its two q-derivatives
     # against the generic route (root, then implicit differentiation) fed
     # with the oracle root; only rounding separates them
@@ -368,10 +389,8 @@ def test_circle_offset_exit_closed_form_matches_implicit_route(name):
     q = rng.uniform(-0.2, 0.2, (3, 7))
     tol = 64 * np.finfo(float).eps
     for T_, N_ in frames:
-        for second in (True, False):
-            closed = domain.offset_exit(base, T_, N_, q, None, second=second)
-            generic = implicit_offset_exit(domain, base, T_, N_, q, None, second=second)
-            _assert_exits_agree(closed, generic, tol)
+        closed = _bind(domain, base, T_, N_, None, 6).chart(q)
+        _assert_exits_agree(closed, implicit_offset_exit(domain, base, T_, N_, q, None), tol)
 
 
 def _raised(call):
@@ -416,28 +435,49 @@ def _random_frames(domain, rng, skew, count=3):
     return base, T, N, s_ref
 
 
-@pytest.mark.parametrize("layout", ["rows", "chart", "bases"])
+def _predicted(jet, q):
+    """The start that a network's exit binding predicts at the offsets q
+    from the exit jet (q0, s, s', s'') of its last chart."""
+    q0, s, ds, dds = jet
+    dq = q - q0
+    return s + dq * (ds + 0.5 * dds * dq)
+
+
+@pytest.mark.parametrize("layout", ["rows", "chart", "predicted"])
 @pytest.mark.parametrize("second", [True, False])
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
-def test_polynomial_offset_exit_matches_implicit_route(name, skew, second, layout):
-    # the line-polynomial Newton against root search plus implicit
-    # differentiation at the (x, y) fields; only rounding separates them.
-    # The layouts: three lines as rows of 7 offsets, the chart's three
-    # lines as rows of n+1 offsets at n = 48, and three lines with a base
-    # each, (3, 2), moved back along T by 0.05.
+def test_polynomial_exits_match_implicit_route(name, skew, second, layout):
+    # the line-polynomial Newton of a network's exit binding against root
+    # search plus implicit differentiation at the (x, y) fields; only
+    # rounding separates them.  second: (s, s', s'') from the binding's
+    # chart, else (s, s') from its six ends at the chart's end columns.
+    # The layouts: the three lines as rows of 7 offsets and as the chart's
+    # rows of n+1 offsets at n = 48, both started from the reference
+    # lengths, and at n = 48 again after a chart at offsets 0.01 away, from
+    # the starts predicted off its exit jet.  Such a start is accepted at
+    # the first evaluation that meets |P| < 1e-13, where Newton from the
+    # lengths has usually stepped well past it: over these draws the
+    # predicted layout reads at most 5.5e-13 (s''), the others 1.9e-14;
+    # the bounds are 2e-12 and 1e-13.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(5)
     base, T, N, s_ref = _random_frames(domain, rng, skew)
-    q = rng.uniform(-0.1, 0.1, (3, 49 if layout == "chart" else 7))
-    frame = (base, T, N, q, s_ref[:, None])
-    if layout == "bases":
-        frame = (base - 0.05 * T, T, N, q, s_ref[:, None] + 0.05)
+    q = rng.uniform(-0.1, 0.1, (3, 7 if layout == "rows" else 49))
+    exits = _bind(domain, base, T, N, s_ref, q.shape[1] - 1)
+    if layout == "predicted":
+        exits.chart(q + rng.uniform(-0.01, 0.01, q.shape))
     calls = _count_line_exits(domain)
-    fast = domain.offset_exit(*frame, second=second)
+    if second:
+        fast = exits.chart(q)
+        assert fast[0].shape == q.shape
+    else:
+        q, T, N, s_ref = _end_columns([q])[0][:, None], T[_BRANCH6], N[_BRANCH6], s_ref[_BRANCH6]
+        fast = exits.ends(q.ravel().tolist())
+        assert len(fast) == 2 and len(fast[0]) == 6
     assert calls == []  # every entry converged on the line polynomial
-    assert fast[0].shape == q.shape
-    _assert_exits_agree(fast, implicit_offset_exit(domain, *frame, second=second), 1e-13)
+    want = implicit_offset_exit(domain, base, T, N, q, s_ref[:, None], second=second)
+    _assert_exits_agree(fast, want, 2e-12 if layout == "predicted" else 1e-13)
 
 
 def _ulps(a, b):
@@ -447,30 +487,24 @@ def _ulps(a, b):
     return float(np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(b), 1.0))))
 
 
-_BRANCH6 = [0, 1, 2, 0, 1, 2]  # the sweep's six ends: junction ends, then wall ends
 EXIT_DOMAINS = {**{name: CONICS[name][0]
                    for name in ("centred circle", "shifted circle", "ellipse 1.2x1.0")},
                 **POLYNOMIALS}
 
 
-def _predicted(jet, q):
-    """The start that a network's exit binding predicts at the offsets q
-    from the exit jet (q0, s, s', s'') of its last chart."""
-    q0, s, ds, dds = jet
-    dq = q - q0
-    return s + dq * (ds + 0.5 * dds * dq)
+def _record_starts(domain):
+    """The starts (q, start) that the exit kernel of a polynomial domain is
+    called with, appended as arrays; a conic's kernel reads none."""
+    starts = []
+    if isinstance(domain, PolynomialDomain):
+        kernel = domain._exit_jet
 
+        def recorded(stacks, qs, lines, second):
+            starts.append(qs[1].copy())
+            return kernel(stacks, qs, lines, second)
 
-def _end_columns(jet):
-    """The jet at the six ends, from its first and last columns."""
-    return [np.concatenate((a[:, 0], a[:, -1])) for a in jet]
-
-
-def _bind(domain, base, T, N, lengths, n):
-    """The domain's exit binding of the lines base + q N + s T, the rows of
-    T and N, with reference lengths `lengths`, on (3, n+1) grids."""
-    return domain.network_exits(
-        SimpleNamespace(p_star=base, tangents=T, normals=N, lengths=lengths), n)
+        domain._exit_jet = recorded
+    return starts
 
 
 def _assert_bitwise(got, want):
@@ -480,18 +514,22 @@ def _assert_bitwise(got, want):
 
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(EXIT_DOMAINS))
-def test_network_exits_equal_offset_exit_bitwise(name, skew):
-    # A network's exit binding against offset_exit on the same lines: the
-    # chart's (3, n+1) exits, and the six ends as rows of one offset each.
-    # offset_exit is given the starts that the binding is to pick: the
-    # reference lengths before the first chart (a cold jet (l, 0, 0) at
-    # q0 = 0), then the prediction off the last chart's jet.  A conic reads
-    # no start.  A chart taken again at the same offsets starts from its own
-    # exits, which are accepted as they are.
+def test_network_exits_start_from_the_last_chart(name, skew):
+    # A network's exit binding picks every start: the reference lengths
+    # before the first chart (a cold jet (l, 0, 0) at q0 = 0), then the
+    # prediction off the last chart's jet, for its chart (3, n+1) and its
+    # six ends alike.  A conic reads no start, so its exits do not depend
+    # on what the binding charted before.  Every exit abscissa agrees with
+    # root search to 1e-12 (at most 3.7e-13 over these draws; the
+    # derivatives, which a line near the wall's tangent amplifies, are
+    # checked above).  A chart taken again at the same offsets starts from
+    # its own exits, which are accepted as they are.
     domain = EXIT_DOMAINS[name]()
     rng = np.random.default_rng(20)
     base, T, N, lengths = _random_frames(domain, rng, skew)
+    T6, N6 = T[_BRANCH6], N[_BRANCH6]
     n = 48
+    starts = _record_starts(domain)
     exits = _bind(domain, base, T, N, lengths, n)
     zero = np.zeros((3, 1))
     jet = (zero, lengths[:, None], zero, zero)
@@ -499,31 +537,40 @@ def test_network_exits_equal_offset_exit_bitwise(name, skew):
     assert _predicted(jet, q).tobytes() == np.repeat(lengths[:, None], n + 1, 1).tobytes()
     for trial in range(8):
         q6 = np.concatenate((q[:, 0], q[:, -1])) + rng.uniform(-0.02, 0.02, 6)
-        want = domain.offset_exit(base, T[_BRANCH6], N[_BRANCH6], q6[:, None],
-                                  _predicted(_end_columns(jet), q6)[:, None], second=False)
-        _assert_bitwise(exits.ends(q6.tolist()), want[:2])
+        start6 = _predicted(_end_columns(jet), q6)
+        got = exits.ends(q6.tolist())
+        want = implicit_offset_exit(domain, base, T6, N6, q6[:, None], start6[:, None], False)
+        _assert_exits_agree(got[:1], want[:1], 1e-12)
         q = q + rng.uniform(-0.02, 0.02, q.shape)
-        want = domain.offset_exit(base, T, N, q, _predicted(jet, q))
-        _assert_bitwise(exits.chart(q), want)
-        jet = (q, *want)
+        start = _predicted(jet, q)
+        got = exits.chart(q)
+        _assert_exits_agree(got[:1], implicit_offset_exit(domain, base, T, N, q, start)[:1], 1e-12)
+        if starts:
+            ends_start, chart_start = starts[-2:]
+            assert ends_start.ravel().tobytes() == start6.tobytes()
+            assert chart_start.tobytes() == start.tobytes()
+        else:
+            _assert_bitwise(got, _bind(domain, base, T, N, lengths, n).chart(q))
+        jet = (q, *got)
     _assert_bitwise(exits.chart(q), jet[1:])
+    assert len(starts) == (17 if starts else 0)
 
 
 @pytest.mark.parametrize("name", ["centred circle", "shifted circle", "ellipse 1.2x1.0"])
-def test_conic_network_exits_raise_as_offset_exit(name):
-    # At a NaN offset both routes give NaN, and no error.  An offset far off
-    # the wall misses it, and a tangent scaled down to 1e-12 falls under the
-    # floor on (grad psi, T); with both, the miss is raised first, as
-    # offset_exit checks every line for a miss before any for the floor.  A
+def test_conic_network_exits_raise_alike_in_chart_and_ends(name):
+    # The six ends are bitwise the end columns of the chart at the same
+    # offsets.  At a NaN offset both give NaN, and no error.  An offset far
+    # off the wall misses it, and a tangent scaled down to 1e-12 falls under
+    # the floor on (grad psi, T); with both, the miss is raised first, as
+    # the chart checks every line for a miss before any for the floor.  A
     # NaN offset beside them hides neither error.
     domain = CONICS[name][0]()
     base, T, N, lengths = _random_frames(domain, np.random.default_rng(19), True)
-    n = 8
-    q6 = np.zeros(6)
+    q6 = np.random.default_rng(3).uniform(-0.1, 0.1, 6)
     q6[5] = np.nan
-    s, ds = (v.ravel() for v in domain.offset_exit(base, T[_BRANCH6], N[_BRANCH6],
-                                                    q6[:, None], None, second=False)[:2])
-    fs, fds = _bind(domain, base, T, N, lengths, n).ends(q6.tolist())
+    exits = _bind(domain, base, T, N, lengths, 1)
+    s, ds, _ = _end_columns(exits.chart(_ends_grid(q6)))
+    fs, fds = exits.ends(q6.tolist())
     for array, floats in ((s, fs), (ds, fds)):
         assert np.isnan(array[5]) and np.isnan(floats[5])
         assert np.delete(floats, 5).tobytes() == np.delete(array, 5).tobytes()
@@ -534,19 +581,15 @@ def test_conic_network_exits_raise_as_offset_exit(name):
              "both": (5.0, tiny)}
     for nan in (False, True):
         for case, (far, T_) in cases.items():
-            exits = _bind(domain, base, T_, N, lengths, n)
-            q6, q = np.zeros(6), np.zeros((3, n + 1))
-            q6[3] = q[0, 4] = far  # a wall end, and a node of the chart
+            exits = _bind(domain, base, T_, N, lengths, 1)
+            q6 = np.zeros(6)
+            q6[3] = far  # a wall end
             if nan:
-                q6[5] = q[2, 6] = np.nan
-            for got, want in (
-                    (lambda: exits.ends(q6.tolist()),
-                     lambda: domain.offset_exit(base, T_[_BRANCH6], N[_BRANCH6], q6[:, None],
-                                                None, second=False)),
-                    (lambda: exits.chart(q), lambda: domain.offset_exit(base, T_, N, q, None))):
-                got, want = _raised(got), _raised(want)
-                assert got == want and got[0] is OffsetMissesBoundary, (case, got)
-                assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
+                q6[5] = np.nan
+            got = _raised(lambda: exits.ends(q6.tolist()))
+            want = _raised(lambda: exits.chart(_ends_grid(q6)))
+            assert got == want and got[0] is OffsetMissesBoundary, (case, got)
+            assert ("tangent" if case == "tangent" else "misses") in got[1], (case, got)
 
 
 @pytest.mark.parametrize("skew", [False, True])
@@ -554,12 +597,12 @@ def test_conic_network_exits_raise_as_offset_exit(name):
 def test_conic_exit_jet_is_within_five_ulps_of_40_digit_reference(name, skew):
     # The conic kernel, a quadratic in q on per-line constants, against the
     # exit solved at 40 digits from the same float inputs: (s, s', s'') from
-    # offset_exit, from the binding's chart and (s, s') from its ends, which
-    # agree bitwise.  In units of the last place of max(|ref|, 1), over these
-    # draws (4 frames per case, 75 offsets each, q uniform in [-0.2, 0.2];
-    # 2400 entries per component over the four conics and both frame kinds)
-    # the errors read at most 2.0, 2.5 and 3.0 ulps (the expansion in
-    # o = base + q N it replaced: 2.0, 1.75 and 4.0); the bound is 5.
+    # the binding's chart and (s, s') from its ends, which agree bitwise.  In
+    # units of the last place of max(|ref|, 1), over these draws (4 frames
+    # per case, 75 offsets each, q uniform in [-0.2, 0.2]; 2400 entries per
+    # component over the four conics and both frame kinds) the errors read
+    # at most 2.0, 2.5 and 3.0 ulps (the expansion in o = base + q N it
+    # replaced: 2.0, 1.75 and 4.0); the bound is 5.
     make, w, c, r = CONICS[name]
     domain = make()
     rng = np.random.default_rng(27)
@@ -568,9 +611,8 @@ def test_conic_exit_jet_is_within_five_ulps_of_40_digit_reference(name, skew):
         q = rng.uniform(-0.2, 0.2, (3, 25))
         want = np.array([[[float(v) for v in conic_exit_jet_mp(w, c, r, base, T[i], N[i], qk)]
                           for qk in q[i]] for i in range(3)]).transpose(2, 0, 1)
-        got = domain.offset_exit(base, T, N, q, None)
         exits = _bind(domain, base, T, N, lengths, q.shape[1] - 1)
-        _assert_bitwise(exits.chart(q), got)
+        got = exits.chart(q)
         q6 = np.concatenate((q[:, 0], q[:, -1]))
         _assert_bitwise(exits.ends(q6.tolist()), [_end_columns(got)[k] for k in (0, 1)])
         for k in range(3):
@@ -595,40 +637,35 @@ def test_conic_ray_exit_is_the_expanded_closed_form_bitwise(name):
 
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
-def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
-    # The sweep's six exits against offset_exit on single lines, within 4
-    # ulps, with the same entries sent to line_exit as offset_exit on the
-    # six lines; a start where the line is tangent to a level set of psi
-    # (P_s = 0, the line's critical point inside the domain) takes no Newton
-    # step and goes to line_exit on both routes; a NaN offset and a line
-    # tangent to the wall end the same way on both.
+def test_polynomial_network_exits_fall_back_as_the_chart(name, skew):
+    # The sweep's six exits against single lines (row k of a fresh binding
+    # at n = 0, the other rows at q = 0), within 4 ulps, with the same
+    # entries sent to line_exit as by the chart at the same offsets (a
+    # fresh binding at n = 1); a start where the line is tangent
+    # to a level set of psi (P_s = 0, the line's critical point inside the
+    # domain) takes no Newton step and goes to line_exit on both routes; a
+    # NaN offset and a line tangent to the wall end the same way on both.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(20)
     base, T, N, hit = _random_frames(domain, rng, skew)
-    T6, N6 = T[_BRANCH6], N[_BRANCH6]
 
-    def cold(lengths, q6):
-        # the start of a binding's ends before its first chart
-        zero = np.zeros(6)
-        return _predicted((zero, lengths[_BRANCH6], zero, zero), q6)
-
-    def both(exits, q6, start):
+    def both(lengths, q6):
         calls = _count_line_exits(domain)
-        got = exits.ends(q6.tolist())
+        got = _bind(domain, base, T, N, lengths, 8).ends(q6.tolist())
         swept = list(calls)
-        want = domain.offset_exit(base, T6, N6, q6[:, None], start[:, None], second=False)
+        _bind(domain, base, T, N, lengths, 1).chart(_ends_grid(q6))
         assert calls == swept + swept
-        _assert_bitwise(got, want[:2])
-        singles = [[v[0, 0] for v in domain.offset_exit(base, T6[[k]], N6[[k]], q6[[k], None],
-                                                        start[k], second=False)[:2]]
-                   for k in range(6)]
+        singles = []
+        for k, b in enumerate(_BRANCH6):
+            q = np.zeros((3, 1))
+            q[b] = q6[k]
+            singles.append([v[b, 0] for v in _bind(domain, base, T, N, lengths, 0).chart(q)])
         for x, y in zip(got, zip(*singles)):
-            assert _ulps(x, np.array(y, dtype=float)) <= 4
+            assert _ulps(x, np.array(y)) <= 4
         return swept
 
     for trial in range(10):
-        q6 = rng.uniform(-0.1, 0.1, 6)
-        assert both(_bind(domain, base, T, N, hit, 8), q6, cold(hit, q6)) == []
+        assert both(hit, rng.uniform(-0.1, 0.1, 6)) == []
 
     def slope(t):
         return float(domain.grad(base + t * T[2]) @ T[2])
@@ -639,15 +676,13 @@ def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
     assert abs(slope(crit)) < 1e-8
     start = hit.copy()
     start[2] = crit
-    exits = _bind(domain, base, T, N, start, 8)
-    assert both(exits, np.zeros(6), cold(start, np.zeros(6))) == [(2,)]  # both ends of branch 2
+    assert both(start, np.zeros(6)) == [(2,)]  # both ends of branch 2
 
     q6 = np.zeros(6)
     q6[4] = np.nan
-    got = _raised(lambda: exits.ends(q6.tolist()))
-    want = _raised(lambda: domain.offset_exit(base, T6, N6, q6[:, None],
-                                              cold(start, q6)[:, None], second=False))
-    assert got == want  # the NaN offset predicts a NaN start
+    got = _raised(lambda: _bind(domain, base, T, N, start, 8).ends(q6.tolist()))
+    want = _raised(lambda: _bind(domain, base, T, N, start, 1).chart(_ends_grid(q6)))
+    assert got[0] is want[0] is NoIntersection  # the NaN offset leaves no root
 
     # line 1 turned onto the tangent of the wall at its exit e, at the
     # offset that puts it through e, started at e
@@ -661,8 +696,7 @@ def test_polynomial_network_exits_fall_back_as_offset_exit(name, skew):
     q6 = np.zeros(6)
     q6[1] = offset
     got = _raised(lambda: _bind(domain, base, T_, N_, start, 8).ends(q6.tolist()))
-    want = _raised(lambda: domain.offset_exit(base, T_[_BRANCH6], N_[_BRANCH6], q6[:, None],
-                                              cold(start, q6)[:, None], second=False))
+    want = _raised(lambda: _bind(domain, base, T_, N_, start, 1).chart(_ends_grid(q6)))
     assert got == want == (OffsetMissesBoundary, "offset line tangent to the boundary")
 
 
@@ -677,32 +711,39 @@ def _within_reach(domain, base, T, N, q, s):
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("name", list(POLYNOMIALS))
 def test_polynomial_start_near_the_root_comes_back_as_it_is(name, skew):
-    # The prediction rests on this: a start within 1e-15 of the root is
+    # The prediction rests on this: a start within rounding of the root is
     # nearly always within reach (|P| < 1e-13 at the first evaluation) and
     # is then returned unchanged, on the chart's (3, n+1) lines and on the
-    # six end lines alike.  The binding's ends at the end columns of its
-    # last chart start from that chart's exits, and return them.  A root
-    # that Newton left just under 1e-13 can be pushed out of reach by the
-    # 1e-15, or by the ends' own rounding; such entries are not checked.
+    # six end lines alike.  Here the starts are the binding's predictions
+    # at offsets 1e-9 from those of its last chart, off by about 1e-27 and
+    # their rounding.  The binding's ends at the end columns of its last
+    # chart start from that chart's exits, and return them.  A root that
+    # Newton left just under 1e-13 can be pushed out of reach by the
+    # rounding; such entries are not checked.
     domain = POLYNOMIALS[name]()
     rng = np.random.default_rng(21)
     base, T, N, lengths = _random_frames(domain, rng, skew)
     T6, N6 = T[_BRANCH6], N[_BRANCH6]
     n = 48
+    exits = _bind(domain, base, T, N, lengths, n)
     for trial in range(5):
         q = rng.uniform(-0.1, 0.1, (3, n + 1))
-        s = domain.offset_exit(base, T, N, q, lengths[:, None])[0]
-        start = s + rng.uniform(-1e-15, 1e-15, s.shape)
+        jet = (q, *exits.chart(q))
+        q = q + rng.uniform(-1e-9, 1e-9, q.shape)
+        start = _predicted(jet, q)
         reach = _within_reach(domain, base, T, N, q, start)
         assert reach.mean() > 0.95
-        got = domain.offset_exit(base, T, N, q, start)[0]
-        assert got[reach].tobytes() == start[reach].tobytes()
-        q6, start6, reach6 = _end_columns((q, start, reach))
-        got = domain.offset_exit(base, T6, N6, q6[:, None], start6[:, None], second=False)[0]
-        assert got.ravel()[reach6].tobytes() == start6[reach6].tobytes()
+        jet = (q, *exits.chart(q))
+        assert jet[1][reach].tobytes() == start[reach].tobytes()
 
-        exits = _bind(domain, base, T, N, lengths, n)
-        (chart6,) = _end_columns(exits.chart(q)[:1])
+        q6 = np.concatenate((q[:, 0], q[:, -1])) + rng.uniform(-1e-9, 1e-9, 6)
+        start6 = _predicted(_end_columns(jet), q6)
+        reach6 = _within_reach(domain, base, T6, N6, q6[:, None], start6[:, None]).ravel()
+        got = np.array(exits.ends(q6.tolist())[0])
+        assert got[reach6].tobytes() == start6[reach6].tobytes()
+
+        exits.chart(q)
+        q6, chart6 = _end_columns(jet[:2])
         reach6 = _within_reach(domain, base, T6, N6, q6[:, None], chart6[:, None]).ravel()
         got = np.array(exits.ends(q6.tolist())[0])
         assert got[reach6].tobytes() == chart6[reach6].tobytes()
@@ -710,7 +751,8 @@ def test_polynomial_start_near_the_root_comes_back_as_it_is(name, skew):
 
 def test_polynomial_network_exits_build_one_stack_per_line():
     # The binding builds one stack per branch line and takes each twice for
-    # the sweep's six ends; offset_exit on the same three lines reuses them.
+    # the sweep's six ends; a fresh binding of the same lines, as a chart
+    # given none makes, reuses them.
     domain = POLYNOMIALS["two dents"]()
     built = []
     line_stack = domain._line_stack
@@ -718,35 +760,48 @@ def test_polynomial_network_exits_build_one_stack_per_line():
     base, T, N, hit = _random_frames(domain, np.random.default_rng(3), False)
     exits = _bind(domain, base, T, N, hit, 48)
     assert len(built) == 3
-    s, _, _ = domain.offset_exit(base, T, N, np.zeros((3, 1)), hit[:, None])
+    s, _, _ = _bind(domain, base, T, N, hit, 0).chart(np.zeros((3, 1)))
     assert len(built) == 3
     assert exits.ends([0.0] * 6)[0] == np.tile(s.ravel(), 2).tolist()
 
 
-def test_polynomial_offset_exit_falls_back_under_the_slope_floor():
+def _fork(base, T0):
+    """T0 and its turns by 120 and 240 degrees as rows, and their normals."""
+    turns = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+             for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+    T = np.array([turn @ T0 for turn in turns])
+    return T, T @ ROT90.T
+
+
+def test_polynomial_exits_fall_back_under_the_slope_floor():
     # started at the chord midpoint, where P_s = (grad psi, T) vanishes, the
-    # first entry cannot take a Newton step and goes to line_exit; the second
-    # converges on the line polynomial
+    # first line cannot take a Newton step and goes to line_exit; the other
+    # two, started from their exits, converge on the line polynomial
     domain = POLYNOMIALS["polynomial circle"]()
-    base, T, N = np.array([0.05, 0.02]), np.array([0.6, 0.8]), np.array([-0.8, 0.6])
-    mid = -float((base - (0.1, -0.05)) @ T)
-    assert abs(domain.grad(base + mid * T) @ T) < 1e-8
-    frame = (base, T[None], N[None], np.array([[0.0, 0.05]]), np.array([[mid, 1.0]]))
+    base = np.array([0.05, 0.02])
+    T, N = _fork(base, np.array([0.6, 0.8]))
+    mid = -float((base - (0.1, -0.05)) @ T[0])
+    assert abs(domain.grad(base + mid * T[0]) @ T[0]) < 1e-8
+    starts = np.array([mid] + [boundary_hit(domain, base, t)[1] for t in T[1:]])
+    q = np.array([[0.0], [0.05], [0.0]])
     calls = _count_line_exits(domain)
-    fast = domain.offset_exit(*frame)
+    fast = _bind(domain, base, T, N, starts, 0).chart(q)
     assert calls == [(1,)]
-    _assert_exits_agree(fast, implicit_offset_exit(domain, *frame), 1e-13)
+    _assert_exits_agree(fast, implicit_offset_exit(domain, base, T, N, q, starts[:, None]),
+                        1e-13)
 
 
-def test_polynomial_offset_exit_rejects_a_tangent_frame():
-    # the offset line touches the wall at its exit: (grad psi, T) = 0 there
+def test_polynomial_exits_reject_a_tangent_frame():
+    # the first line touches the wall at its exit: (grad psi, T) = 0 there;
+    # the others leave the wall through the same point at an angle
     domain = POLYNOMIALS["polynomial circle"]()
     n = np.array([np.cos(0.4), np.sin(0.4)])
     base = np.array([0.1, -0.05]) + 1.1 * n
-    T, N = n @ ROT90.T, n
-    for route in (domain.offset_exit, lambda *a: implicit_offset_exit(domain, *a)):
+    T, N = _fork(base, n @ ROT90.T)
+    for route in (lambda q: _bind(domain, base, T, N, np.zeros(3), 0).chart(q),
+                  lambda q: implicit_offset_exit(domain, base, T, N, q, np.zeros((3, 1)))):
         with pytest.raises(OffsetMissesBoundary, match="tangent"):
-            route(base, T[None], N[None], np.zeros((1, 1)), np.zeros((1, 1)))
+            route(np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("deg", [0, 1, 6])

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from trijunction.domains import PolynomialDomain
-from trijunction.errors import MatrixMNotInvertible
+from trijunction.domains import CircleDomain, PolynomialDomain, disk_terms
+from trijunction.errors import MatrixMNotInvertible, OffsetMissesBoundary
 from trijunction.parameterization import (
     BoundaryOperator,
     GraphState,
@@ -18,8 +18,10 @@ from trijunction.parameterization import (
     rho_derivatives,
     state_from_rho,
     _junction_solve,
+    _stencils,
 )
-from trijunction.tensions import ROT90, SurfaceTensions, junction_matrix, young_angles
+from trijunction.tensions import (ROT90, SurfaceTensions, junction_matrix, tangent_frames,
+                                  young_angles)
 
 from oracles import (
     boundary_residuals_mp,
@@ -96,12 +98,29 @@ def test_mu_boundary_at_zero_is_length(disk_network, disk, trefoil_network, tref
 def test_mu_boundary_disk_chord(disk, unit_tensions):
     # offsetting a radius by q meets the unit circle at sqrt(1 - q^2);
     # exact synthetic network so the solver tolerance does not intrude
-    from trijunction.tensions import tangent_frames
-
     T, N = tangent_frames(young_angles(unit_tensions), 0.0)
     net = StationaryNetwork(np.zeros(2), T, N, np.ones(3), -np.ones(3), T.copy())
     val = mu_boundary(net, disk, 0, 0.1)
     assert abs(val - np.sqrt(1.0 - 0.01)) < 1e-14
+
+
+@pytest.mark.parametrize("domain", [CircleDomain(1.0), PolynomialDomain(disk_terms(1.0))],
+                         ids=["circle", "polynomial"])
+def test_mu_boundary_reads_its_own_line_where_another_misses(domain, unit_tensions):
+    # A fork at p_* = (0.5, 0) in the unit disk, branch 0 along +x.  Offset
+    # by q = 0.7, line 0 meets the circle where (0.5 + s)^2 + 0.49 = 1 and
+    # line 2 misses it (its distance from the centre is 0.433 + 0.7 > 1):
+    # mu_boundary of branch 0 reads only its own line, and that of branch 2
+    # raises.
+    T, N = tangent_frames(young_angles(unit_tensions), 0.0)
+    p_star = np.array([0.5, 0.0])
+    pT = T @ p_star
+    lengths = np.sqrt(pT**2 + 0.75) - pT  # |p_* + l T| = 1
+    net = StationaryNetwork(p_star, T, N, lengths, -np.ones(3), p_star + lengths[:, None] * T)
+    assert np.abs(p_star @ N.T + 0.7).tolist() == pytest.approx([0.7, 0.267, 1.133], abs=1e-3)
+    assert abs(mu_boundary(net, domain, 0, 0.7) - (np.sqrt(0.51) - 0.5)) < 1e-14
+    with pytest.raises(OffsetMissesBoundary):
+        mu_boundary(net, domain, 2, 0.7)
 
 
 def test_mu_boundary_second_derivative_is_wall_curvature(
@@ -126,9 +145,9 @@ def test_mu_terms_derivatives_match_fd(trefoil_network, trefoil):
     eps = 1e-5
     for i in range(3):
         for q0 in (0.0, 0.04, -0.07):
-            mu_b, dmu, ddmu = (v[0, 0] for v in dom.offset_exit(
-                net.p_star, net.tangents[[i]], net.normals[[i]], np.full((1, 1), q0),
-                net.lengths[i]))
+            offsets = np.zeros((3, 1))
+            offsets[i] = q0
+            mu_b, dmu, ddmu = (v[i, 0] for v in dom.network_exits(net, 0).chart(offsets))
             f = lambda q: mu_boundary(net, dom, i, q)
             fd1 = (f(q0 + eps) - f(q0 - eps)) / (2 * eps)
             fd2 = (f(q0 + eps) - 2 * f(q0) + f(q0 - eps)) / eps**2
@@ -220,9 +239,9 @@ def test_first_jet_routes_match_vector_oracle_bitwise(n, disk, disk_network, ell
         oracle = psi_jet(net, dom, np.arange(3), sigma, state.rho, state.mu[:, None])
         assert np.array_equal(curve_from_graph(net, dom, state), oracle.psi)
 
-        ends = (net, dom, np.arange(3), np.zeros((3, 1)), state.rho[:, :1], state.mu[:, None])
-        _, d_sigma, d_q = psi_first_jet(*ends)
-        oracle = psi_jet(*ends)
+        ends = (np.zeros((3, 1)), state.rho[:, :1], state.mu[:, None])
+        _, d_sigma, d_q = psi_first_jet(net, dom, *ends)
+        oracle = psi_jet(net, dom, np.arange(3), *ends)
         assert np.array_equal(d_sigma, oracle.d_sigma)
         assert np.array_equal(d_q, oracle.d_q)
 
@@ -260,7 +279,8 @@ def test_zero_state_curvature_vanishes(trefoil_network, trefoil):
 def kappa_fd_error(network, domain, tensions, n, seed=0):
     state = smooth_state(network, tensions, n, amp=0.05, seed=seed)
     sigma = network.sigma_grid(n)
-    rs, rss = rho_derivatives(state.rho, network.lengths)
+    geo = chart_geometry(network, domain, state)
+    rs, rss = geo.rho_sigma, geo.rho_ss
     curves = curve_from_graph(network, domain, state)
     err = 0.0
     for i in range(3):
@@ -296,8 +316,8 @@ def test_coefficients_reference_values(disk_network, disk, unit_tensions):
 def test_curvature_routes_agree(trefoil_network, trefoil, unit_tensions):
     state = smooth_state(trefoil_network, unit_tensions, 20, amp=0.03, seed=11)
     sigma = trefoil_network.sigma_grid(20)
-    rs, rss = rho_derivatives(state.rho, trefoil_network.lengths)
     coef = coefficients(trefoil_network, trefoil, unit_tensions, state)
+    rs, rss = coef.rho_sigma, coef.rho_ss
     for i in range(3):
         kap = curvature_kappa(trefoil_network, trefoil, i, state.rho[i], rs[i],
                               rss[i], state.mu[i], sigma[i])
@@ -353,7 +373,7 @@ def test_junction_angle_residual_linearization(trefoil_network, trefoil, unit_te
     eps = 1e-6
     state = state_from_rho(net, unit_tensions, eps * rho_unit)
     g12, g13 = state_bc_residuals(net, dom, unit_tensions, state)[:2]
-    rs, _ = rho_derivatives(rho_unit, net.lengths)
+    rs = rho_derivatives(rho_unit, net.lengths)
     expected12 = (rs[0, 0] - rs[1, 0]) * angles.sin[2]
     expected13 = (rs[2, 0] - rs[0, 0]) * angles.sin[1]
     assert abs(g12 / eps - expected12) < 1e-4
@@ -380,7 +400,7 @@ def test_outer_bc_residual_linearization(disk_network, disk, ellipse_network,
             rho[i] = eps * (sigma[i] / net.lengths[i]) ** 4  # rho(l)=eps, slope 4eps/l
             state = state_from_rho(net, unit_tensions, rho)
             res = state_bc_residuals(net, dom, unit_tensions, state)[2 + i]
-            rs, _ = rho_derivatives(rho, net.lengths)
+            rs = rho_derivatives(rho, net.lengths)
             expected = rs[i, -1] + net.h_star[i] * eps
             assert abs(res - expected) < 1e-9
 
@@ -449,12 +469,13 @@ def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):
 
 @pytest.mark.parametrize("n", [4, 8, 48, 200])
 def test_derivatives_from_one_difference_array_match_the_node_stencils(n):
-    # rho_derivatives reads every stencil off D = diff(rho); the same
-    # stencils on the nodes themselves round differently.  Over these 100
-    # draws per n (unstacked and stacked, 400 in all) the differences read
-    # at most 6.3 eps max|rho| / dsigma for rho_sigma and 14.5 eps max|rho| /
-    # dsigma^2 for rho_sigmasigma, per branch; the bounds are about twice
-    # that.
+    # _stencils reads every stencil off D = diff(rho); the same stencils on
+    # the nodes themselves round differently.  rho_derivatives, its first
+    # row alone, gives the same bits as the pass of both rows that the
+    # chart makes.  Over these 100 draws per n (unstacked and stacked, 400
+    # in all) the differences read at most 6.3 eps max|rho| / dsigma for
+    # rho_sigma and 14.5 eps max|rho| / dsigma^2 for rho_sigmasigma, per
+    # branch; the bounds are about twice that.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(27)
     for shape in [(3, n + 1), (5, 3, n + 1)]:
@@ -463,12 +484,12 @@ def test_derivatives_from_one_difference_array_match_the_node_stencils(n):
             lengths = rng.uniform(0.2, 3, 3)
             d = (lengths / n)[:, None]
             scale = eps * np.abs(rho).max(axis=-1, keepdims=True)
-            rs, rss = rho_derivatives(rho, lengths)
+            divisors = np.stack((2.0 * d, d * d)).reshape((2,) + (1,) * (len(shape) - 2) + d.shape)
+            rs, rss = _stencils(rho, divisors)
             want_rs, want_rss = rho_derivatives_stencils(rho, lengths)
             assert np.all(np.abs(rs - want_rs) * d <= 12 * scale)
             assert np.all(np.abs(rss - want_rss) * d**2 <= 32 * scale)
-            first, _ = rho_derivatives(rho, lengths, second=False)
-            assert first.tobytes() == rs.tobytes()
+            assert rho_derivatives(rho, lengths).tobytes() == rs.tobytes()
 
 
 def test_junction_solve_in_floats_matches_numpy_linalg():

@@ -2,7 +2,8 @@
 the cost of the per-step diagnostics with and without the step's chart and
 in batches, the route of the per-step exit, the single route of the
 spectrum solve, its LAPACK calls, the cost of the stability pencil's
-assembly and the modules `import trijunction` loads.
+assembly, the modules `import trijunction` loads and the readings of the
+ratio gates against a second source tree (tests/gate_readings.py).
 
 bench/spans.py rebinds the functions and methods it traces with getattr and
 setattr; a rename in the package would otherwise surface only when the
@@ -199,8 +200,10 @@ def test_batched_records_cost_at_most_half_their_singles(ellipse, ellipse_networ
     # A record of a (3, 65) state is about 60 numpy calls whose cost is
     # nearly all dispatch.  One call for 32 records (the CLI pipeline's run,
     # on the step's charts) makes those calls once, 0.22-0.26 of 32 single
-    # records over 10 fresh processes; the bound leaves room for a host
-    # that drifts.  (0.14-0.22 when each record also evaluated the wall's
+    # records over 10 fresh processes, and 0.19-0.29 since a single record's
+    # rho_sigma stencils take no stack of divisors (the singles about 9 %
+    # cheaper, the batch 4 %); the bound leaves room for a host that
+    # drifts.  (0.14-0.22 when each record also evaluated the wall's
     # gradient and Hessian, which the batch made once: the ratio rose as
     # its unit, a single record, got cheaper.)
     _check_gate("record_batch", ellipse, ellipse_network, unit_tensions)
@@ -232,6 +235,9 @@ def test_converged_boundary_sweep_costs_under_half_a_coefficient_call(
     # (tests/gate_readings.py), median 0.182, with the chart forming the
     # step's inputs directly (about 0.8 of its cost before) and the sweep's
     # maps bound once per Stepper (0.181-0.207, median 0.192, before).
+    # With each timed sweep dropping its start history, three series of 10
+    # read medians 0.200, 0.188 and 0.194, maxima up to 0.222 (the timed
+    # sweeps' history left in place: 0.184, 0.199 and 0.186, up to 0.225).
     _check_gate("disk_sweep", disk, disk_network, unit_tensions)
 
 
@@ -257,32 +263,52 @@ def test_converged_polynomial_sweep_costs_under_a_quarter_coefficient_call(
     # processes (tests/gate_readings.py; 0.187-0.206, median 0.197, before
     # the chart formed the step's inputs directly and the six exits' checks
     # ran in floats), with one multiply.accumulate for the six exits' power
-    # ladder.  The coefficients call
-    # takes no binding, so its exits start cold from the reference lengths;
-    # from the binding's prediction they take one evaluation and the ratio
-    # reads about 0.34.  It bounds the sweep's cost, not its route: with the
-    # exits through the generic offset_exit and the chart's q contracted per
-    # node, both sides were slower and the ratio read 0.209-0.246.
+    # ladder; 0.181-0.212, medians 0.193-0.205, over three series of 10
+    # with each timed sweep dropping its start history.  The coefficients call
+    # takes no binding, so it binds the network afresh and its exits start
+    # from the reference lengths; from the Stepper's binding's prediction
+    # they take one evaluation and the ratio reads about 0.34.  It bounds
+    # the sweep's cost, not its route: with the exits through root search
+    # on the (x, y) fields and implicit differentiation, and the chart's q
+    # contracted per node, both sides were slower and the ratio read
+    # 0.209-0.246.
     _check_gate("dents_sweep", two_dents, two_dents_network, unit_tensions)
 
 
 def _converged_sweep_and_chart(stepper, state, exits):
     """Best of 20 timings of a converged boundary sweep and of a
     coefficients call with the exit binding `exits`, interleaved, after
-    three steps from state."""
+    three steps from state.  Each timed sweep first drops the sweep's start
+    history (forget), so that it starts from the converged values of rho
+    and converges at its first evaluation, one exit call, which is
+    checked; from the extrapolated start of the calls before it, a sweep
+    that drifted would iterate once."""
     for _ in range(3):
         state = stepper.step(state)
     rho = state.rho.copy()
-    # converge once; the timed calls still extrapolate the noise-level
-    # corrections of the calls before them, so some iterate once, and the
-    # best of 20 is a call that converged at its first evaluation
-    stepper.enforce_bcs(rho)
+    stepper.enforce_bcs(rho)  # converge once
+    forget = stepper._sweep[3]
+    exits_calls = [0]
+    ends = stepper._exits.ends
+
+    def counted(q):
+        exits_calls[0] += 1
+        return ends(q)
+
+    def sweep():
+        forget()
+        stepper.enforce_bcs(rho)
+
+    stepper._exits.ends = counted
     calls = {
         "coefficients": lambda: coefficients(stepper.network, stepper.domain, stepper.tensions,
                                              state, exits=exits),
-        "sweep": lambda: stepper.enforce_bcs(rho),
+        "sweep": sweep,
     }
-    return _best_of(calls, 20)
+    best = _best_of(calls, 20)
+    del stepper._exits.ends
+    assert exits_calls[0] == 20, exits_calls
+    return best
 
 
 def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
@@ -292,11 +318,11 @@ def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
     # evaluations) and refreshes its five-column Jacobian every 100 steps,
     # 1.6 per step from the warm start (2.05 from the predictor).  The
     # sweep evaluates its six exits through the ends of the Stepper's exit
-    # binding, the chart through its chart; nothing calls offset_exit.
+    # binding, the chart through its chart; no step binds the network again.
     stepper, state = _disk_eigenmode_state(disk, disk_network, unit_tensions, 200)
     for _ in range(20):
         state = stepper.step(state)
-    counts = {"sweep": 0, "chart": 0, "offset_exit": 0}
+    counts = {"sweep": 0, "chart": 0, "network_exits": 0}
     exits = stepper._exits
 
     def counted(where, call):
@@ -308,14 +334,15 @@ def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
 
     monkeypatch.setattr(exits, "ends", counted("sweep", exits.ends))
     monkeypatch.setattr(exits, "chart", counted("chart", exits.chart))
-    monkeypatch.setattr(type(disk), "offset_exit", counted("offset_exit", type(disk).offset_exit))
+    monkeypatch.setattr(type(disk), "network_exits",
+                        counted("network_exits", type(disk).network_exits))
     steps = 200
     for _ in range(steps):
         state = stepper.step(state)
     # each sweep evaluates its residual at least once
     assert steps <= counts["sweep"] <= 2 * steps + 5 * (steps // 100), counts
     assert counts["chart"] == steps, counts  # the chart's one per step
-    assert counts["offset_exit"] == 0, counts
+    assert counts["network_exits"] == 0, counts
 
 
 # Residual evaluations per step from the warm start, over 200 steps after
@@ -584,3 +611,21 @@ RATIO_GATES = {
     "assembly": (_assembly_timings, ("disk_network", "unit_tensions"),
                  "assemble", "null_space", 0.1),
 }
+
+
+def test_gate_readings_alternate_two_trees():
+    # tests/gate_readings.py --against DIR reads the gates of a second
+    # source tree in fresh processes that alternate with this tree's, each
+    # on its own tree's package, and prints both trees' min, median and max
+    # per gate; here the second tree is this one.  A DIR without src and
+    # tests/gate_readings.py is refused before any process starts.
+    script = str(ROOT / "tests" / "gate_readings.py")
+    out = subprocess.run([sys.executable, script, "-k", "1", "--against", str(ROOT), "assembly"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    name, *readings, bound = out.stdout.splitlines()[-1].split()
+    assert name == "assembly" and len(readings) == 6 and float(bound) == 0.1, out.stdout
+    assert all(0.0 < float(v) <= 0.1 for v in readings), out.stdout
+    out = subprocess.run([sys.executable, script, "--against", str(ROOT / "demos"), "assembly"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 2 and "no src under" in out.stderr, out.stderr[-2000:]
