@@ -97,10 +97,10 @@ class ImplicitDomain:
         psi(p_* + s T + q N) = 0 and their implicit q-derivatives, at the
         (3, n+1) offsets q, and whose ends(q) gives (s, s') as float
         sequences at the six offsets q, a 6-list, of the branch ends
-        (junction ends, then wall ends).  A Stepper holds one for its run; a
-        chart given none binds the network afresh.  A fresh binding starts
-        every search from the reference lengths.  Subclasses give the route
-        of their family."""
+        (junction ends, then wall ends), and ends(q, True) (s, s', s'').  A
+        Stepper holds one for its run; a chart given none binds the network
+        afresh.  A fresh binding starts every search from the reference
+        lengths.  Subclasses give the route of their family."""
         raise NotImplementedError
 
     def ray_exit(self, origin, direction):
@@ -210,7 +210,8 @@ class _ConicExits:
                  zip(network.tangents.tolist(), network.normals.tolist())]
         grid = np.repeat(np.array(lines).T[..., None], n + 1, axis=2)
         self._qterms, self._grid = grid[:3], tuple(grid)
-        self._ends = [lines[i][:8] for i in _BRANCH6]  # ends reads no s'' constant
+        self._lines6 = [lines[i] for i in _BRANCH6]
+        self._ends = [line[:8] for line in self._lines6]  # s'' constants read apart
 
     def chart(self, q):
         qTN, qNN, qA2 = self._qterms * q  # the three q-terms in one product
@@ -219,8 +220,9 @@ class _ConicExits:
             _check_discs(disc)
         return _conic_jet(self._grid, qTN, qNN, np.sqrt(disc), True)
 
-    def ends(self, q):
-        # _conic_disc and _conic_jet (second=False), written out in floats
+    def ends(self, q, second=False):
+        # _conic_disc and _conic_jet (second=False), written out in floats;
+        # s'' from the kernel on the same discriminants, only when asked
         s, ds = [], []
         for (TN, NN, A2, b, msN, a, A0, A1), qk in zip(self._ends, q):
             disc = A0 + qk * (A1 + qk * A2)
@@ -231,7 +233,11 @@ class _ConicExits:
             sk = (root - (b + qk * TN)) / a
             s.append(sk)
             ds.append((msN - qk * NN - sk * TN) / root)
-        return s, ds
+        if not second:
+            return s, ds
+        return s, ds, [_conic_jet(line, qk * line[0], qk * line[1],
+                                  math.sqrt(_conic_disc(line, qk, qk * line[2])), True)[2]
+                       for line, qk in zip(self._lines6, q)]
 
 
 # The conic kernel, _conic_disc and _conic_jet: the exit in y = S (x - c),
@@ -498,7 +504,7 @@ class _PolynomialExits:
         self._end_jet = None
         return jet
 
-    def ends(self, q):
+    def ends(self, q, second=False):
         if self._end_jet is None:
             self._end_jet = ([(0.0, l, 0.0, 0.0) for l in self._lengths[_BRANCH6].tolist()]
                              if self._jet is None else
@@ -509,8 +515,10 @@ class _PolynomialExits:
         stacks, lines = self._end_frames
         # The sweep reads P, P_s and P_q only, but all six fields are kept:
         # the matrix-vector product over three of them rounds differently.
-        s, ds, _ = self._kernel(stacks, np.array((q, s_ref))[..., None], lines, False)
-        return s.ravel().tolist(), ds.ravel().tolist()
+        s, ds, dds = self._kernel(stacks, np.array((q, s_ref))[..., None], lines, second)
+        if not second:
+            return s.ravel().tolist(), ds.ravel().tolist()
+        return s.ravel().tolist(), ds.ravel().tolist(), dds.ravel().tolist()
 
 
 def polynomial_power(value) -> int:
@@ -776,27 +784,31 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
 
 class LaggedJacobian:
     """A Newton Jacobian's (pseudo-)inverse as row lists, held across solves,
-    and the number of solves it has served since it was evaluated."""
+    and the number of solves it has served since newton last called the
+    exact Jacobian for it."""
 
     def __init__(self):
         self.inv = None
         self.age = 0
 
 
-def newton(residual, u, held=None):
+def newton(residual, jacobian, u, held=None):
     """Root of residual, a map from a float list to a float list, by damped
     Newton from the start u (Gauss-Newton when there are more residuals than
     unknowns); returns the root as a list once every residual is below 1e-10.
-    The Jacobian is a forward difference (step 1e-7), kept as its inverse or
-    pseudo-inverse.  Without held it is evaluated every iteration; with held,
-    a LaggedJacobian, it is reused across solves and evaluated when none is
-    held, from the third iteration, or after 100 solves, and a step that a
-    stale one cannot make forces one refresh (Deuflhard 2004).  Each
-    step is halved up to 11 times until the residual norm drops; a trial
-    whose residual raises NoIntersection or OffsetMissesBoundary counts as
-    one that does not (the first residual and the Jacobian's raise).  A
-    condition number past 1e6 raises SingularJacobian; no descent from a
-    fresh Jacobian, a non-finite one, or 20 iterations raise NoConvergence."""
+    jacobian(u), the exact Jacobian at u as an array or row lists, is called
+    only when a refresh is due, with u the point whose residual was
+    evaluated last unless a line search found no descent; its inverse or
+    pseudo-inverse is kept.  Without held a refresh is due every
+    iteration; with held, a LaggedJacobian, the inverse is reused across
+    solves and refreshed when none is held, from the third iteration, or
+    after 100 solves, and a step that a stale one cannot make forces one
+    refresh (Deuflhard 2004).  Each step is halved up to 11 times until the
+    residual norm drops; a trial whose residual raises NoIntersection or
+    OffsetMissesBoundary counts as one that does not (the first residual and
+    the Jacobian's raise).  A condition number past 1e6 raises
+    SingularJacobian; no descent from a fresh Jacobian, a non-finite one, or
+    20 iterations raise NoConvergence."""
     lagged = held is not None
     held = held if lagged else LaggedJacobian()
     F = residual(u)
@@ -806,12 +818,7 @@ def newton(residual, u, held=None):
             return u
         base = math.hypot(*F)
         if not lagged or held.inv is None or it >= 2 or held.age > 100:
-            cols = []
-            for k in range(len(u)):
-                up = list(u)
-                up[k] += 1e-7
-                cols.append([(a - b) / 1e-7 for a, b in zip(residual(up), F)])
-            jac = np.array(cols).T
+            jac = np.array(jacobian(u), dtype=float)
             if not np.isfinite(jac).all():  # no step: it stalls
                 raise NoConvergence(it + 1, base, stalled=True)
             cond = np.linalg.cond(jac)

@@ -27,6 +27,9 @@ the stick condition cannot drift.  The sweep runs domains.newton, the
 package's one damped Newton, in Python floats with a lagged Jacobian that
 the Stepper holds and inverts once per refresh, because numpy's per-call
 dispatch would cost more than the few hundred flops on 5-entry vectors.
+A refresh reads the exact Jacobian (BoundaryOperator.jacobian): the chain
+rule through the six exit jets, from one exit call that also gives mu_b''
+at the wall ends, which no other evaluation asks for.
 It starts from the predicted unknowns u_pred plus 2 d_k - d_{k-1}, the
 corrections d = u - u_pred of the last two sweeps extrapolated, which the
 Stepper holds as floats: the start of a continuation method (Deuflhard
@@ -175,7 +178,7 @@ class Stepper:
         The unknowns are c = b rho(0) in the constraint plane's basis b, with
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
         holds exactly throughout.  The iteration is domains.newton on the
-        Stepper's BoundaryOperator, with its lagged Jacobian, started from
+        Stepper's BoundaryOperator, with its lagged exact Jacobian, started from
         the predicted unknowns u_pred (those of rho) plus 2 d_k - d_{k-1},
         the corrections d = u - u_pred of the last two sweeps extrapolated
         (d_k with one held, nothing with none).  A start whose exits leave
@@ -183,15 +186,15 @@ class Stepper:
         its history, and the sweep runs again from u_pred.  A singular
         Jacobian, a stall or the iteration cap raises NewtonDiverged.
         """
-        start, residual, accept, forget = self._sweep
+        start, residual, accept, forget, jacobian = self._sweep
         warm, cold = start(self._bc.nodes(rho))
         try:
             try:
-                u = newton(residual, warm, self._jac)
+                u = newton(residual, jacobian, warm, self._jac)
             except (NoIntersection, OffsetMissesBoundary):
                 if not forget():  # no history: the start was u_pred
                     raise
-                u = newton(residual, cold, self._jac)
+                u = newton(residual, jacobian, cold, self._jac)
         except SingularJacobian as e:
             raise NewtonDiverged(f"boundary sweep Jacobian singular: {e}") from e
         except NoConvergence as e:
@@ -256,7 +259,9 @@ def _sweep_maps(bc, tensions):
     accepted root's r0, wall values and mu as 3-lists, bitwise those its
     residual formed, holds d = u - u_pred and sets the next shift
     s = 2 d - d_prev (d when no d_prev is held).  forget() drops the
-    history, so the next start is u_pred, and says whether there was one."""
+    history, so the next start is u_pred, and says whether there was one.
+    jacobian(u) gives bc.jacobian at u, the exact Jacobian of residual, in
+    which c_k moves r0 by the basis row b_k and mu by Q b_k."""
     (x0, x1, x2), (y0, y1, y2) = tensions.basis.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = tensions.q.tolist()
     held = pred = last = None  # the swept rho's nodes, its u_pred, the last d
@@ -298,7 +303,16 @@ def _sweep_maps(bc, tensions):
         shift = 0.0, 0.0, 0.0, 0.0, 0.0
         return had
 
-    return start, residual, accept, forget
+    # along c_k, r0 moves by the basis row b_k and mu by Q b_k
+    planes = [(b.tolist(), (tensions.q @ b).tolist()) for b in tensions.basis]
+
+    def jacobian(u):
+        c0, c1 = u[0], u[1]
+        r0 = [c0 * x + c1 * y for x, y in zip(planes[0][0], planes[1][0])]
+        mu = [c0 * x + c1 * y for x, y in zip(planes[0][1], planes[1][1])]
+        return bc.jacobian(held, r0, u[2:], mu, planes)
+
+    return start, residual, accept, forget, jacobian
 
 
 def initial_state(network, domain, tensions, config: EvolveConfig,

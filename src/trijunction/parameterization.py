@@ -140,11 +140,14 @@ def psi_first_jet(network, domain, sigma, q, mu):
     psi(p_* + mu_b T + q N) = 0, come from a fresh exit binding at
     n = R - 1 (domain.network_exits), which starts from the reference
     lengths; positions and first-order boundary residuals do not read the
-    curvature mu_b''.
+    curvature mu_b''.  A non-finite q or mu raises NonFiniteState before
+    any exit search, as in chart_geometry.
     """
     sigma = np.asarray(sigma, dtype=float)
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(mu).all()):
+        raise NonFiniteState("non-finite rho or mu")
     mu_b, dmu, _ = domain.network_exits(network, q.shape[1] - 1).chart(q)
     T, N, l = network.tangents[:, None], network.normals[:, None], network.lengths[:, None]
     frac = sigma / l
@@ -465,6 +468,58 @@ class BoundaryOperator:
         J1, J2, J3 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
         c = self.cos
         return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
+
+    def jacobian(self, nodes, r0, w, mu, planes) -> list:
+        """The exact Jacobian of __call__ at the same arguments, as 5 row
+        lists, in the unknowns of a sweep that moves r0 and mu together:
+        first one column per entry (dr0, dmu) of planes, the 3-lists by
+        which r0 and mu move along that unknown, then one column per wall
+        value w_i.  The junction rows depend on the plane columns only,
+        and each wall row on those and on its own w_i.
+
+        By the chain rule through the six exit jets (mu_b, mu_b', mu_b''),
+        from one call of exits.ends that also asks for mu_b''.  At the
+        junction end xi_sigma = (mu_b - mu) / l moves by
+        (mu_b' dr0 - dmu) / l and rho_sigma by -3 dr0 / (2 dsigma).  At the
+        wall end outer is a function of a = xi_sigma + rho_sigma mu_b',
+        rho_sigma and mu_b'; w_i moves xi_sigma by mu_b' / l, rho_sigma by
+        3 / (2 dsigma) and mu_b' by mu_b'', and mu moves xi_sigma by
+        -dmu / l."""
+        mu_b, dmu, ddmu = self.exits.ends(r0 + w, True)
+        c0, c1, _ = _SLOPE_WEIGHTS
+        junction, walls = [], []
+        for i, ((tx, ty, nx, ny, l, two_d), (_, a1, a2, b1, b2, _), r, ww, m, m0, d0, m1, d,
+                dd) in enumerate(zip(self.frames, nodes, r0, w, mu, mu_b, dmu, mu_b[3:],
+                                     dmu[3:], ddmu[3:])):
+            # junction end: Phi_sigma = xs T + rs N and its move along each plane column
+            xs = (m0 - m) / l
+            rs = (c0 * r + c1 * a1 - a2) / two_d
+            moves = [((d0 * dr[i] - dm[i]) / l, c0 * dr[i] / two_d) for dr, dm in planes]
+            junction.append(((xs * tx + rs * nx, xs * ty + rs * ny),
+                             [(x * tx + y * nx, x * ty + y * ny) for x, y in moves]))
+            # wall end: outer = (a d + rs) / (A B), A = |(a, rs)|, B = |(1, d)|,
+            # with its partials in a, rs and d
+            xs = (m1 - m) / l
+            rs = -((c0 * ww + c1 * b1 - b2) / two_d)
+            a = xs + rs * d
+            A, B = math.hypot(a, rs), math.hypot(1.0, d)
+            out = (a * d + rs) / (A * B)
+            o_a = d / (A * B) - out * a / (A * A)
+            o_rs = 1.0 / (A * B) - out * rs / (A * A)
+            o_d = a / (A * B) - out * d / (B * B)
+            dxs, drs = d / l, -c0 / two_d  # along w_i
+            row = [-o_a * dm[i] / l for _, dm in planes] + [0.0, 0.0, 0.0]
+            row[len(planes) + i] = o_a * (dxs + drs * d + rs * dd) + o_rs * drs + o_d * dd
+            walls.append(row)
+
+        def pair(i, j, cos):  # the row of (P_i, P_j) - |P_i| |P_j| cos
+            ((xi, yi), dPi), ((xj, yj), dPj) = junction[i], junction[j]
+            Ji, Jj = math.hypot(xi, yi), math.hypot(xj, yj)
+            return [dxi * xj + xi * dxj + dyi * yj + yi * dyj
+                    - ((xi * dxi + yi * dyi) / Ji * Jj + Ji * (xj * dxj + yj * dyj) / Jj) * cos
+                    for (dxi, dyi), (dxj, dyj) in zip(dPi, dPj)] + [0.0, 0.0, 0.0]
+
+        return [pair(0, 1, self.cos[2]), pair(2, 0, self.cos[1]), *walls]
 
 
 def state_from_rho(network, tensions, rho, t: float = 0.0) -> GraphState:

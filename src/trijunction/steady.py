@@ -8,7 +8,9 @@ problem to three scalar perpendicularity residuals in the unknowns
 
 Rotationally symmetric domains make the phi direction neutral; callers must
 then pin phi with a gauge, and the solve drops to a Gauss-Newton iteration
-in p alone.  Both run on domains.newton with a fresh Jacobian every step.
+in p alone.  Both run on domains.newton with a fresh exact Jacobian every
+step, read by the chain rule off the hits of the last residual evaluation
+and the Hessian there, so a refresh shoots no ray.
 Each residual evaluation shoots the three rays with domains.boundary_hit,
 whose crossing each domain family gives: the closed-form quadratic root on
 a conic, and on other walls Newton from the bracket of a scan along the
@@ -39,26 +41,51 @@ class SteadyGuess:
     gauge: float | None = None  # if set, phi is pinned to this value
 
 
-def _residual_and_hits(domain, tensions, p, phi):
+def _shoot(domain, tensions, p, phi):
+    """The three rays from p at rotation phi: (residuals, hits, distances,
+    tangents, normals, wall gradients at the hits)."""
     tangents, normals = tangent_frames(tensions.angles, phi)
     res = np.empty(3)
     hits = np.empty((3, 2))
     dists = np.empty(3)
+    grads = np.empty((3, 2))
     for i in range(3):
         point, dist = boundary_hit(domain, p, tangents[i])
         g = domain.grad(point)
         res[i] = float(normals[i] @ g) / np.linalg.norm(g)
         hits[i] = point
         dists[i] = dist
-    return res, hits, dists, tangents, normals
+        grads[i] = g
+    return res, hits, dists, tangents, normals, grads
+
+
+def _jacobian(domain, shot, free):
+    """The exact Jacobian of the residuals of a shot in (p_x, p_y), and phi
+    if free, from its hits and the Hessian there.
+
+    A hit x = p + t T moves along its ray so as to stay on the wall:
+    dx/dp = I - T g^T / (g, T) with g = grad psi(x).  The residual
+    (N, g) / |g| moves with x by (N - (N, g^) g^)^T H / |g|, g^ = g / |g|
+    and H the Hessian at x.  A rotation turns T by N and N by -T, so it
+    moves the residual by -(T, g^) and x as a move of p by t N."""
+    _, hits, dists, tangents, normals, g = shot
+    gnorm = np.linalg.norm(g, axis=1)
+    ghat = g / gnorm[:, None]
+    proj = normals - np.einsum("ik,ik->i", normals, ghat)[:, None] * ghat
+    by_x = np.einsum("ik,ikl->il", proj, domain.hess(hits)) / gnorm[:, None]
+    by_p = by_x - (np.einsum("ik,ik->i", by_x, tangents)
+                   / np.einsum("ik,ik->i", g, tangents))[:, None] * g
+    if not free:
+        return by_p
+    by_phi = (dists * np.einsum("ik,ik->i", by_p, normals)
+              - np.einsum("ik,ik->i", tangents, ghat))
+    return np.column_stack((by_p, by_phi))
 
 
 def steady_residual(domain: ImplicitDomain, tensions: SurfaceTensions,
                     guess: SteadyGuess) -> np.ndarray:
     """Perpendicularity defect (N^i, grad psi / |grad psi|) per branch."""
-    res, *_ = _residual_and_hits(domain, tensions, np.asarray(guess.p, dtype=float),
-                                 guess.phi)
-    return res
+    return _shoot(domain, tensions, np.asarray(guess.p, dtype=float), guess.phi)[0]
 
 
 def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
@@ -68,23 +95,30 @@ def find_stationary(domain: ImplicitDomain, tensions: SurfaceTensions,
     Free problem: 3 residuals, 3 unknowns (p, phi).  Gauged problem
     (guess.gauge set): phi is frozen and the 3x2 system is solved in the
     least-squares sense, which is exact whenever the gauge slice actually
-    contains a root.  domains.newton's condition guard (1e6) reports a
-    missing gauge on symmetric domains as SingularJacobian: healthy
-    Jacobians read at most a few hundred, rank-deficient ones 1e6 and more.
+    contains a root.  The Jacobian is exact (_jacobian) and reads the hits
+    of the last residual evaluation, which also give the network, so
+    neither shoots the rays again.  domains.newton's condition guard (1e6)
+    reports a missing gauge on symmetric domains as SingularJacobian:
+    healthy Jacobians read at most a few hundred, rank-deficient ones 1e6
+    and more.
     """
     gauged = guess.gauge is not None
+    last = [None, None]  # the last evaluated unknowns and their shot
 
-    def solution(u):  # u = [p_x, p_y] with phi pinned, else [p_x, p_y, phi]
-        phi = float(guess.gauge) if gauged else u[2]
-        return _residual_and_hits(domain, tensions, np.array(u[:2]), phi)
+    def shot(u):  # u = [p_x, p_y] with phi pinned, else [p_x, p_y, phi]
+        if u != last[0]:
+            phi = float(guess.gauge) if gauged else u[2]
+            last[:] = list(u), _shoot(domain, tensions, np.array(u[:2]), phi)
+        return last[1]
 
     start = [float(v) for v in guess.p] + ([] if gauged else [float(guess.phi)])
     try:
-        u = newton(lambda u: solution(u)[0].tolist(), start)
+        u = newton(lambda u: shot(u)[0].tolist(),
+                   lambda u: _jacobian(domain, shot(u), not gauged), start)
     except SingularJacobian as e:
         raise SingularJacobian(f"steady Jacobian is rank deficient ({e}); "
                                "fix the rotation gauge") from e
-    res, hits, dists, tangents, normals = solution(u)
+    _, hits, dists, tangents, normals, _ = shot(u)
     h = np.array([boundary_curvature(domain, hits[i]) for i in range(3)])
     return StationaryNetwork(
         p_star=np.array(u[:2]),

@@ -627,20 +627,7 @@ def boundary_residuals_mp(network, domain, angles, rho, r0, w, mu, dps=40):
     mp.dps = dps
     rho = np.array(rho, dtype=float)
     n = rho.shape[1] - 1
-    if hasattr(domain, "terms"):
-        terms = [(i, j, mp.mpf(c)) for i, j, c in domain.terms]
-
-        def psi_grad(x, y):
-            return (sum(c * x**i * y**j for i, j, c in terms),
-                    [sum(i * c * x ** (i - 1) * y**j for i, j, c in terms if i),
-                     sum(j * c * x**i * y ** (j - 1) for i, j, c in terms if j)])
-    else:
-        (wx, wy), (cx, cy), r = ([mp.mpf(v) for v in a]
-                                 for a in (domain.w, domain.center, [domain.r]))
-
-        def psi_grad(x, y):
-            return (wx * (x - cx) ** 2 + wy * (y - cy) ** 2 - r[0],
-                    [2 * wx * (x - cx), 2 * wy * (y - cy)])
+    psi_grad = _psi_grad_mp(domain, mp)
 
     def exit_and_grad(i, q):
         # the exit abscissa s of the line p_* + s T + q N and grad psi there
@@ -676,6 +663,85 @@ def boundary_residuals_mp(network, domain, angles, rho, r0, w, mu, dps=40):
     J1, J2, J3 = mp.hypot(x1, y1), mp.hypot(x2, y2), mp.hypot(x3, y3)
     c = [mp.mpf(v) for v in angles.cos]
     return [x1 * x2 + y1 * y2 - J1 * J2 * c[2], x3 * x1 + y3 * y1 - J3 * J1 * c[1], *res]
+
+
+def _psi_grad_mp(domain, mp):
+    """(psi, grad psi) at (x, y) in the context mp, for a conic (w, center,
+    r) or a polynomial (terms), every coefficient taken as exact."""
+    if hasattr(domain, "terms"):
+        terms = [(i, j, mp.mpf(c)) for i, j, c in domain.terms]
+
+        def psi_grad(x, y):
+            return (sum(c * x**i * y**j for i, j, c in terms),
+                    [sum(i * c * x ** (i - 1) * y**j for i, j, c in terms if i),
+                     sum(j * c * x**i * y ** (j - 1) for i, j, c in terms if j)])
+    else:
+        (wx, wy), (cx, cy), r = ([mp.mpf(v) for v in a]
+                                 for a in (domain.w, domain.center, [domain.r]))
+
+        def psi_grad(x, y):
+            return (wx * (x - cx) ** 2 + wy * (y - cy) ** 2 - r[0],
+                    [2 * wx * (x - cx), 2 * wy * (y - cy)])
+
+    return psi_grad
+
+
+def steady_residual_mp(domain, angles, p, phi, dps=40):
+    """The steady residuals (N^i, grad psi / |grad psi|) of the three rays
+    from p at the Young angles rotated by phi, in dps-digit arithmetic,
+    taking every float input as exact: T^1 at polar angle phi, T^2 a turn
+    of theta^3 further and T^3 one of theta^1 further (as tangent_frames),
+    N = R T, each hit by ray_hit_mp.  p and phi may be mpmath numbers."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    th = [mp.mpf(v) for v in angles.theta]
+    phi = mp.mpf(phi)
+    p = [mp.mpf(v) for v in p]
+    psi_grad = _psi_grad_mp(domain, mp)
+    out = []
+    for alpha in (phi, phi + th[2], phi + th[2] + th[0]):
+        T = [mp.cos(alpha), mp.sin(alpha)]
+        x, _ = ray_hit_mp(domain, p, T, dps)
+        g = psi_grad(*x)[1]
+        out.append((-T[1] * g[0] + T[0] * g[1]) / mp.hypot(*g))
+    return out
+
+
+def jacobian_mp(f, u, dps=40):
+    """The Jacobian of f at the float point u to about dps digits, as
+    floats: central differences of step 10^(-dps/2) in arithmetic of
+    3 dps / 2 digits, so that truncation and rounding each stay near
+    10^-dps.  f maps a list of mpmath numbers to a list of them and must
+    itself work at 3 dps / 2 digits."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 3 * dps // 2
+    h = mp.mpf(10) ** (-(dps // 2))
+    u = [mp.mpf(v) for v in u]
+    cols = []
+    for k in range(len(u)):
+        up, um = list(u), list(u)
+        up[k] += h
+        um[k] -= h
+        cols.append([float((a - b) / (2 * h)) for a, b in zip(f(up), f(um))])
+    return np.array(cols).T
+
+
+def forward_difference_jacobian(residual, u, step=1e-7):
+    """The Jacobian of residual, a map from a float list to a float list, at
+    u by forward differences of the given step: one evaluation per unknown
+    besides the one at u.  Its truncation is about step times the second
+    derivative, and it magnifies the residual's rounding by 1 / step."""
+    F = residual(u)
+    cols = []
+    for k in range(len(u)):
+        up = list(u)
+        up[k] += step
+        cols.append([(a - b) / step for a, b in zip(residual(up), F)])
+    return np.array(cols).T
 
 
 def ray_hit_mp(domain, origin, direction, dps=40):

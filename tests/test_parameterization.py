@@ -1,10 +1,12 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
 from trijunction.domains import CircleDomain, PolynomialDomain, disk_terms
-from trijunction.errors import MatrixMNotInvertible, OffsetMissesBoundary
+from trijunction.errors import MatrixMNotInvertible, NonFiniteState, OffsetMissesBoundary
+from trijunction.evolution import junction_kinematics
 from trijunction.parameterization import (
     BoundaryOperator,
     GraphState,
@@ -25,6 +27,7 @@ from trijunction.tensions import (ROT90, SurfaceTensions, junction_matrix, tange
 
 from oracles import (
     boundary_residuals_mp,
+    jacobian_mp,
     boundary_residuals_reference,
     curvature_kappa,
     metric_J,
@@ -435,6 +438,47 @@ def test_boundary_residuals_match_reference_route(trefoil_network, trefoil,
             assert np.abs(boundary_residuals_reference(*args) - exact).max() <= bound
 
 
+def test_boundary_jacobian_matches_a_40_digit_derivative(trefoil_network, trefoil,
+                                                        two_dents_network, two_dents,
+                                                        ellipse_network, ellipse,
+                                                        disk_network, disk, unit_tensions):
+    # BoundaryOperator.jacobian in the sweep's unknowns (the plane
+    # coordinates c, with r0 = c b and mu = Q r0, then the wall values)
+    # against a 40-digit derivative of oracles.boundary_residuals_mp.  The
+    # bounds on max |J - J_mp| / max |J_mp| are about twice the largest of
+    # 200 draws per fixture of this draw (default_rng(3), n in {24, 40, 100},
+    # tensions alternating as here): 5.8e-16 on the conics, 2.7e-14 on the
+    # trefoil and 1.1e-13 on the two dents, whose exits stop once
+    # |psi| < 1e-13.
+    rng = np.random.default_rng(22)
+    for k, (net, dom, bound) in enumerate((
+            (trefoil_network, trefoil, 2.5e-13), (two_dents_network, two_dents, 2.5e-13),
+            (ellipse_network, ellipse, 1.5e-15), (disk_network, disk, 1.5e-15))):
+        tensions = unit_tensions if k % 2 == 0 else SurfaceTensions((1.0, 1.3, 0.8))
+        angles, b, q = young_angles(tensions), tensions.basis, tensions.q
+        n = 40
+        state = smooth_state(net, unit_tensions, n, amp=0.03, seed=k)
+        c = b @ state.rho[:, 0] + 1e-3 * rng.normal(size=2)
+        w = state.rho[:, -1] + 1e-3 * rng.normal(size=3)
+        op = BoundaryOperator(net, dom.network_exits(net, n), angles, n)
+        planes = [(row.tolist(), (q @ row).tolist()) for row in b]
+        J = np.array(op.jacobian(op.nodes(state.rho), (c @ b).tolist(), w.tolist(),
+                                 (q @ (c @ b)).tolist(), planes))
+        assert not J[:2, 2:].any()  # the junction rows do not read the wall values
+        assert not (J[2:, 2:] - np.diag(np.diag(J[2:, 2:]))).any()  # each wall row its own
+
+        def residuals(u, b=b, q=q, angles=angles, net=net, dom=dom, rho=state.rho):
+            mp = mpmath.mp.clone()
+            mp.dps = 60
+            u = [mp.mpf(v) for v in u]
+            r0 = [u[0] * mp.mpf(x) + u[1] * mp.mpf(y) for x, y in b.T.tolist()]
+            mu = [sum(mp.mpf(a) * r for a, r in zip(row, r0)) for row in q.tolist()]
+            return boundary_residuals_mp(net, dom, angles, rho, r0, u[2:], mu, dps=60)
+
+        want = jacobian_mp(residuals, [*c.tolist(), *w.tolist()])
+        assert np.abs(J - want).max() <= bound * np.abs(want).max(), dom.family
+
+
 def test_exit_jet_gives_the_wall_normal(disk_network, disk, ellipse_network, ellipse,
                                         trefoil_network, trefoil, two_dents_network,
                                         two_dents, unit_tensions):
@@ -455,6 +499,36 @@ def test_exit_jet_gives_the_wall_normal(disk_network, disk, ellipse_network, ell
             angle = np.arctan2(v[..., 0] * g[..., 1] - v[..., 1] * g[..., 0],
                                np.sum(v * g, axis=-1))
             assert np.abs(angle).max() <= 1e-14, (dom.family, amp, np.abs(angle).max())
+
+
+@pytest.mark.parametrize("family", ["disk", "two_dents"])
+def test_first_jet_routes_refuse_a_non_finite_state_before_any_exit(family, request,
+                                                                   monkeypatch):
+    # psi_first_jet, and so curve_from_graph and junction_kinematics, raise
+    # NonFiniteState on a NaN or infinite offset or mu before they bind the
+    # network; the two dents ran a 9 ms exit search that ended in
+    # NoIntersection and the disk returned NaN points.
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    n = 48
+
+    def no_exits(*args):
+        raise AssertionError("network_exits called")
+
+    monkeypatch.setattr(domain, "network_exits", no_exits)
+    good = GraphState(np.zeros((3, n + 1)), np.zeros(3), t=0.0)
+    for bad in (np.nan, np.inf):
+        rho = np.zeros((3, n + 1))
+        rho[1, 20] = bad
+        with pytest.raises(NonFiniteState):
+            curve_from_graph(network, domain, GraphState(rho, np.zeros(3)))
+        with pytest.raises(NonFiniteState):
+            curve_from_graph(network, domain, GraphState(np.zeros((3, n + 1)),
+                                                         np.array([0.0, bad, 0.0])))
+        rho = np.zeros((3, n + 1))
+        rho[2, 0] = bad
+        with pytest.raises(NonFiniteState):
+            junction_kinematics(network, domain, GraphState(rho, np.zeros(3)),
+                                GraphState(good.rho, good.mu, t=1e-3))
 
 
 def test_state_from_rho_projects_constraint(unit_tensions, trefoil_network):

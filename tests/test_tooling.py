@@ -32,7 +32,7 @@ from trijunction.domains import PolynomialDomain
 from trijunction.diagnostics import record_from_state, records_from_states
 from trijunction.evolution import EvolveConfig, Stepper, initial_state
 from trijunction.parameterization import BoundaryOperator, coefficients
-from trijunction import domains, stability, tensions
+from trijunction import domains, stability, steady, tensions
 from trijunction.stability import max_eigenvalue
 from trijunction.tensions import SurfaceTensions
 
@@ -280,20 +280,20 @@ def _converged_sweep_and_chart(stepper, state, exits):
     coefficients call with the exit binding `exits`, interleaved, after
     three steps from state.  Each timed sweep first drops the sweep's start
     history (forget), so that it starts from the converged values of rho
-    and converges at its first evaluation, one exit call, which is
-    checked; from the extrapolated start of the calls before it, a sweep
-    that drifted would iterate once."""
+    and converges at its first evaluation, one exit call that asks for no
+    s'', which is checked; from the extrapolated start of the calls before
+    it, a sweep that drifted would iterate once."""
     for _ in range(3):
         state = stepper.step(state)
     rho = state.rho.copy()
     stepper.enforce_bcs(rho)  # converge once
     forget = stepper._sweep[3]
-    exits_calls = [0]
+    exits_calls = []  # per call, the arguments besides q: () asks for no s''
     ends = stepper._exits.ends
 
-    def counted(q):
-        exits_calls[0] += 1
-        return ends(q)
+    def counted(q, *second):
+        exits_calls.append(second)
+        return ends(q, *second)
 
     def sweep():
         forget()
@@ -307,8 +307,29 @@ def _converged_sweep_and_chart(stepper, state, exits):
     }
     best = _best_of(calls, 20)
     del stepper._exits.ends
-    assert exits_calls[0] == 20, exits_calls
+    assert exits_calls == [()] * 20, exits_calls
     return best
+
+
+# boundary_hit calls of the fixture solves from the benchmark's starts, with
+# the exact Jacobian read off the last evaluation's hits: two, five, three
+# and two residual evaluations (15, 42, 24 and 15 rays with the forward
+# difference of step 1e-7)
+_FIXTURE_RAYS = {"disk": 6, "ellipse": 15, "trefoil": 9, "two_dents": 6}
+
+
+def test_fixture_solves_shoot_their_counted_rays(monkeypatch, unit_tensions, request):
+    hits = []
+    hit = steady.boundary_hit
+    monkeypatch.setattr(steady, "boundary_hit", lambda *a: hits.append(a) or hit(*a))
+    counts = {}
+    for family, p in (("disk", (0.05, 0.03)), ("ellipse", (0.1, 0.0)),
+                      ("trefoil", (0.02, 0.01)), ("two_dents", (0.03, 0.02))):
+        hits.clear()
+        steady.find_stationary(request.getfixturevalue(family), unit_tensions,
+                               steady.SteadyGuess(p=p, gauge=0.0))
+        counts[family] = len(hits)
+    assert counts == _FIXTURE_RAYS
 
 
 def test_boundary_sweep_evaluates_at_most_two_exits_per_step(disk, disk_network,
@@ -371,9 +392,9 @@ def test_warm_sweep_takes_under_two_evaluations_per_step(family, unit_tensions, 
     exits = stepper._exits
     ends = exits.ends
 
-    def counted(q):
+    def counted(*args):
         evaluations[0] += 1
-        return ends(q)
+        return ends(*args)
 
     monkeypatch.setattr(exits, "ends", counted)
     n = state.n
