@@ -8,6 +8,7 @@ typed status is printed), 3 when `verify` finds a violated identity.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def _cmd_spectrum(args) -> int:
     for i in range(3):
         sigma = np.linspace(0.0, network.lengths[i], result.n + 1)
         lines.extend(f"{i + 1},{s:.17g},{v:.17g}"
-                     for s, v in zip(sigma, result.eigenfunction[i]))
+                     for s, v in zip(sigma.tolist(), result.eigenfunction[i].tolist()))
     storage.write_lines(args.out, lines)
     print(f"eigenfunction written to {args.out}")
     return 0
@@ -182,7 +183,9 @@ _SWEEPABLE = {  # --param name -> config key
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="trijunction",
         description="Triple-junction curvature-flow networks: stationary states, "
@@ -214,8 +217,11 @@ def main(argv=None) -> int:
     p.add_argument("--param", required=True, choices=sorted(_SWEEPABLE))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=_cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

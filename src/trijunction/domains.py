@@ -37,6 +37,7 @@ MAX_POWER = 32  # largest power of x or y in a polynomial level set
 _NEWTON_TOL = 1e-10  # newton: max-norm residual tolerance
 _NEWTON_MAX = 20  # newton: iteration cap
 _COND_LIMIT = 1e6  # newton: a Jacobian past this condition number is singular
+_NEWTON_CONTRACTION = 1e-4  # newton: a lagged step that contracts less marks its inverse stale
 _BRANCH6 = np.array([0, 1, 2, 0, 1, 2])  # the sweep's ends: junction ends, then wall ends
 
 
@@ -785,48 +786,66 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
 class LaggedJacobian:
     """A Newton Jacobian's (pseudo-)inverse as row lists, held across solves,
     and the number of solves it has served since newton last called the
-    exact Jacobian for it."""
+    exact Jacobian for it.  A solve that converges at its first evaluation
+    counts as one: it makes no step, and its caller may still take one
+    from the held inverse (the boundary sweep's polish)."""
 
     def __init__(self):
         self.inv = None
         self.age = 0
 
 
+def _refresh(held, jacobian, u, F, it):
+    """Set held to the (pseudo-)inverse of jacobian(u), F the residual at u
+    and it newton's iteration, or raise as newton does."""
+    jac = np.array(jacobian(u), dtype=float)
+    if not np.isfinite(jac).all():  # no step: it stalls
+        raise NoConvergence(it + 1, math.hypot(*F), stalled=True)
+    cond = np.linalg.cond(jac)
+    if cond > _COND_LIMIT:
+        raise SingularJacobian(f"Jacobian condition number {cond:.3e} exceeds "
+                               f"{_COND_LIMIT:.0e}")
+    held.inv = (np.linalg.inv(jac) if len(F) == len(u) else np.linalg.pinv(jac)).tolist()
+    held.age = 0
+
+
 def newton(residual, jacobian, u, held=None):
     """Root of residual, a map from a float list to a float list, by damped
     Newton from the start u (Gauss-Newton when there are more residuals than
     unknowns); returns the root as a list once every residual is below 1e-10.
-    jacobian(u), the exact Jacobian at u as an array or row lists, is called
-    only when a refresh is due, with u the point whose residual was
-    evaluated last unless a line search found no descent; its inverse or
-    pseudo-inverse is kept.  Without held a refresh is due every
-    iteration; with held, a LaggedJacobian, the inverse is reused across
-    solves and refreshed when none is held, from the third iteration, or
-    after 100 solves, and a step that a stale one cannot make forces one
-    refresh (Deuflhard 2004).  Each step is halved up to 11 times until the
-    residual norm drops; a trial whose residual raises NoIntersection or
-    OffsetMissesBoundary counts as one that does not (the first residual and
-    the Jacobian's raise).  A condition number past 1e6 raises
-    SingularJacobian; no descent from a fresh Jacobian, a non-finite one, or
-    20 iterations raise NoConvergence."""
+    The last residual evaluation is always at the returned root, so a
+    caller that holds it can take Newton's next step from the held inverse
+    without evaluating again.  jacobian(u), the exact Jacobian at u as an
+    array or row lists, is called only when a refresh is due, with u the
+    point whose residual was evaluated last unless a line search found no
+    descent; its inverse or pseudo-inverse is kept.  Without held a refresh
+    is due every iteration; with held, a LaggedJacobian, the inverse is
+    reused across solves and refreshed when none is held, from the third
+    iteration, or when a solve iterates after 100 solves (most solves of a
+    warm-started sweep converge at their first evaluation and never reach
+    this rule), and a step that a stale one cannot make forces one refresh
+    (Deuflhard 2004).  A step from a held inverse that lowers the residual
+    norm by less than a factor 1e4 marks it stale: it is refreshed at the
+    next point, the returned root included, so that a next step from it
+    lands within about 1e-4 of the root's residual.  Each step is halved up
+    to 11 times until the residual norm drops; a trial whose residual raises
+    NoIntersection or OffsetMissesBoundary counts as one that does not (the
+    first residual and the Jacobian's raise).  A condition number past 1e6
+    raises SingularJacobian; no descent from a fresh Jacobian, a non-finite
+    one, or 20 iterations raise NoConvergence."""
     lagged = held is not None
     held = held if lagged else LaggedJacobian()
     F = residual(u)
+    stale = False  # the last lagged step contracted the residual too little
     for it in range(_NEWTON_MAX):
         if all([abs(f) < _NEWTON_TOL for f in F]):  # NaN never passes
+            if stale:  # for the caller's next step from the held inverse
+                _refresh(held, jacobian, u, F, it)
             held.age += 1
             return u
         base = math.hypot(*F)
-        if not lagged or held.inv is None or it >= 2 or held.age > 100:
-            jac = np.array(jacobian(u), dtype=float)
-            if not np.isfinite(jac).all():  # no step: it stalls
-                raise NoConvergence(it + 1, base, stalled=True)
-            cond = np.linalg.cond(jac)
-            if cond > _COND_LIMIT:
-                raise SingularJacobian(f"Jacobian condition number {cond:.3e} exceeds "
-                                       f"{_COND_LIMIT:.0e}")
-            held.inv = (np.linalg.inv(jac) if len(F) == len(u) else np.linalg.pinv(jac)).tolist()
-            held.age = 0
+        if not lagged or held.inv is None or it >= 2 or held.age > 100 or stale:
+            _refresh(held, jacobian, u, F, it)
         step = [-sum(map(operator.mul, row, F)) for row in held.inv]
         lam = 1.0
         for _ in range(11):
@@ -835,8 +854,10 @@ def newton(residual, jacobian, u, held=None):
                 F_try = residual(u_try)
             except (NoIntersection, OffsetMissesBoundary):  # left the domain: a failed trial
                 F_try = [math.inf]
-            if math.hypot(*F_try) < base:
+            norm = math.hypot(*F_try)
+            if norm < base:
                 u, F = u_try, F_try
+                stale = lagged and held.age > 0 and norm > _NEWTON_CONTRACTION * base
                 break
             lam *= 0.5
         else:

@@ -179,12 +179,17 @@ class Stepper:
         r0 = c b, and the three wall values; so sum_i gamma^i rho^i(0) = 0
         holds exactly throughout.  The iteration is domains.newton on the
         Stepper's BoundaryOperator, with its lagged exact Jacobian, started from
-        the predicted unknowns u_pred (those of rho) plus 2 d_k - d_{k-1},
-        the corrections d = u - u_pred of the last two sweeps extrapolated
-        (d_k with one held, nothing with none).  A start whose exits leave
-        the domain (NoIntersection, OffsetMissesBoundary) is dropped with
-        its history, and the sweep runs again from u_pred.  A singular
-        Jacobian, a stall or the iteration cap raises NewtonDiverged.
+        the predicted unknowns u_pred (those of rho) plus
+        3 d_k - 3 d_{k-1} + d_{k-2}, the corrections d = u - u_pred of the
+        last three sweeps extrapolated (2 d_k - d_{k-1} with two held, d_k
+        with one, nothing with none).  A start whose exits leave the domain
+        (NoIntersection, OffsetMissesBoundary) is dropped with its history,
+        and the sweep runs again from u_pred.  The root is polished: the
+        sweep accepts Newton's next step from it, u - J^-1 F(u) with the held
+        inverse and the residual newton evaluated last, which costs no exit
+        call and brings the conditions from under 1e-10 to rounding.  A
+        singular Jacobian, a stall or the iteration cap raises
+        NewtonDiverged.
         """
         start, residual, accept, forget, jacobian = self._sweep
         warm, cold = start(self._bc.nodes(rho))
@@ -202,9 +207,8 @@ class Stepper:
                 f"boundary sweep stalled at residual {e.residual:.3e}" if e.stalled else
                 f"boundary sweep did not reach {_NEWTON_TOL:.1e} (residual {e.residual:.3e})"
             ) from e
-        r0, w, mu = accept(u)
-        rho[:, 0] = r0
-        rho[:, -1] = w
+        ends, mu = accept(u, self._jac.inv)
+        rho[0, 0], rho[1, 0], rho[2, 0], rho[0, -1], rho[1, -1], rho[2, -1] = ends
         return rho, mu
 
     # -- one time step -----------------------------------------------------
@@ -255,16 +259,22 @@ def _sweep_maps(bc, tensions):
     for residual; it returns the warm start u_pred + s and the predicted
     unknowns u_pred = (b rho(0), rho(l)).  residual(u) gives the junction
     and wall residuals of bc, the BoundaryOperator, at u with the held
-    nodes' interior frozen, r0 = c b and mu = Q r0.  accept(u) gives the
-    accepted root's r0, wall values and mu as 3-lists, bitwise those its
-    residual formed, holds d = u - u_pred and sets the next shift
-    s = 2 d - d_prev (d when no d_prev is held).  forget() drops the
-    history, so the next start is u_pred, and says whether there was one.
-    jacobian(u) gives bc.jacobian at u, the exact Jacobian of residual, in
-    which c_k moves r0 by the basis row b_k and mu by Q b_k."""
+    nodes' interior frozen, r0 = c b and mu = Q r0, and holds them.
+    accept(u, inv) takes Newton's root u, at which residual was evaluated
+    last, and the held inverse Jacobian inv (row lists, or None while
+    newton holds none, for no polish); it takes Newton's next step
+    u - inv F(u) from the held residual, with no evaluation, and gives that
+    point's six end values (r0, then the wall values) and mu as floats, r0
+    and mu as residual forms them.  It holds d = u - u_pred of the polished u and sets the
+    next shift s = 3 d - 3 d_prev + d_prev2, the quadratic through the last
+    three corrections (2 d - d_prev with two held, d with one).  forget()
+    drops the history, so the next start is u_pred, and says whether there
+    was one.  jacobian(u) gives bc.jacobian at u, the exact Jacobian of
+    residual, in which c_k moves r0 by the basis row b_k and mu by Q b_k."""
     (x0, x1, x2), (y0, y1, y2) = tensions.basis.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = tensions.q.tolist()
-    held = pred = last = None  # the swept rho's nodes, its u_pred, the last d
+    held = pred = F = None  # the swept rho's nodes, its u_pred, the last residual
+    last = prev = None  # the last two corrections d
     shift = 0.0, 0.0, 0.0, 0.0, 0.0  # the next start's shift
 
     def start(nodes):
@@ -278,28 +288,49 @@ def _sweep_maps(bc, tensions):
         return [c0 + s0, c1 + s1, w1 + s2, w2 + s3, w3 + s4], pred
 
     def residual(u):
+        nonlocal F
         c0, c1 = u[0], u[1]
         r1, r2, r3 = r0 = [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
-        return bc(held, r0, u[2:], [q00 * r1 + q01 * r2 + q02 * r3,
-                                    q10 * r1 + q11 * r2 + q12 * r3,
-                                    q20 * r1 + q21 * r2 + q22 * r3])
+        F = bc(held, r0, u[2:], [q00 * r1 + q01 * r2 + q02 * r3,
+                                 q10 * r1 + q11 * r2 + q12 * r3,
+                                 q20 * r1 + q21 * r2 + q22 * r3])
+        return F
 
-    def accept(u):
-        nonlocal shift, last
+    def accept(u, inv):
+        nonlocal shift, last, prev
         c0, c1, w1, w2, w3 = u
+        if inv is not None:  # u - inv F(u), written out
+            f0, f1, f2, f3, f4 = F
+            (i00, i01, i02, i03, i04), (i10, i11, i12, i13, i14), \
+                (i20, i21, i22, i23, i24), (i30, i31, i32, i33, i34), \
+                (i40, i41, i42, i43, i44) = inv
+            c0 -= i00 * f0 + i01 * f1 + i02 * f2 + i03 * f3 + i04 * f4
+            c1 -= i10 * f0 + i11 * f1 + i12 * f2 + i13 * f3 + i14 * f4
+            w1 -= i20 * f0 + i21 * f1 + i22 * f2 + i23 * f3 + i24 * f4
+            w2 -= i30 * f0 + i31 * f1 + i32 * f2 + i33 * f3 + i34 * f4
+            w3 -= i40 * f0 + i41 * f1 + i42 * f2 + i43 * f3 + i44 * f4
         p0, p1, p2, p3, p4 = pred
         d = d0, d1, d2, d3, d4 = c0 - p0, c1 - p1, w1 - p2, w2 - p3, w3 - p4
-        e0, e1, e2, e3, e4 = last or d
-        shift = d0 + d0 - e0, d1 + d1 - e1, d2 + d2 - e2, d3 + d3 - e3, d4 + d4 - e4
-        last = d
-        r1, r2, r3 = r0 = [c0 * x0 + c1 * y0, c0 * x1 + c1 * y1, c0 * x2 + c1 * y2]
-        return r0, [w1, w2, w3], [q00 * r1 + q01 * r2 + q02 * r3,
-                                  q10 * r1 + q11 * r2 + q12 * r3,
-                                  q20 * r1 + q21 * r2 + q22 * r3]
+        if prev is not None:  # the quadratic through the last three
+            (e0, e1, e2, e3, e4), (g0, g1, g2, g3, g4) = last, prev
+            shift = (3.0 * (d0 - e0) + g0, 3.0 * (d1 - e1) + g1, 3.0 * (d2 - e2) + g2,
+                     3.0 * (d3 - e3) + g3, 3.0 * (d4 - e4) + g4)
+        elif last is not None:  # the line through the last two
+            e0, e1, e2, e3, e4 = last
+            shift = d0 + d0 - e0, d1 + d1 - e1, d2 + d2 - e2, d3 + d3 - e3, d4 + d4 - e4
+        else:
+            shift = d
+        prev, last = last, d
+        r1 = c0 * x0 + c1 * y0
+        r2 = c0 * x1 + c1 * y1
+        r3 = c0 * x2 + c1 * y2
+        return (r1, r2, r3, w1, w2, w3), [q00 * r1 + q01 * r2 + q02 * r3,
+                                          q10 * r1 + q11 * r2 + q12 * r3,
+                                          q20 * r1 + q21 * r2 + q22 * r3]
 
     def forget():
-        nonlocal shift, last
-        had, last = last is not None, None
+        nonlocal shift, last, prev
+        had, last, prev = last is not None, None, None
         shift = 0.0, 0.0, 0.0, 0.0, 0.0
         return had
 

@@ -1,5 +1,6 @@
 """Outcome censuses of the spectrum solve on seeded random forks and of the
-steady solve on the fixture domains.
+steady solve on the fixture domains, and the boundary sweep's counts on
+three runs.
 
     PYTHONPATH=src python tests/census.py [CENSUS ...]
 
@@ -18,6 +19,20 @@ each gauged (phi = 0 pinned) and free (from phi = 0), from the starts of
 the benchmark's spectrum batch.
 
     steady      420 solves
+
+The sweep census runs three trajectories step by step on a Stepper, as
+run steps them: the unit disk at n = 200 from its eigenmode at amplitude
+1e-2 with dt = 0.45 / n^2 to t = 0.01 (889 steps), the two dents at n = 48
+from theirs at 0.072 with dt = 0.45 (0.75 / n)^2 until max |rho| passes
+0.08, and the 1.2 x 1.0 ellipse at n = 64 from the default cosine data at
+1e-2 with the default dt to t = 0.03 (the runs of the benchmark's
+disk_n200 and dents_escape_n48 and of its CLI pipeline, unjittered).  Per
+run it prints the residual evaluations per step (calls of the exit
+binding's ends without s''), the Jacobian refreshes (calls with s''),
+and the largest residual of an accepted state, evaluated again by a
+BoundaryOperator on an exit binding of its own.
+
+    sweep       3 runs
 
 It prints per census the count of each outcome ("ok" or the error's class)
 and one SHA-256 over every outcome: the bytes of lambda_max and of the
@@ -47,7 +62,7 @@ def _admissible(rng):
 
 
 SPECTRUM_CENSUSES = {"wide": (4000, _wide), "admissible": (3000, _admissible)}
-CENSUSES = [*SPECTRUM_CENSUSES, "steady"]
+CENSUSES = [*SPECTRUM_CENSUSES, "steady", "sweep"]
 
 
 def census(name):
@@ -114,6 +129,67 @@ def steady_census():
     return counts, digest.hexdigest()
 
 
+def sweep_runs():
+    """Per run of the sweep census, (name, network, domain, tensions, state,
+    config, cap): the Stepper runs from state to config.t_end or until
+    max |rho| passes cap."""
+    from conftest import two_dents_domain
+    from trijunction.domains import CircleDomain, EllipseDomain
+    from trijunction.evolution import EvolveConfig, initial_state
+    from trijunction.stability import max_eigenvalue
+    from trijunction.steady import SteadyGuess, find_stationary
+    from trijunction.tensions import SurfaceTensions
+
+    unit = SurfaceTensions((1.0, 1.0, 1.0))
+    for name, domain, p, n, dt, t_end, amplitude, cap in (
+            ("disk n=200", CircleDomain(1.0), (0.05, 0.03), 200, 0.45 / 200**2, 0.01,
+             1e-2, 0.25),
+            ("two dents n=48", two_dents_domain(), (0.03, 0.02), 48, 0.45 * (0.75 / 48) ** 2,
+             10.0, 0.072, 0.08),
+            ("ellipse n=64", EllipseDomain(1.2, 1.0), (0.1, 0.0), 64, None, 0.03, 1e-2, 0.25)):
+        network = find_stationary(domain, unit, SteadyGuess(p=p, gauge=0.0))
+        config = EvolveConfig(dt=dt, t_end=t_end, n=n)
+        if name.startswith("ellipse"):
+            state = initial_state(network, domain, unit, config, amplitude=amplitude)
+        else:
+            phi = max_eigenvalue(network, unit, n).eigenfunction
+            state = initial_state(network, domain, unit, config, kind="eigenmode",
+                                  amplitude=amplitude, eigenfunction=phi)
+        yield name, network, domain, unit, state, config, cap
+
+
+def sweep_census():
+    """Per run of the sweep census, (name, steps, residual evaluations,
+    Jacobian refreshes, largest residual of an accepted state)."""
+    from trijunction.evolution import Stepper
+    from trijunction.parameterization import BoundaryOperator
+
+    rows = []
+    for name, network, domain, tensions, state, config, cap in sweep_runs():
+        stepper = Stepper(network, domain, tensions, config)
+        counts = [0, 0]  # evaluations, refreshes
+        ends = stepper._exits.ends
+
+        def counted(q, *second):
+            counts[bool(second)] += 1
+            return ends(q, *second)
+
+        stepper._exits.ends = counted
+        n = config.n
+        check = BoundaryOperator(network, domain.network_exits(network, n), tensions.angles, n)
+        worst, steps = 0.0, int(round(config.t_end / stepper.dt))
+        for k in range(1, steps + 1):
+            state = stepper.step(state)
+            rho = state.rho
+            res = check(check.nodes(rho), rho[:, 0].tolist(), rho[:, -1].tolist(),
+                        state.mu.tolist())
+            worst = max(worst, max(map(abs, res)))
+            if np.abs(rho).max() > cap:
+                break
+        rows.append((name, k, counts[0], counts[1], worst))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("censuses", nargs="*",
@@ -125,6 +201,12 @@ def main(argv=None):
         parser.error(f"unknown censuses {unknown}; known: {sorted(CENSUSES)}")
     sys.path.insert(0, str(TESTS))
     for name in names:
+        if name == "sweep":
+            for run, steps, evaluations, refreshes, worst in sweep_census():
+                print(f"sweep       {run:<15} {steps:4d} steps: {evaluations / steps:.3f} "
+                      f"evaluations per step, {refreshes} Jacobian refreshes, "
+                      f"largest accepted residual {worst:.2e}")
+            continue
         counts, sha = census(name)
         outcomes = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
         cases = "solves" if name == "steady" else "forks"

@@ -445,6 +445,29 @@ def test_acceptance_8_h2_ratio_bounded(disk, disk_network, unit_tensions,
 # ---------------------------------------------------------------------------
 # 9: junction/wall identities shrink under refinement
 
+# v = Q V is exact once the junction meets the Young angles: the tangential
+# junction velocities are the normal ones in three frames at those angles.
+# The boundary sweep polishes its roots to rounding, so the identity is
+# asserted as max |v - Q V| <= C eps max |V|.  With the polish the disk runs
+# read C = 2.5 (n = 100) and 5.6 (n = 200), and the run with tensions
+# (1, 1.3, 0.8) below 1.2; with roots accepted anywhere under the sweep's
+# 1e-10 tolerance they read 5.5e4, 800 and 2.9e4, which fitted an order to
+# rounding noise.  Unit tensions make the three angles equal, so only the
+# unequal ones see which angle each junction residual reads.
+_V_QV_C = 32.0
+
+
+def _v_qv(network, domain, tensions, traj, t_from):
+    """(max |v - Q V|, max |V|) over the consecutive states of traj from t_from."""
+    worst = largest = 0.0
+    for s0, s1 in zip(traj.states[:-1], traj.states[1:]):
+        if s0.t < t_from:
+            continue
+        V, v = junction_kinematics(network, domain, s0, s1)
+        worst = max(worst, float(np.abs(v - tensions.q @ V).max()))
+        largest = max(largest, float(np.abs(V).max()))
+    return worst, largest
+
 
 def test_acceptance_9_identity_refinement(disk, disk_network, unit_tensions,
                                           disk_run_n100, disk_run_n200):
@@ -458,23 +481,26 @@ def test_acceptance_9_identity_refinement(disk, disk_network, unit_tensions,
             worst[label] = float(vals[keep].max())
         orders[name] = np.log2(worst["c"] / worst["f"])
 
-    q = junction_matrix(young_angles(unit_tensions))
-    vqv = {}
-    for label, traj in (("c", run100), ("f", run200)):
-        worst = 0.0
-        t_final = traj.records[-1].t
-        for s0, s1 in zip(traj.states[:-1], traj.states[1:]):
-            if s0.t < 0.2 * t_final:
-                continue
-            V, v = junction_kinematics(disk_network, disk, s0, s1)
-            worst = max(worst, float(np.abs(v - q @ V).max()))
-        vqv[label] = worst
-    orders["v_vs_QV"] = np.log2(vqv["c"] / vqv["f"])
+    skewed = SurfaceTensions((1.0, 1.3, 0.8))
+    network = find_stationary(disk, skewed, SteadyGuess(p=(0.05, 0.03), gauge=0.0))
+    n = 48
+    cfg = EvolveConfig(t_end=300 * 0.45 * (1.0 / n) ** 2, n=n, output_every=10)
+    skewed_run = run(network, disk, skewed, initial_state(network, disk, skewed, cfg), cfg)
+    eps = np.finfo(float).eps
+    vqv = {}  # max |v - Q V| in units of eps max |V|
+    for label, net, tensions, traj, t_from in (
+            ("n=100", disk_network, unit_tensions, run100, 0.2 * run100.records[-1].t),
+            ("n=200", disk_network, unit_tensions, run200, 0.2 * run200.records[-1].t),
+            ("skewed n=48", network, skewed, skewed_run, 0.0)):
+        worst, largest = _v_qv(net, disk, tensions, traj, t_from)
+        vqv[label] = worst / (eps * largest)
 
     worst_order = min(orders.values())
-    ok = worst_order >= 0.9
+    ok = worst_order >= 0.9 and max(vqv.values()) <= _V_QV_C
     detail = ", ".join(f"{k} {v:.2f}" for k, v in orders.items())
-    record_acceptance("9 identities", ok, f"orders: {detail}")
+    exact = ", ".join(f"{k} {v:.2f}" for k, v in vqv.items())
+    record_acceptance("9 identities", ok,
+                      f"orders: {detail}; |v - QV| / (eps |V|): {exact} <= {_V_QV_C:g}")
     assert ok
 
 

@@ -1,9 +1,11 @@
+import argparse
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
-from trijunction import steady
+from trijunction import cli, stability, steady
 from trijunction.cli import main
 from trijunction.config import RunConfig
 from trijunction.storage import read_trajectory, write_trajectory
@@ -49,6 +51,31 @@ def test_spectrum_subcommand(workdir, capsys):
     lines = (workdir / "eig.csv").read_text().splitlines()
     assert lines[0] == "branch,sigma,phi"
     assert len(lines) == 1 + 3 * 65
+    # the values are formatted as Python floats, with the text of the numpy
+    # scalars they come from
+    cfg = cli.parse_config((workdir / "disk.cfg").read_text())
+    _, tensions, network = cli._problem(cfg)
+    phi = stability.max_eigenvalue(network, tensions, cfg.spectrum_n).eigenfunction
+    assert lines[1:] == [f"{i + 1},{s:.17g},{v:.17g}" for i in range(3) for s, v in
+                         zip(np.linspace(0.0, network.lengths[i], 65), phi[i])]
+
+
+def test_main_builds_its_parser_once(workdir, monkeypatch, capsys):
+    built = []  # the prog of every parser made, subcommands' included
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["verify", str(workdir / "missing.csv")]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("trijunction") == 1 and len(built) == 6, built
 
 
 def test_evolve_and_verify(workdir, capsys):

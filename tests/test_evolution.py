@@ -135,8 +135,8 @@ def test_failed_sweep_raises_compatibility_failed_from_initial_state(
 def test_sweep_start_off_the_domain_falls_back_to_the_predictor(family, unit_tensions,
                                                                request, monkeypatch):
     # The sweep starts from the predicted unknowns plus the extrapolated
-    # correction of the last two sweeps.  A forced history whose last
-    # correction is 1e3 on every unknown puts that start about 2e3 off:
+    # correction of the last three sweeps.  A forced history whose last
+    # correction is 1e3 on every unknown puts that start about 3e3 off:
     # its first residual raises NoIntersection or OffsetMissesBoundary, the
     # sweep drops the history and runs again from the predicted unknowns,
     # and the steps go on with the conditions met below 1e-10.
@@ -148,7 +148,7 @@ def test_sweep_start_off_the_domain_falls_back_to_the_predictor(family, unit_ten
         state = stepper.step(state)
     start, residual, accept, forget, jacobian = stepper._sweep
     _, pred = start(stepper._bc.nodes(state.rho))
-    accept([u + 1e3 for u in pred])
+    accept([u + 1e3 for u in pred], None)
     starts, predicted, raised = [], [], []
     newton = evolution_module.newton
 
@@ -177,6 +177,36 @@ def test_sweep_start_off_the_domain_falls_back_to_the_predictor(family, unit_ten
                           state.mu.tolist())
         assert np.abs(got).max() < 1e-10
     assert len(starts) == 7 and len(raised) == 1
+
+
+# The sweep accepts Newton's next step from its root, taken with the held
+# inverse Jacobian from the residual it evaluated last, so its states meet
+# the junction and wall conditions of its own residual to rounding: over
+# 150 steps from _perturbed_state at seeds 0-19 they read at most 3.6e-14
+# on the disk, the ellipse and the two dents and 4.1e-14 on the trefoil
+# (1.3e-14 medians), where a root accepted anywhere under the 1e-10
+# tolerance read up to 9.8e-11.  The residual is the Stepper's own, on its
+# exit binding: on a polynomial wall an exit is accepted once |P| < 1e-13,
+# so an operator on a binding of its own, whose exits start elsewhere,
+# reads up to about 1e-13 on the two dents (a 40-digit evaluation agrees
+# with it), a floor of the exits that no sweep goes under.
+_ACCEPTED_RESIDUAL = 1e-13
+
+
+@pytest.mark.parametrize("family, n", [("disk", 200), ("ellipse", 64), ("trefoil", 48),
+                                       ("two_dents", 48)])
+def test_accepted_states_meet_the_boundary_conditions_to_rounding(family, n, unit_tensions,
+                                                                  request):
+    domain, network = (request.getfixturevalue(f) for f in (family, f"{family}_network"))
+    state = _perturbed_state(network, domain, unit_tensions, n, seed=0)
+    stepper = Stepper(network, domain, unit_tensions, make_config(network, n, 0.0))
+    bc, worst = stepper._bc, []
+    for _ in range(150):
+        state = stepper.step(state)
+        rho = state.rho
+        worst.append(max(map(abs, bc(bc.nodes(rho), rho[:, 0].tolist(), rho[:, -1].tolist(),
+                                     state.mu.tolist()))))
+    assert max(worst) <= _ACCEPTED_RESIDUAL, max(worst)
 
 
 def test_step_evaluates_no_wall_gradient(disk, disk_network, two_dents, two_dents_network,
@@ -244,16 +274,19 @@ def _dirichlet_step(stepper, state):
 # _perturbed_state at seeds 0-199 on each fixture below (800 states): one
 # step read at most 4.3e-16 (median 1.9e-16).  300 steps, with the exact
 # sweep Jacobian, whose refresh no longer magnifies rounding, read medians
-# 1.3e-15-2.6e-15 and maxima 3.4e-15 on the ellipse, 3.7e-15 on the
-# trefoil, 7.5e-14 on the two dents (seed 130; the next 5.3e-15) and
-# 1.3e-12 on the disk (seed 136; the next 6.5e-14); seed 0, which the test
-# runs, reads at most 2.8e-15.  The outliers grow between refreshes: a
-# sweep accepts any point whose residual is under the 1e-10 tolerance,
-# often its extrapolated start, so the two routes' boundary values follow
-# their own starts within that ball (with the forward difference the
-# maxima were 7.0e-13 on the disk, seed 136, and 2.8e-14 on the two dents,
-# seed 24).  So the draws do not allow a tighter long-run bound.
-_ONE_STEP_BOUND, _LONG_RUN_BOUND = 1e-15, 2e-13
+# 1.3e-15-1.7e-15 and maxima 7.6e-15 on the disk (seed 20), 3.6e-14 on the
+# ellipse (seed 32), 9.0e-14 on the trefoil (seed 74) and 1.4e-13 on the
+# two dents (seed 183; the next 1.0e-13); seed 0, which the test runs,
+# reads at most 8.8e-15.  Each sweep accepts Newton's next step from its
+# root, so both routes' boundary values sit within rounding of their own
+# exact roots and no longer drift apart: the outliers are one-off splits of
+# one or two ulps of the exit coordinates (at seed 183, 1e-16 absolute at
+# a step where only one route refreshed its lagged Jacobian, 4.6e-16 at
+# most, then decaying), read against a max |rho| near 2e-3.  A sweep that
+# accepted any point under its 1e-10 tolerance let them grow to 1.3e-12 on
+# the disk (seed 136, doubling every 9 steps) and 7.5e-14 on the two dents
+# (seed 130), which read 1.6e-15 and 8.6e-16 now.
+_ONE_STEP_BOUND, _LONG_RUN_BOUND = 1e-15, 1.5e-13
 
 
 @pytest.mark.parametrize("family, n", [("disk", 200), ("ellipse", 64), ("trefoil", 48),
