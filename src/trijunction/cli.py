@@ -74,7 +74,7 @@ def _cmd_spectrum(args) -> int:
     lines = ["branch,sigma,phi"]
     for i in range(3):
         sigma = np.linspace(0.0, network.lengths[i], result.n + 1)
-        lines.extend(f"{i + 1},{s:.17g},{v:.17g}"
+        lines.extend("%d,%.17g,%.17g" % (i + 1, s, v)
                      for s, v in zip(sigma.tolist(), result.eigenfunction[i].tolist()))
     storage.write_lines(args.out, lines)
     print(f"eigenfunction written to {args.out}")

@@ -8,7 +8,8 @@ recorded state's chart is evaluated once.  records_from_states evaluates
 the records of many states on one grid as one batch, vectorized over a
 leading record axis, because a record of a small grid costs mostly numpy
 dispatch; record_from_state is its batch of one, and a record is bitwise
-the same in any batch.  run evaluates its records in batches of 8.
+the same in any batch.  run evaluates its records in batches of 16, each
+pending record holding only what it reads of its chart (RecordChart).
 Integrals are composite trapezoid sums in the arc element J dsigma;
 arc-length derivatives are d/ds = (1/J) d/dsigma with the second-order
 stencils of rho_derivatives, one-sided at the junction and the wall.  The
@@ -35,6 +36,7 @@ suite builds its cross-check of the records on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,10 +170,9 @@ class DiagnosticsRecord:
 
 def _branch_integrals(values, J, dx):
     """Per-branch trapezoid integrals of values in the arc element J dsigma,
-    over the last axis; values may stack several integrands, and is
-    overwritten.  The trapezoid sum of numpy.trapezoid is written out in
-    place, so that a batch of records holds two copies of its integrands,
-    not four."""
+    over the last axis; values is overwritten.  The trapezoid sum of
+    numpy.trapezoid is written out in place, and a row's sum does not
+    depend on the leading axes, so an integral is the same in any batch."""
     values *= J
     pairs = values[..., 1:] + values[..., :-1]
     return pairs.sum(axis=-1) / 2.0 * dx  # halving is exact: the bits of sum(pairs / 2)
@@ -189,6 +190,24 @@ def _rowwise(a, x):
     batch size, and a sum of three written-out terms rounds differently
     from that BLAS call."""
     return (a @ x[..., None])[..., 0]
+
+
+class RecordChart(NamedTuple):
+    """What a record reads of its state's chart: J^2 and kappa J^3 on the
+    sigma grids, (3, n+1), and the wall rows mu_b', mu_b'', phi_T and
+    rho_sigma, (4, 3), copied out of the chart, so that a RecordChart holds
+    no other array of the chart."""
+
+    J2: np.ndarray
+    kappa_num: np.ndarray
+    wall: np.ndarray
+
+
+def record_chart(chart) -> RecordChart:
+    """The RecordChart of a ChartGeometry (or Coefficients)."""
+    return RecordChart(chart.J2, chart.kappa_num,
+                       np.array([chart.dmu_b[:, -1], chart.ddmu_b[:, -1], chart.phi_T[:, -1],
+                                 chart.rho_sigma[:, -1]]))
 
 
 # the scalar fields of a record, in the column order of records_from_states
@@ -209,27 +228,35 @@ def records_from_states(network, domain, tensions, states,
     """Records of `states`, all on one grid, evaluated as one batch.
 
     charts[k] is the ChartGeometry (or the Coefficients) of states[k], such
-    as the ones the next time step reads; for a None entry, or charts=None,
-    the record evaluates chart_geometry, cold-started.  The det M floor of
-    `coefficients` is not applied: it guards the time step, and records are
-    also taken of states no step has evaluated.
+    as the ones the next time step reads, or its RecordChart; for a None
+    entry, or charts=None, the record evaluates chart_geometry,
+    cold-started.  The det M floor of `coefficients` is not applied: it
+    guards the time step, and records are also taken of states no step has
+    evaluated.
 
     Every field is computed along a leading record axis, and the products
     over the three branches are made record by record, so a record does not
-    depend on the batch it is evaluated in.  Only the charts a batch
-    evaluates can raise, and they are evaluated in record order, so the
-    error raised is the first failing record's own.
+    depend on the batch it is evaluated in.  J = sqrt(J^2) and
+    kappa = kappa J^3 / (J^2 J) are formed once for the stacked batch, by
+    the elementwise operations of the chart's own J and kappa, so bitwise
+    theirs.  Only the charts a batch evaluates can raise, and they are
+    evaluated in record order, so the error raised is the first failing
+    record's own.
     """
     if charts is None:
         charts = [None] * len(states)
     if not states:
         return []
-    geos = [chart_geometry(network, domain, state) if chart is None else chart
-            for state, chart in zip(states, charts, strict=True)]
+    parts = [chart if isinstance(chart, RecordChart) else
+             record_chart(chart_geometry(network, domain, state) if chart is None else chart)
+             for state, chart in zip(states, charts, strict=True)]
     g = tensions.array
     dx = network.lengths / states[0].n
-    kap = np.array([geo.kappa for geo in geos])  # (records, 3, n+1)
-    J = np.array([geo.J for geo in geos])
+    J3 = np.array([part.J2 for part in parts])  # (records, 3, n+1), J^2 until it is J^3
+    J = np.sqrt(J3)
+    J3 *= J
+    kap = np.array([part.kappa_num for part in parts])
+    kap /= J3
     kap_s = rho_derivatives(kap, network.lengths)
     kap_s /= J
     kap_ss = rho_derivatives(kap_s, network.lengths)
@@ -238,26 +265,27 @@ def records_from_states(network, domain, tensions, states,
     # (11, records), in the order of _SCALAR_FIELDS
     scalars = np.empty((len(_SCALAR_FIELDS), len(states)))
     np.abs(kap).max(axis=(1, 2), out=scalars[5])  # kappa_linf
-    # the stacked integrands 1, kappa^2, kappa^4 = (kappa^2)^2, kappa_s^2
-    # and kappa_ss^2, (5, records, 3, n+1)
-    values = np.empty((5,) + kap.shape)
-    values[0] = 1.0
-    np.multiply(kap, kap, out=values[1])
-    np.multiply(values[1], values[1], out=values[2])
-    np.multiply(kap_s, kap_s, out=values[3])
-    np.multiply(kap_ss, kap_ss, out=values[4])
-    # one quadrature of the stacked integrands, (5, records, 3), and one
-    # weighted sum of its rows: row for row the sums of _weighted_integral
-    integrals = _branch_integrals(values, J, dx)
+    # the integrals of 1, kappa^2, kappa^4 = (kappa^2)^2, kappa_s^2 and
+    # kappa_ss^2, (5, records, 3), each integrand formed in turn in the
+    # buffer of J^3, which is not read again
+    integrals = np.empty((5,) + kap.shape[:2])
+    values = J3
+    values.fill(1.0)
+    integrals[0] = _branch_integrals(values, J, dx)
+    for row, a in ((1, kap), (3, kap_s), (4, kap_ss)):
+        np.multiply(a, a, out=values)
+        integrals[row] = _branch_integrals(values, J, dx)
+    np.multiply(kap, kap, out=values)
+    np.multiply(values, values, out=values)
+    integrals[2] = _branch_integrals(values, J, dx)
 
     # junction: tangential speeds v = Q V from the flow law V = kappa
     velocities = _rowwise(tensions.q, kap0)
 
     # per record the rows mu_b', mu_b'', phi_T and rho_sigma at the wall, and
     # mu and rho at the junction, (records, 6, 3)
-    ends = np.array([(geo.dmu_b[:, -1], geo.ddmu_b[:, -1], geo.phi_T[:, -1],
-                      geo.rho_sigma[:, -1], state.mu, state.rho[:, 0])
-                     for geo, state in zip(geos, states)])
+    ends = np.array([(*part.wall, state.mu, state.rho[:, 0])
+                     for part, state in zip(parts, states)])
     # the wall terms off the exit jet (see the module docstring): with
     # |x'| = sqrt(1 + mu_b'^2), h = mu_b'' / |x'|^3, and the cross product of
     # the unit tangent (phi_T T + rho_sigma N) / J with the wall normal

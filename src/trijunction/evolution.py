@@ -30,8 +30,9 @@ dispatch would cost more than the few hundred flops on 5-entry vectors.
 A refresh reads the exact Jacobian (BoundaryOperator.jacobian): the chain
 rule through the six exit jets, from one exit call that also gives mu_b''
 at the wall ends, which no other evaluation asks for.
-It starts from the predicted unknowns u_pred plus 2 d_k - d_{k-1}, the
-corrections d = u - u_pred of the last two sweeps extrapolated, which the
+It starts from the predicted unknowns u_pred plus
+4 d_k - 6 d_{k-1} + 4 d_{k-2} - d_{k-3}, the corrections d = u - u_pred
+of the last four sweeps extrapolated by the cubic through them, which the
 Stepper holds as floats: the start of a continuation method (Deuflhard
 2004), from which a sweep often converges at its first evaluation.  A
 start whose exits leave the domain is dropped with its history, and the
@@ -180,9 +181,11 @@ class Stepper:
         holds exactly throughout.  The iteration is domains.newton on the
         Stepper's BoundaryOperator, with its lagged exact Jacobian, started from
         the predicted unknowns u_pred (those of rho) plus
-        3 d_k - 3 d_{k-1} + d_{k-2}, the corrections d = u - u_pred of the
-        last three sweeps extrapolated (2 d_k - d_{k-1} with two held, d_k
-        with one, nothing with none).  A start whose exits leave the domain
+        4 d_k - 6 d_{k-1} + 4 d_{k-2} - d_{k-3}, the corrections
+        d = u - u_pred of the last four sweeps extrapolated by the cubic
+        through them (the quadratic 3 d_k - 3 d_{k-1} + d_{k-2} with three
+        held, the line 2 d_k - d_{k-1} with two, d_k with one, nothing with
+        none).  A start whose exits leave the domain
         (NoIntersection, OffsetMissesBoundary) is dropped with its history,
         and the sweep runs again from u_pred.  The root is polished: the
         sweep accepts Newton's next step from it, u - J^-1 F(u) with the held
@@ -265,16 +268,18 @@ def _sweep_maps(bc, tensions):
     newton holds none, for no polish); it takes Newton's next step
     u - inv F(u) from the held residual, with no evaluation, and gives that
     point's six end values (r0, then the wall values) and mu as floats, r0
-    and mu as residual forms them.  It holds d = u - u_pred of the polished u and sets the
-    next shift s = 3 d - 3 d_prev + d_prev2, the quadratic through the last
-    three corrections (2 d - d_prev with two held, d with one).  forget()
+    and mu as residual forms them.  It holds d = u - u_pred of the polished
+    u and sets the next shift s = 4 (d + d_prev2) - 6 d_prev - d_prev3, the
+    cubic through the last four corrections (the quadratic
+    3 (d - d_prev) + d_prev2 with three held, the line 2 d - d_prev with
+    two, d with one).  forget()
     drops the history, so the next start is u_pred, and says whether there
     was one.  jacobian(u) gives bc.jacobian at u, the exact Jacobian of
     residual, in which c_k moves r0 by the basis row b_k and mu by Q b_k."""
     (x0, x1, x2), (y0, y1, y2) = tensions.basis.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = tensions.q.tolist()
     held = pred = F = None  # the swept rho's nodes, its u_pred, the last residual
-    last = prev = None  # the last two corrections d
+    last = prev = prev2 = None  # the last three corrections d
     shift = 0.0, 0.0, 0.0, 0.0, 0.0  # the next start's shift
 
     def start(nodes):
@@ -297,7 +302,7 @@ def _sweep_maps(bc, tensions):
         return F
 
     def accept(u, inv):
-        nonlocal shift, last, prev
+        nonlocal shift, last, prev, prev2
         c0, c1, w1, w2, w3 = u
         if inv is not None:  # u - inv F(u), written out
             f0, f1, f2, f3, f4 = F
@@ -311,7 +316,13 @@ def _sweep_maps(bc, tensions):
             w3 -= i40 * f0 + i41 * f1 + i42 * f2 + i43 * f3 + i44 * f4
         p0, p1, p2, p3, p4 = pred
         d = d0, d1, d2, d3, d4 = c0 - p0, c1 - p1, w1 - p2, w2 - p3, w3 - p4
-        if prev is not None:  # the quadratic through the last three
+        if prev2 is not None:  # the cubic through the last four
+            (e0, e1, e2, e3, e4), (g0, g1, g2, g3, g4), (k0, k1, k2, k3, k4) = \
+                last, prev, prev2
+            shift = (4.0 * (d0 + g0) - 6.0 * e0 - k0, 4.0 * (d1 + g1) - 6.0 * e1 - k1,
+                     4.0 * (d2 + g2) - 6.0 * e2 - k2, 4.0 * (d3 + g3) - 6.0 * e3 - k3,
+                     4.0 * (d4 + g4) - 6.0 * e4 - k4)
+        elif prev is not None:  # the quadratic through the last three
             (e0, e1, e2, e3, e4), (g0, g1, g2, g3, g4) = last, prev
             shift = (3.0 * (d0 - e0) + g0, 3.0 * (d1 - e1) + g1, 3.0 * (d2 - e2) + g2,
                      3.0 * (d3 - e3) + g3, 3.0 * (d4 - e4) + g4)
@@ -320,7 +331,7 @@ def _sweep_maps(bc, tensions):
             shift = d0 + d0 - e0, d1 + d1 - e1, d2 + d2 - e2, d3 + d3 - e3, d4 + d4 - e4
         else:
             shift = d
-        prev, last = last, d
+        prev2, prev, last = prev, last, d
         r1 = c0 * x0 + c1 * y0
         r2 = c0 * x1 + c1 * y1
         r3 = c0 * x2 + c1 * y2
@@ -329,8 +340,8 @@ def _sweep_maps(bc, tensions):
                                           q20 * r1 + q21 * r2 + q22 * r3]
 
     def forget():
-        nonlocal shift, last, prev
-        had, last, prev = last is not None, None, None
+        nonlocal shift, last, prev, prev2
+        had, last, prev, prev2 = last is not None, None, None, None
         shift = 0.0, 0.0, 0.0, 0.0, 0.0
         return had
 
@@ -409,7 +420,7 @@ _ABORTING = (MatrixMNotInvertible, DegenerateMetric, CflViolation,
              NewtonDiverged, OffsetMissesBoundary, NoIntersection, NonFiniteState)
 
 
-_RECORD_BATCH = 8  # pending records that run evaluates together
+_RECORD_BATCH = 16  # pending records that run evaluates together
 
 
 def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Trajectory:
@@ -422,15 +433,17 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
     past the det M floor is recorded on the plain chart; one whose chart
     fails otherwise is not recorded, and its status replaces amplitude_cap.
 
-    Records are evaluated in batches of 8 by records_from_states, and once
+    Records are evaluated in batches of 16 by records_from_states, and once
     more at the end.  A pending record keeps the state copy that the
-    trajectory stores and the coefficients that the Stepper charted for it,
-    whose exit jet gives the record its wall terms: a record given its
-    chart makes no domain call.  The error of a plain chart (a
-    DegenerateMetric, say) is raised when its batch is evaluated, at most 7
-    records later, with the same type and message as a lone record's.
+    trajectory stores and the RecordChart of the coefficients that the
+    Stepper charted for it (J^2, kappa J^3 and the wall-end columns of the
+    exit jet, which give the record its wall terms), never the coefficients
+    themselves, which are freed once the next step has read them: a record
+    given its chart makes no domain call.  The error of a plain chart (a
+    DegenerateMetric, say) is raised when its batch is evaluated, at most
+    15 records later, with the same type and message as a lone record's.
     """
-    from .diagnostics import records_from_states
+    from .diagnostics import record_chart, records_from_states
 
     stepper = Stepper(network, domain, tensions, config)
     records, states, charts = [], [], []
@@ -445,7 +458,7 @@ def run(network, domain, tensions, init: GraphState, config: EvolveConfig) -> Tr
         # the det M floor it takes the plain chart, and that step aborts.
         # Any other chart error ends the run with the state unrecorded.
         try:
-            charts.append(stepper.chart(state))
+            charts.append(record_chart(stepper.chart(state)))
         except MatrixMNotInvertible:
             charts.append(None)
         states.append(state.copy())

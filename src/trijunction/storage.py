@@ -6,6 +6,7 @@ doubles exactly, so read(write(rows)) == rows bitwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import fields, make_dataclass
 
 import numpy as np
@@ -22,10 +23,12 @@ _LAYOUT = [(f.name, f.metadata["csv"] or (f.name,))
 _COLUMNS = [col for _, cols in _LAYOUT for col in cols]
 _N_COLS = len(_COLUMNS)
 TRAJECTORY_HEADER = ",".join(_COLUMNS)
+_ROW_FORMAT = ",".join(["%.17g"] * _N_COLS)  # one CSV row: 17 significant digits a value
 
 TrajectoryRow = make_dataclass("TrajectoryRow", [(col, float) for col in _COLUMNS])
 TrajectoryRow.__module__ = __name__
 TrajectoryRow.__doc__ = "One trajectory CSV row: the stored record fields, vectors split."
+_row_values = operator.attrgetter(*_COLUMNS)  # a TrajectoryRow's values, in column order
 
 
 def read_text(path) -> str:
@@ -46,23 +49,32 @@ def write_lines(path, lines) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def row_from_record(record) -> TrajectoryRow:
-    """CSV row of a DiagnosticsRecord: its stored scalar fields as they are,
-    its junction position p and offsets mu split into components."""
+def _record_values(record) -> tuple:
+    """The CSV values of a DiagnosticsRecord, in column order: its stored
+    scalar fields as they are, its junction position p and offsets mu split
+    into components as floats."""
     values = []
     for name, cols in _LAYOUT:
         value = getattr(record, name)
         values.extend(map(float, value) if len(cols) > 1 else (value,))
-    return TrajectoryRow(*values)
+    return tuple(values)
+
+
+def row_from_record(record) -> TrajectoryRow:
+    """CSV row of a DiagnosticsRecord: the values that write_trajectory
+    writes of it."""
+    return TrajectoryRow(*_record_values(record))
 
 
 def write_trajectory(rows, path) -> None:
-    """Write records (DiagnosticsRecord or TrajectoryRow) as CSV."""
+    """Write records (DiagnosticsRecord or TrajectoryRow) as CSV.  A row is
+    one format over its values in column order, each with 17 significant
+    digits: the text of format(value, ".17g"), so a record and its
+    TrajectoryRow write the same bytes."""
     out = [TRAJECTORY_HEADER]
     for row in rows:
-        if not isinstance(row, TrajectoryRow):
-            row = row_from_record(row)
-        out.append(",".join(f"{getattr(row, name):.17g}" for name in _COLUMNS))
+        out.append(_ROW_FORMAT % (_row_values(row) if isinstance(row, TrajectoryRow)
+                                  else _record_values(row)))
     write_lines(path, out)
 
 

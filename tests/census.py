@@ -1,6 +1,6 @@
 """Outcome censuses of the spectrum solve on seeded random forks and of the
-steady solve on the fixture domains, and the boundary sweep's counts on
-three runs.
+steady solve on the fixture domains, the boundary sweep's counts on three
+runs, and the peak memory of the CLI pipeline at fixed operation counts.
 
     PYTHONPATH=src python tests/census.py [CENSUS ...]
 
@@ -34,6 +34,16 @@ BoundaryOperator on an exit binding of its own.
 
     sweep       3 runs
 
+The memory census runs the benchmark's CLI pipeline operation (steady,
+spectrum, evolve and verify through trijunction.cli.main, seed 1) in this
+process and prints its peak resident set size, ru_maxrss, after 3, 30 and
+100 operations.  The benchmark reads peak RSS over as many operations as
+fit in its seconds, so a faster operation runs more of them; two trees are
+compared at equal counts here.  ru_maxrss is the peak of the whole
+process, so run the memory census on its own.
+
+    memory      100 operations
+
 It prints per census the count of each outcome ("ok" or the error's class)
 and one SHA-256 over every outcome: the bytes of lambda_max and of the
 eigenfunction, or of the root's p_*, tangents, lengths and wall
@@ -44,8 +54,11 @@ file.
 
 import argparse
 import collections
+import contextlib
 import hashlib
+import resource
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +75,7 @@ def _admissible(rng):
 
 
 SPECTRUM_CENSUSES = {"wide": (4000, _wide), "admissible": (3000, _admissible)}
-CENSUSES = [*SPECTRUM_CENSUSES, "steady", "sweep"]
+CENSUSES = [*SPECTRUM_CENSUSES, "steady", "sweep", "memory"]
 
 
 def census(name):
@@ -190,6 +203,26 @@ def sweep_census():
     return rows
 
 
+def memory_census(counts=(3, 30, 100)):
+    """Per count, (operations, ru_maxrss in MB) of this process after that
+    many CLI pipeline operations of the benchmark, seed 1."""
+    sys.path.insert(0, str(TESTS.parent / "bench"))
+    from workloads import WORKLOADS
+
+    work, rows, done = WORKLOADS["cli_pipeline"], [], 0
+    with tempfile.TemporaryDirectory() as workdir:
+        state = work.setup(1, False, workdir)
+        try:
+            for count in counts:
+                for _ in range(count - done):
+                    work.op(state, lambda name: contextlib.nullcontext())
+                done = count
+                rows.append((count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
+        finally:
+            work.teardown(state)
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("censuses", nargs="*",
@@ -206,6 +239,11 @@ def main(argv=None):
                 print(f"sweep       {run:<15} {steps:4d} steps: {evaluations / steps:.3f} "
                       f"evaluations per step, {refreshes} Jacobian refreshes, "
                       f"largest accepted residual {worst:.2e}")
+            continue
+        if name == "memory":
+            for operations, peak in memory_census():
+                print(f"memory      cli_pipeline after {operations:3d} operations: "
+                      f"ru_maxrss {peak:.2f} MB")
             continue
         counts, sha = census(name)
         outcomes = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))

@@ -353,6 +353,42 @@ def test_trajectory_write_read_write_bitwise(tmp_path_factory, records):
     assert second.read_bytes() == first.read_bytes()
 
 
+# the trajectory CSV's columns, as the record's fields give them
+_CSV_COLUMNS = ("t", "E", "kappa_l2_sq", "kappa_s_l2_sq", "kappa_ss_l2_sq", "px", "py", "mu1",
+                "mu2", "mu3", "res_junction", "res_flux", "res_outer", "res_perp")
+_EDGE_VALUES = (0.1, -0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan)
+
+
+def test_trajectory_csv_bytes_are_each_value_formatted_on_its_own(tmp_path):
+    # Each row is one format over its values; its bytes are those of
+    # formatting every value on its own with 17 significant digits, joined
+    # by commas, for records and rows alike: zeros keep their sign,
+    # subnormals and the largest double their digits, and the infinities
+    # and NaN read inf, -inf and nan.  Every record field takes each value.
+    records = []
+    for k in range(len(_EDGE_VALUES)):
+        values = iter(_EDGE_VALUES[(j + k) % len(_EDGE_VALUES)] for j in range(32))
+        records.append(DiagnosticsRecord(**{
+            f.name: (np.array([next(values) for _ in range(_VECTORS[f.name])])
+                     if f.name in _VECTORS else next(values))
+            for f in fields(DiagnosticsRecord)}))
+    lines = [",".join(_CSV_COLUMNS)]
+    for r in records:
+        lines.append(",".join(f"{v:.17g}" for v in (
+            r.t, r.E, r.kappa_l2_sq, r.kappa_s_l2_sq, r.kappa_ss_l2_sq, *map(float, r.p),
+            *map(float, r.mu), r.res_junction, r.res_flux, r.res_outer, r.res_perp)))
+    want = ("\n".join(lines) + "\n").encode()
+    assert b"-0," in want and b"4.9406564584124654e-324" in want
+    assert b"1.7976931348623157e+308" in want and b"nan" in want and b"-inf" in want
+    path = tmp_path / "records.csv"
+    write_trajectory(records, path)
+    assert path.read_bytes() == want
+    write_trajectory([row_from_record(r) for r in records], path)
+    assert path.read_bytes() == want
+    write_trajectory(read_trajectory(path), path)
+    assert path.read_bytes() == want
+
+
 # ---------------------------------------------------------------------------
 # network blocks
 

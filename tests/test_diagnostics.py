@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from trijunction.diagnostics import (
+    RecordChart,
     decay_fit,
     energy_law_residual,
     kappa_l2_sq_sigma_grid,
+    record_chart,
     record_from_state,
     records_from_states,
     resample,
@@ -164,16 +166,19 @@ def _assert_bitwise(record, want):
 
 
 def _mixed_charts(network, domain, tensions, states):
-    """Per state in turn: none, the plain chart and the step's coefficients."""
+    """Per state in turn: none, the plain chart, the step's coefficients and
+    their RecordChart, as run holds it."""
     charts = []
     for k, state in enumerate(states):
-        kind = k % 3
+        kind = k % 4
         if kind == 0:
             charts.append(None)
         elif kind == 1:
             charts.append(chart_geometry(network, domain, state))
-        else:
+        elif kind == 2:
             charts.append(coefficients(network, domain, tensions, state))
+        else:
+            charts.append(record_chart(coefficients(network, domain, tensions, state)))
     return charts
 
 
@@ -191,18 +196,19 @@ def test_batch_records_equal_their_singles_bitwise(request, fork, unit_tensions)
     network = request.getfixturevalue(f"{fork}_network")
     for tensions in (unit_tensions, SurfaceTensions((0.9, 1.3, 1.1))):
         states = [smooth_state(network, tensions, 40, amp=0.01 + 0.002 * k, seed=k)
-                  for k in range(9)]
+                  for k in range(17)]
         charts = _mixed_charts(network, domain, tensions, states)
         singles = [record_from_state(network, domain, tensions, state, chart=chart)
                    for state, chart in zip(states, charts)]
         q = junction_matrix(young_angles(tensions))
         for state, chart, want in zip(states, charts, singles):
-            geo = chart_geometry(network, domain, state) if chart is None else chart
+            geo = (chart_geometry(network, domain, state)
+                   if chart is None or isinstance(chart, RecordChart) else chart)
             kap0 = geo.kappa[:, 0]
             assert want.res_junction == abs(tensions.array @ kap0)
             assert want.res_sum_gamma_v == abs(tensions.array @ (q @ kap0))
-        for size in (1, 3, 8, 9):
-            for start in range(0, 9, size):
+        for size in (1, 3, 8, 9, 16, 17):
+            for start in range(0, 17, size):
                 batch = records_from_states(network, domain, tensions,
                                             states[start:start + size],
                                             charts[start:start + size])

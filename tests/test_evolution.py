@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from trijunction.domains import CircleDomain
 from trijunction.errors import (CflViolation, CompatibilityFailed, MatrixMNotInvertible,
                                NewtonDiverged, NoIntersection, OffsetMissesBoundary)
 from trijunction.evolution import (
+    _RECORD_BATCH,
     EvolveConfig,
     Stepper,
     initial_state,
@@ -726,12 +728,12 @@ def test_run_on_a_nan_gradient_wall_equals_the_disks(disk, disk_network, unit_te
     # the wall off the exit jet.  So a run on a wall whose gradient is NaN
     # everywhere, with the disk's exits, completes with the disk's states
     # and records in every bit, over a closing partial batch of records
-    # (3 steps) and a full one (12 steps).
+    # (3 steps) and a full batch followed by a partial one.
     n = 24
     cfg = make_config(disk_network, n, 0.0, output_every=1)
     init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
                          amplitude=1e-2)
-    for steps in (3, 12):
+    for steps in (3, _RECORD_BATCH + 4):
         cfg = dataclasses.replace(cfg, t_end=steps * cfg.dt)
         traj = run(disk_network, NanGradientDisk(1.0), unit_tensions, init, cfg)
         want = run(disk_network, disk, unit_tensions, init, cfg)
@@ -743,6 +745,35 @@ def test_run_on_a_nan_gradient_wall_equals_the_disks(disk, disk_network, unit_te
             for f in dataclasses.fields(record):
                 a = np.asarray(getattr(record, f.name))
                 assert a.tobytes() == np.asarray(getattr(other, f.name)).tobytes(), f.name
+
+
+def test_a_pending_record_holds_no_chart(disk, disk_network, unit_tensions, monkeypatch):
+    # A pending record keeps what its record reads of the chart, not the
+    # Coefficients: once the step after a recorded state has read them, they
+    # are freed, while the record waits for its batch.  Every state is
+    # recorded, so each step starts from the chart of a pending record.
+    cfg = make_config(disk_network, 24, 0.0, output_every=1)
+    cfg = dataclasses.replace(cfg, t_end=(_RECORD_BATCH + 4) * cfg.dt)
+    init = initial_state(disk_network, disk, unit_tensions, cfg, kind="cosine",
+                         amplitude=1e-2)
+    chart, step = Stepper.chart, Stepper.step
+    charts, freed = [], []
+
+    def charted(self, state):
+        coef = chart(self, state)
+        charts.append(weakref.ref(coef))
+        return coef
+
+    def stepped(self, state):
+        new = step(self, state)
+        freed.append(charts[-1]() is None)
+        return new
+
+    monkeypatch.setattr(Stepper, "chart", charted)
+    monkeypatch.setattr(Stepper, "step", stepped)
+    traj = run(disk_network, disk, unit_tensions, init, cfg)
+    assert traj.status == "completed" and len(traj.records) == _RECORD_BATCH + 5
+    assert len(charts) == _RECORD_BATCH + 5 and freed == [True] * (_RECORD_BATCH + 4)
 
 
 @pytest.mark.parametrize("when", ["initial", "after_3_steps"])
